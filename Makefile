@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition torture-sched sched fuzz bench-json bench-smoke bench-micro bench-diff ci clean
+.PHONY: build vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition torture-sched sched fuzz bench bench-check bench-pair bench-json bench-smoke bench-micro bench-diff ci clean
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,28 @@ fuzz-wire:
 # Short fuzz pass over the graph loader/symmetrize targets.
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzEdgeListSymmetrize -fuzztime=60s
+
+# The one fixed benchmark (BENCHMARK.json, benchmark/README.md): six
+# workloads through the public entry points, every answer checked.
+# Arguments pass through, e.g. `make bench ARGS="-trace 1"`.
+bench:
+	bash benchmark/run.sh $(ARGS)
+
+# Smoke test of the benchmark module (its own go.mod, invisible to
+# `go test ./...` at the root): tiny sizes, every workload and metric, <10s.
+bench-check:
+	$(GO) test -C benchmark ./...
+
+# Paired measurement of this checkout against a base commit, the protocol a
+# claimed gain needs: N alternating base/change runs of one workload with
+# the order flipped every pair, both medians and quartiles, and the wins.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=sssp_sparse N=10 SEED=7
+BASE ?= HEAD~1
+WORKLOAD ?= sssp_sparse
+N ?= 10
+SEED ?= 1
+bench-pair:
+	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 # Machine-readable perf baseline: the Fig. 1 spectrum with per-technique
 # metrics snapshots and superstep phase traces. BENCH_NNNN.json files at

@@ -419,11 +419,12 @@ func writeTrace(path string, res serialgraph.Result) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(f, "superstep,duration_ns,executions,data_msgs,ctrl_msgs,compute_ns,local_delivery_ns,remote_flush_ns,barrier_wait_ns")
+	fmt.Fprintln(f, "superstep,duration_ns,executions,data_msgs,ctrl_msgs,compute_ns,local_delivery_ns,remote_flush_ns,barrier_wait_ns,barrier_drain_ns,barrier_commit_ns")
 	for i, st := range res.SuperstepStats {
-		fmt.Fprintf(f, "%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		fmt.Fprintf(f, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			i, st.Duration.Nanoseconds(), st.Executions, st.DataMsgs, st.CtrlMsgs,
-			st.ComputeNs, st.LocalDeliveryNs, st.RemoteFlushNs, st.BarrierWaitNs)
+			st.ComputeNs, st.LocalDeliveryNs, st.RemoteFlushNs, st.BarrierWaitNs,
+			st.BarrierDrainNs, st.BarrierCommitNs)
 	}
 	return f.Close()
 }

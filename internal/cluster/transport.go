@@ -178,6 +178,7 @@ type lane struct {
 	cond       *sync.Cond
 	lastDepart time.Time
 	closed     bool
+	wake       chan struct{} // the wire clock's wake-up for this lane's head-of-line wait
 }
 
 type timed struct {
@@ -251,6 +252,10 @@ type Mem struct {
 	inflight   int
 	idleCond   *sync.Cond
 
+	// clock is the transport's one wire clock (clock.go): lanes wait for
+	// their head-of-line deliverAt on it instead of calling time.Sleep.
+	clock *wireClock
+
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
@@ -272,8 +277,9 @@ func New(n int, latency LatencyModel) *Mem {
 		dead:     make([]atomic.Bool, n),
 	}
 	t.idleCond = sync.NewCond(&t.inflightMu)
+	t.clock = newWireClock(n * n) // at most one deadline per lane
 	for i := range t.lanes {
-		l := &lane{}
+		l := &lane{wake: make(chan struct{}, 1)}
 		l.cond = sync.NewCond(&l.mu)
 		t.lanes[i] = l
 		t.wg.Add(1)
@@ -421,8 +427,9 @@ func (t *Mem) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
 	l.mu.Unlock()
 }
 
-// deliver is the per-lane consumer: it sleeps until each message's delivery
-// time and invokes the receiver's handler, preserving FIFO order.
+// deliver is the per-lane consumer: it waits on the wire clock until each
+// message's delivery time and invokes the receiver's handler, preserving
+// FIFO order.
 func (t *Mem) deliver(l *lane) {
 	defer t.wg.Done()
 	for {
@@ -438,8 +445,8 @@ func (t *Mem) deliver(l *lane) {
 		l.q = l.q[1:]
 		l.mu.Unlock()
 
-		if d := time.Until(tm.deliverAt); d > 0 {
-			time.Sleep(d)
+		if time.Until(tm.deliverAt) > 0 {
+			t.clock.sleepUntil(tm.deliverAt, l.wake)
 		}
 		if tm.wireLost || (tm.msg.Kind == Data && t.dead[tm.msg.To].Load()) {
 			// Lost on the wire: injected (DropDelivery) or the receiver
@@ -485,8 +492,8 @@ func (t *Mem) InFlight() int {
 	return t.inflight
 }
 
-// Close drains all lanes and stops their goroutines. Sends after Close are
-// dropped.
+// Close drains all lanes, then joins their goroutines and the wire clock.
+// Sends after Close are dropped.
 func (t *Mem) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
@@ -498,4 +505,5 @@ func (t *Mem) Close() {
 		l.mu.Unlock()
 	}
 	t.wg.Wait()
+	t.clock.stop()
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,7 +233,8 @@ func TestConcurrentSendCloseWaitIdle(t *testing.T) {
 
 func TestCloseStopsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	tr := New(8, LatencyModel{}) // 64 lanes, 64 delivery goroutines
+	// 64 lanes, 64 delivery goroutines, and the wire clock they wait on.
+	tr := New(8, LatencyModel{Propagation: 100 * time.Microsecond})
 	for w := 0; w < 8; w++ {
 		tr.RegisterHandler(WorkerID(w), func(m Message) {})
 	}
@@ -439,4 +441,136 @@ func TestSelfSendGoesThroughSimulatedPath(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("self-send not delivered")
 	}
+}
+
+// pingPong runs n control round trips between two workers over tr — the
+// reply is sent from the delivery goroutine — and returns every one-way
+// flight time, send call to handler entry.
+func pingPong(t *testing.T, tr *Mem, n int) []time.Duration {
+	t.Helper()
+	oneWay := make([]time.Duration, 0, 2*n)
+	pong := make(chan struct{}, 1)
+	tr.RegisterHandler(1, func(m Message) {
+		oneWay = append(oneWay, time.Since(m.Payload.(time.Time)))
+		tr.Send(Message{From: 1, To: 0, Kind: Control, Payload: time.Now()})
+	})
+	tr.RegisterHandler(0, func(m Message) {
+		oneWay = append(oneWay, time.Since(m.Payload.(time.Time)))
+		pong <- struct{}{}
+	})
+	for i := 0; i < n; i++ {
+		tr.Send(Message{From: 0, To: 1, Kind: Control, Payload: time.Now()})
+		select {
+		case <-pong: // orders the handlers' appends before the next send
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round trip %d never completed", i)
+		}
+	}
+	return oneWay
+}
+
+func TestWireClockNeverEarlyAndPrecise(t *testing.T) {
+	const hop = 50 * time.Microsecond
+	tr := New(2, LatencyModel{Propagation: hop})
+	defer tr.Close()
+	oneWay := pingPong(t, tr, 200)
+	for i, d := range oneWay {
+		if d < hop {
+			t.Fatalf("flight %d took %v: delivered before its %v deadline", i, d, hop)
+		}
+	}
+	if testing.Short() || raceEnabled {
+		return // the upper bound is a timing assertion
+	}
+	sort.Slice(oneWay, func(i, j int) bool { return oneWay[i] < oneWay[j] })
+	if med := oneWay[len(oneWay)/2]; med > 250*time.Microsecond {
+		t.Errorf("median one-way flight %v for a %v hop: the clock is waiting on a coarse timer", med, hop)
+	}
+}
+
+func TestWireClockStragglerDelayAndBandwidthShareDeadline(t *testing.T) {
+	// 1000 B at 1 MB/s is 1 ms of serialization, plus 200µs propagation,
+	// plus the hook's 2 ms straggler delay: one deadline, 3.2 ms out.
+	tr := New(2, LatencyModel{Propagation: 200 * time.Microsecond, BytesPerSec: 1e6})
+	defer tr.Close()
+	tr.SetFaultHook(delayHook(2 * time.Millisecond))
+	got := make(chan time.Time, 1)
+	tr.RegisterHandler(0, func(Message) {})
+	tr.RegisterHandler(1, func(Message) { got <- time.Now() })
+	start := time.Now()
+	tr.Send(Message{From: 0, To: 1, Kind: Data, Bytes: 1000})
+	if d := (<-got).Sub(start); d < 3200*time.Microsecond {
+		t.Errorf("delivered after %v, want >= 3.2ms", d)
+	}
+}
+
+type delayHook time.Duration
+
+func (d delayHook) OnSend(Message) Fate { return Fate{Delay: time.Duration(d)} }
+func (delayHook) OnDeliver(Message)     {}
+
+func TestFIFOPerLaneUnderLatency(t *testing.T) {
+	// Deadlines on one lane are non-decreasing, and the lane registers only
+	// its head with the clock, so order survives any mix of sizes.
+	tr := New(2, LatencyModel{Propagation: 20 * time.Microsecond, BytesPerSec: 1e9})
+	defer tr.Close()
+	tr.RegisterHandler(0, func(Message) {})
+	var order []int
+	tr.RegisterHandler(1, func(m Message) { order = append(order, m.Payload.(int)) })
+	const n = 500
+	for i := 0; i < n; i++ {
+		tr.Send(Message{From: 0, To: 1, Kind: Data, Bytes: (i * 7919) % 4096, Payload: i})
+	}
+	tr.WaitIdle()
+	if len(order) != n {
+		t.Fatalf("delivered %d of %d", len(order), n)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order[%d] = %d: FIFO violated", i, v)
+		}
+	}
+}
+
+func TestWireClockParksWhenIdle(t *testing.T) {
+	tr := New(2, LatencyModel{Propagation: 30 * time.Millisecond})
+	defer tr.Close()
+	tr.RegisterHandler(0, func(Message) {})
+	delivered := make(chan struct{})
+	tr.RegisterHandler(1, func(Message) { close(delivered) })
+
+	// Nothing in flight: the clock is parked, not spinning.
+	before := tr.clock.spins.Load()
+	time.Sleep(10 * time.Millisecond)
+	if got := tr.clock.spins.Load(); got != before {
+		t.Fatalf("idle clock spun %d times", got-before)
+	}
+
+	// A deadline 30 ms out is waited for on the runtime timer; spinning may
+	// only start within spinHorizon of it.
+	start := time.Now()
+	tr.Send(Message{From: 0, To: 1, Kind: Control})
+	time.Sleep(10 * time.Millisecond)
+	if early := tr.clock.spins.Load() - before; early != 0 && time.Since(start) < 30*time.Millisecond-spinHorizon {
+		t.Fatalf("clock spun %d times with its deadline still over 2 ms away", early)
+	}
+	<-delivered
+	tr.WaitIdle()
+
+	// And it parks again once the message is delivered.
+	time.Sleep(time.Millisecond)
+	before = tr.clock.spins.Load()
+	time.Sleep(10 * time.Millisecond)
+	if got := tr.clock.spins.Load(); got != before {
+		t.Fatalf("clock spun %d times after the transport went idle", got-before)
+	}
+}
+
+func TestWireClockLivenessOnOneP(t *testing.T) {
+	// With a single P the clock's spin must yield: the lanes, the handlers
+	// that Send from delivery goroutines, and this test all share that P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := New(2, LatencyModel{Propagation: 50 * time.Microsecond})
+	defer tr.Close()
+	pingPong(t, tr, 100) // fails the test if a round trip starves
 }

@@ -16,6 +16,12 @@ import (
 // flight, and the execution counter stable across two observations — the
 // same detector the GAS engine uses.
 //
+// An idle worker parks on its doorbell (worker.wake), which onData rings:
+// only a remote delivery can activate a worker that has nothing to run.
+// The detector polls, because a consistent view needs two observations
+// some time apart; its period is a whole millisecond on the runtime timer,
+// so it never keeps the transport's wire clock awake.
+//
 // Partition-based locking composes with BAP naturally: the fork protocol
 // is already barrier-free, condition C1 comes from flush-before-handoff
 // plus FIFO delivery, and condition C2 from the forks themselves. Token
@@ -23,18 +29,26 @@ import (
 // (§4.2, §5.3) leans on superstep-aligned token rotation.
 func (r *runner[V, M]) runBAP(res *Result) {
 	var (
-		done     atomic.Bool
 		maxSteps atomic.Int64
 		wg       sync.WaitGroup
 	)
+	done := make(chan struct{})
 	for _, w := range r.workers {
 		wg.Add(1)
 		go func(w *worker[V, M]) {
 			defer wg.Done()
 			step := 0
-			for !done.Load() {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
 				if !w.anyActiveWorker() {
-					time.Sleep(50 * time.Microsecond)
+					select {
+					case <-w.wake:
+					case <-done:
+					}
 					continue
 				}
 				w.runLogicalSuperstep(step)
@@ -88,12 +102,20 @@ func (r *runner[V, M]) runBAP(res *Result) {
 				}
 			}
 		}
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(quiescencePoll)
 	}
-	done.Store(true)
+	close(done)
 	wg.Wait()
 	res.Supersteps = int(maxSteps.Load())
 }
+
+// quiescencePoll is the period of BAP's termination detector. Termination
+// is declared on the second consecutive idle observation, so a run ends
+// about two periods after its last message is consumed. It is a whole
+// millisecond because that is what the runtime timer delivers (a
+// sub-millisecond time.Sleep returns after ≈1.1 ms on Linux), the same
+// period as the GAS engine's detector.
+const quiescencePoll = time.Millisecond
 
 // anyActiveWorker reports whether any owned vertex is active: not halted,
 // or holding unread messages.

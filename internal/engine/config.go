@@ -416,6 +416,11 @@ type Result struct {
 	// or outstanding ≠ 0 at idle). Always zero on a correct run — the
 	// torture harness asserts it.
 	CreditImbalances int
+	// FrontierImbalances counts (barrier, worker) pairs at which the
+	// delivery-time frontier failed to reconcile: the unhalted or
+	// unread-message counter differed from the popcount of its bitset.
+	// Always zero on a correct run — the torture harness asserts it.
+	FrontierImbalances int
 	// Metrics is the run's final metrics snapshot: counters, phase
 	// timings, and histograms (see internal/metrics for the taxonomy).
 	Metrics metrics.Snapshot
@@ -438,4 +443,13 @@ type SuperstepStat struct {
 	LocalDeliveryNs int64 `json:"local_delivery_ns"`
 	RemoteFlushNs   int64 `json:"remote_flush_ns"`
 	BarrierWaitNs   int64 `json:"barrier_wait_ns"`
+	// BarrierDrainNs and BarrierCommitNs are the master's barrier critical
+	// path, which every worker sits out: last worker finish → transport
+	// idle, then aggregator merge, store swap, halt count and mutations,
+	// plus the mean dispatch-to-running delay of this superstep's workers.
+	// The commit proper falls after Duration ends. Per superstep, compute +
+	// flush + barrier-wait + workers × (drain + commit) accounts for
+	// workers × the wall time from this superstep's start to the next's.
+	BarrierDrainNs  int64 `json:"barrier_drain_ns"`
+	BarrierCommitNs int64 `json:"barrier_commit_ns"`
 }

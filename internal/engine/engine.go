@@ -40,9 +40,9 @@ type runner[V, M any] struct {
 
 	// values is the primary copy of every vertex value; each slot is
 	// written only by executions of its vertex, which the engine (and the
-	// synchronization technique) never runs concurrently with itself.
+	// synchronization technique) never runs concurrently with itself. The
+	// halt flags live with the workers (worker.awake).
 	values []V
-	halted []bool
 
 	// classes is computed for token techniques only (§5.3).
 	classes []partition.Class
@@ -175,7 +175,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	}
 	n := g.NumVertices()
 	r.values = make([]V, n)
-	r.halted = make([]bool, n)
 	if prog.Init != nil {
 		for v := 0; v < n; v++ {
 			r.values[v] = prog.Init(graph.VertexID(v), g)
@@ -326,6 +325,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 			res.WatchdogStalls++
 		}
 		r.tr.WaitIdle()
+		idleAt := time.Now()
 		// With the transport idle every send has been delivered or counted
 		// dropped, so every acquired credit must be back: an imbalance here
 		// means the flow ledger leaked (the torture harness asserts zero).
@@ -338,7 +338,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		stepWall := time.Since(stepStart)
 		r.reg.Add(metrics.Supersteps, 1)
 		r.reg.Observe(metrics.HistSuperstepWall, int64(stepWall))
-		r.noteBarrier(s, stepStart)
+		r.noteBarrier(s, stepStart, idleAt)
 
 		// Failure detection at the barrier (§6.4): in a real Giraph
 		// deployment the master notices a missed heartbeat; in the
@@ -346,6 +346,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		// The check runs before any superstep side effects commit
 		// (aggregator merge, store swap, checkpoint), so a checkpoint can
 		// never capture a superstep a dead worker participated in.
+		commitStart := idleAt
 		if dead := r.tr.DeadWorkers(); len(dead) > 0 {
 			res.Rollbacks++
 			r.reg.Add(metrics.Rollbacks, 1)
@@ -379,6 +380,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 			// Confined recovery brought the crashed workers' partitions back
 			// to the frontier: superstep s has now been (re)computed by every
 			// partition, so the superstep commits normally below.
+			commitStart = time.Now() // the replay was recovery, not commit
 		}
 		res.Supersteps = s + 1
 		if cfg.DetailedStats {
@@ -393,6 +395,8 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 				LocalDeliveryNs: cur.PhaseNs[metrics.PhaseLocalDelivery] - phaseBefore.PhaseNs[metrics.PhaseLocalDelivery],
 				RemoteFlushNs:   cur.PhaseNs[metrics.PhaseRemoteFlush] - phaseBefore.PhaseNs[metrics.PhaseRemoteFlush],
 				BarrierWaitNs:   cur.PhaseNs[metrics.PhaseBarrierWait] - phaseBefore.PhaseNs[metrics.PhaseBarrierWait],
+				BarrierDrainNs:  cur.PhaseNs[metrics.PhaseBarrierDrain] - phaseBefore.PhaseNs[metrics.PhaseBarrierDrain],
+				BarrierCommitNs: cur.PhaseNs[metrics.PhaseBarrierCommit] - phaseBefore.PhaseNs[metrics.PhaseBarrierCommit],
 			})
 		}
 
@@ -432,19 +436,22 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 			}
 		}
 
-		unhalted := 0
-		for v := 0; v < n; v++ {
-			if !r.halted[v] {
-				unhalted++
-			}
-		}
-		var pending int64
+		var unhalted, pending int64
 		for _, w := range r.workers {
+			unhalted += w.unhalted.Load()
 			pending += w.pendingMessages()
+			if !w.frontierConsistent() {
+				res.FrontierImbalances++
+			}
 		}
 		if err := r.applyMutations(); err != nil {
 			r.shutdownWorkers()
 			return nil, Result{}, nil, err
+		}
+		commit := time.Since(commitStart)
+		r.reg.AddPhase(metrics.PhaseBarrierCommit, commit)
+		if cfg.DetailedStats {
+			res.SuperstepStats[len(res.SuperstepStats)-1].BarrierCommitNs += int64(commit)
 		}
 		if cfg.CheckpointEvery > 0 && (s+1)%cfg.CheckpointEvery == 0 {
 			cpStart := time.Now()
@@ -515,17 +522,27 @@ func (r *runner[V, M]) buildOutSlots() {
 // noteBarrier converts the spread of worker finish times at superstep s's
 // barrier into metrics: each worker's barrier-wait is the gap between its
 // own finish and the cluster-wide last finish (zero, by construction, for
-// the last finisher). Under the token-passing techniques the same spread
-// also yields the token accounting — the holder's superstep time counts
-// as token_hold_ns and the non-holders' barrier waits as token_idle_ns,
+// the last finisher), and the master's wait from that last finish until
+// the transport went idle (idleAt) is the barrier drain. The other end of
+// the superstep — the delay from the master's dispatch (stepStart) until a
+// worker is running, averaged over the workers because the master-side
+// phases are charged once per worker — counts as barrier commit: with more
+// workers than CPUs the workers queue for a processor, ≈15% of a short
+// superstep. Under the token-passing techniques the finish spread also yields
+// the token accounting — the holder's superstep time counts as
+// token_hold_ns and the non-holders' barrier waits as token_idle_ns,
 // quantifying §4.2's parallelism sacrifice.
-func (r *runner[V, M]) noteBarrier(s int, stepStart time.Time) {
+func (r *runner[V, M]) noteBarrier(s int, stepStart, idleAt time.Time) {
 	last := r.workers[0].finish
-	for _, w := range r.workers[1:] {
+	var dispatch time.Duration
+	for _, w := range r.workers {
 		if w.finish.After(last) {
 			last = w.finish
 		}
+		dispatch += w.begin.Sub(stepStart)
 	}
+	r.reg.AddPhase(metrics.PhaseBarrierDrain, idleAt.Sub(last))
+	r.reg.AddPhase(metrics.PhaseBarrierCommit, dispatch/time.Duration(len(r.workers)))
 	holder, _ := r.tokenState(s)
 	var idle time.Duration
 	for i, w := range r.workers {
@@ -622,11 +639,7 @@ func (r *runner[V, M]) applyMutations() error {
 				}
 				kept = append(kept, e)
 			}
-			var owned []graph.VertexID
-			for _, p := range w.parts {
-				owned = append(owned, r.pm.Vertices(p)...)
-			}
-			ns := msgstore.New[M](r.g, owned, r.prog.Semantics, r.prog.Combine)
+			ns := msgstore.New[M](r.g, w.owned, r.prog.Semantics, r.prog.Combine)
 			ns.Load(kept)
 			w.stores[i] = ns
 		}
@@ -662,7 +675,7 @@ func (r *runner[V, M]) takeCheckpoint(s int) error {
 		Superstep:   s,
 		Base:        -1,
 		NumVertices: len(r.values),
-		Halted:      append([]bool(nil), r.halted...),
+		Halted:      r.haltedFlags(),
 		AggPrev:     r.workers[0].aggPrev,
 	}
 	if useDelta {
@@ -721,6 +734,18 @@ func (r *runner[V, M]) takeCheckpoint(s int) error {
 	return nil
 }
 
+// haltedFlags gathers the workers' halt bits into the vertex-indexed slice
+// a checkpoint stores.
+func (r *runner[V, M]) haltedFlags() []bool {
+	halted := make([]bool, len(r.values))
+	for _, w := range r.workers {
+		for li, v := range w.owned {
+			halted[v] = !w.awake.Test(int32(li))
+		}
+	}
+	return halted
+}
+
 // restore loads a checkpoint generation (materializing its delta chain if
 // needed) and reinstates it. Callers must present clean workers — either
 // freshly constructed (the RestoreFrom path) or reset by rollback. Returns
@@ -744,7 +769,6 @@ func (r *runner[V, M]) restoreSnapshot(snap *checkpoint.Snapshot[V, M]) (int, er
 		return 0, fmt.Errorf("engine: checkpoint has %d workers, config has %d", len(snap.Stores), len(r.workers))
 	}
 	copy(r.values, snap.Values)
-	copy(r.halted, snap.Halted)
 	if r.versions != nil && len(snap.Versions) == len(r.versions) {
 		for v := range r.versions {
 			r.versions[v].Store(snap.Versions[v])
@@ -756,7 +780,7 @@ func (r *runner[V, M]) restoreSnapshot(snap *checkpoint.Snapshot[V, M]) (int, er
 		if w.mgr != nil && i < len(snap.Forks) {
 			w.mgr.Import(snap.Forks[i])
 		}
-		w.recomputeUnhalted()
+		w.loadHalted(snap.Halted)
 	}
 	// The dirty-vertex set no longer describes a diff against any on-disk
 	// generation, so the next checkpoint must be full.
@@ -860,7 +884,6 @@ func (r *runner[V, M]) resetToInitial() {
 		} else {
 			r.values[v] = zero
 		}
-		r.halted[v] = false
 	}
 	forkIdx := 0
 	for _, w := range r.workers {
@@ -868,7 +891,7 @@ func (r *runner[V, M]) resetToInitial() {
 			w.mgr.Import(r.initialForks[forkIdx])
 			forkIdx++
 		}
-		w.recomputeUnhalted()
+		w.loadHalted(nil)
 	}
 }
 
@@ -1012,7 +1035,6 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 				vi := int(v)
 				if snap != nil {
 					r.values[vi] = snap.Values[vi]
-					r.halted[vi] = snap.Halted[vi]
 					if r.versions != nil && len(snap.Versions) == len(r.versions) {
 						r.versions[vi].Store(snap.Versions[vi])
 					}
@@ -1023,12 +1045,14 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 						var zero V
 						r.values[vi] = zero
 					}
-					r.halted[vi] = false
 				}
 			}
 		}
 		if snap != nil {
 			w.readStore().Load(snap.Stores[d])
+			w.loadHalted(snap.Halted)
+		} else {
+			w.loadHalted(nil)
 		}
 		if healthyForks != nil && w.mgr != nil {
 			var base map[chandy.PhilID]map[chandy.PhilID]byte
@@ -1050,7 +1074,6 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 			}
 			w.mgr.Import(state)
 		}
-		w.recomputeUnhalted()
 		if w.log != nil {
 			// The dead worker re-logs its sends as it replays.
 			w.log.Rewind(c + 1)

@@ -171,10 +171,13 @@ func TestPhaseInvariants(t *testing.T) {
 				t.Fatal("DetailedStats produced no per-superstep stats")
 			}
 			for i, st := range res.SuperstepStats {
-				if st.ComputeNs < 0 || st.LocalDeliveryNs < 0 || st.RemoteFlushNs < 0 || st.BarrierWaitNs < 0 {
+				if st.ComputeNs < 0 || st.LocalDeliveryNs < 0 || st.RemoteFlushNs < 0 || st.BarrierWaitNs < 0 ||
+					st.BarrierDrainNs < 0 || st.BarrierCommitNs <= 0 {
 					t.Fatalf("superstep %d: negative phase duration: %+v", i, st)
 				}
-				sum := st.ComputeNs + st.RemoteFlushNs + st.BarrierWaitNs
+				// The drain lies inside Duration (most of the commit after it),
+				// and every worker sits it out.
+				sum := st.ComputeNs + st.RemoteFlushNs + st.BarrierWaitNs + workers*st.BarrierDrainNs
 				if bound := int64(st.Duration) * workers; sum > bound {
 					t.Fatalf("superstep %d: phase sum %d > %d×wall %d", i, sum, workers, bound)
 				}
@@ -188,6 +191,45 @@ func TestPhaseInvariants(t *testing.T) {
 				t.Error("compute phase never accrued")
 			}
 		})
+	}
+	t.Run("bsp-budget", phaseBudgetCloses)
+}
+
+// phaseBudgetCloses (TestPhaseInvariants/bsp-budget): on a BSP run the
+// phases account for the run's wall time. Per worker a superstep is
+// compute, remote flush and barrier wait; then every worker sits out the
+// master's barrier drain and commit, the latter including the delay until
+// the worker is running again. What is left — per-superstep bookkeeping
+// between commit and the next dispatch — must stay under 5% of workers ×
+// ComputeTime. A sparse frontier
+// keeps the supersteps short, so the fixed costs the budget has to name
+// are as large a share as they get.
+func phaseBudgetCloses(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing budget")
+	}
+	const workers = 4
+	_, res, _, err := Run(generate.Grid(120, 120), algorithms.SSSP(0), Config{
+		Workers: workers, ThreadsPerWorker: 2, Mode: BSP, Seed: 5,
+		Latency: cluster.LatencyModel{Propagation: 50 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	drain, commit := m.Phase(metrics.PhaseBarrierDrain), m.Phase(metrics.PhaseBarrierCommit)
+	if drain <= 0 || commit <= 0 {
+		t.Fatalf("barrier drain %v / commit %v never accrued", drain, commit)
+	}
+	covered := m.Phase(metrics.PhaseCompute) + m.Phase(metrics.PhaseRemoteFlush) +
+		m.Phase(metrics.PhaseBarrierWait) + workers*(drain+commit)
+	budget := workers * res.ComputeTime
+	if covered > budget {
+		t.Fatalf("phases cover %v of a %v budget: intervals overlap", covered, budget)
+	}
+	if frac := float64(covered) / float64(budget); frac < 0.95 {
+		t.Fatalf("phases cover %.1f%% of workers × ComputeTime over %d supersteps, want >= 95%%",
+			100*frac, res.Supersteps)
 	}
 }
 

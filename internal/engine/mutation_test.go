@@ -29,6 +29,11 @@ func mutationProbe() model.Program[int32, int32] {
 					ctx.SetValue(1)
 					ctx.SendToAllOut(1)
 				}
+				// Under Async a token sent in this superstep can already be
+				// here; it must count like one that arrives in the next.
+				for range msgs {
+					ctx.SetValue(ctx.Value() + 1)
+				}
 				ctx.VoteToHalt()
 			default:
 				for range msgs {

@@ -26,10 +26,11 @@ package engine
 // worker's own partitions run — an order the engine never promised.
 //
 // Liveness: every issued RequestForks is claimed by exactly one thread
-// (grants funnel through one channel; idle threads poll it with a short
-// timeout instead of blocking on a specific philosopher, so a grant is
-// always consumed promptly and released — the condition Chandy–Misra's
-// starvation-freedom argument needs). An Abort closes the pending ready
+// (grants funnel through one channel; idle threads wait on it, not on a
+// specific philosopher, so a grant is always consumed promptly and
+// released — the condition Chandy–Misra's starvation-freedom argument
+// needs — and the thread that claims the last one closes the drained
+// channel the others also wait on). An Abort closes the pending ready
 // channels, Collect returns false, and the drain completes without running
 // the aborted partitions.
 
@@ -42,12 +43,6 @@ import (
 	"serialgraph/internal/metrics"
 	"serialgraph/internal/partition"
 )
-
-// overlapPollInterval bounds how long an idle thread waits on the grant
-// channel before re-checking the drain condition. It only matters in the
-// rare race where two threads wait on one outstanding grant; 20µs is far
-// below any superstep's wall time.
-const overlapPollInterval = 20 * time.Microsecond
 
 // prefReq is one issued fork prefetch: the partition and its grant channel.
 type prefReq struct {
@@ -64,6 +59,11 @@ type overlapSched[V, M any] struct {
 	// in hand (a tiny forwarder goroutine per request). Buffered to the
 	// boundary count so forwarders never block.
 	granted chan int
+
+	// drained is closed once every boundary partition has been considered
+	// and every grant claimed: the exit signal for threads waiting on
+	// granted with nothing left to arrive.
+	drained chan struct{}
 
 	mu       sync.Mutex
 	boundary []partition.ID   // boundary partitions not yet requested
@@ -89,6 +89,7 @@ func (w *worker[V, M]) computeOverlap(s int) {
 	sc := &overlapSched[V, M]{
 		w: w, boundary: boundary,
 		granted: make(chan int, len(boundary)),
+		drained: make(chan struct{}),
 		deques:  make([][]partition.ID, threads),
 	}
 	// Window: enough outstanding requests to keep every thread fed and the
@@ -137,16 +138,14 @@ func (sc *overlapSched[V, M]) run(t *thread[V, M], tid int) {
 			sc.runInternal(t, p)
 			continue
 		}
-		req, state := sc.waitClaim()
-		switch state {
-		case claimDrained:
+		// Deques only ever lose partitions, so with own deque and every
+		// victim empty the only work left is outstanding grants.
+		req, ok := sc.waitClaim()
+		if !ok {
 			return
-		case claimGot:
-			sc.topUp()
-			t.runPrefetched(req)
 		}
-		// claimRetry: a grant may have gone to another thread, or internal
-		// work may have appeared reachable again — re-run the priority loop.
+		sc.topUp()
+		t.runPrefetched(req)
 	}
 }
 
@@ -179,7 +178,7 @@ func (t *thread[V, M]) runPrefetched(req prefReq) {
 	if !w.mgr.Collect(chandy.PhilID(req.p), req.ch) {
 		return // watchdog abort: the run is headed into recovery
 	}
-	t.executeVertices(w.r.pm.Vertices(req.p), nil)
+	t.executeVertices(req.p, nil)
 	t.flushStaged() // before Release: neighbors must read fresh replicas
 	w.mgr.Release(chandy.PhilID(req.p))
 }
@@ -200,12 +199,19 @@ func (sc *overlapSched[V, M]) topUpLocked() {
 			// Aborted: nothing further will be granted. Stop issuing; the
 			// already-issued requests drain via their closed channels.
 			sc.nextB = len(sc.boundary)
-			return
+			break
 		}
 		w.r.reg.Add(metrics.ForksPrefetched, 1)
 		idx := len(sc.reqs)
 		sc.reqs = append(sc.reqs, prefReq{p: p, ch: ch})
 		go func() { <-ch; sc.granted <- idx }()
+	}
+	if sc.claimed == len(sc.reqs) && sc.nextB >= len(sc.boundary) {
+		select {
+		case <-sc.drained:
+		default:
+			close(sc.drained)
+		}
 	}
 }
 
@@ -215,49 +221,35 @@ func (sc *overlapSched[V, M]) topUp() {
 	sc.mu.Unlock()
 }
 
+// claim records that grant idx was taken off the channel.
+func (sc *overlapSched[V, M]) claim(idx int) prefReq {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.claimed++
+	return sc.reqs[idx]
+}
+
 // tryClaim takes an already-delivered grant, if any, without blocking.
 func (sc *overlapSched[V, M]) tryClaim() (prefReq, bool) {
 	select {
 	case idx := <-sc.granted:
-		sc.mu.Lock()
-		sc.claimed++
-		req := sc.reqs[idx]
-		sc.mu.Unlock()
-		return req, true
+		return sc.claim(idx), true
 	default:
 		return prefReq{}, false
 	}
 }
 
-type claimState uint8
-
-const (
-	claimGot claimState = iota
-	claimRetry
-	claimDrained
-)
-
-// waitClaim blocks for the next grant when requests are still outstanding.
-// It returns claimDrained once every boundary partition has been requested
-// and every grant claimed — the thread's exit condition — and claimRetry
-// after a short poll interval so the caller re-checks the deques (and so a
-// thread racing another for the final grant cannot block forever).
-func (sc *overlapSched[V, M]) waitClaim() (prefReq, claimState) {
-	sc.mu.Lock()
-	drained := sc.claimed == len(sc.reqs) && sc.nextB >= len(sc.boundary)
-	sc.mu.Unlock()
-	if drained {
-		return prefReq{}, claimDrained
-	}
+// waitClaim blocks for the next grant, or returns false once every
+// boundary partition has been considered and every grant claimed — the
+// thread's exit condition. The claimer of a grant always runs topUp next,
+// which is where drained closes, so a thread racing another for the final
+// grant is released by the winner.
+func (sc *overlapSched[V, M]) waitClaim() (prefReq, bool) {
 	select {
 	case idx := <-sc.granted:
-		sc.mu.Lock()
-		sc.claimed++
-		req := sc.reqs[idx]
-		sc.mu.Unlock()
-		return req, claimGot
-	case <-time.After(overlapPollInterval):
-		return prefReq{}, claimRetry
+		return sc.claim(idx), true
+	case <-sc.drained:
+		return prefReq{}, false
 	}
 }
 
@@ -336,17 +328,4 @@ func (w *worker[V, M]) orderBoundaryByColor(partNeighbors [][]partition.ID) {
 	sort.SliceStable(w.boundaryParts, func(i, j int) bool {
 		return color[w.boundaryParts[i]] < color[w.boundaryParts[j]]
 	})
-}
-
-// partActive reports whether any vertex of partition p is active (not
-// halted, or holding unread messages) — the worker-level form of
-// thread.anyActive, used by the prefetch path's skip check.
-func (w *worker[V, M]) partActive(p partition.ID) bool {
-	st := w.readStore()
-	for _, v := range w.r.pm.Vertices(p) {
-		if !w.r.halted[v] || st.HasNew(v) {
-			return true
-		}
-	}
-	return false
 }

@@ -40,10 +40,24 @@ type worker[V, M any] struct {
 	mgr      *chandy.Manager
 	otherWks []cluster.WorkerID
 
-	// partIdx maps each owned partition to its position in parts, replacing
-	// the linear scan TokenDual's allowed-filter used to do per partition
-	// per superstep.
+	// partIdx maps each owned partition to its position in parts.
 	partIdx map[partition.ID]int
+
+	// owned lists the worker's vertices partition by partition, in parts
+	// order; a vertex's position in it is its local index in the stores
+	// (which are built over it) and in awake. partLo[i] is the local index
+	// of parts[i]'s first vertex and partLo[len(parts)] is len(owned), so
+	// partition parts[i] is the contiguous range [partLo[i], partLo[i+1]).
+	owned  []graph.VertexID
+	partLo []int32
+
+	// awake has one bit per owned vertex, indexed like the stores: set
+	// until the vertex votes to halt. It is the only copy of the halt
+	// flags. Together with the read store's unread-message bits it is the
+	// worker's frontier (DESIGN.md §9): a superstep visits the set bits of
+	// their union instead of scanning every vertex. A bit is flipped by the
+	// thread executing its vertex; unhalted counts the set bits.
+	awake msgstore.Bits
 
 	// boundaryParts/internalParts split parts by whether the partition
 	// shares forks with any neighbor partition. Populated by
@@ -88,17 +102,25 @@ type worker[V, M any] struct {
 	// fork pre-handoffs) to key log appends.
 	curStep atomic.Int64
 
-	// unhalted counts owned vertices that have not voted to halt; BAP's
-	// activity and quiescence checks read it without touching the halted
-	// slice from other goroutines.
+	// unhalted counts owned vertices that have not voted to halt (the set
+	// bits of awake): the master sums it for the halt count, and BAP's
+	// activity and quiescence checks read it.
 	unhalted atomic.Int64
 
-	// finish is when this worker completed its superstep (threads joined
-	// and buffers flushed). Written in runSuperstep, read by the master
-	// after the doneCh handshake, which provides the happens-before edge;
-	// the master turns the spread of finish times into barrier-wait (and,
-	// under token passing, token hold/idle) accounting.
-	finish time.Time
+	// wake is BAP's idle-worker doorbell: a worker with no active vertex
+	// parks on it and onData rings it after applying a batch — remote
+	// delivery is the only thing that can activate an idle worker. Nil
+	// outside BAP.
+	wake chan struct{}
+
+	// begin and finish are when this worker started on its superstep and
+	// when it completed it (threads joined and buffers flushed). Written in
+	// runSuperstep, read by the master after the doneCh handshake, which
+	// provides the happens-before edge; the master turns the spread of
+	// finish times into barrier-wait (and, under token passing, token
+	// hold/idle) accounting, and the delay from its dispatch to begin into
+	// barrier-commit time.
+	begin, finish time.Time
 
 	startCh chan int
 	doneCh  chan struct{}
@@ -121,14 +143,19 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	for i := range w.threads {
 		w.threads[i] = &thread[V, M]{w: w}
 	}
-	var owned []graph.VertexID
 	for _, p := range w.parts {
-		owned = append(owned, r.pm.Vertices(p)...)
+		w.partLo = append(w.partLo, int32(len(w.owned)))
+		w.owned = append(w.owned, r.pm.Vertices(p)...)
 	}
-	w.unhalted.Store(int64(len(owned)))
-	w.stores[0] = msgstore.New(r.g, owned, r.prog.Semantics, r.prog.Combine)
+	w.partLo = append(w.partLo, int32(len(w.owned)))
+	w.awake = msgstore.NewBits(len(w.owned))
+	w.loadHalted(nil)
+	if r.cfg.Mode == BAP {
+		w.wake = make(chan struct{}, 1)
+	}
+	w.stores[0] = msgstore.New(r.g, w.owned, r.prog.Semantics, r.prog.Combine)
 	if r.cfg.Mode == BSP {
-		w.stores[1] = msgstore.New(r.g, owned, r.prog.Semantics, r.prog.Combine)
+		w.stores[1] = msgstore.New(r.g, w.owned, r.prog.Semantics, r.prog.Combine)
 	}
 	for o := 0; o < r.cfg.Workers; o++ {
 		if o != id {
@@ -282,6 +309,12 @@ func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 	if w.r.recycleBatches && cap(batch) > 0 {
 		w.r.batchPool.Put(batch[:0])
 	}
+	if w.wake != nil {
+		select {
+		case w.wake <- struct{}{}:
+		default: // already rung; the worker re-reads its activity on waking
+		}
+	}
 }
 
 func (w *worker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
@@ -310,18 +343,53 @@ func (w *worker[V, M]) swapStores() {
 	w.active.Store(1 - w.active.Load())
 }
 
-// recomputeUnhalted resynchronizes the worker's unhalted counter with the
-// halted slice after a restore or rollback rewrites the halt flags.
-func (w *worker[V, M]) recomputeUnhalted() {
+// span returns partition p's local-index range.
+func (w *worker[V, M]) span(p partition.ID) (lo, hi int32) {
+	i := w.partIdx[p]
+	return w.partLo[i], w.partLo[i+1]
+}
+
+// nextActive returns the first frontier member in [from, hi) — a vertex
+// that has not halted or has unread messages in st — or hi.
+func (w *worker[V, M]) nextActive(st *msgstore.Store[M], from, hi int32) int32 {
+	return msgstore.NextEither(st.Unread(), w.awake, from, hi)
+}
+
+// partActive reports whether any vertex of partition p is active.
+func (w *worker[V, M]) partActive(p partition.ID) bool {
+	lo, hi := w.span(p)
+	return w.nextActive(w.readStore(), lo, hi) < hi
+}
+
+// loadHalted rewrites the worker's halt flags wholesale from halted,
+// indexed by vertex ID (nil: nobody has halted) — the one way a restore,
+// rollback or reset changes them, so awake and unhalted cannot drift.
+func (w *worker[V, M]) loadHalted(halted []bool) {
 	var n int64
-	for _, p := range w.parts {
-		for _, v := range w.r.pm.Vertices(p) {
-			if !w.r.halted[v] {
-				n++
-			}
+	for li, v := range w.owned {
+		if halted != nil && halted[v] {
+			w.awake.Clear(int32(li))
+		} else {
+			w.awake.Set(int32(li))
+			n++
 		}
 	}
 	w.unhalted.Store(n)
+}
+
+// frontierConsistent is the barrier oracle for the delivery-time frontier:
+// the counters the engine decides convergence on must equal the popcounts
+// of the bitsets it iterates.
+func (w *worker[V, M]) frontierConsistent() bool {
+	if w.awake.Count() != w.unhalted.Load() {
+		return false
+	}
+	for _, st := range w.stores {
+		if st != nil && st.Unread().Count() != st.NewCount() {
+			return false
+		}
+	}
+	return true
 }
 
 func (w *worker[V, M]) pendingMessages() int64 {
@@ -343,14 +411,14 @@ func (w *worker[V, M]) loop() {
 func (w *worker[V, M]) runSuperstep(s int) {
 	w.curStep.Store(int64(s))
 	reg := w.r.reg
-	computeStart := time.Now()
+	w.begin = time.Now()
 	if w.r.cfg.Scheduler == SchedOverlap {
 		w.computeOverlap(s)
 	} else {
 		w.computeStatic(s)
 	}
 	flushStart := time.Now()
-	reg.AddPhase(metrics.PhaseCompute, flushStart.Sub(computeStart))
+	reg.AddPhase(metrics.PhaseCompute, flushStart.Sub(w.begin))
 
 	// End-of-superstep flush (§6.1): push out all remaining buffered
 	// remote messages. Token techniques additionally await delivery
@@ -542,7 +610,6 @@ func (t *thread[V, M]) fold() {
 func (t *thread[V, M]) runPartition(p partition.ID) {
 	w := t.w
 	r := w.r
-	verts := r.pm.Vertices(p)
 	t.curPart = p
 	// Concurrency is tracked at partition granularity: a partition's
 	// execution (a "meal" under locking) is the unit whose overlap defines
@@ -554,13 +621,13 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 	case PartitionLock:
 		// Skip optimization (§5.4): halted partitions with no pending
 		// messages acquire nothing and send nothing.
-		if !r.cfg.DisableHaltedPartitionSkip && !t.anyActive(verts) {
+		if !r.cfg.DisableHaltedPartitionSkip && !w.partActive(p) {
 			return
 		}
 		if !w.mgr.Acquire(chandy.PhilID(p)) {
 			return // watchdog abort: the run is headed into recovery
 		}
-		t.executeVertices(verts, nil)
+		t.executeVertices(p, nil)
 		t.flushStaged() // before Release: neighbors must read fresh replicas
 		w.mgr.Release(chandy.PhilID(p))
 	case TokenSingle:
@@ -572,7 +639,7 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 			}
 			return true // m-internal vertices always run (§4.2)
 		}
-		t.executeVertices(verts, allowed)
+		t.executeVertices(p, allowed)
 		t.flushStaged()
 	case TokenDual:
 		holder, localIdx := r.tokenState(t.superstep)
@@ -589,7 +656,7 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 				return holder == w.id && myLocalIdx == localIdx
 			}
 		}
-		t.executeVertices(verts, allowed)
+		t.executeVertices(p, allowed)
 		// Cross-partition local recipients of anything staged here are
 		// local/mixed boundary vertices of a *different* partition, which
 		// the local token keeps inactive this superstep — folding at pass
@@ -600,55 +667,48 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 		// vertex's fork acquisition — the behavior §5.2 identifies as this
 		// combination's downfall.
 		st := w.readStore()
-		for _, v := range verts {
-			if r.halted[v] && !st.HasNew(v) {
-				continue
-			}
+		lo, hi := w.span(p)
+		for li := w.nextActive(st, lo, hi); li < hi; li = w.nextActive(st, li+1, hi) {
+			v := w.owned[li]
 			if r.pBoundary[v] {
 				if !w.mgr.Acquire(chandy.PhilID(v)) {
 					return // watchdog abort: the run is headed into recovery
 				}
-				t.executeVertex(v, st)
+				t.executeVertex(v, li, st)
 				w.mgr.Release(chandy.PhilID(v))
 			} else {
-				t.executeVertex(v, st)
+				t.executeVertex(v, li, st)
 			}
 		}
 	default: // SyncNone
-		t.executeVertices(verts, nil)
+		t.executeVertices(p, nil)
 		t.flushStaged()
 	}
 }
 
-func (t *thread[V, M]) anyActive(verts []graph.VertexID) bool {
-	st := t.w.readStore()
-	for _, v := range verts {
-		if !t.w.r.halted[v] || st.HasNew(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// executeVertices runs every active (and allowed) vertex of a partition
-// sequentially, which is how partition-aware systems execute (§5.1).
-func (t *thread[V, M]) executeVertices(verts []graph.VertexID, allowed func(graph.VertexID) bool) {
-	r := t.w.r
-	st := t.w.readStore()
-	for _, v := range verts {
+// executeVertices runs every active (and allowed) vertex of partition p
+// sequentially, which is how partition-aware systems execute (§5.1). It
+// walks the frontier's set bits over the partition's index range in
+// ascending order — the order of the partition's vertex list — and looks
+// for the next member only after each execution, so a vertex activated by
+// an earlier one of the same pass still runs in it (the AP model).
+func (t *thread[V, M]) executeVertices(p partition.ID, allowed func(graph.VertexID) bool) {
+	w := t.w
+	st := w.readStore()
+	lo, hi := w.span(p)
+	for li := w.nextActive(st, lo, hi); li < hi; li = w.nextActive(st, li+1, hi) {
+		v := w.owned[li]
 		if allowed != nil && !allowed(v) {
 			continue
 		}
-		if r.halted[v] && !st.HasNew(v) {
-			continue
-		}
-		t.executeVertex(v, st)
+		t.executeVertex(v, li, st)
 	}
 }
 
 // executeVertex runs one transaction T(Nv): read own value and the
-// in-neighbor replicas (messages), compute, write back.
-func (t *thread[V, M]) executeVertex(v graph.VertexID, st *msgstore.Store[M]) {
+// in-neighbor replicas (messages), compute, write back. li is v's local
+// index.
+func (t *thread[V, M]) executeVertex(v graph.VertexID, li int32, st *msgstore.Store[M]) {
 	r := t.w.r
 	t.execs++
 
@@ -679,13 +739,12 @@ func (t *thread[V, M]) executeVertex(v graph.VertexID, st *msgstore.Store[M]) {
 
 	t.ctx = vctx[V, M]{w: t.w, th: t, superstep: t.superstep, id: v}
 	r.prog.Compute(&t.ctx, t.reader.Msgs)
-	if r.halted[v] != t.ctx.votedHalt {
-		if t.ctx.votedHalt {
+	if t.ctx.votedHalt {
+		if t.w.awake.Clear(li) {
 			t.w.unhalted.Add(-1)
-		} else {
-			t.w.unhalted.Add(1)
 		}
-		r.halted[v] = t.ctx.votedHalt
+	} else if t.w.awake.Set(li) {
+		t.w.unhalted.Add(1)
 	}
 
 	if recording {

@@ -256,9 +256,17 @@ func (r *grunner[V, M]) awaitQuiescence() bool {
 		} else {
 			lastExec, lastSched = -1, -1
 		}
-		time.Sleep(200 * time.Microsecond)
+		time.Sleep(quiescencePoll)
 	}
 }
+
+// quiescencePoll is awaitQuiescence's period. It is a whole millisecond
+// because that is what the runtime timer delivers (a sub-millisecond
+// time.Sleep returns after ≈1.1 ms on Linux), and deliberately not a
+// precise sub-millisecond wait: every poll takes each worker's scheduler
+// lock, and polling five times as often cost vl_coloring_gas 11% of its
+// wall time for 2 ms less termination latency.
+const quiescencePoll = time.Millisecond
 
 func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 	n := r.g.NumVertices()

@@ -204,9 +204,11 @@ func (c CounterID) Name() string { return counterNames[c] }
 
 // Phase identifies one slice of the per-superstep phase taxonomy
 // (DESIGN.md §8). Compute, RemoteFlush, and BarrierWait are disjoint
-// wall-clock intervals of each worker's superstep timeline; Checkpoint is
-// a master-side interval; LocalDelivery is accumulated *inside* Compute
-// across compute threads (so it can exceed the Compute wall when
+// wall-clock intervals of each worker's superstep timeline; BarrierDrain,
+// BarrierCommit and Checkpoint are master-side intervals that follow them,
+// during which every worker idles (so the per-worker budget charges them
+// once per worker); LocalDelivery is accumulated *inside* Compute across
+// compute threads (so it can exceed the Compute wall when
 // ThreadsPerWorker > 1, and is reported separately rather than summed).
 type Phase int
 
@@ -235,6 +237,16 @@ const (
 	PhaseWireDecode
 	// PhaseWireFlush: TCP-backend socket writes and coalesced flushes.
 	PhaseWireFlush
+	// PhaseBarrierDrain: the master's wait from the last worker's finish
+	// until the transport is idle — messages still on the wire at the
+	// barrier. Zero under BAP, which has no barriers.
+	PhaseBarrierDrain
+	// PhaseBarrierCommit: the master's work after the drain — aggregator
+	// merge, store swap and clear, halt count, topology mutations — until
+	// the superstep is committed (checkpointing and failure recovery
+	// excluded), plus the mean delay from the master's dispatch of a
+	// superstep until a worker is running it.
+	PhaseBarrierCommit
 	numPhases
 )
 
@@ -247,6 +259,8 @@ var phaseNames = [numPhases]string{
 	"wire_encode_ns",
 	"wire_decode_ns",
 	"wire_flush_ns",
+	"barrier_drain_ns",
+	"barrier_commit_ns",
 }
 
 // Name returns the stable JSON key of a phase.

@@ -18,13 +18,15 @@
 // very few stripes. Compute threads writing eagerly to their own partition
 // therefore never contend, and the batched appliers (PutBatch) acquire
 // each stripe once per contiguous run instead of once per message. The
-// has-new flags are atomics read outside the stripe locks, so activity
-// scans (halted-vertex skips, quiescence checks) take no locks at all.
+// unread-message flags are one bitset over local indices, maintained at
+// delivery time and read outside the stripe locks: it is the store's half
+// of the engine's frontier, so a superstep (and Clear) visits the vertices
+// that have messages instead of scanning for them.
 package msgstore
 
 import (
 	"fmt"
-
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -71,11 +73,14 @@ type Store[M any] struct {
 	// scratch pools batchScratch workspaces for PutBatch.
 	scratch sync.Pool
 
-	// hasNew is per owned vertex: unseen message since last read. The
-	// flags are written under the vertex's stripe lock (keeping flag and
-	// payload consistent for lock holders) but read lock-free by activity
-	// scans; newCount moves by exactly one per flag transition.
-	hasNew   []atomic.Bool
+	// unread has one bit per owned vertex: unseen message since last read.
+	// A bit is written under its vertex's stripe lock (keeping flag and
+	// payload consistent for lock holders) but read lock-free by the
+	// engine's frontier scans; newCount moves by exactly one per bit
+	// transition. Queue and Combine payloads exist only under a set bit
+	// (Read consumes both together), which is what lets Clear visit set
+	// bits only.
+	unread   Bits
 	newCount atomic.Int64
 }
 
@@ -97,7 +102,7 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 	if s.blockSize < 1 {
 		s.blockSize = 1
 	}
-	s.hasNew = make([]atomic.Bool, n)
+	s.unread = NewBits(n)
 	switch kind {
 	case model.Queue:
 		s.queues = make([][]M, n)
@@ -168,7 +173,7 @@ func (s *Store[M]) putLocked(li int32, dst, src graph.VertexID, m M, ver uint32,
 		s.owVer[li][pos] = ver
 		s.owFreshE[li][pos] = s.epoch
 	}
-	if !s.hasNew[li].Load() && s.hasNew[li].CompareAndSwap(false, true) {
+	if s.unread.Set(li) {
 		s.newCount.Add(1)
 	}
 	return true
@@ -322,11 +327,15 @@ func (s *Store[M]) preCombine(bucket []Entry[M]) []Entry[M] {
 // the answer is a point-in-time observation, exactly like the locked
 // variant was for callers that dropped the lock before acting on it.
 func (s *Store[M]) HasNew(dst graph.VertexID) bool {
-	return s.hasNew[s.idx(dst)].Load()
+	return s.unread.Test(s.idx(dst))
 }
 
 // NewCount returns the number of owned vertices with unread messages.
 func (s *Store[M]) NewCount() int64 { return s.newCount.Load() }
+
+// Unread returns the live unread-message bitset, indexed like the owned
+// slice the store was built with. Callers only read it.
+func (s *Store[M]) Unread() Bits { return s.unread }
 
 // Reader is a reusable scratch buffer for reading a vertex's messages
 // without allocation. Each compute thread owns one.
@@ -353,7 +362,7 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	defer lk.Unlock()
-	if s.hasNew[li].Load() && s.hasNew[li].CompareAndSwap(true, false) {
+	if s.unread.Clear(li) {
 		s.newCount.Add(-1)
 	}
 	switch s.kind {
@@ -389,7 +398,9 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
 
 // Clear atomically drains all state; the BSP engine calls it on every
 // store swap. Overwrite mode clears by bumping the presence epoch — O(1)
-// for the slot table instead of wiping a flag per in-edge per superstep.
+// for the slot table instead of wiping a flag per in-edge per superstep —
+// and the other modes visit only the vertices whose unread bit is set, so
+// a swap costs the words of the bitset plus what the superstep left unread.
 func (s *Store[M]) Clear() {
 	for i := range s.locks {
 		s.locks[i].Lock()
@@ -397,15 +408,24 @@ func (s *Store[M]) Clear() {
 	if s.kind == model.Overwrite {
 		s.epoch++
 	}
-	for li := range s.hasNew {
-		if s.hasNew[li].Load() && s.hasNew[li].CompareAndSwap(true, false) {
-			s.newCount.Add(-1)
+	for wi := range s.unread {
+		w := s.unread[wi].Load()
+		if w == 0 {
+			continue
 		}
-		switch s.kind {
-		case model.Queue:
-			s.queues[li] = s.queues[li][:0]
-		case model.Combine:
-			s.hasSlot[li] = false
+		s.unread[wi].Store(0) // every writer of a bit holds a stripe lock
+		s.newCount.Add(-int64(bits.OnesCount64(w)))
+		if s.kind == model.Overwrite {
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			li := wi<<6 + bits.TrailingZeros64(w)
+			switch s.kind {
+			case model.Queue:
+				s.queues[li] = s.queues[li][:0]
+			case model.Combine:
+				s.hasSlot[li] = false
+			}
 		}
 	}
 	for i := range s.locks {
@@ -449,7 +469,7 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 	}
 	out := make([]DumpEntry[M], 0, n)
 	for li, v := range s.owned {
-		isNew := s.hasNew[li].Load()
+		isNew := s.unread.Test(int32(li))
 		switch s.kind {
 		case model.Queue:
 			for _, m := range s.queues[li] {
@@ -499,7 +519,10 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 				s.owFreshE[li][pos] = 0
 			}
 		}
-		if e.IsNew && !s.hasNew[li].Load() && s.hasNew[li].CompareAndSwap(false, true) {
+		// Queue and Combine payloads are visible to Clear only through the
+		// unread bit (and Dump never emits one without it), so they set it
+		// whatever the entry says.
+		if (e.IsNew || s.kind != model.Overwrite) && s.unread.Set(li) {
 			s.newCount.Add(1)
 		}
 	}

@@ -448,6 +448,15 @@ func checkCommon(sc Scenario, cfg engine.Config, g *graph.Graph, res engine.Resu
 		errs = append(errs, fmt.Errorf("flow: %d barriers saw unbalanced credit windows", res.CreditImbalances))
 	}
 
+	// Frontier conservation: supersteps visit the set bits of the
+	// unread-message and unhalted bitsets, and convergence is decided on
+	// their counters; the engine recounts both at every barrier. Restores,
+	// rollbacks, confined replays and store rebuilds rewrite them wholesale
+	// and must leave them in step.
+	if res.FrontierImbalances != 0 {
+		errs = append(errs, fmt.Errorf("frontier: %d barrier×worker audits saw a counter disagree with its bitset", res.FrontierImbalances))
+	}
+
 	if cfg.TrackHistory && rec != nil {
 		if vs := history.CheckAll(rec.Txns(), g); len(vs) > 0 {
 			kinds := map[string]int{}
