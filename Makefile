@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet plus formatting: any file gofmt would rewrite fails the target (and CI).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l *.go benchmark cmd examples internal); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # Full test suite, including the chaos tests (fault injection + recovery).
 test:
@@ -21,8 +24,7 @@ test-race:
 
 # Race CI job: vet plus the short suite under the race detector. Short
 # mode keeps the sampled torture sweep at 50 cases so the job stays fast.
-race:
-	$(GO) vet ./...
+race: vet
 	$(GO) test -race -short ./...
 
 # Fault-injection and recovery gate: the chaos and confined-recovery /
@@ -160,10 +162,16 @@ bench-smoke:
 		$(GO) test -run '^$$' -bench BenchmarkFig1Spectrum -benchtime 1x .
 
 # Hot-path microbenchmarks: the message store's put/read paths (per-message
-# vs. batched, all three semantics, 1-8 goroutines) and the engine's
-# local-delivery benchmark, which exercises thread-local staging end to end.
+# vs. batched, all three semantics, 1-8 goroutines), the dense data path
+# layer by layer with allocations (Overwrite PutBatch on a table larger
+# than the cache, the batch codec, a batch from Send over a loopback socket
+# to PutBatch), and the engine's local-delivery benchmark, which exercises
+# thread-local staging end to end.
 bench-micro:
-	$(GO) test ./internal/msgstore/ -run '^$$' -bench . -benchtime 2000x
+	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime 2000x
+	$(GO) test ./internal/msgstore/ -run '^$$' -bench BenchmarkStoreOverwritePutBatch -benchtime 20000000x -benchmem
+	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime 20000000x -benchmem
+	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime 20000x -benchmem
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime 5x
 
 # Per-phase deltas between two perf-trajectory files:

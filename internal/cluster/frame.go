@@ -118,22 +118,24 @@ type Frame struct {
 // Frame decoding errors. Decoders must return these (wrapped is fine) and
 // never panic: FuzzFrameDecode feeds arbitrary bytes through this path.
 var (
-	ErrFrameTooLarge = errors.New("cluster: frame exceeds MaxFrameBytes")
+	ErrFrameTooLarge  = errors.New("cluster: frame exceeds MaxFrameBytes")
 	ErrFrameTruncated = errors.New("cluster: truncated frame")
 	ErrFrameCorrupt   = errors.New("cluster: corrupt frame")
 )
 
 // PayloadCodec encodes and decodes frame payloads. The engine supplies a
 // codec specialized to its message type (wire.NewCodec[M]); the transport
-// itself never inspects payloads.
+// itself never inspects payloads. dst and data are buffers the transport
+// reuses (a writer's scratch, a pump's frame body): a codec keeps neither.
 type PayloadCodec interface {
 	// EncodePayload appends payload's encoding to dst and returns the
 	// frame type byte and the extended buffer. It fails on payload types
-	// the codec does not know.
+	// the codec does not know. Each queued copy is encoded once and then
+	// forgotten: where nothing duplicates a send, a codec may recycle it.
 	EncodePayload(payload any, dst []byte) (ftype byte, out []byte, err error)
-	// DecodePayload parses the payload bytes of a frame of type ftype.
-	// It must validate lengths before allocating and return an error —
-	// never panic — on malformed input.
+	// DecodePayload parses the payload bytes of a frame of type ftype
+	// into a value sharing no memory with data. It must validate lengths
+	// before allocating and return an error, never panic, on bad input.
 	DecodePayload(ftype byte, data []byte) (payload any, err error)
 }
 
@@ -143,10 +145,27 @@ func AppendZigzag(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
 }
 
+// Uvarint is binary.Uvarint without the general loop for encodings of up
+// to three bytes, which covers vertex IDs below 2^20 and every Ver and Slot.
+func Uvarint(b []byte) (uint64, int) {
+	if len(b) >= 3 {
+		x, y, z := uint64(b[0]), uint64(b[1]), uint64(b[2])
+		switch {
+		case x < 0x80:
+			return x, 1
+		case y < 0x80:
+			return x&0x7f | y<<7, 2
+		case z < 0x80:
+			return x&0x7f | (y&0x7f)<<7 | z<<14, 3
+		}
+	}
+	return binary.Uvarint(b)
+}
+
 // Zigzag decodes a zigzag varint from b, returning the value and bytes
 // consumed (n <= 0 means truncated/corrupt, as in binary.Uvarint).
 func Zigzag(b []byte) (int64, int) {
-	u, n := binary.Uvarint(b)
+	u, n := Uvarint(b)
 	return int64(u>>1) ^ -int64(u&1), n
 }
 
@@ -229,24 +248,40 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	return f, 4 + int(body), nil
 }
 
-// ReadFrame reads one frame from r, returning it and the wire bytes
-// consumed (length prefix included). The length prefix is validated
-// against MaxFrameBytes before the body is allocated. io.EOF is returned
-// untouched on a clean connection close (no bytes read).
-func ReadFrame(r *bufio.Reader) (Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// FrameReader reads frames off one connection into a body buffer it owns
+// and reuses: a returned Frame's Payload aliases that buffer and is valid
+// only until the next Read, so callers decode a payload before reading on.
+type FrameReader struct {
+	r   *bufio.Reader
+	hdr [4]byte
+	buf []byte
+}
+
+// NewFrameReader wraps r in a buffered frame reader.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// Read reads one frame, returning it and the wire bytes consumed (length
+// prefix included). The length prefix is validated against MaxFrameBytes
+// before the body buffer grows. io.EOF is returned untouched on a clean
+// connection close (no bytes read).
+func (fr *FrameReader) Read() (Frame, int, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Frame{}, 0, ErrFrameTruncated
 		}
 		return Frame{}, 0, err
 	}
-	body := binary.BigEndian.Uint32(hdr[:])
+	body := binary.BigEndian.Uint32(fr.hdr[:])
 	if body > MaxFrameBytes {
 		return Frame{}, 0, ErrFrameTooLarge
 	}
-	buf := make([]byte, body)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if uint32(cap(fr.buf)) < body {
+		fr.buf = make([]byte, body)
+	}
+	buf := fr.buf[:body]
+	if _, err := io.ReadFull(fr.r, buf); err != nil {
 		return Frame{}, 0, ErrFrameTruncated
 	}
 	f, err := decodeBody(buf)

@@ -9,11 +9,12 @@ package cluster
 //   - one persistent connection per ordered (sender, receiver) pair,
 //     including self-pairs, so a lane is exactly a socket and TCP's
 //     byte-stream ordering is the FIFO guarantee;
-//   - a writer goroutine per connection that drains its queue into a
-//     buffered writer and flushes only when the queue runs empty (write
-//     coalescing: bursts of batches share one syscall);
-//   - a read pump per connection that decodes frames sequentially and
-//     invokes the receiver's handler, preserving send order;
+//   - a writer goroutine per connection that encodes everything queued
+//     since its last write into one reused buffer and writes it at once
+//     (write coalescing: bursts of batches share one syscall);
+//   - a read pump per connection that reads frames into one reused buffer,
+//     decodes them sequentially and invokes the receiver's handler,
+//     preserving send order;
 //   - connection setup with capped-backoff dial retry, and clean
 //     shutdown via write-side close so pumps drain to EOF.
 //
@@ -27,7 +28,6 @@ package cluster
 // reported separately in Stats.WireBytesSent/WireBytesReceived.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -185,8 +185,8 @@ func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, erro
 					errCh <- err
 					return
 				}
-				br := bufio.NewReaderSize(conn, 64<<10)
-				f, _, err := ReadFrame(br)
+				fr := NewFrameReader(conn)
+				f, _, err := fr.Read()
 				if err != nil {
 					conn.Close()
 					errCh <- fmt.Errorf("cluster: handshake read: %w", err)
@@ -202,7 +202,7 @@ func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, erro
 					return
 				}
 				t.wg.Add(1)
-				go t.pump(br, conn)
+				go t.pump(fr)
 			}
 		}(w)
 	}
@@ -414,24 +414,29 @@ func (t *TCP) enqueueCredit(granter, sender WorkerID, bytes int) {
 	l.mu.Unlock()
 }
 
-// writer drains one lane's queue onto its socket. Frames queued while a
-// previous burst was being written are encoded into the same buffered
-// writer and flushed together — the write-coalescing path.
+// TestHookAfterFlush, nil outside tests, runs in a lane writer between
+// putting a burst on the socket and recording that write's time.
+var TestHookAfterFlush func()
+
+// writer drains one lane's queue onto its socket. Everything queued while
+// the previous burst was being written is encoded into buffers the writer
+// owns and reuses (scratch for one payload, buf for the burst's frames) and
+// goes out in one write — the write-coalescing path. Once encoded a payload
+// is dead to the transport (the codec may recycle it; see PayloadCodec).
 func (t *TCP) writer(l *tcpLane) {
 	defer t.wg.Done()
-	bw := bufio.NewWriterSize(l.conn, 64<<10)
-	var buf []byte
+	var buf, scratch []byte
+	var batch []tcpQueued
 	for {
 		l.mu.Lock()
 		for len(l.q) == 0 && !l.closed {
 			l.cond.Wait()
 		}
-		if len(l.q) == 0 && l.closed {
+		if len(l.q) == 0 {
 			l.mu.Unlock()
 			break
 		}
-		batch := l.q
-		l.q = nil
+		batch, l.q = l.q, batch[:0] // swap queues: no allocation in steady state
 		l.mu.Unlock()
 
 		reg := t.reg.Load()
@@ -439,45 +444,35 @@ func (t *TCP) writer(l *tcpLane) {
 		buf = buf[:0]
 		for i := range batch {
 			q := &batch[i]
-			f := Frame{
-				Type: 0, From: q.msg.From, To: q.msg.To,
-				Declared: q.msg.Bytes, Delay: q.delay,
-			}
+			f := Frame{From: q.msg.From, To: q.msg.To, Declared: q.msg.Bytes, Delay: q.delay}
 			if q.wireLost {
 				f.Flags |= FlagWireLost
 			}
-			ftype, payload, err := t.codec.EncodePayload(q.msg.Payload, nil)
-			if err != nil {
+			var err error
+			if f.Type, scratch, err = t.codec.EncodePayload(q.msg.Payload, scratch[:0]); err != nil {
 				panic(fmt.Sprintf("cluster: cannot encode %d->%d payload: %v", q.msg.From, q.msg.To, err))
 			}
-			f.Type = ftype
-			f.Payload = payload
+			f.Payload = scratch
 			buf = AppendFrame(buf, &f)
+			q.msg.Payload = nil // the reused queue slot must not pin it
 		}
+		flushStart := time.Now()
 		if reg != nil {
-			reg.AddPhase(metrics.PhaseWireEncode, time.Since(start))
+			reg.AddPhase(metrics.PhaseWireEncode, flushStart.Sub(start))
 		}
 		// Counted before the write so a receiver that races ahead can
 		// never observe received > sent.
 		t.stats.WireBytesSent.Add(int64(len(buf)))
-		flushStart := time.Now()
-		if _, err := bw.Write(buf); err != nil {
+		if _, err := l.conn.Write(buf); err != nil {
 			panic(fmt.Sprintf("cluster: lane %d->%d write: %v", batch[0].msg.From, batch[0].msg.To, err))
 		}
-		// Coalesce: only pay the flush syscall when the queue ran dry.
-		l.mu.Lock()
-		empty := len(l.q) == 0
-		l.mu.Unlock()
-		if empty {
-			if err := bw.Flush(); err != nil {
-				panic(fmt.Sprintf("cluster: lane flush: %v", err))
-			}
+		if TestHookAfterFlush != nil {
+			TestHookAfterFlush()
 		}
 		if reg != nil {
 			reg.AddPhase(metrics.PhaseWireFlush, time.Since(flushStart))
 		}
 	}
-	bw.Flush()
 	if tc, ok := l.conn.(*net.TCPConn); ok {
 		tc.CloseWrite() // EOF to the peer's read pump once drained
 	} else {
@@ -488,10 +483,10 @@ func (t *TCP) writer(l *tcpLane) {
 // pump is the read side of one connection: it decodes frames in stream
 // order and delivers them, mirroring a Mem lane's deliver goroutine
 // (including head-of-line straggler sleeps and wire-loss drops).
-func (t *TCP) pump(br *bufio.Reader, conn net.Conn) {
+func (t *TCP) pump(fr *FrameReader) {
 	defer t.wg.Done()
 	for {
-		f, wireBytes, err := ReadFrame(br)
+		f, wireBytes, err := fr.Read()
 		if err != nil {
 			// EOF after the peer's write-side close: the lane is drained.
 			return

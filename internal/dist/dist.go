@@ -75,7 +75,7 @@ type Result struct {
 // every conn exactly one writer); reads likewise.
 type frameConn struct {
 	conn    net.Conn
-	br      *bufio.Reader
+	fr      *cluster.FrameReader
 	bw      *bufio.Writer
 	buf     []byte
 	wireOut atomic.Int64
@@ -85,7 +85,7 @@ type frameConn struct {
 func newFrameConn(c net.Conn) *frameConn {
 	return &frameConn{
 		conn: c,
-		br:   bufio.NewReaderSize(c, 64<<10),
+		fr:   cluster.NewFrameReader(c),
 		bw:   bufio.NewWriterSize(c, 64<<10),
 	}
 }
@@ -109,8 +109,10 @@ func (fc *frameConn) writeFlush(f *cluster.Frame) error {
 	return fc.flush()
 }
 
+// read returns the connection's next frame. Its Payload lives in the
+// reader's reused buffer: decode it before the next read.
 func (fc *frameConn) read() (cluster.Frame, error) {
-	f, n, err := cluster.ReadFrame(fc.br)
+	f, n, err := fc.fr.Read()
 	if err != nil {
 		return f, err
 	}

@@ -52,12 +52,13 @@ type runner[V, M any] struct {
 	// both adjacency lists per vertex per superstep.
 	pBoundary []bool
 
-	// outSlots is computed for Overwrite semantics only: outSlots[u][i] is
-	// the in-slot position (biased by one; see msgstore.Entry.Slot) of u in
-	// the in-neighbor list of u's i-th out-neighbor. SendToAllOut attaches
-	// it to every message so the store never repeats the per-delivery
-	// binary search InSlot would do. Rebuilt on topology mutation.
-	outSlots [][]uint32
+	// outSlots is computed for Overwrite semantics only, one entry per
+	// out-edge in out-CSR order: outSlots[g.OutOffset(u)+i] is the in-slot
+	// position (biased by one; see msgstore.Entry.Slot) of u in the
+	// in-neighbor list of u's i-th out-neighbor. SendToAllOut attaches it
+	// to every message so the store never repeats the per-delivery binary
+	// search InSlot would do. Rebuilt on topology mutation.
+	outSlots []uint32
 
 	// initialForks snapshots each lock manager's fresh fork distribution
 	// (captured before the first superstep) so a rollback with no
@@ -132,30 +133,32 @@ type runner[V, M any] struct {
 
 // newTransport builds the run's cluster backend. The TCP backend gets a
 // payload codec specialized to the program's message type — honoring the
-// program's explicit serialization contract when it declares one — and
-// the run's metrics registry for the wire-phase timers.
-func newTransport[V, M any](cfg Config, prog model.Program[V, M], reg *metrics.Registry) (cluster.Transport, error) {
-	if cfg.Transport != TransportTCP {
-		return cluster.New(cfg.Workers, cfg.Latency), nil
+// program's explicit serialization contract when it declares one — the
+// run's metrics registry for the wire-phase timers and, when batches are
+// recycled, the batch pool to retire and draw slices (wire.Codec.SetPool).
+func (r *runner[V, M]) newTransport() (cluster.Transport, error) {
+	if r.cfg.Transport != TransportTCP {
+		return cluster.New(r.cfg.Workers, r.cfg.Latency), nil
 	}
-	var codec cluster.PayloadCodec
-	if prog.MsgAppend != nil && prog.MsgRead != nil {
-		codec = wire.NewCodecWith(wire.MsgCodec[M]{Append: prog.MsgAppend, Read: prog.MsgRead})
-	} else {
-		codec = wire.NewCodec[M]()
+	codec := wire.NewCodec[M]()
+	if r.prog.MsgAppend != nil && r.prog.MsgRead != nil {
+		codec = wire.NewCodecWith(wire.MsgCodec[M]{Append: r.prog.MsgAppend, Read: r.prog.MsgRead})
 	}
-	tcp, err := cluster.NewTCPLoopback(cfg.Workers, cfg.Latency, codec)
+	if r.recycleBatches {
+		codec.SetPool(&r.batchPool)
+	}
+	tcp, err := cluster.NewTCPLoopback(r.cfg.Workers, r.cfg.Latency, codec)
 	if err != nil {
 		return nil, err
 	}
-	tcp.SetMetrics(reg)
+	tcp.SetMetrics(r.reg)
 	return tcp, nil
 }
 
 // Run executes prog over g under cfg and returns the final vertex values.
 // When cfg.TrackHistory is set, the returned recorder holds the
 // transaction log for serializability checking.
-func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, Result, *history.Recorder, error) {
+func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V, res Result, _ *history.Recorder, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, Result{}, nil, err
@@ -207,18 +210,26 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	if prog.Semantics == model.Overwrite {
 		r.buildOutSlots()
 	}
-	tr, err := newTransport(cfg, prog, r.reg)
+	r.recycleBatches = cfg.Fault == nil
+	tr, err := r.newTransport()
 	if err != nil {
 		return nil, Result{}, nil, err
 	}
 	r.tr = tr
-	defer r.tr.Close()
+	// Every exit path joins the transport before the metrics snapshot: a
+	// TCP lane writer times its flush once the bytes are on the socket, by
+	// when the peer may have delivered them and WaitIdle returned.
+	defer func() {
+		r.tr.Close()
+		if err == nil {
+			res.Metrics = r.reg.Snapshot()
+		}
+	}()
 	r.flow = cluster.NewFlow(cfg.Workers, cluster.WindowForBudget(cfg.MsgMemoryBudget, cfg.Workers))
 	r.flow.SetMetrics(r.reg)
 	if ft, ok := tr.(interface{ SetFlow(*cluster.Flow) }); ok {
 		ft.SetFlow(r.flow)
 	}
-	r.recycleBatches = cfg.Fault == nil
 	if cfg.Fault != nil {
 		cfg.Fault.Attach(r.tr)
 	}
@@ -253,29 +264,31 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	if cfg.RestoreFrom != "" {
 		s0, err := r.restore(cfg.RestoreFrom)
 		if err != nil {
-			r.tr.Close()
 			return nil, Result{}, nil, err
 		}
 		startSuperstep = s0
 	}
 	start := time.Now()
-	res := Result{Partitions: p, Partition: quality}
-	if cfg.Mode == BAP {
-		r.runBAP(&res)
+	res = Result{Partitions: p, Partition: quality}
+	// finish totals a completed run and stops the workers.
+	finish := func() ([]V, Result, *history.Recorder, error) {
 		res.ComputeTime = time.Since(start)
 		res.Net = r.tr.Stats().Load()
 		res.Executions = r.executions.Load()
 		res.MaxConcurrency = r.maxConc.Load()
 		for _, w := range r.workers {
-			close(w.startCh)
 			if w.mgr != nil {
 				st := w.mgr.Stats()
 				res.ForkSends += st.ForkSends
 				res.TokenSends += st.TokenSends
 			}
 		}
-		res.Metrics = r.reg.Snapshot()
+		r.shutdownWorkers()
 		return r.values, res, r.rec, nil
+	}
+	if cfg.Mode == BAP {
+		r.runBAP(&res)
+		return finish()
 	}
 	for _, w := range r.workers {
 		go w.loop()
@@ -480,20 +493,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 			}
 		}
 	}
-	res.ComputeTime = time.Since(start)
-	res.Net = r.tr.Stats().Load()
-	res.Executions = r.executions.Load()
-	res.MaxConcurrency = r.maxConc.Load()
-	for _, w := range r.workers {
-		if w.mgr != nil {
-			st := w.mgr.Stats()
-			res.ForkSends += st.ForkSends
-			res.TokenSends += st.TokenSends
-		}
-	}
-	res.Metrics = r.reg.Snapshot()
-	r.shutdownWorkers()
-	return r.values, res, r.rec, nil
+	return finish()
 }
 
 // buildOutSlots precomputes, for every vertex u and every out-neighbor
@@ -502,20 +502,15 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 // hot path of PageRank-style algorithms — carry the hint so the store's
 // Overwrite delivery never repeats the binary search.
 func (r *runner[V, M]) buildOutSlots() {
-	n := r.g.NumVertices()
-	r.outSlots = make([][]uint32, n)
-	for u := 0; u < n; u++ {
-		outs := r.g.OutNeighbors(graph.VertexID(u))
-		if len(outs) == 0 {
-			continue
-		}
-		row := make([]uint32, len(outs))
-		for i, dst := range outs {
-			if pos, ok := r.g.InSlot(dst, graph.VertexID(u)); ok {
-				row[i] = uint32(pos) + 1
+	r.outSlots = make([]uint32, 0, r.g.NumEdges())
+	for u := graph.VertexID(0); int(u) < r.g.NumVertices(); u++ {
+		for _, dst := range r.g.OutNeighbors(u) {
+			slot := uint32(0)
+			if pos, ok := r.g.InSlot(dst, u); ok {
+				slot = uint32(pos) + 1
 			}
+			r.outSlots = append(r.outSlots, slot)
 		}
-		r.outSlots[u] = row
 	}
 }
 

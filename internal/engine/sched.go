@@ -173,13 +173,10 @@ func (sc *overlapSched[V, M]) runInternal(t *thread[V, M], p partition.ID) {
 func (t *thread[V, M]) runPrefetched(req prefReq) {
 	w := t.w
 	t.curPart = req.p
-	w.r.noteUnitStart()
-	defer w.r.noteUnitEnd()
 	if !w.mgr.Collect(chandy.PhilID(req.p), req.ch) {
 		return // watchdog abort: the run is headed into recovery
 	}
-	t.executeVertices(req.p, nil)
-	t.flushStaged() // before Release: neighbors must read fresh replicas
+	t.runMeal(req.p, nil) // folds before Release: neighbors must read fresh replicas
 	w.mgr.Release(chandy.PhilID(req.p))
 }
 

@@ -307,7 +307,7 @@ func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 		w.writeStore().PutBatch(batch)
 	}
 	if w.r.recycleBatches && cap(batch) > 0 {
-		w.r.batchPool.Put(batch[:0])
+		w.r.batchPool.Put(payload) // the box it arrived in: no new allocation
 	}
 	if w.wake != nil {
 		select {
@@ -611,12 +611,6 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 	w := t.w
 	r := w.r
 	t.curPart = p
-	// Concurrency is tracked at partition granularity: a partition's
-	// execution (a "meal" under locking) is the unit whose overlap defines
-	// the parallelism axis of Figure 1.
-	r.noteUnitStart()
-	defer r.noteUnitEnd()
-
 	switch r.cfg.Sync {
 	case PartitionLock:
 		// Skip optimization (§5.4): halted partitions with no pending
@@ -627,8 +621,7 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 		if !w.mgr.Acquire(chandy.PhilID(p)) {
 			return // watchdog abort: the run is headed into recovery
 		}
-		t.executeVertices(p, nil)
-		t.flushStaged() // before Release: neighbors must read fresh replicas
+		t.runMeal(p, nil) // folds before Release: neighbors must read fresh replicas
 		w.mgr.Release(chandy.PhilID(p))
 	case TokenSingle:
 		holder, _ := r.tokenState(t.superstep)
@@ -639,8 +632,7 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 			}
 			return true // m-internal vertices always run (§4.2)
 		}
-		t.executeVertices(p, allowed)
-		t.flushStaged()
+		t.runMeal(p, allowed)
 	case TokenDual:
 		holder, localIdx := r.tokenState(t.superstep)
 		myLocalIdx := w.partIdx[p]
@@ -656,12 +648,11 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 				return holder == w.id && myLocalIdx == localIdx
 			}
 		}
-		t.executeVertices(p, allowed)
 		// Cross-partition local recipients of anything staged here are
 		// local/mixed boundary vertices of a *different* partition, which
 		// the local token keeps inactive this superstep — folding at pass
 		// end is indistinguishable from eager delivery.
-		t.flushStaged()
+		t.runMeal(p, allowed)
 	case VertexLockGiraph:
 		// The heavy-weight partition thread blocks on every p-boundary
 		// vertex's fork acquisition — the behavior §5.2 identifies as this
@@ -670,20 +661,30 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 		lo, hi := w.span(p)
 		for li := w.nextActive(st, lo, hi); li < hi; li = w.nextActive(st, li+1, hi) {
 			v := w.owned[li]
+			if r.pBoundary[v] && !w.mgr.Acquire(chandy.PhilID(v)) {
+				return // watchdog abort: the run is headed into recovery
+			}
+			r.noteUnitStart() // a vertex at a time: fork waits are not execution
+			t.executeVertex(v, li, st)
+			r.noteUnitEnd()
 			if r.pBoundary[v] {
-				if !w.mgr.Acquire(chandy.PhilID(v)) {
-					return // watchdog abort: the run is headed into recovery
-				}
-				t.executeVertex(v, li, st)
 				w.mgr.Release(chandy.PhilID(v))
-			} else {
-				t.executeVertex(v, li, st)
 			}
 		}
 	default: // SyncNone
-		t.executeVertices(p, nil)
-		t.flushStaged()
+		t.runMeal(p, nil)
 	}
+}
+
+// runMeal executes partition p's active vertices and folds the local
+// messages they staged. It is the unit the concurrency gauge counts (the
+// parallelism axis of Figure 1): callers enter it holding whatever the
+// technique makes them wait for, so a thread parked on forks is not counted.
+func (t *thread[V, M]) runMeal(p partition.ID, allowed func(graph.VertexID) bool) {
+	t.w.r.noteUnitStart()
+	t.executeVertices(p, allowed)
+	t.flushStaged()
+	t.w.r.noteUnitEnd()
 }
 
 // executeVertices runs every active (and allowed) vertex of partition p
@@ -840,7 +841,7 @@ func (c *vctx[V, M]) send(dst graph.VertexID, m M, slot uint32) {
 func (c *vctx[V, M]) SendToAllOut(m M) {
 	outs := c.w.r.g.OutNeighbors(c.id)
 	if c.w.r.outSlots != nil {
-		row := c.w.r.outSlots[c.id]
+		row := c.w.r.outSlots[c.w.r.g.OutOffset(c.id):]
 		for i, dst := range outs {
 			c.send(dst, m, row[i])
 		}

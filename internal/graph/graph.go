@@ -53,6 +53,10 @@ func (g *Graph) OutNeighbors(u VertexID) []VertexID {
 	return g.outDst[g.outOff[u]:g.outOff[u+1]]
 }
 
+// OutOffset returns the index of u's first out-edge in the out-CSR edge
+// order (the order of Edges, NumEdges long), for per-edge side tables.
+func (g *Graph) OutOffset(u VertexID) int { return int(g.outOff[u]) }
+
 // OutWeights returns the weights parallel to OutNeighbors(u), or nil for an
 // unweighted graph.
 func (g *Graph) OutWeights(u VertexID) []float64 {

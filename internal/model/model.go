@@ -107,7 +107,8 @@ type Program[V, M any] struct {
 	// MsgAppend/MsgRead, when both non-nil, are the program's wire
 	// serialization contract: MsgAppend appends one message's encoding to
 	// dst, MsgRead parses one message from the front of b and returns the
-	// bytes consumed. Real transport backends use them to encode batches;
+	// bytes consumed and must not keep b, which is a read buffer the
+	// transport reuses. Real transport backends use them to encode batches;
 	// when nil, the transport falls back to an automatic codec (compact
 	// fixed/varint layouts for numeric M, gob for struct messages).
 	MsgAppend func(dst []byte, m M) []byte

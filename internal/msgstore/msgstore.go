@@ -45,7 +45,11 @@ type Store[M any] struct {
 	local []int32 // global vertex -> local dense index, -1 if not owned
 	owned []graph.VertexID
 
-	locks [stripes]sync.Mutex
+	// One cache line per lock: appliers on different stripes share none.
+	locks [stripes]struct {
+		sync.Mutex
+		_ [56]byte
+	}
 	// blockSize is the local-index width of one stripe: stripe(li) =
 	// li/blockSize, so contiguous indices share stripes (see the package
 	// comment for why).
@@ -58,17 +62,16 @@ type Store[M any] struct {
 	slot    []M
 	hasSlot []bool
 
-	// Overwrite mode: one slot per in-edge of each owned vertex, indexed by
-	// the in-neighbor's position in g.InNeighbors(v). Presence and
-	// freshness are epoch-stamped rather than boolean: a slot is present
-	// when owHasE == epoch and fresh (updated since last read) when
-	// owFreshE == epoch, so Clear — called on every BSP store swap — bumps
+	// Overwrite mode — the replica table of §3.1: one slot per in-edge in
+	// owned-vertex order, vertex li's at ow[owOff[li]:owOff[li+1]] in the
+	// order of g.InNeighbors, so a hinted delivery is one offset load and
+	// one slot write. Presence and freshness are epoch-stamped: a slot is
+	// present when hasE == epoch and fresh (updated since last read) when
+	// freshE == epoch, so Clear — called on every BSP store swap — bumps
 	// the epoch in O(1) instead of wiping O(in-edges) flags.
-	ow       [][]M
-	owHasE   [][]uint32
-	owVer    [][]uint32
-	owFreshE [][]uint32
-	epoch    uint32
+	ow    []owSlot[M]
+	owOff []int32
+	epoch uint32
 
 	// scratch pools batchScratch workspaces for PutBatch.
 	scratch sync.Pool
@@ -82,6 +85,12 @@ type Store[M any] struct {
 	// bits only.
 	unread   Bits
 	newCount atomic.Int64
+}
+
+// owSlot is one in-edge's replica: its source's last message and version.
+type owSlot[M any] struct {
+	msg               M
+	ver, hasE, freshE uint32
 }
 
 // New creates a store for the given owned vertices.
@@ -111,17 +120,11 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 		s.hasSlot = make([]bool, n)
 	case model.Overwrite:
 		s.epoch = 1
-		s.ow = make([][]M, n)
-		s.owHasE = make([][]uint32, n)
-		s.owVer = make([][]uint32, n)
-		s.owFreshE = make([][]uint32, n)
+		s.owOff = make([]int32, n+1)
 		for i, v := range owned {
-			d := g.InDegree(v)
-			s.ow[i] = make([]M, d)
-			s.owHasE[i] = make([]uint32, d)
-			s.owVer[i] = make([]uint32, d)
-			s.owFreshE[i] = make([]uint32, d)
+			s.owOff[i+1] = s.owOff[i] + int32(g.InDegree(v))
 		}
+		s.ow = make([]owSlot[M], s.owOff[n])
 	default:
 		panic(fmt.Sprintf("msgstore: unknown semantics %v", kind))
 	}
@@ -168,10 +171,8 @@ func (s *Store[M]) putLocked(li int32, dst, src graph.VertexID, m M, ver uint32,
 				return false
 			}
 		}
-		s.ow[li][pos] = m
-		s.owHasE[li][pos] = s.epoch
-		s.owVer[li][pos] = ver
-		s.owFreshE[li][pos] = s.epoch
+		row := s.ow[s.owOff[li]:s.owOff[li+1]]
+		row[pos] = owSlot[M]{msg: m, ver: ver, hasE: s.epoch, freshE: s.epoch}
 	}
 	if s.unread.Set(li) {
 		s.newCount.Add(1)
@@ -254,14 +255,15 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 	}
 	if cap(sc.entries) < len(batch) {
 		sc.entries = make([]Entry[M], len(batch))
-		sc.lis = make([]int32, len(batch))
+		sc.lis = make([]int32, 2*len(batch))
 	}
 	grouped := sc.entries[:len(batch)]
-	lis := sc.lis[:len(batch)]
+	// Local indices are looked up once: lis in batch order, glis grouped.
+	lis, glis := sc.lis[:len(batch)], sc.lis[len(batch):2*len(batch)]
 	counts := &sc.counts
 	*counts = [stripes + 1]int32{}
-	for i, e := range batch {
-		li := s.idx(e.Dst)
+	for i := range batch {
+		li := s.idx(batch[i].Dst)
 		lis[i] = li
 		counts[s.stripeOf(li)+1]++
 	}
@@ -269,9 +271,10 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 		counts[i] += counts[i-1]
 	}
 	offsets := counts // counts is now the running placement offset per stripe
-	for i, e := range batch {
-		st := s.stripeOf(lis[i])
-		grouped[offsets[st]] = e
+	for i, li := range lis {
+		st := s.stripeOf(li)
+		grouped[offsets[st]] = batch[i]
+		glis[offsets[st]] = li
 		offsets[st]++
 	}
 	// offsets[st] is now the END of stripe st's bucket (and the start of
@@ -282,15 +285,16 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 		if end == start {
 			continue
 		}
-		bucket := grouped[start:end]
+		bucket, blis := grouped[start:end], glis[start:end]
 		start = end
 		if s.kind == model.Combine {
-			bucket = s.preCombine(bucket)
+			bucket = s.preCombine(bucket, blis)
 		}
 		lk := &s.locks[st]
 		lk.Lock()
-		for _, e := range bucket {
-			if !s.putLocked(s.idx(e.Dst), e.Dst, e.Src, e.Msg, e.Ver, e.Slot) {
+		for i := range bucket {
+			e := &bucket[i]
+			if !s.putLocked(blis[i], e.Dst, e.Src, e.Msg, e.Ver, e.Slot) {
 				lk.Unlock()
 				s.scratch.Put(sc)
 				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
@@ -304,11 +308,13 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 // preCombine orders a stripe bucket by destination (stable insertion
 // sort — buckets are small) and folds duplicate destinations with the
 // combiner, so each surviving destination costs one slot update under the
-// lock. Returns the condensed bucket, condensed in place.
-func (s *Store[M]) preCombine(bucket []Entry[M]) []Entry[M] {
+// lock. lis, the entries' local indices, moves in step. Returns the
+// condensed bucket, condensed in place.
+func (s *Store[M]) preCombine(bucket []Entry[M], lis []int32) []Entry[M] {
 	for i := 1; i < len(bucket); i++ {
 		for j := i; j > 0 && bucket[j].Dst < bucket[j-1].Dst; j-- {
 			bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+			lis[j], lis[j-1] = lis[j-1], lis[j]
 		}
 	}
 	w := 0
@@ -317,7 +323,7 @@ func (s *Store[M]) preCombine(bucket []Entry[M]) []Entry[M] {
 			bucket[w].Msg = s.combine(bucket[w].Msg, bucket[i].Msg)
 		} else {
 			w++
-			bucket[w] = bucket[i]
+			bucket[w], lis[w] = bucket[i], lis[i]
 		}
 	}
 	return bucket[:w+1]
@@ -380,18 +386,18 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
 		s.hasSlot[li] = false
 	case model.Overwrite:
 		in := s.g.InNeighbors(dst)
-		any := false
-		for pos, e := range s.owHasE[li] {
-			if e != s.epoch {
+		row := s.ow[s.owOff[li]:s.owOff[li+1]]
+		for pos := range row {
+			sl := &row[pos]
+			if sl.hasE != s.epoch {
 				continue
 			}
-			any = true
-			r.Msgs = append(r.Msgs, s.ow[li][pos])
+			r.Msgs = append(r.Msgs, sl.msg)
 			r.Srcs = append(r.Srcs, in[pos])
-			r.Vers = append(r.Vers, s.owVer[li][pos])
-			s.owFreshE[li][pos] = 0 // epoch is always >= 1, so 0 = not fresh
+			r.Vers = append(r.Vers, sl.ver)
+			sl.freshE = 0 // epoch is always >= 1, so 0 = not fresh
 		}
-		return any
+		return len(r.Msgs) > 0
 	}
 	return true
 }
@@ -456,12 +462,11 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 			if s.hasSlot[li] {
 				n++
 			}
-		case model.Overwrite:
-			for _, e := range s.owHasE[li] {
-				if e == s.epoch {
-					n++
-				}
-			}
+		}
+	}
+	for i := range s.ow {
+		if s.ow[i].hasE == s.epoch {
+			n++
 		}
 	}
 	if n == 0 {
@@ -481,11 +486,11 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 			}
 		case model.Overwrite:
 			in := s.g.InNeighbors(v)
-			for pos, e := range s.owHasE[li] {
-				if e == s.epoch {
+			for pos, sl := range s.ow[s.owOff[li]:s.owOff[li+1]] {
+				if sl.hasE == s.epoch {
 					out = append(out, DumpEntry[M]{
-						Dst: v, Src: in[pos], Msg: s.ow[li][pos],
-						Ver: s.owVer[li][pos], IsNew: isNew && s.owFreshE[li][pos] == s.epoch,
+						Dst: v, Src: in[pos], Msg: sl.msg,
+						Ver: sl.ver, IsNew: isNew && sl.freshE == s.epoch,
 					})
 				}
 			}
@@ -510,14 +515,11 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 			if !ok {
 				panic("msgstore: restored entry from non-in-neighbor")
 			}
-			s.ow[li][pos] = e.Msg
-			s.owHasE[li][pos] = s.epoch
-			s.owVer[li][pos] = e.Ver
+			sl := owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
 			if e.IsNew {
-				s.owFreshE[li][pos] = s.epoch
-			} else {
-				s.owFreshE[li][pos] = 0
+				sl.freshE = s.epoch
 			}
+			s.ow[int(s.owOff[li])+pos] = sl
 		}
 		// Queue and Combine payloads are visible to Clear only through the
 		// unread bit (and Dump never emits one without it), so they set it

@@ -7,7 +7,7 @@ package wire
 //   - truncated, corrupt, or oversized input returns an error — never a
 //     panic and never a runaway allocation (counts are validated against
 //     the payload size before any slice is sized);
-//   - DecodeFrame and ReadFrame agree on whether a byte string is a frame;
+//   - DecodeFrame and FrameReader agree on whether a byte string is a frame;
 //   - anything that decodes cleanly re-encodes and decodes to the same
 //     value (no silent acceptance of half-parsed frames).
 //
@@ -15,7 +15,6 @@ package wire
 // `go test ./internal/wire/ -fuzz FuzzFrameDecode`.
 
 import (
-	"bufio"
 	"bytes"
 	"testing"
 
@@ -47,10 +46,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := cluster.DecodeFrame(b)
 
-		// ReadFrame must agree with DecodeFrame on the same bytes.
-		sf, sn, serr := cluster.ReadFrame(bufio.NewReader(bytes.NewReader(b)))
+		// The streaming reader must agree with DecodeFrame on the same bytes.
+		sf, sn, serr := cluster.NewFrameReader(bytes.NewReader(b)).Read()
 		if (err == nil) != (serr == nil) {
-			t.Fatalf("DecodeFrame err %v but ReadFrame err %v", err, serr)
+			t.Fatalf("DecodeFrame err %v but FrameReader err %v", err, serr)
 		}
 		if err != nil {
 			return
@@ -58,7 +57,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if n != sn || sf.Type != fr.Type || sf.From != fr.From || sf.To != fr.To ||
 			sf.Flags != fr.Flags || sf.Declared != fr.Declared || sf.Delay != fr.Delay ||
 			!bytes.Equal(sf.Payload, fr.Payload) {
-			t.Fatalf("DecodeFrame and ReadFrame disagree: %+v vs %+v", fr, sf)
+			t.Fatalf("DecodeFrame and FrameReader disagree: %+v vs %+v", fr, sf)
 		}
 		if n < 4 || n > len(b) {
 			t.Fatalf("DecodeFrame consumed %d of %d bytes", n, len(b))

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"serialgraph/internal/chandy"
 	"serialgraph/internal/cluster"
@@ -217,12 +218,23 @@ func gobMsgCodec[M any]() MsgCodec[M] {
 // payloads (forks/tokens, flush markers, acks) with fixed layouts.
 type Codec[M any] struct {
 	msg MsgCodec[M]
+	// auto marks the AutoMsgCodec, whose float64 layout (eight big-endian
+	// bytes) the batch loops read and write in line, not through msg.
+	auto bool
+	pool *sync.Pool // see SetPool
 }
 
 var _ cluster.PayloadCodec = (*Codec[float64])(nil)
 
 // NewCodec builds a payload codec using AutoMsgCodec for M.
-func NewCodec[M any]() *Codec[M] { return &Codec[M]{msg: AutoMsgCodec[M]()} }
+func NewCodec[M any]() *Codec[M] { return &Codec[M]{msg: AutoMsgCodec[M](), auto: true} }
+
+// SetPool attaches a pool of []msgstore.Entry[M] batch slices, each owned
+// by one party at a time: EncodePayload puts the sender's slice back once
+// encoded (the caller must not touch it again, nor encode it twice) and
+// DecodePayload fills a pooled one, which the receiver puts back when it
+// has applied it. Call before any traffic flows.
+func (c *Codec[M]) SetPool(p *sync.Pool) { c.pool = p }
 
 // NewCodecWith builds a payload codec with an explicit message codec
 // (model.Program's serialization contract overrides).
@@ -241,7 +253,14 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 			dst = cluster.AppendZigzag(dst, int64(e.Src))
 			dst = binary.AppendUvarint(dst, uint64(e.Ver))
 			dst = binary.AppendUvarint(dst, uint64(e.Slot))
-			dst = c.msg.Append(dst, e.Msg)
+			if f, ok := any(&e.Msg).(*float64); ok && c.auto {
+				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(*f))
+			} else {
+				dst = c.msg.Append(dst, e.Msg)
+			}
+		}
+		if c.pool != nil && cap(p) > 0 {
+			c.pool.Put(payload) // the caller's own box: no new allocation
 		}
 		return cluster.FrameData, dst, nil
 	case chandy.Ctrl:
@@ -277,10 +296,17 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 		if count > uint64(len(b))/4+1 {
 			return nil, fmt.Errorf("%w: entry count %d exceeds payload", ErrCorrupt, count)
 		}
-		batch := make([]msgstore.Entry[M], 0, count)
+		var batch []msgstore.Entry[M]
+		if c.pool != nil {
+			batch, _ = c.pool.Get().([]msgstore.Entry[M])
+		}
+		if uint64(cap(batch)) < count {
+			batch = make([]msgstore.Entry[M], count)
+		}
+		batch = batch[:count]
 		prev := int64(0)
-		for i := uint64(0); i < count; i++ {
-			var e msgstore.Entry[M]
+		for i := range batch {
+			e := &batch[i]
 			delta, n := cluster.Zigzag(b)
 			if n <= 0 {
 				return nil, ErrTruncated
@@ -301,25 +327,32 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 				return nil, ErrCorrupt
 			}
 			e.Src = graph.VertexID(src)
-			ver, n := binary.Uvarint(b)
+			ver, n := cluster.Uvarint(b)
 			if n <= 0 || ver > math.MaxUint32 {
 				return nil, ErrCorrupt
 			}
 			b = b[n:]
 			e.Ver = uint32(ver)
-			slot, n := binary.Uvarint(b)
+			slot, n := cluster.Uvarint(b)
 			if n <= 0 || slot > math.MaxUint32 {
 				return nil, ErrCorrupt
 			}
 			b = b[n:]
 			e.Slot = uint32(slot)
+			if f, ok := any(&e.Msg).(*float64); ok && c.auto {
+				if len(b) < 8 {
+					return nil, ErrTruncated
+				}
+				*f = math.Float64frombits(binary.BigEndian.Uint64(b))
+				b = b[8:]
+				continue
+			}
 			msg, n, err := c.msg.Read(b)
 			if err != nil {
 				return nil, err
 			}
 			b = b[n:]
 			e.Msg = msg
-			batch = append(batch, e)
 		}
 		if len(b) != 0 {
 			return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(b))
