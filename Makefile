@@ -115,10 +115,12 @@ torture-sched:
 
 # 30-second fuzz smoke over the frame decoder: truncated/corrupt/oversized
 # frames must error, never panic or over-allocate; plus a shorter pass over
-# the Credit grant frame against its golden fixture corpus.
+# the Credit grant frame and the batched fork/token frame against their
+# golden fixture corpora.
 fuzz-wire:
 	$(GO) test ./internal/wire/ -fuzz FuzzFrameDecode -fuzztime=30s -run '^$$'
 	$(GO) test ./internal/wire/ -fuzz FuzzCreditFrame -fuzztime=15s -run '^$$'
+	$(GO) test ./internal/wire/ -fuzz FuzzCtrlBatchFrame -fuzztime=15s -run '^$$'
 
 # Short fuzz pass over the graph loader/symmetrize targets.
 fuzz:
@@ -165,14 +167,17 @@ bench-smoke:
 # vs. batched, all three semantics, 1-8 goroutines), the dense data path
 # layer by layer with allocations (Overwrite PutBatch on a table larger
 # than the cache, the batch codec, a batch from Send over a loopback socket
-# to PutBatch), and the engine's local-delivery benchmark, which exercises
-# thread-local staging end to end.
+# to PutBatch), the engine's local-delivery benchmark, which exercises
+# thread-local staging end to end, and the lock path: a contended fork
+# ping-pong between two managers and a serializable GAS colouring.
 bench-micro:
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime 2000x
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench BenchmarkStoreOverwritePutBatch -benchtime 20000000x -benchmem
 	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime 20000000x -benchmem
 	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime 20000x -benchmem
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime 5x
+	$(GO) test ./internal/chandy/ -run '^$$' -bench BenchmarkChandyRing -benchtime 200000x -benchmem
+	$(GO) test ./internal/gas/ -run '^$$' -bench BenchmarkGASColoring -benchtime 10x -benchmem
 
 # Per-phase deltas between two perf-trajectory files:
 #   make bench-diff OLD=BENCH_0003.json NEW=BENCH_0004.json

@@ -34,12 +34,12 @@ func quiescentInvariant(t *testing.T, m *Manager, adj [][]PhilID) {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for id, p := range m.phils {
+	for _, p := range m.phils {
 		if p.state != thinking {
-			t.Fatalf("phil %d left %v after drain", id, p.state)
+			t.Fatalf("phil %d left %v after drain", p.id, p.state)
 		}
 		if p.ready != nil {
-			t.Fatalf("phil %d still holds a grant channel after drain", id)
+			t.Fatalf("phil %d still holds a grant channel after drain", p.id)
 		}
 	}
 	for a := range adj {
@@ -47,7 +47,8 @@ func quiescentInvariant(t *testing.T, m *Manager, adj [][]PhilID) {
 			if PhilID(a) > b {
 				continue // each undirected edge once
 			}
-			sa, sb := m.phils[PhilID(a)].edges[b], m.phils[b].edges[PhilID(a)]
+			pa, pb := m.mustPhil(PhilID(a)), m.mustPhil(b)
+			sa, sb := pa.st[pa.edge(b)], pb.st[pb.edge(PhilID(a))]
 			if sb != Mirror(sa) {
 				t.Fatalf("edge %d-%d not quiescent: %03b / %03b", a, b, sa, sb)
 			}

@@ -135,20 +135,21 @@ func TestRandomGraphSingleManager(t *testing.T) {
 	}
 }
 
-// distributed wires w managers over a real simulated transport.
-func distributed(t *testing.T, w int, adj [][]PhilID, ownerOf func(PhilID) int, lat cluster.LatencyModel) ([]*Manager, func()) {
+// distributed wires w managers over a real simulated transport, one batch
+// per control message as the engines do.
+func distributed(t testing.TB, w int, adj [][]PhilID, ownerOf func(PhilID) int, lat cluster.LatencyModel) ([]*Manager, func()) {
 	t.Helper()
 	tr := cluster.New(w, lat)
 	mgrs := make([]*Manager, w)
 	eps := make([]*cluster.Endpoint, w)
 	for i := 0; i < w; i++ {
 		i := i
-		mgrs[i] = NewManager(i, ownerOf, func(toWorker int, c Ctrl) {
-			eps[i].SendCtrl(cluster.WorkerID(toWorker), c)
+		mgrs[i] = NewBatchManager(i, ownerOf, func(toWorker int, batch []Ctrl) {
+			eps[i].SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(batch))
 		}, nil)
 		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,
 			func(from cluster.WorkerID, payload any) {
-				mgrs[i].HandleCtrl(payload.(Ctrl))
+				mgrs[i].HandleBatch(payload.([]Ctrl))
 			})
 	}
 	for id := range adj {
@@ -231,12 +232,12 @@ func TestInitialPlacement(t *testing.T) {
 	m := singleWorker()
 	m.AddPhil(1, []PhilID{2})
 	m.AddPhil(2, []PhilID{1})
-	p1, p2 := m.phils[1], m.phils[2]
-	if p1.edges[2] != bitToken {
-		t.Errorf("smaller id state = %b, want token only", p1.edges[2])
+	p1, p2 := m.mustPhil(1), m.mustPhil(2)
+	if st := p1.st[p1.edge(2)]; st != bitToken {
+		t.Errorf("smaller id state = %b, want token only", st)
 	}
-	if p2.edges[1] != bitFork|bitDirty {
-		t.Errorf("larger id state = %b, want dirty fork", p2.edges[1])
+	if st := p2.st[p2.edge(1)]; st != bitFork|bitDirty {
+		t.Errorf("larger id state = %b, want dirty fork", st)
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 // Simulated wire sizes (bytes). Data batches additionally count their
 // entries' payload bytes.
 const (
-	CtrlBytes        = 64 // a fork, token, or other control message
+	CtrlBytes        = 64 // a control message carrying one fork, token, ...
+	CtrlEntryBytes   = 16 // each further fork or token batched into it
 	AckBytes         = 16
 	FlushMarkerBytes = 16
 	BatchHeaderBytes = 32
@@ -100,8 +101,15 @@ func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
 }
 
 // SendCtrl sends a control payload (fork, token, barrier vote...).
-func (e *Endpoint) SendCtrl(to WorkerID, payload any) {
-	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: CtrlBytes, Payload: payload})
+func (e *Endpoint) SendCtrl(to WorkerID, payload any) { e.SendCtrlBatch(to, payload, 1) }
+
+// SendCtrlBatch sends a control payload of n >= 1 entries (a lock manager's
+// []chandy.Ctrl) as one message and returns its simulated size, which grows
+// with the forks and tokens moved however they were packed.
+func (e *Endpoint) SendCtrlBatch(to WorkerID, payload any, n int) int {
+	bytes := CtrlBytes + (n-1)*CtrlEntryBytes
+	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: bytes, Payload: payload})
+	return bytes
 }
 
 // FlushWait sends a flush marker to each worker in targets and blocks until

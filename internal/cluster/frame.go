@@ -35,7 +35,7 @@ import (
 
 // ProtocolVersion is the wire protocol generation. Bump it whenever the
 // frame layout or any payload encoding changes incompatibly.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,
@@ -60,6 +60,9 @@ const (
 	// sender's window) without delivering to a handler or touching the
 	// per-kind message ledger; only the true wire-byte counters see them.
 	FrameCredit byte = 0x05
+	// FrameCtrlBatch is a count-prefixed []chandy.Ctrl: everything one lock
+	// manager operation owes one worker.
+	FrameCtrlBatch byte = 0x06
 
 	// FrameHello opens every connection: protocol version + sender
 	// identity (and, for the multi-process driver, a listen address).

@@ -9,6 +9,7 @@ package cluster_test
 
 import (
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,32 @@ func TestTCPCtrlRoundTrip(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("control not dispatched")
+	}
+}
+
+// TestTCPCtrlBatchRoundTrip: a lock manager's batch crosses the socket as
+// one control message whose declared size counts every entry.
+func TestTCPCtrlBatchRoundTrip(t *testing.T) {
+	tr := newTCP(t, 2)
+	defer tr.Close()
+	gotCtrl := make(chan any, 1)
+	ep := cluster.NewEndpoint(tr, 0, nil, nil)
+	cluster.NewEndpoint(tr, 1, nil, func(from cluster.WorkerID, payload any) { gotCtrl <- payload })
+	want := []chandy.Ctrl{{Kind: chandy.ForkMsg, From: 42, To: 7}, {Kind: chandy.TokenMsg, From: 42, To: 7}, {Kind: chandy.TokenMsg, From: 1 << 20, To: 3}}
+	if bytes := ep.SendCtrlBatch(1, want, len(want)); bytes != cluster.CtrlBytes+2*cluster.CtrlEntryBytes {
+		t.Errorf("declared %d bytes for a batch of 3", bytes)
+	}
+	select {
+	case p := <-gotCtrl:
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("ctrl payload = %+v, want %+v", p, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("control batch not dispatched")
+	}
+	tr.WaitIdle()
+	if st := tr.Stats().Load(); st.ControlMessages != 1 || st.ControlBytes != cluster.CtrlBytes+2*cluster.CtrlEntryBytes {
+		t.Errorf("ledger counts %d control messages, %d bytes", st.ControlMessages, st.ControlBytes)
 	}
 }
 

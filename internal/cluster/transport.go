@@ -427,49 +427,52 @@ func (t *Mem) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
 	l.mu.Unlock()
 }
 
-// deliver is the per-lane consumer: it waits on the wire clock until each
-// message's delivery time and invokes the receiver's handler, preserving
-// FIFO order.
+// deliver is the per-lane consumer: it takes everything queued since its
+// last burst, waits on the wire clock until each message's delivery time
+// and invokes the receiver's handler, preserving FIFO order.
 func (t *Mem) deliver(l *lane) {
 	defer t.wg.Done()
+	var batch []timed
 	for {
 		l.mu.Lock()
 		for len(l.q) == 0 && !l.closed {
 			l.cond.Wait()
 		}
-		if len(l.q) == 0 && l.closed {
+		if len(l.q) == 0 {
 			l.mu.Unlock()
 			return
 		}
-		tm := l.q[0]
-		l.q = l.q[1:]
+		batch, l.q = l.q, batch[:0] // swap queues: no allocation in steady state
 		l.mu.Unlock()
-
-		if time.Until(tm.deliverAt) > 0 {
-			t.clock.sleepUntil(tm.deliverAt, l.wake)
-		}
-		if tm.wireLost || (tm.msg.Kind == Data && t.dead[tm.msg.To].Load()) {
-			// Lost on the wire: injected (DropDelivery) or the receiver
-			// crashed while the message was in flight.
-			t.stats.DroppedMessages.Add(1)
-		} else {
-			if h := t.handlers[tm.msg.To]; h != nil {
-				h(tm.msg)
+		for i := range batch {
+			tm := &batch[i]
+			if time.Until(tm.deliverAt) > 0 {
+				t.clock.sleepUntil(tm.deliverAt, l.wake)
 			}
-			if t.hook != nil {
-				t.hook.OnDeliver(tm.msg)
+			if tm.wireLost || (tm.msg.Kind == Data && t.dead[tm.msg.To].Load()) {
+				// Lost on the wire: injected (DropDelivery) or the receiver
+				// crashed while the message was in flight.
+				t.stats.DroppedMessages.Add(1)
+			} else {
+				if h := t.handlers[tm.msg.To]; h != nil {
+					h(tm.msg)
+				}
+				if t.hook != nil {
+					t.hook.OnDeliver(tm.msg)
+				}
 			}
-		}
-		// Credit returns before the in-flight count drops, so a WaitIdle
-		// barrier always observes fully balanced windows.
-		t.releaseCredit(tm.msg)
+			// Credit returns before the in-flight count drops, so a WaitIdle
+			// barrier always observes fully balanced windows.
+			t.releaseCredit(tm.msg)
+			tm.msg.Payload = nil // the reused queue slot must not pin it
 
-		t.inflightMu.Lock()
-		t.inflight--
-		if t.inflight == 0 {
-			t.idleCond.Broadcast()
+			t.inflightMu.Lock()
+			t.inflight--
+			if t.inflight == 0 {
+				t.idleCond.Broadcast()
+			}
+			t.inflightMu.Unlock()
 		}
-		t.inflightMu.Unlock()
 	}
 }
 

@@ -135,6 +135,34 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestLaneSteadyStateAllocatesNothing guards the lane queue: a lane that has
+// seen its peak burst delivers further bursts out of the two queue buffers
+// it swaps, instead of regrowing a slice whose head it keeps cutting off.
+func TestLaneSteadyStateAllocatesNothing(t *testing.T) {
+	tr := New(2, LatencyModel{})
+	defer tr.Close()
+	var got atomic.Int64
+	tr.RegisterHandler(0, func(Message) {})
+	tr.RegisterHandler(1, func(Message) { got.Add(1) })
+	var payload any = "fork"
+	const burstLen = 64
+	burst := func() {
+		for i := 0; i < burstLen; i++ {
+			tr.Send(Message{From: 0, To: 1, Kind: Control, Bytes: CtrlBytes, Payload: payload})
+		}
+		tr.WaitIdle()
+	}
+	for i := 0; i < 20; i++ {
+		burst() // both queue buffers reach the burst size
+	}
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("a steady-state burst of %d sends allocates %v objects, want 0", burstLen, allocs)
+	}
+	if want := int64(121 * burstLen); got.Load() != want || tr.InFlight() != 0 {
+		t.Errorf("delivered %d of %d, %d in flight", got.Load(), want, tr.InFlight())
+	}
+}
+
 func TestWaitIdle(t *testing.T) {
 	tr := New(2, LatencyModel{Propagation: 20 * time.Millisecond})
 	defer tr.Close()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"serialgraph/internal/algorithms"
@@ -121,5 +122,45 @@ func TestMaxSuperstepsGuard(t *testing.T) {
 	}
 	if res.Converged || res.Supersteps != 7 {
 		t.Errorf("converged=%v supersteps=%d, want false/7", res.Converged, res.Supersteps)
+	}
+}
+
+// TestOutSlotsMatchInSlot: the one-cursor-per-destination pass builds the
+// table graph.InSlot would, on multigraphs with duplicate edges (first
+// duplicate wins) and self-loops, directed and symmetrized.
+func TestOutSlotsMatchInSlot(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		n := 1 + rnd.Intn(40)
+		b := graph.NewBuilder(n)
+		for e := rnd.Intn(6 * n); e > 0; e-- {
+			u, v := graph.VertexID(rnd.Intn(n)), graph.VertexID(rnd.Intn(n))
+			if rnd.Intn(4) == 0 {
+				v = u // self-loop
+			}
+			for dup := rnd.Intn(3); dup >= 0; dup-- {
+				b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		if seed%2 == 0 {
+			g = b.BuildUndirected()
+		}
+		r := &runner[float64, float64]{g: g}
+		r.buildOutSlots()
+		if len(r.outSlots) != g.NumEdges() {
+			t.Fatalf("seed %d: %d slots for %d edges", seed, len(r.outSlots), g.NumEdges())
+		}
+		for u := graph.VertexID(0); int(u) < n; u++ {
+			for i, dst := range g.OutNeighbors(u) {
+				want := uint32(0)
+				if pos, ok := g.InSlot(dst, u); ok {
+					want = uint32(pos) + 1
+				}
+				if got := r.outSlots[g.OutOffset(u)+i]; got != want || want == 0 {
+					t.Fatalf("seed %d: slot of edge %d->%d = %d, InSlot says %d", seed, u, dst, got, want)
+				}
+			}
+		}
 	}
 }

@@ -500,14 +500,22 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 // dst, the position of u in dst's in-neighbor list (biased by one; see
 // msgstore.Entry.Slot). Messages sent along out-edges — the SendToAllOut
 // hot path of PageRank-style algorithms — carry the hint so the store's
-// Overwrite delivery never repeats the binary search.
+// Overwrite delivery never repeats the binary search. Sources ascend and
+// in-lists are sorted, so one cursor per destination finds every slot (the
+// first of duplicate in-edges, as graph.InSlot does) in O(E) overall.
 func (r *runner[V, M]) buildOutSlots() {
 	r.outSlots = make([]uint32, 0, r.g.NumEdges())
+	cursor := make([]int32, r.g.NumVertices())
 	for u := graph.VertexID(0); int(u) < r.g.NumVertices(); u++ {
 		for _, dst := range r.g.OutNeighbors(u) {
+			in, c := r.g.InNeighbors(dst), cursor[dst]
+			for int(c) < len(in) && in[c] < u {
+				c++
+			}
+			cursor[dst] = c
 			slot := uint32(0)
-			if pos, ok := r.g.InSlot(dst, u); ok {
-				slot = uint32(pos) + 1
+			if int(c) < len(in) && in[c] == u {
+				slot = uint32(c) + 1
 			}
 			r.outSlots = append(r.outSlots, slot)
 		}

@@ -28,6 +28,7 @@ package engine
 
 import (
 	"net"
+	"serialgraph/internal/cluster"
 	"testing"
 
 	"serialgraph/internal/algorithms"
@@ -79,6 +80,18 @@ func reconcile(t *testing.T, label string, kind TransportKind, res Result) {
 	}
 	if got, want := m.Get(metrics.CtrlBytes), res.Net.ControlBytes; got != want {
 		t.Errorf("%s: ctrl_bytes = %d, transport ControlBytes = %d", label, got, want)
+	}
+	// Control bytes decompose exactly: every flush marker, every lock
+	// message's framing, every fork and token entry inside one.
+	markers := m.Get(metrics.FlushMarkers)
+	entries := m.Get(metrics.ForkGrantsRemote) + m.Get(metrics.TokenSendsRemote)
+	lockMsgs := m.Get(metrics.CtrlMessages) - markers
+	if want := markers*cluster.FlushMarkerBytes + lockMsgs*(cluster.CtrlBytes-cluster.CtrlEntryBytes) + entries*cluster.CtrlEntryBytes; m.Get(metrics.CtrlBytes) != want {
+		t.Errorf("%s: ctrl_bytes = %d, want %d for %d markers, %d lock messages, %d entries",
+			label, m.Get(metrics.CtrlBytes), want, markers, lockMsgs, entries)
+	}
+	if lockMsgs > entries {
+		t.Errorf("%s: %d lock messages carry only %d forks and tokens", label, lockMsgs, entries)
 	}
 	if got, want := m.Get(metrics.RemoteBatches), res.Net.DataMessages; got != want {
 		t.Errorf("%s: remote_batches = %d, transport DataMessages = %d", label, got, want)

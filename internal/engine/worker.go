@@ -220,11 +220,7 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 // worker; per-lane FIFO then guarantees the data precedes the fork,
 // enforcing condition C1 for the requesting partition.
 func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
-	ownerOf := func(p chandy.PhilID) int { return w.r.pm.WorkerOfPartition(partition.ID(p)) }
-	sendCtrl := w.sendChandyCtrl
-	preHandoff := func(toWorker int) { w.buf.FlushTo(toWorker) }
-	w.mgr = chandy.NewManager(w.id, ownerOf, sendCtrl, preHandoff)
-	w.mgr.SetMetrics(w.r.reg)
+	w.newLockManager(func(p chandy.PhilID) int { return w.r.pm.WorkerOfPartition(partition.ID(p)) })
 	for _, p := range w.parts {
 		nbs := make([]chandy.PhilID, 0, len(partNeighbors[p]))
 		for _, q := range partNeighbors[p] {
@@ -248,11 +244,7 @@ func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
 // p-internal vertices are serialized by their partition's sequential
 // execution.
 func (w *worker[V, M]) initVertexLockManager() {
-	ownerOf := func(p chandy.PhilID) int { return w.r.pm.WorkerOf(graph.VertexID(p)) }
-	sendCtrl := w.sendChandyCtrl
-	preHandoff := func(toWorker int) { w.buf.FlushTo(toWorker) }
-	w.mgr = chandy.NewManager(w.id, ownerOf, sendCtrl, preHandoff)
-	w.mgr.SetMetrics(w.r.reg)
+	w.newLockManager(func(p chandy.PhilID) int { return w.r.pm.WorkerOf(graph.VertexID(p)) })
 	for _, p := range w.parts {
 		for _, v := range w.r.pm.Vertices(p) {
 			if !w.r.pBoundary[v] {
@@ -270,13 +262,18 @@ func (w *worker[V, M]) initVertexLockManager() {
 	}
 }
 
-// sendChandyCtrl is the lock managers' control channel: it counts the
-// message at the exact point it is handed to the transport, keeping the
-// ctrl_messages counter reconcilable with cluster.Stats.ControlMessages.
-func (w *worker[V, M]) sendChandyCtrl(toWorker int, c chandy.Ctrl) {
+func (w *worker[V, M]) newLockManager(ownerOf func(chandy.PhilID) int) {
+	w.mgr = chandy.NewBatchManager(w.id, ownerOf, w.sendChandyCtrl, func(to int) { w.buf.FlushTo(to) })
+	w.mgr.SetMetrics(w.r.reg)
+}
+
+// sendChandyCtrl is the lock managers' control channel: it counts a batch
+// as one message at the exact point it is handed to the transport, keeping
+// ctrl_messages reconcilable with cluster.Stats.ControlMessages.
+func (w *worker[V, M]) sendChandyCtrl(toWorker int, batch []chandy.Ctrl) {
 	w.r.reg.Add(metrics.CtrlMessages, 1)
-	w.r.reg.Add(metrics.CtrlBytes, cluster.CtrlBytes)
-	w.ep.SendCtrl(cluster.WorkerID(toWorker), c)
+	bytes := w.ep.SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(batch))
+	w.r.reg.Add(metrics.CtrlBytes, int64(bytes))
 }
 
 // onData applies an arriving batch of remote vertex messages. Under BSP the
@@ -318,12 +315,7 @@ func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 }
 
 func (w *worker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
-	switch c := payload.(type) {
-	case chandy.Ctrl:
-		w.mgr.HandleCtrl(c)
-	default:
-		panic("engine: unexpected control payload")
-	}
+	w.mgr.HandleBatch(payload.([]chandy.Ctrl))
 }
 
 func (w *worker[V, M]) readStore() *msgstore.Store[M] { return w.stores[w.active.Load()] }

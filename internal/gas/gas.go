@@ -8,6 +8,7 @@
 package gas
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,6 +113,9 @@ type gworker[V comparable, M any] struct {
 
 	bufMu   sync.Mutex
 	buffers [][]replUpdate[V] // per destination worker
+	// sendMu[dest] is locked before bufMu is released by whoever takes a
+	// batch out: batches reach dest's lane in the order they were taken.
+	sendMu []sync.Mutex
 }
 
 type grunner[V comparable, M any] struct {
@@ -276,22 +280,28 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		replicaVer: make([]uint32, n),
 		state:      make([]vertexState, n),
 		buffers:    make([][]replUpdate[V], r.cfg.Workers),
+		sendMu:     make([]sync.Mutex, r.cfg.Workers),
 	}
 	copy(w.replica, r.values) // replicas start at the common Init values
 	w.cond = sync.NewCond(&w.schedMu)
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
 	if r.cfg.Serializable {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
-		sendCtrl := func(toWorker int, c chandy.Ctrl) { w.ep.SendCtrl(cluster.WorkerID(toWorker), c) }
+		sendCtrl := func(to int, batch []chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(batch)) }
 		preHandoff := func(toWorker int) { w.flushTo(toWorker) }
-		w.mgr = chandy.NewManager(id, ownerOf, sendCtrl, preHandoff)
+		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, preHandoff)
+		var nbs []chandy.PhilID
 		for v := 0; v < n; v++ {
 			u := graph.VertexID(v)
 			if r.pm.WorkerOf(u) != id {
 				continue
 			}
-			var nbs []chandy.PhilID
-			r.g.Neighbors(u, func(x graph.VertexID) { nbs = append(nbs, chandy.PhilID(x)) })
+			nbs = nbs[:0] // straight off the CSR: AddPhil sorts and drops repeats
+			for _, list := range [2][]graph.VertexID{r.g.OutNeighbors(u), r.g.InNeighbors(u)} {
+				for _, x := range list {
+					nbs = append(nbs, chandy.PhilID(x))
+				}
+			}
 			w.mgr.AddPhil(chandy.PhilID(u), nbs)
 		}
 	}
@@ -350,8 +360,15 @@ func (w *gworker[V, M]) close() {
 	w.schedMu.Unlock()
 }
 
+// scatterScratch is a fiber's scatter state, reused between executions.
+type scatterScratch struct {
+	seen []bool             // by worker: holds a replica of the executing vertex
+	acts [][]graph.VertexID // by worker: out-neighbors to activate there
+}
+
 // fiberLoop is one fiber: pop an active vertex, lock, execute GAS, unlock.
 func (w *gworker[V, M]) fiberLoop() {
+	sc := &scatterScratch{seen: make([]bool, w.r.cfg.Workers), acts: make([][]graph.VertexID, w.r.cfg.Workers)}
 	for {
 		w.schedMu.Lock()
 		for len(w.queue) == 0 && !w.closed {
@@ -367,7 +384,7 @@ func (w *gworker[V, M]) fiberLoop() {
 		w.busy.Add(1)
 		w.schedMu.Unlock()
 
-		w.executeVertex(u)
+		w.executeVertex(u, sc)
 
 		w.schedMu.Lock()
 		rerun := w.state[u] == runningRerun
@@ -381,7 +398,7 @@ func (w *gworker[V, M]) fiberLoop() {
 }
 
 // executeVertex runs one gather/apply/scatter transaction on u.
-func (w *gworker[V, M]) executeVertex(u graph.VertexID) {
+func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
 	r := w.r
 	if w.mgr != nil {
 		if !w.mgr.Acquire(chandy.PhilID(u)) {
@@ -407,10 +424,11 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID) {
 	}
 
 	// Gather: pull each in-neighbor's current value (local primaries
-	// directly, remote from the replica table).
+	// directly, remote from the replica table, read-locked once).
 	var acc M
 	hasAcc := false
 	in := r.g.InNeighbors(u)
+	w.replicaMu.RLock()
 	for _, x := range in {
 		var xv V
 		var ver uint32
@@ -420,10 +438,7 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID) {
 				ver = r.versions[x].Load()
 			}
 		} else {
-			w.replicaMu.RLock()
-			xv = w.replica[x]
-			ver = w.replicaVer[x]
-			w.replicaMu.RUnlock()
+			xv, ver = w.replica[x], w.replicaVer[x]
 		}
 		if r.rec != nil {
 			txn.Reads = append(txn.Reads, history.Read{
@@ -438,6 +453,7 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID) {
 			hasAcc = true
 		}
 	}
+	w.replicaMu.RUnlock()
 
 	// Apply.
 	old := r.loadValue(u)
@@ -463,7 +479,6 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID) {
 	if !changed && !activate {
 		return
 	}
-	var perWorker map[int][]graph.VertexID
 	for _, x := range r.g.OutNeighbors(u) {
 		ow := r.pm.WorkerOf(x)
 		if ow == w.id {
@@ -472,19 +487,16 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID) {
 			}
 			continue
 		}
-		if perWorker == nil {
-			perWorker = make(map[int][]graph.VertexID)
-		}
+		sc.seen[ow] = true
 		if activate {
-			perWorker[ow] = append(perWorker[ow], x)
-		} else if _, ok := perWorker[ow]; !ok {
-			perWorker[ow] = nil
+			sc.acts[ow] = append(sc.acts[ow], x)
 		}
 	}
-	if changed || activate {
-		val := r.loadValue(u)
-		for ow, acts := range perWorker {
-			w.bufferUpdate(ow, replUpdate[V]{Src: u, Val: val, Ver: ver, Activate: acts})
+	val := r.loadValue(u)
+	for ow, seen := range sc.seen {
+		if seen {
+			w.bufferUpdate(ow, replUpdate[V]{Src: u, Val: val, Ver: ver, Activate: slices.Clone(sc.acts[ow])})
+			sc.seen[ow], sc.acts[ow] = false, sc.acts[ow][:0]
 		}
 	}
 }
@@ -506,6 +518,8 @@ func (w *gworker[V, M]) flushTo(dest int) {
 	w.bufMu.Lock()
 	batch := w.buffers[dest]
 	w.buffers[dest] = nil
+	w.sendMu[dest].Lock()
+	defer w.sendMu[dest].Unlock()
 	w.bufMu.Unlock()
 	if len(batch) == 0 {
 		return
@@ -533,5 +547,5 @@ func (w *gworker[V, M]) onData(from cluster.WorkerID, payload any) {
 }
 
 func (w *gworker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
-	w.mgr.HandleCtrl(payload.(chandy.Ctrl))
+	w.mgr.HandleBatch(payload.([]chandy.Ctrl))
 }

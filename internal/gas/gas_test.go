@@ -117,20 +117,45 @@ func TestNonSerializableAlsoRuns(t *testing.T) {
 	}
 }
 
+// TestSerializableHistoryClean runs the batched lock path end to end: forks
+// travel in per-destination batches behind one preHandoff flush, and the
+// recorded history must still satisfy C1, C2 and 1SR.
 func TestSerializableHistoryClean(t *testing.T) {
-	g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 120, AvgDegree: 4, Exponent: 2.2, Seed: 8}))
-	_, _, rec, err := Run(g, algorithms.ColoringGAS(), Config{
-		Workers: 4, Serializable: true, TrackHistory: true, Seed: 4,
-		Latency: cluster.LatencyModel{Propagation: 50 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for seed := uint64(4); seed < 7; seed++ {
+		g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 120, AvgDegree: 4, Exponent: 2.2, Seed: int64(4 + seed)}))
+		colors, res, rec, err := Run(g, algorithms.ColoringGAS(), Config{
+			Workers: 4, Serializable: true, TrackHistory: true, Seed: seed,
+			Latency: cluster.LatencyModel{Propagation: 50 * time.Microsecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Len() == 0 {
+			t.Fatal("no history")
+		}
+		if v := history.CheckAll(rec.Txns(), g); v != nil {
+			t.Fatalf("seed %d violations: %v", seed, v[:minInt(3, len(v))])
+		}
+		if err := algorithms.ValidateColoring(g, colors); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Net.ControlMessages >= res.ForkSends+res.TokenSends {
+			t.Errorf("seed %d: %d control messages for %d forks and %d tokens: nothing was batched",
+				seed, res.Net.ControlMessages, res.ForkSends, res.TokenSends)
+		}
 	}
-	if rec.Len() == 0 {
-		t.Fatal("no history")
-	}
-	if v := history.CheckAll(rec.Txns(), g); v != nil {
-		t.Fatalf("violations: %v", v[:minInt(3, len(v))])
+}
+
+// BenchmarkGASColoring is one serializable colouring end to end: vertex
+// locks, replica updates and the scheduler, at the fixed benchmark's
+// vl_coloring_gas shape scaled down.
+func BenchmarkGASColoring(b *testing.B) {
+	g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 2000, AvgDegree: 12, Exponent: 2.2, Seed: 5}))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, res, _, err := Run(g, algorithms.ColoringGAS(), Config{Workers: 4, FibersPerWorker: 16, Serializable: true, Seed: 1}); err != nil || !res.Converged {
+			b.Fatalf("err=%v converged=%v", err, res.Converged)
+		}
 	}
 }
 

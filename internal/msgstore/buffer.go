@@ -39,6 +39,12 @@ type Buffer[M any] struct {
 type destBuf[M any] struct {
 	mu      sync.Mutex
 	entries []Entry[M]
+	// sendMu orders the sends of batches taken out of entries: whoever takes
+	// one locks sendMu before unlocking mu (handoff), so batches reach the
+	// transport in the order they were taken — and a FlushTo, which is what a
+	// fork or token waits for, returns only when every batch taken before it
+	// is on its lane, not merely out of the buffer.
+	sendMu sync.Mutex
 	// slot maps a destination vertex to its combined entry's index when
 	// sender-side combining is on.
 	slot map[graph.VertexID]int
@@ -101,6 +107,19 @@ func (b *Buffer[M]) emit(dest int, batch []Entry[M]) {
 	b.send(dest, batch, bytes)
 }
 
+// handoff ends a critical section of d.mu that took batches out of d and
+// sends them, in taking order relative to every other taker (see sendMu).
+func (b *Buffer[M]) handoff(dest int, d *destBuf[M], batches ...[]Entry[M]) {
+	d.sendMu.Lock()
+	d.mu.Unlock()
+	for _, batch := range batches {
+		if len(batch) > 0 {
+			b.emit(dest, batch)
+		}
+	}
+	d.sendMu.Unlock()
+}
+
 // Add buffers a message bound for a vertex on worker dest, flushing that
 // destination if the buffer is full.
 func (b *Buffer[M]) Add(dest int, e Entry[M]) {
@@ -135,8 +154,7 @@ func (b *Buffer[M]) Add(dest int, e Entry[M]) {
 		// saves.)
 		d.entries = b.newBatch()
 		d.slot = nil
-		d.mu.Unlock()
-		b.emit(dest, batch)
+		b.handoff(dest, d, batch)
 		return
 	}
 	d.mu.Unlock()
@@ -201,26 +219,21 @@ func (b *Buffer[M]) AddBatch(dest int, es []Entry[M]) {
 			d.slot = nil
 		}
 	}
-	d.mu.Unlock()
-	for _, batch := range full {
-		b.emit(dest, batch)
-	}
+	b.handoff(dest, d, full...)
 }
 
 // FlushTo drains the buffer for one destination, returning the number of
-// entries sent.
+// entries sent. When it returns, everything added for dest before the call
+// has been handed to send — including a full batch another thread took out
+// a moment earlier and is still sending.
 func (b *Buffer[M]) FlushTo(dest int) int {
 	d := b.perDest[dest]
 	d.mu.Lock()
 	batch := d.entries
-	if len(batch) == 0 {
-		d.mu.Unlock()
-		return 0
+	if len(batch) > 0 {
+		d.entries, d.slot = nil, nil
 	}
-	d.entries = nil
-	d.slot = nil
-	d.mu.Unlock()
-	b.emit(dest, batch)
+	b.handoff(dest, d, batch)
 	return len(batch)
 }
 

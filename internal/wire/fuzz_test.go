@@ -37,6 +37,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // length prefix > MaxFrameBytes
 	f.Add([]byte{0, 0, 0, 7, cluster.FrameData, 0, 0, 0, 0, 0, 0xff})
+	// A control batch whose count outruns its payload, and one whose second
+	// entry has a bad kind byte.
+	f.Add(rawFrame(cluster.FrameCtrlBatch, 0, 1, []byte{0x7f, 1, 2, 4}))
+	f.Add(rawFrame(cluster.FrameCtrlBatch, 0, 1, []byte{2, 1, 2, 4, 9, 2, 4}))
 
 	c64 := NewCodec[float64]()
 	c32 := NewCodec[int32]()
@@ -143,6 +147,44 @@ func FuzzCreditFrame(f *testing.F) {
 	})
 }
 
+// FuzzCtrlBatchFrame focuses the fuzzer on the batched fork/token frame:
+// every truncation and byte flip of the golden batch, an absurd count, and
+// trailing bytes. A clean decode is a []chandy.Ctrl of valid kinds that
+// re-encodes to a byte-level fixed point. Run long with `make fuzz-wire`.
+func FuzzCtrlBatchFrame(f *testing.F) {
+	c64 := NewCodec[float64]()
+	batch := []chandy.Ctrl{{Kind: chandy.ForkMsg, From: 42, To: -7}, {Kind: chandy.TokenMsg, From: 1 << 20, To: 3}}
+	seed := encodeFrame(f, c64, batch, cluster.Frame{From: 1, To: 0, Declared: 80})
+	f.Add(seed)
+	for i := 1; i < len(seed); i++ {
+		f.Add(seed[:i])
+	}
+	for i := 4; i < len(seed); i++ {
+		mut := append([]byte{}, seed...)
+		mut[i] ^= 0xff
+		f.Add(mut)
+	}
+	f.Add(rawFrame(cluster.FrameCtrlBatch, 1, 0, []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 2, 4}))
+	f.Add(rawFrame(cluster.FrameCtrlBatch, 1, 0, []byte{1, 0, 2, 4, 0}))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, _, err := cluster.DecodeFrame(b)
+		if err != nil {
+			return
+		}
+		payload, err := c64.DecodePayload(cluster.FrameCtrlBatch, fr.Payload)
+		if err != nil {
+			return
+		}
+		for _, c := range payload.([]chandy.Ctrl) {
+			if c.Kind != chandy.TokenMsg && c.Kind != chandy.ForkMsg {
+				t.Fatalf("ctrl batch decode produced kind %d", c.Kind)
+			}
+		}
+		checkReencode(t, c64, cluster.FrameCtrlBatch, payload)
+	})
+}
+
 // reencode checks a decoded-then-reencoded payload is at most as long as
 // the input it came from (the encoders emit minimal varints, so a decode
 // that "accepted" absurd input would show up as growth) and decodes to
@@ -192,7 +234,7 @@ func TestFuzzSeedsHealthy(t *testing.T) {
 		c64 := NewCodec[float64]()
 		if fr.Type == cluster.FrameData || fr.Type == cluster.FrameCtrl ||
 			fr.Type == cluster.FrameFlush || fr.Type == cluster.FrameAck ||
-			fr.Type == cluster.FrameCredit {
+			fr.Type == cluster.FrameCredit || fr.Type == cluster.FrameCtrlBatch {
 			// Wrong-codec decodes may error but must not panic.
 			_, _ = NewCodec[int32]().DecodePayload(fr.Type, fr.Payload)
 			_, _ = c64.DecodePayload(fr.Type, fr.Payload)

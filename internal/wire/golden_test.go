@@ -79,6 +79,7 @@ func goldenCases(t testing.TB) []goldenCase {
 	}
 	fork := chandy.Ctrl{Kind: chandy.ForkMsg, From: 42, To: -7}
 	token := chandy.Ctrl{Kind: chandy.TokenMsg, From: 0, To: 1}
+	ctrlBatch := []chandy.Ctrl{fork, token, {Kind: chandy.ForkMsg, From: 1 << 20, To: 3}}
 	flush := cluster.FlushMarker{Seq: 12345}
 	ack := cluster.AckMsg{Seq: 12345}
 	credit := cluster.CreditGrant{Bytes: 4096}
@@ -167,6 +168,13 @@ func goldenCases(t testing.TB) []goldenCase {
 			name:   "ctrl_token",
 			frame:  encodeFrame(t, c64, token, cluster.Frame{From: 0, To: 1, Declared: 64}),
 			verify: verifyPayload(c64, token),
+		},
+		{
+			// One manager operation's forks and tokens for one worker:
+			// declared 64 B for the message + 16 B per further entry.
+			name:   "ctrl_batch",
+			frame:  encodeFrame(t, c64, ctrlBatch, cluster.Frame{From: 1, To: 0, Declared: 96}),
+			verify: verifyPayload(c64, ctrlBatch),
 		},
 		{
 			name:   "flush",
@@ -349,7 +357,7 @@ func TestGoldenFrames(t *testing.T) {
 	}
 	for _, ft := range []byte{
 		cluster.FrameData, cluster.FrameCtrl, cluster.FrameFlush, cluster.FrameAck,
-		cluster.FrameCredit, cluster.FrameHello, cluster.FrameJob, cluster.FrameStepStart,
+		cluster.FrameCredit, cluster.FrameCtrlBatch, cluster.FrameHello, cluster.FrameJob, cluster.FrameStepStart,
 		cluster.FrameStepDone, cluster.FrameBarrier, cluster.FrameValues,
 		cluster.FrameFinish,
 	} {

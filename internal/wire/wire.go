@@ -1,7 +1,8 @@
 // Package wire implements the payload encodings behind the TCP transport
 // backend: a generic, combiner-aware batch codec for vertex messages plus
 // fixed encodings for the coordination payloads (Chandy–Misra forks and
-// tokens, flush markers, acks, and the multi-process driver's protocol).
+// tokens — one per frame or a count-prefixed batch of them — flush markers,
+// acks, and the multi-process driver's protocol).
 //
 // The frame envelope itself (length prefix, type, routing, fault
 // metadata) lives in internal/cluster/frame.go; this package only turns
@@ -264,10 +265,13 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 		}
 		return cluster.FrameData, dst, nil
 	case chandy.Ctrl:
-		dst = append(dst, byte(p.Kind))
-		dst = cluster.AppendZigzag(dst, int64(p.From))
-		dst = cluster.AppendZigzag(dst, int64(p.To))
-		return cluster.FrameCtrl, dst, nil
+		return cluster.FrameCtrl, appendCtrl(dst, p), nil
+	case []chandy.Ctrl:
+		dst = binary.AppendUvarint(dst, uint64(len(p)))
+		for _, c := range p {
+			dst = appendCtrl(dst, c)
+		}
+		return cluster.FrameCtrlBatch, dst, nil
 	case cluster.FlushMarker:
 		return cluster.FrameFlush, binary.AppendUvarint(dst, p.Seq), nil
 	case cluster.AckMsg:
@@ -279,6 +283,12 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 		return cluster.FrameCredit, binary.AppendUvarint(dst, uint64(p.Bytes)), nil
 	}
 	return 0, nil, fmt.Errorf("wire: no encoding for payload type %T", payload)
+}
+
+func appendCtrl(dst []byte, c chandy.Ctrl) []byte {
+	dst = append(dst, byte(c.Kind))
+	dst = cluster.AppendZigzag(dst, int64(c.From))
+	return cluster.AppendZigzag(dst, int64(c.To))
 }
 
 // DecodePayload implements cluster.PayloadCodec. All lengths are
@@ -358,32 +368,47 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 			return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(b))
 		}
 		return batch, nil
-	case cluster.FrameCtrl:
-		if len(b) < 1 {
-			return nil, ErrTruncated
+	case cluster.FrameCtrl, cluster.FrameCtrlBatch:
+		count := uint64(1) // a bare Ctrl is a batch of one without the count
+		if ftype == cluster.FrameCtrlBatch {
+			var n int
+			if count, n = binary.Uvarint(b); n <= 0 {
+				return nil, ErrTruncated
+			}
+			b = b[n:]
 		}
-		kind := chandy.CtrlKind(b[0])
-		if kind != chandy.TokenMsg && kind != chandy.ForkMsg {
-			return nil, fmt.Errorf("%w: bad ctrl kind %d", ErrCorrupt, b[0])
+		if count > uint64(len(b))/3 { // an entry takes at least 3 bytes
+			return nil, fmt.Errorf("%w: ctrl count %d exceeds payload", ErrCorrupt, count)
 		}
-		b = b[1:]
-		from, n := cluster.Zigzag(b)
-		if n <= 0 {
-			return nil, ErrTruncated
+		batch := make([]chandy.Ctrl, count)
+		for i := range batch {
+			if len(b) < 1 {
+				return nil, ErrTruncated
+			}
+			if b[0] != byte(chandy.TokenMsg) && b[0] != byte(chandy.ForkMsg) {
+				return nil, fmt.Errorf("%w: bad ctrl kind %d", ErrCorrupt, b[0])
+			}
+			from, n := cluster.Zigzag(b[1:])
+			if n <= 0 {
+				return nil, ErrTruncated
+			}
+			to, k := cluster.Zigzag(b[1+n:])
+			if k <= 0 {
+				return nil, ErrTruncated
+			}
+			if from < math.MinInt32 || from > math.MaxInt32 || to < math.MinInt32 || to > math.MaxInt32 {
+				return nil, ErrCorrupt
+			}
+			batch[i] = chandy.Ctrl{Kind: chandy.CtrlKind(b[0]), From: chandy.PhilID(from), To: chandy.PhilID(to)}
+			b = b[1+n+k:]
 		}
-		b = b[n:]
-		to, n := cluster.Zigzag(b)
-		if n <= 0 {
-			return nil, ErrTruncated
-		}
-		b = b[n:]
 		if len(b) != 0 {
 			return nil, fmt.Errorf("%w: trailing bytes after ctrl", ErrCorrupt)
 		}
-		if from < math.MinInt32 || from > math.MaxInt32 || to < math.MinInt32 || to > math.MaxInt32 {
-			return nil, ErrCorrupt
+		if ftype == cluster.FrameCtrl {
+			return batch[0], nil
 		}
-		return chandy.Ctrl{Kind: kind, From: chandy.PhilID(from), To: chandy.PhilID(to)}, nil
+		return batch, nil
 	case cluster.FrameFlush:
 		seq, n := binary.Uvarint(b)
 		if n <= 0 || n != len(b) {
