@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition torture-sched sched fuzz bench bench-check bench-pair bench-json bench-smoke bench-micro bench-diff ci clean
+.PHONY: build vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz bench bench-check bench-pair bench-json bench-smoke bench-micro ci clean
 
 build:
 	$(GO) build ./...
@@ -95,24 +95,6 @@ torture-budget:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -torture.tinybudget -timeout=15m
 
-# Overlap-scheduler gate: the async chandy property suites and the
-# scheduler equivalence matrix (every mode x technique x {static,overlap}
-# cell, bitwise/oracle checks plus the counter ledger) under the race
-# detector, then the full-size acceptance run (>=15% partition-lock
-# coloring speedup, determinism across schedulers).
-sched:
-	$(GO) test -race -count=1 ./internal/chandy/
-	$(GO) test -race -count=1 ./internal/engine/ -run 'TestScheduler|TestOverlap' -v
-	$(GO) test -count=1 ./internal/bench/ -run TestScheduler -v
-
-# Forced-overlap torture row (nightly): the pinned sweep rerun with every
-# non-BAP case forced onto the overlap scheduler, so the serializability,
-# conservation, and ledger oracles all run against prefetched forks and
-# stolen partitions.
-torture-sched:
-	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
-		-torture.n=200 -torture.root=0xdecaf -torture.sched -timeout=15m
-
 # 30-second fuzz smoke over the frame decoder: truncated/corrupt/oversized
 # frames must error, never panic or over-allocate; plus a shorter pass over
 # the Credit grant frame and the batched fork/token frame against their
@@ -178,14 +160,6 @@ bench-micro:
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime 5x
 	$(GO) test ./internal/chandy/ -run '^$$' -bench BenchmarkChandyRing -benchtime 200000x -benchmem
 	$(GO) test ./internal/gas/ -run '^$$' -bench BenchmarkGASColoring -benchtime 10x -benchmem
-
-# Per-phase deltas between two perf-trajectory files:
-#   make bench-diff OLD=BENCH_0003.json NEW=BENCH_0004.json
-# Set FAIL_OVER to a percentage to exit non-zero on any wall/phase
-# regression beyond it (the CI bench-smoke gate uses this).
-FAIL_OVER ?= 0
-bench-diff:
-	$(GO) run ./cmd/benchdiff -fail-over $(FAIL_OVER) $(OLD) $(NEW)
 
 ci: build vet test-race
 

@@ -28,14 +28,13 @@ import (
 	"time"
 
 	"serialgraph/internal/bench"
-	"serialgraph/internal/metrics"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run")
 	scale := flag.Float64("scale", 0, "dataset scale factor (default 1.0 or $SERIALGRAPH_SCALE)")
 	workersFlag := flag.String("workers", "16,32", "comma-separated cluster sizes")
-	latency := flag.Duration("latency", 0, "simulated one-way network latency (default: per-experiment; 50µs for most, 200µs for sched)")
+	latency := flag.Duration("latency", 0, "simulated one-way network latency (default 50µs)")
 	verbose := flag.Bool("v", false, "print progress")
 	jsonOut := flag.String("json", "", "also write all measured rows (with metrics) to this file as JSON")
 	label := flag.String("label", "", "free-form provenance label recorded in the JSON report")
@@ -120,9 +119,6 @@ func main() {
 		case "partition":
 			header(out, "Locality: streaming partitioners (hash vs LDG vs Fennel) across techniques")
 			printPartition(out, keep(bench.PartitionQuality(cfg)))
-		case "sched":
-			header(out, "Scheduler: static vs overlap (fork prefetch + work stealing), clustered graph")
-			printSched(out, keep(bench.SchedulerOverlap(cfg)))
 		default:
 			log.Fatalf("unknown experiment %q", name)
 		}
@@ -133,7 +129,7 @@ func main() {
 			"table1", "fig2", "fig1", "fig6a", "fig6b", "fig6c", "fig6d",
 			"giraphx", "ablation-partitions", "ablation-degenerate", "ablation-partitioner",
 			"ablation-combining", "ablation-skip", "mis", "ablation-bap", "exclusion",
-			"recovery", "flow", "partition", "sched",
+			"recovery", "flow", "partition",
 		} {
 			runOne(name)
 			fmt.Fprintln(out)
@@ -171,22 +167,6 @@ func printPartition(w io.Writer, rows []bench.Row) {
 			q.ReplicationFactor, q.BalanceSkew,
 			q.PInternal, q.LocalBoundary, q.RemoteBoundary, q.MixedBoundary,
 			r.DataBytes/1024, r.Time.Round(time.Millisecond))
-	}
-}
-
-// printSched renders the scheduler rows with the overlap evidence next
-// to each cell's wall time: forks prefetched, steal events, and the time
-// spent computing internal partitions under an outstanding prefetch.
-func printSched(w io.Writer, rows []bench.Row) {
-	fmt.Fprintf(w, "%-24s %-9s %6s %10s %10s %8s %14s %12s\n",
-		"cell/scheduler", "alg", "steps", "prefetched", "steals", "forks", "overlap", "time")
-	for _, r := range rows {
-		m := r.Metrics
-		fmt.Fprintf(w, "%-24s %-9s %6d %10d %10d %8d %14v %12v\n",
-			r.Technique, r.Algorithm, r.Supersteps,
-			m.Counters[metrics.ForksPrefetched], m.Counters[metrics.Steals], r.Forks,
-			time.Duration(m.Counters[metrics.OverlapComputeNs]).Round(time.Microsecond),
-			r.Time.Round(time.Millisecond))
 	}
 }
 

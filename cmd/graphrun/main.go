@@ -47,7 +47,6 @@ func main() {
 	source := flag.Int("source", 0, "SSSP source vertex")
 	latency := flag.Duration("latency", 50*time.Microsecond, "simulated network latency")
 	transportName := flag.String("transport", "inproc", "wire backend for single-process runs: inproc | tcp")
-	schedName := flag.String("sched", "static", "per-worker partition scheduler: static | overlap (fork prefetch + work stealing)")
 	listenAddr := flag.String("listen", "", "coordinator mode: accept worker processes on this address (e.g. 127.0.0.1:0)")
 	joinAddr := flag.String("join", "", "worker mode: join a coordinator at this address, run, exit")
 	workersRemote := flag.Int("workers-remote", 0, "coordinator mode: worker processes to wait for (with -listen)")
@@ -174,19 +173,9 @@ func main() {
 		log.Fatalf("unknown transport %q (want inproc or tcp)", *transportName)
 	}
 
-	var sched serialgraph.Scheduler
-	switch *schedName {
-	case "static":
-		sched = serialgraph.StaticScheduler
-	case "overlap":
-		sched = serialgraph.OverlapScheduler
-	default:
-		log.Fatalf("unknown scheduler %q (want static or overlap)", *schedName)
-	}
-
 	opt := serialgraph.Options{
 		Workers: *workers, PartitionsPerWorker: *ppw, Model: mdl,
-		Technique: technique, Transport: transport, Scheduler: sched,
+		Technique: technique, Transport: transport,
 		NetworkLatency: *latency,
 		Seed:           *seed, MaxSupersteps: *maxSupersteps, Partitioner: *partitionerName,
 		CheckpointEvery: *checkpointEvery, CheckpointDir: *checkpointDir,

@@ -31,8 +31,8 @@ import (
 	"serialgraph/internal/partition"
 )
 
-// Row is one measurement. The JSON field names are a stable schema:
-// perf-trajectory tooling diffs BENCH_NNNN.json files across commits, so
+// Row is one measurement. The JSON field names are a stable schema: the
+// BENCH_NNNN.json files at the repo root record them across commits, so
 // renaming a key is a breaking change. Time-valued keys end in _ns so
 // golden tests can mask exactly the wall-clock-dependent fields.
 type Row struct {

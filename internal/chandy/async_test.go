@@ -1,8 +1,8 @@
 package chandy
 
 // Tests for the split RequestForks/Collect acquisition API that the
-// overlap scheduler's fork prefetching rides on. The two load-bearing
-// properties:
+// engine's partition scheduler prefetches forks through. The two
+// load-bearing properties:
 //
 //   - No fork leaks: however many requests are outstanding when a round
 //     drains (prefetched partitions that never ran any compute included),
@@ -59,7 +59,7 @@ func quiescentInvariant(t *testing.T, m *Manager, adj [][]PhilID) {
 // TestPrefetchDrainNoForkLeaks is the fork-leak property test: rounds of
 // scheduler-shaped traffic — issue a window of RequestForks, then drain by
 // polling for grants (never blocking on one specific philosopher, exactly
-// like the overlap scheduler's claim loop), collecting and releasing each.
+// like the engine's partition scheduler), collecting and releasing each.
 // None of the granted philosophers runs any compute: these are the
 // "prefetched but unused" forks, and every one must be back in a
 // one-fork-one-token state before the round (the "barrier") ends.

@@ -135,36 +135,19 @@ func (w *worker[V, M]) pendingBuffered() bool {
 }
 
 // runLogicalSuperstep is one pass over the worker's partitions under BAP:
-// the same partition execution as the barriered engine, followed by a
-// flush, but with a per-worker superstep counter and no rendezvous. With
-// no master barrier to do it, the worker folds its own step metrics: the
-// supersteps counter accumulates per-worker logical supersteps (so it
-// exceeds Result.Supersteps, which is the max across workers), and
-// barrier-wait stays zero by construction — BAP has no barriers.
+// the same partition pass as the barriered engine (runPass, fork prefetch
+// included), followed by a flush, but with a per-worker superstep counter
+// and no rendezvous. With no master barrier to do it, the worker folds its
+// own step metrics: the supersteps counter accumulates per-worker logical
+// supersteps (so it exceeds Result.Supersteps, which is the max across
+// workers), and barrier-wait stays zero by construction — BAP has no
+// barriers.
 func (w *worker[V, M]) runLogicalSuperstep(step int) {
 	w.stepping.Store(true)
 	defer w.stepping.Store(false)
 	reg := w.r.reg
 	computeStart := time.Now()
-	queue := make(chan int, len(w.parts))
-	for i := range w.parts {
-		queue <- i
-	}
-	close(queue)
-	var wg sync.WaitGroup
-	for t := 0; t < w.r.cfg.ThreadsPerWorker; t++ {
-		local := w.threads[t]
-		local.superstep = step
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				local.runPartition(w.parts[i])
-			}
-			local.fold()
-		}()
-	}
-	wg.Wait()
+	w.runPass(step)
 	flushStart := time.Now()
 	reg.AddPhase(metrics.PhaseCompute, flushStart.Sub(computeStart))
 	w.buf.FlushAll()

@@ -126,37 +126,6 @@ func (m RecoveryMode) String() string {
 	}
 }
 
-// SchedulerKind selects how each worker schedules its partitions onto its
-// compute threads within a superstep.
-type SchedulerKind uint8
-
-const (
-	// SchedStatic is the original scheduler: partitions feed compute
-	// threads from a shared queue in partition order, and (under
-	// PartitionLock) each fork acquisition blocks its thread until granted.
-	SchedStatic SchedulerKind = iota
-	// SchedOverlap is the overlap-aware scheduler: under PartitionLock,
-	// fork acquisitions for boundary partitions are issued asynchronously
-	// ahead of execution (chandy.RequestForks), p-internal partitions fill
-	// the fork-wait windows, and threads balance skewed partition loads
-	// through work-stealing deques (per-thread LIFO, steal-half FIFO).
-	// Results are equivalent to SchedStatic: the fork protocol, the token
-	// filters, and the flush-before-handoff ordering are unchanged —
-	// only the order in which a worker's own partitions execute moves.
-	SchedOverlap
-)
-
-func (s SchedulerKind) String() string {
-	switch s {
-	case SchedStatic:
-		return "static"
-	case SchedOverlap:
-		return "overlap"
-	default:
-		return fmt.Sprintf("SchedulerKind(%d)", uint8(s))
-	}
-}
-
 // TransportKind selects the cluster.Transport backend for a run.
 type TransportKind uint8
 
@@ -271,13 +240,6 @@ type Config struct {
 	// it across runs or observe counters live while the run executes
 	// (Result.Metrics is a snapshot taken at the end either way).
 	Metrics *metrics.Registry
-	// Scheduler selects the per-worker partition scheduler: the static
-	// shared-queue scheduler (default) or the overlap scheduler (fork
-	// prefetch + internal-compute overlap + work stealing). Results are
-	// equivalent either way; the overlap scheduler trades scheduling
-	// flexibility for wall time on fork-heavy configurations. BAP keeps its
-	// own barrierless per-worker loop and supports SchedStatic only.
-	Scheduler SchedulerKind
 	// MsgMemoryBudget, when > 0, bounds the message plane's memory
 	// (DESIGN.md §12). It has two effects: the transport's per-ordered-pair
 	// credit window is sized from it (bytes in flight block the sender once
@@ -335,12 +297,6 @@ func (c Config) validate() error {
 		if c.WatchdogTimeout > 0 {
 			return fmt.Errorf("engine: the liveness watchdog monitors superstep barriers; BAP has none")
 		}
-		if c.Scheduler == SchedOverlap {
-			return fmt.Errorf("engine: the overlap scheduler reorders within a barriered superstep; BAP's per-worker loop is already barrierless")
-		}
-	}
-	if c.Scheduler > SchedOverlap {
-		return fmt.Errorf("engine: unknown scheduler kind %d", uint8(c.Scheduler))
 	}
 	if c.Transport > TransportTCP {
 		return fmt.Errorf("engine: unknown transport kind %d", uint8(c.Transport))

@@ -35,7 +35,8 @@ func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func colorBits(v int32) uint64   { return uint64(uint32(v)) }
 
 // seedPin is what a BSP cell of the matrix produced before the frontier
-// replaced the scans (commit 1a13118, schedConfig, either scheduler).
+// replaced the scans (commit 1a13118, schedConfig, under either of the
+// two partition schedulers that commit had).
 type seedPin struct {
 	executions int64
 	supersteps int
@@ -53,29 +54,43 @@ func checkPin(t *testing.T, label string, res Result, hash uint64, want seedPin)
 	}
 }
 
+// TestFrontierMatrix runs every cell with two thread pools. "static" has
+// one compute thread per worker, so a pass runs the worker's partitions
+// one after another (the cursor's in ascending order); "overlap" has two,
+// so a worker's partitions — and, under PartitionLock, fork prefetches and
+// cursor partitions — overlap in time. BSP cells must hit the same pins
+// either way.
 func TestFrontierMatrix(t *testing.T) {
 	cells := []struct {
-		name   string
-		mode   Mode
-		sync   Sync
-		scheds []SchedulerKind
+		name string
+		mode Mode
+		sync Sync
 	}{
-		{"bsp/none", BSP, SyncNone, []SchedulerKind{SchedStatic, SchedOverlap}},
-		{"async/none", Async, SyncNone, []SchedulerKind{SchedStatic, SchedOverlap}},
-		{"async/token-single", Async, TokenSingle, []SchedulerKind{SchedStatic, SchedOverlap}},
-		{"async/token-dual", Async, TokenDual, []SchedulerKind{SchedStatic, SchedOverlap}},
-		{"async/partition-lock", Async, PartitionLock, []SchedulerKind{SchedStatic, SchedOverlap}},
-		{"async/vertex-lock-giraph", Async, VertexLockGiraph, []SchedulerKind{SchedStatic, SchedOverlap}},
-		{"bap/none", BAP, SyncNone, []SchedulerKind{SchedStatic}},
-		{"bap/partition-lock", BAP, PartitionLock, []SchedulerKind{SchedStatic}},
+		{"bsp/none", BSP, SyncNone},
+		{"async/none", Async, SyncNone},
+		{"async/token-single", Async, TokenSingle},
+		{"async/token-dual", Async, TokenDual},
+		{"async/partition-lock", Async, PartitionLock},
+		{"async/vertex-lock-giraph", Async, VertexLockGiraph},
+		{"bap/none", BAP, SyncNone},
+		{"bap/partition-lock", BAP, PartitionLock},
 	}
+	pools := []struct {
+		name    string
+		threads int
+	}{{"static", 1}, {"overlap", 2}}
 	for _, cell := range cells {
-		for _, sched := range cell.scheds {
-			label := cell.name + "/" + sched.String()
+		for _, pool := range pools {
+			label := cell.name + "/" + pool.name
+			config := func() Config {
+				cfg := schedConfig(cell.mode, cell.sync)
+				cfg.ThreadsPerWorker = pool.threads
+				return cfg
+			}
 			t.Run("sssp/"+label, func(t *testing.T) {
 				t.Parallel()
 				g := equivGraph(false)
-				dist, res, _, err := Run(g, algorithms.SSSP(0), schedConfig(cell.mode, cell.sync, sched))
+				dist, res, _, err := Run(g, algorithms.SSSP(0), config())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +113,7 @@ func TestFrontierMatrix(t *testing.T) {
 				if cell.mode == BSP {
 					prog = algorithms.PageRankAggregated(eps)
 				}
-				pr, res, _, err := Run(equivGraph(false), prog, schedConfig(cell.mode, cell.sync, sched))
+				pr, res, _, err := Run(equivGraph(false), prog, config())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +127,7 @@ func TestFrontierMatrix(t *testing.T) {
 			t.Run("coloring/"+label, func(t *testing.T) {
 				t.Parallel()
 				g := equivGraph(true)
-				cfg := schedConfig(cell.mode, cell.sync, sched)
+				cfg := config()
 				if cell.mode == BSP {
 					cfg.MaxSupersteps = 30 // BSP coloring may oscillate (Figure 2)
 				}

@@ -46,23 +46,21 @@ func TestMaxConcurrencyExcludesForkWaits(t *testing.T) {
 		b.AddEdge(graph.VertexID(v), graph.VertexID((v+7)%64))
 	}
 	g := b.BuildUndirected()
-	for _, sched := range []SchedulerKind{SchedStatic, SchedOverlap} {
-		for _, workers := range []int{1, 2} {
-			cfg := Config{
-				Workers: workers, PartitionsPerWorker: 2 / workers, ThreadsPerWorker: 2,
-				Mode: Async, Sync: PartitionLock, Scheduler: sched, Seed: 3, Metrics: metrics.New(),
-			}
-			colors, res, _, err := Run(g, algorithms.Coloring(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := algorithms.ValidateColoring(g, colors); err != nil {
-				t.Fatal(err)
-			}
-			if res.MaxConcurrency != 1 {
-				t.Errorf("%v, %d workers: MaxConcurrency = %d for two mutually exclusive partitions, want 1",
-					sched, workers, res.MaxConcurrency)
-			}
+	for _, workers := range []int{1, 2} {
+		cfg := Config{
+			Workers: workers, PartitionsPerWorker: 2 / workers, ThreadsPerWorker: 2,
+			Mode: Async, Sync: PartitionLock, Seed: 3, Metrics: metrics.New(),
+		}
+		colors, res, _, err := Run(g, algorithms.Coloring(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := algorithms.ValidateColoring(g, colors); err != nil {
+			t.Fatal(err)
+		}
+		if res.MaxConcurrency != 1 {
+			t.Errorf("%d workers: MaxConcurrency = %d for two mutually exclusive partitions, want 1",
+				workers, res.MaxConcurrency)
 		}
 	}
 }

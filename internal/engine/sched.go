@@ -1,38 +1,39 @@
 package engine
 
-// sched.go is the overlap-aware partition scheduler (Config.Scheduler ==
-// SchedOverlap; DESIGN.md §14). Three mechanisms, all within one worker's
-// superstep:
+// sched.go is the partition scheduler (DESIGN.md §14): the one pass that
+// BSP, Async and BAP all make over a worker's partitions on its compute
+// threads. Two mechanisms, both within one pass:
 //
 //  1. Fork prefetch. Under PartitionLock, boundary partitions' fork
 //     acquisitions are issued asynchronously (chandy.RequestForks) up to a
-//     bounded window ahead of execution, so fork-grant latency runs
-//     concurrently with compute instead of blocking a thread. Granted
-//     partitions are collected and executed with priority: a granted
-//     philosopher is eating and excludes its neighbors until released, so
-//     sitting on a grant delays other workers.
-//  2. Internal-compute overlap. P-internal partitions (no forks to
-//     acquire) fill the windows while prefetches are in flight — the
-//     OverlapComputeNs counter measures exactly that time.
-//  3. Work stealing. Internal partitions are dealt round-robin into
-//     per-thread deques (LIFO pop for locality, steal-half FIFO from the
-//     largest victim), so a skewed partition no longer stretches the
-//     barrier while sibling threads idle.
+//     bounded window ahead of execution, in conflict-colour order, so
+//     fork-grant latency runs concurrently with compute instead of blocking
+//     a thread. Granted partitions run first: a granted philosopher is
+//     eating and excludes its neighbors until released, so sitting on a
+//     grant delays other workers.
+//  2. One shared cursor. Every other partition — the p-internal ones under
+//     PartitionLock, all of them under any other technique — is handed out
+//     in ascending order to whichever thread is free, so threads balance at
+//     partition granularity and a single thread runs the partitions in the
+//     order of the worker's vertex list. Cursor partitions fill the windows
+//     while prefetches are in flight; OverlapComputeNs measures that time.
 //
 // Correctness is inherited, not re-argued: partitions still execute via the
-// same runPartition / executeVertices paths, fork exclusion and the
+// same runPartition / runMeal paths, fork exclusion and the
 // flush-before-handoff C1 ordering are untouched (flushStaged still runs
-// before Release), and the only thing that moves is the order in which one
-// worker's own partitions run — an order the engine never promised.
+// before Release), and the only thing the scheduler decides is the order in
+// which one worker's own partitions run — an order the engine never
+// promised.
 //
-// Liveness: every issued RequestForks is claimed by exactly one thread
-// (grants funnel through one channel; idle threads wait on it, not on a
-// specific philosopher, so a grant is always consumed promptly and
-// released — the condition Chandy–Misra's starvation-freedom argument
-// needs — and the thread that claims the last one closes the drained
-// channel the others also wait on). An Abort closes the pending ready
-// channels, Collect returns false, and the drain completes without running
-// the aborted partitions.
+// Liveness: every issued RequestForks is claimed by exactly one thread.
+// Grants land on one ready list; a thread with nothing else to run waits
+// for it, not for a specific philosopher, so a grant is always consumed
+// promptly and released — the condition Chandy–Misra's starvation-freedom
+// argument needs. A thread leaves the pass once the cursor is exhausted,
+// every boundary partition has been considered and every grant claimed;
+// the claim that makes this true wakes the waiters. An Abort closes the
+// pending grant channels, Collect returns false, and the pass completes
+// without running the aborted partitions.
 
 import (
 	"sort"
@@ -50,120 +51,148 @@ type prefReq struct {
 	ch <-chan struct{}
 }
 
-// overlapSched coordinates one worker's threads for one superstep.
-type overlapSched[V, M any] struct {
-	w      *worker[V, M]
+// partSched is one worker's scheduler. It lives on the worker and is reset
+// at the start of every pass, so a pass allocates nothing of its own but
+// the compute goroutines and one grant forwarder per prefetch.
+type partSched[V, M any] struct {
+	w *worker[V, M]
+
+	// window bounds the prefetches issued but not yet claimed: enough to
+	// keep every thread fed and the grant pipeline full, few enough that
+	// granted-but-unexecuted partitions do not starve their neighbors on
+	// other workers.
 	window int
 
-	// granted receives the index of each issued request once its forks are
-	// in hand (a tiny forwarder goroutine per request). Buffered to the
-	// boundary count so forwarders never block.
-	granted chan int
+	// boundary lists the partitions whose forks are prefetched, in
+	// conflict-colour order (PartitionLock only); cursor lists every other
+	// partition in ascending order. Both are fixed at setup.
+	boundary []partition.ID
+	cursor   []partition.ID
 
-	// drained is closed once every boundary partition has been considered
-	// and every grant claimed: the exit signal for threads waiting on
-	// granted with nothing left to arrive.
-	drained chan struct{}
-
-	mu       sync.Mutex
-	boundary []partition.ID   // boundary partitions not yet requested
-	nextB    int              // next boundary index to consider
-	reqs     []prefReq        // issued requests, claimed exactly once each
-	claimed  int              // grants taken off the channel so far
-	deques   [][]partition.ID // per-thread internal-partition deques
+	mu      sync.Mutex
+	cond    sync.Cond // on mu: a grant became ready, or the pass drained
+	nextB   int       // next boundary index to consider
+	nextC   int       // next cursor index to hand out
+	reqs    []prefReq // issued this pass
+	ready   []int     // indices into reqs, in grant order
+	claimed int       // ready[:claimed] have been taken by a thread
+	wg      sync.WaitGroup
 }
 
-// computeOverlap runs one superstep's partition executions under the
-// overlap scheduler, replacing computeStatic.
-func (w *worker[V, M]) computeOverlap(s int) {
-	threads := w.r.cfg.ThreadsPerWorker
-	var boundary, internal []partition.ID
-	if w.r.cfg.Sync == PartitionLock {
-		boundary, internal = w.boundaryParts, w.internalParts
-	} else {
-		// No partition-level forks to prefetch (tokens filter inside the
-		// execution pass; VertexLockGiraph locks per vertex): every
-		// partition goes through the work-stealing deques.
-		internal = w.parts
-	}
-	sc := &overlapSched[V, M]{
-		w: w, boundary: boundary,
-		granted: make(chan int, len(boundary)),
-		drained: make(chan struct{}),
-		deques:  make([][]partition.ID, threads),
-	}
-	// Window: enough outstanding requests to keep every thread fed and the
-	// grant pipeline full, small enough that granted-but-unexecuted
-	// partitions do not starve their neighbors on other workers.
-	sc.window = 2 * threads
-	if sc.window < 2 {
-		sc.window = 2
-	}
-	for i, p := range internal {
-		tid := i % threads
-		sc.deques[tid] = append(sc.deques[tid], p)
-	}
+func (sc *partSched[V, M]) init(w *worker[V, M]) {
+	sc.w = w
+	sc.cursor = w.parts
+	sc.window = max(2, 2*w.r.cfg.ThreadsPerWorker)
+	sc.cond.L = &sc.mu
+}
+
+// runPass runs one pass over the worker's partitions: every compute thread
+// executes partitions until the scheduler has none left, then folds its
+// step-local counters.
+func (w *worker[V, M]) runPass(s int) {
+	sc := &w.sched
 	sc.mu.Lock()
+	sc.nextB, sc.nextC, sc.claimed = 0, 0, 0
+	sc.reqs, sc.ready = sc.reqs[:0], sc.ready[:0]
 	sc.topUpLocked()
 	sc.mu.Unlock()
 
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		th := w.threads[t]
+	for _, th := range w.threads {
 		th.superstep = s
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			sc.run(w.threads[tid], tid)
-			w.threads[tid].fold()
-		}(t)
+		sc.wg.Add(1)
+		go func() {
+			defer sc.wg.Done()
+			sc.run(th)
+			th.fold()
+		}()
 	}
-	wg.Wait()
+	sc.wg.Wait()
 }
 
-// run is one thread's scheduling loop: granted prefetches first, then own
-// deque, then stealing, then waiting for outstanding grants.
-func (sc *overlapSched[V, M]) run(t *thread[V, M], tid int) {
+// run is one thread's scheduling loop: granted prefetches first, then the
+// cursor, then waiting for outstanding grants.
+func (sc *partSched[V, M]) run(t *thread[V, M]) {
+	sc.mu.Lock()
 	for {
-		if req, ok := sc.tryClaim(); ok {
-			sc.topUp()
+		if sc.claimed < len(sc.ready) {
+			req := sc.reqs[sc.ready[sc.claimed]]
+			sc.claimed++
+			sc.topUpLocked()
+			sc.mu.Unlock()
 			t.runPrefetched(req)
+			sc.mu.Lock()
 			continue
 		}
-		if p, ok := sc.pop(tid); ok {
-			sc.runInternal(t, p)
+		if sc.nextC < len(sc.cursor) {
+			p := sc.cursor[sc.nextC]
+			sc.nextC++
+			outstanding := len(sc.reqs) > sc.claimed
+			sc.mu.Unlock()
+			if outstanding {
+				t0 := time.Now()
+				t.runPartition(p)
+				sc.w.r.reg.Add(metrics.OverlapComputeNs, int64(time.Since(t0)))
+			} else {
+				t.runPartition(p)
+			}
+			sc.mu.Lock()
 			continue
 		}
-		if p, ok := sc.steal(tid); ok {
-			sc.runInternal(t, p)
-			continue
-		}
-		// Deques only ever lose partitions, so with own deque and every
-		// victim empty the only work left is outstanding grants.
-		req, ok := sc.waitClaim()
-		if !ok {
+		if sc.drainedLocked() {
+			sc.mu.Unlock()
 			return
 		}
-		sc.topUp()
-		t.runPrefetched(req)
+		// Only outstanding prefetches are left: the thread is parked on
+		// forks, which is what lock_wait_ns charges (a later Collect of a
+		// grant that already arrived observes zero wait).
+		t0 := time.Now()
+		sc.cond.Wait()
+		sc.w.r.reg.Add(metrics.LockWaitNs, int64(time.Since(t0)))
 	}
 }
 
-// runInternal executes a deque partition through the normal runPartition
-// path (so the halted-skip check, the fast-path Acquire for forkless
-// philosophers, and every counter behave exactly as under SchedStatic),
-// timing it into OverlapComputeNs while fork prefetches are outstanding.
-func (sc *overlapSched[V, M]) runInternal(t *thread[V, M], p partition.ID) {
-	sc.mu.Lock()
-	outstanding := len(sc.reqs) > sc.claimed
-	sc.mu.Unlock()
-	if !outstanding {
-		t.runPartition(p)
-		return
+// drainedLocked reports whether every boundary partition has been
+// considered and every issued prefetch claimed. Requires sc.mu.
+func (sc *partSched[V, M]) drainedLocked() bool {
+	return sc.nextB == len(sc.boundary) && sc.claimed == len(sc.reqs)
+}
+
+// topUpLocked issues fork prefetches until the outstanding window is full
+// or the boundary list is exhausted, applying the halted-partition skip
+// (§5.4), and wakes the waiting threads once the pass has drained.
+// Requires sc.mu.
+func (sc *partSched[V, M]) topUpLocked() {
+	w := sc.w
+	for len(sc.reqs)-sc.claimed < sc.window && sc.nextB < len(sc.boundary) {
+		p := sc.boundary[sc.nextB]
+		sc.nextB++
+		if !w.r.cfg.DisableHaltedPartitionSkip && !w.partActive(p) {
+			continue // nothing to run, no forks
+		}
+		ch := w.mgr.RequestForks(chandy.PhilID(p))
+		if ch == nil {
+			// Aborted: nothing further will be granted. Stop issuing; the
+			// already-issued requests drain via their closed channels.
+			sc.nextB = len(sc.boundary)
+			break
+		}
+		w.r.reg.Add(metrics.ForksPrefetched, 1)
+		sc.reqs = append(sc.reqs, prefReq{p: p, ch: ch})
+		go sc.forward(len(sc.reqs)-1, ch)
 	}
-	t0 := time.Now()
-	t.runPartition(p)
-	sc.w.r.reg.Add(metrics.OverlapComputeNs, int64(time.Since(t0)))
+	if sc.drainedLocked() {
+		sc.cond.Broadcast()
+	}
+}
+
+// forward moves request idx onto the ready list once its forks are in
+// hand (or its wait was aborted) and wakes one waiting thread.
+func (sc *partSched[V, M]) forward(idx int, ch <-chan struct{}) {
+	<-ch
+	sc.mu.Lock()
+	sc.ready = append(sc.ready, idx)
+	sc.cond.Signal()
+	sc.mu.Unlock()
 }
 
 // runPrefetched executes a boundary partition whose forks were prefetched:
@@ -180,115 +209,9 @@ func (t *thread[V, M]) runPrefetched(req prefReq) {
 	w.mgr.Release(chandy.PhilID(req.p))
 }
 
-// topUpLocked issues fork prefetches until the outstanding window is full
-// or the boundary list is exhausted, applying the same halted-partition
-// skip as the static path. Requires sc.mu.
-func (sc *overlapSched[V, M]) topUpLocked() {
-	w := sc.w
-	for len(sc.reqs)-sc.claimed < sc.window && sc.nextB < len(sc.boundary) {
-		p := sc.boundary[sc.nextB]
-		sc.nextB++
-		if !w.r.cfg.DisableHaltedPartitionSkip && !w.partActive(p) {
-			continue // skip optimization (§5.4): nothing to run, no forks
-		}
-		ch := w.mgr.RequestForks(chandy.PhilID(p))
-		if ch == nil {
-			// Aborted: nothing further will be granted. Stop issuing; the
-			// already-issued requests drain via their closed channels.
-			sc.nextB = len(sc.boundary)
-			break
-		}
-		w.r.reg.Add(metrics.ForksPrefetched, 1)
-		idx := len(sc.reqs)
-		sc.reqs = append(sc.reqs, prefReq{p: p, ch: ch})
-		go func() { <-ch; sc.granted <- idx }()
-	}
-	if sc.claimed == len(sc.reqs) && sc.nextB >= len(sc.boundary) {
-		select {
-		case <-sc.drained:
-		default:
-			close(sc.drained)
-		}
-	}
-}
-
-func (sc *overlapSched[V, M]) topUp() {
-	sc.mu.Lock()
-	sc.topUpLocked()
-	sc.mu.Unlock()
-}
-
-// claim records that grant idx was taken off the channel.
-func (sc *overlapSched[V, M]) claim(idx int) prefReq {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.claimed++
-	return sc.reqs[idx]
-}
-
-// tryClaim takes an already-delivered grant, if any, without blocking.
-func (sc *overlapSched[V, M]) tryClaim() (prefReq, bool) {
-	select {
-	case idx := <-sc.granted:
-		return sc.claim(idx), true
-	default:
-		return prefReq{}, false
-	}
-}
-
-// waitClaim blocks for the next grant, or returns false once every
-// boundary partition has been considered and every grant claimed — the
-// thread's exit condition. The claimer of a grant always runs topUp next,
-// which is where drained closes, so a thread racing another for the final
-// grant is released by the winner.
-func (sc *overlapSched[V, M]) waitClaim() (prefReq, bool) {
-	select {
-	case idx := <-sc.granted:
-		return sc.claim(idx), true
-	case <-sc.drained:
-		return prefReq{}, false
-	}
-}
-
-// pop takes the thread's own most recently assigned partition (LIFO).
-func (sc *overlapSched[V, M]) pop(tid int) (partition.ID, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	d := sc.deques[tid]
-	if len(d) == 0 {
-		return 0, false
-	}
-	p := d[len(d)-1]
-	sc.deques[tid] = d[:len(d)-1]
-	return p, true
-}
-
-// steal moves half of the largest victim deque (oldest entries first —
-// FIFO from the head, the classic work-stealing discipline) into the
-// thief's deque and returns the first stolen partition. One steal event is
-// counted per successful call regardless of how many partitions moved.
-func (sc *overlapSched[V, M]) steal(tid int) (partition.ID, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	victim, best := -1, 0
-	for i, d := range sc.deques {
-		if i != tid && len(d) > best {
-			victim, best = i, len(d)
-		}
-	}
-	if victim < 0 {
-		return 0, false
-	}
-	v := sc.deques[victim]
-	n := (len(v) + 1) / 2
-	moved := v[:n]
-	sc.deques[victim] = v[n:]
-	sc.deques[tid] = append(sc.deques[tid], moved[1:]...)
-	sc.w.r.reg.Add(metrics.Steals, 1)
-	return moved[0], true
-}
-
-// orderBoundaryByColor reorders boundaryParts so that conflicting
+// orderBoundary splits the worker's partitions for PartitionLock: those
+// that share forks with a neighbor partition are prefetched, the rest go
+// through the cursor. The prefetch list is ordered so that conflicting
 // partitions land in different prefetch generations: greedy-color the
 // global partition conflict graph, then stable-sort the boundary list by
 // color class. A prefetch window then holds mutually non-adjacent
@@ -304,7 +227,15 @@ func (sc *overlapSched[V, M]) steal(tid int) (partition.ID, bool) {
 // across workers stay mostly non-adjacent too — which matters because
 // placement often scatters a partition's conflict neighbors onto other
 // workers, where a local-only ordering would see nothing to separate.
-func (w *worker[V, M]) orderBoundaryByColor(partNeighbors [][]partition.ID) {
+func (sc *partSched[V, M]) orderBoundary(partNeighbors [][]partition.ID) {
+	sc.boundary, sc.cursor = nil, nil
+	for _, p := range sc.w.parts {
+		if len(partNeighbors[p]) > 0 {
+			sc.boundary = append(sc.boundary, p)
+		} else {
+			sc.cursor = append(sc.cursor, p)
+		}
+	}
 	color := make([]int8, len(partNeighbors))
 	for i := range color {
 		color[i] = -1
@@ -322,7 +253,7 @@ func (w *worker[V, M]) orderBoundaryByColor(partNeighbors [][]partition.ID) {
 		}
 		color[p] = c
 	}
-	sort.SliceStable(w.boundaryParts, func(i, j int) bool {
-		return color[w.boundaryParts[i]] < color[w.boundaryParts[j]]
+	sort.SliceStable(sc.boundary, func(i, j int) bool {
+		return color[sc.boundary[i]] < color[sc.boundary[j]]
 	})
 }

@@ -59,13 +59,9 @@ type worker[V, M any] struct {
 	// thread executing its vertex; unhalted counts the set bits.
 	awake msgstore.Bits
 
-	// boundaryParts/internalParts split parts by whether the partition
-	// shares forks with any neighbor partition. Populated by
-	// initLockManager (PartitionLock only); the overlap scheduler
-	// prefetches forks for the boundary list and fills the wait windows
-	// with the internal list.
-	boundaryParts []partition.ID
-	internalParts []partition.ID
+	// sched hands the worker's partitions to its compute threads, one pass
+	// per superstep (sched.go).
+	sched partSched[V, M]
 
 	// threads holds one thread scratch object per compute thread, reused
 	// across supersteps so reader scratch, staging buffers, and aggregator
@@ -143,6 +139,7 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	for i := range w.threads {
 		w.threads[i] = &thread[V, M]{w: w}
 	}
+	w.sched.init(w)
 	for _, p := range w.parts {
 		w.partLo = append(w.partLo, int32(len(w.owned)))
 		w.owned = append(w.owned, r.pm.Vertices(p)...)
@@ -227,15 +224,8 @@ func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
 			nbs = append(nbs, chandy.PhilID(q))
 		}
 		w.mgr.AddPhil(chandy.PhilID(p), nbs)
-		if len(nbs) > 0 {
-			w.boundaryParts = append(w.boundaryParts, p)
-		} else {
-			w.internalParts = append(w.internalParts, p)
-		}
 	}
-	if w.r.cfg.Scheduler == SchedOverlap {
-		w.orderBoundaryByColor(partNeighbors)
-	}
+	w.sched.orderBoundary(partNeighbors)
 }
 
 // initVertexLockManager sets up per-vertex philosophers for the
@@ -404,11 +394,7 @@ func (w *worker[V, M]) runSuperstep(s int) {
 	w.curStep.Store(int64(s))
 	reg := w.r.reg
 	w.begin = time.Now()
-	if w.r.cfg.Scheduler == SchedOverlap {
-		w.computeOverlap(s)
-	} else {
-		w.computeStatic(s)
-	}
+	w.runPass(s)
 	flushStart := time.Now()
 	reg.AddPhase(metrics.PhaseCompute, flushStart.Sub(w.begin))
 
@@ -426,33 +412,6 @@ func (w *worker[V, M]) runSuperstep(s int) {
 	}
 	w.finish = time.Now()
 	reg.AddPhase(metrics.PhaseRemoteFlush, w.finish.Sub(flushStart))
-}
-
-// computeStatic is the original partition scheduler: a shared queue in
-// partition order, each thread pulling the next partition when free. Under
-// PartitionLock every boundary partition's fork acquisition blocks its
-// thread inline.
-func (w *worker[V, M]) computeStatic(s int) {
-	queue := make(chan partition.ID, len(w.parts))
-	for _, p := range w.parts {
-		queue <- p
-	}
-	close(queue)
-
-	var wg sync.WaitGroup
-	for t := 0; t < w.r.cfg.ThreadsPerWorker; t++ {
-		th := w.threads[t]
-		th.superstep = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range queue {
-				th.runPartition(p)
-			}
-			th.fold()
-		}()
-	}
-	wg.Wait()
 }
 
 // localTimingSampleShift sets the local-delivery timing sample rate: one

@@ -77,8 +77,10 @@ const (
 	// LockAcquires counts Chandy–Misra Acquire calls (= meals = partition
 	// or vertex executions under a locking technique).
 	LockAcquires
-	// LockWaitNs is the total time Acquire calls spent blocked waiting for
-	// forks — the locking techniques' contention signal.
+	// LockWaitNs is the total time compute threads spent blocked waiting
+	// for forks — in Acquire, or in the engine's partition scheduler with
+	// only prefetched grants left to run — the locking techniques'
+	// contention signal.
 	LockWaitNs
 	// ForkGrants counts forks yielded by philosophers (local + remote).
 	ForkGrants
@@ -144,18 +146,15 @@ const (
 	// metrics snapshot.
 	BoundaryVertices
 	// ForksPrefetched counts asynchronous fork acquisitions issued ahead of
-	// a partition's execution by the overlap scheduler (RequestForks calls
-	// from the prefetch path). Every prefetch is also a LockAcquires, so
-	// forks_prefetched <= lock_acquires; zero under the static scheduler.
+	// a partition's execution by the partition scheduler (RequestForks
+	// calls from the prefetch path). Every prefetch is also a LockAcquires,
+	// so forks_prefetched <= lock_acquires; zero without partition locking.
 	ForksPrefetched
-	// Steals counts work-stealing events: a compute thread taking work from
-	// another thread's deque. Zero under the static scheduler.
-	Steals
 	// OverlapComputeNs is thread time spent executing partitions while this
-	// worker had fork prefetches outstanding — the compute that the overlap
-	// scheduler placed inside fork-wait windows. An overlap estimate, not a
-	// disjoint phase: it sums across threads. Zero under the static
-	// scheduler.
+	// worker had fork prefetches outstanding — the compute that the
+	// partition scheduler placed inside fork-wait windows. An overlap
+	// estimate, not a disjoint phase: it sums across threads. Zero without
+	// partition locking.
 	OverlapComputeNs
 	numCounters
 )
@@ -195,7 +194,6 @@ var counterNames = [numCounters]string{
 	"cut_edges",
 	"boundary_vertices",
 	"forks_prefetched",
-	"steals",
 	"overlap_compute_ns",
 }
 

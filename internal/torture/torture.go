@@ -97,13 +97,6 @@ type Scenario struct {
 	// budget-independent by design, which sweeping it here proves.
 	MsgBudget int64
 
-	// Scheduler selects the per-worker partition scheduler (static order or
-	// the overlap scheduler with fork prefetch and work stealing). Results
-	// and oracles are scheduler-independent by design — the scheduler only
-	// reorders one worker's own partitions — which sweeping it proves.
-	// Never SchedOverlap under BAP (engine.Config rejects the pairing).
-	Scheduler engine.SchedulerKind
-
 	MaxSupersteps int
 }
 
@@ -112,9 +105,28 @@ func (sc Scenario) String() string {
 	if sc.Fault != nil {
 		f = sc.Fault.String()
 	}
-	return fmt.Sprintf("seed=%#x shape=%s n=%d alg=%s workers=%d parts=%d threads=%d partitioner=%s mode=%v sync=%v transport=%v ckpt=%d fault=%s recovery=%v broken=%v budget=%d sched=%v",
+	return fmt.Sprintf("seed=%#x shape=%s n=%d alg=%s workers=%d parts=%d threads=%d partitioner=%s mode=%v sync=%v transport=%v ckpt=%d fault=%s recovery=%v broken=%v budget=%d",
 		sc.Seed, sc.Shape, sc.N, sc.Algorithm, sc.Workers, sc.PartsPerWorker,
-		sc.Threads, sc.Partitioner, sc.Mode, sc.Sync, sc.Transport, sc.CheckpointEvery, f, sc.Recovery, sc.BreakProtocol, sc.MsgBudget, sc.Scheduler)
+		sc.Threads, sc.Partitioner, sc.Mode, sc.Sync, sc.Transport, sc.CheckpointEvery, f, sc.Recovery, sc.BreakProtocol, sc.MsgBudget)
+}
+
+// livenessBound is the superstep budget a barriered scenario gets before
+// the liveness oracle calls it stuck: a fixed allowance for convergence
+// and recovery, plus a chain of n hops at the rate the technique lets a
+// boundary vertex run. Under token passing a remote or mixed boundary
+// vertex runs only while its worker holds the global token — once every W
+// supersteps — and under the dual token a mixed one also needs its
+// partition's local token, once every W×K; a value crossing such vertices
+// one hop at a time can need about n times that period.
+func livenessBound(sc Scenario) int {
+	period := 1
+	switch sc.Sync {
+	case engine.TokenSingle:
+		period = sc.Workers
+	case engine.TokenDual:
+		period = sc.Workers * sc.PartsPerWorker
+	}
+	return 500 + sc.N*period
 }
 
 // mix64 is the splitmix64 finalizer, the same mixer hash partitioning uses.
@@ -211,7 +223,7 @@ func Sample(seed uint64) Scenario {
 	if sc.Mode == engine.BAP {
 		sc.MaxSupersteps = 20000 // logical per-worker supersteps tick fast
 	} else {
-		sc.MaxSupersteps = 500
+		sc.MaxSupersteps = livenessBound(sc)
 	}
 
 	// Recovery mode is a late draw so it never perturbs the decoding of
@@ -243,14 +255,6 @@ func Sample(seed uint64) Scenario {
 	// their shape/algorithm/fault plan identically and stay replayable.
 	if r.Intn(4) == 0 {
 		sc.Partitioner = "fennel"
-	}
-	// The overlap scheduler joins as the newest trailing draw (after every
-	// dimension older seeds decoded). The draw itself is unconditional so
-	// any future trailing dimension decodes identically across modes; the
-	// override skips BAP, whose barrierless per-worker loop has no
-	// superstep for the scheduler to reorder (engine.Config rejects it).
-	if r.Intn(3) == 0 && sc.Mode != engine.BAP {
-		sc.Scheduler = engine.SchedOverlap
 	}
 	return sc
 }
@@ -336,7 +340,6 @@ func buildConfig(sc Scenario, ckptDir string) engine.Config {
 		Recovery:                   sc.Recovery,
 		TrackHistory:               sc.serializabilityPromised() && !sc.lossy(),
 		MsgMemoryBudget:            sc.MsgBudget,
-		Scheduler:                  sc.Scheduler,
 		// An external registry, so checkMetrics can re-snapshot it after the
 		// run and verify Result.Metrics is a true immutable copy.
 		Metrics: metrics.New(),
@@ -632,25 +635,17 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 		errs = append(errs, fmt.Errorf("metrics: lock_wait hist count = %d, lock_acquires = %d", got, want))
 	}
 
-	// Scheduler ledgers: only the overlap scheduler may prefetch or steal,
-	// prefetches are a subset of lock acquires (each one counts as an
-	// acquire at request time), and only partition locking has forks to
-	// prefetch — under any other technique the overlap scheduler runs all
-	// partitions through the deques and the prefetch counters stay zero.
+	// Scheduler ledgers: prefetches are a subset of lock acquires (each one
+	// counts as an acquire at request time), and only partition locking has
+	// forks to prefetch — under any other technique every partition goes
+	// through the cursor and the prefetch counters stay zero.
 	pref := m.Get(metrics.ForksPrefetched)
-	if cfg.Scheduler != engine.SchedOverlap {
-		if steals := m.Get(metrics.Steals); pref != 0 || steals != 0 || m.Get(metrics.OverlapComputeNs) != 0 {
-			errs = append(errs, fmt.Errorf("metrics: static scheduler moved overlap counters: prefetched=%d steals=%d overlap_ns=%d",
-				pref, steals, m.Get(metrics.OverlapComputeNs)))
-		}
-	} else {
-		if pref > m.Get(metrics.LockAcquires) {
-			errs = append(errs, fmt.Errorf("metrics: forks_prefetched = %d > lock_acquires = %d", pref, m.Get(metrics.LockAcquires)))
-		}
-		if cfg.Sync != engine.PartitionLock && (pref != 0 || m.Get(metrics.OverlapComputeNs) != 0) {
-			errs = append(errs, fmt.Errorf("metrics: prefetch counters moved without partition locking: prefetched=%d overlap_ns=%d",
-				pref, m.Get(metrics.OverlapComputeNs)))
-		}
+	if pref > m.Get(metrics.LockAcquires) {
+		errs = append(errs, fmt.Errorf("metrics: forks_prefetched = %d > lock_acquires = %d", pref, m.Get(metrics.LockAcquires)))
+	}
+	if cfg.Sync != engine.PartitionLock && (pref != 0 || m.Get(metrics.OverlapComputeNs) != 0) {
+		errs = append(errs, fmt.Errorf("metrics: prefetch counters moved without partition locking: prefetched=%d overlap_ns=%d",
+			pref, m.Get(metrics.OverlapComputeNs)))
 	}
 
 	// Recovery-phase ledgers: the counters and Result fields are written at

@@ -29,20 +29,7 @@ var (
 		"force a tiny message-plane memory budget on every case (nightly bounded-memory row; replay failures with the same flag plus -torture.seed)")
 	flagStreamPart = flag.Bool("torture.streampart", false,
 		"force a streaming partitioner (ldg or fennel, by seed parity) on every case (nightly locality row; replay failures with the same flag plus -torture.seed)")
-	flagSched = flag.Bool("torture.sched", false,
-		"force the overlap scheduler on every non-BAP case (nightly forced-overlap row; replay failures with the same flag plus -torture.seed)")
 )
-
-// applySched pins every case to the overlap scheduler when -torture.sched
-// is set, except under BAP, which the engine rejects (its per-worker loop
-// has no barriered superstep to reorder). Flag-derived like applyTinyBudget:
-// replaying a failure needs the same flag.
-func applySched(sc Scenario) Scenario {
-	if *flagSched && sc.Mode != engine.BAP {
-		sc.Scheduler = engine.SchedOverlap
-	}
-	return sc
-}
 
 // applyStreamPart pins the scenario's partitioner to ldg or fennel when
 // -torture.streampart is set, split by a seed bit so the sweep covers
@@ -108,7 +95,7 @@ func failCase(t *testing.T, sc Scenario, err error, scratch string) {
 // oracle to each case. With -torture.seed it replays exactly one case.
 func TestTorture(t *testing.T) {
 	if *flagSeed != 0 {
-		sc := applySched(applyStreamPart(applyTinyBudget(Sample(*flagSeed))))
+		sc := applyStreamPart(applyTinyBudget(Sample(*flagSeed)))
 		if sc.Transport == engine.TransportTCP && !LoopbackAvailable() {
 			t.Skipf("seed %#x needs TCP loopback, unavailable here", sc.Seed)
 		}
@@ -130,7 +117,7 @@ func TestTorture(t *testing.T) {
 	ran := 0
 	for i := 0; ran < n; i++ {
 		seed := CaseSeed(*flagRoot, i)
-		sc := applySched(applyStreamPart(applyTinyBudget(Sample(seed))))
+		sc := applyStreamPart(applyTinyBudget(Sample(seed)))
 		if *flagFaulty && (sc.Fault == nil || len(sc.Fault.Crashes) == 0) {
 			// The fault-plan sweep spends its case budget only on crash
 			// scenarios; skipping (rather than resampling) keeps every
@@ -149,6 +136,24 @@ func TestTorture(t *testing.T) {
 			failCase(t, sc, err, scratch)
 		}
 		waitGoroutines(t, baseline, sc)
+	}
+}
+
+// TestTortureTokenDualLiveness replays seed 0x21c85e0af64cce4d: SSSP on a
+// 115-vertex ring, Async with the dual token, 4 workers × 3 partitions. A
+// mixed-boundary vertex runs once every 12 supersteps there, so the
+// distances need well over a fixed 500-superstep budget to settle; the
+// scenario's liveness bound must come from its own n, W and K.
+func TestTortureTokenDualLiveness(t *testing.T) {
+	sc := Sample(0x21c85e0af64cce4d)
+	if sc.Shape != "ring" || sc.Algorithm != "sssp" || sc.Sync != engine.TokenDual {
+		t.Fatalf("seed no longer decodes to the pinned scenario: %v", sc)
+	}
+	if sc.Transport == engine.TransportTCP && !LoopbackAvailable() {
+		t.Skipf("seed %#x needs TCP loopback, unavailable here", sc.Seed)
+	}
+	if err := RunScenario(sc, t.TempDir()); err != nil {
+		t.Fatal(err)
 	}
 }
 
