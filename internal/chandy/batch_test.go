@@ -182,17 +182,26 @@ func TestModelBatchedLockPath(t *testing.T) {
 
 		// Quiescent: every edge has one dirty fork and one token, each side
 		// the mirror image of the other, and the shadows ended up identical.
-		state := make([]map[PhilID]map[PhilID]byte, workers)
+		state := make([][]byte, workers)
 		for w, m := range n.mgrs {
 			state[w] = m.Export()
 			if !reflect.DeepEqual(state[w], n.shadows[w].Export()) {
 				t.Fatalf("seed %d: worker %d's state differs from its one-at-a-time shadow", seed, w)
 			}
+			edges := m.Edges()
+			if len(edges) != len(state[w]) {
+				t.Fatalf("seed %d: worker %d lists %d edges, exports %d", seed, w, len(edges), len(state[w]))
+			}
+			for i, e := range edges {
+				if st := m.EdgeState(e[0], e[1]); st != state[w][i] {
+					t.Fatalf("seed %d: edge %d-%d is %03b, Export says %03b", seed, e[0], e[1], st, state[w][i])
+				}
+			}
 		}
 		for a := range adj {
 			for _, b := range adj[a] {
-				sa := state[n.ownerOf(PhilID(a))][PhilID(a)][b]
-				sb := state[n.ownerOf(b)][b][PhilID(a)]
+				sa := n.mgrs[n.ownerOf(PhilID(a))].EdgeState(PhilID(a), b)
+				sb := n.mgrs[n.ownerOf(b)].EdgeState(b, PhilID(a))
 				if sa != Mirror(sb) || sb != Mirror(sa) {
 					t.Fatalf("seed %d: edge %d-%d not quiescent: %03b / %03b", seed, a, b, sa, sb)
 				}

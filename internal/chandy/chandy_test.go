@@ -1,6 +1,7 @@
 package chandy
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -372,13 +373,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 	m2.AddPhil(1, []PhilID{0, 2})
 	m2.AddPhil(2, []PhilID{0, 1})
 	m2.Import(snap)
-	snap2 := m2.Export()
-	for id, edges := range snap {
-		for q, st := range edges {
-			if snap2[id][q] != st {
-				t.Fatalf("edge %d-%d state %b != %b after import", id, q, snap2[id][q], st)
-			}
-		}
+	if snap2 := m2.Export(); !bytes.Equal(snap2, snap) {
+		t.Fatalf("edge states %03b after import, want %03b", snap2, snap)
+	}
+	if st := m2.EdgeState(2, 0); st != bitFork|bitDirty {
+		t.Fatalf("edge 2-0 after 2's meal = %03b, want a dirty fork", st)
 	}
 	// The restored manager must still work.
 	done := make(chan struct{})
@@ -398,16 +397,18 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestImportUnknownPhilosopherPanics(t *testing.T) {
+// TestImportLengthMismatchPanics: a state exported from another topology
+// must not be half-applied.
+func TestImportLengthMismatchPanics(t *testing.T) {
 	m := singleWorker()
 	m.AddPhil(0, []PhilID{1})
 	m.AddPhil(1, []PhilID{0})
 	defer func() {
 		if recover() == nil {
-			t.Error("Import of unknown philosopher did not panic")
+			t.Error("Import of 3 edge states into 2 edges did not panic")
 		}
 	}()
-	m.Import(map[PhilID]map[PhilID]byte{99: {0: 1}})
+	m.Import([]byte{bitToken, bitFork | bitDirty, bitToken})
 }
 
 func TestDistributedHighContentionWithBandwidth(t *testing.T) {

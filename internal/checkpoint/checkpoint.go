@@ -3,7 +3,7 @@
 // consistent state — no vertices executing and no in-flight messages — so
 // it includes vertex values, halt flags, the full message stores, the
 // aggregator state, and the synchronization technique's data structures
-// (the Chandy–Misra fork/token maps). Token positions need no explicit
+// (the Chandy–Misra fork/token edge bytes). Token positions need no explicit
 // record here because the token schedule is a pure function of the
 // superstep number.
 //
@@ -39,7 +39,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"serialgraph/internal/chandy"
 	"serialgraph/internal/msgstore"
 )
 
@@ -68,9 +67,9 @@ type Snapshot[V, M any] struct {
 	// Stores holds each worker's message store contents, indexed by
 	// worker.
 	Stores [][]msgstore.DumpEntry[M]
-	// Forks holds each worker's Chandy–Misra state (partition-based
-	// locking only; nil otherwise).
-	Forks []map[chandy.PhilID]map[chandy.PhilID]byte
+	// Forks holds each worker's Chandy–Misra state as chandy.Manager.Export
+	// returns it (fork-based techniques only; nil otherwise).
+	Forks [][]byte
 	// Versions holds per-vertex write versions, recorded only when the
 	// run tracks history: restoring them with the values keeps the
 	// post-rollback transaction log's version arithmetic consistent.
@@ -128,8 +127,9 @@ func genSuperstep(p string) (int, bool) {
 }
 
 // magic brands the checksummed generation format; bumping it invalidates
-// old files loudly instead of feeding the gob decoder garbage.
-var magic = [4]byte{'S', 'G', 'C', '1'}
+// old files loudly instead of feeding the gob decoder garbage. SGC2: fork
+// state became flat edge bytes.
+var magic = [4]byte{'S', 'G', 'C', '2'}
 
 // Save writes the snapshot atomically and durably: gob-encode to a buffer,
 // prefix a magic + CRC32 header, write a temp file, fsync it, rename into

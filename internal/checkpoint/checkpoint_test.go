@@ -1,12 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"serialgraph/internal/chandy"
 	"serialgraph/internal/msgstore"
 )
 
@@ -21,9 +21,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			{{Dst: 0, Src: 1, Msg: 3.5, Ver: 2, IsNew: true}},
 			nil,
 		},
-		Forks: []map[chandy.PhilID]map[chandy.PhilID]byte{
-			{1: {2: 3}},
-		},
+		Forks: [][]byte{{1, 6, 3}, nil},
 	}
 	path := Path(dir, 7)
 	if err := Save(path, snap); err != nil {
@@ -35,8 +33,35 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.Superstep != 7 || got.Values[1] != 2.5 || !got.Halted[0] ||
 		got.AggPrev["err"] != 0.25 || got.Stores[0][0].Msg != 3.5 ||
-		got.Forks[0][1][2] != 3 {
+		!bytes.Equal(got.Forks[0], snap.Forks[0]) || len(got.Forks[1]) != 0 {
 		t.Errorf("round trip mismatch: %+v", got)
+	}
+}
+
+// TestLoadRejectsSGC1: a generation of the previous format — fork state as
+// nested maps — is refused at the header, checksum intact or not, so it is
+// never decoded into the flat fork shape; LoadChain falls back past it.
+func TestLoadRejectsSGC1(t *testing.T) {
+	dir := t.TempDir()
+	writeGen(t, dir, 1, -1, 2, []float64{1, 2}, nil, nil)
+	writeGen(t, dir, 2, -1, 2, []float64{3, 4}, nil, nil)
+	data, err := os.ReadFile(Path(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "SGC1")
+	if err := os.WriteFile(Path(dir, 2), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load[float64, float64](Path(dir, 2)); err == nil || !strings.Contains(err.Error(), "bad header") {
+		t.Fatalf("Load of an SGC1 generation: %v, want a bad header error", err)
+	}
+	snap, skipped, err := LoadChain[float64, float64](dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Superstep != 1 || skipped != 1 {
+		t.Fatalf("LoadChain = %+v skipping %d, want superstep 1 skipping the SGC1 file", snap, skipped)
 	}
 }
 
@@ -186,7 +211,7 @@ func TestMaterializeFailsOnCorruptBase(t *testing.T) {
 	dir := t.TempDir()
 	writeGen(t, dir, 1, -1, 2, []float64{1, 2}, nil, nil)
 	writeGen(t, dir, 3, 1, 2, nil, []int32{1}, []float64{9})
-	if err := os.WriteFile(Path(dir, 1), []byte("SGC1 corrupted base"), 0o644); err != nil {
+	if err := os.WriteFile(Path(dir, 1), []byte("SGC2 corrupted base"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Materialize[float64, float64](Path(dir, 3)); err == nil {
@@ -199,7 +224,7 @@ func TestLoadChainSkipsCorruptNewest(t *testing.T) {
 	writeGen(t, dir, 2, -1, 2, []float64{1, 2}, nil, nil)
 	writeGen(t, dir, 4, -1, 2, []float64{3, 4}, nil, nil)
 	// Torn write of the newest generation.
-	if err := os.WriteFile(Path(dir, 4), []byte("SGC1 torn"), 0o644); err != nil {
+	if err := os.WriteFile(Path(dir, 4), []byte("SGC2 torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	snap, skipped, err := LoadChain[float64, float64](dir)
@@ -295,7 +320,7 @@ func TestLoadChainMaxIgnoresNewer(t *testing.T) {
 func TestLoadChainMaxTornNewerInvisible(t *testing.T) {
 	dir := t.TempDir()
 	writeGen(t, dir, 2, -1, 2, []float64{5, 6}, nil, nil)
-	if err := os.WriteFile(Path(dir, 3), []byte("SGC1 torn mid-write"), 0o644); err != nil {
+	if err := os.WriteFile(Path(dir, 3), []byte("SGC2 torn mid-write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	snap, skipped, err := LoadChainMax[float64, float64](dir, 2)

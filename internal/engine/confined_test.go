@@ -369,7 +369,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	// directory. Recovery must restore from this run's own superstep-1
 	// generation: files beyond the run's newest checkpoint are foreign
 	// and are not even read (LoadChainMax), let alone restored.
-	if err := os.WriteFile(checkpoint.Path(dir, 2), []byte("SGC1 torn mid-write"), 0o644); err != nil {
+	if err := os.WriteFile(checkpoint.Path(dir, 2), []byte("SGC2 torn mid-write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

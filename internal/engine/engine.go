@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +66,7 @@ type runner[V, M any] struct {
 	// checkpoint on disk can reset the Chandy–Misra state along with the
 	// vertex state. Indexed like workers; nil when the technique has no
 	// managers.
-	initialForks []map[chandy.PhilID]map[chandy.PhilID]byte
+	initialForks [][]byte
 
 	// versions tracks per-vertex write versions when history is recorded.
 	versions []atomic.Uint32
@@ -251,7 +252,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			w.initVertexLockManager()
 		}
 	}
-	// Captured unconditionally (it is one map copy per manager at startup):
+	// Captured unconditionally (it is one byte per edge at startup):
 	// a rollback with no checkpoint on disk — including one forced by the
 	// watchdog on an otherwise fault-free run — must be able to reset the
 	// Chandy–Misra state along with the vertex state.
@@ -803,22 +804,9 @@ func (r *runner[V, M]) rollback() (int, error) {
 		r.tr.Revive(wid)
 	}
 	for _, w := range r.workers {
-		w.buf.Clear()
-		if w.spill != nil {
-			w.spill.Discard()
-		}
-		w.stores[0].Clear()
-		if w.stores[1] != nil {
-			w.stores[1].Clear()
-		}
+		w.discardStep(true)
 		w.active.Store(0)
-		w.aggMu.Lock()
-		w.aggLocal = make(map[string]float64)
 		w.aggPrev = make(map[string]float64)
-		w.aggMu.Unlock()
-		w.mutMu.Lock()
-		w.mutAdds, w.mutRemoves = nil, nil
-		w.mutMu.Unlock()
 		// Clear any watchdog abort so flush protocols block normally again.
 		w.ep.ResetAbort()
 		if w.mgr != nil {
@@ -888,11 +876,9 @@ func (r *runner[V, M]) resetToInitial() {
 			r.values[v] = zero
 		}
 	}
-	forkIdx := 0
-	for _, w := range r.workers {
-		if w.mgr != nil && forkIdx < len(r.initialForks) {
-			w.mgr.Import(r.initialForks[forkIdx])
-			forkIdx++
+	for i, w := range r.workers {
+		if w.mgr != nil {
+			w.mgr.Import(r.initialForks[i])
 		}
 		w.loadHalted(nil)
 	}
@@ -995,44 +981,15 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 		r.tr.Revive(wid)
 	}
 
-	// For the fork-based techniques, the healthy side of every dead–healthy
-	// edge is authoritative: at a quiescent barrier all philosophers are
-	// thinking and all held forks are dirty, so mirroring the live export
-	// reconstructs a consistent pair. Dead–dead edges come from the
-	// checkpoint (or initial distribution), which stores both ends
-	// consistently.
-	var healthyForks []map[chandy.PhilID]map[chandy.PhilID]byte
-	if r.cfg.Sync == PartitionLock || r.cfg.Sync == VertexLockGiraph {
-		healthyForks = make([]map[chandy.PhilID]map[chandy.PhilID]byte, len(r.workers))
-		for i, w := range r.workers {
-			if !deadSet[i] && w.mgr != nil {
-				healthyForks[i] = w.mgr.Export()
-			}
-		}
-	}
-
 	deadParts := 0
 	for d, w := range r.workers {
 		if !deadSet[d] {
 			continue
 		}
 		deadParts += len(w.parts)
-		w.buf.Clear()
-		if w.spill != nil {
-			// Batches staged from the discarded supersteps' arrivals are
-			// superseded by the log replay's re-injections.
-			w.spill.Discard()
-		}
-		w.stores[0].Clear()
-		if w.stores[1] != nil {
-			w.stores[1].Clear()
-		}
-		w.aggMu.Lock()
-		w.aggLocal = make(map[string]float64)
-		w.aggMu.Unlock()
-		w.mutMu.Lock()
-		w.mutAdds, w.mutRemoves = nil, nil
-		w.mutMu.Unlock()
+		// Spilled batches staged from the discarded supersteps' arrivals are
+		// superseded by the log replay's re-injections.
+		w.discardStep(true)
 		for _, p := range w.parts {
 			for _, v := range r.pm.Vertices(p) {
 				vi := int(v)
@@ -1057,23 +1014,21 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 		} else {
 			w.loadHalted(nil)
 		}
-		if healthyForks != nil && w.mgr != nil {
-			var base map[chandy.PhilID]map[chandy.PhilID]byte
+		if w.mgr != nil {
+			// The healthy side of every dead–healthy edge is authoritative:
+			// at a quiescent barrier all philosophers are thinking and all
+			// held forks are dirty, so mirroring its live state reconstructs
+			// a consistent pair. Dead–dead edges come from the checkpoint (or
+			// initial distribution), which stores both ends consistently.
+			base := r.initialForks[d]
 			if snap != nil && d < len(snap.Forks) {
 				base = snap.Forks[d]
-			} else if d < len(r.initialForks) {
-				base = r.initialForks[d]
 			}
-			state := make(map[chandy.PhilID]map[chandy.PhilID]byte, len(base))
-			for pid, peers := range base {
-				row := make(map[chandy.PhilID]byte, len(peers))
-				for qid, st := range peers {
-					if qw := r.philOwner(qid); !deadSet[qw] && healthyForks[qw] != nil {
-						st = chandy.Mirror(healthyForks[qw][qid][pid])
-					}
-					row[qid] = st
+			state := slices.Clone(base)
+			for i, e := range w.mgr.Edges() {
+				if qw := r.philOwner(e[1]); !deadSet[qw] {
+					state[i] = chandy.Mirror(r.workers[qw].mgr.EdgeState(e[1], e[0]))
 				}
-				state[pid] = row
 			}
 			w.mgr.Import(state)
 		}
@@ -1153,12 +1108,7 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 				// kept — the caller falls through to the normal barrier
 				// processing, which consumes them alongside the healthy
 				// workers'.
-				w.aggMu.Lock()
-				w.aggLocal = make(map[string]float64)
-				w.aggMu.Unlock()
-				w.mutMu.Lock()
-				w.mutAdds, w.mutRemoves = nil, nil
-				w.mutMu.Unlock()
+				w.discardStep(false)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
 	"serialgraph/internal/model"
+	"serialgraph/internal/msgstore"
 	"serialgraph/internal/partition"
 )
 
@@ -111,11 +112,10 @@ type gworker[V comparable, M any] struct {
 
 	busy atomic.Int64
 
-	bufMu   sync.Mutex
-	buffers [][]replUpdate[V] // per destination worker
-	// sendMu[dest] is locked before bufMu is released by whoever takes a
-	// batch out: batches reach dest's lane in the order they were taken.
-	sendMu []sync.Mutex
+	// out batches replica updates per destination worker. With locking they
+	// accumulate until the next fork handoff to that worker flushes them
+	// (§6.3); without, GraphLab async sends them as they happen (cap 1).
+	out *msgstore.Outbox[replUpdate[V]]
 }
 
 type grunner[V comparable, M any] struct {
@@ -240,13 +240,11 @@ func (r *grunner[V, M]) awaitQuiescence() bool {
 		idleNow := r.tr.InFlight() == 0
 		if idleNow {
 			for _, w := range r.workers {
-				if !w.idle() {
+				// A worker with nothing left to run may still hold buffered
+				// updates whose activations would otherwise strand: release
+				// them.
+				if !w.idle() || w.out.FlushAll() > 0 {
 					idleNow = false
-					// If the worker is blocked only on buffered updates,
-					// release them.
-					if w.busy.Load() == 0 {
-						w.flushAll()
-					}
 					break
 				}
 			}
@@ -279,17 +277,25 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		replica:    make([]V, n),
 		replicaVer: make([]uint32, n),
 		state:      make([]vertexState, n),
-		buffers:    make([][]replUpdate[V], r.cfg.Workers),
-		sendMu:     make([]sync.Mutex, r.cfg.Workers),
 	}
 	copy(w.replica, r.values) // replicas start at the common Init values
 	w.cond = sync.NewCond(&w.schedMu)
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
+	batchCap := 1
+	if r.cfg.Serializable {
+		batchCap = r.cfg.BufferCap
+	}
+	w.out = msgstore.NewOutbox(r.cfg.Workers, batchCap, func(dest int, batch []replUpdate[V]) {
+		bytes := cluster.BatchHeaderBytes
+		for _, up := range batch {
+			bytes += cluster.EntryHeaderBytes + r.prog.ValBytes + 4*len(up.Activate)
+		}
+		w.ep.SendData(cluster.WorkerID(dest), batch, bytes)
+	})
 	if r.cfg.Serializable {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
 		sendCtrl := func(to int, batch []chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(batch)) }
-		preHandoff := func(toWorker int) { w.flushTo(toWorker) }
-		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, preHandoff)
+		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, w.out.FlushTo)
 		var nbs []chandy.PhilID
 		for v := 0; v < n; v++ {
 			u := graph.VertexID(v)
@@ -329,28 +335,8 @@ func (w *gworker[V, M]) idle() bool {
 		return false
 	}
 	w.schedMu.Lock()
-	empty := len(w.queue) == 0
-	w.schedMu.Unlock()
-	if !empty {
-		return false
-	}
-	w.bufMu.Lock()
-	defer w.bufMu.Unlock()
-	for _, b := range w.buffers {
-		if len(b) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// flushAll drains every buffered replica-update batch; the master calls it
-// when the cluster has otherwise gone quiet so buffered activations cannot
-// strand.
-func (w *gworker[V, M]) flushAll() {
-	for dest := range w.buffers {
-		w.flushTo(dest)
-	}
+	defer w.schedMu.Unlock()
+	return len(w.queue) == 0
 }
 
 func (w *gworker[V, M]) close() {
@@ -495,40 +481,10 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
 	val := r.loadValue(u)
 	for ow, seen := range sc.seen {
 		if seen {
-			w.bufferUpdate(ow, replUpdate[V]{Src: u, Val: val, Ver: ver, Activate: slices.Clone(sc.acts[ow])})
+			w.out.Add(ow, replUpdate[V]{Src: u, Val: val, Ver: ver, Activate: slices.Clone(sc.acts[ow])})
 			sc.seen[ow], sc.acts[ow] = false, sc.acts[ow][:0]
 		}
 	}
-}
-
-func (w *gworker[V, M]) bufferUpdate(dest int, up replUpdate[V]) {
-	w.bufMu.Lock()
-	w.buffers[dest] = append(w.buffers[dest], up)
-	full := len(w.buffers[dest]) >= w.r.cfg.BufferCap
-	w.bufMu.Unlock()
-	// Without locking there are no fork handoffs to trigger flushes:
-	// GraphLab async sends updates as they happen. With locking, batches
-	// accumulate until the next handoff to that worker (§6.3).
-	if full || !w.r.cfg.Serializable {
-		w.flushTo(dest)
-	}
-}
-
-func (w *gworker[V, M]) flushTo(dest int) {
-	w.bufMu.Lock()
-	batch := w.buffers[dest]
-	w.buffers[dest] = nil
-	w.sendMu[dest].Lock()
-	defer w.sendMu[dest].Unlock()
-	w.bufMu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	bytes := cluster.BatchHeaderBytes
-	for _, up := range batch {
-		bytes += cluster.EntryHeaderBytes + w.r.prog.ValBytes + 4*len(up.Activate)
-	}
-	w.ep.SendData(cluster.WorkerID(dest), batch, bytes)
 }
 
 func (w *gworker[V, M]) onData(from cluster.WorkerID, payload any) {

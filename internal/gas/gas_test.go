@@ -1,6 +1,7 @@
 package gas
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -119,29 +120,35 @@ func TestNonSerializableAlsoRuns(t *testing.T) {
 
 // TestSerializableHistoryClean runs the batched lock path end to end: forks
 // travel in per-destination batches behind one preHandoff flush, and the
-// recorded history must still satisfy C1, C2 and 1SR.
+// recorded history must still satisfy C1, C2 and 1SR. The BufferCap 2 cells
+// make full-batch sends race fork flushes all the time; at the default cap
+// batches average about three updates, so that race never opens.
 func TestSerializableHistoryClean(t *testing.T) {
-	for seed := uint64(4); seed < 7; seed++ {
-		g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 120, AvgDegree: 4, Exponent: 2.2, Seed: int64(4 + seed)}))
-		colors, res, rec, err := Run(g, algorithms.ColoringGAS(), Config{
-			Workers: 4, Serializable: true, TrackHistory: true, Seed: seed,
-			Latency: cluster.LatencyModel{Propagation: 50 * time.Microsecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Len() == 0 {
-			t.Fatal("no history")
-		}
-		if v := history.CheckAll(rec.Txns(), g); v != nil {
-			t.Fatalf("seed %d violations: %v", seed, v[:minInt(3, len(v))])
-		}
-		if err := algorithms.ValidateColoring(g, colors); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if res.Net.ControlMessages >= res.ForkSends+res.TokenSends {
-			t.Errorf("seed %d: %d control messages for %d forks and %d tokens: nothing was batched",
-				seed, res.Net.ControlMessages, res.ForkSends, res.TokenSends)
+	for _, bufCap := range []int{512, 2} {
+		for seed := uint64(4); seed < 7; seed++ {
+			t.Run(fmt.Sprintf("cap%d/seed%d", bufCap, seed), func(t *testing.T) {
+				g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 120, AvgDegree: 4, Exponent: 2.2, Seed: int64(4 + seed)}))
+				colors, res, rec, err := Run(g, algorithms.ColoringGAS(), Config{
+					Workers: 4, Serializable: true, TrackHistory: true, Seed: seed, BufferCap: bufCap,
+					Latency: cluster.LatencyModel{Propagation: 50 * time.Microsecond},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Len() == 0 {
+					t.Fatal("no history")
+				}
+				if v := history.CheckAll(rec.Txns(), g); v != nil {
+					t.Fatalf("violations: %v", v[:min(3, len(v))])
+				}
+				if err := algorithms.ValidateColoring(g, colors); err != nil {
+					t.Fatal(err)
+				}
+				if res.Net.ControlMessages >= res.ForkSends+res.TokenSends {
+					t.Errorf("%d control messages for %d forks and %d tokens: nothing was batched",
+						res.Net.ControlMessages, res.ForkSends, res.TokenSends)
+				}
+			})
 		}
 	}
 }
@@ -221,13 +228,6 @@ func TestWithLatency(t *testing.T) {
 	if err := algorithms.ValidateColoring(g, colors); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestSingleFiberStillCorrect(t *testing.T) {
