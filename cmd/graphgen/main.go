@@ -62,13 +62,7 @@ func main() {
 	}
 
 	if *undirected {
-		b := graph.NewBuilder(g.NumVertices())
-		for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-			for _, v := range g.OutNeighbors(u) {
-				b.AddEdge(u, v)
-			}
-		}
-		g = b.BuildUndirected()
+		g = graph.Symmetrize(g)
 	}
 
 	if err := graph.SaveFile(*out, g); err != nil {

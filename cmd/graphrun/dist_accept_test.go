@@ -1,12 +1,13 @@
 package main
 
 // Acceptance: a graphrun coordinator plus two real worker OS processes
-// complete SSSP, PageRank, and coloring over TCP loopback with results
+// complete BSP SSSP, PageRank, and coloring over TCP loopback with results
 // identical to an in-process engine run on the same graph, worker
-// count, partitioning, and seed. This is the process-level counterpart
-// of internal/dist's goroutine-based conformance suite: here the bytes
-// cross actual process boundaries and the only shared state is the
-// graph file.
+// count, partitioning, and seed, and colour properly under Async
+// partition-based locking with the forks crossing the process boundary.
+// This is the process-level counterpart of internal/dist's
+// goroutine-based conformance suite: here the bytes cross actual process
+// boundaries and the only shared state is the graph file.
 
 import (
 	"bufio"
@@ -51,9 +52,16 @@ func buildGraphrun(t *testing.T, dir string) string {
 
 var listeningRe = regexp.MustCompile(`listening on (\S+) for`)
 
+// coordinatorExit is a finished coordinator process: its exit error and
+// everything it printed after its address.
+type coordinatorExit struct {
+	out string
+	err error
+}
+
 // startCoordinator launches the coordinator process and blocks until it
 // prints its bound address.
-func startCoordinator(t *testing.T, ctx context.Context, bin string, args []string) (*exec.Cmd, string, chan error) {
+func startCoordinator(t *testing.T, ctx context.Context, bin string, args []string) (*exec.Cmd, string, chan coordinatorExit) {
 	t.Helper()
 	cmd := exec.CommandContext(ctx, bin, args...)
 	stdout, err := cmd.StdoutPipe()
@@ -76,13 +84,15 @@ func startCoordinator(t *testing.T, ctx context.Context, bin string, args []stri
 		cmd.Process.Kill()
 		t.Fatalf("coordinator never reported its address (scan err: %v)", sc.Err())
 	}
-	done := make(chan error, 1)
+	done := make(chan coordinatorExit, 1)
 	go func() {
 		// Drain the rest of stdout so the process never blocks on a full
 		// pipe, then reap it.
+		var out strings.Builder
 		for sc.Scan() {
+			fmt.Fprintln(&out, sc.Text())
 		}
-		done <- cmd.Wait()
+		done <- coordinatorExit{out.String(), cmd.Wait()}
 	}()
 	return cmd, addr, done
 }
@@ -106,23 +116,27 @@ func TestGraphrunMultiProcess(t *testing.T) {
 	const workers, seed = 2, 7
 	// Vote-halting PageRank and coloring do not converge under BSP (the
 	// matrix test documents both), so those runs are bounded and the
-	// exact bounded state compared; SSSP converges on its own.
+	// exact bounded state compared; SSSP converges on its own. The
+	// partition-lock cell is schedule-dependent, so it is held to a proper
+	// colouring and to fork traffic between the processes instead.
+	bsp := []string{"-model", "bsp", "-technique", "none"}
 	cases := []struct {
-		alg           string
+		name, alg     string
 		maxSupersteps int // 0 = default
 		extra         []string
 	}{
-		{alg: "sssp", extra: []string{"-source", "0"}},
-		{alg: "pagerank", maxSupersteps: 50, extra: []string{"-eps", "0.01"}},
-		{alg: "coloring", maxSupersteps: 30},
+		{name: "sssp", alg: "sssp", extra: append([]string{"-source", "0"}, bsp...)},
+		{name: "pagerank", alg: "pagerank", maxSupersteps: 50, extra: append([]string{"-eps", "0.01"}, bsp...)},
+		{name: "coloring", alg: "coloring", maxSupersteps: 30, extra: bsp},
+		{name: "coloring-partition-lock", alg: "coloring",
+			extra: []string{"-model", "async", "-technique", "partition-locking"}},
 	}
 	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.alg, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 
-			outPath := filepath.Join(dir, tc.alg+".txt")
+			outPath := filepath.Join(dir, tc.name+".txt")
 			args := []string{
 				"-listen", "127.0.0.1:0", "-workers-remote", fmt.Sprint(workers),
 				"-alg", tc.alg, "-graph", graphPath, "-seed", fmt.Sprint(seed),
@@ -148,10 +162,15 @@ func TestGraphrunMultiProcess(t *testing.T) {
 					t.Fatalf("worker process: %v", err)
 				}
 			}
-			if err := <-coordDone; err != nil {
-				t.Fatalf("coordinator process: %v", err)
+			coord := <-coordDone
+			if coord.err != nil {
+				t.Fatalf("coordinator process: %v", coord.err)
 			}
 
+			if tc.name == "coloring-partition-lock" {
+				checkForkColoring(t, coord.out)
+				return
+			}
 			got, err := os.ReadFile(outPath)
 			if err != nil {
 				t.Fatalf("read values: %v", err)
@@ -162,6 +181,21 @@ func TestGraphrunMultiProcess(t *testing.T) {
 					tc.alg, len(got), len(want))
 			}
 		})
+	}
+}
+
+var ctrlMsgsRe = regexp.MustCompile(`, (\d+) control msgs`)
+
+// checkForkColoring holds a multi-process partition-lock colouring run to
+// a converged colouring the coordinator validated as proper, with control
+// messages between the worker processes.
+func checkForkColoring(t *testing.T, out string) {
+	t.Helper()
+	if !strings.Contains(out, "coloring proper") || !strings.Contains(out, "converged=true") {
+		t.Fatalf("coordinator output:\n%s", out)
+	}
+	if m := ctrlMsgsRe.FindStringSubmatch(out); m == nil || m[1] == "0" {
+		t.Fatalf("no control messages crossed the process boundary:\n%s", out)
 	}
 }
 

@@ -14,15 +14,17 @@ package main
 // from which it deterministically rebuilds the graph and partition map.
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
-	"serialgraph/internal/dist"
-	"serialgraph/internal/graph"
-
 	"serialgraph/internal/algorithms"
+	"serialgraph/internal/dist"
+	"serialgraph/internal/engine"
 )
 
 // runWorkerProcess joins the coordinator at addr and runs to completion.
@@ -34,6 +36,35 @@ func runWorkerProcess(addr string) error {
 	}
 	fmt.Printf("worker: done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// coordinatorFlags are the flags a -listen coordinator carries into its
+// job; refuseFlags rejects every other one a command line sets.
+var coordinatorFlags = []string{
+	"listen", "workers-remote", "alg", "graph", "family", "n", "seed", "source",
+	"eps", "ppw", "max-supersteps", "msg-mem", "partitioner", "model", "technique", "o",
+}
+
+// refuseFlags fails, naming them, when set (the flags a command line set)
+// holds any flag multi-process mode does not implement.
+func refuseFlags(set []string) error {
+	var bad []string
+	for _, name := range set {
+		if !slices.Contains(coordinatorFlags, name) {
+			bad = append(bad, "-"+name)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("multi-process mode does not implement %s", strings.Join(bad, ", "))
+	}
+	return nil
+}
+
+// setFlags lists the flags the command line set.
+func setFlags() []string {
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	return set
 }
 
 type coordinatorConfig struct {
@@ -51,16 +82,28 @@ type coordinatorConfig struct {
 	out           string
 	msgMem        int64
 	partitioner   string
+	model         string
+	technique     string
 }
 
-// runCoordinatorProcess drives one distributed run and prints the same
-// summary a single-process run would.
-func runCoordinatorProcess(cfg coordinatorConfig) error {
+// job turns the coordinator's flags into the job every process runs.
+func (cfg coordinatorConfig) job() (dist.Job, error) {
 	if cfg.workers < 1 {
-		return fmt.Errorf("coordinator mode needs -workers-remote >= 1")
+		return dist.Job{}, fmt.Errorf("coordinator mode needs -workers-remote >= 1")
 	}
 	if cfg.graphPath == "" && cfg.family == "" {
-		return fmt.Errorf("coordinator mode needs -graph or -family/-n (workers rebuild the graph themselves)")
+		return dist.Job{}, fmt.Errorf("coordinator mode needs -graph or -family/-n (workers rebuild the graph themselves)")
+	}
+	modes := map[string]engine.Mode{"bsp": engine.BSP, "async": engine.Async}
+	syncs := map[string]engine.Sync{"none": engine.SyncNone, "single-token": engine.TokenSingle,
+		"dual-token": engine.TokenDual, "partition-locking": engine.PartitionLock}
+	mode, ok := modes[cfg.model]
+	if !ok {
+		return dist.Job{}, fmt.Errorf("multi-process mode does not support -model %s", cfg.model)
+	}
+	sync, ok := syncs[cfg.technique]
+	if !ok {
+		return dist.Job{}, fmt.Errorf("multi-process mode does not support -technique %s", cfg.technique)
 	}
 	if cfg.ppw == 0 {
 		cfg.ppw = cfg.workers
@@ -73,6 +116,7 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 		GraphPath:       cfg.graphPath,
 		Family:          cfg.family,
 		N:               int32(cfg.familyN),
+		Undirected:      cfg.alg == "coloring" || cfg.alg == "wcc", // as the single-process path
 		Workers:         int32(cfg.workers),
 		PartsPerWorker:  int32(cfg.ppw),
 		MaxSupersteps:   int32(cfg.maxSupersteps),
@@ -81,60 +125,48 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 		Eps:             cfg.eps,
 		MsgMemoryBudget: cfg.msgMem,
 		Partitioner:     cfg.partitioner,
+		Mode:            uint8(mode),
+		Sync:            uint8(sync),
 	}
-	switch cfg.alg {
-	case "coloring", "wcc":
-		// Same symmetrization the single-process path applies.
-		job.Undirected = true
-	}
+	return job, engine.Config{Mode: mode, Sync: sync}.ValidatePeer()
+}
 
+// runCoordinatorProcess drives one distributed run and prints the same
+// summary a single-process run would.
+func runCoordinatorProcess(cfg coordinatorConfig) error {
+	job, err := cfg.job()
+	if err != nil {
+		return err
+	}
 	g, err := dist.BuildGraph(job)
 	if err != nil {
 		return err
 	}
-
 	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
 	fmt.Printf("coordinator: listening on %s for %d workers\n", ln.Addr(), cfg.workers)
-	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions\n",
-		g.NumVertices(), g.NumEdges(), cfg.alg, cfg.workers, cfg.ppw)
+	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions, %s, %s\n",
+		g.NumVertices(), g.NumEdges(), cfg.alg, cfg.workers, job.PartsPerWorker, cfg.model, cfg.technique)
 
 	start := time.Now()
-	var res dist.Result
-	var values []float64
-	var intValues []int32
-	switch cfg.alg {
-	case "sssp":
-		values, res, err = dist.Coordinate(ln, job, algorithms.SSSP(graph.VertexID(cfg.source)), g.NumVertices())
-	case "pagerank":
-		values, res, err = dist.Coordinate(ln, job, algorithms.PageRank(cfg.eps), g.NumVertices())
-	case "pagerank-agg":
-		values, res, err = dist.Coordinate(ln, job, algorithms.PageRankAggregated(cfg.eps), g.NumVertices())
-	case "coloring":
-		intValues, res, err = dist.Coordinate(ln, job, algorithms.Coloring(), g.NumVertices())
-	case "wcc":
-		intValues, res, err = dist.Coordinate(ln, job, algorithms.WCC(), g.NumVertices())
-	default:
-		return fmt.Errorf("algorithm %q is not available in multi-process mode (want sssp, pagerank, pagerank-agg, coloring, or wcc)", cfg.alg)
-	}
+	values, res, err := dist.Run(ln, job, g.NumVertices())
 	if err != nil {
 		return err
 	}
-
-	if cfg.alg == "coloring" {
-		if cerr := algorithms.ValidateColoring(g, intValues); cerr != nil {
+	if colors, ok := values.([]int32); ok && cfg.alg == "coloring" {
+		if cerr := algorithms.ValidateColoring(g, colors); cerr != nil {
 			fmt.Printf("coloring INVALID: %v\n", cerr)
 		} else {
-			fmt.Printf("coloring proper, %d colors\n", countDistinct(intValues))
+			fmt.Printf("coloring proper, %d colors\n", countDistinct(colors))
 		}
 	}
 	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
 		res.Converged, res.Supersteps, res.Executions, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("network: %d data batches / %d KB data over TCP; wire bytes=%d\n",
-		res.DataBatches, res.DataBytes/1024, res.WireBytes)
+	fmt.Printf("network: %d data batches / %d KB data, %d control msgs over TCP; wire bytes=%d\n",
+		res.DataBatches, res.DataBytes/1024, res.CtrlMessages, res.WireBytes)
 
 	if cfg.out != "" {
 		f, err := os.Create(cfg.out)
@@ -142,12 +174,13 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 			return err
 		}
 		defer f.Close()
-		if intValues != nil {
-			for _, v := range intValues {
+		switch vals := values.(type) {
+		case []int32:
+			for _, v := range vals {
 				fmt.Fprintln(f, v)
 			}
-		} else {
-			for _, v := range values {
+		case []float64:
+			for _, v := range vals {
 				fmt.Fprintln(f, v)
 			}
 		}

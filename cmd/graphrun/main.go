@@ -88,12 +88,15 @@ func main() {
 		return
 	}
 	if *listenAddr != "" {
+		if err := refuseFlags(setFlags()); err != nil {
+			log.Fatal(err)
+		}
 		cfg := coordinatorConfig{
 			listen: *listenAddr, alg: *alg, graphPath: *graphPath,
 			family: *family, familyN: *familyN, workers: *workersRemote,
 			ppw: *ppw, maxSupersteps: *maxSupersteps, seed: *seed,
 			source: *source, eps: *eps, out: *out, msgMem: *msgMem,
-			partitioner: *partitionerName,
+			partitioner: *partitionerName, model: *modelName, technique: *techniqueName,
 		}
 		if err := runCoordinatorProcess(cfg); err != nil {
 			log.Fatal(err)

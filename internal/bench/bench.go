@@ -170,14 +170,7 @@ func (gc *graphCache) undirected(name string) *graph.Graph {
 	if g, ok := gc.und[name]; ok {
 		return g
 	}
-	src := gc.directed(name)
-	b := graph.NewBuilder(src.NumVertices())
-	for u := graph.VertexID(0); int(u) < src.NumVertices(); u++ {
-		for _, v := range src.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
-	}
-	g := b.BuildUndirected()
+	g := graph.Symmetrize(gc.directed(name))
 	gc.und[name] = g
 	return g
 }

@@ -24,6 +24,10 @@ type FlushMarker struct{ Seq uint64 }
 // AckMsg acknowledges the FlushMarker with the same sequence number.
 type AckMsg struct{ Seq uint64 }
 
+// BarrierMarker is the payload of a peer transport's barrier frame: the
+// sender's barrier count (see TCP.Barrier).
+type BarrierMarker struct{ Seq uint64 }
+
 // Endpoint is a worker's connection to the transport. It dispatches
 // incoming traffic to data/control callbacks and implements the
 // flush-with-ack protocol used before token handoffs: because lanes are

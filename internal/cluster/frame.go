@@ -19,9 +19,9 @@ package cluster
 //	...  payload bytes (frame-type specific)
 //
 // Versioning: ProtocolVersion is carried in the Hello frame that opens
-// every connection (both the intra-process TCP backend's preamble and the
-// multi-process driver's handshake); peers with a different version
-// refuse the connection rather than misparse frames.
+// every connection (both the TCP backend's lane preamble and the
+// multi-process control plane's handshake); peers with a different
+// version refuse the connection rather than misparse frames.
 
 import (
 	"bufio"
@@ -35,7 +35,7 @@ import (
 
 // ProtocolVersion is the wire protocol generation. Bump it whenever the
 // frame layout or any payload encoding changes incompatibly.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,
@@ -43,8 +43,8 @@ const ProtocolVersion = 3
 const MaxFrameBytes = 16 << 20
 
 // Frame types. The low range carries engine traffic (one frame per
-// cluster.Message); the 0x1x range carries the multi-process driver's
-// coordination protocol.
+// cluster.Message); the 0x1x range carries multi-process mode's lane
+// barrier and its coordinator's control plane.
 const (
 	// FrameData is a batch of vertex messages ([]msgstore.Entry[M]).
 	FrameData byte = 0x01
@@ -73,9 +73,9 @@ const (
 	FrameStepStart byte = 0x12
 	// FrameStepDone reports a worker's superstep results to the master.
 	FrameStepDone byte = 0x13
-	// FrameBarrier is the data-plane flush barrier between worker
-	// processes: by FIFO order it proves all of the sender's data frames
-	// for the superstep have been received.
+	// FrameBarrier ends a superstep on one lane of a peer transport: by
+	// FIFO order it proves every earlier frame on the lane has been
+	// applied. Like FrameCredit it is consumed by the receiving pump.
 	FrameBarrier byte = 0x14
 	// FrameValues carries final (vertex, value) pairs back to the master.
 	FrameValues byte = 0x15

@@ -3,12 +3,17 @@ package cluster
 // tcp.go is the real-socket transport backend. It keeps the exact
 // delivery semantics of the Mem simulator — per-pair FIFO, never-blocking
 // Send, inflight accounting for WaitIdle, Kill/Revive drop rules, fault
-// hook fidelity — but moves every message through a loopback TCP
-// connection as encoded frames:
+// hook fidelity — but moves every message through a TCP connection as
+// encoded frames:
 //
 //   - one persistent connection per ordered (sender, receiver) pair,
 //     including self-pairs, so a lane is exactly a socket and TCP's
-//     byte-stream ordering is the FIFO guarantee;
+//     byte-stream ordering is the FIFO guarantee. A loopback transport
+//     (NewTCPLoopback) hosts every worker and so every lane; a peer
+//     transport (NewTCPPeer) hosts one worker of a multi-process run and
+//     only the lanes into and out of it. Both connect through connectRow;
+//     a peer ends a superstep with Barrier, because the in-flight count
+//     WaitIdle relies on cannot see other processes;
 //   - a writer goroutine per connection that encodes everything queued
 //     since its last write into one reused buffer and writes it at once
 //     (write coalescing: bursts of batches share one syscall);
@@ -29,8 +34,10 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +60,19 @@ type tcpQueued struct {
 	wireLost bool
 }
 
-// TCP is the loopback-socket transport backend.
+// inLane is the receiving side of one connection, routed by its hello.
+type inLane struct {
+	conn net.Conn
+	fr   *FrameReader
+	from WorkerID
+}
+
+// TCP is the socket transport backend.
 type TCP struct {
-	n        int
+	n int
+	// me is the one worker a peer transport (NewTCPPeer) hosts; -1 on a
+	// loopback transport, which hosts them all.
+	me       int
 	latency  LatencyModel
 	codec    PayloadCodec
 	handlers []Handler
@@ -69,8 +86,17 @@ type TCP struct {
 	inflight   int
 	idleCond   *sync.Cond
 
+	// Barrier state of a peer transport: barGen counts the barriers this
+	// worker has sent, barSeen[j] is the last one received from worker j and
+	// barDown[j] marks an inbound lane whose pump has exited.
+	barGen  uint64
+	barMu   sync.Mutex
+	barCond sync.Cond
+	barSeen []uint64
+	barDown []bool
+
 	listeners []net.Listener
-	lanes     []*tcpLane // n*n, index from*n+to
+	lanes     []*tcpLane // n*n, index from*n+to; nil where the sender is in another process
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -133,12 +159,7 @@ func parseHello(f Frame) (from, to WorkerID, err error) {
 	return WorkerID(fr), WorkerID(t), nil
 }
 
-// NewTCPLoopback creates a TCP transport for n workers, all inside this
-// process, connected over 127.0.0.1 sockets. codec encodes and decodes
-// frame payloads (the engine passes wire.NewCodec for its message type).
-// The latency model is recorded (Latency returns it) but not enforced:
-// the real wire provides the timing.
-func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, error) {
+func newTCP(n, me int, latency LatencyModel, codec PayloadCodec) *TCP {
 	if n < 1 {
 		panic("cluster: need at least one worker")
 	}
@@ -147,6 +168,7 @@ func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, erro
 	}
 	t := &TCP{
 		n:        n,
+		me:       me,
 		latency:  latency,
 		codec:    codec,
 		handlers: make([]Handler, n),
@@ -154,106 +176,154 @@ func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, erro
 		lanes:    make([]*tcpLane, n*n),
 	}
 	t.idleCond = sync.NewCond(&t.inflightMu)
+	t.barCond.L = &t.barMu
 	for i := range t.lanes {
-		l := &tcpLane{}
-		l.cond = sync.NewCond(&l.mu)
-		t.lanes[i] = l
+		if me < 0 || i/n == me {
+			l := &tcpLane{}
+			l.cond = sync.NewCond(&l.mu)
+			t.lanes[i] = l
+		}
 	}
+	return t
+}
 
-	t.listeners = make([]net.Listener, n)
-	for w := 0; w < n; w++ {
+// NewTCPLoopback creates a TCP transport for n workers, all inside this
+// process, connected over 127.0.0.1 sockets. codec encodes and decodes
+// frame payloads (the engine passes wire.NewCodec for its message type).
+// The latency model is recorded (Latency returns it) but not enforced:
+// the real wire provides the timing.
+func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, error) {
+	t := newTCP(n, -1, latency, codec)
+	addrs := make([]string, n)
+	for w := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.teardown()
 			return nil, fmt.Errorf("cluster: listen for worker %d: %w", w, err)
 		}
-		t.listeners[w] = ln
+		t.listeners = append(t.listeners, ln)
+		addrs[w] = ln.Addr().String()
 	}
+	ins := make([][]inLane, n)
+	errs := make([]error, n)
+	var rows sync.WaitGroup
+	for w := range addrs {
+		rows.Add(1)
+		go func() {
+			defer rows.Done()
+			ins[w], errs[w] = t.connectRow(w, t.listeners[w], addrs, 5*time.Second)
+		}()
+	}
+	rows.Wait()
+	return t.start(slices.Concat(ins...), errors.Join(errs...))
+}
 
-	// Accept side: every listener receives exactly n connections (one per
-	// sender, self included). The dialer's hello frame routes each
-	// accepted conn to its lane and starts that lane's read pump.
-	errCh := make(chan error, 2*n*n)
-	var setup sync.WaitGroup
-	for w := 0; w < n; w++ {
-		setup.Add(1)
-		go func(w int) {
-			defer setup.Done()
-			for k := 0; k < t.n; k++ {
-				conn, err := t.listeners[w].Accept()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				fr := NewFrameReader(conn)
-				f, _, err := fr.Read()
-				if err != nil {
-					conn.Close()
-					errCh <- fmt.Errorf("cluster: handshake read: %w", err)
-					return
-				}
-				from, to, err := parseHello(f)
-				if err != nil || int(to) != w || from < 0 || int(from) >= t.n {
-					conn.Close()
-					if err == nil {
-						err = fmt.Errorf("cluster: misrouted hello %d->%d at listener %d", from, to, w)
-					}
-					errCh <- err
-					return
-				}
-				t.wg.Add(1)
-				go t.pump(fr)
+// NewTCPPeer creates the transport of worker me of an n-worker cluster
+// whose workers run in separate processes: it connects only this worker's
+// row of lanes, dialing me→j at addrs[j] and accepting j→me on ln, which it
+// takes over. Such a transport hosts one handler (me's) and ends a
+// superstep with Barrier instead of WaitIdle. Dials retry and accepts wait
+// up to timeout, so the processes may start in any order.
+func NewTCPPeer(n, me int, ln net.Listener, addrs []string, codec PayloadCodec, timeout time.Duration) (*TCP, error) {
+	if me < 0 || me >= n || len(addrs) != n {
+		return nil, fmt.Errorf("cluster: peer %d of %d workers with %d addresses", me, n, len(addrs))
+	}
+	t := newTCP(n, me, LatencyModel{}, codec)
+	t.barSeen = make([]uint64, n)
+	t.barDown = make([]bool, n)
+	t.listeners = []net.Listener{ln}
+	return t.start(t.connectRow(me, ln, addrs, timeout))
+}
+
+// connectRow connects worker me's row of lanes, self-lane included: it
+// dials me→j at addrs[j] for every j, opening each connection with a hello
+// frame that names its lane, and accepts the n lanes j→me on ln, routing
+// each by its hello.
+func (t *TCP) connectRow(me int, ln net.Listener, addrs []string, timeout time.Duration) ([]inLane, error) {
+	var dialErr error
+	dialed := make(chan struct{})
+	go func() {
+		defer close(dialed)
+		for to := range addrs {
+			conn, err := DialRetry(addrs[to], timeout)
+			if err != nil {
+				dialErr = err
+				return
 			}
-		}(w)
-	}
-
-	// Dial side: connect every ordered pair, with capped-backoff retry.
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			setup.Add(1)
-			go func(from, to int) {
-				defer setup.Done()
-				conn, err := DialRetry(t.listeners[to].Addr().String(), 5*time.Second)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				hello := AppendFrame(nil, &Frame{
-					Type: FrameHello, From: WorkerID(from), To: WorkerID(to),
-					Payload: helloPayload(WorkerID(from), WorkerID(to)),
-				})
-				if _, err := conn.Write(hello); err != nil {
-					conn.Close()
-					errCh <- err
-					return
-				}
-				l := t.lanes[from*n+to]
-				l.mu.Lock()
-				l.conn = conn
-				l.mu.Unlock()
-			}(from, to)
+			hello := AppendFrame(nil, &Frame{
+				Type: FrameHello, From: WorkerID(me), To: WorkerID(to),
+				Payload: helloPayload(WorkerID(me), WorkerID(to)),
+			})
+			if _, err := conn.Write(hello); err != nil {
+				conn.Close()
+				dialErr = err
+				return
+			}
+			t.lanes[me*t.n+to].conn = conn
 		}
+	}()
+	// A peer that never dials in must not wedge Accept forever.
+	if tl, ok := ln.(*net.TCPListener); ok {
+		tl.SetDeadline(time.Now().Add(timeout))
+		defer tl.SetDeadline(time.Time{})
 	}
-	setup.Wait()
-	select {
-	case err := <-errCh:
+	var in []inLane
+	seen := make([]bool, t.n)
+	for len(in) < t.n {
+		conn, err := ln.Accept()
+		if err != nil {
+			<-dialed
+			return in, fmt.Errorf("cluster: accept lane to worker %d: %w", me, err)
+		}
+		fr := NewFrameReader(conn)
+		f, _, err := fr.Read()
+		var from, to WorkerID
+		if err == nil {
+			from, to, err = parseHello(f)
+		}
+		if err == nil && (int(to) != me || from < 0 || int(from) >= t.n || seen[from]) {
+			err = fmt.Errorf("cluster: misrouted hello %d->%d at worker %d", from, to, me)
+		}
+		if err != nil {
+			conn.Close()
+			<-dialed
+			return in, fmt.Errorf("cluster: handshake: %w", err)
+		}
+		seen[from] = true
+		in = append(in, inLane{conn: conn, fr: fr, from: from})
+	}
+	<-dialed
+	return in, dialErr
+}
+
+// start launches the pumps and lane writers of a connected transport, or
+// releases every socket of one whose setup failed.
+func (t *TCP) start(in []inLane, err error) (*TCP, error) {
+	if err != nil {
+		for _, c := range in {
+			c.conn.Close()
+		}
 		t.teardown()
 		return nil, err
-	default:
+	}
+	for _, c := range in {
+		t.wg.Add(1)
+		go t.pump(c)
 	}
 	for _, l := range t.lanes {
-		t.wg.Add(1)
-		go t.writer(l)
+		if l != nil {
+			t.wg.Add(1)
+			go t.writer(l)
+		}
 	}
 	return t, nil
 }
 
-// teardown releases sockets after a failed construction.
+// teardown closes the listeners and the dialed sockets: at the end of
+// Close, or after a failed construction.
 func (t *TCP) teardown() {
 	for _, ln := range t.listeners {
-		if ln != nil {
-			ln.Close()
-		}
+		ln.Close()
 	}
 	for _, l := range t.lanes {
 		if l != nil && l.conn != nil {
@@ -327,7 +397,7 @@ func (t *TCP) DeadWorkers() []WorkerID {
 // it never blocks, and sends after Close, data sends touching a killed
 // worker, and hook-dropped sends are discarded and counted.
 func (t *TCP) Send(m Message) {
-	if m.From < 0 || int(m.From) >= t.n || m.To < 0 || int(m.To) >= t.n {
+	if m.From < 0 || int(m.From) >= t.n || m.To < 0 || int(m.To) >= t.n || (t.me >= 0 && int(m.From) != t.me) {
 		panic(fmt.Sprintf("cluster: bad endpoints %d->%d", m.From, m.To))
 	}
 	if t.closed.Load() {
@@ -396,22 +466,60 @@ func (t *TCP) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
 // lane is already closed the window is released directly: the run is
 // tearing down and the sender must still be unblocked.
 func (t *TCP) enqueueCredit(granter, sender WorkerID, bytes int) {
-	l := t.lanes[int(granter)*t.n+int(sender)]
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if !t.push(granter, sender, CreditGrant{Bytes: int64(bytes)}) {
 		t.flow.Release(sender, granter, bytes)
-		return
+	}
+}
+
+// push queues a transport-level frame (a credit grant or a barrier) on the
+// lane from→to: in flight like any frame, but outside the per-kind
+// counters. It reports false, queuing nothing, once the lane is closed.
+func (t *TCP) push(from, to WorkerID, payload any) bool {
+	l := t.lanes[int(from)*t.n+int(to)]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
 	}
 	t.inflightMu.Lock()
 	t.inflight++
 	t.inflightMu.Unlock()
-	l.q = append(l.q, tcpQueued{msg: Message{
-		From: granter, To: sender, Kind: Control,
-		Payload: CreditGrant{Bytes: int64(bytes)},
-	}})
+	l.q = append(l.q, tcpQueued{msg: Message{From: from, To: to, Kind: Control, Payload: payload}})
 	l.cond.Signal()
-	l.mu.Unlock()
+	return true
+}
+
+// Barrier ends a superstep on a peer transport, where it stands in for
+// WaitIdle: it queues one barrier frame on every lane to another worker,
+// behind everything already sent there, and returns once one has arrived
+// on every lane from another worker. A pump applies its lane's frames in
+// order, so when Barrier returns every data frame any peer sent before
+// its barrier has been applied. It fails if an inbound lane closed first.
+func (t *TCP) Barrier() error {
+	t.barGen++
+	for to := 0; to < t.n; to++ {
+		if to != t.me {
+			t.push(WorkerID(t.me), WorkerID(to), BarrierMarker{Seq: t.barGen})
+		}
+	}
+	t.barMu.Lock()
+	defer t.barMu.Unlock()
+	for {
+		waiting := false
+		for from, seen := range t.barSeen {
+			if from == t.me || seen >= t.barGen {
+				continue
+			}
+			if t.barDown[from] {
+				return fmt.Errorf("cluster: lane from worker %d closed before barrier %d", from, t.barGen)
+			}
+			waiting = true
+		}
+		if !waiting {
+			return nil
+		}
+		t.barCond.Wait()
+	}
 }
 
 // TestHookAfterFlush, nil outside tests, runs in a lane writer between
@@ -482,16 +590,39 @@ func (t *TCP) writer(l *tcpLane) {
 
 // pump is the read side of one connection: it decodes frames in stream
 // order and delivers them, mirroring a Mem lane's deliver goroutine
-// (including head-of-line straggler sleeps and wire-loss drops).
-func (t *TCP) pump(fr *FrameReader) {
+// (including head-of-line straggler sleeps and wire-loss drops). Barrier
+// frames end here too; on a peer transport an exiting pump marks its lane
+// down, so a Barrier waiting on it fails instead of hanging.
+func (t *TCP) pump(c inLane) {
 	defer t.wg.Done()
+	defer c.conn.Close()
+	if t.barDown != nil {
+		defer func() {
+			t.barMu.Lock()
+			t.barDown[c.from] = true
+			t.barCond.Broadcast()
+			t.barMu.Unlock()
+		}()
+	}
 	for {
-		f, wireBytes, err := fr.Read()
+		f, wireBytes, err := c.fr.Read()
 		if err != nil {
 			// EOF after the peer's write-side close: the lane is drained.
 			return
 		}
 		t.stats.WireBytesReceived.Add(int64(wireBytes))
+		if f.Type == FrameBarrier {
+			seq, k := binary.Uvarint(f.Payload)
+			if k <= 0 || t.barSeen == nil {
+				panic(fmt.Sprintf("cluster: unexpected barrier frame %d->%d", f.From, f.To))
+			}
+			t.barMu.Lock()
+			t.barSeen[c.from] = seq
+			t.barCond.Broadcast()
+			t.barMu.Unlock()
+			t.landed()
+			continue
+		}
 		if f.Type == FrameCredit {
 			// Transport-level credit return: release the original data
 			// sender's (f.To → f.From) window and consume the frame here —
@@ -501,12 +632,7 @@ func (t *TCP) pump(fr *FrameReader) {
 				panic(fmt.Sprintf("cluster: corrupt credit frame %d->%d", f.From, f.To))
 			}
 			t.flow.Release(f.To, f.From, int(n))
-			t.inflightMu.Lock()
-			t.inflight--
-			if t.inflight == 0 {
-				t.idleCond.Broadcast()
-			}
-			t.inflightMu.Unlock()
+			t.landed()
 			continue
 		}
 		reg := t.reg.Load()
@@ -539,17 +665,24 @@ func (t *TCP) pump(fr *FrameReader) {
 		if m.Kind == Data && t.flow != nil {
 			t.enqueueCredit(m.To, m.From, m.Bytes)
 		}
-		t.inflightMu.Lock()
-		t.inflight--
-		if t.inflight == 0 {
-			t.idleCond.Broadcast()
-		}
-		t.inflightMu.Unlock()
+		t.landed()
 	}
 }
 
+// landed counts one frame out of flight. On a peer transport each process
+// counts only its own side of a lane, so the count means nothing there.
+func (t *TCP) landed() {
+	t.inflightMu.Lock()
+	t.inflight--
+	if t.inflight == 0 {
+		t.idleCond.Broadcast()
+	}
+	t.inflightMu.Unlock()
+}
+
 // WaitIdle blocks until no messages are in flight anywhere: queued,
-// buffered in a socket, or mid-delivery.
+// buffered in a socket, or mid-delivery. On a peer transport the count
+// sees only this process's side of each lane; use Barrier there.
 func (t *TCP) WaitIdle() {
 	t.inflightMu.Lock()
 	for t.inflight > 0 {
@@ -568,22 +701,21 @@ func (t *TCP) InFlight() int {
 // Close drains all lanes and shuts the sockets down. Writers flush their
 // queues and close the write side; read pumps consume to EOF, so every
 // accepted message is delivered (or counted dropped) before Close
-// returns. Sends after Close are dropped and counted.
+// returns — on a peer transport, once every peer has closed too. Sends
+// after Close are dropped and counted.
 func (t *TCP) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
 	}
 	for _, l := range t.lanes {
+		if l == nil {
+			continue
+		}
 		l.mu.Lock()
 		l.closed = true
 		l.cond.Signal()
 		l.mu.Unlock()
 	}
 	t.wg.Wait()
-	for _, ln := range t.listeners {
-		ln.Close()
-	}
-	for _, l := range t.lanes {
-		l.conn.Close()
-	}
+	t.teardown()
 }

@@ -447,3 +447,78 @@ func TestTCPSelfSend(t *testing.T) {
 		t.Fatal("self-send not delivered")
 	}
 }
+
+// Three peer transports, one per worker as in a multi-process run: when
+// Barrier returns, every data frame any peer sent before its own Barrier
+// has been handled, and once a peer has closed its lanes the others'
+// Barrier fails instead of waiting for it forever.
+func TestTCPPeerBarrier(t *testing.T) {
+	requireLoopback(t)
+	const n, perLane = 3, 50
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	peers := make([]*cluster.TCP, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			peers[i], errs[i] = cluster.NewTCPPeer(n, i, lns[i], addrs, wire.NewCodec[float64](), 5*time.Second)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+	}
+	handled := make([]atomic.Int64, n)
+	for i, p := range peers {
+		p.RegisterHandler(cluster.WorkerID(i), func(cluster.Message) { handled[i].Add(1) })
+	}
+	for round := int64(1); round <= 2; round++ {
+		for i, p := range peers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for to := range n {
+					for k := 0; to != i && k < perLane; k++ {
+						p.Send(cluster.Message{From: cluster.WorkerID(i), To: cluster.WorkerID(to),
+							Kind: cluster.Data, Payload: batch(0, float64(k))})
+					}
+				}
+				if errs[i] = p.Barrier(); errs[i] == nil && handled[i].Load() != round*perLane*(n-1) {
+					t.Errorf("peer %d handled %d frames at barrier %d, want %d", i, handled[i].Load(), round, round*perLane*(n-1))
+				}
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("peer %d barrier %d: %v", i, round, err)
+			}
+		}
+	}
+
+	// A peer's Close returns once the others have closed too, so every
+	// Close runs on its own goroutine.
+	for i, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i < 2 && p.Barrier() == nil {
+				t.Errorf("peer %d passed a barrier with peer 2 gone", i)
+			}
+			p.Close()
+		}()
+	}
+	wg.Wait()
+}

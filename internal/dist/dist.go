@@ -1,49 +1,26 @@
-// Package dist runs a real multi-process deployment: one coordinator
-// process and N worker processes connected by TCP, speaking the frame
-// protocol of internal/cluster + internal/wire. Unlike the in-process
-// engine — whose master and workers share vertex values, halt flags, and
-// aggregator maps — nothing here crosses a process boundary except wire
-// frames, so this is the deployment shape the paper's systems (Giraph,
-// GraphLab) actually have.
-//
-// The driver implements the BSP model with no synchronization technique
-// (the serializable techniques lean on shared-memory lock managers and
-// stay in-process for now). Its superstep loop mirrors the engine's BSP
-// path operation for operation — same hash partitioning, same message
-// store semantics (reused verbatim from internal/msgstore), same
-// execute-if-unhalted-or-has-new rule, same halt condition (no unhalted
-// vertices and no pending messages), same aggregator merge timing — so a
-// distributed run's results are bitwise identical to an in-process run
-// with the same worker count and seed. The cross-process conformance test
-// in dist_test.go holds it to that.
-//
-// Protocol (control plane, worker <-> coordinator):
-//
-//	worker -> Hello{version, -1, dataAddr}
-//	coord  -> Job{alg, graph spec, workers, you, peers}
-//	loop:   coord -> StepStart{s, merged aggs}
-//	        worker -> StepDone{s, unhalted, pending, counters, local aggs}
-//	coord  -> Finish{converged, supersteps}
-//	worker -> Values{owned (id, value) pairs}
-//
-// Data plane (worker <-> worker, one conn per ordered pair): Data frames
-// carrying combiner-aware message batches, then one Barrier frame per
-// superstep. FIFO stream order makes the barrier the proof that every
-// data frame the sender emitted for the superstep has arrived, so no
-// acks are needed.
+// Package dist deploys an engine run across processes: a coordinator and
+// N worker processes, each hosting one engine worker (engine.Peer) over a
+// peer TCP transport. It is only bring-up and the control plane (Hello,
+// Job, StepStart, StepDone, Finish, Values; DESIGN.md §11); the
+// coordinator folds StepDone reports with engine.Master, the master half
+// of the barrier engine.Run uses, so it stops where an in-process run
+// would.
 package dist
 
 import (
-	"bufio"
 	"fmt"
+	"maps"
 	"net"
-	"sort"
-	"sync/atomic"
+	"slices"
 	"time"
 
+	"serialgraph/internal/algorithms"
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/engine"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
+	"serialgraph/internal/model"
+	"serialgraph/internal/partition"
 	"serialgraph/internal/wire"
 )
 
@@ -51,156 +28,336 @@ import (
 // every worker deterministically derives the same run from it.
 type Job = wire.Job
 
-// DialTimeout bounds connection establishment (workers retry-dial the
-// coordinator and each other inside this window, so process start order
-// does not matter).
+// DialTimeout bounds connection establishment: processes retry-dial the
+// coordinator and each other inside it, so start order does not matter.
 const DialTimeout = 10 * time.Second
 
 // Result summarizes a distributed run on the coordinator.
 type Result struct {
 	Converged  bool
 	Supersteps int
-	// Executions totals vertex executions across all workers.
-	Executions int64
-	// DataBatches/DataBytes are the simulated ledger of worker-to-worker
-	// batches (same accounting as cluster.Stats); WireBytes is the true
-	// encoded bytes written to data-plane sockets.
-	DataBatches int64
-	DataBytes   int64
-	WireBytes   int64
+	Executions int64 // vertex executions across all workers
+	// DataBatches, DataBytes and CtrlMessages total what the workers sent
+	// each other (the cluster.Stats ledger); WireBytes counts the true
+	// encoded bytes written to their lanes.
+	DataBatches, DataBytes, CtrlMessages, WireBytes int64
 }
 
-// frameConn wraps one TCP connection with buffered frame IO and wire-byte
-// accounting. Writes are single-goroutine per conn (the protocol gives
-// every conn exactly one writer); reads likewise.
-type frameConn struct {
-	conn    net.Conn
-	fr      *cluster.FrameReader
-	bw      *bufio.Writer
-	buf     []byte
-	wireOut atomic.Int64
-	wireIn  atomic.Int64
+// algorithm is one entry of the name → program table; both sides of a run
+// build the program from the Job alone.
+type algorithm struct {
+	work       func(ctrl *conn, ln net.Listener, job Job) error
+	coordinate func(ln net.Listener, job Job, numVertices int) (any, Result, error)
 }
 
-func newFrameConn(c net.Conn) *frameConn {
-	return &frameConn{
-		conn: c,
-		fr:   cluster.NewFrameReader(c),
-		bw:   bufio.NewWriterSize(c, 64<<10),
+func program[V, M any](build func(Job) model.Program[V, M]) algorithm {
+	return algorithm{
+		work: func(ctrl *conn, ln net.Listener, job Job) error { return work(ctrl, ln, job, build(job)) },
+		coordinate: func(ln net.Listener, job Job, n int) (any, Result, error) {
+			return Coordinate(ln, job, build(job), n)
+		},
 	}
 }
 
-// write encodes f into the connection's buffer without flushing; callers
-// batch frames and flush() at protocol points (control messages flush
-// immediately via writeFlush).
-func (fc *frameConn) write(f *cluster.Frame) error {
-	fc.buf = cluster.AppendFrame(fc.buf[:0], f)
-	fc.wireOut.Add(int64(len(fc.buf)))
-	_, err := fc.bw.Write(fc.buf)
-	return err
+var programs = map[string]algorithm{
+	"sssp": program(func(j Job) model.Program[float64, float64] {
+		return algorithms.SSSP(graph.VertexID(j.Source))
+	}),
+	"pagerank":     program(func(j Job) model.Program[float64, float64] { return algorithms.PageRank(j.Eps) }),
+	"pagerank-agg": program(func(j Job) model.Program[float64, float64] { return algorithms.PageRankAggregated(j.Eps) }),
+	"coloring":     program(func(Job) model.Program[int32, int32] { return algorithms.Coloring() }),
+	"wcc":          program(func(Job) model.Program[int32, int32] { return algorithms.WCC() }),
 }
 
-func (fc *frameConn) flush() error { return fc.bw.Flush() }
-
-func (fc *frameConn) writeFlush(f *cluster.Frame) error {
-	if err := fc.write(f); err != nil {
-		return err
+func lookup(alg string) (algorithm, error) {
+	a, ok := programs[alg]
+	if !ok {
+		return a, fmt.Errorf("dist: unknown algorithm %q (want one of %v)", alg, slices.Sorted(maps.Keys(programs)))
 	}
-	return fc.flush()
+	return a, nil
 }
 
-// read returns the connection's next frame. Its Payload lives in the
-// reader's reused buffer: decode it before the next read.
-func (fc *frameConn) read() (cluster.Frame, error) {
-	f, n, err := fc.fr.Read()
+// Run coordinates job with the program job.Alg names and returns the final
+// values, one per vertex: a []float64 or a []int32.
+func Run(ln net.Listener, job Job, numVertices int) (any, Result, error) {
+	a, err := lookup(job.Alg)
 	if err != nil {
-		return f, err
+		return nil, Result{}, err
 	}
-	fc.wireIn.Add(int64(n))
-	return f, nil
+	return a.coordinate(ln, job, numVertices)
 }
 
-func (fc *frameConn) close() error { return fc.conn.Close() }
-
-// closeWrite half-closes the connection so the peer's read pump sees EOF
-// after draining everything already sent.
-func (fc *frameConn) closeWrite() {
-	if tc, ok := fc.conn.(*net.TCPConn); ok {
-		tc.CloseWrite()
+// config is the engine configuration every process derives from job; it
+// fails naming any option a multi-process run does not support.
+func config(job Job) (engine.Config, error) {
+	if job.Workers < 1 || !partition.ValidKind(job.Partitioner) {
+		return engine.Config{}, fmt.Errorf("dist: job with %d workers and partitioner %q", job.Workers, job.Partitioner)
 	}
-}
-
-// expect reads one frame and checks its type.
-func (fc *frameConn) expect(ftype byte) (cluster.Frame, error) {
-	f, err := fc.read()
-	if err != nil {
-		return f, err
+	cfg := engine.Config{
+		Workers:             int(job.Workers),
+		PartitionsPerWorker: int(job.PartsPerWorker),
+		Mode:                engine.Mode(job.Mode),
+		Sync:                engine.Sync(job.Sync),
+		Seed:                job.Seed,
+		MsgMemoryBudget:     job.MsgMemoryBudget,
+		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
+			m, _ := partition.New(job.Partitioner, g, p, w, job.Seed)
+			return m
+		},
 	}
-	if f.Type != ftype {
-		return f, fmt.Errorf("dist: expected frame 0x%02x, got 0x%02x", ftype, f.Type)
-	}
-	return f, nil
+	return cfg, cfg.ValidatePeer()
 }
 
 // BuildGraph deterministically reconstructs the job's graph: a saved
 // graph file when GraphPath is set, else a generator family. Every
 // process builds the identical graph, which is what lets the partition
 // map be derived locally instead of shipped.
-func BuildGraph(job Job) (*graph.Graph, error) {
-	var g *graph.Graph
+func BuildGraph(job Job) (g *graph.Graph, err error) {
 	switch {
 	case job.GraphPath != "":
-		var err error
 		g, err = graph.LoadFile(job.GraphPath)
-		if err != nil {
-			return nil, err
-		}
 	case job.Family != "":
 		g = generate.Family(job.Family, int(job.N), int64(job.Seed))
 	default:
-		return nil, fmt.Errorf("dist: job has neither GraphPath nor Family")
+		err = fmt.Errorf("dist: job has neither GraphPath nor Family")
 	}
-	if job.Undirected {
-		g = symmetrize(g)
+	if err == nil && job.Undirected {
+		g = graph.Symmetrize(g)
 	}
-	return g, nil
+	return g, err
 }
 
-// symmetrize mirrors serialgraph.Undirected exactly (same builder path),
-// so a distributed coloring run sees the identical graph an in-process
-// `graphrun -alg coloring` run does.
-func symmetrize(g *graph.Graph) *graph.Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
+// conn is one control-plane connection.
+type conn struct {
+	c   net.Conn
+	fr  *cluster.FrameReader
+	buf []byte
+}
+
+func newConn(c net.Conn) *conn { return &conn{c: c, fr: cluster.NewFrameReader(c)} }
+
+func (c *conn) send(ftype byte, payload []byte) error {
+	c.buf = cluster.AppendFrame(c.buf[:0], &cluster.Frame{Type: ftype, Payload: payload})
+	_, err := c.c.Write(c.buf)
+	return err
+}
+
+// expect reads c's next frame, which must be of type ftype, and decodes
+// its payload.
+func expect[T any](c *conn, ftype byte, decode func([]byte) (T, error)) (T, error) {
+	f, _, err := c.fr.Read()
+	if err == nil && f.Type != ftype {
+		err = fmt.Errorf("dist: expected frame 0x%02x, got 0x%02x", ftype, f.Type)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(f.Payload)
+}
+
+// gather expects one frame of type ftype from every worker, in order.
+func gather[T any](conns []*conn, ftype byte, decode func([]byte) (T, error)) ([]T, error) {
+	out := make([]T, len(conns))
+	for i, c := range conns {
+		var err error
+		if out[i], err = expect(c, ftype, decode); err != nil {
+			return nil, fmt.Errorf("dist: worker %d: %w", i, err)
 		}
 	}
-	return b.BuildUndirected()
+	return out, nil
 }
 
-// sortedAggs flattens an aggregator map into sorted parallel slices so
-// the frames are deterministic.
-func sortedAggs(m map[string]float64) ([]string, []float64) {
-	if len(m) == 0 {
-		return nil, nil
+func broadcast(conns []*conn, ftype byte, payload []byte) error {
+	for i, c := range conns {
+		if err := c.send(ftype, payload); err != nil {
+			return fmt.Errorf("dist: worker %d: %w", i, err)
+		}
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([]float64, len(keys))
-	for i, k := range keys {
-		vals[i] = m[k]
-	}
-	return keys, vals
+	return nil
 }
 
-func aggMap(keys []string, vals []float64) map[string]float64 {
-	m := make(map[string]float64, len(keys))
-	for i, k := range keys {
-		m[k] = vals[i]
+// Coordinate runs the master side of a distributed job: accept the
+// worker processes, hand each its job spec, drive the superstep loop, and
+// collect the final vertex values. ln must already be listening, and
+// job.Workers processes must eventually dial it. Worker IDs follow accept
+// order, which does not affect the results: every process derives the
+// same partition map, and reports merge in worker order.
+func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], numVertices int) ([]V, Result, error) {
+	var res Result
+	cfg, err := config(job)
+	if err != nil {
+		return nil, res, err
 	}
-	return m
+	conns := make([]*conn, 0, job.Workers)
+	defer func() {
+		for _, c := range conns {
+			c.c.Close()
+		}
+	}()
+	for range job.Workers {
+		c, err := ln.Accept()
+		if err != nil {
+			return nil, res, err
+		}
+		conns = append(conns, newConn(c))
+	}
+	hellos, err := gather(conns, cluster.FrameHello, wire.DecodeHello)
+	if err != nil {
+		return nil, res, err
+	}
+	job.Peers = make([]string, len(hellos))
+	for i, h := range hellos {
+		if h.Version != cluster.ProtocolVersion {
+			return nil, res, fmt.Errorf("dist: worker %d speaks protocol %d, want %d", i, h.Version, cluster.ProtocolVersion)
+		}
+		job.Peers[i] = h.Addr
+	}
+	for i, c := range conns {
+		job.You = int32(i)
+		if err := c.send(cluster.FrameJob, wire.AppendJob(nil, job)); err != nil {
+			return nil, res, err
+		}
+	}
+
+	master := engine.NewMaster(prog, cfg)
+	reports := make([]engine.StepReport, len(conns))
+	var dones []wire.StepDone
+	var aggs map[string]float64
+	for s := 0; s < int(job.MaxSupersteps) && !res.Converged; s++ {
+		if err := broadcast(conns, cluster.FrameStepStart, wire.AppendStepStart(nil, wire.StepStart{Superstep: int32(s), Aggs: aggs})); err != nil {
+			return nil, res, err
+		}
+		dones, err = gather(conns, cluster.FrameStepDone, func(b []byte) (wire.StepDone, error) {
+			d, err := wire.DecodeStepDone(b)
+			if err == nil && int(d.Superstep) != s {
+				err = fmt.Errorf("superstep %d reported during %d", d.Superstep, s)
+			}
+			return d, err
+		})
+		if err != nil {
+			return nil, res, err
+		}
+		for i, d := range dones {
+			reports[i] = engine.StepReport{Unhalted: d.Unhalted, Pending: d.Pending, Aggs: d.Aggs}
+		}
+		res.Supersteps = s + 1
+		aggs, res.Converged = master.Fold(s, reports)
+	}
+	for _, d := range dones { // each worker's counters are cumulative
+		res.Executions += d.Executions
+		res.DataBatches += d.SentBatches
+		res.DataBytes += d.SentBytes
+		res.CtrlMessages += d.CtrlMessages
+		res.WireBytes += d.WireBytes
+	}
+
+	// Finish, then each worker ships its owned (vertex, value) pairs.
+	fin := wire.Finish{Converged: res.Converged, Supersteps: int32(res.Supersteps)}
+	if err := broadcast(conns, cluster.FrameFinish, wire.AppendFinish(nil, fin)); err != nil {
+		return nil, res, err
+	}
+	codec := wire.AutoMsgCodec[V]()
+	owned, err := gather(conns, cluster.FrameValues, func(b []byte) ([]wire.ValueEntry[V], error) {
+		return wire.DecodeValues(codec, b)
+	})
+	if err != nil {
+		return nil, res, err
+	}
+	values := make([]V, numVertices)
+	for _, pairs := range owned {
+		for _, e := range pairs {
+			if int(e.ID) < 0 || int(e.ID) >= numVertices {
+				return nil, res, fmt.Errorf("dist: a worker reported out-of-range vertex %d", e.ID)
+			}
+			values[e.ID] = e.Val
+		}
+	}
+	return values, res, nil
+}
+
+// Work joins a coordinator as one worker process: dial, introduce
+// ourselves, receive the job, run it, ship our values back. It blocks
+// until the run finishes and returns the first error that broke it.
+func Work(joinAddr string) error {
+	// The lane listener must exist before Hello so its address can ride
+	// along.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	c, err := cluster.DialRetry(joinAddr, DialTimeout)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	ctrl := newConn(c)
+	hello := wire.Hello{Version: cluster.ProtocolVersion, Addr: ln.Addr().String()}
+	if err := ctrl.send(cluster.FrameHello, wire.AppendHello(nil, hello)); err != nil {
+		return err
+	}
+	job, err := expect(ctrl, cluster.FrameJob, wire.DecodeJob)
+	if err != nil {
+		return err
+	}
+	a, err := lookup(job.Alg)
+	if err != nil {
+		return err
+	}
+	return a.work(ctrl, ln, job)
+}
+
+// work runs worker job.You as an engine.Peer, one superstep per StepStart,
+// until Finish.
+func work[V, M any](ctrl *conn, ln net.Listener, job Job, prog model.Program[V, M]) (err error) {
+	cfg, err := config(job)
+	if err != nil {
+		return err
+	}
+	g, err := BuildGraph(job)
+	if err != nil {
+		return err
+	}
+	peer, err := engine.NewPeer(g, prog, cfg, int(job.You), ln, job.Peers, DialTimeout)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			// Peer.Close waits for the other workers' lanes: failing the
+			// coordinator first makes it release them.
+			ctrl.c.Close()
+		}
+		peer.Close()
+	}()
+	for {
+		f, _, err := ctrl.fr.Read()
+		if err != nil {
+			return err
+		}
+		if f.Type == cluster.FrameFinish {
+			return ctrl.send(cluster.FrameValues, wire.AppendValues(nil, wire.AutoMsgCodec[V](), peer.Values()))
+		}
+		if f.Type != cluster.FrameStepStart {
+			return fmt.Errorf("dist: unexpected control frame 0x%02x", f.Type)
+		}
+		ss, err := wire.DecodeStepStart(f.Payload)
+		if err != nil {
+			return err
+		}
+		rep, err := peer.Step(int(ss.Superstep), ss.Aggs)
+		if err != nil {
+			return err
+		}
+		n := peer.Net()
+		done := wire.StepDone{
+			Superstep: ss.Superstep, Unhalted: rep.Unhalted, Pending: rep.Pending, Aggs: rep.Aggs,
+			Executions: peer.Executions(), SentBatches: n.DataMessages, SentBytes: n.DataBytes,
+			CtrlMessages: n.ControlMessages, WireBytes: n.WireBytesSent,
+		}
+		if err := ctrl.send(cluster.FrameStepDone, wire.AppendStepDone(nil, done)); err != nil {
+			return err
+		}
+	}
 }

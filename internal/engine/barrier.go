@@ -1,0 +1,142 @@
+package engine
+
+// barrier.go is the superstep barrier, in two halves that every deployment
+// shares. The worker half (commitStep) runs on each worker once every
+// message sent to it during the superstep has been applied: in-process
+// after the transport went idle, in a worker process after its peer lanes'
+// barrier. The master half (Master.Fold) merges the workers' reports and
+// decides whether the run stops; Run feeds it the in-process reports and
+// internal/dist's coordinator the ones that arrive in StepDone frames.
+
+import (
+	"fmt"
+	"sync"
+
+	"serialgraph/internal/model"
+)
+
+// StepReport is one worker's share of a superstep barrier.
+type StepReport struct {
+	// Unhalted counts the worker's vertices that have not voted to halt;
+	// Pending counts the messages waiting for them.
+	Unhalted, Pending int64
+	// Aggs holds the worker's aggregator contributions of the superstep.
+	Aggs map[string]float64
+	// frontierOK is the frontier audit: the counters the run decides
+	// convergence on equal the popcounts of the bitsets it iterates.
+	frontierOK bool
+}
+
+// commitStep is the worker half of the barrier: under BSP it drains the
+// spill tier into the write store and swaps the stores, then it reports
+// the worker's halt votes, pending messages, frontier audit and local
+// aggregates, starting a fresh aggregate map for the next superstep.
+func (w *worker[V, M]) commitStep() (StepReport, error) {
+	if w.r.cfg.Mode == BSP {
+		// Spilled runs merge into the write store before the swap: the next
+		// superstep's reads then see exactly what direct delivery would have
+		// put there (per-destination arrival order is preserved across runs;
+		// see msgstore.Spill).
+		if w.spill != nil {
+			if err := w.spill.Drain(w.writeStore()); err != nil {
+				return StepReport{}, fmt.Errorf("engine: spill drain: %w", err)
+			}
+		}
+		w.swapStores()
+	}
+	rep := StepReport{
+		Unhalted:   w.unhalted.Load(),
+		Pending:    w.pendingMessages(),
+		Aggs:       w.aggLocal,
+		frontierOK: w.frontierConsistent(),
+	}
+	w.aggLocal = make(map[string]float64)
+	return rep, nil
+}
+
+// commitWorkers runs every worker's half of the barrier into r.reports.
+// Spill drains run concurrently, one per worker — serially they would put
+// every worker's merge on the barrier's critical path.
+func (r *runner[V, M]) commitWorkers() error {
+	if r.workers[0].spill == nil {
+		for i, w := range r.workers {
+			r.reports[i], _ = w.commitStep() // only a drain can fail
+		}
+		return nil
+	}
+	errs := make([]error, len(r.workers))
+	var wg sync.WaitGroup
+	for i, w := range r.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.reports[i], errs[i] = w.commitStep()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Master is the master half of the superstep barrier of one run.
+type Master[V, M any] struct {
+	prog model.Program[V, M]
+	// window is how many supersteps' aggregates MasterHalt judges at once.
+	// Token techniques execute only the token holder's vertices in any one
+	// superstep, so a single superstep's aggregates cover a fraction of the
+	// graph and a tolerance test on them would fire spuriously (an idle
+	// worker's superstep aggregates to zero); MasterHalt is consulted once
+	// per full token rotation, on the aggregates accumulated across it.
+	window    int
+	windowAgg map[string]float64
+}
+
+// NewMaster returns the master half of a run of prog under cfg.
+func NewMaster[V, M any](prog model.Program[V, M], cfg Config) *Master[V, M] {
+	cfg = cfg.withDefaults()
+	m := &Master[V, M]{prog: prog, window: 1, windowAgg: make(map[string]float64)}
+	switch cfg.Sync {
+	case TokenSingle:
+		m.window = cfg.Workers
+	case TokenDual:
+		m.window = cfg.Workers * cfg.PartitionsPerWorker
+	}
+	return m
+}
+
+// Fold merges the workers' reports of superstep s, in worker order, into
+// the aggregates the next superstep reads, and reports whether the run
+// stops: no vertex unhalted and no message pending (converged), or
+// MasterHalt true at the end of a window.
+func (m *Master[V, M]) Fold(s int, reports []StepReport) (merged map[string]float64, stop bool) {
+	merged = make(map[string]float64)
+	var unhalted, pending int64
+	for _, rep := range reports {
+		unhalted += rep.Unhalted
+		pending += rep.Pending
+		for k, v := range rep.Aggs {
+			merged[k] += v
+		}
+	}
+	if unhalted == 0 && pending == 0 {
+		return merged, true
+	}
+	if m.prog.MasterHalt == nil {
+		return merged, false
+	}
+	for k, v := range merged {
+		m.windowAgg[k] += v
+	}
+	if (s+1)%m.window != 0 {
+		return merged, false
+	}
+	if m.prog.MasterHalt(s, m.windowAgg) {
+		return merged, true
+	}
+	m.windowAgg = make(map[string]float64)
+	return merged, false
+}

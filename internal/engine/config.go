@@ -312,6 +312,37 @@ func (c Config) validate() error {
 	return nil
 }
 
+// ValidatePeer reports why cfg cannot run as a multi-process job (NewPeer),
+// or nil. Each process hosts one worker, so everything that needs the whole
+// cluster in one address space is refused by name, and so is every
+// technique without a multi-process conformance test.
+func (c Config) ValidatePeer() error {
+	c = c.withDefaults()
+	if err := c.validate(); err != nil {
+		return err
+	}
+	var refused string
+	switch {
+	case c.Mode == BAP:
+		refused = "the BAP mode"
+	case c.Sync != SyncNone && c.Sync != PartitionLock:
+		refused = "the " + c.Sync.String() + " technique"
+	case c.Fault != nil:
+		refused = "fault injection"
+	case c.CheckpointEvery > 0 || c.RestoreFrom != "":
+		refused = "checkpoints"
+	case c.Recovery != RecoverFull:
+		refused = c.Recovery.String() + " recovery"
+	case c.WatchdogTimeout > 0:
+		refused = "the liveness watchdog"
+	case c.TrackHistory:
+		refused = "TrackHistory (a history recorder is per process)"
+	default:
+		return nil
+	}
+	return fmt.Errorf("engine: multi-process runs do not support %s", refused)
+}
+
 // Result reports what a run did.
 type Result struct {
 	// Converged is true when every vertex halted with no pending messages,

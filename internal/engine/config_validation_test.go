@@ -4,7 +4,9 @@ package engine
 // checkpoint × fault combination must be rejected with a telling error
 // before any worker starts, and every legal combination must run. The
 // torture harness samples only legal configurations by construction, so
-// this table is what keeps the two notions of "legal" aligned.
+// this table is what keeps the two notions of "legal" aligned. Rows named
+// peer-* hold ValidatePeer, the multi-process check, to the same standard:
+// each refusal names the option.
 
 import (
 	"strings"
@@ -74,11 +76,32 @@ func TestConfigValidationTable(t *testing.T) {
 			Fault: fault.NewInjector(fault.Plan{Crashes: []fault.Crash{{Worker: 1, AtSuperstep: 1}}})}, ""},
 		{"async-fault-no-checkpoint", Config{Workers: 2, Mode: Async,
 			Fault: fault.NewInjector(fault.Plan{DuplicateRate: 0.1})}, ""},
+
+		// Multi-process runs: BSP and Async under none and partition-lock;
+		// everything that needs the cluster in one process is refused.
+		{"peer-bsp-none", Config{Workers: 2, Mode: BSP}, ""},
+		{"peer-async-partition-lock", Config{Workers: 2, Mode: Async, Sync: PartitionLock, MsgMemoryBudget: 1 << 20}, ""},
+		{"peer-bsp+partition-lock", Config{Workers: 2, Mode: BSP, Sync: PartitionLock}, "requires the Async mode"},
+		{"peer-bap", Config{Workers: 2, Mode: BAP}, "the BAP mode"},
+		{"peer-token-single", Config{Workers: 2, Mode: Async, Sync: TokenSingle}, "the token-single technique"},
+		{"peer-token-dual", Config{Workers: 2, Mode: Async, Sync: TokenDual}, "the token-dual technique"},
+		{"peer-vertex-lock", Config{Workers: 2, Mode: Async, Sync: VertexLockGiraph}, "the vertex-lock-giraph technique"},
+		{"peer-fault", Config{Workers: 2, Mode: Async, Fault: fault.NewInjector(fault.Plan{DuplicateRate: 0.1})}, "fault injection"},
+		{"peer-checkpoint", Config{Workers: 2, Mode: BSP, CheckpointEvery: 1, CheckpointDir: dir}, "checkpoints"},
+		{"peer-restore", Config{Workers: 2, Mode: BSP, RestoreFrom: dir + "/checkpoint-000001.gob"}, "checkpoints"},
+		{"peer-confined-recovery", Config{Workers: 2, Mode: BSP, Recovery: RecoverConfined}, "confined recovery"},
+		{"peer-watchdog", Config{Workers: 2, Mode: Async, WatchdogTimeout: 1}, "liveness watchdog"},
+		{"peer-history", Config{Workers: 2, Mode: Async, Sync: PartitionLock, TrackHistory: true}, "TrackHistory"},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, err := Run(g, algorithms.SSSP(0), tc.cfg)
+			var err error
+			if strings.HasPrefix(tc.name, "peer-") {
+				err = tc.cfg.ValidatePeer()
+			} else {
+				_, _, _, err = Run(g, algorithms.SSSP(0), tc.cfg)
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("legal config rejected: %v", err)

@@ -127,44 +127,19 @@ type runner[V, M any] struct {
 	// aggregate inputs their originals saw. Pruned at checkpoints.
 	aggAt map[int]map[string]float64
 
+	// reports holds the workers' halves of the current barrier.
+	reports []StepReport
+
 	executions  atomic.Int64
 	concurrency atomic.Int64
 	maxConc     atomic.Int64
 }
 
-// newTransport builds the run's cluster backend. The TCP backend gets a
-// payload codec specialized to the program's message type — honoring the
-// program's explicit serialization contract when it declares one — the
-// run's metrics registry for the wire-phase timers and, when batches are
-// recycled, the batch pool to retire and draw slices (wire.Codec.SetPool).
-func (r *runner[V, M]) newTransport() (cluster.Transport, error) {
-	if r.cfg.Transport != TransportTCP {
-		return cluster.New(r.cfg.Workers, r.cfg.Latency), nil
-	}
-	codec := wire.NewCodec[M]()
-	if r.prog.MsgAppend != nil && r.prog.MsgRead != nil {
-		codec = wire.NewCodecWith(wire.MsgCodec[M]{Append: r.prog.MsgAppend, Read: r.prog.MsgRead})
-	}
-	if r.recycleBatches {
-		codec.SetPool(&r.batchPool)
-	}
-	tcp, err := cluster.NewTCPLoopback(r.cfg.Workers, r.cfg.Latency, codec)
-	if err != nil {
-		return nil, err
-	}
-	tcp.SetMetrics(r.reg)
-	return tcp, nil
-}
-
-// Run executes prog over g under cfg and returns the final vertex values.
-// When cfg.TrackHistory is set, the returned recorder holds the
-// transaction log for serializability checking.
-func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V, res Result, _ *history.Recorder, err error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, Result{}, nil, err
-	}
-
+// newRunner builds the state every deployment of a run shares: partition
+// map, initial values, history, checkpoint and recovery bookkeeping, and
+// the out-slot table. cfg must carry its defaults; a transport and workers
+// come next (attach, addWorkers).
+func newRunner[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) *runner[V, M] {
 	p := cfg.Workers * cfg.PartitionsPerWorker
 	var pm *partition.Map
 	if cfg.Partitioner != nil {
@@ -172,7 +147,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	} else {
 		pm = partition.NewHash(g, p, cfg.Workers, cfg.Seed)
 	}
-
 	r := &runner[V, M]{g: g, prog: prog, cfg: cfg, pm: pm, reg: cfg.Metrics}
 	if r.reg == nil {
 		r.reg = metrics.New()
@@ -195,28 +169,106 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	if cfg.Recovery == RecoverConfined {
 		r.aggAt = make(map[int]map[string]float64)
 	}
-	// The quality report is one allocation-free O(V+E) pass at setup
-	// (outside ComputeTime); the classification it needs doubles as the
-	// dual-layer token class table.
-	classes := partition.Classify(g, pm)
-	quality := partition.ReportClassified(g, pm, classes)
-	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
-	r.reg.Add(metrics.BoundaryVertices, int64(n-quality.PInternal))
-	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
-		r.classes = classes
-	}
-	if cfg.Sync == VertexLockGiraph {
-		r.pBoundary = partition.PBoundaryFlags(g, pm)
-	}
 	if prog.Semantics == model.Overwrite {
 		r.buildOutSlots()
 	}
 	r.recycleBatches = cfg.Fault == nil
+	return r
+}
+
+// codec is the TCP payload codec for the program's message type, honoring
+// the program's explicit serialization contract when it declares one and,
+// when batches are recycled, drawing from and retiring to the batch pool
+// (wire.Codec.SetPool).
+func (r *runner[V, M]) codec() *wire.Codec[M] {
+	codec := wire.NewCodec[M]()
+	if r.prog.MsgAppend != nil && r.prog.MsgRead != nil {
+		codec = wire.NewCodecWith(wire.MsgCodec[M]{Append: r.prog.MsgAppend, Read: r.prog.MsgRead})
+	}
+	if r.recycleBatches {
+		codec.SetPool(&r.batchPool)
+	}
+	return codec
+}
+
+// attach connects the run to its transport, with the credit-window ledger
+// (DESIGN.md §12) and the fault injector.
+func (r *runner[V, M]) attach(tr cluster.Transport) {
+	r.tr = tr
+	r.flow = cluster.NewFlow(r.cfg.Workers, cluster.WindowForBudget(r.cfg.MsgMemoryBudget, r.cfg.Workers))
+	r.flow.SetMetrics(r.reg)
+	if ft, ok := tr.(interface{ SetFlow(*cluster.Flow) }); ok {
+		ft.SetFlow(r.flow)
+	}
+	if r.cfg.Fault != nil {
+		r.cfg.Fault.Attach(tr)
+	}
+}
+
+// addWorkers builds workers first..end-1, the ones this process hosts,
+// and their lock managers.
+func (r *runner[V, M]) addWorkers(first, end int) {
+	for id := first; id < end; id++ {
+		r.workers = append(r.workers, newWorker(r, id))
+	}
+	switch r.cfg.Sync {
+	case PartitionLock:
+		partNeighbors := r.pm.Neighbors(r.g)
+		for _, w := range r.workers {
+			w.initLockManager(partNeighbors)
+		}
+	case VertexLockGiraph:
+		for _, w := range r.workers {
+			w.initVertexLockManager()
+		}
+	}
+	r.reports = make([]StepReport, len(r.workers))
+}
+
+// newTransport builds the run's cluster backend. The TCP backend gets the
+// program's payload codec and the run's metrics registry for the
+// wire-phase timers.
+func (r *runner[V, M]) newTransport() (cluster.Transport, error) {
+	if r.cfg.Transport != TransportTCP {
+		return cluster.New(r.cfg.Workers, r.cfg.Latency), nil
+	}
+	tcp, err := cluster.NewTCPLoopback(r.cfg.Workers, r.cfg.Latency, r.codec())
+	if err != nil {
+		return nil, err
+	}
+	tcp.SetMetrics(r.reg)
+	return tcp, nil
+}
+
+// Run executes prog over g under cfg and returns the final vertex values.
+// When cfg.TrackHistory is set, the returned recorder holds the
+// transaction log for serializability checking.
+func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V, res Result, _ *history.Recorder, err error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, Result{}, nil, err
+	}
+
+	r := newRunner(g, prog, cfg)
+	p := cfg.Workers * cfg.PartitionsPerWorker
+	// The quality report is one allocation-free O(V+E) pass at setup
+	// (outside ComputeTime); the classification it needs doubles as the
+	// dual-layer token class table.
+	classes := partition.Classify(g, r.pm)
+	quality := partition.ReportClassified(g, r.pm, classes)
+	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
+	r.reg.Add(metrics.BoundaryVertices, int64(g.NumVertices()-quality.PInternal))
+	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
+		r.classes = classes
+	}
+	if cfg.Sync == VertexLockGiraph {
+		r.pBoundary = partition.PBoundaryFlags(g, r.pm)
+	}
 	tr, err := r.newTransport()
 	if err != nil {
 		return nil, Result{}, nil, err
 	}
-	r.tr = tr
+	r.attach(tr)
 	// Every exit path joins the transport before the metrics snapshot: a
 	// TCP lane writer times its flush once the bytes are on the socket, by
 	// when the peer may have delivered them and WaitIdle returned.
@@ -226,32 +278,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			res.Metrics = r.reg.Snapshot()
 		}
 	}()
-	r.flow = cluster.NewFlow(cfg.Workers, cluster.WindowForBudget(cfg.MsgMemoryBudget, cfg.Workers))
-	r.flow.SetMetrics(r.reg)
-	if ft, ok := tr.(interface{ SetFlow(*cluster.Flow) }); ok {
-		ft.SetFlow(r.flow)
-	}
-	if cfg.Fault != nil {
-		cfg.Fault.Attach(r.tr)
-	}
-
-	var partNeighbors [][]partition.ID
-	if cfg.Sync == PartitionLock {
-		partNeighbors = pm.Neighbors(g)
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		r.workers = append(r.workers, newWorker(r, w))
-	}
-	switch cfg.Sync {
-	case PartitionLock:
-		for _, w := range r.workers {
-			w.initLockManager(partNeighbors)
-		}
-	case VertexLockGiraph:
-		for _, w := range r.workers {
-			w.initVertexLockManager()
-		}
-	}
+	r.addWorkers(0, cfg.Workers)
 	// Captured unconditionally (it is one byte per edge at startup):
 	// a rollback with no checkpoint on disk — including one forced by the
 	// watchdog on an otherwise fault-free run — must be able to reset the
@@ -298,20 +325,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	// start, then each checkpoint); a rollback charges everything sent
 	// since it to Result.WastedMessages.
 	restoreNet := r.tr.Stats().Load()
-	// Token techniques execute only the token holder's vertices in any one
-	// superstep, so a single superstep's aggregates cover a fraction of the
-	// graph and a MasterHalt tolerance test on them would fire spuriously
-	// (an idle worker's superstep aggregates to zero). MasterHalt is
-	// therefore consulted once per full token rotation, on the aggregates
-	// accumulated across the whole window.
-	haltWindow := 1
-	switch cfg.Sync {
-	case TokenSingle:
-		haltWindow = cfg.Workers
-	case TokenDual:
-		haltWindow = cfg.Workers * cfg.PartitionsPerWorker
-	}
-	windowAgg := make(map[string]float64)
+	master := NewMaster(prog, cfg)
 	for s := startSuperstep; s < cfg.MaxSupersteps; s++ {
 		if cfg.Fault != nil {
 			cfg.Fault.BeginSuperstep(s)
@@ -387,8 +401,8 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 				res.RecomputedSupersteps += s + 1 - resume
 				res.RecomputedPartitionSupersteps += (s + 1 - resume) * p
 				restoreNet = r.tr.Stats().Load()
-				windowAgg = make(map[string]float64) // discarded supersteps replay
-				s = resume - 1                       // the loop increment lands on resume
+				clear(master.windowAgg) // discarded supersteps replay
+				s = resume - 1          // the loop increment lands on resume
 				continue
 			}
 			// Confined recovery brought the crashed workers' partitions back
@@ -414,49 +428,19 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			})
 		}
 
-		merged := r.mergeAggregators()
-		if r.aggAt != nil {
-			r.aggAt[s] = merged
+		if err := r.commitWorkers(); err != nil {
+			r.shutdownWorkers()
+			return nil, Result{}, nil, err
 		}
-		if cfg.Mode == BSP {
-			// Spilled runs merge into the write store before the swap: the
-			// next superstep's reads then see exactly what direct delivery
-			// would have put there (per-destination arrival order is
-			// preserved across runs; see msgstore.Spill). Each sink feeds
-			// only its own worker's store, so the drains run concurrently —
-			// serially they would put every worker's merge on the barrier's
-			// critical path.
-			drainErrs := make([]error, len(r.workers))
-			var drainWG sync.WaitGroup
-			for i, w := range r.workers {
-				if w.spill == nil {
-					w.swapStores()
-					continue
-				}
-				drainWG.Add(1)
-				go func() {
-					defer drainWG.Done()
-					if drainErrs[i] = w.spill.Drain(w.writeStore()); drainErrs[i] == nil {
-						w.swapStores()
-					}
-				}()
-			}
-			drainWG.Wait()
-			for _, err := range drainErrs {
-				if err != nil {
-					r.shutdownWorkers()
-					return nil, Result{}, nil, fmt.Errorf("engine: spill drain: %w", err)
-				}
-			}
-		}
-
-		var unhalted, pending int64
-		for _, w := range r.workers {
-			unhalted += w.unhalted.Load()
-			pending += w.pendingMessages()
-			if !w.frontierConsistent() {
+		merged, stop := master.Fold(s, r.reports)
+		for i, w := range r.workers {
+			w.aggPrev = merged
+			if !r.reports[i].frontierOK {
 				res.FrontierImbalances++
 			}
+		}
+		if r.aggAt != nil {
+			r.aggAt[s] = merged
 		}
 		if err := r.applyMutations(); err != nil {
 			r.shutdownWorkers()
@@ -477,21 +461,9 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			r.reg.Add(metrics.Checkpoints, 1)
 			restoreNet = r.tr.Stats().Load()
 		}
-		if unhalted == 0 && pending == 0 {
+		if stop {
 			res.Converged = true
 			break
-		}
-		if r.prog.MasterHalt != nil {
-			for k, v := range merged {
-				windowAgg[k] += v
-			}
-			if (s+1)%haltWindow == 0 {
-				if r.prog.MasterHalt(s, windowAgg) {
-					res.Converged = true
-					break
-				}
-				windowAgg = make(map[string]float64)
-			}
 		}
 	}
 	return finish()
@@ -1243,20 +1215,6 @@ func (r *runner[V, M]) tokenState(s int) (globalHolder, localIdx int) {
 	default:
 		return -1, -1
 	}
-}
-
-func (r *runner[V, M]) mergeAggregators() map[string]float64 {
-	merged := make(map[string]float64)
-	for _, w := range r.workers {
-		for k, v := range w.aggLocal {
-			merged[k] += v
-		}
-		w.aggLocal = make(map[string]float64)
-	}
-	for _, w := range r.workers {
-		w.aggPrev = merged
-	}
-	return merged
 }
 
 // noteUnitStart/End track how many partitions execute concurrently.

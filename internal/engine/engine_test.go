@@ -19,15 +19,7 @@ func testGraph(t testing.TB) *graph.Graph {
 	return generate.PowerLaw(generate.PowerLawConfig{N: 400, AvgDegree: 6, Exponent: 2.2, Seed: 11})
 }
 
-func undirected(g *graph.Graph) *graph.Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.BuildUndirected()
-}
+func undirected(g *graph.Graph) *graph.Graph { return graph.Symmetrize(g) }
 
 var allSyncs = []Sync{SyncNone, TokenSingle, TokenDual, PartitionLock}
 

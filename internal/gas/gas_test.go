@@ -16,15 +16,7 @@ func testGraph() *graph.Graph {
 	return generate.PowerLaw(generate.PowerLawConfig{N: 300, AvgDegree: 5, Exponent: 2.2, Seed: 21})
 }
 
-func undirected(g *graph.Graph) *graph.Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.BuildUndirected()
-}
+func undirected(g *graph.Graph) *graph.Graph { return graph.Symmetrize(g) }
 
 func TestColoringSerializableSinglePassProper(t *testing.T) {
 	g := undirected(testGraph())

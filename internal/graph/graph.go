@@ -229,6 +229,21 @@ func (b *Builder) BuildUndirected() *Graph {
 	return build(b.n, sym, b.weighted, true)
 }
 
+// Symmetrize returns g's undirected version, the input every
+// neighbourhood-reading algorithm (coloring, WCC, ...) runs on: each
+// out-edge copied unweighted into a Builder, then BuildUndirected. Every
+// caller goes through it, so a coordinator and its worker processes
+// rebuild the identical graph.
+func Symmetrize(g *Graph) *Graph {
+	b := NewBuilder(g.NumVertices())
+	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.OutNeighbors(u) {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.BuildUndirected()
+}
+
 func build(n int32, edges []Edge, weighted, undirected bool) *Graph {
 	g := &Graph{n: n, undirected: undirected}
 	m := len(edges)

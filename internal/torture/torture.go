@@ -304,13 +304,7 @@ func buildGraph(sc Scenario) *graph.Graph {
 	g := generate.Family(sc.Shape, sc.N, int64(sc.Seed|1))
 	switch sc.Algorithm {
 	case "wcc", "coloring", "recolor":
-		b := graph.NewBuilder(g.NumVertices())
-		for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-			for _, v := range g.OutNeighbors(u) {
-				b.AddEdge(u, v)
-			}
-		}
-		g = b.BuildUndirected()
+		g = graph.Symmetrize(g)
 	}
 	return g
 }

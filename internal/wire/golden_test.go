@@ -83,8 +83,9 @@ func goldenCases(t testing.TB) []goldenCase {
 	flush := cluster.FlushMarker{Seq: 12345}
 	ack := cluster.AckMsg{Seq: 12345}
 	credit := cluster.CreditGrant{Bytes: 4096}
+	barrier := cluster.BarrierMarker{Seq: 3}
 
-	hello := Hello{Version: cluster.ProtocolVersion, Worker: 1, Addr: "127.0.0.1:40001"}
+	hello := Hello{Version: cluster.ProtocolVersion, Addr: "127.0.0.1:40001"}
 	job := Job{
 		Alg: "sssp", Family: "powerlaw", N: 80, Undirected: false,
 		Workers: 2, PartsPerWorker: 2, MaxSupersteps: 200,
@@ -92,14 +93,15 @@ func goldenCases(t testing.TB) []goldenCase {
 		Peers:           []string{"127.0.0.1:40000", "127.0.0.1:40001"},
 		MsgMemoryBudget: 1 << 20,
 		Partitioner:     "ldg",
+		Mode:            1,
+		Sync:            3,
 	}
-	stepStart := StepStart{Superstep: 3, AggKeys: []string{"pr:delta", "pr:sum"}, AggVals: []float64{0.125, 1}}
+	stepStart := StepStart{Superstep: 3, Aggs: map[string]float64{"pr:delta": 0.125, "pr:sum": 1}}
 	stepDone := StepDone{
 		Superstep: 3, Unhalted: 17, Pending: 4, Executions: 80,
-		SentBatches: 6, SentBytes: 512, WireBytes: 301,
-		AggKeys: []string{"pr:delta"}, AggVals: []float64{0.0625},
+		SentBatches: 6, SentBytes: 512, CtrlMessages: 9, WireBytes: 301,
+		Aggs: map[string]float64{"pr:delta": 0.0625},
 	}
-	barrier := Barrier{Superstep: 3}
 	values := []ValueEntry[float64]{{ID: 0, Val: 0}, {ID: 1, Val: 2.5}, {ID: 3, Val: 7}}
 	finish := Finish{Converged: true, Supersteps: 12}
 	vcodec := AutoMsgCodec[float64]()
@@ -246,17 +248,10 @@ func goldenCases(t testing.TB) []goldenCase {
 			},
 		},
 		{
-			name:  "barrier",
-			frame: rawFrame(cluster.FrameBarrier, 0, 1, AppendBarrier(nil, barrier)),
-			verify: func(t *testing.T, f cluster.Frame) {
-				got, err := DecodeBarrier(f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != barrier {
-					t.Fatalf("got %#v, want %#v", got, barrier)
-				}
-			},
+			// A peer lane's end-of-superstep marker, consumed by the pump.
+			name:   "barrier",
+			frame:  encodeFrame(t, c64, barrier, cluster.Frame{From: 0, To: 1}),
+			verify: verifyPayload(c64, barrier),
 		},
 		{
 			name:  "values",

@@ -1,8 +1,8 @@
 package wire
 
 // protocol.go encodes the multi-process driver's coordination payloads
-// (internal/dist): the handshake, job spec, superstep loop, data-plane
-// barrier, and final value collection. Everything is explicit fixed
+// (internal/dist): the handshake, job spec, superstep loop, and final
+// value collection. Everything is explicit fixed
 // binary — varints and length-prefixed strings, no gob — so the frames
 // are deterministic, golden-testable, and safe to parse from untrusted
 // bytes (every length is validated before allocation).
@@ -10,17 +10,17 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"serialgraph/internal/cluster"
 )
 
-// Hello opens a connection: protocol version, the sender's worker ID
-// (-1 before the coordinator assigns one), and — on the control plane —
-// the worker's data-plane listen address.
+// Hello opens a worker's control connection: protocol version and the
+// address the worker accepts its peers' lanes on.
 type Hello struct {
 	Version int32
-	Worker  int32
 	Addr    string
 }
 
@@ -28,7 +28,7 @@ type Hello struct {
 // deterministically rebuild the same graph and partition map and find
 // its peers.
 type Job struct {
-	Alg            string // "sssp" | "pagerank" | "coloring" | "wcc"
+	Alg            string // "sssp" | "pagerank" | "pagerank-agg" | "coloring" | "wcc"
 	GraphPath      string // load a saved graph...
 	Family         string // ...or generate one from a family
 	N              int32  // generated-graph size
@@ -47,35 +47,31 @@ type Job struct {
 	// Partitioner names the vertex-placement strategy ("" = hash); every
 	// worker rebuilds the identical map from it deterministically.
 	Partitioner string
+	// Mode and Sync are the run's engine.Mode and engine.Sync (graphrun's
+	// -model and -technique).
+	Mode, Sync uint8
 }
 
 // StepStart dispatches one superstep with the previous step's merged
-// aggregator values (keys sorted, so the frame is deterministic).
+// aggregator values.
 type StepStart struct {
 	Superstep int32
-	AggKeys   []string
-	AggVals   []float64
+	Aggs      map[string]float64
 }
 
 // StepDone reports one worker's superstep: halting votes, pending
-// messages, and its local aggregator contributions.
+// messages and its local aggregator contributions, with the worker's
+// counters so far (cumulative over the run).
 type StepDone struct {
-	Superstep   int32
-	Unhalted    int64
-	Pending     int64
-	Executions  int64
-	SentBatches int64 // data batches sent to peers (simulated ledger)
-	SentBytes   int64 // simulated bytes of those batches
-	WireBytes   int64 // true encoded bytes written to peer sockets
-	AggKeys     []string
-	AggVals     []float64
-}
-
-// Barrier is the per-superstep data-plane flush marker between worker
-// processes: FIFO stream order makes it proof that every data frame the
-// sender emitted for this superstep has been received.
-type Barrier struct {
-	Superstep int32
+	Superstep    int32
+	Unhalted     int64
+	Pending      int64
+	Executions   int64
+	SentBatches  int64 // data batches sent to peers (simulated ledger)
+	SentBytes    int64 // simulated bytes of those batches
+	CtrlMessages int64 // control messages (fork and token batches) sent to peers
+	WireBytes    int64 // true encoded bytes written to peer sockets
+	Aggs         map[string]float64
 }
 
 // Finish ends the run.
@@ -154,48 +150,45 @@ func readFloat(b []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
-// aggregates are encoded as count, then (key, value) pairs. Callers keep
-// keys sorted so encoding is deterministic.
-func appendAggs(dst []byte, keys []string, vals []float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for i, k := range keys {
+// aggregates are encoded as count, then (key, value) pairs in key order,
+// so the encoding is deterministic.
+func appendAggs(dst []byte, aggs map[string]float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(aggs)))
+	for _, k := range slices.Sorted(maps.Keys(aggs)) {
 		dst = appendString(dst, k)
-		dst = appendFloat(dst, vals[i])
+		dst = appendFloat(dst, aggs[k])
 	}
 	return dst
 }
 
-func readAggs(b []byte) (keys []string, vals []float64, rest []byte, err error) {
+func readAggs(b []byte) (aggs map[string]float64, rest []byte, err error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, nil, nil, ErrTruncated
+		return nil, nil, ErrTruncated
 	}
 	b = b[n:]
 	// Each pair takes at least 9 bytes (empty key + float64).
 	if count > uint64(len(b))/9+1 {
-		return nil, nil, nil, fmt.Errorf("%w: aggregate count %d exceeds payload", ErrCorrupt, count)
+		return nil, nil, fmt.Errorf("%w: aggregate count %d exceeds payload", ErrCorrupt, count)
 	}
-	keys = make([]string, 0, count)
-	vals = make([]float64, 0, count)
+	aggs = make(map[string]float64, count)
 	for i := uint64(0); i < count; i++ {
 		var k string
 		var v float64
 		if k, b, err = readString(b); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if v, b, err = readFloat(b); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		keys = append(keys, k)
-		vals = append(vals, v)
+		aggs[k] = v
 	}
-	return keys, vals, b, nil
+	return aggs, b, nil
 }
 
 // AppendHello encodes h.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = cluster.AppendZigzag(dst, int64(h.Version))
-	dst = cluster.AppendZigzag(dst, int64(h.Worker))
 	return appendString(dst, h.Addr)
 }
 
@@ -204,9 +197,6 @@ func DecodeHello(b []byte) (Hello, error) {
 	var h Hello
 	var err error
 	if h.Version, b, err = readZigzag32(b); err != nil {
-		return h, err
-	}
-	if h.Worker, b, err = readZigzag32(b); err != nil {
 		return h, err
 	}
 	if h.Addr, b, err = readString(b); err != nil {
@@ -237,7 +227,8 @@ func AppendJob(dst []byte, j Job) []byte {
 		dst = appendString(dst, p)
 	}
 	dst = cluster.AppendZigzag(dst, j.MsgMemoryBudget)
-	return appendString(dst, j.Partitioner)
+	dst = appendString(dst, j.Partitioner)
+	return append(dst, j.Mode, j.Sync)
 }
 
 // DecodeJob parses a Job payload.
@@ -305,16 +296,20 @@ func DecodeJob(b []byte) (Job, error) {
 	if j.Partitioner, b, err = readString(b); err != nil {
 		return j, err
 	}
+	if len(b) < 2 {
+		return j, ErrTruncated
+	}
+	j.Mode, j.Sync, b = b[0], b[1], b[2:]
 	if len(b) != 0 {
 		return j, fmt.Errorf("%w: trailing bytes after job", ErrCorrupt)
 	}
 	return j, nil
 }
 
-// AppendStepStart encodes s. Aggregator keys must be sorted.
+// AppendStepStart encodes s.
 func AppendStepStart(dst []byte, s StepStart) []byte {
 	dst = cluster.AppendZigzag(dst, int64(s.Superstep))
-	return appendAggs(dst, s.AggKeys, s.AggVals)
+	return appendAggs(dst, s.Aggs)
 }
 
 // DecodeStepStart parses a StepStart payload.
@@ -324,7 +319,7 @@ func DecodeStepStart(b []byte) (StepStart, error) {
 	if s.Superstep, b, err = readZigzag32(b); err != nil {
 		return s, err
 	}
-	if s.AggKeys, s.AggVals, b, err = readAggs(b); err != nil {
+	if s.Aggs, b, err = readAggs(b); err != nil {
 		return s, err
 	}
 	if len(b) != 0 {
@@ -333,7 +328,7 @@ func DecodeStepStart(b []byte) (StepStart, error) {
 	return s, nil
 }
 
-// AppendStepDone encodes s. Aggregator keys must be sorted.
+// AppendStepDone encodes s.
 func AppendStepDone(dst []byte, s StepDone) []byte {
 	dst = cluster.AppendZigzag(dst, int64(s.Superstep))
 	dst = cluster.AppendZigzag(dst, s.Unhalted)
@@ -341,8 +336,9 @@ func AppendStepDone(dst []byte, s StepDone) []byte {
 	dst = cluster.AppendZigzag(dst, s.Executions)
 	dst = cluster.AppendZigzag(dst, s.SentBatches)
 	dst = cluster.AppendZigzag(dst, s.SentBytes)
+	dst = cluster.AppendZigzag(dst, s.CtrlMessages)
 	dst = cluster.AppendZigzag(dst, s.WireBytes)
-	return appendAggs(dst, s.AggKeys, s.AggVals)
+	return appendAggs(dst, s.Aggs)
 }
 
 // DecodeStepDone parses a StepDone payload.
@@ -367,34 +363,19 @@ func DecodeStepDone(b []byte) (StepDone, error) {
 	if s.SentBytes, b, err = readZigzag64(b); err != nil {
 		return s, err
 	}
+	if s.CtrlMessages, b, err = readZigzag64(b); err != nil {
+		return s, err
+	}
 	if s.WireBytes, b, err = readZigzag64(b); err != nil {
 		return s, err
 	}
-	if s.AggKeys, s.AggVals, b, err = readAggs(b); err != nil {
+	if s.Aggs, b, err = readAggs(b); err != nil {
 		return s, err
 	}
 	if len(b) != 0 {
 		return s, fmt.Errorf("%w: trailing bytes after step-done", ErrCorrupt)
 	}
 	return s, nil
-}
-
-// AppendBarrier encodes a data-plane barrier marker.
-func AppendBarrier(dst []byte, bar Barrier) []byte {
-	return cluster.AppendZigzag(dst, int64(bar.Superstep))
-}
-
-// DecodeBarrier parses a Barrier payload.
-func DecodeBarrier(b []byte) (Barrier, error) {
-	var bar Barrier
-	var err error
-	if bar.Superstep, b, err = readZigzag32(b); err != nil {
-		return bar, err
-	}
-	if len(b) != 0 {
-		return bar, fmt.Errorf("%w: trailing bytes after barrier", ErrCorrupt)
-	}
-	return bar, nil
 }
 
 // AppendFinish encodes f.

@@ -2,7 +2,8 @@
 // backend: a generic, combiner-aware batch codec for vertex messages plus
 // fixed encodings for the coordination payloads (Chandy–Misra forks and
 // tokens — one per frame or a count-prefixed batch of them — flush markers,
-// acks, and the multi-process driver's protocol).
+// acks, credit grants, peer-lane barriers, and the multi-process control
+// plane's protocol).
 //
 // The frame envelope itself (length prefix, type, routing, fault
 // metadata) lives in internal/cluster/frame.go; this package only turns
@@ -276,6 +277,8 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 		return cluster.FrameFlush, binary.AppendUvarint(dst, p.Seq), nil
 	case cluster.AckMsg:
 		return cluster.FrameAck, binary.AppendUvarint(dst, p.Seq), nil
+	case cluster.BarrierMarker:
+		return cluster.FrameBarrier, binary.AppendUvarint(dst, p.Seq), nil
 	case cluster.CreditGrant:
 		if p.Bytes < 0 {
 			return 0, nil, fmt.Errorf("wire: negative credit grant %d", p.Bytes)
@@ -421,6 +424,12 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 			return nil, ErrCorrupt
 		}
 		return cluster.AckMsg{Seq: seq}, nil
+	case cluster.FrameBarrier:
+		seq, n := binary.Uvarint(b)
+		if n <= 0 || n != len(b) {
+			return nil, ErrCorrupt
+		}
+		return cluster.BarrierMarker{Seq: seq}, nil
 	case cluster.FrameCredit:
 		v, n := binary.Uvarint(b)
 		if n <= 0 || n != len(b) || v > math.MaxInt64 {

@@ -194,29 +194,26 @@ func appendUvarintForTest(dst []byte, v uint64) []byte {
 }
 
 func TestProtocolRoundTrips(t *testing.T) {
-	hello := Hello{Version: 1, Worker: -1, Addr: "127.0.0.1:9"}
+	hello := Hello{Version: 1, Addr: "127.0.0.1:9"}
 	if got, err := DecodeHello(AppendHello(nil, hello)); err != nil || got != hello {
 		t.Fatalf("hello: got %#v, err %v", got, err)
 	}
 	job := Job{Alg: "coloring", GraphPath: "/tmp/g", N: 7, Undirected: true,
 		Workers: 3, PartsPerWorker: 1, MaxSupersteps: 10, Seed: math.MaxUint64,
-		Source: -1, Eps: 0.5, You: 2, Peers: []string{"a", "", "c"}}
+		Source: -1, Eps: 0.5, You: 2, Peers: []string{"a", "", "c"}, Mode: 1, Sync: 3}
 	if got, err := DecodeJob(AppendJob(nil, job)); err != nil || !reflect.DeepEqual(got, job) {
 		t.Fatalf("job: got %#v, err %v", got, err)
 	}
-	ss := StepStart{Superstep: 0, AggKeys: []string{}, AggVals: []float64{}}
+	ss := StepStart{Superstep: 0, Aggs: map[string]float64{}}
 	if got, err := DecodeStepStart(AppendStepStart(nil, ss)); err != nil ||
-		got.Superstep != 0 || len(got.AggKeys) != 0 {
+		got.Superstep != 0 || len(got.Aggs) != 0 {
 		t.Fatalf("step start: got %#v, err %v", got, err)
 	}
 	sd := StepDone{Superstep: 5, Unhalted: -0, Pending: 1 << 40, Executions: 3,
-		SentBatches: 2, SentBytes: 99, WireBytes: 77,
-		AggKeys: []string{"x"}, AggVals: []float64{math.Inf(-1)}}
+		SentBatches: 2, SentBytes: 99, CtrlMessages: 4, WireBytes: 77,
+		Aggs: map[string]float64{"x": math.Inf(-1)}}
 	if got, err := DecodeStepDone(AppendStepDone(nil, sd)); err != nil || !reflect.DeepEqual(got, sd) {
 		t.Fatalf("step done: got %#v, err %v", got, err)
-	}
-	if got, err := DecodeBarrier(AppendBarrier(nil, Barrier{Superstep: 9})); err != nil || got.Superstep != 9 {
-		t.Fatalf("barrier: got %#v, err %v", got, err)
 	}
 	if got, err := DecodeFinish(AppendFinish(nil, Finish{Converged: false, Supersteps: 201})); err != nil ||
 		got.Converged || got.Supersteps != 201 {
@@ -232,11 +229,10 @@ func TestProtocolRoundTrips(t *testing.T) {
 func TestProtocolTruncationsError(t *testing.T) {
 	c := AutoMsgCodec[float64]()
 	full := map[string][]byte{
-		"hello":      AppendHello(nil, Hello{Version: 1, Worker: 2, Addr: "x:1"}),
+		"hello":      AppendHello(nil, Hello{Version: 1, Addr: "x:1"}),
 		"job":        AppendJob(nil, Job{Alg: "sssp", Peers: []string{"a"}}),
-		"step_start": AppendStepStart(nil, StepStart{Superstep: 1, AggKeys: []string{"k"}, AggVals: []float64{2}}),
-		"step_done":  AppendStepDone(nil, StepDone{Superstep: 1, AggKeys: []string{"k"}, AggVals: []float64{2}}),
-		"barrier":    AppendBarrier(nil, Barrier{Superstep: 1}),
+		"step_start": AppendStepStart(nil, StepStart{Superstep: 1, Aggs: map[string]float64{"k": 2}}),
+		"step_done":  AppendStepDone(nil, StepDone{Superstep: 1, Aggs: map[string]float64{"k": 2}}),
 		"finish":     AppendFinish(nil, Finish{Converged: true, Supersteps: 3}),
 		"values":     AppendValues(nil, c, []ValueEntry[float64]{{ID: 1, Val: 2}}),
 	}
@@ -245,7 +241,6 @@ func TestProtocolTruncationsError(t *testing.T) {
 		"job":        func(b []byte) error { _, err := DecodeJob(b); return err },
 		"step_start": func(b []byte) error { _, err := DecodeStepStart(b); return err },
 		"step_done":  func(b []byte) error { _, err := DecodeStepDone(b); return err },
-		"barrier":    func(b []byte) error { _, err := DecodeBarrier(b); return err },
 		"finish":     func(b []byte) error { _, err := DecodeFinish(b); return err },
 		"values":     func(b []byte) error { _, err := DecodeValues(c, b); return err },
 	}

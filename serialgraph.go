@@ -553,15 +553,7 @@ func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }
 
 // Undirected returns the symmetrized version of g (for coloring and WCC).
-func Undirected(g *Graph) *Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.BuildUndirected()
-}
+func Undirected(g *Graph) *Graph { return graph.Symmetrize(g) }
 
 // GeneratePowerLaw builds a seeded synthetic power-law graph with the given
 // vertex count, average degree, and exponent.
