@@ -154,8 +154,10 @@ bench-smoke:
 # layer by layer with allocations (Overwrite PutBatch on a table larger
 # than the cache, the batch codec, a batch from Send over a loopback socket
 # to PutBatch), the engine's local-delivery benchmark, which exercises
-# thread-local staging end to end, and the lock path: a contended fork
-# ping-pong between two managers and a serializable GAS colouring.
+# thread-local staging end to end, the lock path: a contended fork
+# ping-pong between two managers and a serializable GAS colouring, and the
+# load path: symmetrising pl_coloring's edge list through a Builder, and
+# generating and symmetrising its UK x4 input.
 bench-micro:
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime 2000x
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench BenchmarkStoreOverwritePutBatch -benchtime 20000000x -benchmem
@@ -164,6 +166,8 @@ bench-micro:
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime 5x
 	$(GO) test ./internal/chandy/ -run '^$$' -bench BenchmarkChandyRing -benchtime 200000x -benchmem
 	$(GO) test ./internal/gas/ -run '^$$' -bench BenchmarkGASColoring -benchtime 10x -benchmem
+	$(GO) test ./internal/graph/ -run '^$$' -bench BenchmarkBuildUndirected -benchtime 10x -benchmem
+	$(GO) test ./internal/generate/ -run '^$$' -bench BenchmarkPowerLawUK -benchtime 5x -benchmem
 
 ci: build vet test-race
 

@@ -251,16 +251,15 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 
 	r := newRunner(g, prog, cfg)
 	p := cfg.Workers * cfg.PartitionsPerWorker
-	// The quality report is one allocation-free O(V+E) pass at setup
-	// (outside ComputeTime); the classification it needs doubles as the
-	// dual-layer token class table.
-	classes := partition.Classify(g, r.pm)
-	quality := partition.ReportClassified(g, r.pm, classes)
+	// The quality report is one allocation-free O(V+E) sweep at setup
+	// (outside ComputeTime); the token techniques keep the class table it
+	// computes as the dual-layer token classes.
+	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
+		r.classes = make([]partition.Class, g.NumVertices())
+	}
+	quality := partition.ReportClassified(g, r.pm, r.classes)
 	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
 	r.reg.Add(metrics.BoundaryVertices, int64(g.NumVertices()-quality.PInternal))
-	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
-		r.classes = classes
-	}
 	if cfg.Sync == VertexLockGiraph {
 		r.pBoundary = partition.PBoundaryFlags(g, r.pm)
 	}

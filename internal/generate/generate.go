@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"serialgraph/internal/graph"
 )
@@ -78,8 +79,7 @@ func PowerLaw(cfg PowerLawConfig) *graph.Graph {
 		return graph.VertexID(lo)
 	}
 
-	b := graph.NewBuilder(n)
-	dedup := newEdgeSet(b)
+	edges := make(edgeSet, 0, int(total)+n)
 	perm := r.Perm(n) // shuffle so heavy vertices are not clustered at low IDs
 	for i := 0; i < n; i++ {
 		deg := int(w[i])
@@ -92,37 +92,38 @@ func PowerLaw(cfg PowerLawConfig) *graph.Graph {
 			if dst == src {
 				continue
 			}
-			dedup.add(src, dst)
+			edges.add(src, dst)
 		}
 	}
 	// Guarantee weak connectivity-ish reachability for SSSP/WCC by threading
 	// a random Hamiltonian-ish path through all vertices.
 	for i := 1; i < n; i++ {
-		dedup.add(graph.VertexID(perm[i-1]), graph.VertexID(perm[i]))
+		edges.add(graph.VertexID(perm[i-1]), graph.VertexID(perm[i]))
 	}
-	return b.Build()
+	return edges.build(n)
 }
 
-// edgeSet deduplicates directed edges on their way into a builder. All
-// generators produce simple graphs: the message-store replica model keeps
-// one slot per distinct in-neighbor, and real-world evaluation datasets are
-// simple graphs too.
-type edgeSet struct {
-	b    *graph.Builder
-	seen map[uint64]struct{}
+// edgeSet deduplicates directed edges: it collects each as src<<32|dst and
+// build sorts and compacts them once. All generators produce simple
+// graphs: the message-store replica model keeps one slot per distinct
+// in-neighbor, and real-world evaluation datasets are simple graphs too.
+type edgeSet []uint64
+
+// add appends u->v and returns its key.
+func (s *edgeSet) add(u, v graph.VertexID) uint64 {
+	k := uint64(uint32(u))<<32 | uint64(uint32(v))
+	*s = append(*s, k)
+	return k
 }
 
-func newEdgeSet(b *graph.Builder) *edgeSet {
-	return &edgeSet{b: b, seen: make(map[uint64]struct{})}
-}
-
-func (s *edgeSet) add(u, v graph.VertexID) {
-	key := uint64(uint32(u))<<32 | uint64(uint32(v))
-	if _, dup := s.seen[key]; dup {
-		return
+func (s edgeSet) build(n int) *graph.Graph {
+	slices.Sort(s)
+	s = slices.Compact(s)
+	edges := make([]graph.Edge, len(s))
+	for i, k := range s {
+		edges[i] = graph.Edge{Src: graph.VertexID(k >> 32), Dst: graph.VertexID(uint32(k)), Weight: 1}
 	}
-	s.seen[key] = struct{}{}
-	s.b.AddEdge(u, v)
+	return graph.NewFromEdges(n, edges, false)
 }
 
 // RMATConfig parameterizes the recursive matrix generator of Chakrabarti et
@@ -145,8 +146,7 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	n := 1 << cfg.Scale
 	m := int(cfg.EdgeFactor * float64(n))
-	b := graph.NewBuilder(n)
-	dedup := newEdgeSet(b)
+	edges := make(edgeSet, 0, m+n)
 	for i := 0; i < m; i++ {
 		src, dst := 0, 0
 		for bit := 1 << (cfg.Scale - 1); bit > 0; bit >>= 1 {
@@ -163,29 +163,29 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 			}
 		}
 		if src != dst {
-			dedup.add(graph.VertexID(src), graph.VertexID(dst))
+			edges.add(graph.VertexID(src), graph.VertexID(dst))
 		}
 	}
 	for i := 1; i < n; i++ {
-		dedup.add(graph.VertexID(i-1), graph.VertexID(i))
+		edges.add(graph.VertexID(i-1), graph.VertexID(i))
 	}
-	return b.Build()
+	return edges.build(n)
 }
 
 // ErdosRenyi generates a directed G(n, m) graph with exactly m random edges
 // (self-loops excluded).
 func ErdosRenyi(n, m int, seed int64) *graph.Graph {
 	r := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	dedup := newEdgeSet(b)
-	for b.NumEdges() < m {
+	var edges edgeSet
+	seen := make(map[uint64]struct{}, m) // the loop stops at m distinct edges
+	for len(seen) < m {
 		src := graph.VertexID(r.Intn(n))
 		dst := graph.VertexID(r.Intn(n))
 		if dst != src {
-			dedup.add(src, dst)
+			seen[edges.add(src, dst)] = struct{}{}
 		}
 	}
-	return b.Build()
+	return edges.build(n)
 }
 
 // Ring generates the n-cycle 0->1->...->n-1->0.

@@ -1,7 +1,10 @@
 package generate
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"serialgraph/internal/graph"
@@ -227,5 +230,95 @@ func TestFamilyRejectsUnknownAndTiny(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// edgeSetHash is FNV-64a over the vertex count and the sorted src<<32|dst
+// keys: it pins a generator's edge set independently of adjacency order.
+func edgeSetHash(g *graph.Graph) uint64 {
+	keys := make([]uint64, 0, g.NumEdges())
+	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.OutNeighbors(u) {
+			keys = append(keys, uint64(uint32(u))<<32|uint64(uint32(v)))
+		}
+	}
+	slices.Sort(keys)
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(g.NumVertices()))
+	h.Write(b[:])
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(b[:], k)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestGeneratorEdgeSetPins holds every family, and the catalog analogs
+// before and after symmetrising, to edge sets recorded when the generators
+// still deduplicated through a hash set and the undirected builder through
+// a pair map: building by sort and transpose may reorder adjacency lists
+// but must not change which edges exist.
+func TestGeneratorEdgeSetPins(t *testing.T) {
+	families := []struct {
+		name  string
+		seed  int64
+		edges int
+		hash  uint64
+	}{
+		{"powerlaw", 1, 2654, 0x6bb2cdcc3b754f4e},
+		{"powerlaw", 7, 2655, 0xe635c99784e9e6b7},
+		{"powerlaw", 13, 2675, 0x4c2ffd0e1e1644a6},
+		{"rmat", 1, 2589, 0x1ee625ccc017aa06},
+		{"rmat", 7, 2634, 0x5562b1ff13045e66},
+		{"rmat", 13, 2620, 0x2f4a76c910fa1f64},
+		{"erdos", 1, 2000, 0xfe31efd3e1ce454d},
+		{"erdos", 7, 2000, 0x5408ed06021ff191},
+		{"erdos", 13, 2000, 0x4ded40dd230213b6},
+		{"ring", 1, 500, 0x1e209915d1338f26},
+		{"ring", 7, 500, 0x1e209915d1338f26},
+		{"ring", 13, 500, 0x1e209915d1338f26},
+		{"grid", 1, 1934, 0xa49cbb488fa58764},
+		{"grid", 7, 1934, 0xa49cbb488fa58764},
+		{"grid", 13, 1934, 0xa49cbb488fa58764},
+		{"complete", 1, 249500, 0x7c2d39e0481e892e},
+		{"complete", 7, 249500, 0x7c2d39e0481e892e},
+		{"complete", 13, 249500, 0x7c2d39e0481e892e},
+	}
+	for _, f := range families {
+		g := Family(f.name, 500, f.seed)
+		if got := edgeSetHash(g); g.NumEdges() != f.edges || got != f.hash {
+			t.Errorf("Family(%s, 500, %d): %d edges hash %#016x, want %d edges hash %#016x",
+				f.name, f.seed, g.NumEdges(), got, f.edges, f.hash)
+		}
+	}
+	catalog := map[string][4]uint64{ // directed edges, hash; symmetrised edges, hash
+		"OR": {14017, 0x4d283737147187b2, 27054, 0xbfcc8699f76437c4},
+		"AR": {23167, 0xcdd15ed112e4bae8, 43650, 0x62d4eed13e8981a4},
+		"TW": {31025, 0x6e1636642f6c1d08, 57354, 0x39106c14a7e49d44},
+		"UK": {52109, 0xd10c11b3b59eaa4a, 99506, 0x0e3d1cb7970d3750},
+	}
+	for _, d := range Catalog {
+		g := d.Build(0.25)
+		u := graph.Symmetrize(g)
+		got := [4]uint64{uint64(g.NumEdges()), edgeSetHash(g), uint64(u.NumEdges()), edgeSetHash(u)}
+		if got != catalog[d.Name] {
+			t.Errorf("catalog %s at 0.25: got %#x, want %#x", d.Name, got, catalog[d.Name])
+		}
+	}
+}
+
+// BenchmarkPowerLawUK generates pl_coloring's input, the UK analog at
+// scale 4, and symmetrises it: the benchmark's generate.build span.
+func BenchmarkPowerLawUK(b *testing.B) {
+	d, err := ByName("UK")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if g := graph.Symmetrize(d.Build(4)); g.NumEdges() == 0 {
+			b.Fatal("empty graph")
+		}
 	}
 }

@@ -7,8 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VertexID identifies a vertex. IDs are dense: 0 <= id < NumVertices.
@@ -24,6 +25,8 @@ type Edge struct {
 // always materialized because the vertex-centric transaction model reads
 // from in-edge neighbors (read set Nu) while writes propagate along
 // out-edges; both synchronization and classification need both directions.
+// Every list, out and in, is ascending; an undirected graph's in-CSR
+// shares the out-CSR's arrays.
 type Graph struct {
 	n int32
 
@@ -47,8 +50,8 @@ func (g *Graph) NumEdges() int { return len(g.outDst) }
 // (undirected) graph, in which case every edge appears in both directions.
 func (g *Graph) Undirected() bool { return g.undirected }
 
-// OutNeighbors returns the out-edge neighbor slice of u. The returned slice
-// aliases internal storage and must not be modified.
+// OutNeighbors returns the out-edge neighbor slice of u (sorted ascending).
+// The returned slice aliases internal storage and must not be modified.
 func (g *Graph) OutNeighbors(u VertexID) []VertexID {
 	return g.outDst[g.outOff[u]:g.outOff[u+1]]
 }
@@ -127,21 +130,26 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 }
 
 // Neighbors calls fn for every distinct neighbor of u in either direction
-// (the paper's "neighbors" = in-edge plus out-edge neighbors). Neighbors
-// appearing in both directions are visited once.
+// (the paper's "neighbors" = in-edge plus out-edge neighbors), in
+// ascending order. Both lists are ascending, so this is an
+// allocation-free merge; an undirected graph's in-list is its out-list,
+// so only that one is read.
 func (g *Graph) Neighbors(u VertexID, fn func(v VertexID)) {
-	// Merge the sorted in-list with the (possibly unsorted) out-list.
-	seen := map[VertexID]struct{}{}
-	for _, v := range g.OutNeighbors(u) {
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
-			fn(v)
-		}
+	out, in := g.OutNeighbors(u), g.InNeighbors(u)
+	if g.undirected {
+		in = nil
 	}
-	for _, v := range g.InNeighbors(u) {
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
+	last := VertexID(-1)
+	for len(out) > 0 || len(in) > 0 {
+		var v VertexID
+		if len(in) == 0 || len(out) > 0 && out[0] <= in[0] {
+			v, out = out[0], out[1:]
+		} else {
+			v, in = in[0], in[1:]
+		}
+		if v != last {
 			fn(v)
+			last = v
 		}
 	}
 }
@@ -198,100 +206,130 @@ func (b *Builder) addEdge(src, dst VertexID, w float64, weighted bool) {
 func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build produces the immutable CSR graph. Self-loops are kept; duplicate
-// edges are kept (multi-edges are legal in Pregel). The builder must not be
-// reused afterwards.
+// edges are kept (multi-edges are legal in Pregel), each with its weight,
+// in the order they were added. The builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
 	return build(b.n, b.edges, b.weighted, false)
 }
 
 // BuildUndirected symmetrizes the edge set (adding the reverse of every
 // edge, deduplicating pairs) and builds the graph. Used by graph coloring,
-// which requires an undirected input (§7.2.1).
+// which requires an undirected input (§7.2.1). Self-loops are dropped as
+// meaningless for coloring-style algorithms. A pair added more than once,
+// in either direction, keeps the weight it was first added with: only
+// this path sorts, stably, on the packed pair min<<32|max.
 func (b *Builder) BuildUndirected() *Graph {
-	type pair struct{ a, b VertexID }
-	seen := make(map[pair]float64, len(b.edges))
+	if !b.weighted {
+		return Symmetrize(b.Build())
+	}
+	type pair struct {
+		key uint64
+		w   float64
+	}
+	pairs := make([]pair, 0, len(b.edges))
 	for _, e := range b.edges {
-		if e.Src == e.Dst {
-			continue // self-loops are meaningless for coloring-style algorithms
-		}
-		p := pair{e.Src, e.Dst}
-		if p.a > p.b {
-			p.a, p.b = p.b, p.a
-		}
-		if _, dup := seen[p]; !dup {
-			seen[p] = e.Weight
+		if e.Src != e.Dst {
+			pairs = append(pairs, pair{uint64(min(e.Src, e.Dst))<<32 | uint64(max(e.Src, e.Dst)), e.Weight})
 		}
 	}
-	sym := make([]Edge, 0, 2*len(seen))
-	for p, w := range seen {
-		sym = append(sym, Edge{p.a, p.b, w}, Edge{p.b, p.a, w})
+	slices.SortStableFunc(pairs, func(x, y pair) int { return cmp.Compare(x.key, y.key) })
+	pairs = slices.CompactFunc(pairs, func(x, y pair) bool { return x.key == y.key })
+	sym := make([]Edge, 0, 2*len(pairs))
+	for _, p := range pairs {
+		u, v := VertexID(p.key>>32), VertexID(uint32(p.key))
+		sym = append(sym, Edge{u, v, p.w}, Edge{v, u, p.w})
 	}
-	return build(b.n, sym, b.weighted, true)
+	return build(b.n, sym, true, true)
 }
 
-// Symmetrize returns g's undirected version, the input every
-// neighbourhood-reading algorithm (coloring, WCC, ...) runs on: each
-// out-edge copied unweighted into a Builder, then BuildUndirected. Every
-// caller goes through it, so a coordinator and its worker processes
-// rebuild the identical graph.
+// Symmetrize returns g's unweighted undirected version, the input every
+// neighbourhood-reading algorithm (coloring, WCC, ...) runs on: u's list
+// is Neighbors(u) without u, read straight off g's ascending lists with
+// no sort and no hashing, and the one CSR serves as both out- and
+// in-adjacency. Every caller goes through it, so a coordinator and its
+// worker processes rebuild the identical graph.
 func Symmetrize(g *Graph) *Graph {
-	b := NewBuilder(g.NumVertices())
-	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
+	s := &Graph{n: g.n, outOff: make([]int32, g.n+1), undirected: true}
+	for u := VertexID(0); int32(u) < g.n; u++ {
+		d := int32(0)
+		g.Neighbors(u, func(v VertexID) {
+			if v != u {
+				d++
+			}
+		})
+		s.outOff[u+1] = s.outOff[u] + d
 	}
-	return b.BuildUndirected()
+	s.outDst = make([]VertexID, s.outOff[g.n])
+	for u := VertexID(0); int32(u) < g.n; u++ {
+		i := s.outOff[u]
+		g.Neighbors(u, func(v VertexID) {
+			if v != u {
+				s.outDst[i] = v
+				i++
+			}
+		})
+	}
+	s.inOff, s.inSrc = s.outOff, s.outDst
+	return s
 }
 
+// build lays edges out as CSR with counting scatters only: a stable pass
+// on Dst fills the in-lists in insertion order, transposing them in
+// ascending destination order fills the out-lists, and transposing those
+// back refills the in-lists. Every list comes out ascending, and parallel
+// edges keep the order, and so the weights, they were added in. An
+// undirected graph's edges are symmetric, so its in-CSR is its out-CSR.
 func build(n int32, edges []Edge, weighted, undirected bool) *Graph {
-	g := &Graph{n: n, undirected: undirected}
 	m := len(edges)
-
-	// Out-CSR via counting sort on src.
-	g.outOff = make([]int32, n+1)
+	g := &Graph{n: n, outOff: make([]int32, n+1), inOff: make([]int32, n+1), undirected: undirected}
 	for _, e := range edges {
 		g.outOff[e.Src+1]++
-	}
-	for i := int32(0); i < n; i++ {
-		g.outOff[i+1] += g.outOff[i]
-	}
-	g.outDst = make([]VertexID, m)
-	if weighted {
-		g.outW = make([]float64, m)
-	}
-	pos := make([]int32, n)
-	copy(pos, g.outOff[:n])
-	for _, e := range edges {
-		p := pos[e.Src]
-		pos[e.Src]++
-		g.outDst[p] = e.Dst
-		if weighted {
-			g.outW[p] = e.Weight
-		}
-	}
-
-	// In-CSR via counting sort on dst; then sort each in-list so that
-	// InSlot can binary-search.
-	g.inOff = make([]int32, n+1)
-	for _, e := range edges {
 		g.inOff[e.Dst+1]++
 	}
 	for i := int32(0); i < n; i++ {
+		g.outOff[i+1] += g.outOff[i]
 		g.inOff[i+1] += g.inOff[i]
 	}
 	g.inSrc = make([]VertexID, m)
-	copy(pos, g.inOff[:n])
+	var inW []float64
+	if weighted {
+		inW, g.outW = make([]float64, m), make([]float64, m)
+	}
+	pos := slices.Clone(g.inOff[:n])
 	for _, e := range edges {
-		g.inSrc[pos[e.Dst]] = e.Src
+		p := pos[e.Dst]
 		pos[e.Dst]++
+		g.inSrc[p] = e.Src
+		if weighted {
+			inW[p] = e.Weight
+		}
 	}
-	for u := int32(0); u < n; u++ {
-		lo, hi := g.inOff[u], g.inOff[u+1]
-		s := g.inSrc[lo:hi]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	g.outDst = make([]VertexID, m)
+	transpose(g.inOff, g.inSrc, inW, g.outOff, g.outDst, g.outW)
+	if undirected {
+		g.inOff, g.inSrc = g.outOff, g.outDst
+		return g
 	}
+	transpose(g.outOff, g.outDst, nil, g.inOff, g.inSrc, nil)
 	return g
+}
+
+// transpose fills the CSR (toOff, toAdj) with the reverse of (off, adj):
+// walking u ascending, each v in u's list gets u appended to its own, so
+// every list of the result is ascending. toOff must already hold the
+// result's offsets; toW, when non-nil, receives w's weights alongside.
+func transpose(off []int32, adj []VertexID, w []float64, toOff []int32, toAdj []VertexID, toW []float64) {
+	pos := slices.Clone(toOff[:len(toOff)-1])
+	for u := 0; u+1 < len(off); u++ {
+		for i := off[u]; i < off[u+1]; i++ {
+			p := pos[adj[i]]
+			pos[adj[i]]++
+			toAdj[p] = VertexID(u)
+			if toW != nil {
+				toW[p] = w[i]
+			}
+		}
+	}
 }
 
 // FromEdges is a convenience constructor building a directed graph from an
@@ -346,9 +384,9 @@ func (g *Graph) Edges() []Edge {
 // Weighted reports whether the graph stores explicit edge weights.
 func (g *Graph) Weighted() bool { return g.outW != nil }
 
-// NewFromEdges builds a graph directly from an edge list (used when
-// applying topology mutations). The undirected flag is not preserved:
-// mutations may break symmetry.
+// NewFromEdges builds a graph directly from an edge list (used by the
+// generators and when applying topology mutations). The undirected flag is
+// not preserved: mutations may break symmetry.
 func NewFromEdges(n int, edges []Edge, weighted bool) *Graph {
 	return build(int32(n), edges, weighted, false)
 }

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -91,7 +93,6 @@ func TestNeighborsDedup(t *testing.T) {
 	g := b.Build()
 	var got []VertexID
 	g.Neighbors(0, func(v VertexID) { got = append(got, v) })
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if !reflect.DeepEqual(got, []VertexID{1, 2}) {
 		t.Errorf("Neighbors(0) = %v, want [1 2]", got)
 	}
@@ -235,6 +236,22 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
+// TestReadBinaryRejectsUnsortedLists checks that a binary graph must have
+// ascending lists: Neighbors, Symmetrize and InSlot all rely on them.
+func TestReadBinaryRejectsUnsortedLists(t *testing.T) {
+	for _, outDst := range [][]VertexID{{1, 2}, {2, 1}} {
+		var buf bytes.Buffer
+		gg := gobGraph{N: 3, OutOff: []int32{0, 2, 2, 2}, OutDst: outDst, InOff: []int32{0, 0, 1, 2}, InSrc: []VertexID{0, 0}}
+		if err := gob.NewEncoder(&buf).Encode(gg); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadBinary(&buf)
+		if sorted := outDst[0] < outDst[1]; sorted != (err == nil) {
+			t.Errorf("out-list %v: ReadBinary error %v", outDst, err)
+		}
+	}
+}
+
 // randomGraph builds a random unweighted directed graph for tests.
 func randomGraph(r *rand.Rand, n, m int) *Graph {
 	b := NewBuilder(n)
@@ -307,6 +324,167 @@ func TestUndirectedSymmetryProperty(t *testing.T) {
 		return g.NumEdges()%2 == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// csrArrays is every array a Graph holds, for exact comparisons.
+func csrArrays(g *Graph) []any {
+	return []any{g.n, g.outOff, g.outDst, g.outW, g.inOff, g.inSrc, g.undirected}
+}
+
+// TestBuildCanonical checks that the CSR depends on the edge set only, not
+// on the order edges were added in: every list ascending, parallel edges
+// in insertion order with their weights, an undirected pair with the
+// weight it was first added with, and Symmetrize agreeing with
+// BuildUndirected.
+func TestBuildCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(30)
+		// A simple directed edge set with distinct weights, plus self-loops.
+		var base []Edge
+		seen := map[[2]VertexID]bool{}
+		for i := 0; i < r.Intn(4*n); i++ {
+			u, v := VertexID(r.Intn(n)), VertexID(r.Intn(n))
+			if !seen[[2]VertexID{u, v}] {
+				seen[[2]VertexID{u, v}] = true
+				base = append(base, Edge{u, v, float64(len(base) + 2)})
+			}
+		}
+		var want [4][]any // directed and undirected, unweighted and weighted
+		for shuffle := 0; shuffle < 4; shuffle++ {
+			edges := slices.Clone(base)
+			r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			plain, weighted := NewBuilder(n), NewBuilder(n)
+			for _, e := range edges {
+				plain.AddEdge(e.Src, e.Dst)
+				weighted.AddWeightedEdge(e.Src, e.Dst, e.Weight)
+			}
+			// Undirected: the first occurrence of each pair in this order
+			// carries the pair's weight, later ones (either direction) a decoy.
+			uplain, uweighted := NewBuilder(n), NewBuilder(n)
+			first := map[[2]VertexID]bool{}
+			for _, e := range append(edges, edges...) {
+				pair := [2]VertexID{min(e.Src, e.Dst), max(e.Src, e.Dst)}
+				w := -1.0
+				if !first[pair] {
+					first[pair], w = true, float64(pair[0]*100+pair[1])
+				}
+				uplain.AddEdge(e.Dst, e.Src)
+				uweighted.AddWeightedEdge(e.Dst, e.Src, w)
+			}
+			got := [4][]any{csrArrays(plain.Build()), csrArrays(weighted.Build()),
+				csrArrays(uplain.BuildUndirected()), csrArrays(uweighted.BuildUndirected())}
+			if shuffle == 0 {
+				want = got
+				ug := uweighted.BuildUndirected()
+				for u := VertexID(0); int(u) < n; u++ {
+					for i, v := range ug.OutNeighbors(u) {
+						if w := ug.OutWeights(u)[i]; w != float64(min(u, v)*100+max(u, v)) {
+							t.Fatalf("trial %d: undirected %d-%d has weight %v, not the first added", trial, u, v, w)
+						}
+					}
+				}
+				g := weighted.Build()
+				for u := VertexID(0); int(u) < n; u++ {
+					if !slices.IsSorted(g.OutNeighbors(u)) || !slices.IsSorted(g.InNeighbors(u)) {
+						t.Fatalf("trial %d: lists of %d not ascending: out %v in %v", trial, u, g.OutNeighbors(u), g.InNeighbors(u))
+					}
+				}
+				if sym := csrArrays(Symmetrize(g)); !reflect.DeepEqual(sym, want[2]) {
+					t.Fatalf("trial %d: Symmetrize differs from BuildUndirected:\n%v\n%v", trial, sym, want[2])
+				}
+				continue
+			}
+			for k := range got {
+				if !reflect.DeepEqual(got[k], want[k]) {
+					t.Fatalf("trial %d shuffle %d build %d: arrays depend on insertion order:\n%v\n%v", trial, shuffle, k, got[k], want[k])
+				}
+			}
+		}
+	}
+
+	// Parallel edges keep the order, and so the weights, they were added in.
+	b := NewBuilder(3)
+	b.AddWeightedEdge(0, 2, 5)
+	b.AddWeightedEdge(0, 1, 7)
+	b.AddWeightedEdge(0, 2, 3)
+	b.AddWeightedEdge(2, 0, 1)
+	g := b.Build()
+	if got := g.OutNeighbors(0); !reflect.DeepEqual(got, []VertexID{1, 2, 2}) {
+		t.Errorf("OutNeighbors(0) = %v, want [1 2 2]", got)
+	}
+	if got := g.OutWeights(0); !reflect.DeepEqual(got, []float64{7, 5, 3}) {
+		t.Errorf("OutWeights(0) = %v, want [7 5 3]", got)
+	}
+}
+
+// TestUndirectedSharesCSR checks that every undirected graph stores one
+// CSR that serves as both out- and in-adjacency.
+func TestUndirectedSharesCSR(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 40, 200)
+	ub, wb := NewBuilder(40), NewBuilder(40)
+	for _, e := range g.Edges() {
+		ub.AddEdge(e.Src, e.Dst)
+		wb.AddWeightedEdge(e.Src, e.Dst, 2)
+	}
+	for name, u := range map[string]*Graph{
+		"Symmetrize":               Symmetrize(g),
+		"BuildUndirected":          ub.BuildUndirected(),
+		"weighted BuildUndirected": wb.BuildUndirected(),
+		"relabeled":                DegreeOrder(Symmetrize(g)).Apply(Symmetrize(g)),
+	} {
+		if !u.Undirected() || u.NumEdges() == 0 {
+			t.Fatalf("%s: undirected=%v with %d edges", name, u.Undirected(), u.NumEdges())
+		}
+		if &u.inOff[0] != &u.outOff[0] || &u.inSrc[0] != &u.outDst[0] {
+			t.Errorf("%s: in-CSR is a copy, not the out-CSR", name)
+		}
+		for v := VertexID(0); int(v) < u.NumVertices(); v++ {
+			if !slices.IsSorted(u.OutNeighbors(v)) {
+				t.Errorf("%s: out-list of %d not ascending: %v", name, v, u.OutNeighbors(v))
+			}
+		}
+	}
+	if g.Undirected() || &g.inSrc[0] == &g.outDst[0] {
+		t.Error("directed graph shares its CSR")
+	}
+}
+
+// Property: Neighbors visits exactly the distinct in- and out-neighbors,
+// ascending, matching a map-based reference on directed graphs with
+// multi-edges and self-loops and on their undirected versions.
+func TestNeighborsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(40)
+		g := randomGraph(r, n, r.Intn(5*n))
+		for _, h := range []*Graph{g, Symmetrize(g)} {
+			for u := VertexID(0); int(u) < n; u++ {
+				ref := map[VertexID]bool{}
+				for _, v := range h.OutNeighbors(u) {
+					ref[v] = true
+				}
+				for _, v := range h.InNeighbors(u) {
+					ref[v] = true
+				}
+				var want []VertexID
+				for v := range ref {
+					want = append(want, v)
+				}
+				slices.Sort(want)
+				var got []VertexID
+				h.Neighbors(u, func(v VertexID) { got = append(got, v) })
+				if !slices.Equal(got, want) {
+					t.Logf("seed %d vertex %d: Neighbors %v, reference %v", seed, u, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -154,6 +155,11 @@ func (gg *gobGraph) validate() error {
 		for _, t := range targets {
 			if t < 0 || int(t) >= n {
 				return fmt.Errorf("%s target %d out of range [0, %d)", name, t, n)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if !slices.IsSorted(targets[off[i]:off[i+1]]) {
+				return fmt.Errorf("%s list of vertex %d not ascending", name, i)
 			}
 		}
 		return nil

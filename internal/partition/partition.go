@@ -12,6 +12,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"serialgraph/internal/graph"
 )
@@ -165,48 +166,11 @@ func (m *Map) PartitionsOfWorker(w int) []ID {
 }
 
 // Classify computes the dual-layer class of every vertex (§5.3), where
-// "neighbors" means in-edge plus out-edge neighbors, per §3.1. The
-// classification only needs existence flags, so both adjacency lists are
-// scanned directly without deduplication — one allocation-free O(V+E)
-// pass, cheap enough for the engine to report partition quality on every
-// run.
+// "neighbors" means in-edge plus out-edge neighbors, per §3.1. It is the
+// class table of ReportClassified's one sweep.
 func Classify(g *graph.Graph, m *Map) []Class {
-	n := g.NumVertices()
-	classes := make([]Class, n)
-	for v := 0; v < n; v++ {
-		u := graph.VertexID(v)
-		myPart := m.PartitionOf(u)
-		myWorker := m.WorkerOf(u)
-		sameWorkerOtherPart := false
-		otherWorker := false
-		samePart := false
-		note := func(nb graph.VertexID) {
-			switch {
-			case m.PartitionOf(nb) == myPart:
-				samePart = true
-			case m.WorkerOf(nb) == myWorker:
-				sameWorkerOtherPart = true
-			default:
-				otherWorker = true
-			}
-		}
-		for _, nb := range g.OutNeighbors(u) {
-			note(nb)
-		}
-		for _, nb := range g.InNeighbors(u) {
-			note(nb)
-		}
-		switch {
-		case !sameWorkerOtherPart && !otherWorker:
-			classes[v] = PInternal
-		case !otherWorker:
-			classes[v] = LocalBoundary
-		case !sameWorkerOtherPart && !samePart:
-			classes[v] = RemoteBoundary
-		default:
-			classes[v] = MixedBoundary
-		}
-	}
+	classes := make([]Class, g.NumVertices())
+	ReportClassified(g, m, classes)
 	return classes
 }
 
@@ -260,42 +224,34 @@ func PBoundaryFlags(g *graph.Graph, m *Map) []bool {
 // Neighbors returns, for every partition, the sorted set of other
 // partitions that share at least one edge with it (ignoring direction).
 // These pairs are exactly the "virtual partition edges" of Figure 5 that
-// carry Chandy–Misra forks in partition-based distributed locking.
+// carry Chandy–Misra forks in partition-based distributed locking. The
+// conflict graph is a P×P bitset, read out row by row in ascending order.
 func (m *Map) Neighbors(g *graph.Graph) [][]ID {
-	sets := make([]map[ID]struct{}, m.P)
-	for i := range sets {
-		sets[i] = make(map[ID]struct{})
-	}
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		u := graph.VertexID(v)
-		pu := m.PartitionOf(u)
-		for _, nb := range g.OutNeighbors(u) {
-			pv := m.PartitionOf(nb)
-			if pu != pv {
-				sets[pu][pv] = struct{}{}
-				sets[pv][pu] = struct{}{}
+	words := (m.P + 63) / 64
+	adj := make([]uint64, m.P*words)
+	for v, pu := range m.vertexPart {
+		for _, nb := range g.OutNeighbors(graph.VertexID(v)) {
+			if pv := m.vertexPart[nb]; pu != pv {
+				adj[int(pu)*words+int(pv)/64] |= 1 << (pv % 64)
+				adj[int(pv)*words+int(pu)/64] |= 1 << (pu % 64)
 			}
 		}
 	}
 	out := make([][]ID, m.P)
-	for i, s := range sets {
-		lst := make([]ID, 0, len(s))
-		for p := range s {
-			lst = append(lst, p)
+	for p := range out {
+		row := adj[p*words : (p+1)*words]
+		n := 0
+		for _, w := range row {
+			n += bits.OnesCount64(w)
 		}
-		sortIDs(lst)
-		out[i] = lst
+		out[p] = make([]ID, 0, n)
+		for i, w := range row {
+			for ; w != 0; w &= w - 1 {
+				out[p] = append(out[p], ID(i*64+bits.TrailingZeros64(w)))
+			}
+		}
 	}
 	return out
-}
-
-func sortIDs(a []ID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // CutStats summarizes partition quality.
@@ -306,31 +262,9 @@ type CutStats struct {
 	MinLoad     int
 }
 
-// Cut computes partition quality statistics.
+// Cut computes partition quality statistics: the edge and load fields of
+// Report.
 func Cut(g *graph.Graph, m *Map) CutStats {
-	var s CutStats
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		u := graph.VertexID(v)
-		pu := m.PartitionOf(u)
-		for _, nb := range g.OutNeighbors(u) {
-			if m.PartitionOf(nb) != pu {
-				s.CutEdges++
-			}
-		}
-	}
-	if g.NumEdges() > 0 {
-		s.CutFraction = float64(s.CutEdges) / float64(g.NumEdges())
-	}
-	s.MinLoad = n
-	for p := 0; p < m.P; p++ {
-		l := len(m.Vertices(ID(p)))
-		if l > s.MaxLoad {
-			s.MaxLoad = l
-		}
-		if l < s.MinLoad {
-			s.MinLoad = l
-		}
-	}
-	return s
+	q := Report(g, m)
+	return CutStats{CutEdges: q.CutEdges, CutFraction: q.CutFraction, MaxLoad: q.MaxLoad, MinLoad: q.MinLoad}
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -295,4 +296,90 @@ func ring(n int) *graph.Graph {
 		b.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%n))
 	}
 	return b.Build()
+}
+
+// Property: the one-sweep census (classes, cut edges, replication) and the
+// bitset conflict graph match a map-based reference on directed graphs and
+// on their undirected versions, including partition counts that span
+// several bitset words.
+func TestCensusMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 5 + r.Intn(200)
+		b := graph.NewBuilder(n)
+		for i := 0; i < r.Intn(n*4); i++ {
+			b.AddEdge(graph.VertexID(r.Intn(n)), graph.VertexID(r.Intn(n)))
+		}
+		d := b.Build()
+		p := 1 + r.Intn(150)
+		w := 1 + r.Intn(min(p, 8))
+		for _, g := range []*graph.Graph{d, graph.Symmetrize(d)} {
+			m := NewHash(g, p, w, uint64(seed))
+			classes := make([]Class, n)
+			q := ReportClassified(g, m, classes)
+			cut, mirrors := 0, 0
+			conflicts := make([]map[ID]bool, p)
+			for i := range conflicts {
+				conflicts[i] = map[ID]bool{}
+			}
+			for v := 0; v < n; v++ {
+				u := graph.VertexID(v)
+				parts, workers := map[ID]bool{}, map[int]bool{}
+				for _, nb := range g.OutNeighbors(u) {
+					if m.PartitionOf(nb) != m.PartitionOf(u) {
+						cut++
+						conflicts[m.PartitionOf(u)][m.PartitionOf(nb)] = true
+						conflicts[m.PartitionOf(nb)][m.PartitionOf(u)] = true
+					}
+				}
+				for _, nb := range append(slices.Clone(g.OutNeighbors(u)), g.InNeighbors(u)...) {
+					parts[m.PartitionOf(nb)], workers[m.WorkerOf(nb)] = true, true
+				}
+				local, remote := false, false
+				for part := range parts {
+					if part != m.PartitionOf(u) {
+						if m.WorkerOfPartition(part) == m.WorkerOf(u) {
+							local = true
+						} else {
+							remote = true
+						}
+					}
+				}
+				want := MixedBoundary
+				switch {
+				case !local && !remote:
+					want = PInternal
+				case !remote:
+					want = LocalBoundary
+				case !local && !parts[m.PartitionOf(u)]:
+					want = RemoteBoundary
+				}
+				if classes[v] != want {
+					t.Logf("seed %d v%d: class %v, want %v", seed, v, classes[v], want)
+					return false
+				}
+				delete(workers, m.WorkerOf(u))
+				mirrors += len(workers)
+			}
+			if q.CutEdges != cut || q.ReplicationFactor != 1+float64(mirrors)/float64(n) {
+				t.Logf("seed %d: cut %d replication %v, want %d and %v", seed, q.CutEdges, q.ReplicationFactor, cut, 1+float64(mirrors)/float64(n))
+				return false
+			}
+			for part, lst := range m.Neighbors(g) {
+				var want []ID
+				for other := range conflicts[part] {
+					want = append(want, other)
+				}
+				slices.Sort(want)
+				if len(lst) != len(want) || (len(want) > 0 && !slices.Equal(lst, want)) {
+					t.Logf("seed %d: partition %d neighbors %v, want %v", seed, part, lst, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
 }

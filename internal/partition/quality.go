@@ -8,7 +8,11 @@ package partition
 // and the bench rows, so partition quality is visible without a
 // debugger.
 
-import "serialgraph/internal/graph"
+import (
+	"slices"
+
+	"serialgraph/internal/graph"
+)
 
 // Quality summarizes how well a Map localizes a graph. JSON field names
 // are part of the bench report schema (BENCH_NNNN.json) and must stay
@@ -62,70 +66,83 @@ func (q Quality) ClassCount(c Class) int {
 	return 0
 }
 
-// Report computes the quality of m on g in two O(V+E) passes (Cut plus
-// a classify/replication sweep), with no per-vertex allocation.
+// Report computes the quality of m on g in one O(V+E) sweep with no
+// per-vertex allocation.
 func Report(g *graph.Graph, m *Map) Quality {
-	return ReportClassified(g, m, Classify(g, m))
+	return ReportClassified(g, m, nil)
 }
 
-// ReportClassified is Report with the classification precomputed, so
-// callers that already ran Classify (the engine does, for dual-layer
-// tokens) don't pay for it twice.
+// ReportClassified is Report that also stores each vertex's §5.3 class in
+// classes when it is non-nil (len NumVertices), so the engine gets the
+// dual-layer token class table from the same sweep. The sweep visits each
+// vertex's out-list, counting cut edges, and then its in-list, except on
+// an undirected graph, whose in-lists are its out-lists. Each neighbor
+// notes whether it shares u's partition, only u's worker, or neither, and
+// a remote worker not yet stamped for u adds one mirror (replication).
 func ReportClassified(g *graph.Graph, m *Map, classes []Class) Quality {
 	n := g.NumVertices()
-	cut := Cut(g, m)
-	q := Quality{
-		Partitions:  m.P,
-		Workers:     m.W,
-		CutEdges:    cut.CutEdges,
-		CutFraction: cut.CutFraction,
-		MaxLoad:     cut.MaxLoad,
-		MinLoad:     cut.MinLoad,
-	}
-	if n > 0 {
-		q.BalanceSkew = float64(cut.MaxLoad) * float64(m.P) / float64(n)
-	}
-	for _, c := range classes {
-		switch c {
-		case PInternal:
-			q.PInternal++
-		case LocalBoundary:
-			q.LocalBoundary++
-		case RemoteBoundary:
-			q.RemoteBoundary++
-		case MixedBoundary:
-			q.MixedBoundary++
-		}
-	}
-	if n > 0 {
-		q.BoundaryFraction = float64(n-q.PInternal) / float64(n)
-	}
-
-	// Replication: count distinct workers per vertex neighborhood with
-	// a version-stamped scratch array instead of a per-vertex set.
-	stamp := make([]int, m.W)
-	for i := range stamp {
-		stamp[i] = -1
-	}
+	q := Quality{Partitions: m.P, Workers: m.W, MinLoad: n}
+	stamp := slices.Repeat([]int{-1}, m.W)
+	var census [4]int // per Class
 	mirrors := 0
 	for v := 0; v < n; v++ {
 		u := graph.VertexID(v)
-		mine := m.WorkerOf(u)
-		note := func(nb graph.VertexID) {
-			if wk := m.WorkerOf(nb); wk != mine && stamp[wk] != v {
+		myPart, myWorker := m.vertexPart[u], m.WorkerOf(u)
+		samePart, sameWorkerOtherPart, otherWorker := false, false, false
+		note := func(nb graph.VertexID) (cut bool) {
+			p := m.vertexPart[nb]
+			if p == myPart {
+				samePart = true
+				return false
+			}
+			wk := int(m.partWorker[p])
+			if wk == myWorker {
+				sameWorkerOtherPart = true
+				return true
+			}
+			otherWorker = true
+			if stamp[wk] != v {
 				stamp[wk] = v
 				mirrors++
 			}
+			return true
 		}
 		for _, nb := range g.OutNeighbors(u) {
-			note(nb)
+			if note(nb) {
+				q.CutEdges++
+			}
 		}
-		for _, nb := range g.InNeighbors(u) {
-			note(nb)
+		if !g.Undirected() {
+			for _, nb := range g.InNeighbors(u) {
+				note(nb)
+			}
+		}
+		c := MixedBoundary
+		switch {
+		case !sameWorkerOtherPart && !otherWorker:
+			c = PInternal
+		case !otherWorker:
+			c = LocalBoundary
+		case !sameWorkerOtherPart && !samePart:
+			c = RemoteBoundary
+		}
+		census[c]++
+		if classes != nil {
+			classes[v] = c
 		}
 	}
+	q.PInternal, q.LocalBoundary = census[PInternal], census[LocalBoundary]
+	q.RemoteBoundary, q.MixedBoundary = census[RemoteBoundary], census[MixedBoundary]
+	for _, vs := range m.partVerts {
+		q.MaxLoad, q.MinLoad = max(q.MaxLoad, len(vs)), min(q.MinLoad, len(vs))
+	}
 	if n > 0 {
+		q.BalanceSkew = float64(q.MaxLoad) * float64(m.P) / float64(n)
+		q.BoundaryFraction = float64(n-q.PInternal) / float64(n)
 		q.ReplicationFactor = 1 + float64(mirrors)/float64(n)
+	}
+	if g.NumEdges() > 0 {
+		q.CutFraction = float64(q.CutEdges) / float64(g.NumEdges())
 	}
 	return q
 }
