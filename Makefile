@@ -160,7 +160,7 @@ bench-smoke:
 # generating and symmetrising its UK x4 input.
 bench-micro:
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime 2000x
-	$(GO) test ./internal/msgstore/ -run '^$$' -bench BenchmarkStoreOverwritePutBatch -benchtime 20000000x -benchmem
+	$(GO) test ./internal/msgstore/ -run '^$$' -bench 'BenchmarkStore(OverwritePutBatch|PutBatchFanOut)$$' -benchtime 20000000x -benchmem
 	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime 20000000x -benchmem
 	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime 20000x -benchmem
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime 5x

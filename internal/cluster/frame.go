@@ -34,8 +34,10 @@ import (
 )
 
 // ProtocolVersion is the wire protocol generation. Bump it whenever the
-// frame layout or any payload encoding changes incompatibly.
-const ProtocolVersion = 4
+// frame layout or any payload encoding changes incompatibly — including a
+// change of what a value means: since version 5 a data entry's Dst of -1
+// is a fan-out entry, which an older peer would index as a vertex.
+const ProtocolVersion = 5
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,

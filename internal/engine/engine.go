@@ -53,14 +53,6 @@ type runner[V, M any] struct {
 	// both adjacency lists per vertex per superstep.
 	pBoundary []bool
 
-	// outSlots is computed for Overwrite semantics only, one entry per
-	// out-edge in out-CSR order: outSlots[g.OutOffset(u)+i] is the in-slot
-	// position (biased by one; see msgstore.Entry.Slot) of u in the
-	// in-neighbor list of u's i-th out-neighbor. SendToAllOut attaches it
-	// to every message so the store never repeats the per-delivery binary
-	// search InSlot would do. Rebuilt on topology mutation.
-	outSlots []uint32
-
 	// initialForks snapshots each lock manager's fresh fork distribution
 	// (captured before the first superstep) so a rollback with no
 	// checkpoint on disk can reset the Chandy–Misra state along with the
@@ -136,9 +128,9 @@ type runner[V, M any] struct {
 }
 
 // newRunner builds the state every deployment of a run shares: partition
-// map, initial values, history, checkpoint and recovery bookkeeping, and
-// the out-slot table. cfg must carry its defaults; a transport and workers
-// come next (attach, addWorkers).
+// map, initial values, history, checkpoint and recovery bookkeeping. cfg
+// must carry its defaults; a transport and workers come next (attach,
+// addWorkers).
 func newRunner[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) *runner[V, M] {
 	p := cfg.Workers * cfg.PartitionsPerWorker
 	var pm *partition.Map
@@ -168,9 +160,6 @@ func newRunner[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) *
 	}
 	if cfg.Recovery == RecoverConfined {
 		r.aggAt = make(map[int]map[string]float64)
-	}
-	if prog.Semantics == model.Overwrite {
-		r.buildOutSlots()
 	}
 	r.recycleBatches = cfg.Fault == nil
 	return r
@@ -468,32 +457,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	return finish()
 }
 
-// buildOutSlots precomputes, for every vertex u and every out-neighbor
-// dst, the position of u in dst's in-neighbor list (biased by one; see
-// msgstore.Entry.Slot). Messages sent along out-edges — the SendToAllOut
-// hot path of PageRank-style algorithms — carry the hint so the store's
-// Overwrite delivery never repeats the binary search. Sources ascend and
-// in-lists are sorted, so one cursor per destination finds every slot (the
-// first of duplicate in-edges, as graph.InSlot does) in O(E) overall.
-func (r *runner[V, M]) buildOutSlots() {
-	r.outSlots = make([]uint32, 0, r.g.NumEdges())
-	cursor := make([]int32, r.g.NumVertices())
-	for u := graph.VertexID(0); int(u) < r.g.NumVertices(); u++ {
-		for _, dst := range r.g.OutNeighbors(u) {
-			in, c := r.g.InNeighbors(dst), cursor[dst]
-			for int(c) < len(in) && in[c] < u {
-				c++
-			}
-			cursor[dst] = c
-			slot := uint32(0)
-			if int(c) < len(in) && in[c] == u {
-				slot = uint32(c) + 1
-			}
-			r.outSlots = append(r.outSlots, slot)
-		}
-	}
-}
-
 // noteBarrier converts the spread of worker finish times at superstep s's
 // barrier into metrics: each worker's barrier-wait is the gap between its
 // own finish and the cluster-wide last finish (zero, by construction, for
@@ -591,17 +554,14 @@ func (r *runner[V, M]) applyMutations() error {
 		weighted = weighted || e.Weight != 1
 	}
 	r.g = graph.NewFromEdges(r.g.NumVertices(), edges, weighted)
-	if r.prog.Semantics == model.Overwrite {
-		// The in-adjacency lists just changed, so every precomputed slot
-		// hint is stale. Rebuilding here is safe: the cluster is quiescent
-		// at the barrier (buffers empty, transport idle, no staged
-		// messages), so no in-flight entry still carries an old hint.
-		r.buildOutSlots()
-	}
 
-	// Rebuild the message stores against the new in-adjacency, dropping
-	// Overwrite slots whose edge no longer exists.
+	// Rebuild the source tables and message stores against the new
+	// in-adjacency, dropping Overwrite slots whose edge no longer exists.
+	// The cluster is quiescent, so no entry in flight needs an old table.
 	for _, w := range r.workers {
+		if w.fan != nil {
+			w.fan = msgstore.NewFanOutTable(r.g, w.owned)
+		}
 		for i, st := range w.stores {
 			if st == nil {
 				continue
@@ -614,7 +574,7 @@ func (r *runner[V, M]) applyMutations() error {
 				}
 				kept = append(kept, e)
 			}
-			ns := msgstore.New[M](r.g, w.owned, r.prog.Semantics, r.prog.Combine)
+			ns := w.newStore()
 			ns.Load(kept)
 			w.stores[i] = ns
 		}

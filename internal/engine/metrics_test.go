@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +75,7 @@ func TestMetricsConservation(t *testing.T) {
 			}
 			checkConservation(t, res)
 			checkSchedCounters(t, tc.name, cfg, res)
+			checkFanOutConservation(t, g, cfg)
 			m := res.Metrics
 			if tc.mode == BAP {
 				if got := m.Get(metrics.Supersteps); got < int64(res.Supersteps) {
@@ -108,6 +110,38 @@ func TestMetricsConservation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkFanOutConservation runs a broadcast that sends only through
+// SendToAllOut and counts, in the program, the out-edges its executions
+// sent along. On a fault-free run each of those per-edge messages is a
+// local message or a slot a delivered fan-out entry wrote, exactly.
+func checkFanOutConservation(t *testing.T, g *graph.Graph, cfg Config) {
+	t.Helper()
+	var sent atomic.Int64
+	prog := model.Program[int32, int32]{
+		Name: "fan-out-ledger", Semantics: model.Queue, MsgBytes: 4,
+		Compute: func(ctx model.Context[int32, int32], msgs []int32) {
+			if ctx.Superstep() < 3 {
+				ctx.SendToAllOut(1)
+				sent.Add(int64(len(ctx.OutNeighbors())))
+			}
+			ctx.VoteToHalt()
+		},
+	}
+	_, res, _, err := Run(g, prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, res)
+	m := res.Metrics
+	if m.Get(metrics.FanOutTargets) == 0 {
+		t.Error("broadcast over several workers expanded no fan-out entry")
+	}
+	if got, want := m.Get(metrics.LocalMessages)+m.Get(metrics.FanOutTargets), sent.Load(); got != want {
+		t.Errorf("local_messages %d + fan_out_targets %d = %d, want the %d edges sent along",
+			m.Get(metrics.LocalMessages), m.Get(metrics.FanOutTargets), got, want)
 	}
 }
 
@@ -247,8 +281,10 @@ func broadcastProgram() model.Program[int32, int32] {
 // The finish-order argument needs a real timing margin, not just "the
 // holder computed longer": with per-lane bandwidth, the holder's flush
 // marker serializes behind all of its own data, so its delivery ack comes
-// at least one propagation delay after the idle worker's — milliseconds,
-// far above goroutine wake-up jitter even on one CPU under -race.
+// that long after the idle worker's. The holder sends one fan-out entry
+// per vertex (≈ 500 declared bytes a superstep), so the lane is slow
+// enough to make that ≈ 20 ms, far above goroutine wake-up jitter even on
+// one CPU under -race.
 func TestTokenHolderNeverWaitsAtBarrier(t *testing.T) {
 	const n = 80
 	b := graph.NewBuilder(n)
@@ -265,7 +301,7 @@ func TestTokenHolderNeverWaitsAtBarrier(t *testing.T) {
 		MaxSupersteps: 6,
 		Latency: cluster.LatencyModel{
 			Propagation: 2 * time.Millisecond,
-			BytesPerSec: 1e6,
+			BytesPerSec: 2.5e4,
 		},
 	})
 	if err != nil {

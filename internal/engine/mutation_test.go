@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"serialgraph/internal/algorithms"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
+	"serialgraph/internal/partition"
 )
 
 // mutationProbe adds edge 0->3 and removes edge 0->1 in superstep 0, then
@@ -167,6 +170,56 @@ func TestMutationLargerGraphStillConverges(t *testing.T) {
 	for v := range want {
 		if dist[v] != want[v] {
 			t.Fatalf("caller's graph mutated: dist[%d]=%v want %v", v, dist[v], want[v])
+		}
+	}
+}
+
+// TestMutationFanOutReachesNewRemoteNeighbor: vertex 0 gains a remote
+// out-neighbor by AddEdgeRequest, and its next SendToAllOut reaches it
+// through a fan-out entry that the receiver expands with the source table
+// rebuilt at the mutation barrier, beside the local neighbor it had before.
+func TestMutationFanOutReachesNewRemoteNeighbor(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	g := b.Build()
+	for _, sem := range []model.Semantics{model.Queue, model.Overwrite} {
+		prog := model.Program[int32, int32]{
+			Name: "grow-and-broadcast", Semantics: sem, MsgBytes: 4,
+			Compute: func(ctx model.Context[int32, int32], msgs []int32) {
+				if ctx.Superstep() == 0 && ctx.ID() == 0 {
+					ctx.AddEdgeRequest(0, 2, 1)
+				}
+				if ctx.Superstep() == 1 && ctx.ID() == 0 {
+					ctx.SendToAllOut(1)
+				}
+				var sum int32
+				for _, m := range msgs {
+					sum += m
+				}
+				if sum > 0 {
+					ctx.SetValue(sum)
+				}
+				if ctx.Superstep() > 0 { // vertex 0 must run again to broadcast
+					ctx.VoteToHalt()
+				}
+			},
+		}
+		for _, mode := range []Mode{BSP, Async} {
+			vals, res, _, err := Run(g, prog, Config{
+				Workers: 2, PartitionsPerWorker: 1, Mode: mode, MaxSupersteps: 10,
+				Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
+					return partition.NewExplicit(g, []partition.ID{0, 0, 1, 1}, []int32{0, 1}, w)
+				},
+			})
+			if err != nil || !res.Converged {
+				t.Fatalf("%v/%v: err=%v converged=%v", sem, mode, err, res.Converged)
+			}
+			if want := []int32{0, 1, 1, 0}; !slices.Equal(vals, want) {
+				t.Errorf("%v/%v: vals %v, want %v", sem, mode, vals, want)
+			}
+			if got := res.Metrics.Get(metrics.FanOutTargets); got != 1 {
+				t.Errorf("%v/%v: fan_out_targets %d, want 1 (vertex 2 on the other worker)", sem, mode, got)
+			}
 		}
 	}
 }

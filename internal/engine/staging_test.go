@@ -158,10 +158,13 @@ func TestStagedFoldTimingSampled(t *testing.T) {
 }
 
 // TestStagedCountsExact runs a multi-worker broadcast where every message
-// count is computable in closed form, and checks the staged paths did not
-// lose or double-count anything: each of the n vertices broadcasts along
-// its out-edges once in superstep 0, so local + remote must equal the
-// total edge count exactly.
+// count is computable in closed form from the partition map, and checks
+// the staged paths did not lose or double-count anything. Each of the n
+// vertices sends along its out-edges once in superstep 0: even vertices
+// with SendToAllOut, odd ones with one Send per edge. Every edge is then a
+// local message, a remote point entry, or a target of a fan-out entry, and
+// a broadcast sends one fan-out entry per remote worker holding an
+// out-neighbor.
 func TestStagedCountsExact(t *testing.T) {
 	const n = 64
 	b := graph.NewBuilder(n)
@@ -177,23 +180,58 @@ func TestStagedCountsExact(t *testing.T) {
 		Semantics: model.Queue,
 		Compute: func(ctx model.Context[int, int], msgs []int) {
 			if ctx.Superstep() == 0 {
-				ctx.SendToAllOut(1)
+				if ctx.ID()%2 == 0 {
+					ctx.SendToAllOut(1)
+				} else {
+					for _, dst := range ctx.OutNeighbors() {
+						ctx.Send(dst, 1)
+					}
+				}
 			}
 			ctx.VoteToHalt()
 		},
 		MsgBytes: 8,
 	}
 	for _, mode := range []Mode{BSP, Async} {
-		_, res, _, err := Run(g, prog, Config{Workers: 4, ThreadsPerWorker: 2, Mode: mode, Seed: 9})
+		var pm *partition.Map
+		_, res, _, err := Run(g, prog, Config{Workers: 4, ThreadsPerWorker: 2, Mode: mode, Seed: 9,
+			Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
+				pm = partition.NewHash(g, p, w, 9)
+				return pm
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := res.Metrics
-		local := m.Get(metrics.LocalMessages)
-		remote := m.Get(metrics.RemoteEntries)
-		if local+remote != int64(edges) {
-			t.Errorf("%v: local %d + remote %d = %d, want %d edges", mode, local, remote, local+remote, edges)
+		var local, points, fanEntries, fanTargets int64
+		for u := graph.VertexID(0); u < n; u++ {
+			remoteWorkers := map[int]bool{}
+			for _, v := range g.OutNeighbors(u) {
+				switch wk := pm.WorkerOf(v); {
+				case wk == pm.WorkerOf(u):
+					local++
+				case u%2 == 0:
+					fanTargets++
+					remoteWorkers[wk] = true
+				default:
+					points++
+				}
+			}
+			fanEntries += int64(len(remoteWorkers))
 		}
+		if local+points+fanTargets != int64(edges) {
+			t.Fatalf("closed form splits %d edges into %d + %d + %d", edges, local, points, fanTargets)
+		}
+		m := res.Metrics
+		if got := m.Get(metrics.LocalMessages); got != local {
+			t.Errorf("%v: local_messages %d, want %d", mode, got, local)
+		}
+		if got := m.Get(metrics.RemoteEntries); got != points+fanEntries {
+			t.Errorf("%v: remote_entries %d, want %d point + %d fan-out", mode, got, points, fanEntries)
+		}
+		if got := m.Get(metrics.FanOutTargets); got != fanTargets {
+			t.Errorf("%v: fan_out_targets %d, want %d", mode, got, fanTargets)
+		}
+		remote := m.Get(metrics.RemoteEntries)
 		if remote != m.Get(metrics.RemoteEntriesFlushed) {
 			t.Errorf("%v: flushed %d != buffered %d", mode, m.Get(metrics.RemoteEntriesFlushed), remote)
 		}

@@ -29,6 +29,7 @@ type worker[V, M any] struct {
 	stores [2]*msgstore.Store[M]
 	active atomic.Int32
 	buf    *msgstore.Buffer[M]
+	fan    *msgstore.FanOutTable // source table; nil when buf combines (newWorker)
 	// spill is the bounded-memory staging tier for BSP write-store batches
 	// (DESIGN.md §12), non-nil only when Config.MsgMemoryBudget > 0 under
 	// BSP: inbound remote batches and end-of-partition local folds stage
@@ -137,7 +138,7 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	}
 	w.threads = make([]*thread[V, M], r.cfg.ThreadsPerWorker)
 	for i := range w.threads {
-		w.threads[i] = &thread[V, M]{w: w}
+		w.threads[i] = &thread[V, M]{w: w, seen: make([]bool, r.cfg.Workers)}
 	}
 	w.sched.init(w)
 	for _, p := range w.parts {
@@ -150,9 +151,15 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	if r.cfg.Mode == BAP {
 		w.wake = make(chan struct{}, 1)
 	}
-	w.stores[0] = msgstore.New(r.g, w.owned, r.prog.Semantics, r.prog.Combine)
+	// Giraph applies the user combiner inside the buffer cache too (below).
+	// It folds per destination vertex already, so such a program keeps
+	// per-edge entries and builds no source table.
+	if r.prog.Semantics != model.Combine || r.cfg.DisableSenderCombine {
+		w.fan = msgstore.NewFanOutTable(r.g, w.owned)
+	}
+	w.stores[0] = w.newStore()
 	if r.cfg.Mode == BSP {
-		w.stores[1] = msgstore.New(r.g, w.owned, r.prog.Semantics, r.prog.Combine)
+		w.stores[1] = w.newStore()
 	}
 	for o := 0; o < r.cfg.Workers; o++ {
 		if o != id {
@@ -193,9 +200,8 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 			return nil
 		})
 	}
-	if r.prog.Semantics == model.Combine && r.prog.Combine != nil && !r.cfg.DisableSenderCombine {
-		// Giraph applies the user combiner inside the buffer cache too, so
-		// a hub vertex receives one combined message per sending worker.
+	if w.fan == nil {
+		// A hub vertex receives one combined message per sending worker.
 		w.buf.SetCombiner(r.prog.Combine)
 	}
 	if r.cfg.MsgMemoryBudget > 0 && r.cfg.Mode == BSP {
@@ -210,6 +216,13 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
 	w.ep.SetFlow(r.flow)
 	return w
+}
+
+// newStore builds an empty message store over the worker's vertices.
+func (w *worker[V, M]) newStore() *msgstore.Store[M] {
+	st := msgstore.New(w.r.g, w.owned, w.r.prog.Semantics, w.r.prog.Combine)
+	st.SetFanOut(w.fan, w.r.reg)
+	return st
 }
 
 // initLockManager sets up partition philosophers (§5.4). preHandoff flushes
@@ -382,18 +395,10 @@ func (w *worker[V, M]) loadHalted(halted []bool) {
 }
 
 // frontierConsistent is the barrier oracle for the delivery-time frontier:
-// the counters the engine decides convergence on must equal the popcounts
-// of the bitsets it iterates.
+// the halt counter the engine decides convergence on must equal the
+// popcount of the bitset it iterates (NewCount is a popcount already).
 func (w *worker[V, M]) frontierConsistent() bool {
-	if w.awake.Count() != w.unhalted.Load() {
-		return false
-	}
-	for _, st := range w.stores {
-		if st != nil && st.Unread().Count() != st.NewCount() {
-			return false
-		}
-	}
-	return true
+	return w.awake.Count() == w.unhalted.Load()
 }
 
 func (w *worker[V, M]) pendingMessages() int64 {
@@ -484,6 +489,7 @@ type thread[V, M any] struct {
 	// execution window.
 	remoteStaged [][]msgstore.Entry[M]
 	remoteDests  []int
+	seen         []bool // SendToAllOut's remote workers, by worker; false between calls
 
 	agg map[string]float64
 
@@ -770,26 +776,7 @@ func (c *vctx[V, M]) send(dst graph.VertexID, m M, slot uint32) {
 	}
 	dp := r.pm.PartitionOf(dst)
 	if wk := r.pm.WorkerOfPartition(dp); wk != c.w.id {
-		e := msgstore.Entry[M]{Dst: dst, Src: c.id, Msg: m, Ver: ver, Slot: slot}
-		if r.cfg.Sync == VertexLockGiraph {
-			// Per-vertex C1: the message must be in the buffer cache before
-			// this vertex's fork release triggers the pre-handoff flush.
-			c.w.buf.Add(wk, e)
-			return
-		}
-		t := c.th
-		if t.remoteStaged == nil {
-			// Written on every remote send. At least 8 headers make it
-			// 192 bytes, a size class whose objects start on a cache line
-			// and fill three, so no other object shares its lines: placed
-			// beside the partition map, which every send reads, a 96-byte
-			// array cost bsp_pagerank about 4 %.
-			t.remoteStaged = make([][]msgstore.Entry[M], r.cfg.Workers, max(r.cfg.Workers, 8))
-		}
-		if len(t.remoteStaged[wk]) == 0 {
-			t.remoteDests = append(t.remoteDests, wk)
-		}
-		t.remoteStaged[wk] = append(t.remoteStaged[wk], e)
+		c.remote(wk, msgstore.Entry[M]{Dst: dst, Src: c.id, Msg: m, Ver: ver})
 		return
 	}
 	// Local message (§6.1): skip the buffer cache. Under BSP everything
@@ -816,17 +803,59 @@ func (c *vctx[V, M]) send(dst graph.VertexID, m M, slot uint32) {
 	}
 }
 
+// remote routes one entry to worker wk's buffer cache.
+func (c *vctx[V, M]) remote(wk int, e msgstore.Entry[M]) {
+	r := c.w.r
+	if r.cfg.Sync == VertexLockGiraph {
+		// Per-vertex C1: the message must be in the buffer cache before
+		// this vertex's fork release triggers the pre-handoff flush.
+		c.w.buf.Add(wk, e)
+		return
+	}
+	t := c.th
+	if t.remoteStaged == nil {
+		// Written on every remote send. At least 8 headers make it
+		// 192 bytes, a size class whose objects start on a cache line
+		// and fill three, so no other object shares its lines: placed
+		// beside the partition map, which every send reads, a 96-byte
+		// array cost bsp_pagerank about 4 %.
+		t.remoteStaged = make([][]msgstore.Entry[M], r.cfg.Workers, max(r.cfg.Workers, 8))
+	}
+	if len(t.remoteStaged[wk]) == 0 {
+		t.remoteDests = append(t.remoteDests, wk)
+	}
+	t.remoteStaged[wk] = append(t.remoteStaged[wk], e)
+}
+
+// SendToAllOut sends m along every out-edge: locally by the sender's row of
+// the source table, remotely as one fan-out entry per worker holding
+// out-neighbors (GAS's seen-set loop); per edge when there is no table.
 func (c *vctx[V, M]) SendToAllOut(m M) {
-	outs := c.w.r.g.OutNeighbors(c.id)
-	if c.w.r.outSlots != nil {
-		row := c.w.r.outSlots[c.w.r.g.OutOffset(c.id):]
-		for i, dst := range outs {
-			c.send(dst, m, row[i])
+	w := c.w
+	outs := w.r.g.OutNeighbors(c.id)
+	if w.fan == nil {
+		for _, dst := range outs {
+			c.Send(dst, m)
 		}
 		return
 	}
+	for _, t := range w.fan.Row(c.id) {
+		c.send(w.owned[t.Local], m, t.Slot)
+	}
+	t := c.th
 	for _, dst := range outs {
-		c.send(dst, m, 0)
+		t.seen[w.r.pm.WorkerOf(dst)] = true
+	}
+	t.seen[w.id] = false
+	for wk, seen := range t.seen {
+		if seen {
+			t.seen[wk] = false
+			e := msgstore.Entry[M]{Dst: msgstore.FanOut, Src: c.id, Msg: m}
+			if w.r.versions != nil {
+				e.Ver = w.r.versions[c.id].Load()
+			}
+			c.remote(wk, e)
+		}
 	}
 }
 

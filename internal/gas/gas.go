@@ -18,6 +18,7 @@ import (
 	"serialgraph/internal/engine"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 	"serialgraph/internal/msgstore"
 	"serialgraph/internal/partition"
@@ -135,6 +136,10 @@ type grunner[V comparable, M any] struct {
 
 	versions []atomic.Uint32
 	rec      *history.Recorder
+	// reg counts the outboxes' batches as the engine's buffer cache counts
+	// its own: remote_batches and remote_batch_bytes reconcile with the
+	// transport's data ledger.
+	reg *metrics.Registry
 
 	executions atomic.Int64
 	scheduled  atomic.Int64
@@ -146,7 +151,7 @@ type grunner[V comparable, M any] struct {
 // no in-flight messages) and returns the final values.
 func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg Config) ([]V, engine.Result, *history.Recorder, error) {
 	cfg = cfg.withDefaults(g.NumVertices())
-	r := &grunner[V, M]{g: g, prog: prog, cfg: cfg}
+	r := &grunner[V, M]{g: g, prog: prog, cfg: cfg, reg: metrics.New()}
 	n := g.NumVertices()
 	// One "partition" per worker: GraphLab async is not partition aware
 	// (§5.1); the map only records vertex placement.
@@ -201,6 +206,7 @@ func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg C
 	wg.Wait()
 
 	res.Net = r.tr.Stats().Load()
+	res.Metrics = r.reg.Snapshot()
 	res.Executions = r.executions.Load()
 	res.MaxConcurrency = r.maxConc.Load()
 	for _, w := range r.workers {
@@ -290,6 +296,9 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		for _, up := range batch {
 			bytes += cluster.EntryHeaderBytes + r.prog.ValBytes + 4*len(up.Activate)
 		}
+		r.reg.Add(metrics.RemoteBatches, 1)
+		r.reg.Add(metrics.RemoteBatchBytes, int64(bytes))
+		r.reg.Add(metrics.RemoteEntriesFlushed, int64(len(batch)))
 		w.ep.SendData(cluster.WorkerID(dest), batch, bytes)
 	})
 	if r.cfg.Serializable {

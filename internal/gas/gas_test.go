@@ -10,6 +10,7 @@ import (
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
+	"serialgraph/internal/metrics"
 )
 
 func testGraph() *graph.Graph {
@@ -309,5 +310,28 @@ func TestGASStatsPopulated(t *testing.T) {
 	}
 	if res.Net.ControlMessages == 0 {
 		t.Error("no remote control traffic across 4 workers")
+	}
+}
+
+// TestGASBatchesReconcile: every replica-update batch an outbox sends is
+// counted once, so remote_batches and remote_batch_bytes equal the
+// transport's data ledger, with and without locking.
+func TestGASBatchesReconcile(t *testing.T) {
+	g := undirected(testGraph())
+	for _, serializable := range []bool{false, true} {
+		_, res, _, err := Run(g, algorithms.ColoringGAS(), Config{Workers: 4, Serializable: serializable, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.Metrics
+		if got, want := m.Get(metrics.RemoteBatches), res.Net.DataMessages; got != want || got == 0 {
+			t.Errorf("serializable=%v: remote_batches %d, transport data batches %d", serializable, got, want)
+		}
+		if got, want := m.Get(metrics.RemoteBatchBytes), res.Net.DataBytes; got != want {
+			t.Errorf("serializable=%v: remote_batch_bytes %d, transport data bytes %d", serializable, got, want)
+		}
+		if flushed, batches := m.Get(metrics.RemoteEntriesFlushed), m.Get(metrics.RemoteBatches); flushed < batches {
+			t.Errorf("serializable=%v: %d entries in %d batches", serializable, flushed, batches)
+		}
 	}
 }

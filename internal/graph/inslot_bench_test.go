@@ -7,8 +7,8 @@ import (
 
 // InSlot microbenchmarks: the satellite claim is that the small-degree
 // two-way scan does not regress the slot-hint miss path (lookups for a
-// src that is not an in-neighbor — what buildOutSlots and mutation
-// replay hit), and beats the old closure-based sort.Search on hits.
+// src that is not an in-neighbor — what HasEdge hits when a mutation
+// rebuild drops removed edges), and beats the old closure-based sort.Search on hits.
 // Compare against BenchmarkInSlot*/sortSearch which preserves the old
 // implementation inline.
 

@@ -156,6 +156,11 @@ const (
 	// estimate, not a disjoint phase: it sums across threads. Zero without
 	// partition locking.
 	OverlapComputeNs
+	// FanOutTargets counts the store slots written by expanded fan-out
+	// entries (msgstore.FanOut): one per in-edge a fan-out entry reaches on
+	// the receiving worker. A clean run's remote messages are the point
+	// entries in RemoteEntriesDelivered plus these.
+	FanOutTargets
 	numCounters
 )
 
@@ -195,6 +200,7 @@ var counterNames = [numCounters]string{
 	"boundary_vertices",
 	"forks_prefetched",
 	"overlap_compute_ns",
+	"fan_out_targets",
 }
 
 // Name returns the stable JSON key of a counter.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"serialgraph/internal/graph"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 )
 
@@ -69,9 +70,16 @@ func drain(t *testing.T, s *Store[int], n int) map[graph.VertexID][]int {
 	return out
 }
 
+// TestPutBatchMatchesPut: PutBatch equals per-message PutSlot, and a
+// fan-out entry equals PutSlot of the per-edge messages it stands for.
+// Batches mix point and fan-out entries over a multigraph (duplicate edges
+// and self-loops keep one slot each), and the store counts exactly the
+// slots its fan-out entries wrote.
 func TestPutBatchMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g := randomGraph(24, rng)
+	g := randomMultigraph(24, rng)
+	owned := all(24)
+	tab := NewFanOutTable(g, owned)
 	add := func(a, b int) int { return a + b }
 	for _, tc := range []struct {
 		name    string
@@ -85,9 +93,17 @@ func TestPutBatchMatchesPut(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				es := randomEntries(g, 5+rng.Intn(200), rng)
-				ref := New[int](g, all(24), tc.sem, tc.combine)
-				got := New[int](g, all(24), tc.sem, tc.combine)
-				for _, e := range es {
+				for i := range es {
+					if rng.Intn(4) == 0 {
+						es[i] = fanOutEntry(g, owned, rng)
+					}
+				}
+				ref := New[int](g, owned, tc.sem, tc.combine)
+				got := New[int](g, owned, tc.sem, tc.combine)
+				reg := metrics.New()
+				got.SetFanOut(tab, reg)
+				perEdge := expand(g, owned, es)
+				for _, e := range perEdge {
 					ref.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 				}
 				// Split the same entries into random-size chunks to hit both
@@ -99,6 +115,9 @@ func TestPutBatchMatchesPut(t *testing.T) {
 					}
 					got.PutBatch(es[i:j])
 					i = j
+				}
+				if want, have := int64(len(perEdge)-len(es)+countFanOut(es)), reg.Get(metrics.FanOutTargets); want != have {
+					t.Fatalf("trial %d: fan_out_targets %d, want %d", trial, have, want)
 				}
 				if want, have := ref.NewCount(), got.NewCount(); want != have {
 					t.Fatalf("trial %d: NewCount %d, want %d", trial, have, want)
@@ -121,6 +140,33 @@ func TestPutBatchMatchesPut(t *testing.T) {
 			}
 		})
 	}
+}
+
+// countFanOut returns the number of fan-out entries in es.
+func countFanOut(es []Entry[int]) int {
+	n := 0
+	for _, e := range es {
+		if e.Dst == FanOut {
+			n++
+		}
+	}
+	return n
+}
+
+// randomMultigraph is randomGraph plus duplicates of some of its edges and
+// some self-loops, each of which has a slot of its own in Overwrite mode.
+func randomMultigraph(n int, rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u != v && rng.Intn(3) == 0 || u == v && rng.Intn(4) == 0 {
+				for dup := rng.Intn(2) * rng.Intn(3); dup >= 0; dup-- {
+					b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+				}
+			}
+		}
+	}
+	return b.Build()
 }
 
 // TestPutBatchOverwriteLastWins pins that the counting sort behind the

@@ -156,7 +156,7 @@ func BenchmarkRead(b *testing.B) {
 // of a BSP PageRank-style run: one worker of four owns a quarter of a
 // graph whose replica table exceeds the cache, and every in-edge delivers
 // one float64 message per pass, in sender order, in 512-entry batches that
-// carry the in-slot hint the engine's senders attach. One op is one entry.
+// carry the in-slot hint a sender's local targets carry. One op is one entry.
 func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 	g := generate.PowerLaw(generate.PowerLawConfig{N: 40000, AvgDegree: 20, Exponent: 2.2, Seed: 7})
 	var owned []graph.VertexID
@@ -185,5 +185,48 @@ func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 		copy(scratch, entries[off:off+batchSize]) // PutBatch may reorder its argument
 		s.PutBatch(scratch)
 		off += batchSize
+	}
+}
+
+// BenchmarkStorePutBatchFanOut is BenchmarkStoreOverwritePutBatch's pass
+// sent the way SendToAllOut sends it: one fan-out entry per source with an
+// out-neighbor on the worker, expanded through the source table, in
+// 512-entry batches. One op is one slot written, so the two benchmarks'
+// ns/op compare per replica update applied.
+func BenchmarkStorePutBatchFanOut(b *testing.B) {
+	g := generate.PowerLaw(generate.PowerLawConfig{N: 40000, AvgDegree: 20, Exponent: 2.2, Seed: 7})
+	var owned []graph.VertexID
+	for v := 0; v < g.NumVertices(); v += 4 {
+		owned = append(owned, graph.VertexID(v))
+	}
+	tab := NewFanOutTable(g, owned)
+	var entries []Entry[float64]
+	for v := 0; v < g.NumVertices(); v++ {
+		if len(tab.Row(graph.VertexID(v))) > 0 {
+			entries = append(entries, Entry[float64]{Dst: FanOut, Src: graph.VertexID(v), Msg: float64(v)})
+		}
+	}
+	const batchSize = 512
+	var batches [][]Entry[float64]
+	var slots []int // per batch
+	for off := 0; off+batchSize <= len(entries); off += batchSize {
+		n := 0
+		for _, e := range entries[off : off+batchSize] {
+			n += len(tab.Row(e.Src))
+		}
+		batches, slots = append(batches, entries[off:off+batchSize]), append(slots, n)
+	}
+	s := New[float64](g, owned, model.Overwrite, nil)
+	s.SetFanOut(tab, nil)
+	scratch := make([]Entry[float64], batchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, i := 0, 0; done < b.N; done, i = done+slots[i], i+1 {
+		if i == len(batches) {
+			i = 0
+			s.Clear() // the BSP store swap between passes
+		}
+		copy(scratch, batches[i])
+		s.PutBatch(scratch)
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"serialgraph/internal/metrics"
 )
 
-// Entry is one vertex message in a remote batch. Slot optionally carries
-// the position of Src in Dst's in-neighbor list, biased by one (0 means
-// unknown): senders that walk their out-edge list know it for free from
-// the engine's precomputed edge→slot table, and carrying it saves the
-// store a binary search per Overwrite-mode delivery. A zero Slot is always
-// safe — the store falls back to looking the position up.
+// Entry is one vertex message in a batch. Dst == FanOut makes it a fan-out
+// entry, one message for every owned out-neighbor of Src (see FanOut).
+// Slot optionally carries the position of Src in Dst's in-neighbor list,
+// biased by one (0 means unknown): a sender's local targets know it for
+// free from its FanOutTable row, and carrying it saves the store a binary
+// search per Overwrite-mode delivery. A zero Slot is always safe — the
+// store falls back to looking the position up.
 type Entry[M any] struct {
 	Dst, Src graph.VertexID
 	Msg      M

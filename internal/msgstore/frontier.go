@@ -50,6 +50,14 @@ func (b Bits) Clear(i int32) bool {
 	}
 }
 
+// orLocked sets the bits of m in word wi, with a load and a store instead
+// of Set's CAS loop, for the word's only writer: a store's stripe lock holder.
+func (b Bits) orLocked(wi int, m uint64) {
+	if old := b[wi].Load(); old|m != old {
+		b[wi].Store(old | m)
+	}
+}
+
 // Count returns the number of set bits.
 func (b Bits) Count() int64 {
 	var n int

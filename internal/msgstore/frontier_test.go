@@ -75,7 +75,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 				}
 				return es[:count]
 			}
-			s := New[int](g, owned, tc.sem, tc.combine)
+			s := newFanOutStore(g, owned, tc.sem, tc.combine)
 			want := make(map[graph.VertexID]bool)
 			var reader Reader[int]
 			for step := 0; step < 3000; step++ {
@@ -94,7 +94,10 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 				case k < 55:
 					op = "PutBatch"
 					es := toOwned(1 + rng.Intn(60)) // both the relock and the counting-sort path
-					for _, e := range es {
+					if rng.Intn(2) == 0 {
+						es[rng.Intn(len(es))] = fanOutEntry(g, owned, rng)
+					}
+					for _, e := range expand(g, owned, es) {
 						want[e.Dst] = true
 					}
 					s.PutBatch(es)
@@ -109,7 +112,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 					clear(want)
 				default:
 					op = "Dump+Load"
-					fresh := New[int](g, owned, tc.sem, tc.combine)
+					fresh := newFanOutStore(g, owned, tc.sem, tc.combine)
 					fresh.Load(s.Dump())
 					s = fresh
 				}
@@ -120,8 +123,9 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 }
 
 // TestFrontierBitsUnderConcurrentPuts: bits of one word are set by
-// appliers holding different stripe locks (a word spans stripes), and
-// cleared by readers, all at once; no transition may be lost.
+// appliers and cleared by readers on several threads at once, each under
+// the word's one stripe lock, while the popcount reads it lock-free; no
+// transition may be lost.
 func TestFrontierBitsUnderConcurrentPuts(t *testing.T) {
 	const n = 200
 	b := graph.NewBuilder(n)

@@ -1,6 +1,9 @@
 package msgstore
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Log is the per-worker superstep message log that makes confined recovery
 // possible (the Pregelix insight: logging runtime state between supersteps
@@ -13,11 +16,7 @@ import "sync"
 // from the log, not recomputed.
 //
 // Entries are copied on Append because batch ownership transfers to the
-// transport receiver (and recycled batch slices are reused). Entries
-// returned by Entries carry a zeroed Slot hint: the hint indexes the
-// destination's in-neighbor list at the time of the original send, and
-// topology mutations between then and replay could invalidate it — a zero
-// Slot makes the store fall back to a lookup, which is always correct.
+// transport receiver (and recycled batch slices are reused).
 //
 // The log's coverage window is explicit: Floor is the first superstep whose
 // sends are fully retained. TruncateThrough advances it after a checkpoint
@@ -56,21 +55,11 @@ func (l *Log[M]) Append(step, dest int, batch []Entry[M]) {
 }
 
 // Entries returns a copy of every entry sent to worker dest during
-// superstep step, with Slot hints zeroed (see the package comment). Returns
-// nil when nothing was logged.
+// superstep step, or nil when nothing was logged.
 func (l *Log[M]) Entries(step, dest int) []Entry[M] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	src := l.steps[step][dest]
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]Entry[M], len(src))
-	copy(out, src)
-	for i := range out {
-		out[i].Slot = 0
-	}
-	return out
+	return slices.Clone(l.steps[step][dest])
 }
 
 // Covers reports whether the log retains every superstep from 'from'

@@ -103,10 +103,15 @@ func modelOwned(g *graph.Graph, rng *rand.Rand) []graph.VertexID {
 }
 
 // modelEntries draws n messages along in-edges of owned vertices, half of
-// them carrying the in-slot hint.
+// them carrying the in-slot hint; about one in five is a fan-out entry
+// instead.
 func modelEntries(g *graph.Graph, owned []graph.VertexID, n int, rng *rand.Rand) []Entry[int] {
 	es := make([]Entry[int], n)
 	for i := range es {
+		if rng.Intn(5) == 0 {
+			es[i] = fanOutEntry(g, owned, rng)
+			continue
+		}
 		dst := owned[rng.Intn(len(owned))]
 		in := g.InNeighbors(dst)
 		pos := rng.Intn(len(in))
@@ -120,6 +125,13 @@ func modelEntries(g *graph.Graph, owned []graph.VertexID, n int, rng *rand.Rand)
 
 func sum(a, b int) int { return a + b }
 
+// newFanOutStore builds a store that takes fan-out entries.
+func newFanOutStore(g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b int) int) *Store[int] {
+	s := New(g, owned, kind, combine)
+	s.SetFanOut(NewFanOutTable(g, owned), nil)
+	return s
+}
+
 func TestStoreMatchesModel(t *testing.T) {
 	for _, sc := range semanticsCases {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -131,21 +143,26 @@ func TestStoreMatchesModel(t *testing.T) {
 				if sc.kind == model.Combine {
 					combine = sum
 				}
-				s, ref := New(g, owned, sc.kind, combine), newRef(sc.kind)
+				s, ref := newFanOutStore(g, owned, sc.kind, combine), newRef(sc.kind)
 				var r Reader[int]
 				for step := 0; step < 3000; step++ {
 					switch op := rng.Intn(100); {
 					case op < 30:
 						e := modelEntries(g, owned, 1, rng)[0]
-						if e.Slot == 0 {
+						switch {
+						case e.Dst == FanOut:
+							s.PutBatch([]Entry[int]{e})
+						case e.Slot == 0:
 							s.Put(e.Dst, e.Src, e.Msg, e.Ver)
-						} else {
+						default:
 							s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 						}
-						ref.put(e)
+						for _, e := range expand(g, owned, []Entry[int]{e}) {
+							ref.put(e)
+						}
 					case op < 55: // both sides of smallBatch
 						es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), rng)
-						for _, e := range es {
+						for _, e := range expand(g, owned, es) {
 							ref.put(e)
 						}
 						s.PutBatch(es)
@@ -169,7 +186,7 @@ func TestStoreMatchesModel(t *testing.T) {
 						if want := ref.dump(g, owned); !reflect.DeepEqual(d, want) {
 							t.Fatalf("step %d: Dump = %v, model %v", step, d, want)
 						}
-						s = New(g, owned, sc.kind, combine)
+						s = newFanOutStore(g, owned, sc.kind, combine)
 						s.Load(d)
 					}
 					if int(s.NewCount()) != len(ref.unread) {
@@ -200,14 +217,14 @@ func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 			if sc.kind == model.Combine {
 				combine = sum
 			}
-			s, ref := New(g, owned, sc.kind, combine), newRef(sc.kind)
+			s, ref := newFanOutStore(g, owned, sc.kind, combine), newRef(sc.kind)
 			perApplier := make([][]Entry[int], appliers)
 			for _, e := range modelEntries(g, owned, 6000, rng) {
 				a := int(e.Src) % appliers
 				perApplier[a] = append(perApplier[a], e)
 			}
 			for _, es := range perApplier {
-				for _, e := range es {
+				for _, e := range expand(g, owned, es) {
 					ref.put(e)
 				}
 			}

@@ -27,10 +27,11 @@ package msgstore
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"serialgraph/internal/graph"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 )
 
@@ -76,15 +77,16 @@ type Store[M any] struct {
 	// scratch pools batchScratch workspaces for PutBatch.
 	scratch sync.Pool
 
+	fan *FanOutTable      // expands fan-out entries (SetFanOut)
+	reg *metrics.Registry // if set, counts the slots they write
+
 	// unread has one bit per owned vertex: unseen message since last read.
-	// A bit is written under its vertex's stripe lock (keeping flag and
-	// payload consistent for lock holders) but read lock-free by the
-	// engine's frontier scans; newCount moves by exactly one per bit
-	// transition. Queue and Combine payloads exist only under a set bit
-	// (Read consumes both together), which is what lets Clear visit set
-	// bits only.
-	unread   Bits
-	newCount atomic.Int64
+	// A stripe is whole words, so a bit is flipped by its stripe's lock
+	// holder alone (keeping flag and payload consistent for lock holders)
+	// and read lock-free by the engine's frontier scans. Queue and Combine
+	// payloads exist only under a set bit (Read consumes both together),
+	// which is what lets Clear visit set bits only.
+	unread Bits
 }
 
 // owSlot is one in-edge's replica: its source's last message and version.
@@ -107,10 +109,8 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 		s.local[v] = int32(i)
 	}
 	n := len(owned)
-	s.blockSize = int32((n + stripes - 1) / stripes)
-	if s.blockSize < 1 {
-		s.blockSize = 1
-	}
+	// Whole unread words per stripe, at least one.
+	s.blockSize = int32(max((n+stripes-1)/stripes+63, 64) &^ 63)
 	s.unread = NewBits(n)
 	switch kind {
 	case model.Queue:
@@ -131,6 +131,11 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 	return s
 }
 
+// SetFanOut lets the store take fan-out entries, expanding them through t
+// (built over its graph and owned vertices; nil: none); a non-nil reg
+// counts the slots they write. Call before any put.
+func (s *Store[M]) SetFanOut(t *FanOutTable, reg *metrics.Registry) { s.fan, s.reg = t, reg }
+
 // Owns reports whether dst is stored here.
 func (s *Store[M]) Owns(dst graph.VertexID) bool { return s.local[dst] >= 0 }
 
@@ -145,12 +150,12 @@ func (s *Store[M]) idx(dst graph.VertexID) int32 {
 // stripeOf maps a local index to its stripe (block striping).
 func (s *Store[M]) stripeOf(li int32) int32 { return li / s.blockSize }
 
-// putLocked records message m into local slot li. The caller holds li's
-// stripe lock. slot, when non-zero, is the in-neighbor position of src in
-// dst's in-list biased by one, sparing the Overwrite path its binary
-// search. Returns false when the message is an Overwrite-mode message
-// from a non-in-neighbor (the caller unlocks, then panics, so the store is
-// not left locked).
+// putLocked records message m's payload into local slot li; the caller
+// holds li's stripe lock and sets li's unread bit. slot, when non-zero, is
+// the in-neighbor position of src in dst's in-list biased by one, sparing
+// the Overwrite path its binary search. Returns false when the message is
+// an Overwrite-mode message from a non-in-neighbor (the caller unlocks,
+// then panics, so the store is not left locked).
 func (s *Store[M]) putLocked(li int32, dst, src graph.VertexID, m M, ver uint32, slot uint32) bool {
 	switch s.kind {
 	case model.Queue:
@@ -174,9 +179,6 @@ func (s *Store[M]) putLocked(li int32, dst, src graph.VertexID, m M, ver uint32,
 		row := s.ow[s.owOff[li]:s.owOff[li+1]]
 		row[pos] = owSlot[M]{msg: m, ver: ver, hasE: s.epoch, freshE: s.epoch}
 	}
-	if s.unread.Set(li) {
-		s.newCount.Add(1)
-	}
 	return true
 }
 
@@ -193,6 +195,9 @@ func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	ok := s.putLocked(li, dst, src, m, ver, slot)
+	if ok {
+		s.unread.orLocked(int(li>>6), 1<<(li&63))
+	}
 	lk.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", src, dst))
@@ -202,8 +207,9 @@ func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32
 // batchScratch is the reusable workspace of one PutBatch call, pooled per
 // store so concurrent appliers never share one.
 type batchScratch[M any] struct {
-	entries []Entry[M]
-	lis     []int32
+	grouped []Entry[M]
+	lis     []int32  // local indices, looked up once: batch order, then grouped
+	words   []uint64 // one stripe's unread bits, by word
 	counts  [stripes + 1]int32
 }
 
@@ -214,7 +220,9 @@ const smallBatch = 16
 // PutBatch applies a batch of messages, amortizing lock acquisition: the
 // batch is grouped by lock stripe with a stable two-pass counting sort
 // (no comparisons, no reflection), so each stripe is locked once per
-// batch instead of once per message. Under Combine semantics each
+// batch instead of once per message (and each unread word it touches is
+// published once); a fan-out entry's targets are counted and placed in
+// its stead straight from the fan-out table. Under Combine semantics each
 // stripe's bucket is additionally ordered by destination and duplicate
 // destinations are pre-folded with the combiner before the store is
 // touched. Stable bucketing preserves per-destination arrival order, so
@@ -225,7 +233,7 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 	if len(batch) == 0 {
 		return
 	}
-	if len(batch) <= smallBatch {
+	if len(batch) <= smallBatch && !slices.ContainsFunc(batch, func(e Entry[M]) bool { return e.Dst == FanOut }) {
 		// Lazy relocking: hold the current stripe's lock across
 		// consecutive same-stripe entries.
 		cur := int32(-1)
@@ -242,6 +250,7 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 				s.locks[cur].Unlock()
 				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
 			}
+			s.unread.orLocked(int(li>>6), 1<<(li&63))
 		}
 		if cur >= 0 {
 			s.locks[cur].Unlock()
@@ -253,16 +262,21 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 	if sc == nil {
 		sc = &batchScratch[M]{}
 	}
-	if cap(sc.entries) < len(batch) {
-		sc.entries = make([]Entry[M], len(batch))
-		sc.lis = make([]int32, 2*len(batch))
-	}
-	grouped := sc.entries[:len(batch)]
-	// Local indices are looked up once: lis in batch order, glis grouped.
-	lis, glis := sc.lis[:len(batch)], sc.lis[len(batch):2*len(batch)]
+	sc.lis = slices.Grow(sc.lis[:0], len(batch))[:len(batch)]
+	lis := sc.lis
 	counts := &sc.counts
 	*counts = [stripes + 1]int32{}
+	total, fanned := len(batch), 0
 	for i := range batch {
+		if batch[i].Dst == FanOut {
+			row := s.fan.Row(batch[i].Src)
+			for _, t := range row {
+				counts[s.stripeOf(t.Local)+1]++
+			}
+			total += len(row) - 1
+			fanned += len(row)
+			continue
+		}
 		li := s.idx(batch[i].Dst)
 		lis[i] = li
 		counts[s.stripeOf(li)+1]++
@@ -270,15 +284,30 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 	for i := 1; i <= stripes; i++ {
 		counts[i] += counts[i-1]
 	}
+	sc.grouped = slices.Grow(sc.grouped[:0], total)[:total]
+	sc.lis = slices.Grow(sc.lis, total)
+	grouped, glis := sc.grouped, sc.lis[len(batch):len(batch)+total]
 	offsets := counts // counts is now the running placement offset per stripe
-	for i, li := range lis {
-		st := s.stripeOf(li)
-		grouped[offsets[st]] = batch[i]
-		glis[offsets[st]] = li
+	for i := range batch {
+		e := &batch[i]
+		if e.Dst == FanOut {
+			for _, t := range s.fan.Row(e.Src) {
+				st := s.stripeOf(t.Local)
+				grouped[offsets[st]] = Entry[M]{Dst: s.owned[t.Local], Src: e.Src, Msg: e.Msg, Ver: e.Ver, Slot: t.Slot}
+				glis[offsets[st]] = t.Local
+				offsets[st]++
+			}
+			continue
+		}
+		st := s.stripeOf(lis[i])
+		grouped[offsets[st]] = *e
+		glis[offsets[st]] = lis[i]
 		offsets[st]++
 	}
 	// offsets[st] is now the END of stripe st's bucket (and the start of
 	// stripe st+1's), since each advanced by its own count.
+	wordsPer := int(s.blockSize >> 6)
+	sc.words = slices.Grow(sc.words[:0], wordsPer)[:wordsPer]
 	start := int32(0)
 	for st := 0; st < stripes; st++ {
 		end := offsets[st]
@@ -290,19 +319,29 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) {
 		if s.kind == model.Combine {
 			bucket = s.preCombine(bucket, blis)
 		}
+		base := st * wordsPer
 		lk := &s.locks[st]
 		lk.Lock()
 		for i := range bucket {
-			e := &bucket[i]
-			if !s.putLocked(blis[i], e.Dst, e.Src, e.Msg, e.Ver, e.Slot) {
+			e, li := &bucket[i], blis[i]
+			if !s.putLocked(li, e.Dst, e.Src, e.Msg, e.Ver, e.Slot) {
 				lk.Unlock()
-				s.scratch.Put(sc)
 				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
+			}
+			sc.words[int(li>>6)-base] |= 1 << (li & 63)
+		}
+		for i, m := range sc.words {
+			if m != 0 {
+				s.unread.orLocked(base+i, m)
+				sc.words[i] = 0
 			}
 		}
 		lk.Unlock()
 	}
 	s.scratch.Put(sc)
+	if fanned > 0 && s.reg != nil {
+		s.reg.Add(metrics.FanOutTargets, int64(fanned))
+	}
 }
 
 // preCombine orders a stripe bucket by destination (stable insertion
@@ -337,7 +376,7 @@ func (s *Store[M]) HasNew(dst graph.VertexID) bool {
 }
 
 // NewCount returns the number of owned vertices with unread messages.
-func (s *Store[M]) NewCount() int64 { return s.newCount.Load() }
+func (s *Store[M]) NewCount() int64 { return s.unread.Count() }
 
 // Unread returns the live unread-message bitset, indexed like the owned
 // slice the store was built with. Callers only read it.
@@ -368,8 +407,8 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	defer lk.Unlock()
-	if s.unread.Clear(li) {
-		s.newCount.Add(-1)
+	if w, m := &s.unread[li>>6], uint64(1)<<(li&63); w.Load()&m != 0 {
+		w.Store(w.Load() &^ m) // the stripe's lock holder is the word's one writer
 	}
 	switch s.kind {
 	case model.Queue:
@@ -420,7 +459,6 @@ func (s *Store[M]) Clear() {
 			continue
 		}
 		s.unread[wi].Store(0) // every writer of a bit holds a stripe lock
-		s.newCount.Add(-int64(bits.OnesCount64(w)))
 		if s.kind == model.Overwrite {
 			continue
 		}
@@ -515,17 +553,22 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 			if !ok {
 				panic("msgstore: restored entry from non-in-neighbor")
 			}
+			// Dump lists a multi-edge's slots in order: fill the next one.
+			in, row := s.g.InNeighbors(e.Dst), s.ow[s.owOff[li]:s.owOff[li+1]]
+			for pos+1 < len(in) && in[pos+1] == e.Src && row[pos].hasE == s.epoch {
+				pos++
+			}
 			sl := owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
 			if e.IsNew {
 				sl.freshE = s.epoch
 			}
-			s.ow[int(s.owOff[li])+pos] = sl
+			row[pos] = sl
 		}
 		// Queue and Combine payloads are visible to Clear only through the
 		// unread bit (and Dump never emits one without it), so they set it
 		// whatever the entry says.
-		if (e.IsNew || s.kind != model.Overwrite) && s.unread.Set(li) {
-			s.newCount.Add(1)
+		if e.IsNew || s.kind != model.Overwrite {
+			s.unread.Set(li)
 		}
 	}
 }

@@ -70,6 +70,14 @@ func goldenCases(t testing.TB) []goldenCase {
 		{Dst: 12, Src: -1, Msg: 0.25, Ver: 2, Slot: 1},
 		{Dst: 11, Src: 7, Msg: -3.75, Ver: 3, Slot: 4},
 	}
+	// Point and fan-out entries in one batch: a fan-out entry's Dst is
+	// msgstore.FanOut, which travels as a zigzag delta like any other.
+	batchFan := []msgstore.Entry[float64]{
+		{Dst: 10, Src: 3, Msg: 1.5, Ver: 2, Slot: 0},
+		{Dst: msgstore.FanOut, Src: 3, Msg: 0.5, Ver: 2, Slot: 0},
+		{Dst: msgstore.FanOut, Src: 8, Msg: -2, Ver: 1, Slot: 0},
+		{Dst: 4, Src: 8, Msg: 0.125, Ver: 1, Slot: 3},
+	}
 	batch32 := []msgstore.Entry[int32]{
 		{Dst: 100, Src: 99, Msg: -7, Ver: 1, Slot: 0},
 		{Dst: 101, Src: 98, Msg: 1 << 20, Ver: 1, Slot: 2},
@@ -124,6 +132,12 @@ func goldenCases(t testing.TB) []goldenCase {
 			frame: encodeFrame(t, c64, batch64,
 				cluster.Frame{From: 0, To: 1, Declared: 56}),
 			verify: verifyPayload(c64, batch64),
+		},
+		{
+			name: "data_fanout",
+			frame: encodeFrame(t, c64, batchFan,
+				cluster.Frame{From: 1, To: 0, Declared: 72}),
+			verify: verifyPayload(c64, batchFan),
 		},
 		{
 			name: "data_int32",

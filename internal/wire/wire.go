@@ -326,7 +326,8 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 			}
 			b = b[n:]
 			dst := prev + delta
-			if dst < math.MinInt32 || dst > math.MaxInt32 {
+			// A vertex, or msgstore.FanOut.
+			if dst < int64(msgstore.FanOut) || dst > math.MaxInt32 {
 				return nil, ErrCorrupt
 			}
 			prev = dst

@@ -160,6 +160,35 @@ func TestDecodePayloadRejectsCorruptBatch(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsDstBelowFanOut: a data entry's Dst is a vertex or
+// msgstore.FanOut (-1); anything lower is corrupt, whether it comes as the
+// first delta or relative to a fan-out entry before it.
+func TestDecodeRejectsDstBelowFanOut(t *testing.T) {
+	c := NewCodec[float64]()
+	for _, batch := range [][]msgstore.Entry[float64]{
+		{{Dst: -2, Src: 1, Msg: 1}},
+		{{Dst: msgstore.FanOut, Src: 1, Msg: 1}, {Dst: -7, Src: 1, Msg: 1}},
+		{{Dst: 5, Src: 1, Msg: 1}, {Dst: math.MinInt32, Src: 1, Msg: 1}},
+	} {
+		_, buf, err := c.EncodePayload(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.DecodePayload(cluster.FrameData, buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Dst %d: err = %v, want ErrCorrupt", batch[len(batch)-1].Dst, err)
+		}
+	}
+	ok := []msgstore.Entry[float64]{{Dst: msgstore.FanOut, Src: 4, Msg: 2}, {Dst: 0, Src: 4, Msg: 3}}
+	_, buf, err := c.EncodePayload(ok, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.DecodePayload(cluster.FrameData, buf)
+	if err != nil || !reflect.DeepEqual(got, ok) {
+		t.Fatalf("fan-out batch decoded to %v, %v; want %v", got, err, ok)
+	}
+}
+
 // TestDecodeAllocationGuards feeds payloads whose declared element counts
 // wildly exceed the payload size: decoders must reject them up front
 // instead of allocating count-sized slices.
