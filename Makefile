@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz bench bench-check bench-pair bench-json bench-smoke bench-micro ci clean
+.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz bench bench-check bench-pair bench-json bench-smoke bench-micro ci clean
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package outside benchmark/ and examples/, then the
+# total: the code-size figure simplicity changes quote before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './examples/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
+			if (d == "") d = "."; n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # vet plus formatting: any file gofmt would rewrite fails the target (and CI).
 vet:
@@ -56,10 +64,12 @@ torture-pinned:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -timeout=15m
 
-# Wire-transport gate: the TCP backend conformance suite, the
-# cross-transport equivalence matrix, the goroutine-level and real
-# multi-process dist conformance suites, all under the race detector.
+# Wire-transport gate: the transport contract on both backends three times
+# over (so Send/Close races get shaken on each), the cluster, codec and dist
+# suites, the cross-transport equivalence matrix and the real multi-process
+# run, all under the race detector.
 tcp:
+	$(GO) test -race -count=3 ./internal/cluster/ -run TestTransportContract
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/wire/ ./internal/dist/
 	$(GO) test -race -count=1 ./internal/engine/ -run TestTransportEquivalenceMatrix -v
 	$(GO) test -race -count=1 ./cmd/graphrun/ -run TestGraphrunMultiProcess -v

@@ -153,17 +153,11 @@ func TestWindowForBudget(t *testing.T) {
 	}
 }
 
-// flowTransport is the Mem/TCP intersection the credit tests drive.
-type flowTransport interface {
-	cluster.Transport
-	SetFlow(*cluster.Flow)
-}
-
 // runFlowTraffic pushes concurrent multi-sender data traffic (larger
 // than the tiny window, so senders must block and recycle credit) plus
 // control traffic through tr, then checks the conservation invariant at
 // an idle barrier.
-func runFlowTraffic(t *testing.T, tr flowTransport, n int) {
+func runFlowTraffic(t *testing.T, tr cluster.Transport, n int) {
 	t.Helper()
 	f := cluster.NewFlow(n, 256)
 	tr.SetFlow(f)
@@ -172,7 +166,6 @@ func runFlowTraffic(t *testing.T, tr flowTransport, n int) {
 	for w := 0; w < n; w++ {
 		eps[w] = cluster.NewEndpoint(tr, cluster.WorkerID(w),
 			func(from cluster.WorkerID, payload any) { delivered.Add(1) }, nil)
-		eps[w].SetFlow(f)
 	}
 	const perSender = 50
 	var wg sync.WaitGroup
@@ -247,7 +240,7 @@ func (h *dropEveryOtherHook) OnDeliver(cluster.Message) {}
 // runFlowFaults drives every loss path — send-time drops, wire losses,
 // duplicates, a killed receiver — and requires balanced windows at idle:
 // credit acquired by a message that never arrives must still be returned.
-func runFlowFaults(t *testing.T, tr flowTransport, n int) {
+func runFlowFaults(t *testing.T, tr cluster.Transport, n int) {
 	t.Helper()
 	f := cluster.NewFlow(n, 512)
 	tr.SetFlow(f)
@@ -256,7 +249,6 @@ func runFlowFaults(t *testing.T, tr flowTransport, n int) {
 	for w := 0; w < n; w++ {
 		eps[w] = cluster.NewEndpoint(tr, cluster.WorkerID(w),
 			func(from cluster.WorkerID, payload any) {}, nil)
-		eps[w].SetFlow(f)
 	}
 	for i := 0; i < 60; i++ {
 		eps[i%n].SendData(cluster.WorkerID((i+1)%n), batch(0, float64(i)), 100)
@@ -297,7 +289,6 @@ func TestFlowSendAfterCloseReleases(t *testing.T) {
 	tr.SetFlow(f)
 	e0 := cluster.NewEndpoint(tr, 0, func(cluster.WorkerID, any) {}, nil)
 	cluster.NewEndpoint(tr, 1, func(cluster.WorkerID, any) {}, nil)
-	e0.SetFlow(f)
 	tr.Close()
 	e0.SendData(1, batch(0, 1), 100) // dropped at Send; credit must return
 	if err := f.CheckBalanced(); err != nil {
@@ -317,7 +308,6 @@ func TestTCPFlowCreditInvisibleToLedgers(t *testing.T) {
 	var delivered atomic.Int64
 	e0 := cluster.NewEndpoint(tr, 0, func(cluster.WorkerID, any) {}, nil)
 	cluster.NewEndpoint(tr, 1, func(cluster.WorkerID, any) { delivered.Add(1) }, nil)
-	e0.SetFlow(f)
 	for i := 0; i < 10; i++ {
 		e0.SendData(1, batch(0, float64(i)), 100)
 	}

@@ -34,13 +34,12 @@ type BarrierMarker struct{ Seq uint64 }
 // FIFO, an acked flush marker guarantees every earlier data message to that
 // worker has been delivered and applied.
 type Endpoint struct {
-	t  Transport
-	id WorkerID
+	t       Transport
+	windows func() *Flow // the transport's credit windows: both backends embed core
+	id      WorkerID
 
 	onData func(from WorkerID, payload any)
 	onCtrl func(from WorkerID, payload any)
-
-	flow *Flow // optional credit windows; nil-safe
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -53,7 +52,8 @@ type Endpoint struct {
 // onCtrl receives Control payloads; both run on transport delivery
 // goroutines and must not block indefinitely.
 func NewEndpoint(t Transport, id WorkerID, onData, onCtrl func(from WorkerID, payload any)) *Endpoint {
-	e := &Endpoint{t: t, id: id, onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{}), abortCh: make(chan struct{})}
+	e := &Endpoint{t: t, windows: t.(interface{ windows() *Flow }).windows, id: id,
+		onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{}), abortCh: make(chan struct{})}
 	t.RegisterHandler(id, e.handle)
 	return e
 }
@@ -90,17 +90,13 @@ func (e *Endpoint) handle(m Message) {
 	}
 }
 
-// SetFlow attaches per-ordered-pair credit windows: every SendData first
-// acquires window bytes, blocking while the (e.id, to) window is full.
-// Control traffic is never subject to flow control (it must keep moving
-// so credit and acks can flow back).
-func (e *Endpoint) SetFlow(f *Flow) { e.flow = f }
-
 // SendData sends a data payload (a batch of vertex messages) of the given
-// simulated size. With a Flow attached it blocks until the credit window
-// to the destination admits the batch.
+// simulated size. Once the transport's SetFlow has armed credit windows it
+// blocks until the (e.id, to) window admits the batch. Control traffic is
+// never subject to flow control (it must keep moving so credit and acks
+// can flow back).
 func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
-	e.flow.Acquire(e.id, to, bytes)
+	e.windows().Acquire(e.id, to, bytes)
 	e.t.Send(Message{From: e.id, To: to, Kind: Data, Bytes: bytes, Payload: payload})
 }
 

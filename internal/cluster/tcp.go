@@ -1,10 +1,10 @@
 package cluster
 
-// tcp.go is the real-socket transport backend. It keeps the exact
-// delivery semantics of the Mem simulator — per-pair FIFO, never-blocking
-// Send, inflight accounting for WaitIdle, Kill/Revive drop rules, fault
-// hook fidelity — but moves every message through a TCP connection as
-// encoded frames:
+// tcp.go is the real-socket transport backend. The delivery contract —
+// never-blocking Send, the drop rules, the byte ledger, in-flight
+// accounting for WaitIdle — is core's (core.go), shared with Mem; TCP is
+// only the wire, moving every message through a TCP connection as encoded
+// frames:
 //
 //   - one persistent connection per ordered (sender, receiver) pair,
 //     including self-pairs, so a lane is exactly a socket and TCP's
@@ -27,10 +27,10 @@ package cluster
 // again (two real frames cross the socket), Fate.DropDelivery sets
 // FlagWireLost so the frame crosses the wire and is discarded on arrival,
 // and Fate.Delay rides in the frame header and is slept in the read pump
-// (head-of-line, matching a Mem lane). The simulated Message.Bytes ledger
-// is carried in the frame header and counted exactly as Mem counts it, so
-// every conservation contract holds unchanged; true encoded bytes are
-// reported separately in Stats.WireBytesSent/WireBytesReceived.
+// (head-of-line, matching a Mem lane). The sender's Message.Bytes rides in
+// the frame header and is counted by core.accept on the sending side, as on
+// Mem, so every conservation contract holds unchanged; true encoded bytes
+// are reported separately in Stats.WireBytesSent/WireBytesReceived.
 
 import (
 	"encoding/binary"
@@ -69,22 +69,12 @@ type inLane struct {
 
 // TCP is the socket transport backend.
 type TCP struct {
-	n int
+	core
 	// me is the one worker a peer transport (NewTCPPeer) hosts; -1 on a
 	// loopback transport, which hosts them all.
-	me       int
-	latency  LatencyModel
-	codec    PayloadCodec
-	handlers []Handler
-	stats    Stats
-	dead     []atomic.Bool
-	hook     FaultHook
-	flow     *Flow // optional credit windows; nil when flow control is off
-	reg      atomic.Pointer[metrics.Registry]
-
-	inflightMu sync.Mutex
-	inflight   int
-	idleCond   *sync.Cond
+	me    int
+	codec PayloadCodec
+	reg   atomic.Pointer[metrics.Registry]
 
 	// Barrier state of a peer transport: barGen counts the barriers this
 	// worker has sent, barSeen[j] is the last one received from worker j and
@@ -98,8 +88,7 @@ type TCP struct {
 	listeners []net.Listener
 	lanes     []*tcpLane // n*n, index from*n+to; nil where the sender is in another process
 
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	wg sync.WaitGroup
 }
 
 var _ Transport = (*TCP)(nil)
@@ -159,23 +148,13 @@ func parseHello(f Frame) (from, to WorkerID, err error) {
 	return WorkerID(fr), WorkerID(t), nil
 }
 
-func newTCP(n, me int, latency LatencyModel, codec PayloadCodec) *TCP {
-	if n < 1 {
-		panic("cluster: need at least one worker")
-	}
+func newTCP(n, me int, codec PayloadCodec) *TCP {
 	if codec == nil {
 		panic("cluster: TCP transport needs a payload codec")
 	}
-	t := &TCP{
-		n:        n,
-		me:       me,
-		latency:  latency,
-		codec:    codec,
-		handlers: make([]Handler, n),
-		dead:     make([]atomic.Bool, n),
-		lanes:    make([]*tcpLane, n*n),
-	}
-	t.idleCond = sync.NewCond(&t.inflightMu)
+	t := &TCP{me: me, codec: codec}
+	t.init(n, t.enqueue)
+	t.lanes = make([]*tcpLane, n*n)
 	t.barCond.L = &t.barMu
 	for i := range t.lanes {
 		if me < 0 || i/n == me {
@@ -190,10 +169,10 @@ func newTCP(n, me int, latency LatencyModel, codec PayloadCodec) *TCP {
 // NewTCPLoopback creates a TCP transport for n workers, all inside this
 // process, connected over 127.0.0.1 sockets. codec encodes and decodes
 // frame payloads (the engine passes wire.NewCodec for its message type).
-// The latency model is recorded (Latency returns it) but not enforced:
-// the real wire provides the timing.
-func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, error) {
-	t := newTCP(n, -1, latency, codec)
+// The latency model is not enforced over sockets: the real wire provides
+// the timing.
+func NewTCPLoopback(n int, _ LatencyModel, codec PayloadCodec) (*TCP, error) {
+	t := newTCP(n, -1, codec)
 	addrs := make([]string, n)
 	for w := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -228,7 +207,7 @@ func NewTCPPeer(n, me int, ln net.Listener, addrs []string, codec PayloadCodec, 
 	if me < 0 || me >= n || len(addrs) != n {
 		return nil, fmt.Errorf("cluster: peer %d of %d workers with %d addresses", me, n, len(addrs))
 	}
-	t := newTCP(n, me, LatencyModel{}, codec)
+	t := newTCP(n, me, codec)
 	t.barSeen = make([]uint64, n)
 	t.barDown = make([]bool, n)
 	t.listeners = []net.Listener{ln}
@@ -337,120 +316,27 @@ func (t *TCP) teardown() {
 // wire_flush_ns phase time. Call it before traffic flows.
 func (t *TCP) SetMetrics(reg *metrics.Registry) { t.reg.Store(reg) }
 
-// NumWorkers returns the cluster size.
-func (t *TCP) NumWorkers() int { return t.n }
-
-// Latency returns the configured (reported, not enforced) latency model.
-func (t *TCP) Latency() LatencyModel { return t.latency }
-
-// Stats returns the traffic counters.
-func (t *TCP) Stats() *Stats { return &t.stats }
-
-// RegisterHandler installs the delivery callback for worker w.
-func (t *TCP) RegisterHandler(w WorkerID, h Handler) {
-	if t.handlers[w] != nil {
-		panic(fmt.Sprintf("cluster: handler for worker %d registered twice", w))
-	}
-	t.handlers[w] = h
-}
-
-// SetFaultHook installs a fault-injection hook. It must be called before
-// any traffic flows.
-func (t *TCP) SetFaultHook(h FaultHook) { t.hook = h }
-
-// SetFlow attaches the credit windows senders acquired against and arms
-// the credit protocol: for every data frame a pump consumes it sends a
-// Credit frame back on the reverse lane, and receiving a Credit frame
-// releases the original sender's window. Must be set before any traffic
-// flows.
-func (t *TCP) SetFlow(f *Flow) { t.flow = f }
-
-// releaseCredit returns m's window bytes directly for a data message
-// dropped on the sender's side, before any frame crossed the wire.
-func (t *TCP) releaseCredit(m Message) {
-	if m.Kind == Data {
-		t.flow.Release(m.From, m.To, m.Bytes)
-	}
-}
-
-// Kill marks worker w as crashed; see (*Mem).Kill for the semantics.
-func (t *TCP) Kill(w WorkerID) { t.dead[w].Store(true) }
-
-// Revive clears worker w's crash flag.
-func (t *TCP) Revive(w WorkerID) { t.dead[w].Store(false) }
-
-// Alive reports whether worker w is not currently killed.
-func (t *TCP) Alive(w WorkerID) bool { return !t.dead[w].Load() }
-
-// DeadWorkers returns the IDs of all currently killed workers.
-func (t *TCP) DeadWorkers() []WorkerID {
-	var dead []WorkerID
-	for w := range t.dead {
-		if t.dead[w].Load() {
-			dead = append(dead, WorkerID(w))
-		}
-	}
-	return dead
-}
-
-// Send enqueues m for transmission. Semantics match (*Mem).Send exactly:
-// it never blocks, and sends after Close, data sends touching a killed
-// worker, and hook-dropped sends are discarded and counted.
+// Send enqueues m for transmission (see core.Send). A peer transport
+// carries only its own worker's traffic.
 func (t *TCP) Send(m Message) {
-	if m.From < 0 || int(m.From) >= t.n || m.To < 0 || int(m.To) >= t.n || (t.me >= 0 && int(m.From) != t.me) {
+	if t.me >= 0 && int(m.From) != t.me {
 		panic(fmt.Sprintf("cluster: bad endpoints %d->%d", m.From, m.To))
 	}
-	if t.closed.Load() {
-		t.stats.DroppedMessages.Add(1)
-		t.releaseCredit(m)
-		return
-	}
-	if m.Kind == Data && (t.dead[m.From].Load() || t.dead[m.To].Load()) {
-		t.stats.DroppedMessages.Add(1)
-		t.releaseCredit(m)
-		return
-	}
-	var fate Fate
-	if t.hook != nil {
-		fate = t.hook.OnSend(m)
-		if fate.Drop {
-			t.stats.DroppedMessages.Add(1)
-			t.releaseCredit(m)
-			return
-		}
-	}
-	for c := 0; c <= fate.Duplicates; c++ {
-		t.enqueue(m, fate.Delay, fate.DropDelivery)
-	}
+	t.core.Send(m)
 }
 
-// enqueue places one copy of m on its lane's write queue, counting it as
-// traffic, or counts a drop if the lane is already closed. The closed
-// check runs under the lane lock so a Send racing Close can never strand
-// an in-flight count after the writer exits.
-func (t *TCP) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
+// enqueue places one copy of m on its lane's write queue, or drops it if
+// the lane is already closed.
+func (t *TCP) enqueue(m Message, delay time.Duration, wireLost bool) {
 	l := t.lanes[int(m.From)*t.n+int(m.To)]
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		t.stats.DroppedMessages.Add(1)
-		t.releaseCredit(m)
+		t.drop(m)
 		return
 	}
-	switch m.Kind {
-	case Data:
-		t.stats.DataMessages.Add(1)
-		t.stats.DataBytes.Add(int64(m.Bytes))
-	case Control:
-		t.stats.ControlMessages.Add(1)
-		t.stats.ControlBytes.Add(int64(m.Bytes))
-	case Ack:
-		t.stats.AckMessages.Add(1)
-	}
-	t.inflightMu.Lock()
-	t.inflight++
-	t.inflightMu.Unlock()
-	l.q = append(l.q, tcpQueued{m, extraDelay, wireLost})
+	t.accept(m)
+	l.q = append(l.q, tcpQueued{m, delay, wireLost})
 	l.cond.Signal()
 	l.mu.Unlock()
 }
@@ -481,9 +367,7 @@ func (t *TCP) push(from, to WorkerID, payload any) bool {
 	if l.closed {
 		return false
 	}
-	t.inflightMu.Lock()
-	t.inflight++
-	t.inflightMu.Unlock()
+	t.takeoff()
 	l.q = append(l.q, tcpQueued{msg: Message{From: from, To: to, Kind: Control, Payload: payload}})
 	l.cond.Signal()
 	return true
@@ -648,16 +532,7 @@ func (t *TCP) pump(c inLane) {
 		if f.Delay > 0 {
 			time.Sleep(f.Delay)
 		}
-		if f.Flags&FlagWireLost != 0 || (m.Kind == Data && t.dead[m.To].Load()) {
-			t.stats.DroppedMessages.Add(1)
-		} else {
-			if h := t.handlers[m.To]; h != nil {
-				h(m)
-			}
-			if t.hook != nil {
-				t.hook.OnDeliver(m)
-			}
-		}
+		t.deliver(m, f.Flags&FlagWireLost != 0)
 		// The frame crossed the wire and is consumed either way
 		// (delivered or lost): return its window. The grant is queued
 		// before this frame's in-flight count drops, so WaitIdle holds
@@ -667,35 +542,6 @@ func (t *TCP) pump(c inLane) {
 		}
 		t.landed()
 	}
-}
-
-// landed counts one frame out of flight. On a peer transport each process
-// counts only its own side of a lane, so the count means nothing there.
-func (t *TCP) landed() {
-	t.inflightMu.Lock()
-	t.inflight--
-	if t.inflight == 0 {
-		t.idleCond.Broadcast()
-	}
-	t.inflightMu.Unlock()
-}
-
-// WaitIdle blocks until no messages are in flight anywhere: queued,
-// buffered in a socket, or mid-delivery. On a peer transport the count
-// sees only this process's side of each lane; use Barrier there.
-func (t *TCP) WaitIdle() {
-	t.inflightMu.Lock()
-	for t.inflight > 0 {
-		t.idleCond.Wait()
-	}
-	t.inflightMu.Unlock()
-}
-
-// InFlight returns the number of undelivered messages.
-func (t *TCP) InFlight() int {
-	t.inflightMu.Lock()
-	defer t.inflightMu.Unlock()
-	return t.inflight
 }
 
 // Close drains all lanes and shuts the sockets down. Writers flush their

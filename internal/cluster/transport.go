@@ -9,8 +9,11 @@
 //     TCP sockets with a length-prefixed binary frame codec, per-peer
 //     persistent connections, write coalescing, and read pumps.
 //
-// Both preserve FIFO order per (sender, receiver) pair — as TCP does
-// between two Giraph workers — and count every message and byte.
+// Both embed one core (core.go) that owns the delivery contract — the
+// handler registry, Send's admission and drop rules, the byte ledger, the
+// in-flight count behind WaitIdle — and supply only their wire. Both
+// preserve FIFO order per (sender, receiver) pair — as TCP does between
+// two Giraph workers — and count every message and byte.
 //
 // The paper's evaluation is entirely about the communication/parallelism
 // trade-off of synchronization techniques, so the transport makes both
@@ -192,7 +195,7 @@ type timed struct {
 // interface so the simulated in-process backend (Mem) and the real TCP
 // backend (TCP) are interchangeable.
 //
-// Semantics every backend must provide:
+// Semantics every backend provides (core.go owns them):
 //
 //   - FIFO delivery per (sender, receiver) pair; handlers for one pair run
 //     sequentially in send order, different pairs concurrently.
@@ -200,15 +203,9 @@ type timed struct {
 //   - A message is "in flight" from the moment Send accepts it until its
 //     handler returns (or it is counted dropped); WaitIdle blocks until no
 //     messages are in flight.
-//   - Kill/Revive dead-worker semantics and Stats drop accounting exactly
-//     as documented on Mem's methods.
+//   - Kill/Revive dead-worker semantics, Stats drop accounting and credit
+//     return exactly as documented on core's methods.
 type Transport interface {
-	// NumWorkers returns the cluster size.
-	NumWorkers() int
-	// Latency returns the configured latency model. The Mem backend
-	// enforces it; the TCP backend reports it but lets the real wire set
-	// the timing.
-	Latency() LatencyModel
 	// Stats returns the live traffic counters.
 	Stats() *Stats
 	// RegisterHandler installs the delivery callback for worker w. It must
@@ -218,6 +215,9 @@ type Transport interface {
 	// SetFaultHook installs a fault-injection hook; it must be called
 	// before any traffic flows.
 	SetFaultHook(h FaultHook)
+	// SetFlow arms the credit windows every Endpoint.SendData acquires on;
+	// it must be called before any traffic flows.
+	SetFlow(f *Flow)
 	// Kill marks worker w as crashed; Revive clears the flag.
 	Kill(w WorkerID)
 	Revive(w WorkerID)
@@ -239,25 +239,15 @@ type Transport interface {
 // Mem is the in-process simulated backend: per-pair FIFO lanes with
 // modeled propagation latency and serialization delay.
 type Mem struct {
-	n        int
-	latency  LatencyModel
-	handlers []Handler
-	lanes    []*lane // n*n, index from*n+to
-	stats    Stats
-	dead     []atomic.Bool // per-worker crash flags
-	hook     FaultHook     // set before any traffic; nil when faults are off
-	flow     *Flow         // optional credit windows; nil when flow control is off
-
-	inflightMu sync.Mutex
-	inflight   int
-	idleCond   *sync.Cond
+	core
+	latency LatencyModel
+	lanes   []*lane // n*n, index from*n+to
 
 	// clock is the transport's one wire clock (clock.go): lanes wait for
 	// their head-of-line deliverAt on it instead of calling time.Sleep.
 	clock *wireClock
 
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	wg sync.WaitGroup
 }
 
 var _ Transport = (*Mem)(nil)
@@ -266,156 +256,32 @@ var _ Transport = (*Mem)(nil)
 // given latency model. RegisterHandler must be called for every worker
 // before any Send.
 func New(n int, latency LatencyModel) *Mem {
-	if n < 1 {
-		panic("cluster: need at least one worker")
-	}
-	t := &Mem{
-		n:        n,
-		latency:  latency,
-		handlers: make([]Handler, n),
-		lanes:    make([]*lane, n*n),
-		dead:     make([]atomic.Bool, n),
-	}
-	t.idleCond = sync.NewCond(&t.inflightMu)
+	t := &Mem{latency: latency}
+	t.init(n, t.enqueue)
+	t.lanes = make([]*lane, n*n)
 	t.clock = newWireClock(n * n) // at most one deadline per lane
 	for i := range t.lanes {
 		l := &lane{wake: make(chan struct{}, 1)}
 		l.cond = sync.NewCond(&l.mu)
 		t.lanes[i] = l
 		t.wg.Add(1)
-		go t.deliver(l)
+		go t.consume(l)
 	}
 	return t
 }
 
-// NumWorkers returns the cluster size.
-func (t *Mem) NumWorkers() int { return t.n }
-
-// Latency returns the latency model in use.
-func (t *Mem) Latency() LatencyModel { return t.latency }
-
-// Stats returns the traffic counters.
-func (t *Mem) Stats() *Stats { return &t.stats }
-
-// RegisterHandler installs the delivery callback for worker w.
-func (t *Mem) RegisterHandler(w WorkerID, h Handler) {
-	if t.handlers[w] != nil {
-		panic(fmt.Sprintf("cluster: handler for worker %d registered twice", w))
-	}
-	t.handlers[w] = h
-}
-
-// SetFaultHook installs a fault-injection hook. It must be called before
-// any traffic flows (the engine attaches it right after New, before
-// workers start).
-func (t *Mem) SetFaultHook(h FaultHook) { t.hook = h }
-
-// SetFlow attaches the credit windows senders acquired against, so the
-// backend can return credit the moment a data message leaves its lane —
-// delivered or dropped. Must be set before any traffic flows.
-func (t *Mem) SetFlow(f *Flow) { t.flow = f }
-
-// releaseCredit returns m's window bytes for a data message that is done
-// (delivered, or dropped anywhere on its path). Credit acquired in
-// Endpoint.SendData must be returned on every exit path or senders would
-// park forever on a window that never refills.
-func (t *Mem) releaseCredit(m Message) {
-	if m.Kind == Data {
-		t.flow.Release(m.From, m.To, m.Bytes)
-	}
-}
-
-// Kill marks worker w as crashed. From then on the worker's data traffic
-// is lost — data messages sent by or addressed to it are dropped (and
-// counted in DroppedMessages), and in-flight data messages addressed to
-// it are discarded at delivery time. Control and ack traffic still flows:
-// the simulation keeps the blocking coordination protocols (Chandy–Misra
-// forks, flush acks) drainable so every worker reaches the next barrier,
-// where the master detects the death and rolls the cluster back —
-// discarding all of the dead worker's superstep state anyway, exactly as
-// a real whole-cluster rollback would.
-func (t *Mem) Kill(w WorkerID) { t.dead[w].Store(true) }
-
-// Revive clears worker w's crash flag, modeling the failed machine's
-// replacement rejoining the cluster before a rollback.
-func (t *Mem) Revive(w WorkerID) { t.dead[w].Store(false) }
-
-// Alive reports whether worker w is not currently killed.
-func (t *Mem) Alive(w WorkerID) bool { return !t.dead[w].Load() }
-
-// DeadWorkers returns the IDs of all currently killed workers.
-func (t *Mem) DeadWorkers() []WorkerID {
-	var dead []WorkerID
-	for w := range t.dead {
-		if t.dead[w].Load() {
-			dead = append(dead, WorkerID(w))
-		}
-	}
-	return dead
-}
-
-// Send enqueues m for delivery. It never blocks. Sending to yourself is
-// allowed and goes through the same simulated path (engines bypass the
-// transport for truly local traffic). Sends after Close, data sends
-// touching a killed worker, and sends dropped by the fault hook are
-// discarded and counted in Stats.DroppedMessages.
-func (t *Mem) Send(m Message) {
-	if m.From < 0 || int(m.From) >= t.n || m.To < 0 || int(m.To) >= t.n {
-		panic(fmt.Sprintf("cluster: bad endpoints %d->%d", m.From, m.To))
-	}
-	if t.closed.Load() {
-		// Shutting down; drop, as a dying cluster would — but account for it.
-		t.stats.DroppedMessages.Add(1)
-		t.releaseCredit(m)
-		return
-	}
-	if m.Kind == Data && (t.dead[m.From].Load() || t.dead[m.To].Load()) {
-		t.stats.DroppedMessages.Add(1)
-		t.releaseCredit(m)
-		return
-	}
-	var fate Fate
-	if t.hook != nil {
-		fate = t.hook.OnSend(m)
-		if fate.Drop {
-			t.stats.DroppedMessages.Add(1)
-			t.releaseCredit(m)
-			return
-		}
-	}
-	for c := 0; c <= fate.Duplicates; c++ {
-		t.enqueue(m, fate.Delay, fate.DropDelivery)
-	}
-}
-
-// enqueue places one copy of m on its lane, counting it as traffic. It
-// returns without enqueuing (counting a drop instead) when the lane has
-// already been closed — the check runs under the lane lock, so a Send
-// racing Close can never strand an in-flight count after the delivery
-// goroutines exit.
+// enqueue places one copy of m on its lane, stamped with the time the
+// latency model delivers it, or drops it if the lane is already closed.
 func (t *Mem) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
 	l := t.lanes[int(m.From)*t.n+int(m.To)]
 	now := time.Now()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		t.stats.DroppedMessages.Add(1)
-		t.releaseCredit(m)
+		t.drop(m)
 		return
 	}
-	switch m.Kind {
-	case Data:
-		t.stats.DataMessages.Add(1)
-		t.stats.DataBytes.Add(int64(m.Bytes))
-	case Control:
-		t.stats.ControlMessages.Add(1)
-		t.stats.ControlBytes.Add(int64(m.Bytes))
-	case Ack:
-		t.stats.AckMessages.Add(1)
-	}
-	t.inflightMu.Lock()
-	t.inflight++
-	t.inflightMu.Unlock()
+	t.accept(m)
 	depart := now
 	if l.lastDepart.After(depart) {
 		depart = l.lastDepart
@@ -427,10 +293,10 @@ func (t *Mem) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
 	l.mu.Unlock()
 }
 
-// deliver is the per-lane consumer: it takes everything queued since its
+// consume is the per-lane consumer: it takes everything queued since its
 // last burst, waits on the wire clock until each message's delivery time
-// and invokes the receiver's handler, preserving FIFO order.
-func (t *Mem) deliver(l *lane) {
+// and delivers it, preserving FIFO order.
+func (t *Mem) consume(l *lane) {
 	defer t.wg.Done()
 	var batch []timed
 	for {
@@ -449,50 +315,14 @@ func (t *Mem) deliver(l *lane) {
 			if time.Until(tm.deliverAt) > 0 {
 				t.clock.sleepUntil(tm.deliverAt, l.wake)
 			}
-			if tm.wireLost || (tm.msg.Kind == Data && t.dead[tm.msg.To].Load()) {
-				// Lost on the wire: injected (DropDelivery) or the receiver
-				// crashed while the message was in flight.
-				t.stats.DroppedMessages.Add(1)
-			} else {
-				if h := t.handlers[tm.msg.To]; h != nil {
-					h(tm.msg)
-				}
-				if t.hook != nil {
-					t.hook.OnDeliver(tm.msg)
-				}
-			}
+			t.deliver(tm.msg, tm.wireLost)
 			// Credit returns before the in-flight count drops, so a WaitIdle
 			// barrier always observes fully balanced windows.
-			t.releaseCredit(tm.msg)
+			t.release(tm.msg)
 			tm.msg.Payload = nil // the reused queue slot must not pin it
-
-			t.inflightMu.Lock()
-			t.inflight--
-			if t.inflight == 0 {
-				t.idleCond.Broadcast()
-			}
-			t.inflightMu.Unlock()
+			t.landed()
 		}
 	}
-}
-
-// WaitIdle blocks until no messages are in flight. Note that a handler may
-// inject new messages; callers are responsible for ensuring senders are
-// quiescent (e.g. all workers at a barrier) when using this for
-// termination decisions.
-func (t *Mem) WaitIdle() {
-	t.inflightMu.Lock()
-	for t.inflight > 0 {
-		t.idleCond.Wait()
-	}
-	t.inflightMu.Unlock()
-}
-
-// InFlight returns the number of undelivered messages.
-func (t *Mem) InFlight() int {
-	t.inflightMu.Lock()
-	defer t.inflightMu.Unlock()
-	return t.inflight
 }
 
 // Close drains all lanes, then joins their goroutines and the wire clock.

@@ -165,7 +165,7 @@ type Config struct {
 	// Sync selects the synchronization technique.
 	Sync Sync
 	// Latency is the simulated network model. Enforced by the in-process
-	// transport; the TCP backend records it but lets the real wire set
+	// transport; the TCP backend ignores it and lets the real wire set
 	// the timing.
 	Latency cluster.LatencyModel
 	// Transport selects the wire backend connecting the workers: the

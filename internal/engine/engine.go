@@ -186,9 +186,7 @@ func (r *runner[V, M]) attach(tr cluster.Transport) {
 	r.tr = tr
 	r.flow = cluster.NewFlow(r.cfg.Workers, cluster.WindowForBudget(r.cfg.MsgMemoryBudget, r.cfg.Workers))
 	r.flow.SetMetrics(r.reg)
-	if ft, ok := tr.(interface{ SetFlow(*cluster.Flow) }); ok {
-		ft.SetFlow(r.flow)
-	}
+	tr.SetFlow(r.flow)
 	if r.cfg.Fault != nil {
 		r.cfg.Fault.Attach(tr)
 	}

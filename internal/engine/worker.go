@@ -214,7 +214,6 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 		w.spill.SetMetrics(r.reg)
 	}
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
-	w.ep.SetFlow(r.flow)
 	return w
 }
 
