@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz bench bench-check bench-pair bench-json bench-smoke bench-micro ci clean
+.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke bench-micro ci clean
 
 build:
 	$(GO) build ./...
@@ -87,13 +87,14 @@ flow:
 # relabeling unit suites under the race detector, the partitioner
 # equivalence matrix (every mode × technique × partitioner cell bitwise
 # against the hash baseline), the distributed rebuild conformance cell,
-# and the full-size quality acceptance run (balance bound, >=25%
-# boundary-fraction and cross-partition byte reductions vs hash).
+# and the quality acceptance cell without the race detector (community
+# graph, P = 256: balance bound, >=25% boundary-fraction and
+# cross-partition byte reductions vs hash, bitwise BSP PageRank).
 partition:
 	$(GO) test -race -count=1 ./internal/partition/ ./internal/graph/
 	$(GO) test -race -count=1 ./internal/engine/ -run TestPartitionerEquivalenceMatrix -v
 	$(GO) test -race -count=1 ./internal/dist/ -run TestDistStreamingPartitioners
-	$(GO) test -count=1 ./internal/bench/ -run TestPartitionQuality -v
+	$(GO) test -count=1 ./internal/engine/ -run 'TestPartitionerEquivalenceMatrix/community' -v
 
 # Streaming-partitioner torture row (nightly): the pinned sweep rerun with
 # every case forced onto LDG or Fennel placement (split by a seed bit), so
@@ -144,20 +145,12 @@ SEED ?= 1
 bench-pair:
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
-# Machine-readable perf baseline: the Fig. 1 spectrum with per-technique
-# metrics snapshots and superstep phase traces. BENCH_NNNN.json files at
-# the repo root are successive perf-trajectory points made this way.
-BENCH_JSON ?= bench.json
-BENCH_SCALE ?= 0.1
-bench-json:
-	SERIALGRAPH_SCALE=$(BENCH_SCALE) $(GO) run ./cmd/benchtab -exp fig1 \
-		-workers 16 -trace -json $(BENCH_JSON) -label "fig1 scale=$(BENCH_SCALE)"
-
-# CI benchmark smoke: one iteration of the Fig. 1 spectrum benchmark,
-# emitting the JSON report for artifact upload.
-bench-smoke:
-	SERIALGRAPH_SCALE=$(BENCH_SCALE) SERIALGRAPH_BENCH_JSON=$(BENCH_JSON) \
-		$(GO) test -run '^$$' -bench BenchmarkFig1Spectrum -benchtime 1x .
+# The paper's figures end to end: every benchtab experiment (Table 1 to
+# the ablations, recovery, flow and partition) at full dataset scale on
+# four workers, ≈ 5 s of runs. Fails on any cell whose answer misses its
+# oracle and on any experiment gate.
+figures-smoke:
+	$(GO) run ./cmd/benchtab -exp all -workers 4
 
 # Hot-path microbenchmarks: the message store's put/read paths (per-message
 # vs. batched, all three semantics, 1-8 goroutines), the dense data path

@@ -135,6 +135,17 @@ func PageRankResidual(g *graph.Graph, pr []float64) float64 {
 	return maxRes
 }
 
+// PageRankBound is how far a converged eps-thresholded PageRank may sit
+// from its equations: every vertex stopped propagating once its delta fell
+// below eps, so each in-neighbor can owe it up to eps of unsent rank.
+func PageRankBound(g *graph.Graph, eps float64) float64 {
+	maxIn := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		maxIn = max(maxIn, g.InDegree(graph.VertexID(v)))
+	}
+	return eps * float64(1+maxIn)
+}
+
 // PageRankReference iteratively computes ranks to a tight tolerance for
 // comparison.
 func PageRankReference(g *graph.Graph, iters int) []float64 {

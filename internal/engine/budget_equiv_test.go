@@ -1,21 +1,23 @@
 package engine
 
 // Budget equivalence matrix: every synchronization technique ×
-// {SSSP, PageRank, coloring}, each run under three message-plane memory
+// {SSSP, PageRank, coloring}, each run under four message-plane memory
 // budgets — unbounded (zero: default credit window, spill tier absent),
 // tiny (windows at the floor, BSP spill forced on nearly every
-// superstep), and huge (spill tier armed but never flushing, so the
-// no-runs fast path drains) — with results compared across budgets.
+// superstep), bounded (a per-worker share above one admission, which the
+// BSP peak must respect), and huge (spill tier armed but never flushing,
+// so the no-runs fast path drains) — with results compared across
+// budgets.
 //
 // The contract under test is the one DESIGN.md §12 argues for: the
 // budget changes *when* a sender may proceed and *where* a batch waits
 // out the barrier, never *what* is delivered or in what per-destination
 // order. So:
 //
-//   - BSP is schedule-deterministic: all three budgets must produce
+//   - BSP is schedule-deterministic: every budget must produce
 //     bitwise-identical values and identical superstep counts. The tiny
-//     run must actually spill (bytes_spilled > 0) or the cell proves
-//     nothing; the huge run must never spill.
+//     and bounded runs must actually spill (bytes_spilled > 0) or the
+//     cell proves nothing; the huge run must never spill.
 //   - SSSP has a unique fixed point under every technique, so its
 //     converged values are bitwise-identical on every cell and budget.
 //   - Async PageRank and coloring are schedule-dependent (credit-window
@@ -31,7 +33,6 @@ import (
 	"testing"
 
 	"serialgraph/internal/algorithms"
-	"serialgraph/internal/graph"
 	"serialgraph/internal/metrics"
 )
 
@@ -39,6 +40,12 @@ const (
 	// budgetTiny divided across 3 workers leaves well under one batch of
 	// headroom, so every superstep with traffic cuts spill runs.
 	budgetTiny = int64(256)
+	// budgetBounded gives each of the 3 workers an 800-byte share: more
+	// than any single admission (one remote batch, or one partition's
+	// local messages) on the equivalence graph, less than a superstep's
+	// traffic. The spill tier holds the buffer within it, so the BSP peak
+	// must stay at or under the share while the run spills.
+	budgetBounded = int64(2400)
 	// budgetHuge arms the spill tier without ever flushing it.
 	budgetHuge = int64(1) << 40
 )
@@ -49,6 +56,7 @@ var budgetLevels = []struct {
 }{
 	{"unbounded", 0},
 	{"tiny", budgetTiny},
+	{"bounded", budgetBounded},
 	{"huge", budgetHuge},
 }
 
@@ -76,10 +84,13 @@ func checkBudgetRun(t *testing.T, label string, mode Mode, budget int64, res Res
 			t.Errorf("%s: huge-budget run spilled %d bytes", label, spilled)
 		}
 	case mode == BSP:
-		// Tiny budget under BSP must actually exercise the spill path,
-		// otherwise the equality below is vacuous.
+		// A bounded budget under BSP must actually exercise the spill
+		// path, otherwise the equality below is vacuous.
 		if spilled == 0 {
-			t.Errorf("%s: tiny-budget BSP run never spilled", label)
+			t.Errorf("%s: %d-byte BSP run never spilled", label, budget)
+		}
+		if peak, share := res.Metrics.Hist(metrics.HistBufferedBytes).Max, budget/3; budget == budgetBounded && peak > share {
+			t.Errorf("%s: peak buffered bytes %d exceed the per-worker share %d", label, peak, share)
 		}
 	}
 }
@@ -161,13 +172,7 @@ func TestBudgetEquivalenceMatrix(t *testing.T) {
 			}
 			// Schedule-dependent cells: each budget must satisfy the
 			// residual bound on its own.
-			maxIn := 0
-			for v := 0; v < g.NumVertices(); v++ {
-				if d := g.InDegree(graph.VertexID(v)); d > maxIn {
-					maxIn = d
-				}
-			}
-			bound := eps * float64(1+maxIn) * 4
+			bound := algorithms.PageRankBound(g, eps) * 4
 			for i, lvl := range budgetLevels {
 				if r := equivPagerankResidual(g, got[i], true); r > bound {
 					t.Errorf("pagerank/%s/%s: residual %v exceeds bound %v",

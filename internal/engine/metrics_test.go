@@ -279,12 +279,15 @@ func broadcastProgram() model.Program[int32, int32] {
 // (all workers) and token_idle_ns (non-holders only).
 //
 // The finish-order argument needs a real timing margin, not just "the
-// holder computed longer": with per-lane bandwidth, the holder's flush
-// marker serializes behind all of its own data, so its delivery ack comes
-// that long after the idle worker's. The holder sends one fan-out entry
-// per vertex (≈ 500 declared bytes a superstep), so the lane is slow
-// enough to make that ≈ 20 ms, far above goroutine wake-up jitter even on
-// one CPU under -race.
+// holder computed longer". The idle worker's flush marker reaches the
+// holder after one propagation delay P; by then the holder has queued its
+// data (≈ 500 declared bytes a superstep, ≈ 20 ms on this slow lane)
+// and its own marker, so its ack to the idle worker lands right behind
+// them. The idle worker acks the holder's marker on its empty lane, and
+// that ack takes one more P to arrive: the holder finishes ≈ P after
+// the idle worker. P is therefore the margin, and it is set to 20 ms so
+// that a scheduler stall or GC pause on a loaded machine, which delays
+// both workers' wake-ups into one burst, must outlast it to reorder them.
 func TestTokenHolderNeverWaitsAtBarrier(t *testing.T) {
 	const n = 80
 	b := graph.NewBuilder(n)
@@ -300,7 +303,7 @@ func TestTokenHolderNeverWaitsAtBarrier(t *testing.T) {
 		Workers: 2, Mode: Async, Sync: TokenSingle, Seed: 1,
 		MaxSupersteps: 6,
 		Latency: cluster.LatencyModel{
-			Propagation: 2 * time.Millisecond,
+			Propagation: 20 * time.Millisecond,
 			BytesPerSec: 2.5e4,
 		},
 	})

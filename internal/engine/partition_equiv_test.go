@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"serialgraph/internal/algorithms"
+	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/metrics"
 	"serialgraph/internal/partition"
@@ -158,13 +159,7 @@ func TestPartitionerEquivalenceMatrix(t *testing.T) {
 					}
 				}
 				// Every cell satisfies the residual bound on its own.
-				maxIn := 0
-				for v := 0; v < g.NumVertices(); v++ {
-					if d := g.InDegree(graph.VertexID(v)); d > maxIn {
-						maxIn = d
-					}
-				}
-				bound := eps * float64(1+maxIn)
+				bound := algorithms.PageRankBound(g, eps)
 				if !aggregated {
 					bound *= 4
 				}
@@ -218,4 +213,58 @@ func TestPartitionerEquivalenceMatrix(t *testing.T) {
 			}
 		})
 	}
+	// The locality acceptance, on a graph built for it: one 24-vertex
+	// community per partition, almost every edge inside one. Against hash
+	// at equal P, LDG and Fennel keep every partition within the streaming
+	// capacity, cut the boundary fraction and the cross-partition data
+	// bytes by at least 25%, and leave BSP PageRank bitwise equal in the
+	// same number of supersteps.
+	t.Run("community", func(t *testing.T) {
+		t.Parallel()
+		const workers = 16
+		p := workers * workers
+		g := generate.Communities(p, 24, 20)
+		capacity := partition.StreamOptions{}.Capacity(g.NumVertices(), p)
+		var hashPR []float64
+		var hash Result
+		for _, kind := range kinds {
+			if kind == partition.KindRange {
+				continue
+			}
+			cfg := equivPartConfig(BSP, SyncNone, kind)
+			cfg.Workers, cfg.PartitionsPerWorker, cfg.ThreadsPerWorker, cfg.MaxSupersteps = workers, workers, 0, 2000
+			pr, res, _, err := Run(g, algorithms.PageRankAggregated(0.01), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if !res.Converged {
+				t.Fatalf("%s: did not converge", kind)
+			}
+			reconcileQuality(t, "community/"+kind, g, res)
+			if kind == partition.KindHash {
+				hashPR, hash = pr, res
+				continue
+			}
+			q, hq := res.Partition, hash.Partition
+			if q.MaxLoad > capacity {
+				t.Errorf("%s: max load %d exceeds the streaming capacity %d", kind, q.MaxLoad, capacity)
+			}
+			if q.BoundaryFraction > 0.75*hq.BoundaryFraction {
+				t.Errorf("%s: boundary fraction %.4f is not 25%% below hash's %.4f",
+					kind, q.BoundaryFraction, hq.BoundaryFraction)
+			}
+			if float64(res.Net.DataBytes) > 0.75*float64(hash.Net.DataBytes) {
+				t.Errorf("%s: cross-partition bytes %d are not 25%% below hash's %d",
+					kind, res.Net.DataBytes, hash.Net.DataBytes)
+			}
+			if res.Supersteps != hash.Supersteps {
+				t.Fatalf("%s: %d supersteps, hash took %d", kind, res.Supersteps, hash.Supersteps)
+			}
+			for v := range hashPR {
+				if pr[v] != hashPR[v] {
+					t.Fatalf("%s: diverges from hash at %d: %v vs %v", kind, v, pr[v], hashPR[v])
+				}
+			}
+		}
+	})
 }

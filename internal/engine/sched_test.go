@@ -10,7 +10,7 @@ package engine
 //     distances equal the serial reference exactly.
 //   - PageRank is schedule-dependent outside BSP; the converged ranks must
 //     satisfy the PageRank equations to within the tolerance the eps
-//     threshold leaves (see pagerankBound).
+//     threshold leaves (see algorithms.PageRankBound).
 //   - Coloring converges outside BSP and is proper under every
 //     serializable technique.
 //
@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"serialgraph/internal/algorithms"
-	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
 	"serialgraph/internal/metrics"
 )
@@ -49,17 +48,6 @@ func checkSchedCounters(t *testing.T, label string, cfg Config, res Result) {
 		t.Errorf("%s: fork prefetch counters moved without PartitionLock: prefetched=%d overlap_ns=%d",
 			label, pref, m.Get(metrics.OverlapComputeNs))
 	}
-}
-
-// pagerankBound is how far a converged eps-thresholded PageRank may sit
-// from its equations: every vertex stopped propagating once its delta fell
-// below eps, so each in-neighbor can owe it up to eps of unsent rank.
-func pagerankBound(g *graph.Graph, eps float64) float64 {
-	maxIn := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		maxIn = max(maxIn, g.InDegree(graph.VertexID(v)))
-	}
-	return eps * float64(1+maxIn)
 }
 
 func TestSchedulerEquivalenceMatrix(t *testing.T) {
@@ -113,7 +101,7 @@ func TestSchedulerEquivalenceMatrix(t *testing.T) {
 				t.Fatal("did not converge")
 			}
 			checkSchedCounters(t, cell.name, cfg, res)
-			if r, bound := algorithms.PageRankResidual(g, pr), pagerankBound(g, eps); r > bound {
+			if r, bound := algorithms.PageRankResidual(g, pr), algorithms.PageRankBound(g, eps); r > bound {
 				t.Errorf("residual %v exceeds bound %v", r, bound)
 			}
 		})

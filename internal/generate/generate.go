@@ -218,6 +218,35 @@ func Grid(rows, cols int) *graph.Graph {
 	return b.Build()
 }
 
+// Communities builds comms communities of size vertices each, with
+// contiguous IDs per community: an intra-community cycle plus three random
+// intra-community chords per vertex, and two bridge edges from each
+// community to the next (a ring of communities). Almost every edge is
+// intra-community, so a locality-aware partitioner can keep a community
+// whole where hash placement scatters it over every partition. The graph
+// is undirected.
+func Communities(comms, size int, seed int64) *graph.Graph {
+	r := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(comms * size)
+	for c := 0; c < comms; c++ {
+		base := c * size
+		for i := 0; i < size; i++ {
+			u := graph.VertexID(base + i)
+			b.AddEdge(u, graph.VertexID(base+(i+1)%size))
+			for t := 0; t < 3; t++ {
+				if v := graph.VertexID(base + r.Intn(size)); v != u {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		next := ((c + 1) % comms) * size
+		for t := 0; t < 2; t++ {
+			b.AddEdge(graph.VertexID(base+r.Intn(size)), graph.VertexID(next+r.Intn(size)))
+		}
+	}
+	return b.BuildUndirected()
+}
+
 // Families lists the generator families Family accepts, in a stable order,
 // so randomized harnesses can sample the full shape axis.
 func Families() []string {

@@ -267,10 +267,10 @@ type Options struct {
 	DetailedStats bool
 	// MsgMemoryBudget, when > 0, bounds the message plane's buffered bytes:
 	// the transport's per-ordered-pair credit windows are sized from it, and
-	// under the BSP model inbound batches overflow to sorted on-disk runs
-	// past the budget, merged back at each superstep barrier. Zero (the
-	// default) leaves buffering unbounded. Results are bitwise identical
-	// either way; only memory and (mildly) wall time change.
+	// under BSP a worker holds at most max(budget/workers, one batch) and
+	// appends the overflow to a spill file (a FIFO: no sort, no merge) that
+	// is replayed in arrival order at the barrier. Zero (the default) means
+	// no bound. Results are bitwise identical; only memory and time change.
 	MsgMemoryBudget int64
 }
 
