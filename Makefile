@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke bench-micro ci clean
+.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-faulty torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke bench-micro ci clean
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,9 @@ chaos:
 
 # Long randomized model-checking sweep (nightly). Replay one case with:
 #   go test ./internal/torture -run TestTorture -torture.seed=0x...
+# and stress it with -torture.repeat=N, which runs that case N times and
+# reports how many of the N failed (add -race to run them under the race
+# detector); a schedule-dependent failure shows as k/N with 0 < k < N.
 torture:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -v -count=1 \
 		-torture.n=2000 -timeout=30m
@@ -63,6 +66,14 @@ torture:
 torture-pinned:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -timeout=15m
+
+# Crash-plan sweep (PR CI): 1000 cases from a fixed root seed, each of
+# which schedules at least one worker crash, so the sweep drives in-run
+# recovery (full and confined, with and without checkpoints) through every
+# oracle. The nightly chaos target runs the first 200 of the same list.
+torture-faulty:
+	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
+		-torture.n=1000 -torture.faulty -torture.root=0xc4a05 -timeout=20m
 
 # Wire-transport gate: the transport contract on both backends three times
 # over (so Send/Close races get shaken on each), the cluster, codec and dist

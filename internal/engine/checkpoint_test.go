@@ -5,6 +5,7 @@ import (
 
 	"serialgraph/internal/algorithms"
 	"serialgraph/internal/checkpoint"
+	"serialgraph/internal/fault"
 	"serialgraph/internal/generate"
 )
 
@@ -112,5 +113,64 @@ func TestRestoreRejectsWrongShape(t *testing.T) {
 	bad := Config{Workers: 2, Mode: Async, RestoreFrom: latest}
 	if _, _, _, err := Run(g2, algorithms.SSSP(0), bad); err == nil {
 		t.Error("mismatched restore succeeded")
+	}
+}
+
+// TestRestoreFromThenCrash pins where a restored run finds its restore
+// point: a run resumed with RestoreFrom and no CheckpointDir must recover a
+// crash from the generation it restored, read from that generation's
+// directory, under either recovery scope. The working directory holds
+// another run's generations 0-3 of the same shape (PageRank on the same
+// graph and workers), which a lookup in "" would find and restore.
+func TestRestoreFromThenCrash(t *testing.T) {
+	g := chaosGraph(t)
+	want := algorithms.ShortestPaths(g, 0)
+	base := Config{Workers: 4, Mode: Async, Sync: PartitionLock, Seed: 5}
+
+	dirA := t.TempDir()
+	first := base
+	first.CheckpointEvery, first.CheckpointDir, first.MaxSupersteps = 2, dirA, 4
+	if _, res, _, err := Run(g, algorithms.SSSP(0), first); err != nil {
+		t.Fatal(err)
+	} else if res.Converged {
+		t.Skip("graph too easy: converged before the restore point")
+	}
+	foreign := t.TempDir()
+	other := base
+	other.CheckpointEvery, other.CheckpointDir, other.MaxSupersteps = 1, foreign, 4
+	if _, _, _, err := Run(g, algorithms.PageRank(1e-9), other); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(foreign)
+
+	for _, mode := range []RecoveryMode{RecoverFull, RecoverConfined} {
+		t.Run(mode.String(), func(t *testing.T) {
+			inj := fault.NewInjector(fault.Plan{Crashes: []fault.Crash{{Worker: 1, AtSuperstep: 5}}})
+			cfg := base
+			cfg.RestoreFrom, cfg.Recovery, cfg.Fault = checkpoint.Path(dirA, 3), mode, inj
+			dist, res, _, err := Run(g, algorithms.SSSP(0), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !inj.Exhausted() {
+				t.Fatal("scheduled crash never fired (run too short?)")
+			}
+			if mode == RecoverConfined && res.ConfinedRecoveries != 1 {
+				t.Errorf("ConfinedRecoveries = %d, want 1", res.ConfinedRecoveries)
+			}
+			// Restored at 3, crashed at 5: supersteps 4 and 5 run again.
+			if res.RecomputedSupersteps != 2 {
+				t.Errorf("RecomputedSupersteps = %d, want 2 (recovered from the restored generation)", res.RecomputedSupersteps)
+			}
+			wrong := 0
+			for v := range want {
+				if dist[v] != want[v] {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("%d of %d distances wrong", wrong, len(want))
+			}
+		})
 	}
 }

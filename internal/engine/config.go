@@ -191,22 +191,25 @@ type Config struct {
 	// k > 0 (§6.4). It requires CheckpointDir; a positive interval with
 	// no directory is a configuration error, not a silent no-op.
 	CheckpointEvery int
-	// CheckpointDir is where checkpoints are written — and where the
-	// in-run recovery path looks for the latest one after a worker crash.
+	// CheckpointDir is where checkpoints are written — and, once the run
+	// has written one, where in-run recovery loads its restore point after
+	// a worker crash.
 	CheckpointDir string
 	// RestoreFrom resumes a run from a checkpoint file written by a
 	// previous run with identical Config, graph, and program. It is
 	// independent of CheckpointEvery/CheckpointDir: a restored run only
 	// writes new checkpoints if those are also set (typically to the same
-	// directory, so recovery keeps working across restarts).
+	// directory, so recovery keeps working across restarts). Until it does,
+	// the restored generation is its restore point, reloaded from that
+	// file's directory after a crash.
 	RestoreFrom string
 	// Fault optionally injects worker crashes and message-level chaos
 	// into the run (see internal/fault). When a crash fires, the master
 	// detects the dead worker at the superstep barrier, rolls the whole
-	// cluster back to the latest checkpoint in CheckpointDir (or to the
-	// initial state if none exists), revives the worker, and resumes —
-	// all within the same Run call. Requires a mode with global barriers
-	// (BSP or Async).
+	// cluster back to the run's restore point (its latest checkpoint, the
+	// RestoreFrom generation, or the initial state), revives the worker,
+	// and resumes — all within the same Run call. Requires a mode with
+	// global barriers (BSP or Async).
 	Fault *fault.Injector
 	// Recovery selects full (default) or confined crash recovery. Confined
 	// recovery additionally enables per-worker message logging between
@@ -288,14 +291,8 @@ func (c Config) validate() error {
 		if c.Sync == VertexLockGiraph {
 			return fmt.Errorf("engine: BAP supports SyncNone and PartitionLock only; %v is not composed with barrierless execution", c.Sync)
 		}
-		if c.CheckpointEvery > 0 || c.RestoreFrom != "" {
-			return fmt.Errorf("engine: checkpointing requires global barriers; BAP has none")
-		}
-		if c.Fault != nil {
-			return fmt.Errorf("engine: fault injection requires barrier-based failure detection; BAP has no barriers")
-		}
-		if c.WatchdogTimeout > 0 {
-			return fmt.Errorf("engine: the liveness watchdog monitors superstep barriers; BAP has none")
+		if on := c.barrierOptions(); len(on) > 0 {
+			return fmt.Errorf("engine: %s requires global superstep barriers; BAP has none (no barriers to checkpoint, detect failures or recover at)", on[0])
 		}
 	}
 	if c.Transport > TransportTCP {
@@ -322,25 +319,41 @@ func (c Config) ValidatePeer() error {
 		return err
 	}
 	var refused string
-	switch {
+	switch on := c.barrierOptions(); {
 	case c.Mode == BAP:
 		refused = "the BAP mode"
 	case c.Sync != SyncNone && c.Sync != PartitionLock:
 		refused = "the " + c.Sync.String() + " technique"
-	case c.Fault != nil:
-		refused = "fault injection"
-	case c.CheckpointEvery > 0 || c.RestoreFrom != "":
-		refused = "checkpoints"
-	case c.Recovery != RecoverFull:
-		refused = c.Recovery.String() + " recovery"
-	case c.WatchdogTimeout > 0:
-		refused = "the liveness watchdog"
+	case len(on) > 0:
+		refused = on[0]
 	case c.TrackHistory:
 		refused = "TrackHistory (a history recorder is per process)"
 	default:
 		return nil
 	}
 	return fmt.Errorf("engine: multi-process runs do not support %s", refused)
+}
+
+// barrierOptions names the options set in c that act at the master's
+// global superstep barrier: checkpoints are taken and restored there, and
+// crashes (injected, or declared by the watchdog) are detected and
+// recovered there. BAP has no such barrier, and a multi-process run's
+// coordinator does not implement them.
+func (c Config) barrierOptions() []string {
+	var on []string
+	if c.CheckpointEvery > 0 || c.RestoreFrom != "" {
+		on = append(on, "checkpoints")
+	}
+	if c.Fault != nil {
+		on = append(on, "fault injection")
+	}
+	if c.WatchdogTimeout > 0 {
+		on = append(on, "the liveness watchdog")
+	}
+	if c.Recovery != RecoverFull {
+		on = append(on, c.Recovery.String()+" recovery")
+	}
+	return on
 }
 
 // Result reports what a run did.

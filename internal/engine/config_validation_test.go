@@ -11,6 +11,7 @@ package engine
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"serialgraph/internal/algorithms"
 	"serialgraph/internal/fault"
@@ -37,10 +38,13 @@ func TestConfigValidationTable(t *testing.T) {
 		{"bap+token-dual", Config{Workers: 2, Mode: BAP, Sync: TokenDual}, "no global supersteps"},
 		{"bap+vertex-lock", Config{Workers: 2, Mode: BAP, Sync: VertexLockGiraph}, "SyncNone and PartitionLock only"},
 
-		// BAP has no barriers: nothing to checkpoint at, no failure detection.
+		// BAP has no barriers: nothing to checkpoint at, no failure
+		// detection, nothing for the watchdog to time or recovery to act at.
 		{"bap+checkpoint", Config{Workers: 2, Mode: BAP, CheckpointEvery: 1, CheckpointDir: dir}, "BAP has none"},
 		{"bap+restore", Config{Workers: 2, Mode: BAP, RestoreFrom: dir + "/checkpoint-000001.gob"}, "BAP has none"},
 		{"bap+fault", Config{Workers: 2, Mode: BAP, Fault: fault.NewInjector(fault.Plan{})}, "no barriers"},
+		{"bap+watchdog", Config{Workers: 2, Mode: BAP, WatchdogTimeout: time.Second}, "BAP has none"},
+		{"bap+confined", Config{Workers: 2, Mode: BAP, Recovery: RecoverConfined}, "BAP has none"},
 
 		// Checkpointing needs a destination.
 		{"checkpoint-without-dir", Config{Workers: 2, Mode: Async, CheckpointEvery: 2}, "no CheckpointDir"},

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -54,11 +55,14 @@ type runner[V, M any] struct {
 	pBoundary []bool
 
 	// initialForks snapshots each lock manager's fresh fork distribution
-	// (captured before the first superstep) so a rollback with no
-	// checkpoint on disk can reset the Chandy–Misra state along with the
-	// vertex state. Indexed like workers; nil when the technique has no
-	// managers.
+	// (captured before the first superstep): the fork state a rewind to the
+	// initial state restores. Indexed like workers; nil when the technique
+	// has no managers.
 	initialForks [][]byte
+
+	// done carries a worker's ID each time it finishes a superstep Run
+	// dispatched to it; the barrier and the confined replay wait on it.
+	done chan int
 
 	// versions tracks per-vertex write versions when history is recorded.
 	versions []atomic.Uint32
@@ -98,10 +102,14 @@ type runner[V, M any] struct {
 	// vertices. Allocated only when checkpointing is configured.
 	dirty []atomic.Bool
 
-	// lastCheckpoint is the superstep of the newest usable on-disk
-	// generation, -1 when none; confined recovery replays from
-	// lastCheckpoint+1, and delta generations name it as their base.
+	// lastCheckpoint is the superstep of the run's restore point, the
+	// newest generation it wrote or restored, -1 when none (the initial
+	// state); confined recovery replays from lastCheckpoint+1, and delta
+	// generations name it as their base. ckptDir holds that generation:
+	// CheckpointDir once the run has checkpointed, the RestoreFrom file's
+	// directory before, and never "" while lastCheckpoint >= 0.
 	lastCheckpoint int
+	ckptDir        string
 	// gensSinceFull counts delta generations written since the last full
 	// one, bounding the chain a restore must walk.
 	gensSinceFull int
@@ -255,20 +263,22 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		return nil, Result{}, nil, err
 	}
 	r.attach(tr)
-	// Every exit path joins the transport before the metrics snapshot: a
-	// TCP lane writer times its flush once the bytes are on the socket, by
-	// when the peer may have delivered them and WaitIdle returned.
+	// Every exit path stops the workers and joins the transport before the
+	// metrics snapshot: a TCP lane writer times its flush once the bytes are
+	// on the socket, by when the peer may have delivered them and WaitIdle
+	// returned.
 	defer func() {
+		r.shutdownWorkers()
 		r.tr.Close()
 		if err == nil {
 			res.Metrics = r.reg.Snapshot()
 		}
 	}()
 	r.addWorkers(0, cfg.Workers)
-	// Captured unconditionally (it is one byte per edge at startup):
-	// a rollback with no checkpoint on disk — including one forced by the
-	// watchdog on an otherwise fault-free run — must be able to reset the
-	// Chandy–Misra state along with the vertex state.
+	// Captured unconditionally (it is one byte per edge at startup): a
+	// rollback with no restore point — including one forced by the watchdog
+	// on an otherwise fault-free run — rewinds the Chandy–Misra state along
+	// with the vertex state.
 	for _, w := range r.workers {
 		if w.mgr != nil {
 			r.initialForks = append(r.initialForks, w.mgr.Export())
@@ -284,7 +294,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	}
 	start := time.Now()
 	res = Result{Partitions: p, Partition: quality}
-	// finish totals a completed run and stops the workers.
+	// finish totals a completed run.
 	finish := func() ([]V, Result, *history.Recorder, error) {
 		res.ComputeTime = time.Since(start)
 		res.Net = r.tr.Stats().Load()
@@ -297,13 +307,13 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 				res.TokenSends += st.TokenSends
 			}
 		}
-		r.shutdownWorkers()
 		return r.values, res, r.rec, nil
 	}
 	if cfg.Mode == BAP {
 		r.runBAP(&res)
 		return finish()
 	}
+	r.done = make(chan int, len(r.workers))
 	for _, w := range r.workers {
 		go w.loop()
 	}
@@ -365,31 +375,24 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			res.Rollbacks++
 			r.reg.Add(metrics.Rollbacks, 1)
 			if res.Rollbacks > cfg.MaxRollbacks {
-				r.shutdownWorkers()
 				return nil, Result{}, nil, fmt.Errorf("engine: workers %v still failing after %d rollbacks (MaxRollbacks)", dead, cfg.MaxRollbacks)
 			}
-			confined := false
-			if r.confinedEligible(dead, deadAtStart, stalled) {
-				ok, err := r.confinedRecover(&res, s, dead)
-				if err != nil {
-					r.shutdownWorkers()
-					return nil, Result{}, nil, err
-				}
-				confined = ok
+			snap, err := r.restorePoint()
+			if err != nil {
+				return nil, Result{}, nil, err
 			}
-			if !confined {
+			if !r.confinedEligible(dead, deadAtStart, stalled, snap) {
 				res.WastedMessages += r.tr.Stats().Load().DataMessages - restoreNet.DataMessages
-				resume, err := r.rollback()
-				if err != nil {
-					r.shutdownWorkers()
-					return nil, Result{}, nil, err
-				}
+				resume := r.rollback(snap)
 				res.RecomputedSupersteps += s + 1 - resume
 				res.RecomputedPartitionSupersteps += (s + 1 - resume) * p
 				restoreNet = r.tr.Stats().Load()
 				clear(master.windowAgg) // discarded supersteps replay
 				s = resume - 1          // the loop increment lands on resume
 				continue
+			}
+			if err := r.confinedRecover(&res, s, dead, snap); err != nil {
+				return nil, Result{}, nil, err
 			}
 			// Confined recovery brought the crashed workers' partitions back
 			// to the frontier: superstep s has now been (re)computed by every
@@ -415,7 +418,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		}
 
 		if err := r.commitWorkers(); err != nil {
-			r.shutdownWorkers()
 			return nil, Result{}, nil, err
 		}
 		merged, stop := master.Fold(s, r.reports)
@@ -429,7 +431,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			r.aggAt[s] = merged
 		}
 		if err := r.applyMutations(); err != nil {
-			r.shutdownWorkers()
 			return nil, Result{}, nil, err
 		}
 		commit := time.Since(commitStart)
@@ -440,7 +441,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		if cfg.CheckpointEvery > 0 && (s+1)%cfg.CheckpointEvery == 0 {
 			cpStart := time.Now()
 			if err := r.takeCheckpoint(s); err != nil {
-				r.shutdownWorkers()
 				return nil, Result{}, nil, err
 			}
 			r.reg.AddPhase(metrics.PhaseCheckpoint, time.Since(cpStart))
@@ -647,7 +647,7 @@ func (r *runner[V, M]) takeCheckpoint(s int) error {
 		r.gensSinceFull = 0
 	}
 	r.forceFullCkpt = false
-	r.lastCheckpoint = s
+	r.lastCheckpoint, r.ckptDir = s, r.cfg.CheckpointDir
 	r.mutatedSince = false
 	for v := range r.dirty {
 		r.dirty[v].Store(false)
@@ -679,138 +679,149 @@ func (r *runner[V, M]) haltedFlags() []bool {
 	return halted
 }
 
-// restore loads a checkpoint generation (materializing its delta chain if
-// needed) and reinstates it. Callers must present clean workers — either
-// freshly constructed (the RestoreFrom path) or reset by rollback. Returns
-// the superstep to resume at.
+// restore starts the run from the generation at path (RestoreFrom),
+// materializing its delta chain; it is the run's restore point until the
+// run checkpoints. Returns the superstep to start at.
 func (r *runner[V, M]) restore(path string) (int, error) {
 	snap, err := checkpoint.Materialize[V, M](path)
+	if err == nil {
+		err = r.fits(snap)
+	}
 	if err != nil {
 		return 0, err
 	}
-	return r.restoreSnapshot(snap)
+	r.ckptDir = filepath.Dir(path)
+	return r.rewind(nil, snap), nil
 }
 
-// restoreSnapshot reinstates a materialized (full) snapshot: values, halt
-// flags, message stores, aggregators, write versions, and fork state.
-// Returns the superstep to resume at.
-func (r *runner[V, M]) restoreSnapshot(snap *checkpoint.Snapshot[V, M]) (int, error) {
+// restorePoint loads the run's restore point: the newest usable generation
+// at or below lastCheckpoint in ckptDir, or nil — the initial state — when
+// the run has none or every candidate is corrupt. Generations beyond
+// lastCheckpoint are not candidates: a reused directory may hold newer
+// files from an earlier process, and restoring one would jump the run past
+// supersteps it never executed.
+func (r *runner[V, M]) restorePoint() (*checkpoint.Snapshot[V, M], error) {
+	if r.lastCheckpoint < 0 {
+		return nil, nil
+	}
+	snap, skipped, err := checkpoint.LoadChainMax[V, M](r.ckptDir, r.lastCheckpoint)
+	if skipped > 0 {
+		r.reg.Add(metrics.CheckpointGensSkipped, int64(skipped))
+	}
+	if err != nil || snap == nil {
+		return nil, err
+	}
+	return snap, r.fits(snap)
+}
+
+// fits rejects a snapshot of another graph or cluster size.
+func (r *runner[V, M]) fits(snap *checkpoint.Snapshot[V, M]) error {
 	if len(snap.Values) != len(r.values) {
-		return 0, fmt.Errorf("engine: checkpoint has %d vertices, graph has %d", len(snap.Values), len(r.values))
+		return fmt.Errorf("engine: checkpoint has %d vertices, graph has %d", len(snap.Values), len(r.values))
 	}
 	if len(snap.Stores) != len(r.workers) {
-		return 0, fmt.Errorf("engine: checkpoint has %d workers, config has %d", len(snap.Stores), len(r.workers))
+		return fmt.Errorf("engine: checkpoint has %d workers, config has %d", len(snap.Stores), len(r.workers))
 	}
-	copy(r.values, snap.Values)
-	if r.versions != nil && len(snap.Versions) == len(r.versions) {
-		for v := range r.versions {
-			r.versions[v].Store(snap.Versions[v])
-		}
-	}
-	for i, w := range r.workers {
-		w.readStore().Load(snap.Stores[i])
-		w.aggPrev = snap.AggPrev
-		if w.mgr != nil && i < len(snap.Forks) {
-			w.mgr.Import(snap.Forks[i])
-		}
-		w.loadHalted(snap.Halted)
-	}
-	// The dirty-vertex set no longer describes a diff against any on-disk
-	// generation, so the next checkpoint must be full.
-	r.lastCheckpoint = snap.Superstep
-	r.forceFullCkpt = true
-	return snap.Superstep + 1, nil
+	return nil
 }
 
-// rollback implements Giraph-style whole-cluster recovery inside one run:
-// revive the dead workers, discard all in-memory superstep state, and
-// reinstate the latest checkpoint — or the initial state when none has
-// been written yet. The master calls it at a barrier with the transport
-// idle, so no in-flight traffic can leak across the rollback. Returns the
-// superstep to resume at.
-func (r *runner[V, M]) rollback() (int, error) {
+// snapStep is the superstep snap captured, -1 for the initial state (nil).
+func snapStep[V, M any](snap *checkpoint.Snapshot[V, M]) int {
+	if snap == nil {
+		return -1
+	}
+	return snap.Superstep
+}
+
+// rewind resets the workers in set (nil: every worker) to snap, or to the
+// initial state when snap is nil: their vertices' values and write
+// versions, message stores, halt flags, aggregates, message logs, fork
+// state and watchdog aborts. A fork edge to a worker outside set takes the
+// chandy.Mirror of that worker's live end, which is authoritative at a
+// quiescent barrier (every philosopher thinking, every held fork dirty);
+// the other edges come from snap or the initial placement, which store both
+// ends consistently. snap becomes the restore point, the next checkpoint is
+// full, and the recorder drops the discarded executions' transactions: the
+// history that must be serializable is the one from the restored state.
+// Returns the superstep to resume at.
+func (r *runner[V, M]) rewind(set []bool, snap *checkpoint.Snapshot[V, M]) int {
+	c := snapStep(snap)
+	var halted []bool
+	if snap != nil {
+		halted = snap.Halted
+	}
+	for d, w := range r.workers {
+		if set != nil && !set[d] {
+			continue
+		}
+		w.discardStep(true)
+		w.active.Store(0)
+		w.aggPrev = r.prevAgg(c, snap)
+		w.ep.ResetAbort()
+		for _, v := range w.owned {
+			switch {
+			case snap != nil:
+				r.values[v] = snap.Values[v]
+				if r.versions != nil && len(snap.Versions) == len(r.versions) {
+					r.versions[v].Store(snap.Versions[v])
+				}
+			case r.prog.Init != nil:
+				r.values[v] = r.prog.Init(v, r.g)
+			default:
+				var zero V
+				r.values[v] = zero
+			}
+		}
+		if snap != nil {
+			w.readStore().Load(snap.Stores[d])
+		}
+		w.loadHalted(halted)
+		if w.mgr != nil {
+			state := r.initialForks[d]
+			if snap != nil && d < len(snap.Forks) {
+				state = snap.Forks[d]
+			}
+			state = slices.Clone(state)
+			for i, e := range w.mgr.Edges() {
+				if q := r.philOwner(e[1]); set != nil && !set[q] {
+					state[i] = chandy.Mirror(r.workers[q].mgr.EdgeState(e[1], e[0]))
+				}
+			}
+			w.mgr.Import(state) // also clears a watchdog abort
+		}
+		if w.log != nil {
+			w.log.Reset(c + 1) // the rewound supersteps re-log as they re-run
+		}
+	}
+	r.lastCheckpoint = c
+	r.forceFullCkpt = true
+	if r.rec != nil {
+		r.rec.Reset()
+	}
+	return c + 1
+}
+
+// rollback is Giraph-style whole-cluster recovery (§6.4): every worker is
+// revived and rewound to snap, the flow ledger returns to its ground state,
+// and the aggregates of the discarded supersteps go. The master calls it at
+// a barrier with the transport idle, so no in-flight traffic leaks across
+// it. Returns the superstep to resume at.
+func (r *runner[V, M]) rollback(snap *checkpoint.Snapshot[V, M]) int {
 	for _, wid := range r.tr.DeadWorkers() {
 		r.tr.Revive(wid)
 	}
-	for _, w := range r.workers {
-		w.discardStep(true)
-		w.active.Store(0)
-		w.aggPrev = make(map[string]float64)
-		// Clear any watchdog abort so flush protocols block normally again.
-		w.ep.ResetAbort()
-		if w.mgr != nil {
-			w.mgr.ClearAbort()
-		}
-	}
+	resume := r.rewind(nil, snap)
 	// The transport is idle and every store was just cleared, so zeroing
 	// the credit windows (and clearing any watchdog abort) restores the
 	// flow ledger's ground state for the replay.
 	r.flow.Reset()
-	resume := 0
-	var snap *checkpoint.Snapshot[V, M]
-	// Only generations this run has itself written are candidates: a
-	// reused checkpoint directory may hold newer files from an earlier
-	// process, and restoring one would jump the run forward past
-	// supersteps it never executed.
-	if r.cfg.CheckpointDir != "" && r.lastCheckpoint >= 0 {
-		var skipped int
-		var err error
-		snap, skipped, err = checkpoint.LoadChainMax[V, M](r.cfg.CheckpointDir, r.lastCheckpoint)
-		if err != nil {
-			return 0, err
-		}
-		if skipped > 0 {
-			r.reg.Add(metrics.CheckpointGensSkipped, int64(skipped))
-		}
-	}
-	if snap != nil {
-		var err error
-		resume, err = r.restoreSnapshot(snap)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		r.resetToInitial()
-		r.lastCheckpoint = -1
-		r.forceFullCkpt = true
-	}
-	for _, w := range r.workers {
-		if w.log != nil {
-			w.log.Reset(resume)
-		}
-	}
 	for k := range r.aggAt {
 		if k >= resume {
 			delete(r.aggAt, k)
 		}
 	}
 	r.reg.Add(metrics.PartitionsRestored, int64(r.cfg.Workers*r.cfg.PartitionsPerWorker))
-	if r.rec != nil {
-		// The discarded executions' transactions go with them: the
-		// history that must be serializable is the replay from the
-		// restored state.
-		r.rec.Reset()
-	}
-	return resume, nil
-}
-
-// resetToInitial rewinds vertex state and fork distribution to superstep
-// 0, for rollbacks that happen before any checkpoint exists.
-func (r *runner[V, M]) resetToInitial() {
-	var zero V
-	for v := 0; v < r.g.NumVertices(); v++ {
-		if r.prog.Init != nil {
-			r.values[v] = r.prog.Init(graph.VertexID(v), r.g)
-		} else {
-			r.values[v] = zero
-		}
-	}
-	for i, w := range r.workers {
-		if w.mgr != nil {
-			w.mgr.Import(r.initialForks[i])
-		}
-		w.loadHalted(nil)
-	}
+	return resume
 }
 
 // confinedEligible decides whether the crash detected at superstep s's
@@ -819,18 +830,13 @@ func (r *runner[V, M]) resetToInitial() {
 // the mode is enabled; the watchdog did not declare a stall (a stall means
 // in-memory protocol state is suspect everywhere); no topology mutation
 // since the last checkpoint (replay needs the topology the originals ran
-// on); at least one survivor; every dead worker was already dead when the
-// superstep dispatched (a mid-superstep crash leaks partial sends into
-// healthy state); and every healthy worker's message log still covers the
-// replay window.
-func (r *runner[V, M]) confinedEligible(dead, deadAtStart []cluster.WorkerID, stalled bool) bool {
-	if r.cfg.Recovery != RecoverConfined || stalled || r.mutatedSince {
-		return false
-	}
-	// BAP has no global superstep barriers, so the replay dispatch protocol
-	// (re-running superstep k on the dead workers while the healthy ones
-	// idle) does not apply; only full rollback is available there.
-	if r.cfg.Mode == BAP {
+// on); snap, the restore point loaded, is generation lastCheckpoint, the
+// one the healthy workers' logs start after; at least one survivor; and
+// every dead worker was already dead when the superstep dispatched (a
+// mid-superstep crash leaks partial sends into healthy state).
+func (r *runner[V, M]) confinedEligible(dead, deadAtStart []cluster.WorkerID, stalled bool, snap *checkpoint.Snapshot[V, M]) bool {
+	if r.cfg.Recovery != RecoverConfined || stalled || r.mutatedSince ||
+		snapStep(snap) != r.lastCheckpoint || len(dead) >= len(r.workers) {
 		return false
 	}
 	// Under async modes the replay is not an exact reconstruction — logged
@@ -847,133 +853,38 @@ func (r *runner[V, M]) confinedEligible(dead, deadAtStart []cluster.WorkerID, st
 	if r.cfg.Mode != BSP && r.prog.Semantics == model.Queue {
 		return false
 	}
-	if len(dead) >= len(r.workers) {
-		return false
-	}
-	atStart := make(map[cluster.WorkerID]bool, len(deadAtStart))
-	for _, wid := range deadAtStart {
-		atStart[wid] = true
-	}
-	deadSet := make(map[int]bool, len(dead))
 	for _, wid := range dead {
-		if !atStart[wid] {
-			return false
-		}
-		deadSet[int(wid)] = true
-	}
-	for i, w := range r.workers {
-		if deadSet[i] {
-			continue
-		}
-		if w.log == nil || !w.log.Covers(r.lastCheckpoint+1) {
+		if !slices.Contains(deadAtStart, wid) {
 			return false
 		}
 	}
 	return true
 }
 
-// confinedRecover rolls back only the dead workers' partitions to the last
-// checkpoint (or the initial state when none exists) and replays supersteps
-// lastCheckpoint+1..s on them: healthy workers' sends come from their
-// message logs, and the dead workers recompute their own executions.
-// Healthy partitions keep their in-memory state throughout. Returns
-// (false, nil) when the checkpoint chain turned out to be unusable — the
-// caller then falls back to a full rollback, which is why nothing is
-// mutated before validation passes.
-func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.WorkerID) (bool, error) {
+// confinedRecover rewinds only the dead workers to snap, the restore point
+// at lastCheckpoint, and replays supersteps lastCheckpoint+1..s on them:
+// healthy workers' sends come from their message logs, and the dead workers
+// recompute their own executions. Healthy partitions keep their in-memory
+// state throughout.
+func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.WorkerID, snap *checkpoint.Snapshot[V, M]) error {
 	c := r.lastCheckpoint
-	var snap *checkpoint.Snapshot[V, M]
-	if c >= 0 {
-		var skipped int
-		var err error
-		// Bounded like rollback's restore: a reused directory's newer
-		// foreign generations must not shadow the checkpoint this run took.
-		snap, skipped, err = checkpoint.LoadChainMax[V, M](r.cfg.CheckpointDir, c)
-		if skipped > 0 {
-			r.reg.Add(metrics.CheckpointGensSkipped, int64(skipped))
-		}
-		if err != nil {
-			return false, err
-		}
-		if snap == nil || snap.Superstep != c ||
-			len(snap.Values) != len(r.values) || len(snap.Stores) != len(r.workers) {
-			// The generation the run believes in is gone or corrupt; let the
-			// full rollback walk the fallback chain instead.
-			return false, nil
-		}
-	}
-	deadSet := make(map[int]bool, len(dead))
-	for _, wid := range dead {
-		deadSet[int(wid)] = true
-	}
+	deadSet := make([]bool, len(r.workers))
+	deadParts := 0
 	for _, wid := range dead {
 		r.tr.Revive(wid)
+		deadSet[wid] = true
+		deadParts += len(r.workers[wid].parts)
 	}
-
-	deadParts := 0
-	for d, w := range r.workers {
-		if !deadSet[d] {
-			continue
-		}
-		deadParts += len(w.parts)
-		// Spilled batches staged from the discarded supersteps' arrivals are
-		// superseded by the log replay's re-injections.
-		w.discardStep(true)
-		for _, p := range w.parts {
-			for _, v := range r.pm.Vertices(p) {
-				vi := int(v)
-				if snap != nil {
-					r.values[vi] = snap.Values[vi]
-					if r.versions != nil && len(snap.Versions) == len(r.versions) {
-						r.versions[vi].Store(snap.Versions[vi])
-					}
-				} else {
-					if r.prog.Init != nil {
-						r.values[vi] = r.prog.Init(v, r.g)
-					} else {
-						var zero V
-						r.values[vi] = zero
-					}
-				}
-			}
-		}
-		if snap != nil {
-			w.readStore().Load(snap.Stores[d])
-			w.loadHalted(snap.Halted)
-		} else {
-			w.loadHalted(nil)
-		}
-		if w.mgr != nil {
-			// The healthy side of every dead–healthy edge is authoritative:
-			// at a quiescent barrier all philosophers are thinking and all
-			// held forks are dirty, so mirroring its live state reconstructs
-			// a consistent pair. Dead–dead edges come from the checkpoint (or
-			// initial distribution), which stores both ends consistently.
-			base := r.initialForks[d]
-			if snap != nil && d < len(snap.Forks) {
-				base = snap.Forks[d]
-			}
-			state := slices.Clone(base)
-			for i, e := range w.mgr.Edges() {
-				if qw := r.philOwner(e[1]); !deadSet[qw] {
-					state[i] = chandy.Mirror(r.workers[qw].mgr.EdgeState(e[1], e[0]))
-				}
-			}
-			w.mgr.Import(state)
-		}
-		if w.log != nil {
-			// The dead worker re-logs its sends as it replays.
-			w.log.Rewind(c + 1)
-		}
-	}
+	r.rewind(deadSet, snap)
 
 	replayed := int64(0)
-	r.replayDest = make([]bool, len(r.workers))
-	for d := range r.workers {
-		r.replayDest[d] = deadSet[d]
-	}
+	r.replayDest = deadSet
 	r.replayFrontier = s
 	r.replaying.Store(true)
+	defer func() {
+		r.replaying.Store(false)
+		r.replayDest = nil
+	}()
 	for k := c + 1; k <= s; k++ {
 		prev := r.prevAgg(k-1, snap)
 		for d, w := range r.workers {
@@ -994,7 +905,7 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 			// reads like greedy coloring need the replicas by pass k, and
 			// monotone folds only ever benefit from seeing more sooner.
 			for h, hw := range r.workers {
-				if deadSet[h] || hw.log == nil {
+				if deadSet[h] {
 					continue
 				}
 				if ents := hw.log.Entries(k, d); len(ents) > 0 {
@@ -1008,41 +919,36 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 				w.startCh <- k
 			}
 		}
-		for d, w := range r.workers {
-			if deadSet[d] {
-				<-w.doneCh
-			}
+		for range dead {
+			<-r.done
 		}
 		r.tr.WaitIdle()
-		if k < s {
-			for d, w := range r.workers {
-				if !deadSet[d] {
-					continue
-				}
-				if r.cfg.Mode == BSP {
-					if w.spill != nil {
-						// Replay arrivals staged through the sink merge in
-						// before the swap, mirroring the main loop.
-						if err := w.spill.Drain(w.writeStore()); err != nil {
-							r.replaying.Store(false)
-							r.replayDest = nil
-							return false, err
-						}
-					}
-					w.swapStores()
-				}
-				// The originals of these aggregates and mutation intents were
-				// already merged/applied at the original barriers; the
-				// replay's copies must not count twice. Superstep s's are
-				// kept — the caller falls through to the normal barrier
-				// processing, which consumes them alongside the healthy
-				// workers'.
-				w.discardStep(false)
+		if k == s {
+			break
+		}
+		for d, w := range r.workers {
+			if !deadSet[d] {
+				continue
 			}
+			if r.cfg.Mode == BSP {
+				if w.spill != nil {
+					// Replay arrivals staged through the sink merge in
+					// before the swap, mirroring the main loop.
+					if err := w.spill.Drain(w.writeStore()); err != nil {
+						return err
+					}
+				}
+				w.swapStores()
+			}
+			// The originals of these aggregates and mutation intents were
+			// already merged/applied at the original barriers; the
+			// replay's copies must not count twice. Superstep s's are
+			// kept — the caller falls through to the normal barrier
+			// processing, which consumes them alongside the healthy
+			// workers'.
+			w.discardStep(false)
 		}
 	}
-	r.replaying.Store(false)
-	r.replayDest = nil
 
 	r.reg.Add(metrics.PartitionsRestored, int64(deadParts))
 	r.reg.Add(metrics.MessagesReplayed, replayed)
@@ -1050,18 +956,13 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 	res.ConfinedRecoveries++
 	res.RecomputedSupersteps += s - c
 	res.RecomputedPartitionSupersteps += (s - c) * deadParts
-	if r.rec != nil {
-		// The crashed workers' discarded executions take their transactions
-		// with them; replay executions are suppressed from recording, so the
-		// history restarts clean from superstep s+1.
-		r.rec.Reset()
-	}
-	return true, nil
+	return nil
 }
 
-// prevAgg returns the merged aggregates of superstep k, which replay feeds
-// to superstep k+1 as its aggPrev: the retained ring first, then the
-// checkpoint's capture, then empty (k before the first superstep).
+// prevAgg returns the merged aggregates of superstep k, which a rewind to k
+// and the replay of k+1 feed to superstep k+1 as its aggPrev: the retained
+// ring first, then the checkpoint's capture, then empty (k before the first
+// superstep).
 func (r *runner[V, M]) prevAgg(k int, snap *checkpoint.Snapshot[V, M]) map[string]float64 {
 	if k < 0 {
 		return make(map[string]float64)
@@ -1085,8 +986,7 @@ func (r *runner[V, M]) philOwner(id chandy.PhilID) int {
 }
 
 // collectWorkers waits for every worker to reach superstep s's barrier.
-// With no watchdog configured it blocks indefinitely (the pre-watchdog
-// behavior). With one, a worker that has not finished within the deadline
+// With no watchdog configured it blocks indefinitely. With one, a worker that has not finished within the deadline
 // is declared stalled: the watchdog kills the unfinished workers (their
 // state is suspect — typically a lost control message wedged them
 // mid-protocol) and aborts every manager and endpoint so blocked
@@ -1094,42 +994,25 @@ func (r *runner[V, M]) philOwner(id chandy.PhilID) int {
 // caller then runs recovery exactly as for a crash. Returns whether the
 // watchdog fired.
 func (r *runner[V, M]) collectWorkers() bool {
-	if r.cfg.WatchdogTimeout <= 0 {
-		for _, w := range r.workers {
-			<-w.doneCh
-		}
-		return false
-	}
-	done := make(chan int, len(r.workers))
-	for i, w := range r.workers {
-		go func(i int, w *worker[V, M]) {
-			<-w.doneCh
-			done <- i
-		}(i, w)
+	var deadline <-chan time.Time
+	if r.cfg.WatchdogTimeout > 0 {
+		timer := time.NewTimer(r.cfg.WatchdogTimeout)
+		defer timer.Stop()
+		deadline = timer.C
 	}
 	finished := make([]bool, len(r.workers))
-	remaining := len(r.workers)
-	timer := time.NewTimer(r.cfg.WatchdogTimeout)
-	defer timer.Stop()
 	fired := false
-	for remaining > 0 {
+	for remaining := len(r.workers); remaining > 0; {
 		select {
-		case i := <-done:
+		case i := <-r.done:
 			finished[i] = true
 			remaining--
-		case <-timer.C:
-			// Workers may have finished concurrently with the timer firing;
-			// drain those before judging. Declaring a stall on a run that
-			// actually completed would poison healthy state.
-			draining := true
-			for draining && remaining > 0 {
-				select {
-				case i := <-done:
-					finished[i] = true
-					remaining--
-				default:
-					draining = false
-				}
+		case <-deadline:
+			// Workers may have finished as the timer fired; count them
+			// before judging. Declaring a stall on a run that actually
+			// completed would poison healthy state.
+			for ; remaining > 0 && len(r.done) > 0; remaining-- {
+				finished[<-r.done] = true
 			}
 			if remaining == 0 {
 				break

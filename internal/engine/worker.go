@@ -112,15 +112,14 @@ type worker[V, M any] struct {
 
 	// begin and finish are when this worker started on its superstep and
 	// when it completed it (threads joined and buffers flushed). Written in
-	// runSuperstep, read by the master after the doneCh handshake, which
-	// provides the happens-before edge; the master turns the spread of
-	// finish times into barrier-wait (and, under token passing, token
-	// hold/idle) accounting, and the delay from its dispatch to begin into
-	// barrier-commit time.
+	// runSuperstep, read by the master once the worker's ID arrives on the
+	// runner's done channel, which provides the happens-before edge; the
+	// master turns the spread of finish times into barrier-wait (and, under
+	// token passing, token hold/idle) accounting, and the delay from its
+	// dispatch to begin into barrier-commit time.
 	begin, finish time.Time
 
 	startCh chan int
-	doneCh  chan struct{}
 }
 
 func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
@@ -130,7 +129,6 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 		aggLocal: make(map[string]float64),
 		aggPrev:  make(map[string]float64),
 		startCh:  make(chan int),
-		doneCh:   make(chan struct{}),
 	}
 	w.partIdx = make(map[partition.ID]int, len(w.parts))
 	for i, p := range w.parts {
@@ -412,7 +410,7 @@ func (w *worker[V, M]) pendingMessages() int64 {
 func (w *worker[V, M]) loop() {
 	for s := range w.startCh {
 		w.runSuperstep(s)
-		w.doneCh <- struct{}{}
+		w.r.done <- w.id
 	}
 }
 

@@ -18,12 +18,11 @@ import (
 // Entries are copied on Append because batch ownership transfers to the
 // transport receiver (and recycled batch slices are reused).
 //
-// The log's coverage window is explicit: Floor is the first superstep whose
-// sends are fully retained. TruncateThrough advances it after a checkpoint
-// (supersteps at or below the checkpoint will never be replayed); Rewind
-// discards a suffix so a recovering worker can re-log the supersteps it is
-// about to re-execute; Reset empties the log entirely after a full
-// rollback.
+// The log keeps the supersteps from its floor on: TruncateThrough moves the
+// floor past a checkpoint (recovery never replays at or below one), and
+// Reset empties the log at a rewind, whose supersteps re-log as they re-run.
+// The engine moves the floor only to the superstep after its restore point,
+// so the log always covers a replay from there.
 type Log[M any] struct {
 	mu    sync.Mutex
 	steps map[int]map[int][]Entry[M] // superstep -> dest worker -> entries
@@ -62,21 +61,6 @@ func (l *Log[M]) Entries(step, dest int) []Entry[M] {
 	return slices.Clone(l.steps[step][dest])
 }
 
-// Covers reports whether the log retains every superstep from 'from'
-// onward, i.e. replay starting at 'from' will see all healthy sends.
-func (l *Log[M]) Covers(from int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return from >= l.floor
-}
-
-// Floor returns the first superstep the log fully retains.
-func (l *Log[M]) Floor() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.floor
-}
-
 // TruncateThrough discards supersteps <= step and advances the coverage
 // floor to step+1. The engine calls it after a successful checkpoint at
 // step: recovery never replays at or below a checkpoint.
@@ -93,37 +77,11 @@ func (l *Log[M]) TruncateThrough(step int) {
 	}
 }
 
-// Rewind discards supersteps >= from without moving the coverage floor: a
-// recovering worker is about to re-execute those supersteps and will re-log
-// its sends as it goes.
-func (l *Log[M]) Rewind(from int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for s := range l.steps {
-		if s >= from {
-			delete(l.steps, s)
-		}
-	}
-}
-
-// Reset empties the log and sets the coverage floor to floor. The engine
-// calls it on a full rollback (everything will be re-executed and re-logged
-// from the resume superstep).
+// Reset empties the log and sets its floor: the engine rewinds the worker
+// to the superstep before floor and re-executes (and re-logs) from there.
 func (l *Log[M]) Reset(floor int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.steps = make(map[int]map[int][]Entry[M])
 	l.floor = floor
-}
-
-// Replayable returns the total number of logged entries destined for
-// worker dest across supersteps from..to inclusive.
-func (l *Log[M]) Replayable(from, to, dest int) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for s := from; s <= to; s++ {
-		n += len(l.steps[s][dest])
-	}
-	return n
 }

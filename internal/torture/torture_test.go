@@ -16,9 +16,14 @@ import (
 // re-run just the failing case:
 //
 //	go test ./internal/torture -run TestTorture -torture.seed=0x...
+//
+// Adding -torture.repeat=N runs that case N times and reports k/N failed,
+// which tells a deterministic failure (N/N) from a schedule-dependent one.
 var (
 	flagSeed = flag.Uint64("torture.seed", 0,
 		"replay a single case seed instead of sweeping (accepts 0x... hex)")
+	flagRepeat = flag.Int("torture.repeat", 1,
+		"with -torture.seed, run the case N times and report how many failed (k/N)")
 	flagN = flag.Int("torture.n", 0,
 		"number of sampled cases (default 50 with -short, 120 otherwise)")
 	flagRoot = flag.Uint64("torture.root", 0xdecaf,
@@ -100,10 +105,24 @@ func TestTorture(t *testing.T) {
 			t.Skipf("seed %#x needs TCP loopback, unavailable here", sc.Seed)
 		}
 		t.Logf("replaying %v", sc)
-		if err := RunScenario(sc, t.TempDir()); err != nil {
-			t.Fatalf("replay failed:\n%v", err)
+		n, failed := max(*flagRepeat, 1), 0
+		var first error
+		for range n {
+			if err := RunScenario(sc, t.TempDir()); err != nil {
+				if failed == 0 {
+					first = err
+				}
+				failed++
+			}
 		}
+		if failed > 0 {
+			t.Fatalf("replay failed %d/%d runs; first failure:\n%v", failed, n, first)
+		}
+		t.Logf("replay failed 0/%d runs", n)
 		return
+	}
+	if *flagRepeat > 1 {
+		t.Fatal("-torture.repeat needs -torture.seed: it repeats one case")
 	}
 
 	n := *flagN
