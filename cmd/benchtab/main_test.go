@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"serialgraph/internal/engine"
 	"serialgraph/internal/partition"
 )
 
@@ -79,6 +80,28 @@ func checkRecovery(t *testing.T, rows []Row) {
 	if confined.RecomputedParts >= full.RecomputedParts {
 		t.Errorf("confined recomputed %d partition-supersteps, full %d; want fewer",
 			confined.RecomputedParts, full.RecomputedParts)
+	}
+}
+
+// TestSerializableCellsCheckHistory: every cell of a serializable
+// technique (token passing, partition and vertex locking on Giraph async,
+// vertex locking on GAS) passes history.CheckAll on a recorded repetition,
+// which HistoryTxns counts; counts-only and unsynchronized cells record
+// none, and neither does the Pregel PageRank, which is not write-all.
+func TestSerializableCellsCheckHistory(t *testing.T) {
+	h := newHarness(0.05, []int{4}, 10*time.Microsecond)
+	for _, c := range append(fig1(h), exclusionCells(h)...) {
+		r := h.run(c)
+		want := !c.countsOnly && (c.gas || c.cfg.Sync != engine.SyncNone)
+		if !r.passed() || (r.HistoryTxns > 0) != want {
+			t.Errorf("%s %s: check %q, %d txns checked, want checked = %v",
+				r.Algorithm, r.Technique, r.Check, r.HistoryTxns, want)
+		}
+	}
+	for _, c := range fig6("pagerank")(h) {
+		if c.checked() != c.gas {
+			t.Errorf("pagerank %s: checked = %v", c.technique(), c.checked())
+		}
 	}
 }
 

@@ -74,9 +74,9 @@ func (c *core) windows() *Flow { return c.flow }
 // Kill marks worker w as crashed. From then on the worker's data traffic
 // is lost — data messages sent by or addressed to it are dropped (and
 // counted in DroppedMessages), and in-flight data messages addressed to
-// it are discarded at delivery time. Control and ack traffic still flows:
-// the simulation keeps the blocking coordination protocols (Chandy–Misra
-// forks, flush acks) drainable so every worker reaches the next barrier,
+// it are discarded at delivery time. Control traffic still flows: the
+// simulation keeps the blocking coordination protocol (Chandy–Misra forks)
+// drainable so every worker reaches the next barrier,
 // where the master detects the death and rolls the cluster back —
 // discarding all of the dead worker's superstep state anyway, exactly as
 // a real whole-cluster rollback would.

@@ -18,7 +18,7 @@ const (
 // FlushMarker is the control payload of the flush-with-ack protocol: a
 // worker that wants proof its earlier data messages have been applied
 // sends one and waits for the matching AckMsg. Exported so wire codecs
-// can encode it; engines interact with it only through FlushWait.
+// can encode it; only FlushWait sends one.
 type FlushMarker struct{ Seq uint64 }
 
 // AckMsg acknowledges the FlushMarker with the same sequence number.
@@ -29,10 +29,8 @@ type AckMsg struct{ Seq uint64 }
 type BarrierMarker struct{ Seq uint64 }
 
 // Endpoint is a worker's connection to the transport. It dispatches
-// incoming traffic to data/control callbacks and implements the
-// flush-with-ack protocol used before token handoffs: because lanes are
-// FIFO, an acked flush marker guarantees every earlier data message to that
-// worker has been delivered and applied.
+// incoming traffic to data/control callbacks and answers flush markers
+// (see FlushWait).
 type Endpoint struct {
 	t       Transport
 	windows func() *Flow // the transport's credit windows: both backends embed core
@@ -44,8 +42,6 @@ type Endpoint struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	acks    map[uint64]chan struct{}
-	abortCh chan struct{} // closed by Abort; replaced by ResetAbort
-	aborted bool
 }
 
 // NewEndpoint registers worker id on t. onData receives Data payloads,
@@ -53,7 +49,7 @@ type Endpoint struct {
 // goroutines and must not block indefinitely.
 func NewEndpoint(t Transport, id WorkerID, onData, onCtrl func(from WorkerID, payload any)) *Endpoint {
 	e := &Endpoint{t: t, windows: t.(interface{ windows() *Flow }).windows, id: id,
-		onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{}), abortCh: make(chan struct{})}
+		onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{})}
 	t.RegisterHandler(id, e.handle)
 	return e
 }
@@ -115,12 +111,12 @@ func (e *Endpoint) SendCtrlBatch(to WorkerID, payload any, n int) int {
 // FlushWait sends a flush marker to each worker in targets and blocks until
 // every one has acknowledged it, guaranteeing (by lane FIFO order) that all
 // data previously sent to those workers has been delivered. It returns the
-// number of markers sent (targets minus self), so callers can account the
-// control traffic they generated.
+// number of markers sent (targets minus self). No engine calls it: a token
+// moves only at a barrier, and the barrier waits for the transport to go
+// idle (DESIGN.md §4). Its last caller is the benchmark's
+// cluster.flushwait_us row; the change that drops that row deletes
+// FlushWait, the marker and ack payloads and their wire frames with it.
 func (e *Endpoint) FlushWait(targets []WorkerID) int {
-	e.mu.Lock()
-	abortCh := e.abortCh
-	e.mu.Unlock()
 	chans := make([]chan struct{}, 0, len(targets))
 	for _, to := range targets {
 		if to == e.id {
@@ -136,42 +132,7 @@ func (e *Endpoint) FlushWait(targets []WorkerID) int {
 		chans = append(chans, ch)
 	}
 	for _, ch := range chans {
-		select {
-		case <-ch:
-		case <-abortCh:
-			// The watchdog declared the run stalled: stop waiting for acks
-			// that may never come. Leftover ack registrations are swept by
-			// ResetAbort during recovery.
-			return len(chans)
-		}
+		<-ch
 	}
 	return len(chans)
-}
-
-// Abort makes any current or future FlushWait stop blocking on missing
-// acks. The engine's liveness watchdog calls it when a superstep stalls
-// (e.g. a flush marker or its ack was lost) so the waiting worker can reach
-// the barrier and recovery can run.
-func (e *Endpoint) Abort() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.aborted {
-		e.aborted = true
-		close(e.abortCh)
-	}
-}
-
-// ResetAbort re-arms an aborted endpoint and drops any ack registrations
-// left over from aborted flushes. Recovery calls it at the barrier (no
-// flush can be in flight) before resuming.
-func (e *Endpoint) ResetAbort() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.aborted {
-		e.aborted = false
-		e.abortCh = make(chan struct{})
-	}
-	for seq := range e.acks {
-		delete(e.acks, seq)
-	}
 }

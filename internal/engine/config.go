@@ -218,9 +218,9 @@ type Config struct {
 	// WatchdogTimeout, when > 0, arms the liveness watchdog: a superstep
 	// whose workers have not all reached the barrier within this deadline
 	// is declared stalled — the laggards are treated as crashed, their
-	// blocking primitives (fork waits, flush-ack waits) are aborted so the
+	// blocking primitives (fork waits, credit waits) are aborted so the
 	// barrier is reached, and recovery runs instead of the run hanging
-	// forever on, say, a lost fork or flush ack. Zero disables the
+	// forever on, say, a lost fork batch. Zero disables the
 	// watchdog. Requires a mode with global barriers.
 	WatchdogTimeout time.Duration
 	// MaxRollbacks bounds recovery attempts per run (default 16) so a

@@ -273,12 +273,12 @@ func TestConfinedPageRankBSP(t *testing.T) {
 	}
 }
 
-// TestWatchdogRecoversDroppedToken wedges a token-passing run by dropping
-// one flush marker on the wire: without the watchdog the sender would wait
-// forever for its ack. The watchdog must detect the stall within the
-// deadline, kill the wedged worker, force the barrier, and recover to the
-// exact answer.
-func TestWatchdogRecoversDroppedToken(t *testing.T) {
+// TestWatchdogRecoversDroppedForkBatch wedges a partition-locking run by
+// dropping one fork batch on the wire: without the watchdog the hungry
+// philosopher would wait forever for forks that never come. The watchdog
+// must detect the stall within the deadline, kill the wedged worker, force
+// the barrier, and recover to the exact answer.
+func TestWatchdogRecoversDroppedForkBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test")
 	}
@@ -287,7 +287,7 @@ func TestWatchdogRecoversDroppedToken(t *testing.T) {
 
 	inj := fault.NewInjector(fault.Plan{CtrlDrops: []fault.CtrlDrop{{AtSuperstep: 1, Count: 1}}})
 	cfg := Config{
-		Workers: 4, Mode: Async, Sync: TokenSingle, Seed: 5,
+		Workers: 4, Mode: Async, Sync: PartitionLock, Seed: 5,
 		WatchdogTimeout: 2 * time.Second,
 		Fault:           inj,
 	}

@@ -735,15 +735,15 @@ func snapStep[V, M any](snap *checkpoint.Snapshot[V, M]) int {
 
 // rewind resets the workers in set (nil: every worker) to snap, or to the
 // initial state when snap is nil: their vertices' values and write
-// versions, message stores, halt flags, aggregates, message logs, fork
-// state and watchdog aborts. A fork edge to a worker outside set takes the
-// chandy.Mirror of that worker's live end, which is authoritative at a
-// quiescent barrier (every philosopher thinking, every held fork dirty);
-// the other edges come from snap or the initial placement, which store both
-// ends consistently. snap becomes the restore point, the next checkpoint is
-// full, and the recorder drops the discarded executions' transactions: the
-// history that must be serializable is the one from the restored state.
-// Returns the superstep to resume at.
+// versions, message stores, halt flags, aggregates, message logs and fork
+// state (whose Import clears a watchdog abort). A fork edge to a worker
+// outside set takes the chandy.Mirror of that worker's live end, which is
+// authoritative at a quiescent barrier (every philosopher thinking, every
+// held fork dirty); the other edges come from snap or the initial
+// placement, which store both ends consistently. snap becomes the restore
+// point, the next checkpoint is full, and the recorder drops the discarded
+// executions' transactions: the history that must be serializable is the
+// one from the restored state. Returns the superstep to resume at.
 func (r *runner[V, M]) rewind(set []bool, snap *checkpoint.Snapshot[V, M]) int {
 	c := snapStep(snap)
 	var halted []bool
@@ -757,7 +757,6 @@ func (r *runner[V, M]) rewind(set []bool, snap *checkpoint.Snapshot[V, M]) int {
 		w.discardStep(true)
 		w.active.Store(0)
 		w.aggPrev = r.prevAgg(c, snap)
-		w.ep.ResetAbort()
 		for _, v := range w.owned {
 			switch {
 			case snap != nil:
@@ -986,13 +985,13 @@ func (r *runner[V, M]) philOwner(id chandy.PhilID) int {
 }
 
 // collectWorkers waits for every worker to reach superstep s's barrier.
-// With no watchdog configured it blocks indefinitely. With one, a worker that has not finished within the deadline
-// is declared stalled: the watchdog kills the unfinished workers (their
-// state is suspect — typically a lost control message wedged them
-// mid-protocol) and aborts every manager and endpoint so blocked
-// fork-acquires and flush-waits return and the barrier completes. The
-// caller then runs recovery exactly as for a crash. Returns whether the
-// watchdog fired.
+// With no watchdog configured it blocks indefinitely. With one, a worker
+// that has not finished within the deadline is declared stalled: the
+// watchdog kills the unfinished workers (their state is suspect —
+// typically a lost fork batch wedged them mid-protocol) and aborts every
+// lock manager and the credit windows, so blocked fork-acquires and credit
+// waits return and the barrier completes. The caller then runs recovery
+// exactly as for a crash. Returns whether the watchdog fired.
 func (r *runner[V, M]) collectWorkers() bool {
 	var deadline <-chan time.Time
 	if r.cfg.WatchdogTimeout > 0 {
@@ -1024,13 +1023,12 @@ func (r *runner[V, M]) collectWorkers() bool {
 				}
 			}
 			for _, w := range r.workers {
-				w.ep.Abort()
 				if w.mgr != nil {
 					w.mgr.Abort()
 				}
 			}
 			// Senders blocked awaiting credit would never reach the
-			// barrier either; wake them alongside the flush waits.
+			// barrier either; wake them alongside the fork waits.
 			r.flow.Abort()
 		}
 	}

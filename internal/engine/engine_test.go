@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"serialgraph/internal/algorithms"
+	"serialgraph/internal/cluster"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
@@ -202,6 +204,53 @@ func TestSerializabilityHistoryClean(t *testing.T) {
 				t.Fatalf("violations under %v: %v (of %d txns)", sync, v[:min(3, len(v))], rec.Len())
 			}
 		})
+	}
+}
+
+// TestTokenC1OnSlowLanes pins the one rule token passing rests on: a
+// token moves only at a barrier (tokenState is a function of the
+// superstep), and the barrier waits for the transport to go idle. Slow
+// lanes keep the holder's replica updates in flight long after every
+// worker has finished computing, so a barrier that did not wait for them
+// would let the next holder read a stale replica, which CheckC1 reports.
+// The Gibbs sampler stays active for its sweeps and broadcasts every write
+// (write-all), and each execution takes a little while, so a replica slot
+// fills within a token round and a later, slower update leaves it one
+// version behind: the recorder only sees reads of slots holding a message.
+// A token run sends no control traffic at all.
+func TestTokenC1OnSlowLanes(t *testing.T) {
+	g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 60, AvgDegree: 4, Exponent: 2.2, Seed: 9}))
+	prog := algorithms.IsingGibbs(0.5, 4, 1)
+	gibbs := prog.Compute
+	prog.Compute = func(ctx model.Context[algorithms.GibbsValue, int32], msgs []int32) {
+		time.Sleep(200 * time.Microsecond)
+		gibbs(ctx, msgs)
+	}
+	for _, kind := range []TransportKind{TransportInProc, TransportTCP} {
+		for _, sync := range []Sync{TokenSingle, TokenDual} {
+			t.Run(kind.String()+"/"+sync.String(), func(t *testing.T) {
+				if kind == TransportTCP {
+					equivRequireLoopback(t)
+				}
+				_, res, rec, err := Run(g, prog, Config{
+					Workers: 3, PartitionsPerWorker: 2, Mode: Async, Sync: sync, Seed: 4,
+					Transport: kind, TrackHistory: true,
+					Latency: cluster.LatencyModel{Propagation: 5 * time.Millisecond, BytesPerSec: 2e4},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Converged {
+					t.Fatalf("did not converge in %d supersteps", res.Supersteps)
+				}
+				if v := history.CheckAll(rec.Txns(), g); v != nil {
+					t.Fatalf("violations: %v (of %d txns)", v[:min(3, len(v))], rec.Len())
+				}
+				if n := res.Net.ControlMessages; n != 0 {
+					t.Errorf("token run sent %d control messages", n)
+				}
+			})
+		}
 	}
 }
 

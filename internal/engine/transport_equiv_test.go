@@ -81,14 +81,13 @@ func reconcile(t *testing.T, label string, kind TransportKind, res Result) {
 	if got, want := m.Get(metrics.CtrlBytes), res.Net.ControlBytes; got != want {
 		t.Errorf("%s: ctrl_bytes = %d, transport ControlBytes = %d", label, got, want)
 	}
-	// Control bytes decompose exactly: every flush marker, every lock
-	// message's framing, every fork and token entry inside one.
-	markers := m.Get(metrics.FlushMarkers)
+	// Control bytes decompose exactly: every lock message's framing, every
+	// fork and token entry inside one.
 	entries := m.Get(metrics.ForkGrantsRemote) + m.Get(metrics.TokenSendsRemote)
-	lockMsgs := m.Get(metrics.CtrlMessages) - markers
-	if want := markers*cluster.FlushMarkerBytes + lockMsgs*(cluster.CtrlBytes-cluster.CtrlEntryBytes) + entries*cluster.CtrlEntryBytes; m.Get(metrics.CtrlBytes) != want {
-		t.Errorf("%s: ctrl_bytes = %d, want %d for %d markers, %d lock messages, %d entries",
-			label, m.Get(metrics.CtrlBytes), want, markers, lockMsgs, entries)
+	lockMsgs := m.Get(metrics.CtrlMessages)
+	if want := lockMsgs*(cluster.CtrlBytes-cluster.CtrlEntryBytes) + entries*cluster.CtrlEntryBytes; m.Get(metrics.CtrlBytes) != want {
+		t.Errorf("%s: ctrl_bytes = %d, want %d for %d lock messages, %d entries",
+			label, m.Get(metrics.CtrlBytes), want, lockMsgs, entries)
 	}
 	if lockMsgs > entries {
 		t.Errorf("%s: %d lock messages carry only %d forks and tokens", label, lockMsgs, entries)

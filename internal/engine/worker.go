@@ -36,10 +36,9 @@ type worker[V, M any] struct {
 	// here instead of going straight to the write store, overflowing sorted
 	// runs to disk past the per-worker budget; the master drains it into
 	// the write store right before every swap.
-	spill    *msgstore.Spill[M]
-	ep       *cluster.Endpoint
-	mgr      *chandy.Manager
-	otherWks []cluster.WorkerID
+	spill *msgstore.Spill[M]
+	ep    *cluster.Endpoint
+	mgr   *chandy.Manager
 
 	// partIdx maps each owned partition to its position in parts.
 	partIdx map[partition.ID]int
@@ -158,11 +157,6 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	w.stores[0] = w.newStore()
 	if r.cfg.Mode == BSP {
 		w.stores[1] = w.newStore()
-	}
-	for o := 0; o < r.cfg.Workers; o++ {
-		if o != id {
-			w.otherWks = append(w.otherWks, cluster.WorkerID(o))
-		}
 	}
 	if r.cfg.Fault != nil && r.cfg.Recovery == RecoverConfined {
 		w.log = msgstore.NewLog[M]()
@@ -423,17 +417,11 @@ func (w *worker[V, M]) runSuperstep(s int) {
 	reg.AddPhase(metrics.PhaseCompute, flushStart.Sub(w.begin))
 
 	// End-of-superstep flush (§6.1): push out all remaining buffered
-	// remote messages. Token techniques additionally await delivery
-	// confirmations before the token moves on (§4.2, §6.2); locking
-	// techniques rely on FIFO-before-fork flushes mid-superstep and only
-	// need the data on the wire before the barrier.
+	// remote messages. The data only has to be on the wire: the barrier
+	// waits for the transport to go idle before any token moves, which is
+	// what C1 needs under token passing (§4.2, §6.2), and locking
+	// techniques flush mid-superstep before every fork handoff.
 	w.buf.FlushAll()
-	if w.r.cfg.Sync == TokenSingle || w.r.cfg.Sync == TokenDual {
-		n := int64(w.ep.FlushWait(w.otherWks))
-		reg.Add(metrics.FlushMarkers, n)
-		reg.Add(metrics.CtrlMessages, n)
-		reg.Add(metrics.CtrlBytes, n*cluster.FlushMarkerBytes)
-	}
 	w.finish = time.Now()
 	reg.AddPhase(metrics.PhaseRemoteFlush, w.finish.Sub(flushStart))
 }

@@ -13,9 +13,9 @@
 // next barrier and rolls the whole cluster back to its latest checkpoint.
 //
 // Message-level chaos (drop/duplicate/straggle) applies to data traffic
-// only. Control and ack messages ride a reliable, TCP-like channel in
-// real deployments, and randomly dropping forks or flush acks would wedge
-// the coordination protocols rather than model any real failure.
+// only. Control messages ride a reliable, TCP-like channel in real
+// deployments, and randomly dropping forks would wedge the coordination
+// protocol rather than model any real failure.
 package fault
 
 import (
@@ -55,11 +55,11 @@ func (c Crash) String() string {
 // CtrlDrop schedules a control-plane loss: starting when superstep
 // AtSuperstep begins, the next Count control messages sent are lost on the
 // wire (delivery-time drops, so the send-side control ledger that the
-// metrics conservation checks reconcile stays exact). Losing a token, fork,
-// or flush marker wedges the coordination protocol it belongs to — which is
-// precisely the stall the engine's liveness watchdog exists to detect, so
-// CtrlDrops are the watchdog's test vector rather than part of the random
-// chaos space.
+// metrics conservation checks reconcile stays exact). Losing a lock
+// manager's batch of forks or request tokens wedges the philosopher waiting
+// for it — which is precisely the stall the engine's liveness watchdog
+// exists to detect, so CtrlDrops are the watchdog's test vector rather than
+// part of the random chaos space.
 type CtrlDrop struct {
 	// AtSuperstep arms the drop when this superstep begins.
 	AtSuperstep int

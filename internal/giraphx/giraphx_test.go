@@ -196,7 +196,7 @@ func TestGiraphxMetricsReconcile(t *testing.T) {
 	}
 	for _, id := range []metrics.CounterID{
 		metrics.LockAcquires, metrics.ForkGrants, metrics.TokenSends,
-		metrics.FlushMarkers, metrics.CtrlMessages,
+		metrics.CtrlMessages,
 	} {
 		if v := m.Get(id); v != 0 {
 			t.Errorf("in-algorithm run used engine-level sync: %s = %d", id.Name(), v)

@@ -63,17 +63,14 @@ const (
 	// RemoteBatchBytes counts the simulated wire bytes of those batches;
 	// fault-free it equals cluster.Stats.DataBytes.
 	RemoteBatchBytes
-	// CtrlMessages counts control messages sent by the engine: remote
-	// fork/token exchanges plus flush markers. Chaos applies to data
+	// CtrlMessages counts control messages sent by the engine: the lock
+	// managers' remote fork/token batches. Chaos applies to data
 	// traffic only, so this equals cluster.Stats.ControlMessages even on
 	// faulty runs.
 	CtrlMessages
 	// CtrlBytes is the simulated wire bytes of those control messages;
 	// equals cluster.Stats.ControlBytes.
 	CtrlBytes
-	// FlushMarkers counts the flush-with-ack markers of token handoffs
-	// (a subset of CtrlMessages).
-	FlushMarkers
 	// LockAcquires counts Chandy–Misra Acquire calls (= meals = partition
 	// or vertex executions under a locking technique).
 	LockAcquires
@@ -177,7 +174,6 @@ var counterNames = [numCounters]string{
 	"remote_batch_bytes",
 	"ctrl_messages",
 	"ctrl_bytes",
-	"flush_markers",
 	"lock_acquires",
 	"lock_wait_ns",
 	"fork_grants",
@@ -226,8 +222,7 @@ const (
 	// 1-in-64 and scaled by 64 (engine.localTimingSampleShift), so this
 	// phase is an estimate — unlike the message counters, which are exact.
 	PhaseLocalDelivery
-	// PhaseRemoteFlush: the end-of-superstep buffer flush, plus (token
-	// techniques) the flush-with-ack delivery confirmation wait.
+	// PhaseRemoteFlush: the end-of-superstep buffer flush.
 	PhaseRemoteFlush
 	// PhaseBarrierWait: time between a worker finishing its superstep and
 	// the cluster-wide last finisher — zero for the slowest worker.
