@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-faulty torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke bench-micro ci clean
+.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-faulty torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke figures bench-micro ci clean
 
 build:
 	$(GO) build ./...
@@ -162,6 +162,13 @@ bench-pair:
 # oracle and on any experiment gate.
 figures-smoke:
 	$(GO) run ./cmd/benchtab -exp all -workers 4
+
+# The paper's figures at figure scale (nightly): every experiment on 16 and
+# 32 workers, ≈ 2 min. Every serializable cell's recorded history must
+# pass C1, C2 and 1SR at the worker counts the paper reports, and every
+# answer and experiment gate is checked as in figures-smoke.
+figures:
+	$(GO) run ./cmd/benchtab -exp all -workers 16,32
 
 # Hot-path microbenchmarks: the message store's put/read paths (per-message
 # vs. batched, all three semantics, 1-8 goroutines), the dense data path

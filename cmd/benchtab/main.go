@@ -61,14 +61,7 @@ type Row struct {
 	CtrlMsgs   int64         `json:"ctrl_msgs"`
 	Forks      int64         `json:"forks"`
 	MaxConc    int64         `json:"max_conc"`
-	Rollbacks  int           `json:"rollbacks"`
-	Recomputed int           `json:"recomputed_supersteps"`
-	// RecomputedParts counts partition×superstep recompute units: a
-	// confined recovery replays only the crashed worker's partitions, a
-	// full rollback all of them.
-	RecomputedParts int  `json:"recomputed_partition_supersteps"`
-	Confined        int  `json:"confined_recoveries"`
-	Converged       bool `json:"converged"`
+	Converged  bool          `json:"converged"`
 	// HistoryTxns is the number of transactions whose history passed C1,
 	// C2 and 1SR (history.CheckAll); 0 for a cell that records none.
 	HistoryTxns int `json:"history_txns"`
@@ -235,8 +228,6 @@ func (h *harness) run(c cell) Row {
 		Technique: c.technique(), Time: res.ComputeTime, Supersteps: res.Supersteps,
 		Executions: res.Executions, DataMsgs: res.Net.DataMessages, DataBytes: res.Net.DataBytes,
 		CtrlMsgs: res.Net.ControlMessages, Forks: res.ForkSends, MaxConc: res.MaxConcurrency,
-		Rollbacks: res.Rollbacks, Recomputed: res.RecomputedSupersteps,
-		RecomputedParts: res.RecomputedPartitionSupersteps, Confined: res.ConfinedRecoveries,
 		Converged: res.Converged, Answer: digest(o.vals), Check: o.verdict(c.countsOnly),
 		Partition: res.Partition, Metrics: res.Metrics,
 	}
@@ -501,7 +492,7 @@ func printRows(w io.Writer, rows []Row) {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%s\t%v\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			r.Experiment, r.Algorithm, r.Dataset, r.Workers, r.Technique,
 			r.Time.Round(time.Millisecond), r.Supersteps, r.Executions,
-			r.DataMsgs, r.DataBytes/1024, r.CtrlMsgs, r.Forks, r.Rollbacks, r.Check)
+			r.DataMsgs, r.DataBytes/1024, r.CtrlMsgs, r.Forks, r.Metrics.Get(metrics.Rollbacks), r.Check)
 	}
 	tw.Flush()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"serialgraph/internal/engine"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/partition"
 )
 
@@ -69,17 +70,17 @@ func TestExperiments(t *testing.T) {
 // full rollback of the same crash.
 func checkRecovery(t *testing.T, rows []Row) {
 	for _, r := range rows[:3] {
-		if r.Rollbacks != 0 {
-			t.Errorf("fault-free row %s rolled back %d times", r.Technique, r.Rollbacks)
+		if n := r.Metrics.Get(metrics.Rollbacks); n != 0 {
+			t.Errorf("fault-free row %s rolled back %d times", r.Technique, n)
 		}
 	}
-	full, confined := rows[3], rows[4]
-	if full.Rollbacks < 1 || confined.Rollbacks < 1 || confined.Confined < 1 || full.Confined != 0 {
-		t.Errorf("crash rows: full %+v, confined %+v", full, confined)
+	full, confined := rows[3].Metrics, rows[4].Metrics
+	if full.Get(metrics.Rollbacks) < 1 || confined.Get(metrics.Rollbacks) < 1 ||
+		confined.Get(metrics.ConfinedRecoveries) < 1 || full.Get(metrics.ConfinedRecoveries) != 0 {
+		t.Errorf("crash rows: full %+v, confined %+v", rows[3], rows[4])
 	}
-	if confined.RecomputedParts >= full.RecomputedParts {
-		t.Errorf("confined recomputed %d partition-supersteps, full %d; want fewer",
-			confined.RecomputedParts, full.RecomputedParts)
+	if c, f := confined.Get(metrics.RecomputedPartitionSupersteps), full.Get(metrics.RecomputedPartitionSupersteps); c >= f {
+		t.Errorf("confined recomputed %d partition-supersteps, full %d; want fewer", c, f)
 	}
 }
 

@@ -151,7 +151,6 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions, %s, %s\n",
 		g.NumVertices(), g.NumEdges(), cfg.alg, cfg.workers, job.PartsPerWorker, cfg.model, cfg.technique)
 
-	start := time.Now()
 	values, res, err := dist.Run(ln, job, g.NumVertices())
 	if err != nil {
 		return err
@@ -163,10 +162,7 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 			fmt.Printf("coloring proper, %d colors\n", countDistinct(colors))
 		}
 	}
-	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
-		res.Converged, res.Supersteps, res.Executions, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("network: %d data batches / %d KB data, %d control msgs over TCP; wire bytes=%d\n",
-		res.DataBatches, res.DataBytes/1024, res.CtrlMessages, res.WireBytes)
+	printSummary(res)
 
 	if cfg.out != "" {
 		f, err := os.Create(cfg.out)

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"serialgraph"
+	"serialgraph/internal/metrics"
 )
 
 func main() {
@@ -325,25 +326,19 @@ func main() {
 		}
 	}
 
-	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
-		res.Converged, res.Supersteps, res.Executions, res.ComputeTime.Round(time.Millisecond))
+	printSummary(res)
+	m := res.Metrics
 	q := res.Partition
 	fmt.Printf("partition: cut=%.3f boundary=%.3f (pint=%d local=%d remote=%d mixed=%d) repl=%.2f skew=%.2f\n",
 		q.CutFraction, q.BoundaryFraction,
 		q.PInternal, q.LocalBoundary, q.RemoteBoundary, q.MixedBoundary,
 		q.ReplicationFactor, q.BalanceSkew)
-	fmt.Printf("network: %d data batches / %d KB data, %d control msgs; forks=%d tokens=%d\n",
-		res.Net.DataMessages, res.Net.DataBytes/1024, res.Net.ControlMessages,
-		res.ForkSends, res.TokenSends)
-	if res.Net.WireBytesSent > 0 {
-		fmt.Printf("wire: %d bytes sent / %d bytes received over TCP\n",
-			res.Net.WireBytesSent, res.Net.WireBytesReceived)
-	}
-	if faulty || res.WatchdogStalls > 0 {
+	fmt.Printf("locks: forks=%d tokens=%d\n", res.ForkSends, m.Get(metrics.TokenSends))
+	if faulty || m.Get(metrics.WatchdogStalls) > 0 {
 		fmt.Printf("recovery: rollbacks=%d (confined=%d) recomputed-supersteps=%d recomputed-partition-supersteps=%d wasted-msgs=%d dropped=%d watchdog-stalls=%d\n",
-			res.Rollbacks, res.ConfinedRecoveries, res.RecomputedSupersteps,
-			res.RecomputedPartitionSupersteps, res.WastedMessages,
-			res.Net.DroppedMessages, res.WatchdogStalls)
+			m.Get(metrics.Rollbacks), m.Get(metrics.ConfinedRecoveries), m.Get(metrics.RecomputedSupersteps),
+			m.Get(metrics.RecomputedPartitionSupersteps), m.Get(metrics.WastedMessages),
+			res.Net.DroppedMessages, m.Get(metrics.WatchdogStalls))
 	}
 	if *check {
 		if len(violations) == 0 {
@@ -372,9 +367,6 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		if technique == serialgraph.VertexLocking {
-			log.Println("note: the GAS engine is not metrics-instrumented; the snapshot will be zeros")
-		}
 		buf, err := json.MarshalIndent(res.Metrics, "", "  ")
 		if err != nil {
 			log.Fatal(err)
@@ -401,6 +393,23 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote heap profile to %s\n", *memProfile)
+	}
+}
+
+// printSummary prints the lines every run reports, in process or across
+// processes: convergence, the network ledger, and the wire bytes of a run
+// over TCP (a multi-process coordinator knows only the bytes sent).
+func printSummary(res serialgraph.Result) {
+	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
+		res.Converged, res.Supersteps, res.Executions, res.ComputeTime.Round(time.Millisecond))
+	n := res.Net
+	fmt.Printf("network: %d data batches / %d KB data, %d control msgs\n",
+		n.DataMessages, n.DataBytes/1024, n.ControlMessages)
+	switch {
+	case n.WireBytesReceived > 0:
+		fmt.Printf("wire: %d bytes sent / %d bytes received over TCP\n", n.WireBytesSent, n.WireBytesReceived)
+	case n.WireBytesSent > 0:
+		fmt.Printf("wire: %d bytes sent over TCP\n", n.WireBytesSent)
 	}
 }
 

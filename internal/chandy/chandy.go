@@ -107,15 +107,6 @@ type outbox struct {
 // closedCh is the grant channel of every all-forks-present RequestForks.
 var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
 
-// Stats counts the synchronization traffic generated by a manager. Remote
-// counts are also visible as transport control messages; local exchanges
-// never touch the network.
-type Stats struct {
-	ForkSends, TokenSends             int64
-	RemoteForkSends, RemoteTokenSends int64
-	Meals                             int64
-}
-
 // Manager coordinates the philosophers owned by one worker.
 type Manager struct {
 	worker  int
@@ -133,9 +124,12 @@ type Manager struct {
 	nbrArena []PhilID
 	stArena  []byte
 	out      []outbox // by destination worker
-	stats    Stats
 	reg      *metrics.Registry
-	aborted  bool
+	// op accrues the opCounters of the public operation holding mu;
+	// flushUnlock adds them to reg once per operation, not once per fork
+	// or token (vertex locking moves ≈ 30 of each per acquire).
+	op      [len(opCounters)]int64
+	aborted bool
 }
 
 // NewBatchManager creates the manager for worker. ownerOf maps any
@@ -199,15 +193,9 @@ func (m *Manager) AddPhil(id PhilID, neighbors []PhilID) {
 // SetMetrics attaches a metrics registry: Acquire counts lock_acquires
 // and its blocked time (lock_wait_ns counter + histogram; fast-path
 // acquires observe 0), and the yield/request rules count fork_grants and
-// token_sends with their remote variants. Call before any Acquire.
+// token_sends with their remote variants. The counts of an operation reach
+// the registry when it returns. Call before any Acquire.
 func (m *Manager) SetMetrics(reg *metrics.Registry) { m.reg = reg }
-
-// Stats returns a copy of the traffic counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
 
 // Acquire blocks until philosopher id holds all its forks and is eating,
 // returning true. It returns false without acquiring anything when the
@@ -247,7 +235,7 @@ func (m *Manager) RequestForks(id PhilID) <-chan struct{} {
 		// equal to lock_acquires.
 		return nil
 	}
-	m.count(metrics.LockAcquires)
+	m.op[opAcquires]++
 	p := m.mustPhil(id)
 	if p.state != thinking {
 		panic(fmt.Sprintf("chandy: RequestForks(%d) while %v", id, p.state))
@@ -394,11 +382,17 @@ func (m *Manager) mustPhil(id PhilID) *phil {
 	return &m.phils[m.index[id]-1]
 }
 
-func (m *Manager) count(c metrics.CounterID) {
-	if m.reg != nil {
-		m.reg.Add(c, 1)
-	}
-}
+// opCounters are the counters a public operation accrues in Manager.op,
+// indexed by the op* constants.
+var opCounters = [...]metrics.CounterID{metrics.LockAcquires, metrics.TokenSends, metrics.TokenSendsRemote, metrics.ForkGrants, metrics.ForkGrantsRemote}
+
+const (
+	opAcquires = iota
+	opTokens
+	opTokensRemote
+	opForks
+	opForksRemote
+)
 
 // emitLocked queues c for the worker owning c.To, or reports false when that
 // is this worker and c is to be applied directly.
@@ -419,7 +413,8 @@ func (m *Manager) emitLocked(c Ctrl) bool {
 // flushUnlock ends a public operation: each destination it queued messages
 // for is sent one batch — after preHandoff when a fork is in it, so replica
 // updates precede the fork on the same FIFO lane (C1) — before the manager
-// unlocks, so batches reach a lane in the order their operations ran.
+// unlocks, so batches reach a lane in the order their operations ran. The
+// operation's counts go to the registry here too.
 func (m *Manager) flushUnlock() {
 	for dest := range m.out {
 		o := &m.out[dest]
@@ -432,17 +427,21 @@ func (m *Manager) flushUnlock() {
 		m.send(dest, slices.Clone(o.q))
 		o.q, o.fork = o.q[:0], false
 	}
+	for i, n := range m.op {
+		if n != 0 && m.reg != nil {
+			m.reg.Add(opCounters[i], n)
+		}
+	}
+	m.op = [len(opCounters)]int64{}
 	m.mu.Unlock()
 }
 
 // sendTokenLocked moves p's request token for edge i to its neighbor.
 func (m *Manager) sendTokenLocked(p *phil, i int) {
 	p.st[i] &^= bitToken
-	m.stats.TokenSends++
-	m.count(metrics.TokenSends)
+	m.op[opTokens]++
 	if m.emitLocked(Ctrl{Kind: TokenMsg, From: p.id, To: p.nbr[i]}) {
-		m.stats.RemoteTokenSends++
-		m.count(metrics.TokenSendsRemote)
+		m.op[opTokensRemote]++
 		return
 	}
 	m.tokenArrivesLocked(p.nbr[i], p.id)
@@ -471,11 +470,9 @@ func (m *Manager) maybeYieldLocked(p *phil, i int) {
 		// re-counted before the re-request below.
 		p.missing++
 	}
-	m.stats.ForkSends++
-	m.count(metrics.ForkGrants)
+	m.op[opForks]++
 	if m.emitLocked(Ctrl{Kind: ForkMsg, From: p.id, To: p.nbr[i]}) {
-		m.stats.RemoteForkSends++
-		m.count(metrics.ForkGrantsRemote)
+		m.op[opForksRemote]++
 	} else {
 		m.forkArrivesLocked(p.nbr[i], p.id)
 	}
@@ -511,7 +508,6 @@ func (m *Manager) forkArrivesLocked(at, from PhilID) {
 // eating and dirties every fork.
 func (m *Manager) startEatingLocked(p *phil) {
 	p.state = eating
-	m.stats.Meals++
 	for i, st := range p.st {
 		if st&bitFork == 0 {
 			panic(fmt.Sprintf("chandy: %d eating without fork %d-%d", p.id, p.id, p.nbr[i]))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/metrics"
 )
 
 // singleWorker wires one Manager with no network.
@@ -123,16 +124,17 @@ func TestRandomGraphSingleManager(t *testing.T) {
 	n := 30
 	adj := randomConflictGraph(r, n, 60)
 	m := singleWorker()
+	reg := metrics.New()
+	m.SetMetrics(reg)
 	for id := 0; id < n; id++ {
 		m.AddPhil(PhilID(id), adj[id])
 	}
 	exclusionHarness(t, n, adj, m, func(p PhilID) { m.Acquire(p) }, m.Release, 50)
-	st := m.Stats()
-	if st.Meals != int64(n*50) {
-		t.Errorf("meals = %d, want %d", st.Meals, n*50)
+	if got := reg.Get(metrics.LockAcquires); got != int64(n*50) {
+		t.Errorf("lock_acquires = %d, want %d", got, n*50)
 	}
-	if st.RemoteForkSends != 0 || st.RemoteTokenSends != 0 {
-		t.Errorf("remote traffic on single worker: %+v", st)
+	if f, k := reg.Get(metrics.ForkGrantsRemote), reg.Get(metrics.TokenSendsRemote); f != 0 || k != 0 {
+		t.Errorf("remote traffic on single worker: %d forks, %d tokens", f, k)
 	}
 }
 
@@ -177,14 +179,14 @@ func TestDistributedRandomGraph(t *testing.T) {
 	ownerOf := func(p PhilID) int { return int(p) % w }
 	mgrs, closeFn := distributed(t, w, adj, ownerOf, cluster.LatencyModel{Propagation: 200 * time.Microsecond})
 	defer closeFn()
+	reg := metrics.New()
+	for _, m := range mgrs {
+		m.SetMetrics(reg)
+	}
 	acquire := func(p PhilID) { mgrs[ownerOf(p)].Acquire(p) }
 	release := func(p PhilID) { mgrs[ownerOf(p)].Release(p) }
 	exclusionHarness(t, n, adj, nil, acquire, release, 25)
-	var remote int64
-	for _, m := range mgrs {
-		remote += m.Stats().RemoteForkSends
-	}
-	if remote == 0 {
+	if reg.Get(metrics.ForkGrantsRemote) == 0 {
 		t.Error("expected remote fork traffic across 4 workers")
 	}
 }
@@ -347,13 +349,14 @@ func TestPreHandoffRunsBeforeRemoteFork(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	m := singleWorker()
+	reg := metrics.New()
+	m.SetMetrics(reg)
 	m.AddPhil(0, []PhilID{1})
 	m.AddPhil(1, []PhilID{0})
 	m.Acquire(0) // one token send (0->1), one fork send (1->0)
 	m.Release(0)
-	st := m.Stats()
-	if st.TokenSends != 1 || st.ForkSends != 1 || st.Meals != 1 {
-		t.Errorf("stats = %+v", st)
+	if k, f, a := reg.Get(metrics.TokenSends), reg.Get(metrics.ForkGrants), reg.Get(metrics.LockAcquires); k != 1 || f != 1 || a != 1 {
+		t.Errorf("token_sends = %d, fork_grants = %d, lock_acquires = %d, want 1 each", k, f, a)
 	}
 }
 

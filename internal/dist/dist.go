@@ -32,28 +32,17 @@ type Job = wire.Job
 // coordinator and each other inside it, so start order does not matter.
 const DialTimeout = 10 * time.Second
 
-// Result summarizes a distributed run on the coordinator.
-type Result struct {
-	Converged  bool
-	Supersteps int
-	Executions int64 // vertex executions across all workers
-	// DataBatches, DataBytes and CtrlMessages total what the workers sent
-	// each other (the cluster.Stats ledger); WireBytes counts the true
-	// encoded bytes written to their lanes.
-	DataBatches, DataBytes, CtrlMessages, WireBytes int64
-}
-
 // algorithm is one entry of the name → program table; both sides of a run
 // build the program from the Job alone.
 type algorithm struct {
 	work       func(ctrl *conn, ln net.Listener, job Job) error
-	coordinate func(ln net.Listener, job Job, numVertices int) (any, Result, error)
+	coordinate func(ln net.Listener, job Job, numVertices int) (any, engine.Result, error)
 }
 
 func program[V, M any](build func(Job) model.Program[V, M]) algorithm {
 	return algorithm{
 		work: func(ctrl *conn, ln net.Listener, job Job) error { return work(ctrl, ln, job, build(job)) },
-		coordinate: func(ln net.Listener, job Job, n int) (any, Result, error) {
+		coordinate: func(ln net.Listener, job Job, n int) (any, engine.Result, error) {
 			return Coordinate(ln, job, build(job), n)
 		},
 	}
@@ -79,10 +68,10 @@ func lookup(alg string) (algorithm, error) {
 
 // Run coordinates job with the program job.Alg names and returns the final
 // values, one per vertex: a []float64 or a []int32.
-func Run(ln net.Listener, job Job, numVertices int) (any, Result, error) {
+func Run(ln net.Listener, job Job, numVertices int) (any, engine.Result, error) {
 	a, err := lookup(job.Alg)
 	if err != nil {
-		return nil, Result{}, err
+		return nil, engine.Result{}, err
 	}
 	return a.coordinate(ln, job, numVertices)
 }
@@ -183,8 +172,12 @@ func broadcast(conns []*conn, ftype byte, payload []byte) error {
 // job.Workers processes must eventually dial it. Worker IDs follow accept
 // order, which does not affect the results: every process derives the
 // same partition map, and reports merge in worker order.
-func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], numVertices int) ([]V, Result, error) {
-	var res Result
+//
+// The Result carries what the workers' StepDone reports ship: Converged,
+// Supersteps, ComputeTime (the coordinator's superstep loop), Executions,
+// and in Net the data and control ledger and the wire bytes sent.
+func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], numVertices int) ([]V, engine.Result, error) {
+	var res engine.Result
 	cfg, err := config(job)
 	if err != nil {
 		return nil, res, err
@@ -224,6 +217,7 @@ func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], nu
 	reports := make([]engine.StepReport, len(conns))
 	var dones []wire.StepDone
 	var aggs map[string]float64
+	start := time.Now()
 	for s := 0; s < int(job.MaxSupersteps) && !res.Converged; s++ {
 		if err := broadcast(conns, cluster.FrameStepStart, wire.AppendStepStart(nil, wire.StepStart{Superstep: int32(s), Aggs: aggs})); err != nil {
 			return nil, res, err
@@ -244,12 +238,13 @@ func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], nu
 		res.Supersteps = s + 1
 		aggs, res.Converged = master.Fold(s, reports)
 	}
+	res.ComputeTime = time.Since(start)
 	for _, d := range dones { // each worker's counters are cumulative
 		res.Executions += d.Executions
-		res.DataBatches += d.SentBatches
-		res.DataBytes += d.SentBytes
-		res.CtrlMessages += d.CtrlMessages
-		res.WireBytes += d.WireBytes
+		res.Net.DataMessages += d.SentBatches
+		res.Net.DataBytes += d.SentBytes
+		res.Net.ControlMessages += d.CtrlMessages
+		res.Net.WireBytesSent += d.WireBytes
 	}
 
 	// Finish, then each worker ships its owned (vertex, value) pairs.

@@ -51,7 +51,7 @@ func baseJob() dist.Job {
 // runDist executes one distributed job entirely over loopback TCP:
 // worker goroutines join the coordinator exactly as worker processes
 // would.
-func runDist[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], nVerts int) ([]V, dist.Result) {
+func runDist[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], nVerts int) ([]V, engine.Result) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -138,16 +138,16 @@ func conform[V comparable, M any](t *testing.T, job dist.Job, prog model.Program
 		}
 	}
 	if job.Workers > 1 {
-		if gotRes.DataBatches == 0 || gotRes.DataBytes == 0 {
+		if gotRes.Net.DataMessages == 0 || gotRes.Net.DataBytes == 0 {
 			t.Errorf("multi-worker run moved no data batches (%d batches, %d bytes)",
-				gotRes.DataBatches, gotRes.DataBytes)
+				gotRes.Net.DataMessages, gotRes.Net.DataBytes)
 		}
-		if gotRes.WireBytes == 0 {
+		if gotRes.Net.WireBytesSent == 0 {
 			t.Errorf("multi-worker run reported zero wire bytes")
 		}
-		if gotRes.WireBytes < gotRes.DataBytes/8 {
+		if gotRes.Net.WireBytesSent < gotRes.Net.DataBytes/8 {
 			t.Errorf("wire bytes %d implausibly small vs simulated %d",
-				gotRes.WireBytes, gotRes.DataBytes)
+				gotRes.Net.WireBytesSent, gotRes.Net.DataBytes)
 		}
 	}
 }
@@ -289,8 +289,8 @@ func TestDistPartitionLockColoring(t *testing.T) {
 			if err := algorithms.ValidateColoring(g, got); err != nil {
 				t.Fatalf("improper colouring: %v", err)
 			}
-			t.Logf("supersteps=%d execs=%d ctrl=%d data=%d wire=%d", res.Supersteps, res.Executions, res.CtrlMessages, res.DataBatches, res.WireBytes)
-			if res.CtrlMessages == 0 {
+			t.Logf("supersteps=%d execs=%d ctrl=%d data=%d wire=%d", res.Supersteps, res.Executions, res.Net.ControlMessages, res.Net.DataMessages, res.Net.WireBytesSent)
+			if res.Net.ControlMessages == 0 {
 				t.Fatal("no control messages crossed the sockets")
 			}
 		})

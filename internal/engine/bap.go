@@ -87,7 +87,7 @@ func (r *runner[V, M]) runBAP(res *Result) {
 			}
 		}
 		if idle {
-			if e := r.executions.Load(); e == lastExec {
+			if e := r.reg.Get(metrics.Executions); e == lastExec {
 				res.Converged = true
 				break
 			} else {

@@ -22,16 +22,15 @@ type StepReport struct {
 	Unhalted, Pending int64
 	// Aggs holds the worker's aggregator contributions of the superstep.
 	Aggs map[string]float64
-	// frontierOK is the frontier audit: the counters the run decides
-	// convergence on equal the popcounts of the bitsets it iterates.
-	frontierOK bool
 }
 
-// commitStep is the worker half of the barrier: under BSP it drains the
-// spill tier into the write store and swaps the stores, then it reports
-// the worker's halt votes, pending messages, frontier audit and local
-// aggregates, starting a fresh aggregate map for the next superstep.
-func (w *worker[V, M]) commitStep() (StepReport, error) {
+// commitStep is the worker half of superstep s's barrier: under BSP it
+// drains the spill tier into the write store and swaps the stores, then it
+// reports the worker's halt votes, pending messages and local aggregates,
+// starting a fresh aggregate map for the next superstep. It fails the
+// frontier audit, an error, when the halt counter the run decides
+// convergence on differs from the popcount of the bitset it iterates.
+func (w *worker[V, M]) commitStep(s int) (StepReport, error) {
 	if w.r.cfg.Mode == BSP {
 		// Spilled runs merge into the write store before the swap: the next
 		// superstep's reads then see exactly what direct delivery would have
@@ -44,23 +43,25 @@ func (w *worker[V, M]) commitStep() (StepReport, error) {
 		}
 		w.swapStores()
 	}
-	rep := StepReport{
-		Unhalted:   w.unhalted.Load(),
-		Pending:    w.pendingMessages(),
-		Aggs:       w.aggLocal,
-		frontierOK: w.frontierConsistent(),
-	}
+	rep := StepReport{Unhalted: w.unhalted.Load(), Pending: w.pendingMessages(), Aggs: w.aggLocal}
 	w.aggLocal = make(map[string]float64)
+	if awake := w.awake.Count(); awake != rep.Unhalted {
+		return rep, fmt.Errorf("engine: worker %d failed the frontier audit at superstep %d: %d unhalted counted, %d awake bits",
+			w.id, s, rep.Unhalted, awake)
+	}
 	return rep, nil
 }
 
-// commitWorkers runs every worker's half of the barrier into r.reports.
-// Spill drains run concurrently, one per worker — serially they would put
-// every worker's merge on the barrier's critical path.
-func (r *runner[V, M]) commitWorkers() error {
+// commitWorkers runs every worker's half of superstep s's barrier into
+// r.reports. Spill drains run concurrently, one per worker — serially they
+// would put every worker's merge on the barrier's critical path.
+func (r *runner[V, M]) commitWorkers(s int) error {
 	if r.workers[0].spill == nil {
 		for i, w := range r.workers {
-			r.reports[i], _ = w.commitStep() // only a drain can fail
+			var err error
+			if r.reports[i], err = w.commitStep(s); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -70,7 +71,7 @@ func (r *runner[V, M]) commitWorkers() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.reports[i], errs[i] = w.commitStep()
+			r.reports[i], errs[i] = w.commitStep(s)
 		}()
 	}
 	wg.Wait()

@@ -67,12 +67,11 @@ func budgetConfig(mode Mode, sync Sync, budget int64) Config {
 }
 
 // checkBudgetRun asserts the invariants every budgeted run must hold,
-// regardless of mode or algorithm.
+// regardless of mode or algorithm, beyond the credit audit: a credit window
+// that fails to reconcile at a barrier fails Run, so the callers' err == nil
+// checks cover that one.
 func checkBudgetRun(t *testing.T, label string, mode Mode, budget int64, res Result) {
 	t.Helper()
-	if res.CreditImbalances != 0 {
-		t.Errorf("%s: %d barriers saw unbalanced credit windows", label, res.CreditImbalances)
-	}
 	spilled := res.Metrics.Get(metrics.BytesSpilled)
 	switch {
 	case budget == 0:

@@ -16,6 +16,7 @@ import (
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
+	"serialgraph/internal/metrics"
 )
 
 func chaosGraph(t *testing.T) *graph.Graph {
@@ -50,16 +51,16 @@ func TestChaosSSSPCrashRecovery(t *testing.T) {
 	if !inj.Exhausted() {
 		t.Fatal("scheduled crash never fired (run too short?)")
 	}
-	if res.Rollbacks != 1 {
-		t.Errorf("Rollbacks = %d, want 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 1 {
+		t.Errorf("Rollbacks = %d, want 1", got)
 	}
 	// The crash hit superstep 3; the latest checkpoint covered supersteps
 	// 0-1, so supersteps 2 and 3 are recomputed.
-	if res.RecomputedSupersteps != 2 {
-		t.Errorf("RecomputedSupersteps = %d, want 2", res.RecomputedSupersteps)
+	if got := res.Metrics.Get(metrics.RecomputedSupersteps); got != 2 {
+		t.Errorf("RecomputedSupersteps = %d, want 2", got)
 	}
-	if res.WastedMessages <= 0 {
-		t.Errorf("WastedMessages = %d, want > 0", res.WastedMessages)
+	if got := res.Metrics.Get(metrics.WastedMessages); got <= 0 {
+		t.Errorf("WastedMessages = %d, want > 0", got)
 	}
 	if res.Net.DroppedMessages <= 0 {
 		t.Errorf("Net.DroppedMessages = %d, want > 0 (the dead worker's traffic)", res.Net.DroppedMessages)
@@ -96,8 +97,8 @@ func TestChaosColoringSerializabilitySurvivesRollback(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("crashed run did not converge")
 	}
-	if res.Rollbacks < 1 {
-		t.Fatalf("Rollbacks = %d, want >= 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got < 1 {
+		t.Fatalf("Rollbacks = %d, want >= 1", got)
 	}
 	if err := algorithms.ValidateColoring(g, colors); err != nil {
 		t.Fatalf("coloring invalid after recovery: %v", err)
@@ -140,8 +141,8 @@ func TestChaosPageRankCrashRecovery(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("crashed run did not converge")
 	}
-	if res.Rollbacks != 1 {
-		t.Errorf("Rollbacks = %d, want 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 1 {
+		t.Errorf("Rollbacks = %d, want 1", got)
 	}
 	for v := range want {
 		if d := math.Abs(got[v] - want[v]); d > 1e-6 {
@@ -176,8 +177,8 @@ func TestChaosMessageTriggeredCrash(t *testing.T) {
 	if !inj.Exhausted() {
 		t.Skip("run finished under 40 data batches; crash never fired")
 	}
-	if res.Rollbacks < 1 {
-		t.Fatalf("Rollbacks = %d, want >= 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got < 1 {
+		t.Fatalf("Rollbacks = %d, want >= 1", got)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -208,12 +209,12 @@ func TestChaosCrashBeforeAnyCheckpoint(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("run did not converge")
 	}
-	if res.Rollbacks != 1 {
-		t.Errorf("Rollbacks = %d, want 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 1 {
+		t.Errorf("Rollbacks = %d, want 1", got)
 	}
 	// Failed at superstep 1, restarted from 0: supersteps 0 and 1 redone.
-	if res.RecomputedSupersteps != 2 {
-		t.Errorf("RecomputedSupersteps = %d, want 2", res.RecomputedSupersteps)
+	if got := res.Metrics.Get(metrics.RecomputedSupersteps); got != 2 {
+		t.Errorf("RecomputedSupersteps = %d, want 2", got)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -251,8 +252,8 @@ func TestChaosRepeatedCrashes(t *testing.T) {
 	if !inj.Exhausted() {
 		t.Skip("run converged before both crashes fired")
 	}
-	if res.Rollbacks != 2 {
-		t.Errorf("Rollbacks = %d, want 2", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 2 {
+		t.Errorf("Rollbacks = %d, want 2", got)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -287,8 +288,8 @@ func TestChaosDuplicatesAndStragglersAreHarmless(t *testing.T) {
 	if st.Duplicates == 0 || st.Delays == 0 {
 		t.Fatalf("chaos never fired: %+v", st)
 	}
-	if res.Rollbacks != 0 {
-		t.Errorf("Rollbacks = %d on a crash-free run", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 0 {
+		t.Errorf("Rollbacks = %d on a crash-free run", got)
 	}
 	for v := range want {
 		if dist[v] != want[v] {

@@ -7,6 +7,7 @@ import (
 	"serialgraph/internal/checkpoint"
 	"serialgraph/internal/fault"
 	"serialgraph/internal/generate"
+	"serialgraph/internal/metrics"
 )
 
 // TestCheckpointRecovery simulates a mid-run cluster failure: a first run
@@ -155,12 +156,12 @@ func TestRestoreFromThenCrash(t *testing.T) {
 			if !inj.Exhausted() {
 				t.Fatal("scheduled crash never fired (run too short?)")
 			}
-			if mode == RecoverConfined && res.ConfinedRecoveries != 1 {
-				t.Errorf("ConfinedRecoveries = %d, want 1", res.ConfinedRecoveries)
+			if mode == RecoverConfined && res.Metrics.Get(metrics.ConfinedRecoveries) != 1 {
+				t.Errorf("ConfinedRecoveries = %d, want 1", res.Metrics.Get(metrics.ConfinedRecoveries))
 			}
 			// Restored at 3, crashed at 5: supersteps 4 and 5 run again.
-			if res.RecomputedSupersteps != 2 {
-				t.Errorf("RecomputedSupersteps = %d, want 2 (recovered from the restored generation)", res.RecomputedSupersteps)
+			if got := res.Metrics.Get(metrics.RecomputedSupersteps); got != 2 {
+				t.Errorf("RecomputedSupersteps = %d, want 2 (recovered from the restored generation)", got)
 			}
 			wrong := 0
 			for v := range want {

@@ -215,71 +215,3 @@ func maxCount(m map[int32]int) int {
 	}
 	return best
 }
-
-func TestPersonalizedPageRank(t *testing.T) {
-	g := generate.PowerLaw(generate.PowerLawConfig{N: 500, AvgDegree: 6, Exponent: 2.1, Seed: 101})
-	const source = graph.VertexID(3)
-	for _, sync := range []Sync{SyncNone, PartitionLock} {
-		pr, res, _, err := Run(g, algorithms.PersonalizedPageRank(source, 0.85, 1e-5), Config{
-			Workers: 4, Mode: Async, Sync: sync, Seed: 1,
-		})
-		if err != nil || !res.Converged {
-			t.Fatalf("%v: err=%v converged=%v", sync, err, res.Converged)
-		}
-		// The source must dominate: restart mass lands there every step.
-		for v, x := range pr {
-			if graph.VertexID(v) != source && x > pr[source] {
-				t.Fatalf("%v: pr[%d]=%v exceeds source's %v", sync, v, x, pr[source])
-			}
-			if x < -1e-12 {
-				t.Fatalf("%v: negative score %v at %d", sync, x, v)
-			}
-		}
-		// Total mass stays near 1 (restart + damping conserve it, minus
-		// dangling-vertex leakage).
-		sum := 0.0
-		for _, x := range pr {
-			sum += x
-		}
-		if sum > 1.2 {
-			t.Errorf("%v: total mass %.3f > 1.2", sync, sum)
-		}
-	}
-}
-
-func TestHopHistogramMatchesReachability(t *testing.T) {
-	g := generate.PowerLaw(generate.PowerLawConfig{N: 400, AvgDegree: 5, Exponent: 2.2, Seed: 103})
-	sources := []graph.VertexID{0, 7, 42, 99}
-	want := algorithms.ReachabilityReference(g, sources)
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"bsp", Config{Workers: 3, Mode: BSP, Seed: 1}},
-		{"async", Config{Workers: 3, Mode: Async, Seed: 1}},
-		{"partition-lock", Config{Workers: 3, Mode: Async, Sync: PartitionLock, Seed: 1}},
-		{"token-single", Config{Workers: 3, Mode: Async, Sync: TokenSingle, Seed: 1}},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			vals, res, _, err := Run(g, algorithms.HopHistogram(sources), tc.cfg)
-			if err != nil || !res.Converged {
-				t.Fatalf("err=%v converged=%v", err, res.Converged)
-			}
-			for v := range want {
-				if vals[v].Reached != want[v] {
-					t.Fatalf("reached[%d] = %b, want %b", v, vals[v].Reached, want[v])
-				}
-			}
-		})
-	}
-}
-
-func TestHopHistogramBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("65 sources accepted")
-		}
-	}()
-	algorithms.HopHistogram(make([]graph.VertexID, 65))
-}

@@ -239,9 +239,9 @@ type Config struct {
 	// into Result.SuperstepStats.
 	DetailedStats bool
 	// Metrics optionally supplies the run's metrics registry. When nil the
-	// engine creates a private one; supplying a registry lets callers share
-	// it across runs or observe counters live while the run executes
-	// (Result.Metrics is a snapshot taken at the end either way).
+	// engine creates a private one; supplying one lets callers observe
+	// counters live while the run executes (Result.Metrics is a snapshot
+	// taken at the end either way). A registry serves one run.
 	Metrics *metrics.Registry
 	// MsgMemoryBudget, when > 0, bounds the message plane's memory
 	// (DESIGN.md §12). It has two effects: the transport's per-ordered-pair
@@ -356,25 +356,27 @@ func (c Config) barrierOptions() []string {
 	return on
 }
 
-// Result reports what a run did.
+// Result reports what a run did: the answer's shape, the fields a caller
+// reads on every run, and the run's metrics snapshot. Every other count
+// (rollbacks, recomputed supersteps, token sends, ...) is a counter in
+// Metrics, so it lives in one place.
 type Result struct {
 	// Converged is true when every vertex halted with no pending messages,
 	// false when MaxSupersteps was hit first.
 	Converged bool
 	// Supersteps executed (BSP/Async engines).
 	Supersteps int
-	// Executions is the total number of vertex executions (transactions).
+	// Executions is the total number of vertex executions (transactions):
+	// Metrics' executions counter.
 	Executions int64
 	// ComputeTime excludes graph loading and partitioning, matching the
 	// paper's "computation time" metric (§7.3).
 	ComputeTime time.Duration
 	// Net is the network traffic of the run.
 	Net cluster.Snapshot
-	// Forks/Tokens are Chandy–Misra exchanges (PartitionLock and the GAS
-	// engine only).
-	ForkSends, TokenSends int64
-	// Partitions is the total partition count used.
-	Partitions int
+	// ForkSends is the Chandy–Misra forks yielded (PartitionLock and the
+	// GAS engine only): Metrics' fork_grants counter.
+	ForkSends int64
 	// Partition is the quality report of the run's partition map:
 	// edge-cut, the §5.3 per-class boundary census, replication factor,
 	// and balance skew. Computed once at startup, outside ComputeTime.
@@ -382,45 +384,9 @@ type Result struct {
 	// MaxConcurrency is the peak number of concurrently executing
 	// partitions observed (used for the Figure 1 spectrum experiment).
 	MaxConcurrency int64
-	// Rollbacks counts in-run recoveries of either scope after a worker
-	// crash was detected at a barrier: whole-cluster rollbacks (§6.4,
-	// Giraph-style) and confined recoveries both count. Zero on a
-	// fault-free run.
-	Rollbacks int
-	// ConfinedRecoveries counts the subset of Rollbacks that were handled
-	// by confined recovery (only the crashed workers' partitions restored
-	// and recomputed).
-	ConfinedRecoveries int
-	// WatchdogStalls counts supersteps the liveness watchdog declared
-	// stalled and escalated to recovery.
-	WatchdogStalls int
-	// RecomputedSupersteps counts supersteps that were executed more than
-	// once because a rollback discarded them — the recovery's recompute
-	// cost in barriers.
-	RecomputedSupersteps int
-	// RecomputedPartitionSupersteps counts partition×superstep units
-	// re-executed by recovery: a full rollback recomputes every partition
-	// for every discarded superstep, while confined recovery recomputes
-	// only the crashed workers' partitions — this is the measure on which
-	// confined recovery wins.
-	RecomputedPartitionSupersteps int
-	// WastedMessages counts data messages sent since the restored-to
-	// point whose effects a rollback discarded — the recovery's wasted
-	// network work.
-	WastedMessages int64
 	// SuperstepStats holds per-superstep detail when
 	// Config.DetailedStats is set.
 	SuperstepStats []SuperstepStat
-	// CreditImbalances counts superstep barriers at which the transport's
-	// credit windows failed to reconcile (granted − released ≠ outstanding,
-	// or outstanding ≠ 0 at idle). Always zero on a correct run — the
-	// torture harness asserts it.
-	CreditImbalances int
-	// FrontierImbalances counts (barrier, worker) pairs at which the
-	// delivery-time frontier failed to reconcile: the unhalted or
-	// unread-message counter differed from the popcount of its bitset.
-	// Always zero on a correct run — the torture harness asserts it.
-	FrontierImbalances int
 	// Metrics is the run's final metrics snapshot: counters, phase
 	// timings, and histograms (see internal/metrics for the taxonomy).
 	Metrics metrics.Snapshot

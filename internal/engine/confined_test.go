@@ -47,19 +47,19 @@ func TestConfinedRecoverySSSP(t *testing.T) {
 	if !inj.Exhausted() {
 		t.Fatal("scheduled crash never fired (run too short?)")
 	}
-	if res.Rollbacks != 1 || res.ConfinedRecoveries != 1 {
-		t.Errorf("Rollbacks = %d, ConfinedRecoveries = %d, want 1 and 1", res.Rollbacks, res.ConfinedRecoveries)
+	if a, b := res.Metrics.Get(metrics.Rollbacks), res.Metrics.Get(metrics.ConfinedRecoveries); a != 1 || b != 1 {
+		t.Errorf("Rollbacks = %d, ConfinedRecoveries = %d, want 1 and 1", a, b)
 	}
 	// Crash at superstep 3, checkpoint at 1: supersteps 2 and 3 replay, but
 	// only on the dead worker's quarter of the partitions.
-	if res.RecomputedSupersteps != 2 {
-		t.Errorf("RecomputedSupersteps = %d, want 2", res.RecomputedSupersteps)
+	if got := res.Metrics.Get(metrics.RecomputedSupersteps); got != 2 {
+		t.Errorf("RecomputedSupersteps = %d, want 2", got)
 	}
-	deadParts := res.Partitions / cfg.Workers
-	if res.RecomputedPartitionSupersteps != 2*deadParts {
-		t.Errorf("RecomputedPartitionSupersteps = %d, want %d", res.RecomputedPartitionSupersteps, 2*deadParts)
+	deadParts := int64(res.Partition.Partitions / cfg.Workers)
+	if got := res.Metrics.Get(metrics.RecomputedPartitionSupersteps); got != 2*deadParts {
+		t.Errorf("RecomputedPartitionSupersteps = %d, want %d", got, 2*deadParts)
 	}
-	if got := res.Metrics.Get(metrics.PartitionsRestored); got != int64(deadParts) {
+	if got := res.Metrics.Get(metrics.PartitionsRestored); got != deadParts {
 		t.Errorf("partitions_restored = %d, want %d (only the dead worker's)", got, deadParts)
 	}
 	if got := res.Metrics.Get(metrics.MessagesReplayed); got <= 0 {
@@ -98,13 +98,12 @@ func TestConfinedMatchesFull(t *testing.T) {
 	}
 	full, resFull := run(RecoverFull)
 	conf, resConf := run(RecoverConfined)
-	if resConf.ConfinedRecoveries != 1 || resFull.ConfinedRecoveries != 0 {
-		t.Errorf("ConfinedRecoveries: confined %d (want 1), full %d (want 0)",
-			resConf.ConfinedRecoveries, resFull.ConfinedRecoveries)
+	mc, mf := resConf.Metrics, resFull.Metrics
+	if c, f := mc.Get(metrics.ConfinedRecoveries), mf.Get(metrics.ConfinedRecoveries); c != 1 || f != 0 {
+		t.Errorf("ConfinedRecoveries: confined %d (want 1), full %d (want 0)", c, f)
 	}
-	if resConf.RecomputedPartitionSupersteps >= resFull.RecomputedPartitionSupersteps {
-		t.Errorf("confined recomputed %d partition-supersteps, full %d; confined must be strictly fewer",
-			resConf.RecomputedPartitionSupersteps, resFull.RecomputedPartitionSupersteps)
+	if c, f := mc.Get(metrics.RecomputedPartitionSupersteps), mf.Get(metrics.RecomputedPartitionSupersteps); c >= f {
+		t.Errorf("confined recomputed %d partition-supersteps, full %d; confined must be strictly fewer", c, f)
 	}
 	for v := range full {
 		if full[v] != conf[v] {
@@ -137,16 +136,16 @@ func TestConfinedNoCheckpointReplaysFromStart(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("run did not converge")
 	}
-	if res.ConfinedRecoveries != 1 {
-		t.Errorf("ConfinedRecoveries = %d, want 1", res.ConfinedRecoveries)
+	if got := res.Metrics.Get(metrics.ConfinedRecoveries); got != 1 {
+		t.Errorf("ConfinedRecoveries = %d, want 1", got)
 	}
 	// Failed at superstep 1, replayed from 0: supersteps 0 and 1, one
 	// worker's partitions only.
-	if res.RecomputedSupersteps != 2 {
-		t.Errorf("RecomputedSupersteps = %d, want 2", res.RecomputedSupersteps)
+	if got := res.Metrics.Get(metrics.RecomputedSupersteps); got != 2 {
+		t.Errorf("RecomputedSupersteps = %d, want 2", got)
 	}
-	if want := 2 * res.Partitions / cfg.Workers; res.RecomputedPartitionSupersteps != want {
-		t.Errorf("RecomputedPartitionSupersteps = %d, want %d", res.RecomputedPartitionSupersteps, want)
+	if want := int64(2 * res.Partition.Partitions / cfg.Workers); res.Metrics.Get(metrics.RecomputedPartitionSupersteps) != want {
+		t.Errorf("RecomputedPartitionSupersteps = %d, want %d", res.Metrics.Get(metrics.RecomputedPartitionSupersteps), want)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -183,11 +182,11 @@ func TestConfinedFallsBackOnMidSuperstepCrash(t *testing.T) {
 	if !inj.Exhausted() {
 		t.Skip("run finished under 40 data batches; crash never fired")
 	}
-	if res.ConfinedRecoveries != 0 {
-		t.Errorf("ConfinedRecoveries = %d, want 0 (mid-superstep crash must fall back)", res.ConfinedRecoveries)
+	if got := res.Metrics.Get(metrics.ConfinedRecoveries); got != 0 {
+		t.Errorf("ConfinedRecoveries = %d, want 0 (mid-superstep crash must fall back)", got)
 	}
-	if res.Rollbacks < 1 {
-		t.Fatalf("Rollbacks = %d, want >= 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got < 1 {
+		t.Fatalf("Rollbacks = %d, want >= 1", got)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -222,8 +221,8 @@ func TestConfinedSerializabilitySurvives(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("crashed run did not converge")
 	}
-	if res.ConfinedRecoveries < 1 {
-		t.Fatalf("ConfinedRecoveries = %d, want >= 1", res.ConfinedRecoveries)
+	if got := res.Metrics.Get(metrics.ConfinedRecoveries); got < 1 {
+		t.Fatalf("ConfinedRecoveries = %d, want >= 1", got)
 	}
 	if err := algorithms.ValidateColoring(g, colors); err != nil {
 		t.Fatalf("coloring invalid after confined recovery: %v", err)
@@ -263,8 +262,8 @@ func TestConfinedPageRankBSP(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("crashed run did not converge")
 	}
-	if res.ConfinedRecoveries != 1 {
-		t.Errorf("ConfinedRecoveries = %d, want 1", res.ConfinedRecoveries)
+	if got := res.Metrics.Get(metrics.ConfinedRecoveries); got != 1 {
+		t.Errorf("ConfinedRecoveries = %d, want 1", got)
 	}
 	for v := range want {
 		if d := got[v] - want[v]; d > 1e-6 || d < -1e-6 {
@@ -302,14 +301,11 @@ func TestWatchdogRecoversDroppedForkBatch(t *testing.T) {
 	if st := inj.Stats(); st.CtrlDrops != 1 {
 		t.Fatalf("CtrlDrops = %d, want 1 (the stall never happened)", st.CtrlDrops)
 	}
-	if res.WatchdogStalls < 1 {
-		t.Errorf("WatchdogStalls = %d, want >= 1", res.WatchdogStalls)
+	if got := res.Metrics.Get(metrics.WatchdogStalls); got < 1 {
+		t.Errorf("WatchdogStalls = %d, want >= 1", got)
 	}
-	if got := res.Metrics.Get(metrics.WatchdogStalls); got != int64(res.WatchdogStalls) {
-		t.Errorf("watchdog_stalls counter = %d, Result says %d", got, res.WatchdogStalls)
-	}
-	if res.Rollbacks < 1 {
-		t.Errorf("Rollbacks = %d, want >= 1 (the stall escalates to recovery)", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got < 1 {
+		t.Errorf("Rollbacks = %d, want >= 1 (the stall escalates to recovery)", got)
 	}
 	// Generous bound: one stall costs one deadline; anything near a minute
 	// means the run hung and something else timed it out.
@@ -339,8 +335,8 @@ func TestWatchdogCleanRunUnaffected(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("run did not converge")
 	}
-	if res.WatchdogStalls != 0 || res.Rollbacks != 0 {
-		t.Errorf("WatchdogStalls = %d, Rollbacks = %d on a clean run", res.WatchdogStalls, res.Rollbacks)
+	if a, b := res.Metrics.Get(metrics.WatchdogStalls), res.Metrics.Get(metrics.Rollbacks); a != 0 || b != 0 {
+		t.Errorf("WatchdogStalls = %d, Rollbacks = %d on a clean run", a, b)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -386,16 +382,16 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("run did not converge")
 	}
-	if res.Rollbacks != 1 {
-		t.Errorf("Rollbacks = %d, want 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 1 {
+		t.Errorf("Rollbacks = %d, want 1", got)
 	}
 	if got := res.Metrics.Get(metrics.CheckpointGensSkipped); got != 0 {
 		t.Errorf("checkpoint_gens_skipped = %d, want 0 (the torn file is foreign — ignored, not read and skipped)", got)
 	}
 	// The torn generation claimed superstep 2; restoring the run's own
 	// superstep-1 generation recomputes supersteps 2 and 3.
-	if res.RecomputedSupersteps != 2 {
-		t.Errorf("RecomputedSupersteps = %d, want 2 (restored from this run's intact generation)", res.RecomputedSupersteps)
+	if got := res.Metrics.Get(metrics.RecomputedSupersteps); got != 2 {
+		t.Errorf("RecomputedSupersteps = %d, want 2 (restored from this run's intact generation)", got)
 	}
 	for v := range want {
 		if dist[v] != want[v] {
@@ -433,8 +429,8 @@ func TestConfinedRepeatedCrashes(t *testing.T) {
 	if !inj.Exhausted() {
 		t.Skip("run converged before both crashes fired")
 	}
-	if res.Rollbacks != 2 || res.ConfinedRecoveries != 2 {
-		t.Errorf("Rollbacks = %d, ConfinedRecoveries = %d, want 2 and 2", res.Rollbacks, res.ConfinedRecoveries)
+	if a, b := res.Metrics.Get(metrics.Rollbacks), res.Metrics.Get(metrics.ConfinedRecoveries); a != 2 || b != 2 {
+		t.Errorf("Rollbacks = %d, ConfinedRecoveries = %d, want 2 and 2", a, b)
 	}
 	for v := range want {
 		if dist[v] != want[v] {

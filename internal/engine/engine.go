@@ -130,7 +130,6 @@ type runner[V, M any] struct {
 	// reports holds the workers' halves of the current barrier.
 	reports []StepReport
 
-	executions  atomic.Int64
 	concurrency atomic.Int64
 	maxConc     atomic.Int64
 }
@@ -266,12 +265,14 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	// Every exit path stops the workers and joins the transport before the
 	// metrics snapshot: a TCP lane writer times its flush once the bytes are
 	// on the socket, by when the peer may have delivered them and WaitIdle
-	// returned.
+	// returned. The counts Result carries are read from that snapshot.
 	defer func() {
 		r.shutdownWorkers()
 		r.tr.Close()
 		if err == nil {
 			res.Metrics = r.reg.Snapshot()
+			res.Executions = res.Metrics.Get(metrics.Executions)
+			res.ForkSends = res.Metrics.Get(metrics.ForkGrants)
 		}
 	}()
 	r.addWorkers(0, cfg.Workers)
@@ -293,20 +294,12 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		startSuperstep = s0
 	}
 	start := time.Now()
-	res = Result{Partitions: p, Partition: quality}
+	res = Result{Partition: quality}
 	// finish totals a completed run.
 	finish := func() ([]V, Result, *history.Recorder, error) {
 		res.ComputeTime = time.Since(start)
 		res.Net = r.tr.Stats().Load()
-		res.Executions = r.executions.Load()
 		res.MaxConcurrency = r.maxConc.Load()
-		for _, w := range r.workers {
-			if w.mgr != nil {
-				st := w.mgr.Stats()
-				res.ForkSends += st.ForkSends
-				res.TokenSends += st.TokenSends
-			}
-		}
 		return r.values, res, r.rec, nil
 	}
 	if cfg.Mode == BAP {
@@ -318,8 +311,8 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		go w.loop()
 	}
 	// restoreNet is the traffic snapshot at the current restore point (run
-	// start, then each checkpoint); a rollback charges everything sent
-	// since it to Result.WastedMessages.
+	// start, then each checkpoint); a full rollback charges every data
+	// message sent since it to wasted_messages.
 	restoreNet := r.tr.Stats().Load()
 	master := NewMaster(prog, cfg)
 	for s := startSuperstep; s < cfg.MaxSupersteps; s++ {
@@ -334,7 +327,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			deadAtStart = r.tr.DeadWorkers()
 		}
 		stepStart := time.Now()
-		execsBefore := r.executions.Load()
+		execsBefore := r.reg.Get(metrics.Executions)
 		netBefore := r.tr.Stats().Load()
 		var phaseBefore metrics.Snapshot
 		if cfg.DetailedStats {
@@ -346,15 +339,14 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		stalled := r.collectWorkers()
 		if stalled {
 			r.reg.Add(metrics.WatchdogStalls, 1)
-			res.WatchdogStalls++
 		}
 		r.tr.WaitIdle()
 		idleAt := time.Now()
 		// With the transport idle every send has been delivered or counted
 		// dropped, so every acquired credit must be back: an imbalance here
-		// means the flow ledger leaked (the torture harness asserts zero).
+		// means the flow ledger leaked, and the run fails.
 		if err := r.flow.CheckBalanced(); err != nil {
-			res.CreditImbalances++
+			return nil, Result{}, nil, fmt.Errorf("engine: superstep %d: %w", s, err)
 		}
 		// Superstep metrics are recorded before the failure check: a
 		// superstep a rollback later discards was still executed, so the
@@ -372,9 +364,8 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		// never capture a superstep a dead worker participated in.
 		commitStart := idleAt
 		if dead := r.tr.DeadWorkers(); len(dead) > 0 {
-			res.Rollbacks++
 			r.reg.Add(metrics.Rollbacks, 1)
-			if res.Rollbacks > cfg.MaxRollbacks {
+			if r.reg.Get(metrics.Rollbacks) > int64(cfg.MaxRollbacks) {
 				return nil, Result{}, nil, fmt.Errorf("engine: workers %v still failing after %d rollbacks (MaxRollbacks)", dead, cfg.MaxRollbacks)
 			}
 			snap, err := r.restorePoint()
@@ -382,16 +373,16 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 				return nil, Result{}, nil, err
 			}
 			if !r.confinedEligible(dead, deadAtStart, stalled, snap) {
-				res.WastedMessages += r.tr.Stats().Load().DataMessages - restoreNet.DataMessages
+				r.reg.Add(metrics.WastedMessages, r.tr.Stats().Load().DataMessages-restoreNet.DataMessages)
 				resume := r.rollback(snap)
-				res.RecomputedSupersteps += s + 1 - resume
-				res.RecomputedPartitionSupersteps += (s + 1 - resume) * p
+				r.reg.Add(metrics.RecomputedSupersteps, int64(s+1-resume))
+				r.reg.Add(metrics.RecomputedPartitionSupersteps, int64((s+1-resume)*p))
 				restoreNet = r.tr.Stats().Load()
 				clear(master.windowAgg) // discarded supersteps replay
 				s = resume - 1          // the loop increment lands on resume
 				continue
 			}
-			if err := r.confinedRecover(&res, s, dead, snap); err != nil {
+			if err := r.confinedRecover(s, dead, snap); err != nil {
 				return nil, Result{}, nil, err
 			}
 			// Confined recovery brought the crashed workers' partitions back
@@ -405,7 +396,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			cur := r.reg.Snapshot()
 			res.SuperstepStats = append(res.SuperstepStats, SuperstepStat{
 				Duration:        stepWall,
-				Executions:      r.executions.Load() - execsBefore,
+				Executions:      r.reg.Get(metrics.Executions) - execsBefore,
 				DataMsgs:        net.DataMessages,
 				CtrlMsgs:        net.ControlMessages,
 				ComputeNs:       cur.PhaseNs[metrics.PhaseCompute] - phaseBefore.PhaseNs[metrics.PhaseCompute],
@@ -417,15 +408,12 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			})
 		}
 
-		if err := r.commitWorkers(); err != nil {
+		if err := r.commitWorkers(s); err != nil {
 			return nil, Result{}, nil, err
 		}
 		merged, stop := master.Fold(s, r.reports)
-		for i, w := range r.workers {
+		for _, w := range r.workers {
 			w.aggPrev = merged
-			if !r.reports[i].frontierOK {
-				res.FrontierImbalances++
-			}
 		}
 		if r.aggAt != nil {
 			r.aggAt[s] = merged
@@ -865,7 +853,7 @@ func (r *runner[V, M]) confinedEligible(dead, deadAtStart []cluster.WorkerID, st
 // healthy workers' sends come from their message logs, and the dead workers
 // recompute their own executions. Healthy partitions keep their in-memory
 // state throughout.
-func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.WorkerID, snap *checkpoint.Snapshot[V, M]) error {
+func (r *runner[V, M]) confinedRecover(s int, dead []cluster.WorkerID, snap *checkpoint.Snapshot[V, M]) error {
 	c := r.lastCheckpoint
 	deadSet := make([]bool, len(r.workers))
 	deadParts := 0
@@ -952,9 +940,8 @@ func (r *runner[V, M]) confinedRecover(res *Result, s int, dead []cluster.Worker
 	r.reg.Add(metrics.PartitionsRestored, int64(deadParts))
 	r.reg.Add(metrics.MessagesReplayed, replayed)
 	r.reg.Add(metrics.ConfinedRecoveries, 1)
-	res.ConfinedRecoveries++
-	res.RecomputedSupersteps += s - c
-	res.RecomputedPartitionSupersteps += (s - c) * deadParts
+	r.reg.Add(metrics.RecomputedSupersteps, int64(s-c))
+	r.reg.Add(metrics.RecomputedPartitionSupersteps, int64((s-c)*deadParts))
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 )
 
@@ -362,10 +363,10 @@ func TestResultStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partitions != 16 {
-		t.Errorf("Partitions = %d, want 16", res.Partitions)
+	if res.Partition.Partitions != 16 {
+		t.Errorf("Partitions = %d, want 16", res.Partition.Partitions)
 	}
-	if res.ForkSends == 0 || res.TokenSends == 0 {
+	if res.ForkSends == 0 || res.Metrics.Get(metrics.TokenSends) == 0 {
 		t.Errorf("no fork/token traffic recorded: %+v", res)
 	}
 	if res.Net.DataMessages == 0 {

@@ -13,6 +13,7 @@ import (
 	"serialgraph/internal/algorithms"
 	"serialgraph/internal/fault"
 	"serialgraph/internal/history"
+	"serialgraph/internal/metrics"
 )
 
 func TestRollbackHistoryTicksStayMonotone(t *testing.T) {
@@ -32,15 +33,15 @@ func TestRollbackHistoryTicksStayMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rollbacks < 1 {
-		t.Fatalf("Rollbacks = %d, want >= 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got < 1 {
+		t.Fatalf("Rollbacks = %d, want >= 1", got)
 	}
 
 	// The rollback reset the recorder, and the reset recorded where the
 	// clock stood when the discarded timeline ended.
 	resetTick := rec.LastResetTick()
 	if resetTick <= 0 {
-		t.Fatalf("LastResetTick = %d after %d rollbacks, want > 0", resetTick, res.Rollbacks)
+		t.Fatalf("LastResetTick = %d after %d rollbacks, want > 0", resetTick, res.Metrics.Get(metrics.Rollbacks))
 	}
 
 	// Every surviving transaction was recorded after the (last) reset, so

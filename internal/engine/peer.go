@@ -12,6 +12,7 @@ import (
 
 	"serialgraph/internal/cluster"
 	"serialgraph/internal/graph"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 	"serialgraph/internal/wire"
 )
@@ -61,15 +62,11 @@ func (p *Peer[V, M]) Step(s int, aggPrev map[string]float64) (StepReport, error)
 	if len(w.mutAdds) > 0 || len(w.mutRemoves) > 0 {
 		return StepReport{}, fmt.Errorf("engine: multi-process runs do not support topology mutations")
 	}
-	rep, err := w.commitStep()
-	if err == nil && !rep.frontierOK {
-		err = fmt.Errorf("engine: worker %d failed the frontier audit at superstep %d", w.id, s)
-	}
-	return rep, err
+	return w.commitStep(s)
 }
 
 // Executions totals the worker's vertex executions so far.
-func (p *Peer[V, M]) Executions() int64 { return p.r.executions.Load() }
+func (p *Peer[V, M]) Executions() int64 { return p.r.reg.Get(metrics.Executions) }
 
 // Net returns the worker's traffic so far: what it sent, and the wire
 // bytes both ways.

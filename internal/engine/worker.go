@@ -385,13 +385,6 @@ func (w *worker[V, M]) loadHalted(halted []bool) {
 	w.unhalted.Store(n)
 }
 
-// frontierConsistent is the barrier oracle for the delivery-time frontier:
-// the halt counter the engine decides convergence on must equal the
-// popcount of the bitset it iterates (NewCount is a popcount already).
-func (w *worker[V, M]) frontierConsistent() bool {
-	return w.awake.Count() == w.unhalted.Load()
-}
-
 func (w *worker[V, M]) pendingMessages() int64 {
 	n := w.stores[0].NewCount()
 	if w.stores[1] != nil {
@@ -556,7 +549,6 @@ func (t *thread[V, M]) fold() {
 	}
 	reg := t.w.r.reg
 	reg.Add(metrics.Executions, t.execs)
-	t.w.r.executions.Add(t.execs)
 	reg.Add(metrics.LocalMessages, t.localMsgs)
 	reg.AddPhase(metrics.PhaseLocalDelivery, time.Duration(t.localNs))
 	t.execs, t.localMsgs, t.localNs = 0, 0, 0

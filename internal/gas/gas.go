@@ -136,15 +136,15 @@ type grunner[V comparable, M any] struct {
 
 	versions []atomic.Uint32
 	rec      *history.Recorder
-	// reg counts the outboxes' batches as the engine's buffer cache counts
-	// its own: remote_batches and remote_batch_bytes reconcile with the
-	// transport's data ledger.
+	// reg is the run's counter ledger, kept as the engine keeps its own:
+	// executions, the lock managers' acquires, forks and tokens, and the
+	// outboxes' batches (remote_batches and remote_batch_bytes reconcile
+	// with the transport's data ledger).
 	reg *metrics.Registry
 
-	executions atomic.Int64
-	scheduled  atomic.Int64
-	maxConc    atomic.Int64
-	conc       atomic.Int64
+	scheduled atomic.Int64
+	maxConc   atomic.Int64
+	conc      atomic.Int64
 }
 
 // Run executes the GAS program until global quiescence (no active vertices,
@@ -196,7 +196,7 @@ func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg C
 	}
 
 	start := time.Now()
-	res := engine.Result{Partitions: cfg.Workers, Partition: quality}
+	res := engine.Result{Partition: quality}
 	res.Converged = r.awaitQuiescence()
 	res.ComputeTime = time.Since(start)
 
@@ -207,15 +207,9 @@ func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg C
 
 	res.Net = r.tr.Stats().Load()
 	res.Metrics = r.reg.Snapshot()
-	res.Executions = r.executions.Load()
+	res.Executions = res.Metrics.Get(metrics.Executions)
+	res.ForkSends = res.Metrics.Get(metrics.ForkGrants)
 	res.MaxConcurrency = r.maxConc.Load()
-	for _, w := range r.workers {
-		if w.mgr != nil {
-			st := w.mgr.Stats()
-			res.ForkSends += st.ForkSends
-			res.TokenSends += st.TokenSends
-		}
-	}
 	return r.values, res, r.rec, nil
 }
 
@@ -240,7 +234,7 @@ func (r *grunner[V, M]) storeValue(u graph.VertexID, v V) {
 func (r *grunner[V, M]) awaitQuiescence() bool {
 	var lastExec, lastSched int64 = -1, -1
 	for {
-		if r.executions.Load() > r.cfg.MaxExecutions {
+		if r.reg.Get(metrics.Executions) > r.cfg.MaxExecutions {
 			return false
 		}
 		idleNow := r.tr.InFlight() == 0
@@ -256,7 +250,7 @@ func (r *grunner[V, M]) awaitQuiescence() bool {
 			}
 		}
 		if idleNow {
-			e, s := r.executions.Load(), r.scheduled.Load()
+			e, s := r.reg.Get(metrics.Executions), r.scheduled.Load()
 			if e == lastExec && s == lastSched {
 				return true
 			}
@@ -305,6 +299,7 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
 		sendCtrl := func(to int, batch []chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(batch)) }
 		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, w.out.FlushTo)
+		w.mgr.SetMetrics(r.reg)
 		var nbs []chandy.PhilID
 		for v := 0; v < n; v++ {
 			u := graph.VertexID(v)
@@ -401,7 +396,7 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
 		}
 		defer w.mgr.Release(chandy.PhilID(u))
 	}
-	r.executions.Add(1)
+	r.reg.Add(metrics.Executions, 1)
 	c := r.conc.Add(1)
 	for {
 		m := r.maxConc.Load()

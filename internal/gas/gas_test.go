@@ -137,9 +137,9 @@ func TestSerializableHistoryClean(t *testing.T) {
 				if err := algorithms.ValidateColoring(g, colors); err != nil {
 					t.Fatal(err)
 				}
-				if res.Net.ControlMessages >= res.ForkSends+res.TokenSends {
+				if res.Net.ControlMessages >= res.ForkSends+res.Metrics.Get(metrics.TokenSends) {
 					t.Errorf("%d control messages for %d forks and %d tokens: nothing was batched",
-						res.Net.ControlMessages, res.ForkSends, res.TokenSends)
+						res.Net.ControlMessages, res.ForkSends, res.Metrics.Get(metrics.TokenSends))
 				}
 			})
 		}
@@ -305,11 +305,39 @@ func TestGASStatsPopulated(t *testing.T) {
 	if res.Executions == 0 || res.ComputeTime <= 0 {
 		t.Errorf("missing stats: %+v", res)
 	}
-	if res.ForkSends == 0 || res.TokenSends == 0 {
-		t.Errorf("missing lock traffic: forks=%d tokens=%d", res.ForkSends, res.TokenSends)
+	if res.ForkSends == 0 || res.Metrics.Get(metrics.TokenSends) == 0 {
+		t.Errorf("missing lock traffic: forks=%d tokens=%d", res.ForkSends, res.Metrics.Get(metrics.TokenSends))
 	}
 	if res.Net.ControlMessages == 0 {
 		t.Error("no remote control traffic across 4 workers")
+	}
+}
+
+// TestGASMetricsLedger: a vertex-locking GAS run fills the same counter
+// ledger an engine run does. Each execution is one lock acquisition, and
+// the two are counted at independent sites (the GAS fiber and the
+// Chandy–Misra manager), so they must agree exactly; Result.ForkSends is
+// the ledger's fork_grants.
+func TestGASMetricsLedger(t *testing.T) {
+	g := undirected(testGraph())
+	_, res, _, err := Run(g, algorithms.ColoringGAS(), Config{Workers: 3, Serializable: true, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	execs, acquires := m.Get(metrics.Executions), m.Get(metrics.LockAcquires)
+	if execs == 0 || acquires != execs {
+		t.Errorf("lock_acquires = %d, executions = %d, want equal and nonzero", acquires, execs)
+	}
+	if got := m.Hist(metrics.HistLockWait).Count; got != acquires {
+		t.Errorf("lock_wait hist count = %d, lock_acquires = %d", got, acquires)
+	}
+	forks := m.Get(metrics.ForkGrants)
+	if forks == 0 {
+		t.Error("fork_grants = 0 on a locking run")
+	}
+	if res.ForkSends != forks {
+		t.Errorf("Result.ForkSends = %d, fork_grants = %d", res.ForkSends, forks)
 	}
 }
 

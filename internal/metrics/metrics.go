@@ -96,9 +96,10 @@ const (
 	TokenIdleNs
 	// Checkpoints counts checkpoints written.
 	Checkpoints
-	// Rollbacks counts recoveries of either scope: whole-cluster rollbacks
-	// and confined (partial) recoveries both bump it, so it reconciles with
-	// Result.Rollbacks regardless of recovery mode.
+	// Rollbacks counts recoveries of either scope after a worker crash was
+	// detected at a barrier: whole-cluster rollbacks (§6.4, Giraph-style)
+	// and confined (partial) recoveries both bump it. Zero on a fault-free
+	// run.
 	Rollbacks
 	// ConfinedRecoveries counts the subset of Rollbacks handled by confined
 	// recovery (only crashed workers' partitions restored and recomputed).
@@ -158,6 +159,19 @@ const (
 	// the receiving worker. A clean run's remote messages are the point
 	// entries in RemoteEntriesDelivered plus these.
 	FanOutTargets
+	// RecomputedSupersteps counts supersteps executed more than once
+	// because a recovery discarded them: the recompute cost in barriers.
+	RecomputedSupersteps
+	// RecomputedPartitionSupersteps counts partition×superstep units
+	// re-executed by recovery: a full rollback recomputes every partition
+	// for every discarded superstep, confined recovery only the crashed
+	// workers' partitions. This is the measure on which confined recovery
+	// wins.
+	RecomputedPartitionSupersteps
+	// WastedMessages counts data messages sent since the restore point
+	// whose effects a full rollback discarded: the recovery's wasted
+	// network work.
+	WastedMessages
 	numCounters
 )
 
@@ -197,6 +211,9 @@ var counterNames = [numCounters]string{
 	"forks_prefetched",
 	"overlap_compute_ns",
 	"fan_out_targets",
+	"recomputed_supersteps",
+	"recomputed_partition_supersteps",
+	"wasted_messages",
 }
 
 // Name returns the stable JSON key of a counter.
@@ -360,7 +377,7 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Registry is one run's (or several runs', when shared) metric state.
+// Registry is one run's metric state.
 // All methods are safe for concurrent use. The zero value is NOT ready;
 // use New.
 type Registry struct {

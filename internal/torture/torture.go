@@ -436,23 +436,17 @@ func checkCommon(sc Scenario, cfg engine.Config, g *graph.Graph, res engine.Resu
 	if res.Executions <= 0 {
 		errs = append(errs, errors.New("invariant: zero vertex executions"))
 	}
-	// Credit conservation: the engine reconciles every ordered worker
-	// pair's window at every barrier (granted == consumed, nothing
-	// outstanding); any imbalance means bytes were acquired and never
-	// released or vice versa. This must hold on every run — faulty,
-	// budgeted, or not — because every drop/abort path releases.
-	if res.CreditImbalances != 0 {
-		errs = append(errs, fmt.Errorf("flow: %d barriers saw unbalanced credit windows", res.CreditImbalances))
-	}
+	// Credit and frontier conservation are audited by the engine itself at
+	// every barrier, and a failed audit fails Run, which every workload
+	// reports as an engine error. The credit audit reconciles every ordered
+	// worker pair's window (granted == consumed, nothing outstanding): it
+	// holds on every run — faulty, budgeted, or not — because every
+	// drop/abort path releases. The frontier audit recounts the unhalted
+	// bitset against its counter, which restores, rollbacks, confined
+	// replays and store rebuilds rewrite wholesale.
 
-	// Frontier conservation: supersteps visit the set bits of the
-	// unread-message and unhalted bitsets, and convergence is decided on
-	// their counters; the engine recounts both at every barrier. Restores,
-	// rollbacks, confined replays and store rebuilds rewrite them wholesale
-	// and must leave them in step.
-	if res.FrontierImbalances != 0 {
-		errs = append(errs, fmt.Errorf("frontier: %d barrier×worker audits saw a counter disagree with its bitset", res.FrontierImbalances))
-	}
+	m := res.Metrics
+	rollbacks := m.Get(metrics.Rollbacks)
 
 	if cfg.TrackHistory && rec != nil {
 		if vs := history.CheckAll(rec.Txns(), g); len(vs) > 0 {
@@ -479,14 +473,14 @@ func checkCommon(sc Scenario, cfg engine.Config, g *graph.Graph, res engine.Resu
 			errs = append(errs, fmt.Errorf("conservation: sent %d data messages, delivered %d, dropped counter %d",
 				res.Net.DataMessages, cfg.Fault.Delivered(), res.Net.DroppedMessages))
 		}
-		if int64(res.Rollbacks) > st.CrashesFired {
-			errs = append(errs, fmt.Errorf("recovery: %d rollbacks from only %d crashes", res.Rollbacks, st.CrashesFired))
+		if rollbacks > st.CrashesFired {
+			errs = append(errs, fmt.Errorf("recovery: %d rollbacks from only %d crashes", rollbacks, st.CrashesFired))
 		}
 	}
-	if res.Rollbacks > 0 && res.RecomputedSupersteps < res.Rollbacks {
-		errs = append(errs, fmt.Errorf("recovery: %d rollbacks recomputed only %d supersteps", res.Rollbacks, res.RecomputedSupersteps))
+	if recomputed := m.Get(metrics.RecomputedSupersteps); rollbacks > 0 && recomputed < rollbacks {
+		errs = append(errs, fmt.Errorf("recovery: %d rollbacks recomputed only %d supersteps", rollbacks, recomputed))
 	}
-	if res.Rollbacks > 0 && rec != nil && rec.LastResetTick() <= 0 {
+	if rollbacks > 0 && rec != nil && rec.LastResetTick() <= 0 {
 		errs = append(errs, errors.New("recovery: rollback happened but the history clock was never reset"))
 	}
 
@@ -536,8 +530,8 @@ func checkPartition(sc Scenario, cfg engine.Config, g *graph.Graph, res engine.R
 }
 
 // checkMetrics reconciles the run's metrics snapshot against the
-// transport's ground-truth counters and the Result fields, and verifies
-// the snapshot is a true immutable copy of the (caller-owned) registry.
+// transport's ground-truth counters and against itself, and verifies the
+// snapshot is a true immutable copy of the (caller-owned) registry.
 func checkMetrics(cfg engine.Config, res engine.Result) []error {
 	var errs []error
 	m := res.Metrics
@@ -554,20 +548,12 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 		}
 	}
 
-	// Executions are counted at the same site as Result.Executions, so
-	// they agree exactly even across rollbacks and discarded supersteps.
-	if got, want := m.Get(metrics.Executions), res.Executions; got != want {
-		errs = append(errs, fmt.Errorf("metrics: executions counter = %d, Result.Executions = %d", got, want))
-	}
-	if got, want := m.Get(metrics.Rollbacks), int64(res.Rollbacks); got != want {
-		errs = append(errs, fmt.Errorf("metrics: rollbacks counter = %d, Result.Rollbacks = %d", got, want))
-	}
-
 	// The supersteps counter includes discarded (rolled-back) supersteps,
 	// and under BAP accumulates per-worker logical supersteps, so it is
 	// exact only on clean barriered runs and a lower bound otherwise.
 	steps := m.Get(metrics.Supersteps)
-	if res.Rollbacks == 0 && cfg.Mode != engine.BAP {
+	rollbacks := m.Get(metrics.Rollbacks)
+	if rollbacks == 0 && cfg.Mode != engine.BAP {
 		if steps != int64(res.Supersteps) {
 			errs = append(errs, fmt.Errorf("metrics: supersteps counter = %d, Result.Supersteps = %d", steps, res.Supersteps))
 		}
@@ -618,13 +604,7 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 			spilled, cfg.MsgMemoryBudget, cfg.Mode))
 	}
 
-	// Sync-technique ledgers mirror the Result's own coordination counts.
-	if got, want := m.Get(metrics.ForkGrants), res.ForkSends; got != want {
-		errs = append(errs, fmt.Errorf("metrics: fork_grants = %d, Result.ForkSends = %d", got, want))
-	}
-	if got, want := m.Get(metrics.TokenSends), res.TokenSends; got != want {
-		errs = append(errs, fmt.Errorf("metrics: token_sends = %d, Result.TokenSends = %d", got, want))
-	}
+	// Every lock acquire is observed once by the wait histogram.
 	if got, want := m.Hist(metrics.HistLockWait).Count, m.Get(metrics.LockAcquires); got != want {
 		errs = append(errs, fmt.Errorf("metrics: lock_wait hist count = %d, lock_acquires = %d", got, want))
 	}
@@ -642,19 +622,13 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 			pref, m.Get(metrics.OverlapComputeNs)))
 	}
 
-	// Recovery-phase ledgers: the counters and Result fields are written at
-	// the same sites, so they agree exactly; confined recoveries are a
-	// subset of all recoveries; and with no confined recovery the restore
-	// accounting is exactly "every rollback reloaded every partition" with
-	// nothing replayed from message logs.
-	if got, want := m.Get(metrics.ConfinedRecoveries), int64(res.ConfinedRecoveries); got != want {
-		errs = append(errs, fmt.Errorf("metrics: confined_recoveries = %d, Result.ConfinedRecoveries = %d", got, want))
-	}
-	if got, want := m.Get(metrics.WatchdogStalls), int64(res.WatchdogStalls); got != want {
-		errs = append(errs, fmt.Errorf("metrics: watchdog_stalls = %d, Result.WatchdogStalls = %d", got, want))
-	}
-	if res.ConfinedRecoveries > res.Rollbacks {
-		errs = append(errs, fmt.Errorf("metrics: %d confined recoveries exceed %d rollbacks", res.ConfinedRecoveries, res.Rollbacks))
+	// Recovery-phase ledgers: confined recoveries are a subset of all
+	// recoveries; and with no confined recovery the restore accounting is
+	// exactly "every rollback reloaded every partition" with nothing
+	// replayed from message logs.
+	confined := m.Get(metrics.ConfinedRecoveries)
+	if confined > rollbacks {
+		errs = append(errs, fmt.Errorf("metrics: %d confined recoveries exceed %d rollbacks", confined, rollbacks))
 	}
 	ppw := cfg.PartitionsPerWorker
 	if ppw == 0 {
@@ -662,17 +636,17 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 	}
 	parts := int64(cfg.Workers * ppw)
 	restored := m.Get(metrics.PartitionsRestored)
-	if res.ConfinedRecoveries == 0 {
+	if confined == 0 {
 		if replayed := m.Get(metrics.MessagesReplayed); replayed != 0 {
 			errs = append(errs, fmt.Errorf("metrics: messages_replayed = %d without a confined recovery", replayed))
 		}
-		if restored != int64(res.Rollbacks)*parts {
+		if restored != rollbacks*parts {
 			errs = append(errs, fmt.Errorf("metrics: partitions_restored = %d, want %d rollbacks x %d partitions",
-				restored, res.Rollbacks, parts))
+				restored, rollbacks, parts))
 		}
-	} else if restored > int64(res.Rollbacks)*parts || restored < int64(res.Rollbacks) {
+	} else if restored > rollbacks*parts || restored < rollbacks {
 		errs = append(errs, fmt.Errorf("metrics: partitions_restored = %d outside [%d, %d] for %d recoveries",
-			restored, res.Rollbacks, int64(res.Rollbacks)*parts, res.Rollbacks))
+			restored, rollbacks, rollbacks*parts, rollbacks))
 	}
 
 	// The run is over and the registry is ours alone, so re-snapshotting
@@ -789,11 +763,12 @@ func compareRecoveries(confined, full engine.Result, fullErr error, differs func
 			break
 		}
 	}
-	if confined.ConfinedRecoveries > 0 && full.Rollbacks > 0 &&
-		confined.ConfinedRecoveries == confined.Rollbacks && full.Rollbacks == confined.Rollbacks &&
-		confined.RecomputedPartitionSupersteps > full.RecomputedPartitionSupersteps {
-		errs = append(errs, fmt.Errorf("confined-vs-full: confined recomputed %d partition-supersteps, full only %d",
-			confined.RecomputedPartitionSupersteps, full.RecomputedPartitionSupersteps))
+	c, f := confined.Metrics, full.Metrics
+	cRollbacks, fRollbacks := c.Get(metrics.Rollbacks), f.Get(metrics.Rollbacks)
+	cParts, fParts := c.Get(metrics.RecomputedPartitionSupersteps), f.Get(metrics.RecomputedPartitionSupersteps)
+	if cr := c.Get(metrics.ConfinedRecoveries); cr > 0 && fRollbacks > 0 &&
+		cr == cRollbacks && fRollbacks == cRollbacks && cParts > fParts {
+		errs = append(errs, fmt.Errorf("confined-vs-full: confined recomputed %d partition-supersteps, full only %d", cParts, fParts))
 	}
 	return errs
 }

@@ -68,9 +68,9 @@ type (
 	GASProgram[V, M any] = model.GASProgram[V, M]
 
 	// Result reports what a run did: supersteps, vertex executions,
-	// compute time, network/fork/token traffic, and — under fault
-	// injection — recovery counters (rollbacks, recomputed supersteps,
-	// wasted messages).
+	// compute time, network and fork traffic, and the run's metrics
+	// snapshot, which holds every other count (token sends and, under
+	// fault injection, rollbacks, recomputed supersteps, wasted messages).
 	Result = engine.Result
 	// Violation is one failed serializability check.
 	Violation = history.Violation
@@ -499,21 +499,6 @@ type TriangleMsg = algorithms.TriangleMsg
 // needs no serializability). Run on an undirected graph; per-vertex counts
 // sum to the triangle total.
 func TriangleCount() Program[int32, TriangleMsg] { return algorithms.TriangleCount() }
-
-// PersonalizedPageRank returns random-walk-with-restart scores around
-// source with the given damping factor and per-vertex threshold.
-func PersonalizedPageRank(source VertexID, damping, eps float64) Program[float64, float64] {
-	return algorithms.PersonalizedPageRank(source, damping, eps)
-}
-
-// HopValue is the per-vertex state of HopHistogram.
-type HopValue = algorithms.HopValue
-
-// HopHistogram runs up to 64 simultaneous BFS waves (one bit per source)
-// for reachability and effective-diameter estimation.
-func HopHistogram(sources []VertexID) Program[HopValue, uint64] {
-	return algorithms.HopHistogram(sources)
-}
 
 // GibbsValue is the per-vertex state of the Ising Gibbs sampler.
 type GibbsValue = algorithms.GibbsValue

@@ -2,6 +2,8 @@ package serialgraph
 
 import (
 	"testing"
+
+	"serialgraph/internal/metrics"
 )
 
 func TestPublicRunColoring(t *testing.T) {
@@ -236,8 +238,8 @@ func TestPublicFaultInjectionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rollbacks != 1 {
-		t.Errorf("Rollbacks = %d, want 1", res.Rollbacks)
+	if got := res.Metrics.Get(metrics.Rollbacks); got != 1 {
+		t.Errorf("Rollbacks = %d, want 1", got)
 	}
 	for v, d := range dists {
 		if d != baseline[v] {
