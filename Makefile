@@ -85,13 +85,12 @@ tcp:
 	$(GO) test -race -count=1 ./internal/engine/ -run TestTransportEquivalenceMatrix -v
 	$(GO) test -race -count=1 ./cmd/graphrun/ -run TestGraphrunMultiProcess -v
 
-# Bounded-memory message-plane gate: the credit-window and spill-tier unit
-# suites under the race detector, then the budget equivalence matrix (every
-# sync technique × algorithm × {unbounded, tiny, huge} budget, bitwise
-# checks) and the tiny-budget-over-TCP cell.
+# Bounded in-flight bytes gate: the credit-window unit suite under the race
+# detector, then the budget equivalence matrix (every sync technique ×
+# algorithm × {unbounded, tiny} budget, bitwise checks), the tiny-budget-
+# over-TCP cell and the check that a budget allocates no extra memory.
 flow:
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'Flow|Credit'
-	$(GO) test -race -count=1 ./internal/msgstore/ -run 'Spill'
 	$(GO) test -race -count=1 ./internal/engine/ -run 'TestBudget' -v
 
 # Locality-aware partitioning gate: the streaming partitioner and
@@ -115,8 +114,7 @@ torture-partition:
 		-torture.n=200 -torture.root=0xdecaf -torture.streampart -timeout=15m
 
 # Tiny-budget torture row (nightly): the pinned sweep rerun with a forced
-# tiny message-plane budget, so credit windows sit at the floor and the BSP
-# spill tier cuts runs on nearly every superstep.
+# tiny message-plane budget, so every credit window sits at its floor.
 torture-budget:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -torture.tinybudget -timeout=15m

@@ -424,7 +424,7 @@ var experiments = []experiment{
 	{"ablation-bap", "Ablation: barriered AP vs barrierless BAP (Giraph Unchained), partition locking", table(bapCells, printRows)},
 	{"exclusion", "§7 exclusion: vertex-based locking on Giraph async vs GraphLab async", table(exclusionCells, printRows)},
 	{"recovery", "§6.4: checkpoint overhead and crash-recovery cost, SSSP on OR", table(recoveryCells, printRows)},
-	{"flow", "Bounded memory: credit flow + spill tier, BSP PageRank on UK", flow},
+	{"flow", "Bounded in-flight bytes: credit windows, BSP PageRank on UK", flow},
 	{"partition", "Locality: streaming partitioners (hash vs LDG vs Fennel) across techniques", partitionQuality},
 	{"fig3", "Figures 2 and 3: coloring non-termination on the 4-vertex example", fig23},
 }
@@ -768,13 +768,10 @@ func recoveryCells(h *harness) []cell {
 	}
 }
 
-// flow measures the bounded-memory message plane on UK: BSP PageRank with
-// a huge budget that arms the spill tier without flushing (the probe that
-// observes the peak buffered bytes per worker), unbounded, and with a
-// budget of one eighth of the probe's peak, which forces the spill tier to
-// cut runs. Gates: all three answers bitwise equal, the tight run spills
-// and its peak stays within the spill tier's bound, the unbounded run
-// never spills.
+// flow measures the credit windows (DESIGN.md §12) on UK: BSP PageRank
+// unbounded, and with a 64 KiB budget, which puts every per-ordered-pair
+// window at its floor. Gates: bitwise-equal answers in equal superstep
+// counts. Each cell reports the time its senders waited on credit.
 func flow(h *harness, w io.Writer) []Row {
 	workers := h.workers[0]
 	c := func(label string, budget int64) cell {
@@ -782,44 +779,18 @@ func flow(h *harness, w io.Writer) []Row {
 			cfg: engine.Config{Mode: engine.BSP, MaxSupersteps: 100000, MsgMemoryBudget: budget,
 				Partitioner: placement(partition.KindHash)}}
 	}
-	probe := h.run(c("probe", 1<<40))
-	peak := probe.Metrics.Hists[metrics.HistBufferedBytes].Max
-	budget := peak * int64(workers) / 8
+	const floorBudget = 64 << 10
 	base := h.run(c("unbounded", 0))
-	tight := h.run(c("budget-peak/8", budget))
-	rows := []Row{probe, base, tight}
+	tight := h.run(c("window-floor", floorBudget))
+	rows := []Row{base, tight}
 	printRows(w, rows)
+	for _, r := range rows {
+		fmt.Fprintf(w, "flow: %s credit_wait_ns=%d\n", r.Technique, r.Metrics.Get(metrics.CreditWaitNs))
+	}
 
-	if base.Answer != probe.Answer || base.Answer != tight.Answer {
-		h.failf("flow: budgeted PageRank diverged from unbounded")
-	}
-	// A worker's spill tier holds at most max(share, one admission). An
-	// admission is a remote batch (BufferCap = 512 entries at most) or one
-	// partition's local messages (its same-worker out-edges at most).
-	g := h.graph("UK", false)
-	pm := placement(partition.KindHash)(g, workers*workers, workers)
-	entries := 512
-	for p := 0; p < pm.P; p++ {
-		local := 0
-		for _, v := range pm.Vertices(partition.ID(p)) {
-			for _, u := range g.OutNeighbors(v) {
-				if pm.WorkerOf(u) == pm.WorkerOf(v) {
-					local++
-				}
-			}
-		}
-		entries = max(entries, local)
-	}
-	admission := int64(cluster.BatchHeaderBytes + entries*(cluster.EntryHeaderBytes+8))
-	if got, limit := tight.Metrics.Hists[metrics.HistBufferedBytes].Max, max(budget/int64(workers), admission); got > limit {
-		h.failf("flow: peak buffered bytes %d exceed max(per-worker share %d, one admission %d)",
-			got, budget/int64(workers), admission)
-	}
-	if tight.Metrics.Counters[metrics.BytesSpilled] == 0 {
-		h.failf("flow: budget-peak/8 run never spilled")
-	}
-	if s := base.Metrics.Counters[metrics.BytesSpilled]; s != 0 {
-		h.failf("flow: unbounded run spilled %d bytes", s)
+	if base.Answer != tight.Answer || base.Supersteps != tight.Supersteps {
+		h.failf("flow: PageRank at the window floor (%d supersteps) differs from unbounded (%d)",
+			tight.Supersteps, base.Supersteps)
 	}
 	return rows
 }

@@ -57,7 +57,7 @@ func main() {
 	partitionerName := flag.String("partitioner", "hash", "vertex placement: hash | range | ldg | fennel")
 	relabel := flag.Bool("relabel", false, "degree-ordered vertex relabeling before partitioning (hub clustering; outputs stay in original IDs)")
 	maxSupersteps := flag.Int("max-supersteps", 0, "bound non-converging runs (0 = library default)")
-	msgMem := flag.Int64("msg-mem", 0, "message-plane memory budget in bytes: sizes the credit windows and, under BSP, caps buffered inbound messages by spilling overflow to disk in arrival order (0 = unbounded)")
+	msgMem := flag.Int64("msg-mem", 0, "message-plane memory budget in bytes: sizes the per-lane credit windows that bound message bytes in flight (0 = default 4 MiB windows)")
 	check := flag.Bool("check", false, "verify serializability (records history; slower)")
 	out := flag.String("o", "", "write final vertex values to this file (text, one per line)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every k-th superstep (0 = off)")

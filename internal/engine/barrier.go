@@ -10,7 +10,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"serialgraph/internal/model"
 )
@@ -25,22 +24,13 @@ type StepReport struct {
 }
 
 // commitStep is the worker half of superstep s's barrier: under BSP it
-// drains the spill tier into the write store and swaps the stores, then it
-// reports the worker's halt votes, pending messages and local aggregates,
-// starting a fresh aggregate map for the next superstep. It fails the
-// frontier audit, an error, when the halt counter the run decides
-// convergence on differs from the popcount of the bitset it iterates.
+// swaps the stores, then it reports the worker's halt votes, pending
+// messages and local aggregates, starting a fresh aggregate map for the
+// next superstep. It fails the frontier audit, an error, when the halt
+// counter the run decides convergence on differs from the popcount of the
+// bitset it iterates.
 func (w *worker[V, M]) commitStep(s int) (StepReport, error) {
 	if w.r.cfg.Mode == BSP {
-		// Spilled runs merge into the write store before the swap: the next
-		// superstep's reads then see exactly what direct delivery would have
-		// put there (per-destination arrival order is preserved across runs;
-		// see msgstore.Spill).
-		if w.spill != nil {
-			if err := w.spill.Drain(w.writeStore()); err != nil {
-				return StepReport{}, fmt.Errorf("engine: spill drain: %w", err)
-			}
-		}
 		w.swapStores()
 	}
 	rep := StepReport{Unhalted: w.unhalted.Load(), Pending: w.pendingMessages(), Aggs: w.aggLocal}
@@ -53,30 +43,11 @@ func (w *worker[V, M]) commitStep(s int) (StepReport, error) {
 }
 
 // commitWorkers runs every worker's half of superstep s's barrier into
-// r.reports. Spill drains run concurrently, one per worker — serially they
-// would put every worker's merge on the barrier's critical path.
+// r.reports.
 func (r *runner[V, M]) commitWorkers(s int) error {
-	if r.workers[0].spill == nil {
-		for i, w := range r.workers {
-			var err error
-			if r.reports[i], err = w.commitStep(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(r.workers))
-	var wg sync.WaitGroup
 	for i, w := range r.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.reports[i], errs[i] = w.commitStep(s)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		var err error
+		if r.reports[i], err = w.commitStep(s); err != nil {
 			return err
 		}
 	}

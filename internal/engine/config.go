@@ -243,15 +243,11 @@ type Config struct {
 	// counters live while the run executes (Result.Metrics is a snapshot
 	// taken at the end either way). A registry serves one run.
 	Metrics *metrics.Registry
-	// MsgMemoryBudget, when > 0, bounds the message plane's memory
-	// (DESIGN.md §12). It has two effects: the transport's per-ordered-pair
-	// credit window is sized from it (bytes in flight block the sender once
-	// the window fills), and under BSP each worker's inbound write-store
-	// batches stage through a size-capped spill sink that appends overflow
-	// to a temp file in arrival order, replayed back into the write store
-	// at (or, with a spare CPU, ahead of) the superstep barrier. Zero (the
-	// default) leaves buffering unbounded with a generous default credit
-	// window; results are bitwise identical either way.
+	// MsgMemoryBudget, when > 0, bounds the message bytes in flight
+	// (DESIGN.md §12): the transport's per-ordered-pair credit windows are
+	// sized from it (cluster.WindowForBudget), and a sender blocks once its
+	// lane's window is full. Zero (the default) leaves every window at
+	// cluster.DefaultCreditWindow; results are bitwise identical either way.
 	MsgMemoryBudget int64
 }
 

@@ -571,9 +571,6 @@ func (r *runner[V, M]) applyMutations() error {
 func (r *runner[V, M]) shutdownWorkers() {
 	for _, w := range r.workers {
 		close(w.startCh)
-		if w.spill != nil {
-			w.spill.Close()
-		}
 	}
 }
 
@@ -918,13 +915,6 @@ func (r *runner[V, M]) confinedRecover(s int, dead []cluster.WorkerID, snap *che
 				continue
 			}
 			if r.cfg.Mode == BSP {
-				if w.spill != nil {
-					// Replay arrivals staged through the sink merge in
-					// before the swap, mirroring the main loop.
-					if err := w.spill.Drain(w.writeStore()); err != nil {
-						return err
-					}
-				}
 				w.swapStores()
 			}
 			// The originals of these aggregates and mutation intents were

@@ -1,8 +1,8 @@
 package engine
 
 // peer.go runs one worker of a multi-process run: the worker, partition
-// pass, message stores, spill tier and lock manager Run uses, over a peer
-// TCP transport (cluster.NewTCPPeer) whose Barrier stands in for WaitIdle.
+// pass, message stores and lock manager Run uses, over a peer TCP
+// transport (cluster.NewTCPPeer) whose Barrier stands in for WaitIdle.
 // internal/dist drives it from its coordinator's control frames.
 
 import (

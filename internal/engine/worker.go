@@ -30,15 +30,8 @@ type worker[V, M any] struct {
 	active atomic.Int32
 	buf    *msgstore.Buffer[M]
 	fan    *msgstore.FanOutTable // source table; nil when buf combines (newWorker)
-	// spill is the bounded-memory staging tier for BSP write-store batches
-	// (DESIGN.md §12), non-nil only when Config.MsgMemoryBudget > 0 under
-	// BSP: inbound remote batches and end-of-partition local folds stage
-	// here instead of going straight to the write store, overflowing sorted
-	// runs to disk past the per-worker budget; the master drains it into
-	// the write store right before every swap.
-	spill *msgstore.Spill[M]
-	ep    *cluster.Endpoint
-	mgr   *chandy.Manager
+	ep     *cluster.Endpoint
+	mgr    *chandy.Manager
 
 	// partIdx maps each owned partition to its position in parts.
 	partIdx map[partition.ID]int
@@ -196,15 +189,6 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 		// A hub vertex receives one combined message per sending worker.
 		w.buf.SetCombiner(r.prog.Combine)
 	}
-	if r.cfg.MsgMemoryBudget > 0 && r.cfg.Mode == BSP {
-		per := r.cfg.MsgMemoryBudget / int64(r.cfg.Workers)
-		if per <= 0 {
-			per = r.cfg.MsgMemoryBudget
-		}
-		w.spill = msgstore.NewSpill[M](per, r.prog.MsgBytes,
-			cluster.BatchHeaderBytes, cluster.EntryHeaderBytes)
-		w.spill.SetMetrics(r.reg)
-	}
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
 	return w
 }
@@ -288,15 +272,7 @@ func (w *worker[V, M]) sendChandyCtrl(toWorker int, batch []chandy.Ctrl) {
 func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 	batch := payload.([]msgstore.Entry[M])
 	w.r.reg.Add(metrics.RemoteEntriesDelivered, int64(len(batch)))
-	if w.spill != nil {
-		// Bounded-memory BSP: batches stage through the spill sink (which
-		// copies the entries, so the recycle below stays safe); completed
-		// runs stream into the write store during the superstep and the
-		// barrier drain delivers only the residual.
-		w.spill.Add(batch, w.writeStore())
-	} else {
-		w.writeStore().PutBatch(batch)
-	}
+	w.writeStore().PutBatch(batch)
 	if w.r.recycleBatches && cap(batch) > 0 {
 		w.r.batchPool.Put(payload) // the box it arrived in: no new allocation
 	}
@@ -331,13 +307,10 @@ func (w *worker[V, M]) swapStores() {
 
 // discardStep drops what the worker produced in supersteps that will not
 // commit: aggregator contributions and mutation intents and, with
-// messages, every message it holds buffered, spilled or stored.
+// messages, every message it holds buffered or stored.
 func (w *worker[V, M]) discardStep(messages bool) {
 	if messages {
 		w.buf.Clear()
-		if w.spill != nil {
-			w.spill.Discard()
-		}
 		w.stores[0].Clear()
 		if w.stores[1] != nil {
 			w.stores[1].Clear()
@@ -502,21 +475,13 @@ func (t *thread[V, M]) stage(dst, src graph.VertexID, m M, ver uint32, slot uint
 // fork release under PartitionLock).
 func (t *thread[V, M]) flushStaged() {
 	if len(t.staged) > 0 {
-		if sp := t.w.spill; sp != nil {
-			// Bounded-memory BSP: local folds count against the budget too
-			// — they target the same next-superstep store as remote batches.
-			// Delivery happens via the sink's replayer or the barrier drain,
-			// so the local-timing sample is skipped.
-			sp.Add(t.staged, t.w.writeStore())
+		t.foldSeq++
+		if t.foldSeq&(1<<localTimingSampleShift-1) == 0 {
+			t0 := time.Now()
+			t.w.writeStore().PutBatch(t.staged)
+			t.localNs += int64(time.Since(t0)) << localTimingSampleShift
 		} else {
-			t.foldSeq++
-			if t.foldSeq&(1<<localTimingSampleShift-1) == 0 {
-				t0 := time.Now()
-				t.w.writeStore().PutBatch(t.staged)
-				t.localNs += int64(time.Since(t0)) << localTimingSampleShift
-			} else {
-				t.w.writeStore().PutBatch(t.staged)
-			}
+			t.w.writeStore().PutBatch(t.staged)
 		}
 		t.staged = t.staged[:0]
 		if t.stageSlot != nil {

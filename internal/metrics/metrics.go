@@ -131,9 +131,6 @@ const (
 	// window's Acquire, waiting for the receiver to consume earlier data
 	// and return window bytes.
 	CreditWaitNs
-	// BytesSpilled counts message bytes written to the spill tier's run
-	// files when buffered messages exceeded Config.MsgMemoryBudget.
-	BytesSpilled
 	// CutEdges is the number of directed edges crossing partitions under
 	// the run's partition map — set once at startup from the partition
 	// quality report (it is a placement property, not run activity).
@@ -205,7 +202,6 @@ var counterNames = [numCounters]string{
 	"watchdog_stalls",
 	"checkpoint_gens_skipped",
 	"credit_wait_ns",
-	"bytes_spilled",
 	"cut_edges",
 	"boundary_vertices",
 	"forks_prefetched",
@@ -295,10 +291,6 @@ const (
 	// HistBatchEntries is the distribution of remote batch sizes in
 	// entries — the buffer cache's effectiveness (§6.1).
 	HistBatchEntries
-	// HistBufferedBytes is the distribution of per-worker buffered message
-	// bytes sampled at every spill-tier admission; its Max is the run's
-	// peak buffered bytes, the number Config.MsgMemoryBudget bounds.
-	HistBufferedBytes
 	numHists
 )
 
@@ -306,7 +298,6 @@ var histNames = [numHists]string{
 	"lock_wait_ns",
 	"superstep_wall_ns",
 	"batch_entries",
-	"buffered_bytes",
 }
 
 // Name returns the stable JSON key of a histogram.

@@ -31,7 +31,7 @@ var (
 	flagFaulty = flag.Bool("torture.faulty", false,
 		"fault-plan sweep: count only cases whose plan schedules a crash toward -torture.n (other cases are skipped, keeping seeds replayable)")
 	flagTinyBudget = flag.Bool("torture.tinybudget", false,
-		"force a tiny message-plane memory budget on every case (nightly bounded-memory row; replay failures with the same flag plus -torture.seed)")
+		"force a tiny message-plane memory budget on every case (nightly credit-window row; replay failures with the same flag plus -torture.seed)")
 	flagStreamPart = flag.Bool("torture.streampart", false,
 		"force a streaming partitioner (ldg or fennel, by seed parity) on every case (nightly locality row; replay failures with the same flag plus -torture.seed)")
 )
@@ -54,9 +54,8 @@ func applyStreamPart(sc Scenario) Scenario {
 
 // applyTinyBudget pins the scenario's budget to a small sampled-looking
 // value when -torture.tinybudget is set, so the whole sweep runs with
-// credit windows at the floor and the BSP spill tier constantly cutting
-// runs. The override is flag-derived, not seed-derived, so replaying a
-// failure needs the same flag.
+// credit windows at the floor. The override is flag-derived, not
+// seed-derived, so replaying a failure needs the same flag.
 func applyTinyBudget(sc Scenario) Scenario {
 	if *flagTinyBudget && sc.MsgBudget == 0 {
 		sc.MsgBudget = 512

@@ -41,8 +41,9 @@ type Job struct {
 	Eps            float64  // PageRank tolerance
 	You            int32    // the recipient's worker ID
 	Peers          []string // data-plane addresses indexed by worker ID
-	// MsgMemoryBudget bounds each worker process's buffered inbound
-	// message bytes (0 = unbounded); overflow spills to disk.
+	// MsgMemoryBudget sizes each worker process's credit windows, which
+	// bound the message bytes in flight on every lane (0 = the default
+	// window).
 	MsgMemoryBudget int64
 	// Partitioner names the vertex-placement strategy ("" = hash); every
 	// worker rebuilds the identical map from it deterministically.

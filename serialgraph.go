@@ -265,12 +265,11 @@ type Options struct {
 	// counts, phase timers) in Result.SuperstepStats. Costs one metrics
 	// snapshot per superstep; Result.Metrics is populated regardless.
 	DetailedStats bool
-	// MsgMemoryBudget, when > 0, bounds the message plane's buffered bytes:
-	// the transport's per-ordered-pair credit windows are sized from it, and
-	// under BSP a worker holds at most max(budget/workers, one batch) and
-	// appends the overflow to a spill file (a FIFO: no sort, no merge) that
-	// is replayed in arrival order at the barrier. Zero (the default) means
-	// no bound. Results are bitwise identical; only memory and time change.
+	// MsgMemoryBudget, when > 0, bounds the message bytes in flight: the
+	// transport's per-ordered-pair credit windows are sized from it
+	// (budget / (2 × workers), floored at 64 KiB), and a sender blocks once
+	// its lane's window is full. Zero (the default) leaves every window at
+	// 4 MiB. Results are bitwise identical; only the schedule changes.
 	MsgMemoryBudget int64
 }
 
