@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-faulty torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke figures bench-micro ci clean
+.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-faulty torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke figures bench-micro bench-micro-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -178,15 +178,19 @@ figures:
 # load path: symmetrising pl_coloring's edge list through a Builder, and
 # generating and symmetrising its UK x4 input.
 bench-micro:
-	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime 2000x
-	$(GO) test ./internal/msgstore/ -run '^$$' -bench 'BenchmarkStore(OverwritePutBatch|PutBatchFanOut)$$' -benchtime 20000000x -benchmem
-	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime 20000000x -benchmem
-	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime 20000x -benchmem
-	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime 5x
-	$(GO) test ./internal/chandy/ -run '^$$' -bench BenchmarkChandyRing -benchtime 200000x -benchmem
-	$(GO) test ./internal/gas/ -run '^$$' -bench BenchmarkGASColoring -benchtime 10x -benchmem
-	$(GO) test ./internal/graph/ -run '^$$' -bench BenchmarkBuildUndirected -benchtime 10x -benchmem
-	$(GO) test ./internal/generate/ -run '^$$' -bench BenchmarkPowerLawUK -benchtime 5x -benchmem
+	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime $(or $(MICRO_BENCHTIME),2000x)
+	$(GO) test ./internal/msgstore/ -run '^$$' -bench 'BenchmarkStore(OverwritePutBatch|PutBatchFanOut)$$' -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem
+	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem
+	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime $(or $(MICRO_BENCHTIME),20000x) -benchmem
+	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime $(or $(MICRO_BENCHTIME),5x)
+	$(GO) test ./internal/chandy/ -run '^$$' -bench BenchmarkChandyRing -benchtime $(or $(MICRO_BENCHTIME),200000x) -benchmem
+	$(GO) test ./internal/gas/ -run '^$$' -bench BenchmarkGASColoring -benchtime $(or $(MICRO_BENCHTIME),10x) -benchmem
+	$(GO) test ./internal/graph/ -run '^$$' -bench BenchmarkBuildUndirected -benchtime $(or $(MICRO_BENCHTIME),10x) -benchmem
+	$(GO) test ./internal/generate/ -run '^$$' -bench BenchmarkPowerLawUK -benchtime $(or $(MICRO_BENCHTIME),5x) -benchmem
+
+# Every bench-micro benchmark run once, so none of them can rot; seconds.
+bench-micro-smoke:
+	$(MAKE) bench-micro MICRO_BENCHTIME=1x
 
 ci: build vet test-race
 

@@ -893,7 +893,7 @@ func (r *runner[V, M]) confinedRecover(s int, dead []cluster.WorkerID, snap *che
 					continue
 				}
 				if ents := hw.log.Entries(k, d); len(ents) > 0 {
-					w.writeStore().PutBatch(ents)
+					r.reg.Add(metrics.FanOutTargets, int64(w.writeStore().PutBatch(ents)))
 					replayed += int64(len(ents))
 				}
 			}

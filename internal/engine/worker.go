@@ -196,7 +196,7 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 // newStore builds an empty message store over the worker's vertices.
 func (w *worker[V, M]) newStore() *msgstore.Store[M] {
 	st := msgstore.New(w.r.g, w.owned, w.r.prog.Semantics, w.r.prog.Combine)
-	st.SetFanOut(w.fan, w.r.reg)
+	st.SetFanOut(w.fan)
 	return st
 }
 
@@ -257,22 +257,22 @@ func (w *worker[V, M]) sendChandyCtrl(toWorker int, batch []chandy.Ctrl) {
 // onData applies an arriving batch of remote vertex messages. Under BSP the
 // batch targets the next superstep's store; under Async the live store, so
 // recipients can read it within the same superstep (the AP model). The
-// whole batch goes through PutBatch — grouped by lock stripe, duplicate
-// destinations pre-combined — instead of taking a stripe lock per entry.
-// RemoteEntriesDelivered counts the entries as they arrived, before the
-// combiner fast-path merges any, so it stays reconcilable with the
-// sender-side RemoteEntriesFlushed counter. The batch slice arrives with
-// ownership transferred from the sender (the buffer cache never reuses an
-// emitted slice), so PutBatch may reorder it in place; duplicate batches
-// for one (sender, receiver) pair are delivered sequentially on their
-// lane, so no two appliers ever share a slice. Once applied, the slice is
+// whole batch goes through PutBatch — grouped by lock stripe — instead of
+// taking a stripe lock per entry. RemoteEntriesDelivered counts the
+// entries as they arrived, before the store folds or expands any, so it
+// stays reconcilable with the sender-side RemoteEntriesFlushed counter;
+// FanOutTargets counts the slots the batch's fan-out entries wrote. The
+// batch slice arrives with ownership transferred from the sender (the
+// buffer cache never reuses an emitted slice). Once applied, the slice is
 // dead — recycle it into the run's batch pool so some sender's buffer
 // cache can restart a batch in it, unless fault injection is on (a
 // duplicated delivery still on the wire would alias it).
 func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 	batch := payload.([]msgstore.Entry[M])
 	w.r.reg.Add(metrics.RemoteEntriesDelivered, int64(len(batch)))
-	w.writeStore().PutBatch(batch)
+	if n := w.writeStore().PutBatch(batch); n > 0 {
+		w.r.reg.Add(metrics.FanOutTargets, int64(n))
+	}
 	if w.r.recycleBatches && cap(batch) > 0 {
 		w.r.batchPool.Put(payload) // the box it arrived in: no new allocation
 	}
@@ -418,7 +418,8 @@ type thread[V, M any] struct {
 
 	// staged holds this thread's pending local messages for the current
 	// partition. Under BSP every local message stages (the write store is
-	// invisible until the swap anyway); under Async/BAP only messages to
+	// invisible until the swap anyway), a SendToAllOut as one fan-out entry
+	// for the sender's local row; under Async/BAP only messages to
 	// *other* partitions of this worker stage — same-partition messages
 	// are delivered eagerly so later vertices of the sequential pass see
 	// them (AP semantics). VertexLockGiraph never stages: its C1 argument
@@ -769,9 +770,12 @@ func (c *vctx[V, M]) remote(wk int, e msgstore.Entry[M]) {
 	t.remoteStaged[wk] = append(t.remoteStaged[wk], e)
 }
 
-// SendToAllOut sends m along every out-edge: locally by the sender's row of
-// the source table, remotely as one fan-out entry per worker holding
-// out-neighbors (GAS's seen-set loop); per edge when there is no table.
+// SendToAllOut sends m along every out-edge as fan-out entries: remotely
+// one per worker holding out-neighbors (GAS's seen-set loop), and under BSP,
+// where every local message stages anyway, one staged entry for the
+// sender's own row of the source table. Async and BAP deliver locally per
+// target by that row, since a same-partition target is delivered eagerly.
+// Per edge when there is no table.
 func (c *vctx[V, M]) SendToAllOut(m M) {
 	w := c.w
 	outs := w.r.g.OutNeighbors(c.id)
@@ -781,10 +785,19 @@ func (c *vctx[V, M]) SendToAllOut(m M) {
 		}
 		return
 	}
-	for _, t := range w.fan.Row(c.id) {
-		c.send(w.owned[t.Local], m, t.Slot)
+	e := msgstore.Entry[M]{Dst: msgstore.FanOut, Src: c.id, Msg: m}
+	if w.r.versions != nil {
+		e.Ver = w.r.versions[c.id].Load()
 	}
 	t := c.th
+	if row := w.fan.Row(c.id); w.r.cfg.Mode != BSP {
+		for _, tg := range row {
+			c.send(w.owned[tg.Local], m, tg.Slot)
+		}
+	} else if len(row) > 0 {
+		t.localMsgs += int64(len(row))
+		t.staged = append(t.staged, e)
+	}
 	for _, dst := range outs {
 		t.seen[w.r.pm.WorkerOf(dst)] = true
 	}
@@ -792,10 +805,6 @@ func (c *vctx[V, M]) SendToAllOut(m M) {
 	for wk, seen := range t.seen {
 		if seen {
 			t.seen[wk] = false
-			e := msgstore.Entry[M]{Dst: msgstore.FanOut, Src: c.id, Msg: m}
-			if w.r.versions != nil {
-				e.Ver = w.r.versions[c.id].Load()
-			}
 			c.remote(wk, e)
 		}
 	}

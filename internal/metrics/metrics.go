@@ -151,10 +151,12 @@ const (
 	// estimate, not a disjoint phase: it sums across threads. Zero without
 	// partition locking.
 	OverlapComputeNs
-	// FanOutTargets counts the store slots written by expanded fan-out
-	// entries (msgstore.FanOut): one per in-edge a fan-out entry reaches on
-	// the receiving worker. A clean run's remote messages are the point
-	// entries in RemoteEntriesDelivered plus these.
+	// FanOutTargets counts the store slots written by expanded remote
+	// fan-out entries (msgstore.FanOut): one per in-edge a fan-out entry
+	// reaches on the receiving worker. A BSP sender's staged fan-out entry
+	// for its own worker counts as LocalMessages instead. A clean run's
+	// remote messages are the point entries in RemoteEntriesDelivered plus
+	// these.
 	FanOutTargets
 	// RecomputedSupersteps counts supersteps executed more than once
 	// because a recovery discarded them: the recompute cost in barriers.

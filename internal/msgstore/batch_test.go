@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"serialgraph/internal/graph"
-	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 )
 
@@ -73,8 +72,8 @@ func drain(t *testing.T, s *Store[int], n int) map[graph.VertexID][]int {
 // TestPutBatchMatchesPut: PutBatch equals per-message PutSlot, and a
 // fan-out entry equals PutSlot of the per-edge messages it stands for.
 // Batches mix point and fan-out entries over a multigraph (duplicate edges
-// and self-loops keep one slot each), and the store counts exactly the
-// slots its fan-out entries wrote.
+// and self-loops keep one slot each), and PutBatch returns exactly the
+// number of slots its fan-out entries wrote.
 func TestPutBatchMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomMultigraph(24, rng)
@@ -100,23 +99,23 @@ func TestPutBatchMatchesPut(t *testing.T) {
 				}
 				ref := New[int](g, owned, tc.sem, tc.combine)
 				got := New[int](g, owned, tc.sem, tc.combine)
-				reg := metrics.New()
-				got.SetFanOut(tab, reg)
+				got.SetFanOut(tab)
 				perEdge := expand(g, owned, es)
 				for _, e := range perEdge {
 					ref.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 				}
 				// Split the same entries into random-size chunks to hit both
 				// the small-batch lazy-relock path and the counting-sort path.
+				fanned := 0
 				for i := 0; i < len(es); {
 					j := i + 1 + rng.Intn(64)
 					if j > len(es) {
 						j = len(es)
 					}
-					got.PutBatch(es[i:j])
+					fanned += got.PutBatch(es[i:j])
 					i = j
 				}
-				if want, have := int64(len(perEdge)-len(es)+countFanOut(es)), reg.Get(metrics.FanOutTargets); want != have {
+				if want, have := len(perEdge)-len(es)+countFanOut(es), fanned; want != have {
 					t.Fatalf("trial %d: fan_out_targets %d, want %d", trial, have, want)
 				}
 				if want, have := ref.NewCount(), got.NewCount(); want != have {

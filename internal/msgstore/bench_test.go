@@ -94,8 +94,8 @@ func BenchmarkPutBatch(b *testing.B) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/goroutines=%d", sc.name, workers), func(b *testing.B) {
 				s := benchStore(g, sc.kind)
-				// Each goroutine replays from a private copy: PutBatch
-				// reorders its argument in place.
+				// Each goroutine replays from a private copy, as each
+				// applier owns the batch it was handed.
 				scratch := make([][]Entry[int32], workers)
 				for w := range scratch {
 					scratch[w] = make([]Entry[int32], batchSize)
@@ -182,7 +182,7 @@ func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 			off = 0
 			s.Clear() // the BSP store swap between passes
 		}
-		copy(scratch, entries[off:off+batchSize]) // PutBatch may reorder its argument
+		copy(scratch, entries[off:off+batchSize]) // as the transport hands over each batch
 		s.PutBatch(scratch)
 		off += batchSize
 	}
@@ -217,7 +217,7 @@ func BenchmarkStorePutBatchFanOut(b *testing.B) {
 		batches, slots = append(batches, entries[off:off+batchSize]), append(slots, n)
 	}
 	s := New[float64](g, owned, model.Overwrite, nil)
-	s.SetFanOut(tab, nil)
+	s.SetFanOut(tab)
 	scratch := make([]Entry[float64], batchSize)
 	b.ReportAllocs()
 	b.ResetTimer()

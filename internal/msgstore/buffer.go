@@ -34,7 +34,8 @@ type Buffer[M any] struct {
 	combine  func(a, b M) M
 	// slot maps, per destination, a destination vertex to its combined
 	// entry's index when sender-side combining is on; guarded by the
-	// destination's outbox lock.
+	// destination's outbox lock. A drain empties a map but keeps it, so
+	// batches after the first reuse its buckets.
 	slot []map[graph.VertexID]int
 	send func(dest int, batch []Entry[M], bytes int)
 	reg  *metrics.Registry
@@ -56,7 +57,7 @@ func NewBuffer[M any](nWorkers, cap, msgBytes, batchHeader, entryHeader int, sen
 func (b *Buffer[M]) SetCombiner(fn func(a, b M) M) {
 	b.combine = fn
 	b.slot = make([]map[graph.VertexID]int, len(b.dests))
-	b.reset = func(dest int) { b.slot[dest] = nil }
+	b.reset = func(dest int) { clear(b.slot[dest]) }
 }
 
 // SetAlloc installs a batch allocator, letting the engine recycle spent

@@ -20,13 +20,14 @@ import (
 )
 
 type refSlot struct {
-	msg   int
-	ver   uint32
-	fresh bool
+	msg int
+	ver uint32
 }
 
 // refStore is the reference: Queue keeps arrival order, Combine one folded
-// value, Overwrite the last message per source.
+// value, Overwrite the last message per source. Whether a destination has
+// news is one flag per destination: a slot has no freshness of its own, so
+// a dumped Overwrite slot is new exactly when its destination is unread.
 type refStore struct {
 	kind   model.Semantics
 	queue  map[graph.VertexID][]int
@@ -53,7 +54,7 @@ func (m *refStore) put(e Entry[int]) {
 		if m.slots[e.Dst] == nil {
 			m.slots[e.Dst] = map[graph.VertexID]refSlot{}
 		}
-		m.slots[e.Dst][e.Src] = refSlot{e.Msg, e.Ver, true}
+		m.slots[e.Dst][e.Src] = refSlot{e.Msg, e.Ver}
 	}
 	m.unread[e.Dst] = true
 }
@@ -70,7 +71,6 @@ func (m *refStore) read(g *graph.Graph, dst graph.VertexID) (msgs []int, srcs []
 	for _, src := range g.InNeighbors(dst) {
 		if sl, ok := m.slots[dst][src]; ok {
 			msgs, srcs, vers = append(msgs, sl.msg), append(srcs, src), append(vers, sl.ver)
-			m.slots[dst][src] = refSlot{sl.msg, sl.ver, false}
 		}
 	}
 	return msgs, srcs, vers
@@ -84,7 +84,7 @@ func (m *refStore) dump(g *graph.Graph, owned []graph.VertexID) []DumpEntry[int]
 		}
 		for _, src := range g.InNeighbors(dst) {
 			if sl, ok := m.slots[dst][src]; ok {
-				out = append(out, DumpEntry[int]{Dst: dst, Src: src, Msg: sl.msg, Ver: sl.ver, IsNew: m.unread[dst] && sl.fresh})
+				out = append(out, DumpEntry[int]{Dst: dst, Src: src, Msg: sl.msg, Ver: sl.ver, IsNew: m.unread[dst]})
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func sum(a, b int) int { return a + b }
 // newFanOutStore builds a store that takes fan-out entries.
 func newFanOutStore(g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b int) int) *Store[int] {
 	s := New(g, owned, kind, combine)
-	s.SetFanOut(NewFanOutTable(g, owned), nil)
+	s.SetFanOut(NewFanOutTable(g, owned))
 	return s
 }
 
@@ -185,6 +185,11 @@ func TestStoreMatchesModel(t *testing.T) {
 						d := s.Dump()
 						if want := ref.dump(g, owned); !reflect.DeepEqual(d, want) {
 							t.Fatalf("step %d: Dump = %v, model %v", step, d, want)
+						}
+						for _, e := range d {
+							if sc.kind == model.Overwrite && e.IsNew != s.HasNew(e.Dst) {
+								t.Fatalf("step %d: Dump slot %d->%d IsNew %v, HasNew %v", step, e.Src, e.Dst, e.IsNew, s.HasNew(e.Dst))
+							}
 						}
 						s = newFanOutStore(g, owned, sc.kind, combine)
 						s.Load(d)

@@ -31,11 +31,13 @@ import (
 	"sync"
 
 	"serialgraph/internal/graph"
-	"serialgraph/internal/metrics"
 	"serialgraph/internal/model"
 )
 
-const stripes = 64 // lock striping granularity
+const (
+	stripes    = 64 // lock striping granularity
+	subBuckets = 8  // PutBatch sort buckets per stripe, at most
+)
 
 // Store holds incoming messages for the vertices owned by one worker.
 type Store[M any] struct {
@@ -53,8 +55,12 @@ type Store[M any] struct {
 	}
 	// blockSize is the local-index width of one stripe: stripe(li) =
 	// li/blockSize, so contiguous indices share stripes (see the package
-	// comment for why).
-	blockSize int32
+	// comment for why). It is a multiple of 1<<bucketShift, the width of
+	// PutBatch's sort buckets (li>>bucketShift), so a bucket is whole
+	// unread words inside one stripe.
+	blockSize   int32
+	bucketShift int32
+	buckets     int // number of sort buckets
 
 	// Queue mode: one slice per owned vertex.
 	queues [][]M
@@ -66,10 +72,10 @@ type Store[M any] struct {
 	// Overwrite mode — the replica table of §3.1: one slot per in-edge in
 	// owned-vertex order, vertex li's at ow[owOff[li]:owOff[li+1]] in the
 	// order of g.InNeighbors, so a hinted delivery is one offset load and
-	// one slot write. Presence and freshness are epoch-stamped: a slot is
-	// present when hasE == epoch and fresh (updated since last read) when
-	// freshE == epoch, so Clear — called on every BSP store swap — bumps
-	// the epoch in O(1) instead of wiping O(in-edges) flags.
+	// one slot write. Presence is epoch-stamped: a slot is present when
+	// hasE == epoch, so Clear — called on every BSP store swap — bumps the
+	// epoch in O(1) instead of wiping O(in-edges) flags. Whether a vertex
+	// has unread replicas is its unread bit alone.
 	ow    []owSlot[M]
 	owOff []int32
 	epoch uint32
@@ -77,8 +83,7 @@ type Store[M any] struct {
 	// scratch pools batchScratch workspaces for PutBatch.
 	scratch sync.Pool
 
-	fan *FanOutTable      // expands fan-out entries (SetFanOut)
-	reg *metrics.Registry // if set, counts the slots they write
+	fan *FanOutTable // expands fan-out entries (SetFanOut)
 
 	// unread has one bit per owned vertex: unseen message since last read.
 	// A stripe is whole words, so a bit is flipped by its stripe's lock
@@ -91,8 +96,8 @@ type Store[M any] struct {
 
 // owSlot is one in-edge's replica: its source's last message and version.
 type owSlot[M any] struct {
-	msg               M
-	ver, hasE, freshE uint32
+	msg       M
+	ver, hasE uint32
 }
 
 // New creates a store for the given owned vertices.
@@ -109,8 +114,16 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 		s.local[v] = int32(i)
 	}
 	n := len(owned)
-	// Whole unread words per stripe, at least one.
-	s.blockSize = int32(max((n+stripes-1)/stripes+63, 64) &^ 63)
+	// Whole sort buckets per stripe, at most subBuckets; a bucket is whole
+	// unread words, at least one.
+	per := max((n+stripes-1)/stripes, 1)
+	s.bucketShift = 6
+	for per > subBuckets<<s.bucketShift {
+		s.bucketShift++
+	}
+	unit := 1 << s.bucketShift
+	s.blockSize = int32((per + unit - 1) &^ (unit - 1))
+	s.buckets = (n + unit - 1) >> s.bucketShift
 	s.unread = NewBits(n)
 	switch kind {
 	case model.Queue:
@@ -132,9 +145,8 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 }
 
 // SetFanOut lets the store take fan-out entries, expanding them through t
-// (built over its graph and owned vertices; nil: none); a non-nil reg
-// counts the slots they write. Call before any put.
-func (s *Store[M]) SetFanOut(t *FanOutTable, reg *metrics.Registry) { s.fan, s.reg = t, reg }
+// (built over its graph and owned vertices; nil: none). Call before any put.
+func (s *Store[M]) SetFanOut(t *FanOutTable) { s.fan = t }
 
 // Owns reports whether dst is stored here.
 func (s *Store[M]) Owns(dst graph.VertexID) bool { return s.local[dst] >= 0 }
@@ -152,11 +164,11 @@ func (s *Store[M]) stripeOf(li int32) int32 { return li / s.blockSize }
 
 // putLocked records message m's payload into local slot li; the caller
 // holds li's stripe lock and sets li's unread bit. slot, when non-zero, is
-// the in-neighbor position of src in dst's in-list biased by one, sparing
-// the Overwrite path its binary search. Returns false when the message is
-// an Overwrite-mode message from a non-in-neighbor (the caller unlocks,
-// then panics, so the store is not left locked).
-func (s *Store[M]) putLocked(li int32, dst, src graph.VertexID, m M, ver uint32, slot uint32) bool {
+// the in-neighbor position of src in the in-list of li's vertex biased by
+// one, sparing the Overwrite path its binary search. Returns false when the
+// message is an Overwrite-mode message from a non-in-neighbor (the caller
+// unlocks, then panics, so the store is not left locked).
+func (s *Store[M]) putLocked(li int32, src graph.VertexID, m M, ver uint32, slot uint32) bool {
 	switch s.kind {
 	case model.Queue:
 		s.queues[li] = append(s.queues[li], m)
@@ -171,13 +183,13 @@ func (s *Store[M]) putLocked(li int32, dst, src graph.VertexID, m M, ver uint32,
 		pos := int(slot) - 1
 		if slot == 0 {
 			var ok bool
-			pos, ok = s.g.InSlot(dst, src)
+			pos, ok = s.g.InSlot(s.owned[li], src)
 			if !ok {
 				return false
 			}
 		}
 		row := s.ow[s.owOff[li]:s.owOff[li+1]]
-		row[pos] = owSlot[M]{msg: m, ver: ver, hasE: s.epoch, freshE: s.epoch}
+		row[pos] = owSlot[M]{msg: m, ver: ver, hasE: s.epoch}
 	}
 	return true
 }
@@ -194,7 +206,7 @@ func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32
 	li := s.idx(dst)
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
-	ok := s.putLocked(li, dst, src, m, ver, slot)
+	ok := s.putLocked(li, src, m, ver, slot)
 	if ok {
 		s.unread.orLocked(int(li>>6), 1<<(li&63))
 	}
@@ -204,168 +216,119 @@ func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32
 	}
 }
 
-// batchScratch is the reusable workspace of one PutBatch call, pooled per
-// store so concurrent appliers never share one.
-type batchScratch[M any] struct {
-	grouped []Entry[M]
-	lis     []int32  // local indices, looked up once: batch order, then grouped
-	words   []uint64 // one stripe's unread bits, by word
-	counts  [stripes + 1]int32
+// ref is one slot write of a PutBatch: batch entry e's message for local
+// index li, with an in-slot hint biased by one like Entry.Slot.
+type ref struct {
+	e, li int32
+	slot  uint32
 }
 
-// smallBatch is the size under which PutBatch skips the bucketing pass:
-// grouping a handful of entries costs more than relocking.
+// batchScratch is the reusable workspace of one PutBatch call, pooled per
+// store so concurrent appliers never share one.
+type batchScratch struct {
+	lis    []int32 // point entries' local indices, by batch position
+	refs   []ref   // the slot writes, grouped by bucket
+	counts []int32 // per bucket: its size, then its placement cursor
+}
+
+// smallBatch is the size up to which PutBatch applies in batch order:
+// bucketing a handful of entries costs more than relocking.
 const smallBatch = 16
 
-// PutBatch applies a batch of messages, amortizing lock acquisition: the
-// batch is grouped by lock stripe with a stable two-pass counting sort
-// (no comparisons, no reflection), so each stripe is locked once per
-// batch instead of once per message (and each unread word it touches is
-// published once); a fan-out entry's targets are counted and placed in
-// its stead straight from the fan-out table. Under Combine semantics each
-// stripe's bucket is additionally ordered by destination and duplicate
-// destinations are pre-folded with the combiner before the store is
-// touched. Stable bucketing preserves per-destination arrival order, so
-// Queue and Overwrite semantics observe exactly the messages (and order)
-// that per-message Puts would have produced. Safe for concurrent use by
-// multiple appliers.
-func (s *Store[M]) PutBatch(batch []Entry[M]) {
+// PutBatch applies a batch of messages, amortizing lock acquisition, and
+// returns the number of slots its fan-out entries wrote. Each slot write
+// becomes a 12-byte reference to its batch entry — a fan-out entry expands
+// into one per target straight from the fan-out table — and the references
+// are grouped with a stable two-pass counting sort (no comparisons) by
+// bucket: whole unread words in ascending order, at most subBuckets per
+// stripe. Each stripe is then locked once per batch, a word's unread bits
+// are published once per run of references into it (once per batch while
+// a bucket is one word), and message and version are read from the batch
+// entry under the lock. Stable grouping preserves per-destination
+// arrival order, so every semantics observes exactly the messages (and
+// order) that per-message Puts would have produced; Combine folds
+// duplicates as it applies them. The batch is not modified. Safe for
+// concurrent use by multiple appliers.
+func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	if len(batch) == 0 {
-		return
+		return 0
 	}
-	if len(batch) <= smallBatch && !slices.ContainsFunc(batch, func(e Entry[M]) bool { return e.Dst == FanOut }) {
-		// Lazy relocking: hold the current stripe's lock across
-		// consecutive same-stripe entries.
-		cur := int32(-1)
-		for _, e := range batch {
-			li := s.idx(e.Dst)
-			if st := s.stripeOf(li); st != cur {
+	sc, _ := s.scratch.Get().(*batchScratch)
+	if sc == nil {
+		sc = &batchScratch{counts: make([]int32, s.buckets+1)}
+	}
+	// A small batch puts every reference in bucket 0: batch order.
+	shift, counts := s.bucketShift, sc.counts
+	if len(batch) <= smallBatch {
+		shift, counts = 31, counts[:2]
+	}
+	sc.lis = slices.Grow(sc.lis[:0], len(batch))[:len(batch)]
+	lis := sc.lis
+	total := 0
+	for i := range batch {
+		if batch[i].Dst == FanOut {
+			row := s.fan.Row(batch[i].Src)
+			for _, t := range row {
+				counts[t.Local>>shift+1]++
+			}
+			total += len(row)
+			fanned += len(row)
+			continue
+		}
+		li := s.idx(batch[i].Dst)
+		lis[i] = li
+		counts[li>>shift+1]++
+		total++
+	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	sc.refs = slices.Grow(sc.refs[:0], total)[:total]
+	refs := sc.refs
+	for i := range batch {
+		if batch[i].Dst == FanOut {
+			for _, t := range s.fan.Row(batch[i].Src) {
+				k := t.Local >> shift
+				refs[counts[k]] = ref{e: int32(i), li: t.Local, slot: t.Slot}
+				counts[k]++
+			}
+			continue
+		}
+		k := lis[i] >> shift
+		refs[counts[k]] = ref{e: int32(i), li: lis[i], slot: batch[i].Slot}
+		counts[k]++
+	}
+	clear(counts)
+
+	// A stripe is whole words, so a new stripe is always a new word.
+	cur, word, mask := int32(-1), int32(-1), uint64(0)
+	for _, r := range refs {
+		if w := r.li >> 6; w != word {
+			if mask != 0 {
+				s.unread.orLocked(int(word), mask)
+			}
+			word, mask = w, 0
+			if st := s.stripeOf(r.li); st != cur {
 				if cur >= 0 {
 					s.locks[cur].Unlock()
 				}
 				cur = st
 				s.locks[cur].Lock()
 			}
-			if !s.putLocked(li, e.Dst, e.Src, e.Msg, e.Ver, e.Slot) {
-				s.locks[cur].Unlock()
-				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
-			}
-			s.unread.orLocked(int(li>>6), 1<<(li&63))
 		}
-		if cur >= 0 {
+		e := &batch[r.e]
+		if !s.putLocked(r.li, e.Src, e.Msg, e.Ver, r.slot) {
 			s.locks[cur].Unlock()
+			panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, s.owned[r.li]))
 		}
-		return
+		mask |= 1 << (r.li & 63)
 	}
-
-	sc, _ := s.scratch.Get().(*batchScratch[M])
-	if sc == nil {
-		sc = &batchScratch[M]{}
-	}
-	sc.lis = slices.Grow(sc.lis[:0], len(batch))[:len(batch)]
-	lis := sc.lis
-	counts := &sc.counts
-	*counts = [stripes + 1]int32{}
-	total, fanned := len(batch), 0
-	for i := range batch {
-		if batch[i].Dst == FanOut {
-			row := s.fan.Row(batch[i].Src)
-			for _, t := range row {
-				counts[s.stripeOf(t.Local)+1]++
-			}
-			total += len(row) - 1
-			fanned += len(row)
-			continue
-		}
-		li := s.idx(batch[i].Dst)
-		lis[i] = li
-		counts[s.stripeOf(li)+1]++
-	}
-	for i := 1; i <= stripes; i++ {
-		counts[i] += counts[i-1]
-	}
-	sc.grouped = slices.Grow(sc.grouped[:0], total)[:total]
-	sc.lis = slices.Grow(sc.lis, total)
-	grouped, glis := sc.grouped, sc.lis[len(batch):len(batch)+total]
-	offsets := counts // counts is now the running placement offset per stripe
-	for i := range batch {
-		e := &batch[i]
-		if e.Dst == FanOut {
-			for _, t := range s.fan.Row(e.Src) {
-				st := s.stripeOf(t.Local)
-				grouped[offsets[st]] = Entry[M]{Dst: s.owned[t.Local], Src: e.Src, Msg: e.Msg, Ver: e.Ver, Slot: t.Slot}
-				glis[offsets[st]] = t.Local
-				offsets[st]++
-			}
-			continue
-		}
-		st := s.stripeOf(lis[i])
-		grouped[offsets[st]] = *e
-		glis[offsets[st]] = lis[i]
-		offsets[st]++
-	}
-	// offsets[st] is now the END of stripe st's bucket (and the start of
-	// stripe st+1's), since each advanced by its own count.
-	wordsPer := int(s.blockSize >> 6)
-	sc.words = slices.Grow(sc.words[:0], wordsPer)[:wordsPer]
-	start := int32(0)
-	for st := 0; st < stripes; st++ {
-		end := offsets[st]
-		if end == start {
-			continue
-		}
-		bucket, blis := grouped[start:end], glis[start:end]
-		start = end
-		if s.kind == model.Combine {
-			bucket = s.preCombine(bucket, blis)
-		}
-		base := st * wordsPer
-		lk := &s.locks[st]
-		lk.Lock()
-		for i := range bucket {
-			e, li := &bucket[i], blis[i]
-			if !s.putLocked(li, e.Dst, e.Src, e.Msg, e.Ver, e.Slot) {
-				lk.Unlock()
-				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
-			}
-			sc.words[int(li>>6)-base] |= 1 << (li & 63)
-		}
-		for i, m := range sc.words {
-			if m != 0 {
-				s.unread.orLocked(base+i, m)
-				sc.words[i] = 0
-			}
-		}
-		lk.Unlock()
+	if cur >= 0 {
+		s.unread.orLocked(int(word), mask)
+		s.locks[cur].Unlock()
 	}
 	s.scratch.Put(sc)
-	if fanned > 0 && s.reg != nil {
-		s.reg.Add(metrics.FanOutTargets, int64(fanned))
-	}
-}
-
-// preCombine orders a stripe bucket by destination (stable insertion
-// sort — buckets are small) and folds duplicate destinations with the
-// combiner, so each surviving destination costs one slot update under the
-// lock. lis, the entries' local indices, moves in step. Returns the
-// condensed bucket, condensed in place.
-func (s *Store[M]) preCombine(bucket []Entry[M], lis []int32) []Entry[M] {
-	for i := 1; i < len(bucket); i++ {
-		for j := i; j > 0 && bucket[j].Dst < bucket[j-1].Dst; j-- {
-			bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
-			lis[j], lis[j-1] = lis[j-1], lis[j]
-		}
-	}
-	w := 0
-	for i := 1; i < len(bucket); i++ {
-		if bucket[i].Dst == bucket[w].Dst {
-			bucket[w].Msg = s.combine(bucket[w].Msg, bucket[i].Msg)
-		} else {
-			w++
-			bucket[w], lis[w] = bucket[i], lis[i]
-		}
-	}
-	return bucket[:w+1]
+	return fanned
 }
 
 // HasNew reports whether dst has messages it has not yet read. Lock-free:
@@ -434,7 +397,6 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
 			r.Msgs = append(r.Msgs, sl.msg)
 			r.Srcs = append(r.Srcs, in[pos])
 			r.Vers = append(r.Vers, sl.ver)
-			sl.freshE = 0 // epoch is always >= 1, so 0 = not fresh
 		}
 		return len(r.Msgs) > 0
 	}
@@ -478,7 +440,8 @@ func (s *Store[M]) Clear() {
 }
 
 // DumpEntry is one message-store record for checkpointing. Src is -1 for
-// Queue and Combine modes, which do not track senders.
+// Queue and Combine modes, which do not track senders. IsNew is Dst's
+// unread bit.
 type DumpEntry[M any] struct {
 	Dst, Src graph.VertexID
 	Msg      M
@@ -528,7 +491,7 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 				if sl.hasE == s.epoch {
 					out = append(out, DumpEntry[M]{
 						Dst: v, Src: in[pos], Msg: sl.msg,
-						Ver: sl.ver, IsNew: isNew && sl.freshE == s.epoch,
+						Ver: sl.ver, IsNew: isNew,
 					})
 				}
 			}
@@ -558,11 +521,7 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 			for pos+1 < len(in) && in[pos+1] == e.Src && row[pos].hasE == s.epoch {
 				pos++
 			}
-			sl := owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
-			if e.IsNew {
-				sl.freshE = s.epoch
-			}
-			row[pos] = sl
+			row[pos] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
 		}
 		// Queue and Combine payloads are visible to Clear only through the
 		// unread bit (and Dump never emits one without it), so they set it

@@ -305,6 +305,31 @@ func TestBufferSenderCombining(t *testing.T) {
 	}
 }
 
+// TestBufferCombinerReusesIndex pins that the sender-side combiner keeps
+// its per-destination index across flushes: once warm, buffering a run of
+// 64 entries for 40 destination vertices and flushing it allocates only
+// the batch the receiver keeps.
+func TestBufferCombinerReusesIndex(t *testing.T) {
+	var kept []Entry[int]
+	buf := NewBuffer[int](2, 512, 8, 32, 8, func(dest int, batch []Entry[int], b int) { kept = batch })
+	buf.SetCombiner(func(a, b int) int { return a + b })
+	es := make([]Entry[int], 64)
+	for i := range es {
+		es[i] = Entry[int]{Dst: graph.VertexID(i % 40), Msg: 1}
+	}
+	cycle := func() {
+		buf.AddBatch(1, es)
+		buf.FlushTo(1)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
+		t.Errorf("AddBatch+FlushTo cycle: %v allocations, want at most 1 (the batch)", allocs)
+	}
+	if len(kept) != 40 {
+		t.Errorf("flushed batch has %d entries, want 40 combined destinations", len(kept))
+	}
+}
+
 func TestBufferCombiningRespectsCap(t *testing.T) {
 	var mu sync.Mutex
 	sent := 0
