@@ -173,7 +173,8 @@ figures:
 # layer by layer with allocations (Overwrite PutBatch on a table larger
 # than the cache, the batch codec, a batch from Send over a loopback socket
 # to PutBatch), the engine's local-delivery benchmark, which exercises
-# thread-local staging end to end, the lock path: a contended fork
+# thread-local staging end to end, Run's set-up layer (building the workers
+# and lock managers of pl_coloring's shape), the lock path: a contended fork
 # ping-pong between two managers and a serializable GAS colouring, and the
 # load path: symmetrising pl_coloring's edge list through a Builder, and
 # generating and symmetrising its UK x4 input.
@@ -183,6 +184,7 @@ bench-micro:
 	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem
 	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime $(or $(MICRO_BENCHTIME),20000x) -benchmem
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime $(or $(MICRO_BENCHTIME),5x)
+	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkRunSetup -benchtime $(or $(MICRO_BENCHTIME),20x) -benchmem
 	$(GO) test ./internal/chandy/ -run '^$$' -bench BenchmarkChandyRing -benchtime $(or $(MICRO_BENCHTIME),200000x) -benchmem
 	$(GO) test ./internal/gas/ -run '^$$' -bench BenchmarkGASColoring -benchtime $(or $(MICRO_BENCHTIME),10x) -benchmem
 	$(GO) test ./internal/graph/ -run '^$$' -bench BenchmarkBuildUndirected -benchtime $(or $(MICRO_BENCHTIME),10x) -benchmem

@@ -10,6 +10,7 @@ package algorithms
 
 import (
 	"math"
+	"math/bits"
 
 	"serialgraph/internal/graph"
 	"serialgraph/internal/model"
@@ -19,27 +20,28 @@ import (
 const NoColor int32 = -1
 
 // smallestFree returns the smallest non-negative color not present in the
-// used list (the greedy "mex" choice of Algorithm 1 line 6).
+// used list (the greedy "mex" choice of Algorithm 1 line 6). The answer is
+// at most len(used), so only colors up to that mark the bitmap: a stack
+// one up to 4 095 entries, a heap one beyond.
 func smallestFree(used []int32) int32 {
-	if len(used) == 0 {
-		return 0
+	n := len(used)
+	var stack [64]uint64
+	var set []uint64
+	if n>>6 < len(stack) {
+		set = stack[:n>>6+1]
+	} else {
+		set = make([]uint64, n>>6+1)
 	}
-	seen := make(map[int32]struct{}, len(used))
-	max := int32(-1)
 	for _, c := range used {
-		if c >= 0 {
-			seen[c] = struct{}{}
-			if c > max {
-				max = c
-			}
+		if c >= 0 && int(c) <= n {
+			set[c>>6] |= 1 << (c & 63)
 		}
 	}
-	for c := int32(0); c <= max+1; c++ {
-		if _, taken := seen[c]; !taken {
-			return c
-		}
+	i := 0
+	for set[i] == ^uint64(0) {
+		i++
 	}
-	return max + 1
+	return int32(i<<6 + bits.TrailingZeros64(^set[i]))
 }
 
 // Coloring is the serializable greedy coloring of Algorithm 1: a vertex

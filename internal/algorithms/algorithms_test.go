@@ -31,38 +31,74 @@ func TestSmallestFree(t *testing.T) {
 	}
 }
 
+// mexRef is the map-based mex smallestFree replaced, kept as the
+// reference it must agree with.
+func mexRef(used []int32) int32 {
+	seen := make(map[int32]struct{}, len(used))
+	for _, c := range used {
+		if c >= 0 {
+			seen[c] = struct{}{}
+		}
+	}
+	for c := int32(0); ; c++ {
+		if _, taken := seen[c]; !taken {
+			return c
+		}
+	}
+}
+
 func TestSmallestFreeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		used := make([]int32, r.Intn(30))
+		// Short lists, lists around the stack bitmap's 4 095 limit, and long
+		// ones on the heap path.
+		n := r.Intn(30)
+		switch r.Intn(4) {
+		case 0:
+			n = 4090 + r.Intn(12)
+		case 1:
+			n = 4096 + r.Intn(5000)
+		}
+		used := make([]int32, n)
 		for i := range used {
-			used[i] = int32(r.Intn(10)) - 1
-		}
-		c := smallestFree(used)
-		if c < 0 {
-			return false
-		}
-		for _, u := range used {
-			if u == c {
-				return false // conflict
+			switch k := r.Intn(10); {
+			case k == 0:
+				used[i] = NoColor
+			case k == 1:
+				used[i] = int32(n + r.Intn(100)) // above len(used): cannot matter
+			case k < 4 && i > 0:
+				used[i] = used[r.Intn(i)] // duplicate
+			default:
+				used[i] = int32(r.Intn(n + 2))
 			}
 		}
-		// Minimality: every smaller color is used.
-		for x := int32(0); x < c; x++ {
-			found := false
-			for _, u := range used {
-				if u == x {
-					found = true
-				}
+		// Fill a prefix densely now and then, so the answer can be large.
+		if r.Intn(3) == 0 {
+			for i := 0; i < n*9/10; i++ {
+				used[i] = int32(i)
 			}
-			if !found {
-				return false
-			}
+			r.Shuffle(n, func(i, j int) { used[i], used[j] = used[j], used[i] })
 		}
-		return true
+		return smallestFree(used) == mexRef(used)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSmallestFreeNoAlloc pins the stack bitmap: the largest list it
+// covers, a proper prefix 0..4094, allocates nothing.
+func TestSmallestFreeNoAlloc(t *testing.T) {
+	used := make([]int32, 4095)
+	for i := range used {
+		used[i] = int32(i)
+	}
+	var got int32
+	if a := testing.AllocsPerRun(100, func() { got = smallestFree(used) }); a != 0 {
+		t.Errorf("smallestFree over 4 095 colors allocates %v times, want 0", a)
+	}
+	if got != 4095 {
+		t.Errorf("smallestFree(0..4094) = %d, want 4095", got)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"serialgraph/internal/algorithms"
+	"serialgraph/internal/cluster"
 	"serialgraph/internal/generate"
+	"serialgraph/internal/graph"
 )
 
 // BenchmarkLocalDelivery exercises the compute→local-delivery hot path
@@ -28,5 +30,36 @@ func BenchmarkLocalDelivery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRunSetup measures the set-up layer Run goes through before
+// superstep 0 in pl_coloring's shape: addWorkers builds every worker (source
+// table, message store, buffer cache, endpoint) and, under PartitionLock,
+// the partition conflict graph and the lock managers. The input is the UK
+// analog at scale 1, symmetrised, on 4 workers x 16 partitions. One op is
+// one addWorkers on a fresh runner and in-process transport; building the
+// runner and closing the transport are outside the timer.
+func BenchmarkRunSetup(b *testing.B) {
+	d, err := generate.ByName("UK")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := graph.Symmetrize(d.Build(1))
+	cfg := Config{
+		Workers: 4, PartitionsPerWorker: 16, Mode: Async, Sync: PartitionLock, Seed: 1,
+	}.withDefaults()
+	prog := algorithms.Coloring()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := newRunner(g, prog, cfg)
+		r.attach(cluster.New(cfg.Workers, cfg.Latency))
+		b.StartTimer()
+		r.addWorkers(0, cfg.Workers)
+		b.StopTimer()
+		r.tr.Close()
+		b.StartTimer()
 	}
 }

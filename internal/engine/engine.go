@@ -200,14 +200,27 @@ func (r *runner[V, M]) attach(tr cluster.Transport) {
 }
 
 // addWorkers builds workers first..end-1, the ones this process hosts,
-// and their lock managers.
+// and their lock managers. The workers are built concurrently, one
+// goroutine each, beside the partition conflict graph, and all are joined
+// before the workers are appended in ID order.
 func (r *runner[V, M]) addWorkers(first, end int) {
-	for id := first; id < end; id++ {
-		r.workers = append(r.workers, newWorker(r, id))
+	ws := make([]*worker[V, M], end-first)
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws[i] = newWorker(r, first+i)
+		}()
 	}
+	var partNeighbors [][]partition.ID
+	if r.cfg.Sync == PartitionLock {
+		partNeighbors = r.pm.Neighbors(r.g)
+	}
+	wg.Wait()
+	r.workers = append(r.workers, ws...)
 	switch r.cfg.Sync {
 	case PartitionLock:
-		partNeighbors := r.pm.Neighbors(r.g)
 		for _, w := range r.workers {
 			w.initLockManager(partNeighbors)
 		}
@@ -245,15 +258,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 
 	r := newRunner(g, prog, cfg)
 	p := cfg.Workers * cfg.PartitionsPerWorker
-	// The quality report is one allocation-free O(V+E) sweep at setup
-	// (outside ComputeTime); the token techniques keep the class table it
-	// computes as the dual-layer token classes.
-	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
-		r.classes = make([]partition.Class, g.NumVertices())
-	}
-	quality := partition.ReportClassified(g, r.pm, r.classes)
-	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
-	r.reg.Add(metrics.BoundaryVertices, int64(g.NumVertices()-quality.PInternal))
 	if cfg.Sync == VertexLockGiraph {
 		r.pBoundary = partition.PBoundaryFlags(g, r.pm)
 	}
@@ -275,7 +279,23 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			res.ForkSends = res.Metrics.Get(metrics.ForkGrants)
 		}
 	}()
+	// The quality report is one allocation-free O(V+E) sweep at setup
+	// (outside ComputeTime), run beside addWorkers and joined before
+	// anything else happens; the token techniques keep the class table it
+	// computes as the dual-layer token classes.
+	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
+		r.classes = make([]partition.Class, g.NumVertices())
+	}
+	var quality partition.Quality
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		quality = partition.ReportClassified(g, r.pm, r.classes)
+	}()
 	r.addWorkers(0, cfg.Workers)
+	<-reported
+	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
+	r.reg.Add(metrics.BoundaryVertices, int64(g.NumVertices()-quality.PInternal))
 	// Captured unconditionally (it is one byte per edge at startup): a
 	// rollback with no restore point — including one forced by the watchdog
 	// on an otherwise fault-free run — rewinds the Chandy–Misra state along

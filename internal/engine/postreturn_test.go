@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,6 +63,33 @@ func TestMaxConcurrencyExcludesForkWaits(t *testing.T) {
 		if res.MaxConcurrency != 1 {
 			t.Errorf("%d workers: MaxConcurrency = %d for two mutually exclusive partitions, want 1",
 				workers, res.MaxConcurrency)
+		}
+	}
+}
+
+// TestRunSetupJoinsOnError makes Run fail after set-up has started, by
+// restoring from a checkpoint that does not exist, on both transports. The
+// workers, the partition conflict graph and the quality report are built
+// concurrently; by the time Run returns its error every one of those
+// goroutines, and the transport's, must be gone.
+func TestRunSetupJoinsOnError(t *testing.T) {
+	for _, kind := range []TransportKind{TransportInProc, TransportTCP} {
+		if kind == TransportTCP {
+			equivRequireLoopback(t) // before counting: a skipped listen leaks nothing
+		}
+		before := runtime.NumGoroutine()
+		cfg := equivConfig(Async, PartitionLock, kind)
+		cfg.RestoreFrom = filepath.Join(t.TempDir(), "missing.ckpt")
+		if _, _, _, err := Run(equivGraph(true), algorithms.Coloring(), cfg); err == nil {
+			t.Fatalf("%v: Run restored from a missing checkpoint without error", kind)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before { // one leaked goroutine must show
+			if time.Now().After(deadline) {
+				t.Fatalf("%v: goroutines leaked after Run failed: before=%d now=%d",
+					kind, before, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }

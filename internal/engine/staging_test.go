@@ -16,15 +16,18 @@ import (
 	"serialgraph/internal/partition"
 )
 
-// stagingProg sends one message 0->1 in superstep 0 and records in vertex
-// 1's value the superstep at which the message arrived.
-func stagingProg() model.Program[int, int] {
+// stagingProg sends one message 0->1 in superstep 0, with Send or, when
+// broadcast is set, with SendToAllOut along 0's one out-edge, and records in
+// vertex 1's value the superstep at which the message arrived.
+func stagingProg(broadcast bool) model.Program[int, int] {
 	return model.Program[int, int]{
 		Semantics: model.Queue,
 		Init:      func(graph.VertexID, *graph.Graph) int { return -1 },
 		Compute: func(ctx model.Context[int, int], msgs []int) {
 			if ctx.ID() == 0 {
-				if ctx.Superstep() == 0 {
+				if ctx.Superstep() == 0 && broadcast {
+					ctx.SendToAllOut(7)
+				} else if ctx.Superstep() == 0 {
 					ctx.Send(1, 7)
 				}
 			} else if len(msgs) > 0 && ctx.Value() == -1 {
@@ -50,11 +53,11 @@ func stagingConfig(mode Mode) Config {
 	}
 }
 
-func runStaging(t *testing.T, mode Mode) ([]int, Result) {
+func runStaging(t *testing.T, mode Mode, broadcast bool) ([]int, Result) {
 	t.Helper()
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)
-	vals, res, _, err := Run(b.Build(), stagingProg(), stagingConfig(mode))
+	vals, res, _, err := Run(b.Build(), stagingProg(broadcast), stagingConfig(mode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,18 @@ func runStaging(t *testing.T, mode Mode) ([]int, Result) {
 }
 
 func TestAsyncLocalMessageVisibleSameSuperstep(t *testing.T) {
-	vals, res := runStaging(t, Async)
+	checkAsyncCrossPartition(t, false)
+}
+
+// TestAsyncLocalBroadcastVisibleSameSuperstep is the SendToAllOut twin: the
+// broadcast's local row routes by partition range, and a target in another
+// partition of the same worker reads it in the same superstep.
+func TestAsyncLocalBroadcastVisibleSameSuperstep(t *testing.T) {
+	checkAsyncCrossPartition(t, true)
+}
+
+func checkAsyncCrossPartition(t *testing.T, broadcast bool) {
+	vals, res := runStaging(t, Async, broadcast)
 	if vals[1] != 0 {
 		t.Errorf("async: message staged by partition 0 arrived in superstep %d, want 0 (same pass)", vals[1])
 	}
@@ -78,7 +92,7 @@ func TestAsyncLocalMessageVisibleSameSuperstep(t *testing.T) {
 }
 
 func TestBSPLocalMessageDeferredToNextSuperstep(t *testing.T) {
-	vals, res := runStaging(t, BSP)
+	vals, res := runStaging(t, BSP, false)
 	if vals[1] != 1 {
 		t.Errorf("BSP: message arrived in superstep %d, want 1 (next superstep)", vals[1])
 	}
@@ -91,9 +105,20 @@ func TestBSPLocalMessageDeferredToNextSuperstep(t *testing.T) {
 // vertices in ONE partition and vertex 0 executing first, the Async store
 // write skips staging entirely and vertex 1 reads the message mid-pass.
 func TestAsyncSamePartitionEagerVisibility(t *testing.T) {
+	checkAsyncSamePartition(t, false)
+}
+
+// TestAsyncSamePartitionBroadcastEagerVisibility is the SendToAllOut twin:
+// a broadcast target inside the sender's partition is put eagerly, so it
+// reads the message later in the same pass.
+func TestAsyncSamePartitionBroadcastEagerVisibility(t *testing.T) {
+	checkAsyncSamePartition(t, true)
+}
+
+func checkAsyncSamePartition(t *testing.T, broadcast bool) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)
-	vals, res, _, err := Run(b.Build(), stagingProg(), Config{
+	vals, res, _, err := Run(b.Build(), stagingProg(broadcast), Config{
 		Workers: 1, PartitionsPerWorker: 1, ThreadsPerWorker: 1, Mode: Async,
 		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
 			return partition.NewExplicit(g, []partition.ID{0, 0}, []int32{0}, w)

@@ -647,7 +647,8 @@ func (t *thread[V, M]) executeVertex(v graph.VertexID, li int32, st *msgstore.St
 		txn.ReadVer = r.versions[v].Load()
 	}
 
-	st.Read(v, &t.reader)
+	t.reader.Sources = recording
+	st.ReadLocal(li, &t.reader)
 
 	if recording && len(t.reader.Srcs) > 0 {
 		txn.Reads = make([]history.Read, 0, len(t.reader.Srcs))
@@ -736,13 +737,19 @@ func (c *vctx[V, M]) send(dst graph.VertexID, m M, slot uint32) {
 		t.stage(dst, c.id, m, ver, slot)
 		return
 	}
+	t.putEager(dst, c.id, m, ver, slot)
+}
+
+// putEager delivers one local message straight into the write store,
+// timing one in 2^localTimingSampleShift deliveries.
+func (t *thread[V, M]) putEager(dst, src graph.VertexID, m M, ver uint32, slot uint32) {
 	t.sendSeq++
 	if t.sendSeq&(1<<localTimingSampleShift-1) == 0 {
 		t0 := time.Now()
-		c.w.writeStore().PutSlot(dst, c.id, m, ver, slot)
+		t.w.writeStore().PutSlot(dst, src, m, ver, slot)
 		t.localNs += int64(time.Since(t0)) << localTimingSampleShift
 	} else {
-		c.w.writeStore().PutSlot(dst, c.id, m, ver, slot)
+		t.w.writeStore().PutSlot(dst, src, m, ver, slot)
 	}
 }
 
@@ -774,8 +781,9 @@ func (c *vctx[V, M]) remote(wk int, e msgstore.Entry[M]) {
 // one per worker holding out-neighbors (GAS's seen-set loop), and under BSP,
 // where every local message stages anyway, one staged entry for the
 // sender's own row of the source table. Async and BAP deliver locally per
-// target by that row, since a same-partition target is delivered eagerly.
-// Per edge when there is no table.
+// target by that row, routed by local-index range: a target inside the
+// executing partition's span is put eagerly and any other stages, as send
+// would decide (VertexLockGiraph: all eagerly). Per edge with no table.
 func (c *vctx[V, M]) SendToAllOut(m M) {
 	w := c.w
 	outs := w.r.g.OutNeighbors(c.id)
@@ -789,13 +797,22 @@ func (c *vctx[V, M]) SendToAllOut(m M) {
 	if w.r.versions != nil {
 		e.Ver = w.r.versions[c.id].Load()
 	}
-	t := c.th
-	if row := w.fan.Row(c.id); w.r.cfg.Mode != BSP {
-		for _, tg := range row {
-			c.send(w.owned[tg.Local], m, tg.Slot)
+	t, row := c.th, w.fan.Row(c.id)
+	t.localMsgs += int64(len(row))
+	switch {
+	case w.r.cfg.Mode != BSP:
+		lo, hi := int32(0), int32(len(w.owned))
+		if w.r.cfg.Sync != VertexLockGiraph {
+			lo, hi = w.span(t.curPart)
 		}
-	} else if len(row) > 0 {
-		t.localMsgs += int64(len(row))
+		for _, tg := range row {
+			if tg.Local < lo || tg.Local >= hi {
+				t.stage(w.owned[tg.Local], c.id, m, e.Ver, tg.Slot)
+			} else {
+				t.putEager(w.owned[tg.Local], c.id, m, e.Ver, tg.Slot)
+			}
+		}
+	case len(row) > 0:
 		t.staged = append(t.staged, e)
 	}
 	for _, dst := range outs {

@@ -189,7 +189,7 @@ func TestPutBatchOverwriteLastWins(t *testing.T) {
 	batch = append(batch, Entry[int]{Dst: dst, Src: src, Msg: 2})
 	s := New[int](g, all(24), model.Overwrite, nil)
 	s.PutBatch(batch)
-	var r Reader[int]
+	r := Reader[int]{Sources: true}
 	if !s.Read(dst, &r) {
 		t.Fatal("no messages for dst")
 	}

@@ -59,7 +59,7 @@ func TestOverwriteDuplicateSameVersionHarmless(t *testing.T) {
 	s.Put(2, 0, 42, 3)
 	s.Put(2, 0, 42, 3) // duplicate delivery
 	s.Put(2, 1, 17, 1)
-	var r Reader[int]
+	r := Reader[int]{Sources: true}
 	if !s.Read(2, &r) || len(r.Msgs) != 2 {
 		t.Fatalf("overwrite read = %v, want 2 slots", r.Msgs)
 	}
@@ -88,7 +88,7 @@ func TestOverwriteStaleDuplicateAfterNewerWrite(t *testing.T) {
 	s.Put(2, 0, 10, 1)
 	s.Put(2, 0, 20, 2) // newer write from the same source
 	s.Put(2, 0, 10, 1) // straggling duplicate of the old delivery
-	var r Reader[int]
+	r := Reader[int]{Sources: true}
 	if !s.Read(2, &r) || len(r.Msgs) != 1 {
 		t.Fatalf("overwrite read = %v, want 1 slot", r.Msgs)
 	}

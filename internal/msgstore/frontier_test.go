@@ -104,6 +104,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 				case k < 90:
 					op = "Read"
 					v := owned[rng.Intn(len(owned))]
+					reader.Sources = step%2 == 0 // the frontier is the same in both reader modes
 					s.Read(v, &reader)
 					want[v] = false
 				case k < 94:

@@ -59,8 +59,8 @@ func (m *refStore) put(e Entry[int]) {
 	m.unread[e.Dst] = true
 }
 
-// read returns what Store.Read must put in its Reader (Srcs and Vers only
-// under Overwrite, in in-neighbor order).
+// read returns what Store.Read must put in a Reader with Sources set (Srcs
+// and Vers only under Overwrite, in in-neighbor order).
 func (m *refStore) read(g *graph.Graph, dst graph.VertexID) (msgs []int, srcs []graph.VertexID, vers []uint32) {
 	delete(m.unread, dst)
 	if m.kind != model.Overwrite {
@@ -169,6 +169,10 @@ func TestStoreMatchesModel(t *testing.T) {
 					case op < 90:
 						dst := owned[rng.Intn(len(owned))]
 						msgs, srcs, vers := ref.read(g, dst)
+						// Both reader modes: without Sources, Read fills Msgs alone.
+						if r.Sources = rng.Intn(2) == 0; !r.Sources {
+							srcs, vers = nil, nil
+						}
 						if got := s.Read(dst, &r); got != (len(msgs) > 0) {
 							t.Fatalf("step %d: Read(%d) = %v, model has %d messages", step, dst, got, len(msgs))
 						}
@@ -246,7 +250,7 @@ func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			var r Reader[int]
+			r := Reader[int]{Sources: true}
 			for _, dst := range owned {
 				msgs, srcs, vers := ref.read(g, dst)
 				s.Read(dst, &r)

@@ -349,10 +349,12 @@ func (s *Store[M]) Unread() Bits { return s.unread }
 // without allocation. Each compute thread owns one.
 type Reader[M any] struct {
 	Msgs []M
-	// Srcs and Vers are filled only in Overwrite mode, parallel to Msgs:
-	// the in-neighbor each slot belongs to and the version it carried.
-	Srcs []graph.VertexID
-	Vers []uint32
+	// Srcs and Vers are filled only in Overwrite mode with Sources set,
+	// parallel to Msgs: the in-neighbor each slot belongs to and the
+	// version it carried. Only the history recorder needs them.
+	Srcs    []graph.VertexID
+	Vers    []uint32
+	Sources bool
 }
 
 func (r *Reader[M]) reset() {
@@ -363,10 +365,14 @@ func (r *Reader[M]) reset() {
 
 // Read collects the messages visible to an execution of dst into r and
 // returns whether any were present. Queue and Combine consume; Overwrite
-// retains slots but clears the new-message flag.
-func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
+// retains slots but clears the new-message flag, and fills Srcs and Vers
+// only when r.Sources is set.
+func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool { return s.ReadLocal(s.idx(dst), r) }
+
+// ReadLocal is Read of the vertex at local index li, for a caller that
+// walks the store's own index order (the engine's frontier).
+func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 	r.reset()
-	li := s.idx(dst)
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	defer lk.Unlock()
@@ -387,16 +393,21 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool {
 		r.Msgs = append(r.Msgs, s.slot[li])
 		s.hasSlot[li] = false
 	case model.Overwrite:
-		in := s.g.InNeighbors(dst)
 		row := s.ow[s.owOff[li]:s.owOff[li+1]]
+		var in []graph.VertexID
+		if r.Sources {
+			in = s.g.InNeighbors(s.owned[li])
+		}
 		for pos := range row {
 			sl := &row[pos]
 			if sl.hasE != s.epoch {
 				continue
 			}
 			r.Msgs = append(r.Msgs, sl.msg)
-			r.Srcs = append(r.Srcs, in[pos])
-			r.Vers = append(r.Vers, sl.ver)
+			if r.Sources {
+				r.Srcs = append(r.Srcs, in[pos])
+				r.Vers = append(r.Vers, sl.ver)
+			}
 		}
 		return len(r.Msgs) > 0
 	}

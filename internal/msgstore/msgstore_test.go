@@ -88,7 +88,7 @@ func TestOverwriteSemantics(t *testing.T) {
 	g := lineGraph()
 	s := New[int](g, all(4), model.Overwrite, nil)
 	s.Put(2, 0, 100, 5)
-	var r Reader[int]
+	r := Reader[int]{Sources: true}
 	if !s.Read(2, &r) || len(r.Msgs) != 1 || r.Srcs[0] != 0 || r.Vers[0] != 5 {
 		t.Fatalf("read = %+v", r)
 	}
