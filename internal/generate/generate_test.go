@@ -254,57 +254,128 @@ func edgeSetHash(g *graph.Graph) uint64 {
 	return h.Sum64()
 }
 
+// adjacencyHash is FNV-64a over the vertex count and then every out-list
+// and every in-list, each preceded by its length, with the out-weights'
+// bits when the graph has any: it pins the CSR arrays themselves, order
+// included, where edgeSetHash pins only which edges exist.
+func adjacencyHash(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	put(uint64(g.NumVertices()))
+	for _, list := range []func(graph.VertexID) []graph.VertexID{g.OutNeighbors, g.InNeighbors} {
+		for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
+			l := list(u)
+			put(uint64(len(l)))
+			for _, v := range l {
+				put(uint64(uint32(v)))
+			}
+		}
+	}
+	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, w := range g.OutWeights(u) {
+			put(math.Float64bits(w))
+		}
+	}
+	return h.Sum64()
+}
+
 // TestGeneratorEdgeSetPins holds every family, and the catalog analogs
 // before and after symmetrising, to edge sets recorded when the generators
 // still deduplicated through a hash set and the undirected builder through
 // a pair map: building by sort and transpose may reorder adjacency lists
-// but must not change which edges exist.
+// but must not change which edges exist. The adjacency hashes, recorded
+// before graphs were built from radix-sorted keys, also pin the out- and
+// in-arrays, so every tool keeps building bit-identical graphs.
 func TestGeneratorEdgeSetPins(t *testing.T) {
 	families := []struct {
 		name  string
 		seed  int64
 		edges int
 		hash  uint64
+		adj   uint64
 	}{
-		{"powerlaw", 1, 2654, 0x6bb2cdcc3b754f4e},
-		{"powerlaw", 7, 2655, 0xe635c99784e9e6b7},
-		{"powerlaw", 13, 2675, 0x4c2ffd0e1e1644a6},
-		{"rmat", 1, 2589, 0x1ee625ccc017aa06},
-		{"rmat", 7, 2634, 0x5562b1ff13045e66},
-		{"rmat", 13, 2620, 0x2f4a76c910fa1f64},
-		{"erdos", 1, 2000, 0xfe31efd3e1ce454d},
-		{"erdos", 7, 2000, 0x5408ed06021ff191},
-		{"erdos", 13, 2000, 0x4ded40dd230213b6},
-		{"ring", 1, 500, 0x1e209915d1338f26},
-		{"ring", 7, 500, 0x1e209915d1338f26},
-		{"ring", 13, 500, 0x1e209915d1338f26},
-		{"grid", 1, 1934, 0xa49cbb488fa58764},
-		{"grid", 7, 1934, 0xa49cbb488fa58764},
-		{"grid", 13, 1934, 0xa49cbb488fa58764},
-		{"complete", 1, 249500, 0x7c2d39e0481e892e},
-		{"complete", 7, 249500, 0x7c2d39e0481e892e},
-		{"complete", 13, 249500, 0x7c2d39e0481e892e},
+		{"powerlaw", 1, 2654, 0x6bb2cdcc3b754f4e, 0x15ba74b08b6b8fa2},
+		{"powerlaw", 7, 2655, 0xe635c99784e9e6b7, 0xc56d7cdf82f39631},
+		{"powerlaw", 13, 2675, 0x4c2ffd0e1e1644a6, 0x35148c076f5616e6},
+		{"rmat", 1, 2589, 0x1ee625ccc017aa06, 0x92edec05c997f0d0},
+		{"rmat", 7, 2634, 0x5562b1ff13045e66, 0xe89111f54f732ee2},
+		{"rmat", 13, 2620, 0x2f4a76c910fa1f64, 0x435b90b2c0e53e72},
+		{"erdos", 1, 2000, 0xfe31efd3e1ce454d, 0xb6802915f336f201},
+		{"erdos", 7, 2000, 0x5408ed06021ff191, 0x061d2e9ce37687af},
+		{"erdos", 13, 2000, 0x4ded40dd230213b6, 0x7b5e3bdc9b9716dc},
+		{"ring", 1, 500, 0x1e209915d1338f26, 0xe323c88c1b25d26e},
+		{"ring", 7, 500, 0x1e209915d1338f26, 0xe323c88c1b25d26e},
+		{"ring", 13, 500, 0x1e209915d1338f26, 0xe323c88c1b25d26e},
+		{"grid", 1, 1934, 0xa49cbb488fa58764, 0x62b8905173ac9b54},
+		{"grid", 7, 1934, 0xa49cbb488fa58764, 0x62b8905173ac9b54},
+		{"grid", 13, 1934, 0xa49cbb488fa58764, 0x62b8905173ac9b54},
+		{"complete", 1, 249500, 0x7c2d39e0481e892e, 0x2140d463d2f16bc6},
+		{"complete", 7, 249500, 0x7c2d39e0481e892e, 0x2140d463d2f16bc6},
+		{"complete", 13, 249500, 0x7c2d39e0481e892e, 0x2140d463d2f16bc6},
 	}
 	for _, f := range families {
 		g := Family(f.name, 500, f.seed)
-		if got := edgeSetHash(g); g.NumEdges() != f.edges || got != f.hash {
-			t.Errorf("Family(%s, 500, %d): %d edges hash %#016x, want %d edges hash %#016x",
-				f.name, f.seed, g.NumEdges(), got, f.edges, f.hash)
+		if got, adj := edgeSetHash(g), adjacencyHash(g); g.NumEdges() != f.edges || got != f.hash || adj != f.adj {
+			t.Errorf("Family(%s, 500, %d): %d edges hash %#016x adjacency %#016x, want %d edges hash %#016x adjacency %#016x",
+				f.name, f.seed, g.NumEdges(), got, adj, f.edges, f.hash, f.adj)
 		}
 	}
-	catalog := map[string][4]uint64{ // directed edges, hash; symmetrised edges, hash
-		"OR": {14017, 0x4d283737147187b2, 27054, 0xbfcc8699f76437c4},
-		"AR": {23167, 0xcdd15ed112e4bae8, 43650, 0x62d4eed13e8981a4},
-		"TW": {31025, 0x6e1636642f6c1d08, 57354, 0x39106c14a7e49d44},
-		"UK": {52109, 0xd10c11b3b59eaa4a, 99506, 0x0e3d1cb7970d3750},
+	// directed edges, hash, adjacency; symmetrised edges, hash, adjacency
+	catalog := map[string][6]uint64{
+		"OR": {14017, 0x4d283737147187b2, 0xe412cbf0ec00217a, 27054, 0xbfcc8699f76437c4, 0x6ac75f57f6928b00},
+		"AR": {23167, 0xcdd15ed112e4bae8, 0x6c1f84d4b785e523, 43650, 0x62d4eed13e8981a4, 0xc9ad539b9cf4fe3c},
+		"TW": {31025, 0x6e1636642f6c1d08, 0x7a131a1ad2ffc3ae, 57354, 0x39106c14a7e49d44, 0xa4dfdf36870cf5f4},
+		"UK": {52109, 0xd10c11b3b59eaa4a, 0xef241090ece0a18c, 99506, 0x0e3d1cb7970d3750, 0xe06636c2926c1d64},
 	}
 	for _, d := range Catalog {
 		g := d.Build(0.25)
 		u := graph.Symmetrize(g)
-		got := [4]uint64{uint64(g.NumEdges()), edgeSetHash(g), uint64(u.NumEdges()), edgeSetHash(u)}
+		got := [6]uint64{uint64(g.NumEdges()), edgeSetHash(g), adjacencyHash(g), uint64(u.NumEdges()), edgeSetHash(u), adjacencyHash(u)}
 		if got != catalog[d.Name] {
 			t.Errorf("catalog %s at 0.25: got %#x, want %#x", d.Name, got, catalog[d.Name])
 		}
+	}
+
+	// The fixed benchmark's inputs, exactly as it derives them from its
+	// seed: the directed graph and its symmetrised version.
+	inputs := []struct {
+		name  string
+		scale float64
+		seed  int64
+		adj   [2]uint64 // directed, symmetrised
+	}{
+		{"UK", 4, 1, [2]uint64{0x429feade1585be81, 0x24ecc43ea5f51c54}},
+		{"UK", 4, 7, [2]uint64{0x0d26799c6904c0f6, 0x6effbb1d878f6a44}},
+		{"UK", 2, 1, [2]uint64{0x90badfc7a41d85db, 0x75d0f3b5cd97ede1}},
+		{"UK", 2, 7, [2]uint64{0x3245299759b01196, 0xa70f785173c95bb1}},
+		{"OR", 1, 1, [2]uint64{0x1fe29eab8758b6ea, 0xe6c57654162449b8}},
+		{"OR", 1, 7, [2]uint64{0xe08f42ae33bef223, 0xbb7cb9fac58fc508}},
+		{"OR", 2, 1, [2]uint64{0xd68c424d6631134e, 0x729b224d92e8c6d0}},
+		{"OR", 2, 7, [2]uint64{0x4e08ec86e94efba5, 0xfa12bc6877b5b060}},
+	}
+	for _, in := range inputs {
+		if testing.Short() && in.scale == 4 {
+			continue
+		}
+		d, err := ByName(in.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Seed += in.seed * 1_000_003
+		g := d.Build(in.scale)
+		if got := [2]uint64{adjacencyHash(g), adjacencyHash(graph.Symmetrize(g))}; got != in.adj {
+			t.Errorf("%s x%v seed %d: adjacency %#016x, want %#016x", in.name, in.scale, in.seed, got, in.adj)
+		}
+	}
+	if got, want := adjacencyHash(Grid(300, 300)), uint64(0xc58859231ed7ba81); got != want {
+		t.Errorf("Grid(300, 300): adjacency %#016x, want %#016x", got, want)
+	}
+	if got, want := adjacencyHash(Communities(8, 60, 5)), uint64(0x2b01f1be23917eb2); got != want {
+		t.Errorf("Communities(8, 60, 5): adjacency %#016x, want %#016x", got, want)
 	}
 }
 
