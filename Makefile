@@ -177,7 +177,8 @@ figures:
 # and lock managers of pl_coloring's shape), the lock path: a contended fork
 # ping-pong between two managers and a serializable GAS colouring, and the
 # load path: symmetrising pl_coloring's edge list through a Builder, and
-# generating and symmetrising its UK x4 input.
+# its UK x4 input in two steps (generate: draw the edges and lay out the
+# CSR; symmetrize: merge it into the undirected graph).
 bench-micro:
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime $(or $(MICRO_BENCHTIME),2000x)
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench 'BenchmarkStore(OverwritePutBatch|PutBatchFanOut)$$' -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem

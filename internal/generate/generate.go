@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"serialgraph/internal/graph"
 )
@@ -40,44 +39,9 @@ func PowerLaw(cfg PowerLawConfig) *graph.Graph {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.N
-	maxDeg := cfg.MaxDegree
-	if maxDeg <= 0 || maxDeg > n-1 {
-		maxDeg = n - 1
-	}
-
-	// Chung–Lu weights w_i = c * (i+i0)^(-gamma) with gamma = 1/(exp-1).
-	gamma := 1 / (cfg.Exponent - 1)
-	w := make([]float64, n)
-	sum := 0.0
-	for i := range w {
-		w[i] = math.Pow(float64(i+1), -gamma)
-		sum += w[i]
-	}
-	scale := cfg.AvgDegree * float64(n) / sum
-	cum := make([]float64, n+1)
-	for i := range w {
-		w[i] *= scale
-		if w[i] > float64(maxDeg) {
-			w[i] = float64(maxDeg)
-		}
-		cum[i+1] = cum[i] + w[i]
-	}
+	w, cum := powerLawWeights(cfg)
 	total := cum[n]
-
-	// pick samples a vertex with probability proportional to its weight.
-	pick := func() graph.VertexID {
-		x := r.Float64() * total
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid+1] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return graph.VertexID(lo)
-	}
+	pick := newSampler(cum)
 
 	edges := make(edgeSet, 0, int(total)+n)
 	perm := r.Perm(n) // shuffle so heavy vertices are not clustered at low IDs
@@ -88,7 +52,7 @@ func PowerLaw(cfg PowerLawConfig) *graph.Graph {
 		}
 		src := graph.VertexID(perm[i])
 		for d := 0; d < deg; d++ {
-			dst := graph.VertexID(perm[pick()])
+			dst := graph.VertexID(perm[pick.index(r.Float64()*total)])
 			if dst == src {
 				continue
 			}
@@ -100,13 +64,84 @@ func PowerLaw(cfg PowerLawConfig) *graph.Graph {
 	for i := 1; i < n; i++ {
 		edges.add(graph.VertexID(perm[i-1]), graph.VertexID(perm[i]))
 	}
-	return edges.build(n)
+	return graph.FromKeySet(n, edges)
+}
+
+// powerLawWeights returns cfg's Chung–Lu weights w_i = c * (i+1)^(-gamma)
+// with gamma = 1/(Exponent-1), scaled to AvgDegree and capped at the
+// maximum degree, and their prefix sums: cum[0] = 0, cum[i+1] = cum[i] + w[i].
+func powerLawWeights(cfg PowerLawConfig) (w, cum []float64) {
+	n := cfg.N
+	maxDeg := cfg.MaxDegree
+	if maxDeg <= 0 || maxDeg > n-1 {
+		maxDeg = n - 1
+	}
+	gamma := 1 / (cfg.Exponent - 1)
+	w = make([]float64, n)
+	sum := 0.0
+	for i := range w {
+		w[i] = math.Pow(float64(i+1), -gamma)
+		sum += w[i]
+	}
+	scale := cfg.AvgDegree * float64(n) / sum
+	cum = make([]float64, n+1)
+	for i := range w {
+		w[i] *= scale
+		if w[i] > float64(maxDeg) {
+			w[i] = float64(maxDeg)
+		}
+		cum[i+1] = cum[i] + w[i]
+	}
+	return w, cum
+}
+
+// sampler picks index i with probability proportional to cum[i+1]-cum[i]:
+// for x in [0, cum[n]] it returns the first i with cum[i+1] >= x, exactly
+// what a binary search over all of cum returns. A guide table of one
+// bucket per index starts the search near the answer: bucket j holds the
+// x with int(x*scale) == j, and guide[j] is the first i whose cum[i+1]
+// falls in bucket j or later, so every i before it has cum[i+1] < x. The
+// bucket map is monotone in x, which is all that needs, so it holds in
+// floating point too. A scan forward from guide[j] then passes only the
+// sums that share x's bucket: n sums in n buckets, so on average half of
+// one for a uniform x.
+type sampler struct {
+	cum   []float64
+	guide []int32
+	scale float64 // buckets per unit of cum
+}
+
+func newSampler(cum []float64) *sampler {
+	n := len(cum) - 1
+	s := &sampler{cum: cum, guide: make([]int32, n), scale: float64(n) / cum[n]}
+	i := 0
+	for j := range s.guide {
+		for i < n-1 && s.bucket(cum[i+1]) < j {
+			i++
+		}
+		s.guide[j] = int32(i)
+	}
+	return s
+}
+
+// bucket maps x to its guide bucket, the last one for x = cum[n].
+func (s *sampler) bucket(x float64) int { return min(int(x*s.scale), len(s.guide)-1) }
+
+// index returns the first i with cum[i+1] >= x, for x in [0, cum[n]]; the
+// scan stops at i = n-1 at the latest, where cum[n] >= x.
+func (s *sampler) index(x float64) int {
+	i := int(s.guide[s.bucket(x)])
+	for s.cum[i+1] < x {
+		i++
+	}
+	return i
 }
 
 // edgeSet deduplicates directed edges: it collects each as src<<32|dst and
-// build sorts and compacts them once. All generators produce simple
-// graphs: the message-store replica model keeps one slot per distinct
-// in-neighbor, and real-world evaluation datasets are simple graphs too.
+// graph.FromKeySet radix-sorts and compacts them once. All generators
+// produce simple graphs: the message-store replica model keeps one slot
+// per distinct in-neighbor, and real-world evaluation datasets are simple
+// graphs too.
 type edgeSet []uint64
 
 // add appends u->v and returns its key.
@@ -114,16 +149,6 @@ func (s *edgeSet) add(u, v graph.VertexID) uint64 {
 	k := uint64(uint32(u))<<32 | uint64(uint32(v))
 	*s = append(*s, k)
 	return k
-}
-
-func (s edgeSet) build(n int) *graph.Graph {
-	slices.Sort(s)
-	s = slices.Compact(s)
-	edges := make([]graph.Edge, len(s))
-	for i, k := range s {
-		edges[i] = graph.Edge{Src: graph.VertexID(k >> 32), Dst: graph.VertexID(uint32(k)), Weight: 1}
-	}
-	return graph.NewFromEdges(n, edges, false)
 }
 
 // RMATConfig parameterizes the recursive matrix generator of Chakrabarti et
@@ -169,7 +194,7 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 	for i := 1; i < n; i++ {
 		edges.add(graph.VertexID(i-1), graph.VertexID(i))
 	}
-	return edges.build(n)
+	return graph.FromKeySet(n, edges)
 }
 
 // ErdosRenyi generates a directed G(n, m) graph with exactly m random edges
@@ -185,7 +210,7 @@ func ErdosRenyi(n, m int, seed int64) *graph.Graph {
 			seen[edges.add(src, dst)] = struct{}{}
 		}
 	}
-	return edges.build(n)
+	return graph.FromKeySet(n, edges)
 }
 
 // Ring generates the n-cycle 0->1->...->n-1->0.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -254,6 +255,52 @@ func edgeSetHash(g *graph.Graph) uint64 {
 	return h.Sum64()
 }
 
+// TestSamplerMatchesBinarySearch checks the guide-table pick against the
+// binary search over all of cum that PowerLaw used before it, on every
+// catalog dataset at the benchmark's scales: on random draws, and at every
+// prefix sum and its floating-point neighbours inside [0, cum[n]], where
+// a bucket boundary or a tie would show an off-by-one.
+func TestSamplerMatchesBinarySearch(t *testing.T) {
+	search := func(cum []float64, x float64) int {
+		lo, hi := 0, len(cum)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cum[mid+1] < x {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	r := rand.New(rand.NewSource(36))
+	for _, d := range Catalog {
+		for _, scale := range []float64{0.25, 1, 4} {
+			cfg := PowerLawConfig{N: max(int(float64(d.N)*scale), 16), AvgDegree: d.AvgDegree,
+				Exponent: d.Exponent, MaxDegree: max(int(float64(d.MaxDeg)*scale), 8)}
+			_, cum := powerLawWeights(cfg)
+			total := cum[len(cum)-1]
+			s := newSampler(cum)
+			check := func(x float64) {
+				if x < 0 || x > total {
+					return
+				}
+				if got, want := s.index(x), search(cum, x); got != want {
+					t.Fatalf("%s x%v: x = %v (%#x) picks %d, binary search %d", d.Name, scale, x, math.Float64bits(x), got, want)
+				}
+			}
+			for range 100_000 {
+				check(r.Float64() * total)
+			}
+			for _, c := range cum {
+				check(c)
+				check(math.Nextafter(c, math.Inf(-1)))
+				check(math.Nextafter(c, math.Inf(1)))
+			}
+		}
+	}
+}
+
 // adjacencyHash is FNV-64a over the vertex count and then every out-list
 // and every in-list, each preceded by its length, with the out-weights'
 // bits when the graph has any: it pins the CSR arrays themselves, order
@@ -379,17 +426,31 @@ func TestGeneratorEdgeSetPins(t *testing.T) {
 	}
 }
 
-// BenchmarkPowerLawUK generates pl_coloring's input, the UK analog at
-// scale 4, and symmetrises it: the benchmark's generate.build span.
+// BenchmarkPowerLawUK builds pl_coloring's input, the UK analog at scale
+// 4 (80 000 vertices), in the benchmark's two generate.build steps:
+// generate draws the directed graph and lays out its CSR, symmetrize
+// merges it into the undirected graph the colouring runs on.
 func BenchmarkPowerLawUK(b *testing.B) {
 	d, err := ByName("UK")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if g := graph.Symmetrize(d.Build(4)); g.NumEdges() == 0 {
-			b.Fatal("empty graph")
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g := d.Build(4); g.NumEdges() == 0 {
+				b.Fatal("empty graph")
+			}
 		}
-	}
+	})
+	b.Run("symmetrize", func(b *testing.B) {
+		g := d.Build(4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if u := graph.Symmetrize(g); u.NumEdges() == 0 {
+				b.Fatal("empty graph")
+			}
+		}
+	})
 }

@@ -1,11 +1,13 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,12 +72,6 @@ func TestConstructorPins(t *testing.T) {
 		"BuildUndirected seed 2 n 1":            0x56ceb147095ea385,
 		"BuildUndirected seed 2 n 300":          0x8e7bb23a3aaf5e17,
 		"BuildUndirected seed 2 n 9":            0xa57451df1b3c6fcd,
-		"FromEdges seed 1 n 1":                  0x27d82edd2d65079d,
-		"FromEdges seed 1 n 300":                0x76e308c9b2244805,
-		"FromEdges seed 1 n 9":                  0x7d7552d61525cdef,
-		"FromEdges seed 2 n 1":                  0x27d82edd2d65079d,
-		"FromEdges seed 2 n 300":                0x913719f9e7a65b3c,
-		"FromEdges seed 2 n 9":                  0x81209bc37b29ca01,
 		"NewFromEdges seed 1 n 1":               0x27d82edd2d65079d,
 		"NewFromEdges seed 1 n 300":             0x76e308c9b2244805,
 		"NewFromEdges seed 1 n 9":               0x7d7552d61525cdef,
@@ -147,7 +143,6 @@ func TestConstructorPins(t *testing.T) {
 				"BuildUndirected":          plain.BuildUndirected(),
 				"weighted BuildUndirected": uw,
 				"NewFromEdges":             NewFromEdges(n, edges, true),
-				"FromEdges":                FromEdges(n, edges),
 				"ReadEdgeList":             read,
 				"Symmetrize":               Symmetrize(g),
 				"Symmetrize read":          Symmetrize(read),
@@ -158,6 +153,62 @@ func TestConstructorPins(t *testing.T) {
 				key := fmt.Sprintf("%s seed %d n %d", name, seed, n)
 				if want, ok := pins[key]; !ok || csrHash(g) != want {
 					t.Errorf("%s: arrays hash %#016x, want %#016x", key, csrHash(g), want)
+				}
+			}
+		}
+	}
+}
+
+// TestFromKeysMatchesStableSort checks the constructor's out-CSR against
+// a stable comparison sort of its keys, with and without weights and
+// deduplication, on vertex counts around each radix digit width and with
+// lists short enough for insertion and long enough for the radix passes.
+func TestFromKeysMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(36))
+	type kw struct {
+		k uint64
+		w float64
+	}
+	for _, n := range []int{1, 2, 3, 100, 2047, 2049, 1<<17 + 5} {
+		for _, m := range []int{0, 1, 5, insertionMax, insertionMax + 1, 3000} {
+			// Few sources, so some lists are long; few destinations on
+			// small graphs, so keys repeat.
+			srcs := 1 + r.Intn(min(n, 1+m/(insertionMax+1)+3))
+			keys := make([]uint64, m)
+			w := make([]float64, m)
+			ref := make([]kw, m)
+			for i := range keys {
+				keys[i] = edgeKey(VertexID(r.Intn(srcs)*(n/srcs)), VertexID(r.Intn(n)))
+				w[i] = float64(i)
+				ref[i] = kw{keys[i], w[i]}
+			}
+			slices.SortStableFunc(ref, func(a, b kw) int { return cmp.Compare(a.k, b.k) })
+			unique := slices.CompactFunc(slices.Clone(ref), func(a, b kw) bool { return a.k == b.k })
+			for _, c := range []struct {
+				name     string
+				w        []float64
+				dedup    bool
+				keyOrder []kw
+			}{
+				{"plain", nil, false, ref},
+				{"weighted", w, false, ref},
+				{"dedup", nil, true, unique},
+				{"weighted dedup", w, true, unique},
+			} {
+				g := fromKeys(int32(n), keys, c.w, c.dedup, false)
+				if len(g.outDst) != len(c.keyOrder) || cap(g.outDst) != len(c.keyOrder) {
+					t.Fatalf("n %d m %d %s: %d edges in an array of %d, want %d", n, m, c.name, len(g.outDst), cap(g.outDst), len(c.keyOrder))
+				}
+				i := 0
+				for u := VertexID(0); int(u) < n; u++ {
+					for j, v := range g.OutNeighbors(u) {
+						want := c.keyOrder[i]
+						if edgeKey(u, v) != want.k || c.w != nil && g.OutWeights(u)[j] != want.w {
+							t.Fatalf("n %d m %d %s: edge %d is %d->%d weight %v, want key %#x weight %v",
+								n, m, c.name, i, u, v, g.OutWeights(u), want.k, want.w)
+						}
+						i++
+					}
 				}
 			}
 		}

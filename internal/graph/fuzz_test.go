@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -122,12 +123,19 @@ func FuzzEdgeListSymmetrize(f *testing.F) {
 }
 
 // FuzzBinaryRoundTrip checks the binary decoder tolerates corrupt input
-// without panicking.
+// without panicking, and that a graph it accepts has every out-edge in
+// its in-lists too.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	b := NewBuilder(3)
 	b.AddEdge(0, 1)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, b.Build()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// Out-list 0->{1} with 1 listed as its own in-neighbour instead of 0.
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 0, 1}, InSrc: []VertexID{1}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -143,6 +151,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		n := g.NumVertices()
 		if n < 0 {
 			t.Fatal("negative vertex count")
+		}
+		for u := VertexID(0); int(u) < n; u++ {
+			for _, v := range g.OutNeighbors(u) {
+				if !g.HasEdge(u, v) {
+					t.Fatalf("accepted graph has out-edge %d->%d but HasEdge is false", u, v)
+				}
+			}
 		}
 	})
 }

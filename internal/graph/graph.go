@@ -6,11 +6,7 @@
 // arbitrary external IDs to this dense space (see io.go).
 package graph
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // VertexID identifies a vertex. IDs are dense: 0 <= id < NumVertices.
 type VertexID int32
@@ -171,9 +167,9 @@ func (g *Graph) MaxDegree() int {
 
 // Builder accumulates edges and produces an immutable Graph.
 type Builder struct {
-	n        int32
-	edges    []Edge
-	weighted bool
+	n    int32
+	keys []uint64  // edgeKey of every edge, in the order added
+	w    []float64 // parallel to keys once a weighted edge is added
 }
 
 // NewBuilder creates a builder for a graph with n vertices.
@@ -185,161 +181,140 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge adds the directed edge src->dst with weight 1.
-func (b *Builder) AddEdge(src, dst VertexID) { b.addEdge(src, dst, 1, false) }
+func (b *Builder) AddEdge(src, dst VertexID) {
+	b.check(src, dst)
+	b.add(src, dst, 1, false)
+}
 
 // AddWeightedEdge adds the directed edge src->dst with the given weight.
-func (b *Builder) AddWeightedEdge(src, dst VertexID, w float64) { b.addEdge(src, dst, w, true) }
+func (b *Builder) AddWeightedEdge(src, dst VertexID, w float64) {
+	b.check(src, dst)
+	b.add(src, dst, w, true)
+}
 
-func (b *Builder) addEdge(src, dst VertexID, w float64, weighted bool) {
+func (b *Builder) check(src, dst VertexID) {
 	if src < 0 || int32(src) >= b.n || dst < 0 || int32(dst) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", src, dst, b.n))
 	}
-	b.edges = append(b.edges, Edge{src, dst, w})
-	b.weighted = b.weighted || weighted
+}
+
+// add appends src->dst. The first weighted edge gives every edge before
+// it weight 1.
+func (b *Builder) add(src, dst VertexID, w float64, weighted bool) {
+	if weighted && b.w == nil {
+		b.w = make([]float64, len(b.keys), cap(b.keys))
+		for i := range b.w {
+			b.w[i] = 1
+		}
+	}
+	b.keys = append(b.keys, edgeKey(src, dst))
+	if b.w != nil {
+		b.w = append(b.w, w)
+	}
 }
 
 // NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int { return len(b.keys) }
 
 // Build produces the immutable CSR graph. Self-loops are kept; duplicate
 // edges are kept (multi-edges are legal in Pregel), each with its weight,
 // in the order they were added. The builder must not be reused afterwards.
 func (b *Builder) Build() *Graph {
-	return build(b.n, b.edges, b.weighted, false)
+	return fromKeys(b.n, b.keys, b.w, false, false)
 }
 
 // BuildUndirected symmetrizes the edge set (adding the reverse of every
 // edge, deduplicating pairs) and builds the graph. Used by graph coloring,
 // which requires an undirected input (§7.2.1). Self-loops are dropped as
-// meaningless for coloring-style algorithms. A pair added more than once,
-// in either direction, keeps the weight it was first added with: only
-// this path sorts, stably, on the packed pair min<<32|max.
+// meaningless for coloring-style algorithms. Without weights this is
+// Symmetrize(b.Build()). A weighted pair added more than once, in either
+// direction, keeps the weight it was first added with: every edge enters
+// the stable key sort in both directions, in the order added, and the
+// first copy of each key survives. The builder must not be reused
+// afterwards.
 func (b *Builder) BuildUndirected() *Graph {
-	if !b.weighted {
+	if b.w == nil {
 		return Symmetrize(b.Build())
 	}
-	type pair struct {
-		key uint64
-		w   float64
-	}
-	pairs := make([]pair, 0, len(b.edges))
-	for _, e := range b.edges {
-		if e.Src != e.Dst {
-			pairs = append(pairs, pair{uint64(min(e.Src, e.Dst))<<32 | uint64(max(e.Src, e.Dst)), e.Weight})
+	keys := make([]uint64, 0, 2*len(b.keys))
+	w := make([]float64, 0, 2*len(b.keys))
+	for i, k := range b.keys {
+		if src, dst := k>>32, k&(1<<32-1); src != dst {
+			keys = append(keys, k, dst<<32|src)
+			w = append(w, b.w[i], b.w[i])
 		}
 	}
-	slices.SortStableFunc(pairs, func(x, y pair) int { return cmp.Compare(x.key, y.key) })
-	pairs = slices.CompactFunc(pairs, func(x, y pair) bool { return x.key == y.key })
-	sym := make([]Edge, 0, 2*len(pairs))
-	for _, p := range pairs {
-		u, v := VertexID(p.key>>32), VertexID(uint32(p.key))
-		sym = append(sym, Edge{u, v, p.w}, Edge{v, u, p.w})
-	}
-	return build(b.n, sym, true, true)
+	return fromKeys(b.n, keys, w, true, true)
 }
 
 // Symmetrize returns g's unweighted undirected version, the input every
 // neighbourhood-reading algorithm (coloring, WCC, ...) runs on: u's list
-// is Neighbors(u) without u, read straight off g's ascending lists with
+// is Neighbors(u) without u, merged straight off g's ascending lists with
 // no sort and no hashing, and the one CSR serves as both out- and
-// in-adjacency. Every caller goes through it, so a coordinator and its
-// worker processes rebuild the identical graph.
+// in-adjacency. The lists are merged into a buffer with room for both
+// inputs and then copied into an array of exactly the merged size, so no
+// spare capacity outlives the call. Every caller goes through it, so a
+// coordinator and its worker processes rebuild the identical graph.
 func Symmetrize(g *Graph) *Graph {
 	s := &Graph{n: g.n, outOff: make([]int32, g.n+1), undirected: true}
-	for u := VertexID(0); int32(u) < g.n; u++ {
-		d := int32(0)
-		g.Neighbors(u, func(v VertexID) {
-			if v != u {
-				d++
-			}
-		})
-		s.outOff[u+1] = s.outOff[u] + d
+	room := len(g.outDst)
+	if !g.undirected {
+		room += len(g.inSrc)
 	}
-	s.outDst = make([]VertexID, s.outOff[g.n])
+	buf := make([]VertexID, room)
+	k := int32(0)
 	for u := VertexID(0); int32(u) < g.n; u++ {
-		i := s.outOff[u]
-		g.Neighbors(u, func(v VertexID) {
-			if v != u {
-				s.outDst[i] = v
-				i++
-			}
-		})
+		in := g.InNeighbors(u)
+		if g.undirected {
+			in = nil
+		}
+		k += int32(mergeDistinct(buf[k:], g.OutNeighbors(u), in, u))
+		s.outOff[u+1] = k
 	}
+	s.outDst = make([]VertexID, k)
+	copy(s.outDst, buf)
 	s.inOff, s.inSrc = s.outOff, s.outDst
 	return s
 }
 
-// build lays edges out as CSR with counting scatters only: a stable pass
-// on Dst fills the in-lists in insertion order, transposing them in
-// ascending destination order fills the out-lists, and transposing those
-// back refills the in-lists. Every list comes out ascending, and parallel
-// edges keep the order, and so the weights, they were added in. An
-// undirected graph's edges are symmetric, so its in-CSR is its out-CSR.
-func build(n int32, edges []Edge, weighted, undirected bool) *Graph {
-	m := len(edges)
-	g := &Graph{n: n, outOff: make([]int32, n+1), inOff: make([]int32, n+1), undirected: undirected}
-	for _, e := range edges {
-		g.outOff[e.Src+1]++
-		g.inOff[e.Dst+1]++
+// mergeDistinct writes the distinct values of the ascending lists a and
+// b other than skip to dst, ascending, and returns how many it wrote; dst
+// must have room for len(a)+len(b). The loop over both lists has no
+// data-dependent branch: the smaller head is always written, and the
+// output position and each list's cursor advance by comparison results.
+func mergeDistinct(dst, a, b []VertexID, skip VertexID) int {
+	i, j, k := 0, 0, 0
+	last := VertexID(-1)
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		v := min(x, y)
+		dst[k] = v
+		k += keep(v, last, skip)
+		last = v
+		// IDs are non-negative, so y-x is negative exactly when x > y.
+		i += 1 - int(uint32(y-x)>>31)
+		j += 1 - int(uint32(x-y)>>31)
 	}
-	for i := int32(0); i < n; i++ {
-		g.outOff[i+1] += g.outOff[i]
-		g.inOff[i+1] += g.inOff[i]
-	}
-	g.inSrc = make([]VertexID, m)
-	var inW []float64
-	if weighted {
-		inW, g.outW = make([]float64, m), make([]float64, m)
-	}
-	pos := slices.Clone(g.inOff[:n])
-	for _, e := range edges {
-		p := pos[e.Dst]
-		pos[e.Dst]++
-		g.inSrc[p] = e.Src
-		if weighted {
-			inW[p] = e.Weight
+	for _, rest := range [2][]VertexID{a[i:], b[j:]} {
+		for _, v := range rest {
+			dst[k] = v
+			k += keep(v, last, skip)
+			last = v
 		}
 	}
-	g.outDst = make([]VertexID, m)
-	transpose(g.inOff, g.inSrc, inW, g.outOff, g.outDst, g.outW)
-	if undirected {
-		g.inOff, g.inSrc = g.outOff, g.outDst
-		return g
-	}
-	transpose(g.outOff, g.outDst, nil, g.inOff, g.inSrc, nil)
-	return g
+	return k
 }
 
-// transpose fills the CSR (toOff, toAdj) with the reverse of (off, adj):
-// walking u ascending, each v in u's list gets u appended to its own, so
-// every list of the result is ascending. toOff must already hold the
-// result's offsets; toW, when non-nil, receives w's weights alongside.
-func transpose(off []int32, adj []VertexID, w []float64, toOff []int32, toAdj []VertexID, toW []float64) {
-	pos := slices.Clone(toOff[:len(toOff)-1])
-	for u := 0; u+1 < len(off); u++ {
-		for i := off[u]; i < off[u+1]; i++ {
-			p := pos[adj[i]]
-			pos[adj[i]]++
-			toAdj[p] = VertexID(u)
-			if toW != nil {
-				toW[p] = w[i]
-			}
-		}
+// keep is 1 when v is neither the value before it nor skip, else 0.
+func keep(v, last, skip VertexID) int {
+	d := 0
+	if v != last {
+		d = 1
 	}
-}
-
-// FromEdges is a convenience constructor building a directed graph from an
-// edge slice.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		if e.Weight != 0 && e.Weight != 1 {
-			b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
-		} else {
-			b.AddEdge(e.Src, e.Dst)
-		}
+	if v == skip {
+		d = 0
 	}
-	return b.Build()
+	return d
 }
 
 // Stats summarizes a graph for Table 1 style reporting.
@@ -380,9 +355,20 @@ func (g *Graph) Edges() []Edge {
 // Weighted reports whether the graph stores explicit edge weights.
 func (g *Graph) Weighted() bool { return g.outW != nil }
 
-// NewFromEdges builds a graph directly from an edge list (used by the
-// generators and when applying topology mutations). The undirected flag is
-// not preserved: mutations may break symmetry.
+// NewFromEdges builds a graph directly from an edge list (used when
+// applying topology mutations). The undirected flag is not preserved:
+// mutations may break symmetry.
 func NewFromEdges(n int, edges []Edge, weighted bool) *Graph {
-	return build(int32(n), edges, weighted, false)
+	keys := make([]uint64, len(edges))
+	var w []float64
+	if weighted {
+		w = make([]float64, len(edges))
+	}
+	for i, e := range edges {
+		keys[i] = edgeKey(e.Src, e.Dst)
+		if weighted {
+			w[i] = e.Weight
+		}
+	}
+	return fromKeys(int32(n), keys, w, false, false)
 }

@@ -252,6 +252,46 @@ func TestReadBinaryRejectsUnsortedLists(t *testing.T) {
 	}
 }
 
+// TestReadBinaryRejectsContradictoryCSR checks that a binary graph's
+// in-CSR must be the transpose of its out-CSR, and an undirected graph's
+// in-CSR its out-CSR: HasEdge and InSlot read the in-lists, so a file
+// whose in-lists disagree with its out-lists would load a graph in which
+// HasEdge(u, v) is false for an out-edge u->v.
+func TestReadBinaryRejectsContradictoryCSR(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gg   gobGraph
+		ok   bool
+	}{
+		{"consistent", gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 0, 1}, InSrc: []VertexID{0}}, true},
+		{"empty in-lists", gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 0, 0}}, false},
+		{"in-edge on the wrong vertex", gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 1, 1}, InSrc: []VertexID{1}}, false},
+		{"in-edge from the wrong source", gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 0, 1}, InSrc: []VertexID{1}}, false},
+		{"undirected", gobGraph{N: 2, OutOff: []int32{0, 1, 2}, OutDst: []VertexID{1, 0}, InOff: []int32{0, 1, 2}, InSrc: []VertexID{1, 0}, Undirected: true}, true},
+		{"undirected but asymmetric", gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 1, 1}, InSrc: []VertexID{1}, Undirected: true}, false},
+		{"undirected with in-CSR not the out-CSR", gobGraph{N: 2, OutOff: []int32{0, 1, 1}, OutDst: []VertexID{1}, InOff: []int32{0, 0, 1}, InSrc: []VertexID{0}, Undirected: true}, false},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c.gg); err != nil {
+			t.Fatal(err)
+		}
+		g, err := ReadBinary(&buf)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: ReadBinary error %v", c.name, err)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if !g.HasEdge(0, 1) {
+			t.Errorf("%s: loaded without its edge 0->1", c.name)
+		}
+		if g.Undirected() && (&g.inOff[0] != &g.outOff[0] || &g.inSrc[0] != &g.outDst[0]) {
+			t.Errorf("%s: undirected graph loaded with a copy of its CSR", c.name)
+		}
+	}
+}
+
 // randomGraph builds a random unweighted directed graph for tests.
 func randomGraph(r *rand.Rand, n, m int) *Graph {
 	b := NewBuilder(n)

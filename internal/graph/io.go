@@ -31,8 +31,9 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 		return v
 	}
 
-	var edges []Edge
-	weighted := false
+	// The builder's vertex count is known only at the end; dense IDs are
+	// in range by construction.
+	var b Builder
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -52,21 +53,22 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("graph: line %d: bad dst: %v", lineNo, err)
 		}
-		e := Edge{Src: dense(s), Dst: dense(d), Weight: 1}
+		src, dst := dense(s), dense(d)
 		if len(f) >= 3 {
 			w, err := strconv.ParseFloat(f[2], 64)
 			if err != nil {
 				return nil, nil, fmt.Errorf("graph: line %d: bad weight: %v", lineNo, err)
 			}
-			e.Weight = w
-			weighted = true
+			b.add(src, dst, w, true)
+		} else {
+			b.add(src, dst, 1, false)
 		}
-		edges = append(edges, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("graph: scan: %w", err)
 	}
-	return build(int32(len(ext)), edges, weighted, false), ext, nil
+	b.n = int32(len(ext))
+	return b.Build(), ext, nil
 }
 
 // WriteEdgeList writes the graph as a text edge list with dense IDs.
@@ -120,10 +122,14 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := gg.validate(); err != nil {
 		return nil, fmt.Errorf("graph: corrupt binary: %w", err)
 	}
-	return &Graph{
+	g := &Graph{
 		n: gg.N, outOff: gg.OutOff, outDst: gg.OutDst, outW: gg.OutW,
 		inOff: gg.InOff, inSrc: gg.InSrc, undirected: gg.Undirected,
-	}, nil
+	}
+	if g.undirected {
+		g.inOff, g.inSrc = g.outOff, g.outDst
+	}
+	return g, nil
 }
 
 func (gg *gobGraph) validate() error {
@@ -167,7 +173,26 @@ func (gg *gobGraph) validate() error {
 	if err := check("out", gg.OutOff, gg.OutDst); err != nil {
 		return err
 	}
-	return check("in", gg.InOff, gg.InSrc)
+	if err := check("in", gg.InOff, gg.InSrc); err != nil {
+		return err
+	}
+	if gg.Undirected && (!slices.Equal(gg.InOff, gg.OutOff) || !slices.Equal(gg.InSrc, gg.OutDst)) {
+		return fmt.Errorf("undirected graph's in-CSR differs from its out-CSR")
+	}
+	// The in-CSR must be the out-CSR's transpose. Both are ascending, so
+	// walking the sources in order, each out-edge u->v must be the next
+	// unread entry of v's in-list; the edge counts match, so that reads
+	// every in-list to its end.
+	pos := slices.Clone(gg.InOff[:n])
+	for u := 0; u < n; u++ {
+		for _, v := range gg.OutDst[gg.OutOff[u]:gg.OutOff[u+1]] {
+			if pos[v] == gg.InOff[v+1] || gg.InSrc[pos[v]] != VertexID(u) {
+				return fmt.Errorf("in-CSR is not the transpose of the out-CSR at edge %d->%d", u, v)
+			}
+			pos[v]++
+		}
+	}
+	return nil
 }
 
 // LoadFile loads a graph from path, choosing the format by extension:

@@ -56,17 +56,18 @@ func (r *Relabeling) OldID(relabeled VertexID) VertexID { return r.inv[relabeled
 // (NewID(u), NewID(v)), weights and the undirected flag are preserved,
 // and multi-edges/self-loops survive untouched. The rebuild is
 // deterministic for a given g — it streams g's own CSR edge order
-// through the counting-sort builder.
+// through fromKeys, which keeps parallel edges in that order.
 func (r *Relabeling) Apply(g *Graph) *Graph {
 	if g.NumVertices() != r.Len() {
 		panic("graph: relabeling size does not match graph")
 	}
-	edges := g.Edges()
-	for i := range edges {
-		edges[i].Src = r.fwd[edges[i].Src]
-		edges[i].Dst = r.fwd[edges[i].Dst]
+	keys := make([]uint64, 0, g.NumEdges())
+	for u := VertexID(0); int32(u) < g.n; u++ {
+		for _, v := range g.OutNeighbors(u) {
+			keys = append(keys, edgeKey(r.fwd[u], r.fwd[v]))
+		}
 	}
-	return build(g.n, edges, g.outW != nil, g.undirected)
+	return fromKeys(g.n, keys, g.outW, false, g.undirected)
 }
 
 // Unpermute reindexes a per-vertex result slice from the relabeled
