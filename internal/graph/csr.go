@@ -178,8 +178,7 @@ func (g *Graph) compactLists() {
 		lo, hi := g.outOff[u], g.outOff[u+1]
 		g.outOff[u] = k
 		for i := lo; i < hi; i++ {
-			// Writes trail reads, so outDst[i-1] still holds its input.
-			if i > lo && g.outDst[i] == g.outDst[i-1] {
+			if i > lo && g.outDst[i] == g.outDst[k-1] {
 				continue
 			}
 			g.outDst[k] = g.outDst[i]

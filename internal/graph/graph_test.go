@@ -461,7 +461,8 @@ func TestBuildCanonical(t *testing.T) {
 }
 
 // TestUndirectedSharesCSR checks that every undirected graph stores one
-// CSR that serves as both out- and in-adjacency.
+// CSR that serves as both out- and in-adjacency, in arrays with no spare
+// capacity.
 func TestUndirectedSharesCSR(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 40, 200)
 	ub, wb := NewBuilder(40), NewBuilder(40)
@@ -480,6 +481,9 @@ func TestUndirectedSharesCSR(t *testing.T) {
 		}
 		if &u.inOff[0] != &u.outOff[0] || &u.inSrc[0] != &u.outDst[0] {
 			t.Errorf("%s: in-CSR is a copy, not the out-CSR", name)
+		}
+		if cap(u.outDst) != len(u.outDst) || cap(u.outW) != len(u.outW) {
+			t.Errorf("%s: %d edges held in arrays of %d and %d", name, len(u.outDst), cap(u.outDst), cap(u.outW))
 		}
 		for v := VertexID(0); int(v) < u.NumVertices(); v++ {
 			if !slices.IsSorted(u.OutNeighbors(v)) {
