@@ -229,9 +229,8 @@ func (b *Builder) Build() *Graph {
 // meaningless for coloring-style algorithms. Without weights this is
 // Symmetrize(b.Build()). A weighted pair added more than once, in either
 // direction, keeps the weight it was first added with: every edge enters
-// the stable key sort in both directions, in the order added, and the
-// first copy of each key survives. The builder must not be reused
-// afterwards.
+// fromKeys in both directions, in the order added, and deduplication
+// keeps the first copy of each key.
 func (b *Builder) BuildUndirected() *Graph {
 	if b.w == nil {
 		return Symmetrize(b.Build())
