@@ -35,9 +35,13 @@ test-race:
 # but skips the engine's chaos, confined-recovery, watchdog and torn-write
 # tests, which restore fork state from checkpoints: those run in full on
 # top (the checkpoint package already runs in full in the short suite).
+# Last, the lock managers' and the GAS engine's batch-recycling, model and
+# allocation tests three times over: the race detector is what would see a
+# recycled batch still being read.
 race: vet
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Chaos|Confined|Watchdog|Torn' ./internal/engine/
+	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc' ./internal/chandy/ ./internal/gas/
 
 # Fault-injection and recovery gate: the chaos and confined-recovery /
 # watchdog suites under the race detector, then a 200-case torture sweep

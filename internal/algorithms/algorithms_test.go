@@ -3,11 +3,13 @@ package algorithms
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
+	"serialgraph/internal/model"
 )
 
 func TestSmallestFree(t *testing.T) {
@@ -171,6 +173,87 @@ func TestPageRankReferenceAndResidual(t *testing.T) {
 	}
 	if math.IsNaN(sum) || sum <= 0 {
 		t.Errorf("bad rank sum %v", sum)
+	}
+}
+
+// gatherAll folds p's gathers over in-neighbours with the given values
+// as the GAS engine does — from the first contribution, or with Reset from
+// the emptied spare, which it then replaces — and applies the result to an
+// unknown vertex.
+func gatherAll(p model.GASProgram[int32, []int32], vals []int32, spare *[]int32) (acc []int32, v int32) {
+	folding := p.Reset != nil
+	if folding {
+		acc = p.Reset(*spare)
+	}
+	for i, x := range vals {
+		m := p.Gather(0, graph.VertexID(i+1), x, 1)
+		if i > 0 || folding {
+			acc = p.Sum(acc, m)
+		} else {
+			acc = m
+		}
+	}
+	v, _ = p.Apply(0, p.Init(0, nil), acc, len(vals) > 0)
+	if folding {
+		*spare = acc
+	}
+	return acc, v
+}
+
+// TestColoringGASAllocs: a colouring gather allocates at most its
+// accumulator — one allocation for 64 coloured in-neighbours, where a
+// slice per neighbour and Sum's regrowth cost ≈ 70 — and nothing once it
+// restarts from the previous one; a greedy MIS gather allocates nothing.
+// Both still gather what they did.
+func TestColoringGASAllocs(t *testing.T) {
+	cg, mg := ColoringGAS(), MISGreedyGAS()
+	colors := make([]int32, 64)
+	for i := range colors {
+		colors[i] = int32(i * 7 % 64) // every colour below 64 once
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var fresh []int32
+		gatherAll(cg, colors, &fresh)
+	}); n > 1 {
+		t.Errorf("gathering 64 coloured in-neighbours allocates %v objects, want at most 1", n)
+	}
+	var spare []int32
+	if n := testing.AllocsPerRun(100, func() { gatherAll(cg, colors, &spare) }); n != 0 {
+		t.Errorf("gathering into the previous accumulator allocates %v objects, want 0", n)
+	}
+	if acc, v := gatherAll(cg, colors, &spare); !reflect.DeepEqual(acc, colors) || v != 64 {
+		t.Errorf("gathered %v and picked %d, want %v and 64", acc, v, colors)
+	}
+	// Uncoloured neighbours contribute nothing; colours past the table and
+	// past the accumulator's first capacity still gather in order, fresh
+	// or into a spare.
+	var mixed, want []int32
+	for i := 0; i < 300; i++ {
+		c := int32(i * 11 % 2000)
+		if i%3 == 0 {
+			c = NoColor
+		} else {
+			want = append(want, c)
+		}
+		mixed = append(mixed, c)
+	}
+	for range 2 {
+		if acc, _ := gatherAll(cg, mixed, &spare); !reflect.DeepEqual(acc, want) {
+			t.Errorf("gathered %v, want %v", acc, want)
+		}
+	}
+	if acc, v := gatherAll(cg, []int32{NoColor, 0, NoColor}, &spare); !reflect.DeepEqual(acc, []int32{0}) || v != 1 {
+		t.Errorf("gathered %v and picked %d, want [0] and 1", acc, v)
+	}
+	in := []int32{MISOut, MISUnknown, MISIn, MISOut, MISIn}
+	if n := testing.AllocsPerRun(100, func() { gatherAll(mg, in, nil) }); n != 0 {
+		t.Errorf("greedy MIS gather allocates %v objects, want 0", n)
+	}
+	if _, v := gatherAll(mg, in, nil); v != MISOut {
+		t.Errorf("vertex with an In neighbour became %d, want Out", v)
+	}
+	if _, v := gatherAll(mg, []int32{MISOut, MISUnknown}, nil); v != MISIn {
+		t.Errorf("vertex without an In neighbour became %d, want In", v)
 	}
 }
 

@@ -7,6 +7,47 @@ import (
 	"serialgraph/internal/model"
 )
 
+// oneOf is the table the []int32 gathers read their one-element
+// contributions from (single), so gathering allocates nothing.
+var oneOf = func() []int32 {
+	t := make([]int32, 1024)
+	for i := range t {
+		t[i] = int32(i)
+	}
+	return t
+}()
+
+// single returns the contribution {c}: for c in oneOf's range a view of
+// it whose capacity of one makes any append copy rather than write it.
+func single(c int32) []int32 {
+	if c >= 0 && int(c) < len(oneOf) {
+		return oneOf[c : c+1 : c+1]
+	}
+	return []int32{c}
+}
+
+// accRoom is the least capacity of a colour accumulator (sumColors).
+const accRoom = 64
+
+// sumColors is ColoringGAS's Sum. An accumulator — a slice of at least
+// accRoom capacity — is extended in place. Anything smaller is a Gather
+// contribution, never to be written, and the first fold of two of them
+// copies both into a new accumulator: one allocation per gather up to
+// accRoom coloured in-neighbours, and none at all once the engine hands
+// the accumulator back through Reset.
+func sumColors(a, b []int32) []int32 {
+	switch {
+	case cap(a) >= accRoom:
+		return append(a, b...)
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	}
+	acc := make([]int32, 0, max(accRoom, 2*(len(a)+len(b))))
+	return append(append(acc, a...), b...)
+}
+
 // ColoringGAS is greedy coloring in GAS form: gather collects neighbor
 // colors, apply picks the smallest free color and scatters only on change.
 // GraphLab's pull-based model completes in a single pass per vertex under
@@ -19,9 +60,10 @@ func ColoringGAS() model.GASProgram[int32, []int32] {
 			if nbrVal == NoColor {
 				return nil
 			}
-			return []int32{nbrVal}
+			return single(nbrVal)
 		},
-		Sum: func(a, b []int32) []int32 { return append(a, b...) },
+		Sum:   sumColors,
+		Reset: func(acc []int32) []int32 { return acc[:0] },
 		Apply: func(_ graph.VertexID, old int32, acc []int32, _ bool) (int32, bool) {
 			c := smallestFree(acc)
 			if old != NoColor {

@@ -43,18 +43,24 @@ func MISGreedy() model.Program[int32, int32] {
 }
 
 // MISGreedyGAS is the same greedy rule in GAS form for the vertex-locking
-// engine.
+// engine. Apply only asks whether some in-neighbour is In, so Sum keeps the
+// first non-empty contribution and gathering allocates nothing.
 func MISGreedyGAS() model.GASProgram[int32, []int32] {
 	return model.GASProgram[int32, []int32]{
 		Name: "mis-greedy-gas",
 		Init: func(graph.VertexID, *graph.Graph) int32 { return MISUnknown },
 		Gather: func(_, _ graph.VertexID, nbrVal int32, _ float64) []int32 {
 			if nbrVal == MISIn {
-				return []int32{nbrVal}
+				return single(nbrVal)
 			}
 			return nil
 		},
-		Sum: func(a, b []int32) []int32 { return append(a, b...) },
+		Sum: func(a, b []int32) []int32 {
+			if len(a) > 0 {
+				return a
+			}
+			return b
+		},
 		Apply: func(_ graph.VertexID, old int32, acc []int32, _ bool) (int32, bool) {
 			if old != MISUnknown {
 				return old, false

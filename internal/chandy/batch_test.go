@@ -21,6 +21,10 @@ import (
 //   - applying a batch and applying its entries one by one emit the same
 //     messages to every destination, in the same order;
 //   - no two neighbors eat together.
+//
+// The lanes hold the batches the managers sent, not copies, and hand each
+// to its receiver once: with recycling on, a manager's later batches start
+// from the ones it received, and the model counts how many did.
 type modelNet struct {
 	t       *testing.T
 	adj     [][]PhilID
@@ -28,31 +32,39 @@ type modelNet struct {
 	ownerOf func(PhilID) int
 	mgrs    []*Manager
 	shadows []*Manager
-	lanes   [][][]Ctrl // lanes[from*workers+to] is a FIFO of batches
-	queued  int        // batches in lanes
-	multi   int        // batches sent with more than one entry
+	lanes   [][]*[]Ctrl // lanes[from*workers+to] is a FIFO of batches
+	queued  int         // batches in lanes
+	multi   int         // batches sent with more than one entry
+	// delivered holds every batch handed to a manager; reused counts the
+	// sends of a batch that had been delivered before.
+	delivered map[*[]Ctrl]bool
+	reused    int
 
 	flushed  [][]bool   // flushed[w][dest]: preHandoff(dest) ran on w since w's last send to dest
 	emitted  [][][]Ctrl // emitted[w][dest]: what w's current operation sent dest
 	shadowed [][][]Ctrl // the same for w's shadow
 }
 
-func newModelNet(t *testing.T, adj [][]PhilID, workers int) *modelNet {
+func newModelNet(t *testing.T, adj [][]PhilID, workers int, recycle bool) *modelNet {
 	n := &modelNet{
 		t: t, adj: adj, workers: workers,
-		ownerOf:  func(p PhilID) int { return int(p) % workers },
-		lanes:    make([][][]Ctrl, workers*workers),
-		flushed:  make([][]bool, workers),
-		emitted:  make([][][]Ctrl, workers),
-		shadowed: make([][][]Ctrl, workers),
+		ownerOf:   func(p PhilID) int { return int(p) % workers },
+		lanes:     make([][]*[]Ctrl, workers*workers),
+		delivered: make(map[*[]Ctrl]bool),
+		flushed:   make([][]bool, workers),
+		emitted:   make([][][]Ctrl, workers),
+		shadowed:  make([][][]Ctrl, workers),
 	}
 	for w := 0; w < workers; w++ {
 		w := w
 		n.flushed[w] = make([]bool, workers)
 		n.emitted[w] = make([][]Ctrl, workers)
 		n.shadowed[w] = make([][]Ctrl, workers)
-		n.mgrs = append(n.mgrs, NewBatchManager(w, n.ownerOf, func(dest int, batch []Ctrl) {
-			for _, c := range batch {
+		n.mgrs = append(n.mgrs, NewBatchManager(w, n.ownerOf, func(dest int, batch *[]Ctrl) {
+			if n.delivered[batch] {
+				n.reused++
+			}
+			for _, c := range *batch {
 				if c.Kind == ForkMsg && !n.flushed[w][dest] {
 					t.Fatalf("worker %d sent %d a fork batch %v without preHandoff", w, dest, batch)
 				}
@@ -60,16 +72,17 @@ func newModelNet(t *testing.T, adj [][]PhilID, workers int) *modelNet {
 					t.Fatalf("worker %d sent %d a misrouted %+v", w, dest, c)
 				}
 			}
-			if len(batch) > 1 {
+			if len(*batch) > 1 {
 				n.multi++
 			}
 			n.flushed[w][dest] = false
-			n.emitted[w][dest] = append(n.emitted[w][dest], batch...)
+			n.emitted[w][dest] = append(n.emitted[w][dest], *batch...)
 			n.lanes[w*workers+dest] = append(n.lanes[w*workers+dest], batch)
 			n.queued++
 		}, func(dest int) { n.flushed[w][dest] = true }))
-		n.shadows = append(n.shadows, NewBatchManager(w, n.ownerOf, func(dest int, batch []Ctrl) {
-			n.shadowed[w][dest] = append(n.shadowed[w][dest], batch...)
+		n.mgrs[w].SetRecycle(recycle)
+		n.shadows = append(n.shadows, NewBatchManager(w, n.ownerOf, func(dest int, batch *[]Ctrl) {
+			n.shadowed[w][dest] = append(n.shadowed[w][dest], *batch...)
 		}, nil))
 	}
 	for id := range adj {
@@ -93,7 +106,8 @@ func (n *modelNet) settle(w int, op string) {
 }
 
 // deliver hands the head-of-line batch of a random non-empty lane to its
-// receiver: whole to the manager, entry by entry to the shadow.
+// receiver: entry by entry to the shadow, then whole to the manager, which
+// may keep it.
 func (n *modelNet) deliver(r *rand.Rand) {
 	k := r.Intn(n.queued)
 	for i, q := range n.lanes {
@@ -104,11 +118,13 @@ func (n *modelNet) deliver(r *rand.Rand) {
 		batch, to := q[0], i%n.workers
 		n.lanes[i] = q[1:]
 		n.queued--
-		n.mgrs[to].HandleBatch(batch)
-		for _, c := range batch {
+		op := fmt.Sprintf("delivery of %v", *batch)
+		for _, c := range *batch {
 			n.shadows[to].HandleCtrl(c)
 		}
-		n.settle(to, fmt.Sprintf("delivery of %v", batch))
+		n.delivered[batch] = true
+		n.mgrs[to].HandleBatch(batch)
+		n.settle(to, op)
 		return
 	}
 }
@@ -165,20 +181,30 @@ func (n *modelNet) run(r *rand.Rand, meals int) {
 	}
 }
 
+// TestModelBatchedLockPath runs the model with recycling off, as under
+// fault injection, and on, as in every fault-free run: a recycled batch
+// must leave the protocol exactly as a fresh one does.
 func TestModelBatchedLockPath(t *testing.T) {
+	for _, recycle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recycle=%v", recycle), func(t *testing.T) { modelBatchedLockPath(t, recycle) })
+	}
+}
+
+func modelBatchedLockPath(t *testing.T, recycle bool) {
 	cases := 60
 	if testing.Short() {
 		cases = 15
 	}
-	multi := 0
+	multi, reused := 0, 0
 	for seed := int64(1); seed <= int64(cases); seed++ {
 		r := rand.New(rand.NewSource(seed))
 		workers := 2 + r.Intn(5)
 		phils := workers + r.Intn(24)
 		adj := randomConflictGraph(r, phils, r.Intn(3*phils))
-		n := newModelNet(t, adj, workers)
+		n := newModelNet(t, adj, workers, recycle)
 		n.run(r, 1+r.Intn(4))
 		multi += n.multi
+		reused += n.reused
 
 		// Quiescent: every edge has one dirty fork and one token, each side
 		// the mirror image of the other, and the shadows ended up identical.
@@ -208,7 +234,7 @@ func TestModelBatchedLockPath(t *testing.T) {
 			}
 		}
 		// Export -> Import -> Export is the identity on a fresh cluster.
-		fresh := newModelNet(t, adj, workers)
+		fresh := newModelNet(t, adj, workers, recycle)
 		for w, m := range fresh.mgrs {
 			m.Import(state[w])
 			if got := m.Export(); !reflect.DeepEqual(got, state[w]) {
@@ -219,7 +245,13 @@ func TestModelBatchedLockPath(t *testing.T) {
 	if multi == 0 {
 		t.Error("no batch ever carried more than one entry: the model does not exercise batching")
 	}
-	t.Logf("%d batches carried more than one entry", multi)
+	switch {
+	case recycle && reused == 0:
+		t.Error("no delivered batch was ever sent again: the model does not exercise recycling")
+	case !recycle && reused > 0:
+		t.Errorf("%d delivered batches were sent again with recycling off", reused)
+	}
+	t.Logf("%d batches carried more than one entry, %d were recycled", multi, reused)
 }
 
 // TestAddPhilNormalizesNeighbors: neighbor lists may arrive unsorted, with
@@ -255,6 +287,28 @@ func TestUncontendedAcquireAllocatesNothing(t *testing.T) {
 		m.Release(0)
 	}); allocs != 0 {
 		t.Errorf("uncontended Acquire+Release allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestChandyRingAllocs pins BenchmarkChandyRing's contended meal: once the
+// managers hold spare batches, moving the request token and the fork
+// across the transport allocates nothing — the batches change hands and
+// travel as pointers — so a meal costs its grant channel alone.
+func TestChandyRingAllocs(t *testing.T) {
+	mgrs, closeFn := distributed(t, 2, [][]PhilID{{1}, {0}}, func(p PhilID) int { return int(p) }, cluster.LatencyModel{})
+	defer closeFn()
+	meals := 0
+	meal := func() {
+		w := meals % 2
+		mgrs[w].Acquire(PhilID(w))
+		mgrs[w].Release(PhilID(w))
+		meals++
+	}
+	for range 10 {
+		meal()
+	}
+	if allocs := testing.AllocsPerRun(1000, meal); allocs > 1 {
+		t.Errorf("a contended meal allocates %v objects, want at most 1 (its grant channel)", allocs)
 	}
 }
 

@@ -33,6 +33,10 @@
 // Every public operation (RequestForks, Release, HandleCtrl, HandleBatch)
 // queues its remote tokens and forks per destination worker and sends each
 // one batch before unlocking the manager, as GraphLab batches lock requests.
+// A batch is a *[]Ctrl that changes hands: the manager sends its outbox
+// slice itself, and with recycling on (SetRecycle) a receiving manager
+// keeps each batch it has handled as a spare to fill its next outbox from,
+// so the control path allocates nothing once the spares are warm.
 package chandy
 
 import (
@@ -100,9 +104,15 @@ func (p *phil) edge(q PhilID) int {
 
 // outbox collects the control messages one operation owes one worker.
 type outbox struct {
-	q    []Ctrl
-	fork bool // q carries a fork: preHandoff must run before it is sent
+	q    *[]Ctrl // nil until the operation emits for this worker
+	fork bool    // q carries a fork: preHandoff must run before it is sent
 }
+
+// maxSpares bounds a manager's spare batches. An operation fills at most
+// one batch per destination, so a few per worker keep every send supplied;
+// the bound only stops a manager that receives more batches than it sends
+// from hoarding them.
+const maxSpares = 64
 
 // closedCh is the grant channel of every all-forks-present RequestForks.
 var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
@@ -111,7 +121,7 @@ var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); retu
 type Manager struct {
 	worker  int
 	ownerOf func(PhilID) int
-	send    func(toWorker int, batch []Ctrl)
+	send    func(toWorker int, batch *[]Ctrl)
 	// preHandoff runs before a batch carrying a fork is sent to another
 	// worker; the engine uses it to flush pending remote replica updates so
 	// that (by per-lane FIFO delivery) condition C1 holds for the requester.
@@ -124,7 +134,12 @@ type Manager struct {
 	nbrArena []PhilID
 	stArena  []byte
 	out      []outbox // by destination worker
-	reg      *metrics.Registry
+	// spares are handled batches nobody reads any more, which the next
+	// outboxes start from; HandleBatch adds to them only when recycle is
+	// set, because a duplicated delivery would still read a batch it kept.
+	spares  []*[]Ctrl
+	recycle bool
+	reg     *metrics.Registry
 	// op accrues the opCounters of the public operation holding mu;
 	// flushUnlock adds them to reg once per operation, not once per fork
 	// or token (vertex locking moves ≈ 30 of each per acquire).
@@ -134,19 +149,43 @@ type Manager struct {
 
 // NewBatchManager creates the manager for worker. ownerOf maps any
 // philosopher to its worker; send transmits one batch to a remote worker's
-// manager (delivered via HandleBatch) and owns the slice from then on;
+// manager (delivered via HandleBatch, exactly once unless recycling is
+// off). The batch changes hands: neither send nor this manager may touch
+// it once it has been handed on, and the receiving manager may refill it.
 // preHandoff (optional) runs before a batch with a fork in it leaves.
-func NewBatchManager(worker int, ownerOf func(PhilID) int, send func(toWorker int, batch []Ctrl), preHandoff func(toWorker int)) *Manager {
+func NewBatchManager(worker int, ownerOf func(PhilID) int, send func(toWorker int, batch *[]Ctrl), preHandoff func(toWorker int)) *Manager {
 	return &Manager{worker: worker, ownerOf: ownerOf, send: send, preHandoff: preHandoff}
 }
 
 // NewManager is NewBatchManager over a sender of single Ctrls (HandleCtrl's).
+// The sender is done with a batch when it returns, so the batch becomes a
+// spare at once.
 func NewManager(worker int, ownerOf func(PhilID) int, sendCtrl func(toWorker int, c Ctrl), preHandoff func(toWorker int)) *Manager {
-	return NewBatchManager(worker, ownerOf, func(to int, batch []Ctrl) {
-		for _, c := range batch {
+	m := &Manager{worker: worker, ownerOf: ownerOf, preHandoff: preHandoff}
+	m.send = func(to int, batch *[]Ctrl) {
+		for _, c := range *batch {
 			sendCtrl(to, c)
 		}
-	}, preHandoff)
+		m.keepLocked(batch) // send runs in flushUnlock, under mu
+	}
+	return m
+}
+
+// SetRecycle makes HandleBatch keep every batch it has handled as a spare,
+// which is safe only when each batch is delivered exactly once: a
+// transport that may duplicate a delivery (fault injection) would hand
+// this manager a batch it has already refilled. Call before any traffic.
+func (m *Manager) SetRecycle(on bool) { m.recycle = on }
+
+// BatchOf returns the batch a control payload carries: the *[]Ctrl a
+// manager sent through an in-process transport, or the []Ctrl a wire
+// codec decoded.
+func BatchOf(payload any) *[]Ctrl {
+	if b, ok := payload.(*[]Ctrl); ok {
+		return b
+	}
+	b := payload.([]Ctrl)
+	return &b
 }
 
 // AddPhil registers a local philosopher and its neighbors, local or remote,
@@ -356,22 +395,45 @@ func (m *Manager) Eating(id PhilID) bool {
 }
 
 // HandleCtrl processes one control message from another worker's manager.
-func (m *Manager) HandleCtrl(c Ctrl) { m.HandleBatch([]Ctrl{c}) }
+func (m *Manager) HandleCtrl(c Ctrl) {
+	m.mu.Lock()
+	defer m.flushUnlock()
+	m.handleLocked(c)
+}
 
 // HandleBatch processes a batch from another worker's manager in order under
 // one lock acquisition; its replies leave as one batch per destination.
-func (m *Manager) HandleBatch(batch []Ctrl) {
+// With recycling on the manager keeps the batch: the caller must not touch
+// it again.
+func (m *Manager) HandleBatch(batch *[]Ctrl) {
 	m.mu.Lock()
 	defer m.flushUnlock()
-	for _, c := range batch {
-		switch c.Kind {
-		case TokenMsg:
-			m.tokenArrivesLocked(c.To, c.From)
-		case ForkMsg:
-			m.forkArrivesLocked(c.To, c.From)
-		default:
-			panic(fmt.Sprintf("chandy: bad ctrl kind %d", c.Kind))
-		}
+	for _, c := range *batch {
+		m.handleLocked(c)
+	}
+	if m.recycle {
+		m.keepLocked(batch)
+	}
+}
+
+func (m *Manager) handleLocked(c Ctrl) {
+	switch c.Kind {
+	case TokenMsg:
+		m.tokenArrivesLocked(c.To, c.From)
+	case ForkMsg:
+		m.forkArrivesLocked(c.To, c.From)
+	default:
+		panic(fmt.Sprintf("chandy: bad ctrl kind %d", c.Kind))
+	}
+}
+
+// keepLocked makes batch, which nobody reads any more, a spare. It is
+// emptied at once, so a stray second reader sees nothing rather than the
+// manager's next batch.
+func (m *Manager) keepLocked(batch *[]Ctrl) {
+	if len(m.spares) < maxSpares {
+		*batch = (*batch)[:0]
+		m.spares = append(m.spares, batch)
 	}
 }
 
@@ -405,27 +467,37 @@ func (m *Manager) emitLocked(c Ctrl) bool {
 		m.out = append(m.out, make([]outbox, dest+1-len(m.out))...)
 	}
 	o := &m.out[dest]
-	o.q = append(o.q, c)
+	if o.q == nil {
+		if n := len(m.spares); n > 0 {
+			o.q, m.spares = m.spares[n-1], m.spares[:n-1]
+		} else {
+			q := make([]Ctrl, 0, 8)
+			o.q = &q
+		}
+	}
+	*o.q = append(*o.q, c)
 	o.fork = o.fork || c.Kind == ForkMsg
 	return true
 }
 
 // flushUnlock ends a public operation: each destination it queued messages
-// for is sent one batch — after preHandoff when a fork is in it, so replica
-// updates precede the fork on the same FIFO lane (C1) — before the manager
-// unlocks, so batches reach a lane in the order their operations ran. The
-// operation's counts go to the registry here too.
+// for is sent its outbox batch itself — after preHandoff when a fork is in
+// it, so replica updates precede the fork on the same FIFO lane (C1) —
+// before the manager unlocks, so batches reach a lane in the order their
+// operations ran. The next batch for that destination starts from a spare.
+// The operation's counts go to the registry here too.
 func (m *Manager) flushUnlock() {
 	for dest := range m.out {
 		o := &m.out[dest]
-		if len(o.q) == 0 {
+		if o.q == nil {
 			continue
 		}
 		if o.fork && m.preHandoff != nil {
 			m.preHandoff(dest)
 		}
-		m.send(dest, slices.Clone(o.q))
-		o.q, o.fork = o.q[:0], false
+		batch := o.q
+		o.q, o.fork = nil, false
+		m.send(dest, batch)
 	}
 	for i, n := range m.op {
 		if n != 0 && m.reg != nil {

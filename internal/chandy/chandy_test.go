@@ -139,7 +139,7 @@ func TestRandomGraphSingleManager(t *testing.T) {
 }
 
 // distributed wires w managers over a real simulated transport, one batch
-// per control message as the engines do.
+// per control message and recycling on, as the engines do.
 func distributed(t testing.TB, w int, adj [][]PhilID, ownerOf func(PhilID) int, lat cluster.LatencyModel) ([]*Manager, func()) {
 	t.Helper()
 	tr := cluster.New(w, lat)
@@ -147,12 +147,13 @@ func distributed(t testing.TB, w int, adj [][]PhilID, ownerOf func(PhilID) int, 
 	eps := make([]*cluster.Endpoint, w)
 	for i := 0; i < w; i++ {
 		i := i
-		mgrs[i] = NewBatchManager(i, ownerOf, func(toWorker int, batch []Ctrl) {
-			eps[i].SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(batch))
+		mgrs[i] = NewBatchManager(i, ownerOf, func(toWorker int, batch *[]Ctrl) {
+			eps[i].SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(*batch))
 		}, nil)
+		mgrs[i].SetRecycle(true)
 		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,
 			func(from cluster.WorkerID, payload any) {
-				mgrs[i].HandleBatch(payload.([]Ctrl))
+				mgrs[i].HandleBatch(BatchOf(payload))
 			})
 	}
 	for id := range adj {

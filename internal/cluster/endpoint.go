@@ -100,8 +100,9 @@ func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
 func (e *Endpoint) SendCtrl(to WorkerID, payload any) { e.SendCtrlBatch(to, payload, 1) }
 
 // SendCtrlBatch sends a control payload of n >= 1 entries (a lock manager's
-// []chandy.Ctrl) as one message and returns its simulated size, which grows
-// with the forks and tokens moved however they were packed.
+// *[]chandy.Ctrl, a pointer so that no interface box is allocated per send)
+// as one message and returns its simulated size, which grows with the
+// forks and tokens moved however they were packed.
 func (e *Endpoint) SendCtrlBatch(to WorkerID, payload any, n int) int {
 	bytes := CtrlBytes + (n-1)*CtrlEntryBytes
 	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: bytes, Payload: payload})

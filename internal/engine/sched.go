@@ -88,7 +88,9 @@ func (sc *partSched[V, M]) init(w *worker[V, M]) {
 
 // runPass runs one pass over the worker's partitions: every compute thread
 // executes partitions until the scheduler has none left, then folds its
-// step-local counters.
+// step-local counters. Thread 0 runs on the calling goroutine, which would
+// otherwise only wait: a goroutine per thread per superstep is a fresh
+// stack to grow each time.
 func (w *worker[V, M]) runPass(s int) {
 	sc := &w.sched
 	sc.mu.Lock()
@@ -99,6 +101,8 @@ func (w *worker[V, M]) runPass(s int) {
 
 	for _, th := range w.threads {
 		th.superstep = s
+	}
+	for _, th := range w.threads[1:] {
 		sc.wg.Add(1)
 		go func() {
 			defer sc.wg.Done()
@@ -106,6 +110,8 @@ func (w *worker[V, M]) runPass(s int) {
 			th.fold()
 		}()
 	}
+	sc.run(w.threads[0])
+	w.threads[0].fold()
 	sc.wg.Wait()
 }
 

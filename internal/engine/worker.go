@@ -240,17 +240,22 @@ func (w *worker[V, M]) initVertexLockManager() {
 	}
 }
 
+// newLockManager builds the worker's lock manager. It recycles control
+// batches under the rule the data batches follow (recycleBatches): not
+// under fault injection, whose duplicated deliveries would alias a batch
+// the receiving manager has already refilled.
 func (w *worker[V, M]) newLockManager(ownerOf func(chandy.PhilID) int) {
 	w.mgr = chandy.NewBatchManager(w.id, ownerOf, w.sendChandyCtrl, w.buf.FlushTo)
+	w.mgr.SetRecycle(w.r.recycleBatches)
 	w.mgr.SetMetrics(w.r.reg)
 }
 
 // sendChandyCtrl is the lock managers' control channel: it counts a batch
 // as one message at the exact point it is handed to the transport, keeping
 // ctrl_messages reconcilable with cluster.Stats.ControlMessages.
-func (w *worker[V, M]) sendChandyCtrl(toWorker int, batch []chandy.Ctrl) {
+func (w *worker[V, M]) sendChandyCtrl(toWorker int, batch *[]chandy.Ctrl) {
 	w.r.reg.Add(metrics.CtrlMessages, 1)
-	bytes := w.ep.SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(batch))
+	bytes := w.ep.SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(*batch))
 	w.r.reg.Add(metrics.CtrlBytes, int64(bytes))
 }
 
@@ -285,7 +290,7 @@ func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 }
 
 func (w *worker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
-	w.mgr.HandleBatch(payload.([]chandy.Ctrl))
+	w.mgr.HandleBatch(chandy.BatchOf(payload))
 }
 
 func (w *worker[V, M]) readStore() *msgstore.Store[M] { return w.stores[w.active.Load()] }

@@ -8,7 +8,6 @@
 package gas
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +72,9 @@ func (c Config) withDefaults(n int) Config {
 }
 
 // replUpdate carries one vertex's new value to a remote replica, plus the
-// out-neighbors on that worker to activate (scatter).
+// out-neighbors on that worker to activate (scatter). Activate lives in
+// its batch slot: a recycled batch brings each slot's list back with it
+// (Outbox.AddFunc), so a steady run allocates no lists.
 type replUpdate[V any] struct {
 	Src      graph.VertexID
 	Val      V
@@ -141,6 +142,12 @@ type grunner[V comparable, M any] struct {
 	// outboxes' batches (remote_batches and remote_batch_bytes reconcile
 	// with the transport's data ledger).
 	reg *metrics.Registry
+	// batchPool recycles replica-update batches: a receiver drops its batch
+	// here once applied and every outbox starts its batches from it. The
+	// GAS transport never duplicates a delivery (it has no fault
+	// injection), so a batch has one owner at a time; the lock managers
+	// recycle their control batches for the same reason.
+	batchPool sync.Pool
 
 	scheduled atomic.Int64
 	maxConc   atomic.Int64
@@ -295,10 +302,17 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		r.reg.Add(metrics.RemoteEntriesFlushed, int64(len(batch)))
 		w.ep.SendData(cluster.WorkerID(dest), batch, bytes)
 	})
+	w.out.SetAlloc(func() []replUpdate[V] {
+		if v := r.batchPool.Get(); v != nil {
+			return v.([]replUpdate[V])
+		}
+		return nil
+	})
 	if r.cfg.Serializable {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
-		sendCtrl := func(to int, batch []chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(batch)) }
+		sendCtrl := func(to int, batch *[]chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(*batch)) }
 		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, w.out.FlushTo)
+		w.mgr.SetRecycle(true)
 		w.mgr.SetMetrics(r.reg)
 		var nbs []chandy.PhilID
 		for v := 0; v < n; v++ {
@@ -357,8 +371,11 @@ type scatterScratch struct {
 }
 
 // fiberLoop is one fiber: pop an active vertex, lock, execute GAS, unlock.
+// spare is the fiber's last gather accumulator, which the next gather
+// restarts from when the program can Reset one.
 func (w *gworker[V, M]) fiberLoop() {
 	sc := &scatterScratch{seen: make([]bool, w.r.cfg.Workers), acts: make([][]graph.VertexID, w.r.cfg.Workers)}
+	var spare M
 	for {
 		w.schedMu.Lock()
 		for len(w.queue) == 0 && !w.closed {
@@ -374,7 +391,7 @@ func (w *gworker[V, M]) fiberLoop() {
 		w.busy.Add(1)
 		w.schedMu.Unlock()
 
-		w.executeVertex(u, sc)
+		w.executeVertex(u, sc, &spare)
 
 		w.schedMu.Lock()
 		rerun := w.state[u] == runningRerun
@@ -388,7 +405,7 @@ func (w *gworker[V, M]) fiberLoop() {
 }
 
 // executeVertex runs one gather/apply/scatter transaction on u.
-func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
+func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch, spare *M) {
 	r := w.r
 	if w.mgr != nil {
 		if !w.mgr.Acquire(chandy.PhilID(u)) {
@@ -414,12 +431,16 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
 	}
 
 	// Gather: pull each in-neighbor's current value (local primaries
-	// directly, remote from the replica table, read-locked once).
+	// directly, remote from the replica table, read-locked once), folding
+	// from the first contribution or, with Reset, from the emptied spare.
 	var acc M
-	hasAcc := false
+	folding := r.prog.Reset != nil
+	if folding {
+		acc = r.prog.Reset(*spare)
+	}
 	in := r.g.InNeighbors(u)
 	w.replicaMu.RLock()
-	for _, x := range in {
+	for i, x := range in {
 		var xv V
 		var ver uint32
 		if r.pm.WorkerOf(x) == w.id {
@@ -436,18 +457,20 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
 			})
 		}
 		m := r.prog.Gather(u, x, xv, 1)
-		if hasAcc {
+		if i > 0 || folding {
 			acc = r.prog.Sum(acc, m)
 		} else {
 			acc = m
-			hasAcc = true
 		}
 	}
 	w.replicaMu.RUnlock()
 
 	// Apply.
 	old := r.loadValue(u)
-	newV, activate := r.prog.Apply(u, old, acc, hasAcc)
+	newV, activate := r.prog.Apply(u, old, acc, len(in) > 0)
+	if folding {
+		*spare = acc
+	}
 	changed := newV != old
 	var ver uint32
 	if changed {
@@ -485,12 +508,19 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch) {
 	val := r.loadValue(u)
 	for ow, seen := range sc.seen {
 		if seen {
-			w.out.Add(ow, replUpdate[V]{Src: u, Val: val, Ver: ver, Activate: slices.Clone(sc.acts[ow])})
-			sc.seen[ow], sc.acts[ow] = false, sc.acts[ow][:0]
+			acts := sc.acts[ow]
+			w.out.AddFunc(ow, func(up *replUpdate[V]) {
+				up.Src, up.Val, up.Ver = u, val, ver
+				up.Activate = append(up.Activate[:0], acts...)
+			})
+			sc.seen[ow], sc.acts[ow] = false, acts[:0]
 		}
 	}
 }
 
+// onData applies a batch of replica updates and schedules its activations.
+// The batch is dead afterwards: it goes back to the run's pool, in the box
+// it arrived in, for some outbox to refill.
 func (w *gworker[V, M]) onData(from cluster.WorkerID, payload any) {
 	batch := payload.([]replUpdate[V])
 	w.replicaMu.Lock()
@@ -504,8 +534,9 @@ func (w *gworker[V, M]) onData(from cluster.WorkerID, payload any) {
 			w.schedule(x)
 		}
 	}
+	w.r.batchPool.Put(payload)
 }
 
 func (w *gworker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
-	w.mgr.HandleBatch(payload.([]chandy.Ctrl))
+	w.mgr.HandleBatch(chandy.BatchOf(payload))
 }

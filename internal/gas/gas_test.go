@@ -146,16 +146,35 @@ func TestSerializableHistoryClean(t *testing.T) {
 	}
 }
 
-// BenchmarkGASColoring is one serializable colouring end to end: vertex
-// locks, replica updates and the scheduler, at the fixed benchmark's
+// gasColoring is one serializable colouring end to end: vertex locks,
+// replica updates and the scheduler, at the fixed benchmark's
 // vl_coloring_gas shape scaled down.
-func BenchmarkGASColoring(b *testing.B) {
+func gasColoring(tb testing.TB) func() {
 	g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 2000, AvgDegree: 12, Exponent: 2.2, Seed: 5}))
+	return func() {
+		if _, res, _, err := Run(g, algorithms.ColoringGAS(), Config{Workers: 4, FibersPerWorker: 16, Serializable: true, Seed: 1}); err != nil || !res.Converged {
+			tb.Fatalf("err=%v converged=%v", err, res.Converged)
+		}
+	}
+}
+
+// BenchmarkGASColoring times gasColoring.
+func BenchmarkGASColoring(b *testing.B) {
+	run := gasColoring(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, res, _, err := Run(g, algorithms.ColoringGAS(), Config{Workers: 4, FibersPerWorker: 16, Serializable: true, Seed: 1}); err != nil || !res.Converged {
-			b.Fatalf("err=%v converged=%v", err, res.Converged)
-		}
+		run()
+	}
+}
+
+// TestGASColoringAllocs holds BenchmarkGASColoring's allocations to a third
+// of the 143 K objects per run it took while every control batch was
+// copied and boxed, every replica update cloned its activation list and
+// the colouring gather made a slice per neighbour.
+func TestGASColoringAllocs(t *testing.T) {
+	const before = 143_138
+	if n := testing.AllocsPerRun(2, gasColoring(t)); n > before/3 {
+		t.Errorf("a serializable GAS colouring allocates %v objects, want at most %d", n, before/3)
 	}
 }
 

@@ -127,6 +127,12 @@ type GASProgram[V, M any] struct {
 	Gather func(u, nbr graph.VertexID, nbrVal V, weight float64) M
 	// Sum combines two gather contributions.
 	Sum func(a, b M) M
+	// Reset, if non-nil, empties an accumulator the engine has finished
+	// with (one Apply has consumed it) so that its memory can serve the
+	// next gather: the engine then starts every gather from Reset of the
+	// previous accumulator and folds each contribution into it with Sum.
+	// Programs whose accumulators allocate (a list) set it.
+	Reset func(acc M) M
 	// Apply computes the new value from the old value and the accumulated
 	// gather (hasAcc is false for vertices with no in-edges). It returns
 	// the new value and whether the vertex's out-neighbors should be

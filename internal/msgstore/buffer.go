@@ -60,12 +60,6 @@ func (b *Buffer[M]) SetCombiner(fn func(a, b M) M) {
 	b.reset = func(dest int) { clear(b.slot[dest]) }
 }
 
-// SetAlloc installs a batch allocator, letting the engine recycle spent
-// batch slices through a pool instead of allocating a fresh full-capacity
-// slice per emitted batch. fn may return nil (or a slice of any capacity);
-// the buffer falls back to make. Call before any Add.
-func (b *Buffer[M]) SetAlloc(fn func() []Entry[M]) { b.fresh = fn }
-
 // SetMetrics attaches a metrics registry. Counting lives inside the buffer
 // — not at its call sites — because every remote-send path (capacity
 // flush, end-of-superstep FlushAll, the Chandy–Misra pre-handoff FlushTo)

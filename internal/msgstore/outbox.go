@@ -14,8 +14,8 @@ type Outbox[T any] struct {
 	dests []destBuf[T]
 	cap   int
 	send  func(dest int, batch []T)
-	// fresh, when set, supplies the slice the batch after a full one starts
-	// in (nil, or no fresh: make one of cap).
+	// fresh, when set, supplies the slice a batch starts in (nil, or no
+	// fresh: make one; see SetAlloc).
 	fresh func() []T
 	// reset, when set, runs under a destination's lock whenever its pending
 	// items leave — sent or discarded — so per-batch indexes can follow.
@@ -47,6 +47,13 @@ func NewOutbox[T any](dests, cap int, send func(dest int, batch []T)) *Outbox[T]
 	}
 	return o
 }
+
+// SetAlloc installs a batch allocator, letting the caller recycle spent
+// batch slices — a receiver hands each back once it has applied it —
+// instead of the outbox allocating a slice per emitted batch. fn may return
+// nil (or a slice of any capacity); the outbox falls back to make. Call
+// before any Add.
+func (o *Outbox[T]) SetAlloc(fn func() []T) { o.fresh = fn }
 
 // lock locks dest's buffer for a run of about n appends and reserves room
 // for them: after a flush the buffer restarts from nil, and letting append
@@ -126,9 +133,18 @@ func (d *destBuf[T]) handoff(last []T) {
 }
 
 // Add buffers one item for dest, sending the batch it fills.
-func (o *Outbox[T]) Add(dest int, it T) {
-	d := o.lock(dest, 1)
-	d.add(it)
+func (o *Outbox[T]) Add(dest int, it T) { o.AddFunc(dest, func(p *T) { *p = it }) }
+
+// AddFunc is Add with the item written in place by fill. The slot it gets
+// may still hold the item a recycled batch (SetAlloc) carried there, so
+// fill can reuse that item's buffers instead of allocating its own.
+func (o *Outbox[T]) AddFunc(dest int, fill func(it *T)) {
+	d := o.lock(dest, 1) // reserves the slot: len < cap
+	d.items = d.items[:len(d.items)+1]
+	fill(&d.items[len(d.items)-1])
+	if len(d.items) >= o.cap {
+		d.take()
+	}
 	d.unlock()
 }
 

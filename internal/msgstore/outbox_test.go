@@ -106,8 +106,8 @@ func TestOutboxForkFollowsUpdates(t *testing.T) {
 	})
 	ownerOf := func(p chandy.PhilID) int { return int(p) % 2 }
 	mgrs := [2]*chandy.Manager{
-		chandy.NewBatchManager(0, ownerOf, func(to int, b []chandy.Ctrl) { net.put(0, to, b) }, out.FlushTo),
-		chandy.NewBatchManager(1, ownerOf, func(to int, b []chandy.Ctrl) { net.put(1, to, b) }, nil),
+		chandy.NewBatchManager(0, ownerOf, func(to int, b *[]chandy.Ctrl) { net.put(0, to, b) }, out.FlushTo),
+		chandy.NewBatchManager(1, ownerOf, func(to int, b *[]chandy.Ctrl) { net.put(1, to, b) }, nil),
 	}
 	mgrs[0].AddPhil(0, []chandy.PhilID{1})
 	mgrs[1].AddPhil(1, []chandy.PhilID{0})
@@ -119,7 +119,7 @@ func TestOutboxForkFollowsUpdates(t *testing.T) {
 				for _, u := range m {
 					replica[u.Src] = u.Ver
 				}
-			case []chandy.Ctrl:
+			case *[]chandy.Ctrl:
 				mgrs[to].HandleBatch(m)
 			}
 			after()

@@ -375,3 +375,21 @@ func TestGoldenFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestCtrlBatchPointerFrame: a lock manager hands its batch to the
+// transport as a *[]chandy.Ctrl, and the frame it becomes is the
+// ctrl_batch fixture, byte for byte.
+func TestCtrlBatchPointerFrame(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "ctrl_batch.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []chandy.Ctrl{
+		{Kind: chandy.ForkMsg, From: 42, To: -7}, {Kind: chandy.TokenMsg, From: 0, To: 1},
+		{Kind: chandy.ForkMsg, From: 1 << 20, To: 3},
+	}
+	got := encodeFrame(t, NewCodec[float64](), &batch, cluster.Frame{From: 1, To: 0, Declared: 96})
+	if want := parseHexDump(t, raw); !bytes.Equal(got, want) {
+		t.Fatalf("pointer batch encodes as:\n%swant:\n%s", hexDump(got), hexDump(want))
+	}
+}

@@ -267,6 +267,8 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 		return cluster.FrameData, dst, nil
 	case chandy.Ctrl:
 		return cluster.FrameCtrl, appendCtrl(dst, p), nil
+	case *[]chandy.Ctrl: // a lock manager's batch, sent by pointer
+		return c.EncodePayload(*p, dst)
 	case []chandy.Ctrl:
 		dst = binary.AppendUvarint(dst, uint64(len(p)))
 		for _, c := range p {
