@@ -81,8 +81,9 @@ torture-faulty:
 
 # Wire-transport gate: the transport contract on both backends three times
 # over (so Send/Close races get shaken on each), the cluster, codec and dist
-# suites, the cross-transport equivalence matrix and the real multi-process
-# run, all under the race detector.
+# suites (the dist suite runs every catalog algorithm across two peers
+# against its in-process answer), the cross-transport equivalence matrix
+# and the real multi-process run, all under the race detector.
 tcp:
 	$(GO) test -race -count=3 ./internal/cluster/ -run TestTransportContract
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/wire/ ./internal/dist/

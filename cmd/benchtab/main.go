@@ -34,12 +34,12 @@ import (
 	"time"
 
 	"serialgraph/internal/algorithms"
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/cluster"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/fault"
 	"serialgraph/internal/gas"
 	"serialgraph/internal/generate"
-	"serialgraph/internal/giraphx"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
 	"serialgraph/internal/metrics"
@@ -95,15 +95,14 @@ type cell struct {
 // checked reports whether run records the cell's history and checks it
 // with history.CheckAll: a serializable technique (every technique but
 // SyncNone, and vertex locking on the GAS engine) running a write-all
-// program (§3.3). The Pregel-form PageRank is not write-all: a vertex
-// whose rank moves by less than eps keeps the new value without sending it
-// (§7.2.2), so its replicas go stale by design and its history fails C1
-// and 1SR under every technique. Counts-only cells are not checked either.
+// program (§3.3, catalog.Entry.WriteAll; every GAS form is). The Pregel
+// PageRank is not write-all: a vertex whose rank moves by less than eps
+// keeps the new value without sending it (§7.2.2), so its replicas go
+// stale by design and its history fails C1 and 1SR under every technique.
+// Counts-only cells are not checked either.
 func (c cell) checked() bool {
-	if c.countsOnly || c.alg == "pagerank" && !c.gas {
-		return false
-	}
-	return c.gas || c.cfg.Sync != engine.SyncNone
+	e, err := catalog.Lookup(c.alg)
+	return err == nil && !c.countsOnly && (c.gas || e.WriteAll && c.cfg.Sync != engine.SyncNone)
 }
 
 func (c cell) technique() string {
@@ -216,12 +215,15 @@ func (o outcome) verdict(countsOnly bool) string {
 // which must pass history.CheckAll (recording slows compute by 5–20 %).
 // A failed check is counted and reported on stderr.
 func (h *harness) run(c cell) Row {
-	undirected := c.alg == "coloring" || c.alg == "wcc" ||
-		strings.HasPrefix(c.alg, "mis") || strings.HasPrefix(c.alg, "giraphx")
-	g := h.graph(c.ds, undirected)
+	e, err := catalog.Lookup(c.alg)
+	if err != nil {
+		h.failf("%s: %v", c.exp, err)
+		return Row{Experiment: c.exp, Algorithm: c.alg, Dataset: c.ds, Workers: c.workers, Technique: c.technique(), Check: err.Error()}
+	}
+	g := h.graph(c.ds, e.Undirected)
 	h.logf("%s %s %s W=%d %s ...", c.exp, c.alg, c.ds, c.workers, c.technique())
 
-	o := h.exec(c, g, false)
+	o := h.exec(c, e, g, false)
 	res := o.res
 	r := Row{
 		Experiment: c.exp, Algorithm: c.alg, Dataset: c.ds, Workers: c.workers,
@@ -232,7 +234,7 @@ func (h *harness) run(c cell) Row {
 		Partition: res.Partition, Metrics: res.Metrics,
 	}
 	if r.Check == "ok" && c.checked() {
-		rep := h.exec(c, g, true)
+		rep := h.exec(c, e, g, true)
 		if r.Check = rep.verdict(false); r.Check == "ok" {
 			if vs := history.CheckAll(rep.rec.Txns(), g); len(vs) > 0 {
 				r.Check = fmt.Sprintf("history: %d violations, first %v", len(vs), vs[0])
@@ -248,9 +250,9 @@ func (h *harness) run(c cell) Row {
 	return r
 }
 
-// exec makes the cell's one engine call on g, recording its history if
-// track.
-func (h *harness) exec(c cell, g *graph.Graph, track bool) (o outcome) {
+// exec makes the cell's one engine call of e on g, recording its history
+// if track.
+func (h *harness) exec(c cell, e *catalog.Entry, g *graph.Graph, track bool) (o outcome) {
 	lat := cluster.LatencyModel{Propagation: h.latency, BytesPerSec: 1 << 30}
 	cfg := c.cfg
 	cfg.Workers, cfg.Latency, cfg.Seed, cfg.TrackHistory = c.workers, lat, 1, track
@@ -265,103 +267,19 @@ func (h *harness) exec(c cell, g *graph.Graph, track bool) (o outcome) {
 		defer os.RemoveAll(dir)
 		cfg.CheckpointDir = dir
 	}
-	gcfg := gas.Config{Workers: c.workers, Serializable: true, Latency: lat, Seed: 1, TrackHistory: track}
-	eps := prThreshold(c.ds)
-
-	ranks := func(pr []float64) {
-		o.vals = pr
-		o.check = func() error {
-			if r, b := algorithms.PageRankResidual(g, pr), algorithms.PageRankBound(g, eps); r > b {
-				return fmt.Errorf("pagerank residual %.3g exceeds %.3g", r, b)
-			}
-			return nil
-		}
+	p := catalog.Params{Eps: prThreshold(c.ds), Seed: 7}
+	var out catalog.Output
+	if c.gas {
+		out, o.err = e.RunGAS(g, p, gas.Config{Workers: c.workers, Serializable: true, Latency: lat, Seed: 1, TrackHistory: track})
+	} else {
+		out, o.err = e.Run(g, p, cfg)
 	}
-	coloring := func(colors []int32) {
-		o.vals = colors
-		o.check = func() error { return algorithms.ValidateColoring(g, colors) }
-	}
-	switch c.alg {
-	case "coloring":
-		var colors []int32
-		if c.gas {
-			colors, o.res, o.rec, o.err = gas.Run(g, algorithms.ColoringGAS(), gcfg)
-		} else {
-			colors, o.res, o.rec, o.err = engine.Run(g, algorithms.Coloring(), cfg)
-		}
-		coloring(colors)
-	case "pagerank":
-		var pr []float64
-		if c.gas {
-			pr, o.res, o.rec, o.err = gas.Run(g, algorithms.PageRankGAS(g, eps), gcfg)
-		} else {
-			pr, o.res, o.rec, o.err = engine.Run(g, algorithms.PageRank(eps), cfg)
-		}
-		ranks(pr)
-	case "pagerank-agg":
-		var pr []float64
-		pr, o.res, o.rec, o.err = engine.Run(g, algorithms.PageRankAggregated(eps), cfg)
-		ranks(pr)
-	case "sssp":
-		var dist []float64
-		if c.gas {
-			dist, o.res, o.rec, o.err = gas.Run(g, algorithms.SSSPGAS(0), gcfg)
-		} else {
-			dist, o.res, o.rec, o.err = engine.Run(g, algorithms.SSSP(0), cfg)
-		}
-		o.vals = dist
-		o.check = func() error { return equal(dist, algorithms.ShortestPaths(g, 0)) }
-	case "wcc":
-		var comp []int32
-		if c.gas {
-			comp, o.res, o.rec, o.err = gas.Run(g, algorithms.WCCGAS(), gcfg)
-		} else {
-			comp, o.res, o.rec, o.err = engine.Run(g, algorithms.WCC(), cfg)
-		}
-		o.vals = comp
-		o.check = func() error { return equal(comp, algorithms.Components(g)) }
-	case "mis-greedy":
-		var states []int32
-		states, o.res, o.rec, o.err = engine.Run(g, algorithms.MISGreedy(), cfg)
-		o.vals = states
-		o.check = func() error { return algorithms.ValidateMIS(g, states) }
-	case "mis-luby":
-		var lv []algorithms.LubyValue
-		lv, o.res, o.rec, o.err = engine.Run(g, algorithms.MISLuby(7), cfg)
-		o.vals = lv
-		o.check = func() error { return algorithms.ValidateMIS(g, algorithms.LubyStates(lv)) }
-	case "giraphx-token":
-		// The in-algorithm token ring must see the map the engine runs on.
-		pm := cfg.Partitioner(g, c.workers*cfg.PartitionsPerWorker, c.workers)
-		cfg.Partitioner = func(*graph.Graph, int, int) *partition.Map { return pm }
-		var tv []giraphx.TokenValue
-		tv, o.res, o.rec, o.err = engine.Run(g, giraphx.TokenColoring(g, pm), cfg)
-		colors := make([]int32, len(tv))
-		for v := range tv {
-			colors[v] = tv[v].Color
-		}
-		coloring(colors)
-	case "giraphx-lock":
-		var colors []int32
-		colors, o.res, o.rec, o.err = engine.Run(g, giraphx.LockColoring(g), cfg)
-		coloring(colors)
-	default:
-		log.Fatalf("benchtab: no oracle for algorithm %q", c.alg)
+	o.res, o.rec, o.vals = out.Result, out.History, out.Values
+	o.check = func() error {
+		_, err := e.Check(g, p, out.Values)
+		return err
 	}
 	return o
-}
-
-// equal reports the first vertex where got differs from the oracle's want.
-func equal[T comparable](got, want []T) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d values for %d vertices", len(got), len(want))
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			return fmt.Errorf("vertex %d: got %v, oracle %v", v, got[v], want[v])
-		}
-	}
-	return nil
 }
 
 // digest hashes a value slice's printed form; %v prints a float64 in its

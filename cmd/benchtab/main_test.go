@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/metrics"
 	"serialgraph/internal/partition"
@@ -103,6 +104,33 @@ func TestSerializableCellsCheckHistory(t *testing.T) {
 		if c.checked() != c.gas {
 			t.Errorf("pagerank %s: checked = %v", c.technique(), c.checked())
 		}
+	}
+}
+
+// benchtab runs every catalog entry and refuses any other name: each
+// entry's Pregel program under partition locking (under BSP with no
+// technique for one that synchronizes itself) and its GAS form under
+// vertex locking, every answer passing its oracle.
+func TestRunsEveryCatalogEntry(t *testing.T) {
+	h := newHarness(0.05, []int{2}, 10*time.Microsecond)
+	for _, e := range catalog.Entries() {
+		cfg := async(engine.PartitionLock)
+		if e.BSP {
+			cfg = engine.Config{Mode: engine.BSP}
+		}
+		cells := []cell{{exp: "catalog", alg: e.Name, ds: "OR", workers: 2, cfg: cfg}}
+		if e.HasGAS() {
+			cells = append(cells, cell{exp: "catalog", alg: e.Name, ds: "OR", workers: 2, gas: true})
+		}
+		for _, c := range cells {
+			if r := h.run(c); r.Check != "ok" {
+				t.Errorf("%s %s: %s", r.Algorithm, r.Technique, r.Check)
+			}
+		}
+	}
+	failures := h.failures
+	if r := h.run(cell{exp: "catalog", alg: "no-such-alg", ds: "OR", workers: 2}); r.passed() || h.failures != failures+1 {
+		t.Errorf("unknown algorithm: check %q, %d failures counted", r.Check, h.failures-failures)
 	}
 }
 

@@ -22,12 +22,11 @@ import (
 	"testing"
 	"time"
 
-	"serialgraph/internal/algorithms"
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
-	"serialgraph/internal/model"
 )
 
 func acceptRequireLoopback(t *testing.T) {
@@ -191,7 +190,7 @@ var ctrlMsgsRe = regexp.MustCompile(`, (\d+) control msgs`)
 // messages between the worker processes.
 func checkForkColoring(t *testing.T, out string) {
 	t.Helper()
-	if !strings.Contains(out, "coloring proper") || !strings.Contains(out, "converged=true") {
+	if !strings.Contains(out, "coloring: proper") || !strings.Contains(out, "converged=true") {
 		t.Fatalf("coordinator output:\n%s", out)
 	}
 	if m := ctrlMsgsRe.FindStringSubmatch(out); m == nil || m[1] == "0" {
@@ -204,7 +203,11 @@ func checkForkColoring(t *testing.T, out string) {
 // the coordinator's -o writer does.
 func inprocLines(t *testing.T, alg, graphPath string, maxSupersteps int, seed uint64) string {
 	t.Helper()
-	job := dist.Job{GraphPath: graphPath, Undirected: alg == "coloring"}
+	e, err := catalog.Lookup(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := dist.Job{GraphPath: graphPath, Undirected: e.Undirected, Eps: 0.01}
 	g, err := dist.BuildGraph(job)
 	if err != nil {
 		t.Fatalf("rebuild graph: %v", err)
@@ -216,27 +219,29 @@ func inprocLines(t *testing.T, alg, graphPath string, maxSupersteps int, seed ui
 		Workers: 2, PartitionsPerWorker: 2, Mode: engine.BSP,
 		Sync: engine.SyncNone, Seed: seed, MaxSupersteps: maxSupersteps,
 	}
-	var sb strings.Builder
-	switch alg {
-	case "sssp":
-		render(t, &sb, g, algorithms.SSSP(0), cfg)
-	case "pagerank":
-		render(t, &sb, g, algorithms.PageRank(0.01), cfg)
-	case "coloring":
-		render(t, &sb, g, algorithms.Coloring(), cfg)
-	default:
-		t.Fatalf("no in-process reference for %q", alg)
-	}
-	return sb.String()
-}
-
-func render[V, M any](t *testing.T, sb *strings.Builder, g *graph.Graph, prog model.Program[V, M], cfg engine.Config) {
-	t.Helper()
-	vals, _, _, err := engine.Run(g, prog, cfg)
+	out, err := e.Run(g, dist.Params(job), cfg)
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}
-	for _, v := range vals {
-		fmt.Fprintln(sb, v)
+	path := filepath.Join(t.TempDir(), "inproc.txt")
+	if err := writeValues(path, out.Values); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// An unknown -model is an error, not a silent choice of another model.
+func TestUnknownModelExits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary; skipped in -short")
+	}
+	bin := buildGraphrun(t, t.TempDir())
+	out, err := exec.Command(bin, "-model", "bogus", "-alg", "wcc", "-dataset", "OR", "-scale", "0.01").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `unknown -model "bogus"`) {
+		t.Fatalf("graphrun -model bogus: err %v, output:\n%s", err, out)
 	}
 }

@@ -17,12 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"os"
 	"slices"
 	"strings"
 	"time"
 
-	"serialgraph/internal/algorithms"
 	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
 )
@@ -67,120 +65,61 @@ func setFlags() []string {
 	return set
 }
 
-type coordinatorConfig struct {
-	listen        string
-	alg           string
-	graphPath     string
-	family        string
-	familyN       int
-	workers       int
-	ppw           int
-	maxSupersteps int
-	seed          uint64
-	source        int
-	eps           float64
-	out           string
-	msgMem        int64
-	partitioner   string
-	model         string
-	technique     string
-}
-
-// job turns the coordinator's flags into the job every process runs.
-func (cfg coordinatorConfig) job() (dist.Job, error) {
-	if cfg.workers < 1 {
+// listenJob completes the job a -listen coordinator hands its workers
+// from pl, and fails naming anything multi-process mode does not support.
+func listenJob(pl plan, job dist.Job) (dist.Job, error) {
+	if job.Workers < 1 {
 		return dist.Job{}, fmt.Errorf("coordinator mode needs -workers-remote >= 1")
 	}
-	if cfg.graphPath == "" && cfg.family == "" {
+	if job.GraphPath == "" && job.Family == "" {
 		return dist.Job{}, fmt.Errorf("coordinator mode needs -graph or -family/-n (workers rebuild the graph themselves)")
 	}
-	modes := map[string]engine.Mode{"bsp": engine.BSP, "async": engine.Async}
-	syncs := map[string]engine.Sync{"none": engine.SyncNone, "single-token": engine.TokenSingle,
-		"dual-token": engine.TokenDual, "partition-locking": engine.PartitionLock}
-	mode, ok := modes[cfg.model]
-	if !ok {
-		return dist.Job{}, fmt.Errorf("multi-process mode does not support -model %s", cfg.model)
+	if pl.gas {
+		return dist.Job{}, fmt.Errorf("multi-process mode does not support -technique %s (the GAS engine)", pl.technique)
 	}
-	sync, ok := syncs[cfg.technique]
-	if !ok {
-		return dist.Job{}, fmt.Errorf("multi-process mode does not support -technique %s", cfg.technique)
+	job.Alg, job.Undirected = pl.entry.Name, pl.entry.Undirected
+	job.Mode, job.Sync = uint8(pl.mode), uint8(pl.sync)
+	if job.PartsPerWorker == 0 {
+		job.PartsPerWorker = job.Workers
 	}
-	if cfg.ppw == 0 {
-		cfg.ppw = cfg.workers
+	if job.MaxSupersteps == 0 {
+		job.MaxSupersteps = 100000
 	}
-	if cfg.maxSupersteps == 0 {
-		cfg.maxSupersteps = 100000
+	if _, err := engine.JobConfig(job); err != nil {
+		return dist.Job{}, fmt.Errorf("multi-process mode does not support -model %s -technique %s: %w", pl.mode, pl.technique, err)
 	}
-	job := dist.Job{
-		Alg:             cfg.alg,
-		GraphPath:       cfg.graphPath,
-		Family:          cfg.family,
-		N:               int32(cfg.familyN),
-		Undirected:      cfg.alg == "coloring" || cfg.alg == "wcc", // as the single-process path
-		Workers:         int32(cfg.workers),
-		PartsPerWorker:  int32(cfg.ppw),
-		MaxSupersteps:   int32(cfg.maxSupersteps),
-		Seed:            cfg.seed,
-		Source:          int32(cfg.source),
-		Eps:             cfg.eps,
-		MsgMemoryBudget: cfg.msgMem,
-		Partitioner:     cfg.partitioner,
-		Mode:            uint8(mode),
-		Sync:            uint8(sync),
-	}
-	return job, engine.Config{Mode: mode, Sync: sync}.ValidatePeer()
+	return job, nil
 }
 
-// runCoordinatorProcess drives one distributed run and prints the same
-// summary a single-process run would.
-func runCoordinatorProcess(cfg coordinatorConfig) error {
-	job, err := cfg.job()
-	if err != nil {
-		return err
-	}
+// runCoordinatorProcess drives one distributed run of job, which
+// listenJob completed, on listen and prints the same summary a
+// single-process run would, writing the values to out if it is set.
+func runCoordinatorProcess(listen, out string, pl plan, job dist.Job) error {
 	g, err := dist.BuildGraph(job)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", cfg.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	fmt.Printf("coordinator: listening on %s for %d workers\n", ln.Addr(), cfg.workers)
+	fmt.Printf("coordinator: listening on %s for %d workers\n", ln.Addr(), job.Workers)
 	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions, %s, %s\n",
-		g.NumVertices(), g.NumEdges(), cfg.alg, cfg.workers, job.PartsPerWorker, cfg.model, cfg.technique)
+		g.NumVertices(), g.NumEdges(), job.Alg, job.Workers, job.PartsPerWorker, pl.mode, pl.technique)
 
-	values, res, err := dist.Run(ln, job, g.NumVertices())
+	values, res, err := dist.Coordinate(ln, job, g)
 	if err != nil {
 		return err
 	}
-	if colors, ok := values.([]int32); ok && cfg.alg == "coloring" {
-		if cerr := algorithms.ValidateColoring(g, colors); cerr != nil {
-			fmt.Printf("coloring INVALID: %v\n", cerr)
-		} else {
-			fmt.Printf("coloring proper, %d colors\n", countDistinct(colors))
-		}
-	}
+	judge(pl.entry, g, dist.Params(job), res, values)
 	printSummary(res)
-
-	if cfg.out != "" {
-		f, err := os.Create(cfg.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		switch vals := values.(type) {
-		case []int32:
-			for _, v := range vals {
-				fmt.Fprintln(f, v)
-			}
-		case []float64:
-			for _, v := range vals {
-				fmt.Fprintln(f, v)
-			}
-		}
-		fmt.Printf("wrote values to %s\n", cfg.out)
+	if out == "" {
+		return nil
 	}
+	if err := writeValues(out, values); err != nil {
+		return err
+	}
+	fmt.Printf("wrote values to %s\n", out)
 	return nil
 }

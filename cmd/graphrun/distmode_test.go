@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"serialgraph/internal/catalog"
+	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
 )
 
@@ -21,14 +23,19 @@ func TestCoordinatorRefusesUnsupported(t *testing.T) {
 		}
 	}
 
-	base := coordinatorConfig{alg: "coloring", family: "powerlaw", familyN: 50, workers: 2,
-		model: "async", technique: "partition-locking"}
-	job, err := base.job()
+	job := func(model, technique string) (dist.Job, error) {
+		pl, err := newPlan("coloring", model, technique, nil)
+		if err != nil {
+			return dist.Job{}, err
+		}
+		return listenJob(pl, dist.Job{Family: "powerlaw", N: 50, Workers: 2})
+	}
+	j, err := job("async", "partition-locking")
 	if err != nil {
 		t.Fatalf("async partition-locking refused: %v", err)
 	}
-	if engine.Mode(job.Mode) != engine.Async || engine.Sync(job.Sync) != engine.PartitionLock || !job.Undirected {
-		t.Errorf("job carries mode %d, sync %d, undirected %v", job.Mode, job.Sync, job.Undirected)
+	if engine.Mode(j.Mode) != engine.Async || engine.Sync(j.Sync) != engine.PartitionLock || !j.Undirected {
+		t.Errorf("job carries mode %d, sync %d, undirected %v", j.Mode, j.Sync, j.Undirected)
 	}
 	for _, tc := range []struct{ model, technique, want string }{
 		{"bap", "none", "-model bap"},
@@ -37,10 +44,63 @@ func TestCoordinatorRefusesUnsupported(t *testing.T) {
 		{"async", "vertex-locking", "-technique vertex-locking"},
 		{"bsp", "partition-locking", "requires the Async mode"},
 	} {
-		cfg := base
-		cfg.model, cfg.technique = tc.model, tc.technique
-		if _, err := cfg.job(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := job(tc.model, tc.technique); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("-model %s -technique %s: err = %v, want %q", tc.model, tc.technique, err, tc.want)
 		}
+	}
+}
+
+// Every path through graphrun takes exactly the catalog's algorithm names:
+// the engine accepts each of them, the GAS engine those with a GAS form,
+// and a -listen coordinator each of them under its default model and
+// technique; an unknown name, -model or -technique fails.
+func TestAcceptsCatalogNames(t *testing.T) {
+	for _, e := range catalog.Entries() {
+		if _, err := newPlan(e.Name, "async", "partition-locking", nil); err != nil {
+			t.Errorf("engine refuses %s: %v", e.Name, err)
+		}
+		if _, err := newPlan(e.Name, "async", "vertex-locking", []string{"technique"}); (err == nil) != e.HasGAS() {
+			t.Errorf("GAS engine accepts %s: %v, want %v (%v)", e.Name, err == nil, e.HasGAS(), err)
+		}
+		pl, err := newPlan(e.Name, "async", "partition-locking", []string{"alg"})
+		if err == nil {
+			var j dist.Job
+			j, err = listenJob(pl, dist.Job{Family: "powerlaw", N: 50, Workers: 2})
+			if j.Alg != e.Name || j.Undirected != e.Undirected {
+				t.Errorf("-listen job for %s carries alg %q, undirected %v", e.Name, j.Alg, j.Undirected)
+			}
+		}
+		if err != nil {
+			t.Errorf("-listen refuses %s: %v", e.Name, err)
+		}
+	}
+	for _, tc := range []struct{ alg, model, technique, want string }{
+		{"no-such-alg", "async", "none", "unknown algorithm"},
+		{"wcc", "bogus", "none", `unknown -model "bogus"`},
+		{"wcc", "async", "bogus", `unknown -technique "bogus"`},
+	} {
+		if _, err := newPlan(tc.alg, tc.model, tc.technique, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want %q", tc, err, tc.want)
+		}
+	}
+	if pl, err := newPlan("wcc", "bap", "partition-locking", nil); err != nil || pl.mode != engine.BAP {
+		t.Errorf("-model bap: plan %+v, err %v", pl, err)
+	}
+}
+
+// An entry that synchronizes itself runs under BSP with no technique: the
+// defaults give way, and an explicit other -model or -technique is refused.
+func TestSelfSynchronizingEntryRunsBSP(t *testing.T) {
+	pl, err := newPlan("triangles", "async", "partition-locking", []string{"alg"})
+	if err != nil || pl.mode != engine.BSP || pl.sync != engine.SyncNone || pl.technique.String() != "none" {
+		t.Fatalf("triangles under the defaults: plan %+v, err %v", pl, err)
+	}
+	for _, set := range [][]string{{"model"}, {"technique"}} {
+		if _, err := newPlan("triangles", "async", "partition-locking", set); err == nil || !strings.Contains(err.Error(), "only under -model bsp") {
+			t.Errorf("explicit %v: err = %v", set, err)
+		}
+	}
+	if _, err := newPlan("triangles", "bsp", "none", []string{"model", "technique"}); err != nil {
+		t.Errorf("explicit bsp/none refused: %v", err)
 	}
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,34 +28,47 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"serialgraph"
+	"serialgraph/internal/catalog"
+	"serialgraph/internal/cluster"
+	"serialgraph/internal/dist"
+	"serialgraph/internal/engine"
+	"serialgraph/internal/fault"
+	"serialgraph/internal/gas"
+	"serialgraph/internal/generate"
+	"serialgraph/internal/graph"
+	"serialgraph/internal/history"
 	"serialgraph/internal/metrics"
+	"serialgraph/internal/partition"
 )
 
 func main() {
-	alg := flag.String("alg", "coloring", "coloring | pagerank | sssp | wcc | mis | lpa | kcore | triangles")
+	alg := flag.String("alg", "coloring", strings.Join(catalog.Names(), " | "))
 	graphPath := flag.String("graph", "", "graph file (.bin/.gob or edge list)")
 	dataset := flag.String("dataset", "", "generate a dataset analog instead: OR AR TW UK")
 	scale := flag.Float64("scale", 1.0, "dataset scale")
 	workers := flag.Int("workers", 8, "simulated cluster size")
 	ppw := flag.Int("ppw", 0, "partitions per worker (default = workers)")
-	techniqueName := flag.String("technique", "partition-locking", "none | single-token | dual-token | partition-locking | vertex-locking")
-	modelName := flag.String("model", "async", "bsp | async")
+	techniqueName := flag.String("technique", "partition-locking", names(techniques...))
+	modelName := flag.String("model", "async", names(modes...))
 	eps := flag.Float64("eps", 0.01, "PageRank convergence threshold")
 	source := flag.Int("source", 0, "SSSP source vertex")
 	latency := flag.Duration("latency", 50*time.Microsecond, "simulated network latency")
-	transportName := flag.String("transport", "inproc", "wire backend for single-process runs: inproc | tcp")
+	transportName := flag.String("transport", "inproc", "wire backend for single-process runs: "+names(transports...))
 	listenAddr := flag.String("listen", "", "coordinator mode: accept worker processes on this address (e.g. 127.0.0.1:0)")
 	joinAddr := flag.String("join", "", "worker mode: join a coordinator at this address, run, exit")
 	workersRemote := flag.Int("workers-remote", 0, "coordinator mode: worker processes to wait for (with -listen)")
 	family := flag.String("family", "", "multi-process runs: generate this graph family instead of loading -graph: powerlaw | rmat | erdos | ring | grid | complete")
 	familyN := flag.Int("n", 0, "generated family size (with -family)")
-	seed := flag.Uint64("seed", 1, "partitioning (and -family generation) seed")
-	partitionerName := flag.String("partitioner", "hash", "vertex placement: hash | range | ldg | fennel")
+	seed := flag.Uint64("seed", 1, "partitioning (and -family generation, and mis-luby) seed")
+	partitionerName := flag.String("partitioner", "hash", "vertex placement: "+strings.Join(partition.Kinds(), " | "))
 	relabel := flag.Bool("relabel", false, "degree-ordered vertex relabeling before partitioning (hub clustering; outputs stay in original IDs)")
 	maxSupersteps := flag.Int("max-supersteps", 0, "bound non-converging runs (0 = library default)")
 	msgMem := flag.Int64("msg-mem", 0, "message-plane memory budget in bytes: sizes the per-lane credit windows that bound message bytes in flight (0 = default 4 MiB windows)")
@@ -88,18 +102,23 @@ func main() {
 		}
 		return
 	}
+	pl, err := newPlan(*alg, *modelName, *techniqueName, setFlags())
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *listenAddr != "" {
 		if err := refuseFlags(setFlags()); err != nil {
 			log.Fatal(err)
 		}
-		cfg := coordinatorConfig{
-			listen: *listenAddr, alg: *alg, graphPath: *graphPath,
-			family: *family, familyN: *familyN, workers: *workersRemote,
-			ppw: *ppw, maxSupersteps: *maxSupersteps, seed: *seed,
-			source: *source, eps: *eps, out: *out, msgMem: *msgMem,
-			partitioner: *partitionerName, model: *modelName, technique: *techniqueName,
+		job, err := listenJob(pl, dist.Job{
+			GraphPath: *graphPath, Family: *family, N: int32(*familyN),
+			Workers: int32(*workersRemote), PartsPerWorker: int32(*ppw), MaxSupersteps: int32(*maxSupersteps),
+			Seed: *seed, Source: int32(*source), Eps: *eps, MsgMemoryBudget: *msgMem, Partitioner: *partitionerName,
+		})
+		if err == nil {
+			err = runCoordinatorProcess(*listenAddr, *out, pl, job)
 		}
-		if err := runCoordinatorProcess(cfg); err != nil {
+		if err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -123,13 +142,15 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var g *serialgraph.Graph
-	var err error
+	var g *graph.Graph
 	switch {
 	case *graphPath != "":
-		g, err = serialgraph.LoadGraph(*graphPath)
+		g, err = graph.LoadFile(*graphPath)
 	case *dataset != "":
-		g, err = serialgraph.Dataset(*dataset, *scale)
+		var d generate.Dataset
+		if d, err = generate.ByName(*dataset); err == nil {
+			g = d.Build(*scale)
+		}
 	default:
 		err = fmt.Errorf("need -graph or -dataset")
 	}
@@ -137,237 +158,112 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var technique serialgraph.Technique
-	switch *techniqueName {
-	case "none":
-		technique = serialgraph.NoSerializability
-	case "single-token":
-		technique = serialgraph.SingleToken
-	case "dual-token":
-		technique = serialgraph.DualToken
-	case "partition-locking":
-		technique = serialgraph.PartitionLocking
-	case "vertex-locking":
-		technique = serialgraph.VertexLocking
-	default:
-		log.Fatalf("unknown technique %q", *techniqueName)
+	recovery, err := parseName("recovery", *recoveryName, engine.RecoverFull, engine.RecoverConfined)
+	if err != nil {
+		log.Fatal(err)
 	}
-	mdl := serialgraph.Async
-	if *modelName == "bsp" {
-		mdl = serialgraph.BSP
+	transport, err := parseName("transport", *transportName, transports...)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	var recovery serialgraph.RecoveryMode
-	switch *recoveryName {
-	case "full":
-		recovery = serialgraph.RecoverFull
-	case "confined":
-		recovery = serialgraph.RecoverConfined
-	default:
-		log.Fatalf("unknown recovery mode %q (want full or confined)", *recoveryName)
+	if !partition.ValidKind(*partitionerName) {
+		log.Fatalf("unknown -partitioner %q (want %s)", *partitionerName, strings.Join(partition.Kinds(), ", "))
 	}
-
-	var transport serialgraph.Transport
-	switch *transportName {
-	case "inproc":
-		transport = serialgraph.InProc
-	case "tcp":
-		transport = serialgraph.TCPLoopback
-	default:
-		log.Fatalf("unknown transport %q (want inproc or tcp)", *transportName)
-	}
-
-	opt := serialgraph.Options{
-		Workers: *workers, PartitionsPerWorker: *ppw, Model: mdl,
-		Technique: technique, Transport: transport,
-		NetworkLatency: *latency,
-		Seed:           *seed, MaxSupersteps: *maxSupersteps, Partitioner: *partitionerName,
+	lat := cluster.LatencyModel{Propagation: *latency}
+	cfg := engine.Config{
+		Workers: *workers, PartitionsPerWorker: *ppw, Mode: pl.mode,
+		Sync: pl.sync, Transport: transport, Latency: lat,
+		Seed: *seed, MaxSupersteps: *maxSupersteps,
+		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
+			m, _ := partition.New(*partitionerName, g, p, w, *seed)
+			return m
+		},
 		CheckpointEvery: *checkpointEvery, CheckpointDir: *checkpointDir,
 		Recovery: recovery, WatchdogTimeout: *watchdogTimeout,
-		DetailedStats: *traceOut != "", MsgMemoryBudget: *msgMem,
+		DetailedStats: *traceOut != "", MsgMemoryBudget: *msgMem, TrackHistory: *check,
 	}
 
 	// Assemble the fault plan, if any fault flag is set.
-	plan := serialgraph.FaultPlan{
+	plan := fault.Plan{
 		DropRate: *dropRate, DuplicateRate: *dupRate,
 		StragglerRate: *stragglerRate, StragglerDelay: *stragglerDelay,
 		Seed: *faultSeed,
 	}
 	if *crashAt >= 0 {
-		plan.Crashes = append(plan.Crashes, serialgraph.CrashSpec{
-			Worker: *crashWorker, AtSuperstep: *crashAt})
+		plan.Crashes = append(plan.Crashes, fault.Crash{Worker: *crashWorker, AtSuperstep: *crashAt})
 	} else if *crashAfterMsgs > 0 {
-		plan.Crashes = append(plan.Crashes, serialgraph.CrashSpec{
-			Worker: *crashWorker, AfterMessages: *crashAfterMsgs})
+		plan.Crashes = append(plan.Crashes, fault.Crash{Worker: *crashWorker, AfterMessages: *crashAfterMsgs})
 	}
 	faulty := len(plan.Crashes) > 0 || plan.DropRate > 0 || plan.DuplicateRate > 0 || plan.StragglerRate > 0
 	if faulty {
-		if technique == serialgraph.VertexLocking {
+		if pl.gas {
 			log.Fatal("fault injection is not supported on the GAS engine (-technique vertex-locking)")
 		}
-		opt.Fault = &plan
+		cfg.Fault = fault.NewInjector(plan)
 	}
 
-	// Undirected algorithms want symmetrized inputs.
-	switch *alg {
-	case "coloring", "wcc", "mis", "lpa", "kcore", "triangles":
-		g = serialgraph.Undirected(g)
+	if pl.entry.Undirected {
+		g = graph.Symmetrize(g)
 	}
-
 	// Degree-ordered relabeling: run on the hub-clustered permutation,
-	// map the SSSP source in and the result slices back out, so printed
-	// and written values stay in the original vertex IDs.
-	src := serialgraph.VertexID(*source)
-	var rel *serialgraph.Relabeling
+	// map the SSSP source in and the values back out, so printed and
+	// written values stay in the original vertex IDs.
+	p := catalog.Params{Source: graph.VertexID(*source), Eps: *eps, Seed: *seed}
+	var rel *graph.Relabeling
 	if *relabel {
-		g, rel = serialgraph.DegreeRelabel(g)
-		src = rel.NewID(src)
+		rel = graph.DegreeOrder(g)
+		g = rel.Apply(g)
+		p.Source = rel.NewID(p.Source)
 	}
 	fmt.Printf("graph: %d vertices, %d edges; %d workers, %s, %s, %s partitioning\n",
-		g.NumVertices(), g.NumEdges(), *workers, mdl.String(), technique, *partitionerName)
+		g.NumVertices(), g.NumEdges(), *workers, pl.mode, pl.technique, *partitionerName)
 
-	var res serialgraph.Result
-	var violations []serialgraph.Violation
-	var values []float64
-	var intValues []int32
-
-	runPregel := func() {
-		switch *alg {
-		case "coloring":
-			if *check {
-				intValues, res, violations, err = serialgraph.RunChecked(g, serialgraph.Coloring(), opt)
-			} else {
-				intValues, res, err = serialgraph.Run(g, serialgraph.Coloring(), opt)
-			}
-			if err == nil {
-				if cerr := serialgraph.ValidateColoring(g, intValues); cerr != nil {
-					fmt.Printf("coloring INVALID: %v\n", cerr)
-				} else {
-					fmt.Printf("coloring proper, %d colors\n", countDistinct(intValues))
-				}
-			}
-		case "wcc":
-			intValues, res, err = serialgraph.Run(g, serialgraph.WCC(), opt)
-		case "pagerank":
-			values, res, err = serialgraph.Run(g, serialgraph.PageRank(*eps), opt)
-		case "sssp":
-			values, res, err = serialgraph.Run(g, serialgraph.SSSP(src), opt)
-		case "mis":
-			intValues, res, err = serialgraph.Run(g, serialgraph.MISGreedy(), opt)
-			if err == nil {
-				if merr := serialgraph.ValidateMIS(g, intValues); merr != nil {
-					fmt.Printf("MIS INVALID: %v\n", merr)
-				} else {
-					fmt.Println("MIS valid (independent and maximal)")
-				}
-			}
-		case "lpa":
-			intValues, res, err = serialgraph.Run(g, serialgraph.LabelPropagation(), opt)
-			if err == nil {
-				fmt.Printf("communities: %d\n", countDistinct(intValues))
-			}
-		case "kcore":
-			var kvals []serialgraph.KCoreValue
-			kvals, res, err = serialgraph.Run(g, serialgraph.KCore(), opt)
-			if err == nil {
-				intValues = serialgraph.KCoreEstimates(kvals)
-				maxCore := int32(0)
-				for _, c := range intValues {
-					if c > maxCore {
-						maxCore = c
-					}
-				}
-				fmt.Printf("degeneracy (max core): %d\n", maxCore)
-			}
-		case "triangles":
-			opt.Model = serialgraph.BSP
-			opt.Technique = serialgraph.NoSerializability
-			intValues, res, err = serialgraph.Run(g, serialgraph.TriangleCount(), opt)
-			if err == nil {
-				var total int64
-				for _, c := range intValues {
-					total += int64(c)
-				}
-				fmt.Printf("triangles: %d\n", total)
-			}
-		default:
-			err = fmt.Errorf("unknown algorithm %q", *alg)
-		}
-	}
-	runGAS := func() {
-		switch *alg {
-		case "coloring":
-			intValues, res, err = serialgraph.RunGAS(g, serialgraph.ColoringGAS(), opt)
-		case "wcc":
-			intValues, res, err = serialgraph.RunGAS(g, serialgraph.WCCGAS(), opt)
-		case "pagerank":
-			values, res, err = serialgraph.RunGAS(g, serialgraph.PageRankGAS(g, *eps), opt)
-		case "sssp":
-			values, res, err = serialgraph.RunGAS(g, serialgraph.SSSPGAS(src), opt)
-		default:
-			err = fmt.Errorf("unknown algorithm %q", *alg)
-		}
-	}
-	if technique == serialgraph.VertexLocking {
-		runGAS()
+	var res catalog.Output
+	if pl.gas {
+		res, err = pl.entry.RunGAS(g, p, gas.Config{Workers: *workers, Serializable: true, Latency: lat,
+			Seed: *seed, Partitioner: *partitionerName, TrackHistory: *check})
 	} else {
-		runPregel()
+		res, err = pl.entry.Run(g, p, cfg)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	judge(pl.entry, g, p, res.Result, res.Values)
+	values := res.Values
 	if rel != nil {
-		// Back to original vertex IDs before anything is written out.
-		if intValues != nil {
-			intValues = serialgraph.Unpermute(rel, intValues)
-		}
-		if values != nil {
-			values = serialgraph.Unpermute(rel, values)
-		}
+		values = unpermute(rel, values) // back to original vertex IDs
 	}
 
-	printSummary(res)
-	m := res.Metrics
-	q := res.Partition
+	printSummary(res.Result)
+	m := res.Result.Metrics
+	q := res.Result.Partition
 	fmt.Printf("partition: cut=%.3f boundary=%.3f (pint=%d local=%d remote=%d mixed=%d) repl=%.2f skew=%.2f\n",
 		q.CutFraction, q.BoundaryFraction,
 		q.PInternal, q.LocalBoundary, q.RemoteBoundary, q.MixedBoundary,
 		q.ReplicationFactor, q.BalanceSkew)
-	fmt.Printf("locks: forks=%d tokens=%d\n", res.ForkSends, m.Get(metrics.TokenSends))
+	fmt.Printf("locks: forks=%d tokens=%d\n", res.Result.ForkSends, m.Get(metrics.TokenSends))
 	if faulty || m.Get(metrics.WatchdogStalls) > 0 {
 		fmt.Printf("recovery: rollbacks=%d (confined=%d) recomputed-supersteps=%d recomputed-partition-supersteps=%d wasted-msgs=%d dropped=%d watchdog-stalls=%d\n",
 			m.Get(metrics.Rollbacks), m.Get(metrics.ConfinedRecoveries), m.Get(metrics.RecomputedSupersteps),
 			m.Get(metrics.RecomputedPartitionSupersteps), m.Get(metrics.WastedMessages),
-			res.Net.DroppedMessages, m.Get(metrics.WatchdogStalls))
+			res.Result.Net.DroppedMessages, m.Get(metrics.WatchdogStalls))
 	}
 	if *check {
-		if len(violations) == 0 {
+		if vs := history.CheckAll(res.History.Txns(), g); len(vs) == 0 {
 			fmt.Println("serializability check: clean (C1, C2, 1SR)")
 		} else {
-			fmt.Printf("serializability check: %d violations, first: %v\n", len(violations), violations[0])
+			fmt.Printf("serializability check: %d violations, first: %v\n", len(vs), vs[0])
 		}
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if err := writeValues(*out, values); err != nil {
 			log.Fatal(err)
-		}
-		defer f.Close()
-		if intValues != nil {
-			for _, v := range intValues {
-				fmt.Fprintln(f, v)
-			}
-		} else {
-			for _, v := range values {
-				fmt.Fprintln(f, v)
-			}
 		}
 		fmt.Printf("wrote values to %s\n", *out)
 	}
-
 	if *metricsOut != "" {
-		buf, err := json.MarshalIndent(res.Metrics, "", "  ")
+		buf, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -377,10 +273,10 @@ func main() {
 		fmt.Printf("wrote metrics to %s\n", *metricsOut)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, res); err != nil {
+		if err := writeTrace(*traceOut, res.Result); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %d-superstep trace to %s\n", len(res.SuperstepStats), *traceOut)
+		fmt.Printf("wrote %d-superstep trace to %s\n", len(res.Result.SuperstepStats), *traceOut)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -396,10 +292,130 @@ func main() {
 	}
 }
 
+// modes are -model's values, techniques -technique's and transports
+// -transport's; each is named by its String().
+var (
+	modes      = []engine.Mode{engine.BSP, engine.Async, engine.BAP}
+	techniques = []serialgraph.Technique{serialgraph.NoSerializability, serialgraph.SingleToken,
+		serialgraph.DualToken, serialgraph.PartitionLocking, serialgraph.VertexLocking}
+	transports = []engine.TransportKind{engine.TransportInProc, engine.TransportTCP}
+)
+
+// syncs is the engine technique each -technique runs; vertex locking runs
+// on the GAS engine instead.
+var syncs = map[serialgraph.Technique]engine.Sync{
+	serialgraph.NoSerializability: engine.SyncNone,
+	serialgraph.SingleToken:       engine.TokenSingle,
+	serialgraph.DualToken:         engine.TokenDual,
+	serialgraph.PartitionLocking:  engine.PartitionLock,
+}
+
+// names joins the String() forms of vals for a flag's usage.
+func names[T fmt.Stringer](vals ...T) string {
+	s := make([]string, len(vals))
+	for i, v := range vals {
+		s[i] = v.String()
+	}
+	return strings.Join(s, " | ")
+}
+
+// parseName returns the value among vals whose String() is name, or fails
+// naming flagName and the values it takes.
+func parseName[T fmt.Stringer](flagName, name string, vals ...T) (T, error) {
+	for _, v := range vals {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown -%s %q (want %s)", flagName, name, names(vals...))
+}
+
+// plan is what an invocation runs: a catalog entry under an engine mode
+// and technique, or on the GAS engine.
+type plan struct {
+	entry     *catalog.Entry
+	mode      engine.Mode
+	technique serialgraph.Technique
+	sync      engine.Sync
+	gas       bool // vertex locking on the GAS engine
+}
+
+// newPlan resolves -alg, -model and -technique, each of which must name a
+// known value. An entry that synchronizes itself runs under BSP with no
+// technique; set (the flags the command line set) may not ask otherwise.
+// Vertex locking needs the entry's GAS form.
+func newPlan(alg, modelName, techniqueName string, set []string) (plan, error) {
+	e, err := catalog.Lookup(alg)
+	if err != nil {
+		return plan{}, err
+	}
+	mode, err := parseName("model", modelName, modes...)
+	if err != nil {
+		return plan{}, err
+	}
+	t, err := parseName("technique", techniqueName, techniques...)
+	if err != nil {
+		return plan{}, err
+	}
+	if e.BSP {
+		if slices.Contains(set, "model") && mode != engine.BSP || slices.Contains(set, "technique") && t != serialgraph.NoSerializability {
+			return plan{}, fmt.Errorf("-alg %s runs only under -model bsp -technique none", alg)
+		}
+		mode, t = engine.BSP, serialgraph.NoSerializability
+	}
+	pl := plan{entry: e, mode: mode, technique: t, sync: syncs[t], gas: t == serialgraph.VertexLocking}
+	if pl.gas && !e.HasGAS() {
+		return plan{}, fmt.Errorf("-alg %s has no GAS form to run under -technique %s", alg, t)
+	}
+	return pl, nil
+}
+
+// judge prints the entry's oracle verdict on a converged run's values.
+func judge(e *catalog.Entry, g *graph.Graph, p catalog.Params, res engine.Result, values any) {
+	if !res.Converged {
+		return
+	}
+	if verdict, err := e.Check(g, p, values); err != nil {
+		fmt.Printf("%s INVALID: %v\n", e.Name, err)
+	} else {
+		fmt.Printf("%s: %s\n", e.Name, verdict)
+	}
+}
+
+// unpermute reindexes a run's values from relabeled vertex IDs back to the
+// original ones, as graph.Unpermute does.
+func unpermute(r *graph.Relabeling, values any) any {
+	v := reflect.ValueOf(values)
+	out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+	for old := range v.Len() {
+		out.Index(old).Set(v.Index(int(r.NewID(graph.VertexID(old)))))
+	}
+	return out.Interface()
+}
+
+// writeValues writes a run's values to path, one per line in vertex order.
+func writeValues(path string, values any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	v := reflect.ValueOf(values)
+	for i := range v.Len() {
+		fmt.Fprintln(w, v.Index(i))
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // printSummary prints the lines every run reports, in process or across
 // processes: convergence, the network ledger, and the wire bytes of a run
 // over TCP (a multi-process coordinator knows only the bytes sent).
-func printSummary(res serialgraph.Result) {
+func printSummary(res engine.Result) {
 	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
 		res.Converged, res.Supersteps, res.Executions, res.ComputeTime.Round(time.Millisecond))
 	n := res.Net
@@ -415,7 +431,7 @@ func printSummary(res serialgraph.Result) {
 
 // writeTrace renders the per-superstep stats as CSV, one row per
 // superstep, with the phase breakdown in nanoseconds.
-func writeTrace(path string, res serialgraph.Result) error {
+func writeTrace(path string, res engine.Result) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -428,12 +444,4 @@ func writeTrace(path string, res serialgraph.Result) error {
 			st.BarrierDrainNs, st.BarrierCommitNs)
 	}
 	return f.Close()
-}
-
-func countDistinct(vals []int32) int {
-	seen := map[int32]bool{}
-	for _, v := range vals {
-		seen[v] = true
-	}
-	return len(seen)
 }

@@ -46,6 +46,22 @@ func LabelPropagation() model.Program[int32, int32] {
 	}
 }
 
+// ValidateLabels checks that labels is where LabelPropagation settles:
+// every vertex with neighbours holds their majority label.
+func ValidateLabels(g *graph.Graph, labels []int32) error {
+	var nbrs []int32
+	for v := range g.NumVertices() {
+		nbrs = nbrs[:0]
+		for _, u := range g.OutNeighbors(graph.VertexID(v)) {
+			nbrs = append(nbrs, labels[u])
+		}
+		if len(nbrs) > 0 && labels[v] != majorityLabel(nbrs) {
+			return errf("vertex %d holds label %d, not its neighbours' majority %d", v, labels[v], majorityLabel(nbrs))
+		}
+	}
+	return nil
+}
+
 // majorityLabel returns the most frequent label, breaking ties toward the
 // smallest.
 func majorityLabel(labels []int32) int32 {

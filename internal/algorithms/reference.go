@@ -117,20 +117,27 @@ func Components(g *graph.Graph) []int32 {
 // PageRankResidual returns the maximum residual |pr(u) - (0.15 + 0.85 Σ
 // pr(v)/deg(v))| over all vertices — a convergence quality measure
 // independent of execution order.
-func PageRankResidual(g *graph.Graph, pr []float64) float64 {
-	n := g.NumVertices()
+func PageRankResidual(g *graph.Graph, pr []float64) float64 { return residual(g, pr, false) }
+
+// PageRankReachedResidual is PageRankResidual over the vertices with
+// in-neighbours: a tolerance-halting PageRank never updates the others
+// after its first execution, since no message reaches them.
+func PageRankReachedResidual(g *graph.Graph, pr []float64) float64 { return residual(g, pr, true) }
+
+func residual(g *graph.Graph, pr []float64, skipSources bool) float64 {
 	maxRes := 0.0
-	for v := 0; v < n; v++ {
+	for v := range g.NumVertices() {
+		ins := g.InNeighbors(graph.VertexID(v))
+		if skipSources && len(ins) == 0 {
+			continue
+		}
 		sum := 0.0
-		for _, in := range g.InNeighbors(graph.VertexID(v)) {
+		for _, in := range ins {
 			if d := g.OutDegree(in); d > 0 {
 				sum += pr[in] / float64(d)
 			}
 		}
-		res := math.Abs(pr[v] - (0.15 + 0.85*sum))
-		if res > maxRes {
-			maxRes = res
-		}
+		maxRes = max(maxRes, math.Abs(pr[v]-(0.15+0.85*sum)))
 	}
 	return maxRes
 }

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/generate"
+	"serialgraph/internal/graph"
 )
 
 // modelNet is a single-threaded model of a cluster of managers: a fake
@@ -267,6 +271,39 @@ func TestAddPhilNormalizesNeighbors(t *testing.T) {
 	if want := []byte{bitFork | bitDirty, bitToken, bitToken}; !reflect.DeepEqual(p.st, want) {
 		t.Fatalf("edge states = %03b, want %03b", p.st, want)
 	}
+}
+
+// TestAddPhilSetupAlloc bounds what registering a worker's philosophers
+// allocates, as the GAS engine registers them: every vertex of a symmetric
+// power-law graph with its out- and in-list concatenated, after Reserve.
+// The tables and arenas may exceed what the kept neighbours need by a
+// quarter, plus the first arena chunk and the deduplication buffer.
+func TestAddPhilSetupAlloc(t *testing.T) {
+	g := graph.Symmetrize(generate.PowerLaw(generate.PowerLawConfig{N: 8000, AvgDegree: 8, Exponent: 2.1, Seed: 3}))
+	n := g.NumVertices()
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	m := singleWorker()
+	m.Reserve(n, n)
+	var nbs []PhilID
+	for v := range n {
+		u := graph.VertexID(v)
+		nbs = nbs[:0]
+		for _, list := range [2][]graph.VertexID{g.OutNeighbors(u), g.InNeighbors(u)} {
+			for _, x := range list {
+				nbs = append(nbs, PhilID(x))
+			}
+		}
+		m.AddPhil(PhilID(u), nbs)
+	}
+	runtime.ReadMemStats(&b)
+	need := uint64(n)*uint64(unsafe.Sizeof(phil{})+4) + 5*uint64(g.NumEdges())
+	bound := need*5/4 + 5*arenaChunk + 4*uint64(cap(nbs)+cap(m.scratch))
+	got := b.TotalAlloc - a.TotalAlloc
+	if got > bound {
+		t.Errorf("registering %d philosophers (%d kept neighbours) allocated %d bytes, want at most %d", n, g.NumEdges(), got, bound)
+	}
+	t.Logf("%d bytes for %d philosophers and %d kept neighbours (bound %d)", got, n, g.NumEdges(), bound)
 }
 
 // TestUncontendedAcquireAllocatesNothing pins the fast path: with every

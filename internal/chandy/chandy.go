@@ -133,6 +133,7 @@ type Manager struct {
 	// phils' nbr and st are carved from these, which grow in lockstep.
 	nbrArena []PhilID
 	stArena  []byte
+	scratch  []PhilID // AddPhil's deduplication buffer
 	out      []outbox // by destination worker
 	// spares are handled batches nobody reads any more, which the next
 	// outboxes start from; HandleBatch adds to them only when recycle is
@@ -188,6 +189,22 @@ func BatchOf(payload any) *[]Ctrl {
 	return &b
 }
 
+// arenaChunk is the size of a fresh nbrArena (and stArena).
+const arenaChunk = 4096
+
+// Reserve sizes the manager for phils philosophers with IDs below ids, so
+// that registering them does not regrow its tables. Call it before AddPhil.
+func (m *Manager) Reserve(phils, ids int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cap(m.phils)-len(m.phils) < phils {
+		m.phils = append(make([]phil, 0, len(m.phils)+phils), m.phils...)
+	}
+	if cap(m.index) < ids {
+		m.index = append(make([]int32, 0, ids), m.index...)
+	}
+}
+
 // AddPhil registers a local philosopher and its neighbors, local or remote,
 // in any order (repeats and id itself are dropped; the slice is not kept).
 // Call it for all local philosophers before any Acquire, consistently on every worker.
@@ -197,24 +214,28 @@ func (m *Manager) AddPhil(id PhilID, neighbors []PhilID) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if int(id) >= len(m.index) {
-		m.index = append(m.index, make([]int32, int(id)+1-len(m.index))...)
+	if n := int(id) + 1; n > len(m.index) {
+		old := len(m.index)
+		m.index = slices.Grow(m.index, n-old)[:n]
+		clear(m.index[old:])
 	}
 	if m.index[id] != 0 {
 		panic(fmt.Sprintf("chandy: philosopher %d registered twice", id))
 	}
-	if cap(m.nbrArena)-len(m.nbrArena) < len(neighbors) {
-		m.nbrArena = make([]PhilID, 0, max(len(neighbors), 4096))
+	// Deduplicate first, so that the arena is sized by the neighbours kept,
+	// not the list passed (the GAS engine passes out- and in-lists).
+	m.scratch = append(m.scratch[:0], neighbors...)
+	slices.Sort(m.scratch)
+	nbrs := slices.Compact(m.scratch)
+	if i, ok := slices.BinarySearch(nbrs, id); ok {
+		nbrs = slices.Delete(nbrs, i, i+1)
+	}
+	if cap(m.nbrArena)-len(m.nbrArena) < len(nbrs) {
+		m.nbrArena = make([]PhilID, 0, max(len(nbrs), arenaChunk))
 		m.stArena = make([]byte, 0, cap(m.nbrArena))
 	}
 	lo := len(m.nbrArena)
-	for _, q := range neighbors {
-		if q != id {
-			m.nbrArena = append(m.nbrArena, q)
-		}
-	}
-	slices.Sort(m.nbrArena[lo:])
-	m.nbrArena = m.nbrArena[:lo+len(slices.Compact(m.nbrArena[lo:]))]
+	m.nbrArena = append(m.nbrArena, nbrs...)
 	hi := len(m.nbrArena)
 	m.stArena = m.stArena[:hi]
 	p := phil{id: id, state: thinking, nbr: m.nbrArena[lo:hi:hi], st: m.stArena[lo:hi:hi]}

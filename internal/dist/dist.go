@@ -9,18 +9,15 @@ package dist
 
 import (
 	"fmt"
-	"maps"
 	"net"
 	"slices"
 	"time"
 
-	"serialgraph/internal/algorithms"
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/cluster"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
-	"serialgraph/internal/model"
-	"serialgraph/internal/partition"
 	"serialgraph/internal/wire"
 )
 
@@ -32,69 +29,9 @@ type Job = wire.Job
 // coordinator and each other inside it, so start order does not matter.
 const DialTimeout = 10 * time.Second
 
-// algorithm is one entry of the name → program table; both sides of a run
-// build the program from the Job alone.
-type algorithm struct {
-	work       func(ctrl *conn, ln net.Listener, job Job) error
-	coordinate func(ln net.Listener, job Job, numVertices int) (any, engine.Result, error)
-}
-
-func program[V, M any](build func(Job) model.Program[V, M]) algorithm {
-	return algorithm{
-		work: func(ctrl *conn, ln net.Listener, job Job) error { return work(ctrl, ln, job, build(job)) },
-		coordinate: func(ln net.Listener, job Job, n int) (any, engine.Result, error) {
-			return Coordinate(ln, job, build(job), n)
-		},
-	}
-}
-
-var programs = map[string]algorithm{
-	"sssp": program(func(j Job) model.Program[float64, float64] {
-		return algorithms.SSSP(graph.VertexID(j.Source))
-	}),
-	"pagerank":     program(func(j Job) model.Program[float64, float64] { return algorithms.PageRank(j.Eps) }),
-	"pagerank-agg": program(func(j Job) model.Program[float64, float64] { return algorithms.PageRankAggregated(j.Eps) }),
-	"coloring":     program(func(Job) model.Program[int32, int32] { return algorithms.Coloring() }),
-	"wcc":          program(func(Job) model.Program[int32, int32] { return algorithms.WCC() }),
-}
-
-func lookup(alg string) (algorithm, error) {
-	a, ok := programs[alg]
-	if !ok {
-		return a, fmt.Errorf("dist: unknown algorithm %q (want one of %v)", alg, slices.Sorted(maps.Keys(programs)))
-	}
-	return a, nil
-}
-
-// Run coordinates job with the program job.Alg names and returns the final
-// values, one per vertex: a []float64 or a []int32.
-func Run(ln net.Listener, job Job, numVertices int) (any, engine.Result, error) {
-	a, err := lookup(job.Alg)
-	if err != nil {
-		return nil, engine.Result{}, err
-	}
-	return a.coordinate(ln, job, numVertices)
-}
-
-// config is the engine configuration every process derives from job; it
-// fails naming any option a multi-process run does not support.
-func config(job Job) (engine.Config, error) {
-	if job.Workers < 1 || !partition.ValidKind(job.Partitioner) {
-		return engine.Config{}, fmt.Errorf("dist: job with %d workers and partitioner %q", job.Workers, job.Partitioner)
-	}
-	cfg := engine.Config{
-		Workers:             int(job.Workers),
-		PartitionsPerWorker: int(job.PartsPerWorker),
-		Mode:                engine.Mode(job.Mode),
-		Sync:                engine.Sync(job.Sync),
-		Seed:                job.Seed,
-		MsgMemoryBudget:     job.MsgMemoryBudget,
-		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
-			m, _ := partition.New(job.Partitioner, g, p, w, job.Seed)
-			return m
-		},
-	}
-	return cfg, cfg.ValidatePeer()
+// Params are the catalog parameters of job.
+func Params(job Job) catalog.Params {
+	return catalog.Params{Source: graph.VertexID(job.Source), Eps: job.Eps, Seed: job.Seed}
 }
 
 // BuildGraph deterministically reconstructs the job's graph: a saved
@@ -168,17 +105,26 @@ func broadcast(conns []*conn, ftype byte, payload []byte) error {
 
 // Coordinate runs the master side of a distributed job: accept the
 // worker processes, hand each its job spec, drive the superstep loop, and
-// collect the final vertex values. ln must already be listening, and
-// job.Workers processes must eventually dial it. Worker IDs follow accept
-// order, which does not affect the results: every process derives the
-// same partition map, and reports merge in worker order.
+// collect the final vertex values of the catalog entry job.Alg names, run
+// on g (the graph BuildGraph(job) gives every process). ln must already be
+// listening, and job.Workers processes must eventually dial it. Worker IDs
+// follow accept order, which does not affect the results: every process
+// derives the same partition map, and reports merge in worker order.
 //
 // The Result carries what the workers' StepDone reports ship: Converged,
 // Supersteps, ComputeTime (the coordinator's superstep loop), Executions,
 // and in Net the data and control ledger and the wire bytes sent.
-func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], numVertices int) ([]V, engine.Result, error) {
+func Coordinate(ln net.Listener, job Job, g *graph.Graph) (any, engine.Result, error) {
 	var res engine.Result
-	cfg, err := config(job)
+	e, err := catalog.Lookup(job.Alg)
+	if err != nil {
+		return nil, res, err
+	}
+	cfg, err := engine.JobConfig(job)
+	if err != nil {
+		return nil, res, err
+	}
+	master, err := e.NewMaster(g, Params(job), cfg)
 	if err != nil {
 		return nil, res, err
 	}
@@ -213,7 +159,6 @@ func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], nu
 		}
 	}
 
-	master := engine.NewMaster(prog, cfg)
 	reports := make([]engine.StepReport, len(conns))
 	var dones []wire.StepDone
 	var aggs map[string]float64
@@ -252,23 +197,12 @@ func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], nu
 	if err := broadcast(conns, cluster.FrameFinish, wire.AppendFinish(nil, fin)); err != nil {
 		return nil, res, err
 	}
-	codec := wire.AutoMsgCodec[V]()
-	owned, err := gather(conns, cluster.FrameValues, func(b []byte) ([]wire.ValueEntry[V], error) {
-		return wire.DecodeValues(codec, b)
-	})
+	owned, err := gather(conns, cluster.FrameValues, func(b []byte) ([]byte, error) { return slices.Clone(b), nil })
 	if err != nil {
 		return nil, res, err
 	}
-	values := make([]V, numVertices)
-	for _, pairs := range owned {
-		for _, e := range pairs {
-			if int(e.ID) < 0 || int(e.ID) >= numVertices {
-				return nil, res, fmt.Errorf("dist: a worker reported out-of-range vertex %d", e.ID)
-			}
-			values[e.ID] = e.Val
-		}
-	}
-	return values, res, nil
+	values, err := e.DecodeValues(owned, g.NumVertices())
+	return values, res, err
 }
 
 // Work joins a coordinator as one worker process: dial, introduce
@@ -296,17 +230,17 @@ func Work(joinAddr string) error {
 	if err != nil {
 		return err
 	}
-	a, err := lookup(job.Alg)
+	return work(ctrl, ln, job)
+}
+
+// work runs worker job.You as a peer of the catalog entry job.Alg names,
+// one superstep per StepStart, until Finish.
+func work(ctrl *conn, ln net.Listener, job Job) (err error) {
+	e, err := catalog.Lookup(job.Alg)
 	if err != nil {
 		return err
 	}
-	return a.work(ctrl, ln, job)
-}
-
-// work runs worker job.You as an engine.Peer, one superstep per StepStart,
-// until Finish.
-func work[V, M any](ctrl *conn, ln net.Listener, job Job, prog model.Program[V, M]) (err error) {
-	cfg, err := config(job)
+	cfg, err := engine.JobConfig(job)
 	if err != nil {
 		return err
 	}
@@ -314,7 +248,7 @@ func work[V, M any](ctrl *conn, ln net.Listener, job Job, prog model.Program[V, 
 	if err != nil {
 		return err
 	}
-	peer, err := engine.NewPeer(g, prog, cfg, int(job.You), ln, job.Peers, DialTimeout)
+	peer, err := e.NewPeer(g, Params(job), cfg, int(job.You), ln, job.Peers, DialTimeout)
 	if err != nil {
 		return err
 	}
@@ -332,7 +266,7 @@ func work[V, M any](ctrl *conn, ln net.Listener, job Job, prog model.Program[V, 
 			return err
 		}
 		if f.Type == cluster.FrameFinish {
-			return ctrl.send(cluster.FrameValues, wire.AppendValues(nil, wire.AutoMsgCodec[V](), peer.Values()))
+			return ctrl.send(cluster.FrameValues, peer.AppendValues(nil))
 		}
 		if f.Type != cluster.FrameStepStart {
 			return fmt.Errorf("dist: unexpected control frame 0x%02x", f.Type)

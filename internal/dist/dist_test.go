@@ -13,16 +13,18 @@ package dist_test
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"serialgraph/internal/algorithms"
+	"serialgraph/internal/catalog"
+	"serialgraph/internal/cluster"
 	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/graph"
-	"serialgraph/internal/model"
 	"serialgraph/internal/partition"
+	"serialgraph/internal/wire"
 )
 
 func requireLoopback(t *testing.T) {
@@ -51,7 +53,7 @@ func baseJob() dist.Job {
 // runDist executes one distributed job entirely over loopback TCP:
 // worker goroutines join the coordinator exactly as worker processes
 // would.
-func runDist[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], nVerts int) ([]V, engine.Result) {
+func runDist(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -68,7 +70,7 @@ func runDist[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], nVe
 			errs[i] = dist.Work(ln.Addr().String())
 		}(i)
 	}
-	vals, res, err := dist.Coordinate(ln, job, prog, nVerts)
+	vals, res, err := dist.Coordinate(ln, job, g)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("coordinate: %v", err)
@@ -81,10 +83,15 @@ func runDist[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], nVe
 	return vals, res
 }
 
-// runEngine is the in-process reference: same graph, same partitioning
-// knobs, BSP with no synchronization technique.
-func runEngine[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], g *graph.Graph) ([]V, engine.Result) {
+// runEngine is the in-process reference: the catalog entry job.Alg names,
+// on the same graph, with the same partitioning knobs, BSP with no
+// synchronization technique.
+func runEngine(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) {
 	t.Helper()
+	e, err := catalog.Lookup(job.Alg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := engine.Config{
 		Workers:             int(job.Workers),
 		PartitionsPerWorker: int(job.PartsPerWorker),
@@ -103,22 +110,22 @@ func runEngine[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], g
 			return m
 		}
 	}
-	vals, res, _, err := engine.Run(g, prog, cfg)
+	out, err := e.Run(g, dist.Params(job), cfg)
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}
-	return vals, res
+	return out.Values, out.Result
 }
 
-// conform runs the same program both ways and demands bitwise agreement.
-func conform[V comparable, M any](t *testing.T, job dist.Job, prog model.Program[V, M]) {
+// conform runs job both ways and demands bitwise agreement.
+func conform(t *testing.T, job dist.Job) {
 	t.Helper()
 	g, err := dist.BuildGraph(job)
 	if err != nil {
 		t.Fatalf("build graph: %v", err)
 	}
-	gotVals, gotRes := runDist(t, job, prog, g.NumVertices())
-	wantVals, wantRes := runEngine(t, job, prog, g)
+	gotVals, gotRes := runDist(t, job, g)
+	wantVals, wantRes := runEngine(t, job, g)
 
 	if gotRes.Converged != wantRes.Converged {
 		t.Errorf("converged: dist %v, engine %v", gotRes.Converged, wantRes.Converged)
@@ -129,13 +136,8 @@ func conform[V comparable, M any](t *testing.T, job dist.Job, prog model.Program
 	if gotRes.Executions != wantRes.Executions {
 		t.Errorf("executions: dist %d, engine %d", gotRes.Executions, wantRes.Executions)
 	}
-	if len(gotVals) != len(wantVals) {
-		t.Fatalf("value count: dist %d, engine %d", len(gotVals), len(wantVals))
-	}
-	for v := range wantVals {
-		if gotVals[v] != wantVals[v] {
-			t.Fatalf("value[%d]: dist %v, engine %v", v, gotVals[v], wantVals[v])
-		}
+	if !reflect.DeepEqual(gotVals, wantVals) {
+		t.Fatalf("values differ:\n dist   %v\n engine %v", gotVals, wantVals)
 	}
 	if job.Workers > 1 {
 		if gotRes.Net.DataMessages == 0 || gotRes.Net.DataBytes == 0 {
@@ -152,26 +154,57 @@ func conform[V comparable, M any](t *testing.T, job dist.Job, prog model.Program
 	}
 }
 
+// checkOracle holds a converged distributed run to its entry's serial
+// oracle.
+func checkOracle(t *testing.T, job dist.Job) {
+	t.Helper()
+	g, err := dist.BuildGraph(job)
+	if err != nil {
+		t.Fatalf("build graph: %v", err)
+	}
+	got, res := runDist(t, job, g)
+	if !res.Converged {
+		t.Fatalf("%s did not converge in %d supersteps", job.Alg, res.Supersteps)
+	}
+	e, _ := catalog.Lookup(job.Alg)
+	verdict, err := e.Check(g, dist.Params(job), got)
+	if err != nil {
+		t.Fatalf("%s: %v", job.Alg, err)
+	}
+	t.Logf("%s: %s; supersteps=%d execs=%d ctrl=%d data=%d wire=%d", job.Alg, verdict,
+		res.Supersteps, res.Executions, res.Net.ControlMessages, res.Net.DataMessages, res.Net.WireBytesSent)
+	if job.Sync == uint8(engine.PartitionLock) && res.Net.ControlMessages == 0 {
+		t.Fatal("no control messages crossed the sockets")
+	}
+}
+
+// Every catalog entry runs across two peers, under BSP for a bounded
+// number of supersteps, to the state the in-process engine reaches: the
+// names a coordinator accepts are exactly the catalog's.
+func TestDistMatchesEngineEveryEntry(t *testing.T) {
+	requireLoopback(t)
+	for _, e := range catalog.Entries() {
+		t.Run(e.Name, func(t *testing.T) {
+			job := baseJob()
+			job.Alg = e.Name
+			job.Undirected = e.Undirected
+			job.Workers = 2
+			job.MaxSupersteps = 30
+			job.Eps = 0.01
+			conform(t, job)
+		})
+	}
+}
+
 func TestDistMatchesEngineSSSP(t *testing.T) {
 	requireLoopback(t)
 	job := baseJob()
 	job.Alg = "sssp"
 	job.Source = 0
-	conform(t, job, algorithms.SSSP(0))
-
+	conform(t, job)
 	// And against the serial oracle: the converged distances must be the
 	// true shortest paths.
-	g, _ := dist.BuildGraph(job)
-	got, res := runDist(t, job, algorithms.SSSP(0), g.NumVertices())
-	if !res.Converged {
-		t.Fatal("sssp did not converge")
-	}
-	want := algorithms.ShortestPaths(g, 0)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("dist[%d] = %v, want %v", v, got[v], want[v])
-		}
-	}
+	checkOracle(t, job)
 }
 
 func TestDistMatchesEnginePageRank(t *testing.T) {
@@ -179,7 +212,7 @@ func TestDistMatchesEnginePageRank(t *testing.T) {
 	job := baseJob()
 	job.Alg = "pagerank"
 	job.Eps = 0.01
-	conform(t, job, algorithms.PageRank(0.01))
+	conform(t, job)
 }
 
 // A named streaming partitioner must survive the wire: every worker
@@ -193,7 +226,7 @@ func TestDistStreamingPartitioners(t *testing.T) {
 			job.Alg = "sssp"
 			job.Source = 0
 			job.Partitioner = kind
-			conform(t, job, algorithms.SSSP(0))
+			conform(t, job)
 		})
 	}
 }
@@ -206,7 +239,7 @@ func TestDistMatchesEngineColoring(t *testing.T) {
 	// BSP coloring can oscillate; bound the run and compare the exact
 	// (possibly non-converged) deterministic state.
 	job.MaxSupersteps = 30
-	conform(t, job, algorithms.Coloring())
+	conform(t, job)
 }
 
 func TestDistMatchesEngineWCC(t *testing.T) {
@@ -214,7 +247,7 @@ func TestDistMatchesEngineWCC(t *testing.T) {
 	job := baseJob()
 	job.Alg = "wcc"
 	job.Undirected = true
-	conform(t, job, algorithms.WCC())
+	conform(t, job)
 }
 
 func TestDistSingleWorker(t *testing.T) {
@@ -223,7 +256,7 @@ func TestDistSingleWorker(t *testing.T) {
 	job.Alg = "sssp"
 	job.Workers = 1
 	job.PartsPerWorker = 4
-	conform(t, job, algorithms.SSSP(0))
+	conform(t, job)
 }
 
 func TestDistAggregatedHalt(t *testing.T) {
@@ -236,13 +269,8 @@ func TestDistAggregatedHalt(t *testing.T) {
 	job := baseJob()
 	job.Alg = "pagerank-agg"
 	job.Eps = 0.05
-	conform(t, job, algorithms.PageRankAggregated(job.Eps))
-
-	g, _ := dist.BuildGraph(job)
-	_, res := runDist(t, job, algorithms.PageRankAggregated(job.Eps), g.NumVertices())
-	if !res.Converged {
-		t.Fatalf("aggregated pagerank did not converge in %d supersteps", res.Supersteps)
-	}
+	conform(t, job)
+	checkOracle(t, job)
 }
 
 // Async SSSP over real sockets: remote messages land in the live store
@@ -253,17 +281,7 @@ func TestDistAsyncSSSP(t *testing.T) {
 	job := baseJob()
 	job.Alg = "sssp"
 	job.Mode = uint8(engine.Async)
-	g, _ := dist.BuildGraph(job)
-	got, res := runDist(t, job, algorithms.SSSP(0), g.NumVertices())
-	if !res.Converged {
-		t.Fatalf("async sssp did not converge in %d supersteps", res.Supersteps)
-	}
-	want := algorithms.ShortestPaths(g, 0)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("dist[%d] = %v, want %v", v, got[v], want[v])
-		}
-	}
+	checkOracle(t, job)
 }
 
 // The paper's contribution across processes: Async colouring under
@@ -281,22 +299,13 @@ func TestDistPartitionLockColoring(t *testing.T) {
 			job.Seed = seed
 			job.Mode = uint8(engine.Async)
 			job.Sync = uint8(engine.PartitionLock)
-			g, _ := dist.BuildGraph(job)
-			got, res := runDist(t, job, algorithms.Coloring(), g.NumVertices())
-			if !res.Converged {
-				t.Fatalf("did not converge in %d supersteps", res.Supersteps)
-			}
-			if err := algorithms.ValidateColoring(g, got); err != nil {
-				t.Fatalf("improper colouring: %v", err)
-			}
-			t.Logf("supersteps=%d execs=%d ctrl=%d data=%d wire=%d", res.Supersteps, res.Executions, res.Net.ControlMessages, res.Net.DataMessages, res.Net.WireBytesSent)
-			if res.Net.ControlMessages == 0 {
-				t.Fatal("no control messages crossed the sockets")
-			}
+			checkOracle(t, job)
 		})
 	}
 }
 
+// An unknown algorithm is refused by name on both sides: the coordinator
+// before it accepts anyone, and a worker handed a job naming one.
 func TestDistRejectsUnknownAlg(t *testing.T) {
 	requireLoopback(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -307,16 +316,28 @@ func TestDistRejectsUnknownAlg(t *testing.T) {
 	job := baseJob()
 	job.Alg = "no-such-alg"
 	job.Workers = 1
+	want := fmt.Sprintf("unknown algorithm %q", job.Alg)
 
+	g, _ := dist.BuildGraph(job)
+	if _, _, err := dist.Coordinate(ln, job, g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("coordinator error %v does not mention %q", err, want)
+	}
+
+	// A coordinator that sends the job anyway: the worker must refuse it.
 	done := make(chan error, 1)
 	go func() { done <- dist.Work(ln.Addr().String()) }()
-	_, _, err = dist.Coordinate(ln, job, algorithms.SSSP(0), 80)
-	if err == nil {
-		t.Error("coordinator succeeded against a worker that rejected the job")
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
 	}
-	if werr := <-done; werr == nil {
-		t.Error("worker accepted unknown algorithm")
-	} else if want := fmt.Sprintf("unknown algorithm %q", job.Alg); !strings.Contains(werr.Error(), want) {
-		t.Errorf("worker error %q does not mention %q", werr, want)
+	defer c.Close()
+	if _, _, err := cluster.NewFrameReader(c).Read(); err != nil {
+		t.Fatalf("read hello: %v", err)
+	}
+	if _, err := c.Write(cluster.AppendFrame(nil, &cluster.Frame{Type: cluster.FrameJob, Payload: wire.AppendJob(nil, job)})); err != nil {
+		t.Fatalf("send job: %v", err)
+	}
+	if werr := <-done; werr == nil || !strings.Contains(werr.Error(), want) {
+		t.Errorf("worker error %v does not mention %q", werr, want)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"serialgraph/internal/graph"
 	"serialgraph/internal/metrics"
 	"serialgraph/internal/partition"
+	"serialgraph/internal/wire"
 )
 
 // Mode selects the computation model.
@@ -303,6 +304,39 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
+}
+
+// PartitionMap is the partition map a run of c over g places its vertices
+// by: c.Partitioner's, or hash placement seeded by c.Seed.
+func (c Config) PartitionMap(g *graph.Graph) *partition.Map {
+	c = c.withDefaults()
+	p := c.Workers * c.PartitionsPerWorker
+	if c.Partitioner != nil {
+		return c.Partitioner(g, p, c.Workers)
+	}
+	return partition.NewHash(g, p, c.Workers, c.Seed)
+}
+
+// JobConfig is the configuration every process of a multi-process job
+// derives from it; it fails naming any option such a run does not support.
+func JobConfig(job wire.Job) (Config, error) {
+	if job.Workers < 1 || !partition.ValidKind(job.Partitioner) {
+		return Config{}, fmt.Errorf("engine: job with %d workers and partitioner %q", job.Workers, job.Partitioner)
+	}
+	cfg := Config{
+		Workers:             int(job.Workers),
+		PartitionsPerWorker: int(job.PartsPerWorker),
+		MaxSupersteps:       int(job.MaxSupersteps),
+		Mode:                Mode(job.Mode),
+		Sync:                Sync(job.Sync),
+		Seed:                job.Seed,
+		MsgMemoryBudget:     job.MsgMemoryBudget,
+		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
+			m, _ := partition.New(job.Partitioner, g, p, w, job.Seed)
+			return m
+		},
+	}
+	return cfg, cfg.ValidatePeer()
 }
 
 // ValidatePeer reports why cfg cannot run as a multi-process job (NewPeer),

@@ -139,14 +139,7 @@ type runner[V, M any] struct {
 // must carry its defaults; a transport and workers come next (attach,
 // addWorkers).
 func newRunner[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) *runner[V, M] {
-	p := cfg.Workers * cfg.PartitionsPerWorker
-	var pm *partition.Map
-	if cfg.Partitioner != nil {
-		pm = cfg.Partitioner(g, p, cfg.Workers)
-	} else {
-		pm = partition.NewHash(g, p, cfg.Workers, cfg.Seed)
-	}
-	r := &runner[V, M]{g: g, prog: prog, cfg: cfg, pm: pm, reg: cfg.Metrics}
+	r := &runner[V, M]{g: g, prog: prog, cfg: cfg, pm: cfg.PartitionMap(g), reg: cfg.Metrics}
 	if r.reg == nil {
 		r.reg = metrics.New()
 	}

@@ -72,13 +72,14 @@ func (p *Peer[V, M]) Executions() int64 { return p.r.reg.Get(metrics.Executions)
 // bytes both ways.
 func (p *Peer[V, M]) Net() cluster.Snapshot { return p.tcp.Stats().Load() }
 
-// Values returns the worker's vertices with their values.
-func (p *Peer[V, M]) Values() []wire.ValueEntry[V] {
+// AppendValues appends the worker's vertices with their values, encoded
+// as wire.AppendValues does with V's wire.AutoMsgCodec.
+func (p *Peer[V, M]) AppendValues(dst []byte) []byte {
 	vals := make([]wire.ValueEntry[V], len(p.w.owned))
 	for i, v := range p.w.owned {
 		vals[i] = wire.ValueEntry[V]{ID: int32(v), Val: p.r.values[v]}
 	}
-	return vals
+	return wire.AppendValues(dst, wire.AutoMsgCodec[V](), vals)
 }
 
 // Close stops the worker and its transport, which returns once every other

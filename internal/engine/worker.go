@@ -206,6 +206,7 @@ func (w *worker[V, M]) newStore() *msgstore.Store[M] {
 // enforcing condition C1 for the requesting partition.
 func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
 	w.newLockManager(func(p chandy.PhilID) int { return w.r.pm.WorkerOfPartition(partition.ID(p)) })
+	w.mgr.Reserve(len(w.parts), len(partNeighbors))
 	for _, p := range w.parts {
 		nbs := make([]chandy.PhilID, 0, len(partNeighbors[p]))
 		for _, q := range partNeighbors[p] {

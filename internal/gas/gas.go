@@ -314,6 +314,11 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, w.out.FlushTo)
 		w.mgr.SetRecycle(true)
 		w.mgr.SetMetrics(r.reg)
+		owned := 0
+		for _, p := range r.pm.PartitionsOfWorker(id) {
+			owned += len(r.pm.Vertices(p))
+		}
+		w.mgr.Reserve(owned, n)
 		var nbs []chandy.PhilID
 		for v := 0; v < n; v++ {
 			u := graph.VertexID(v)

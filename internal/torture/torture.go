@@ -34,7 +34,7 @@ import (
 	"strings"
 	"sync"
 
-	"serialgraph/internal/algorithms"
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/checkpoint"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/fault"
@@ -59,7 +59,7 @@ type Scenario struct {
 
 	Shape     string // generate.Names() family
 	N         int    // approximate vertex count
-	Algorithm string // "sssp", "wcc", "coloring", "pagerank", "mutate", "recolor"
+	Algorithm string // a catalog entry's name, or "mutate" (the local fixture)
 
 	Workers        int
 	PartsPerWorker int
@@ -197,11 +197,11 @@ func Sample(seed uint64) Scenario {
 	if sc.Sync == engine.SyncNone && sc.Mode != engine.BAP && r.Intn(4) == 0 {
 		sc.Algorithm = "mutate"
 	}
-	// The serializability oracle assumes a workload that propagates every
-	// write (see runPageRank). The always-propagating PageRank variant
-	// needs aggregators, which barrierless BAP lacks — so BAP+locking
-	// falls back to a Combine-semantics workload instead.
-	if sc.Mode == engine.BAP && sc.Sync.Serializable() && sc.Algorithm == "pagerank" {
+	// The serializability oracle assumes a write-all workload (§3.3), and
+	// the write-all form of the one that is not (PageRank's aggregated
+	// variant) needs aggregators, which barrierless BAP lacks — so
+	// BAP+locking falls back to a Combine-semantics workload instead.
+	if sc.Mode == engine.BAP && sc.Sync.Serializable() && !mustEntry(sc.Algorithm).WriteAll {
 		sc.Algorithm = "wcc"
 	}
 
@@ -212,11 +212,12 @@ func Sample(seed uint64) Scenario {
 		if len(p.Crashes) > 0 && r.Intn(2) == 0 {
 			sc.CheckpointEvery = 1 + r.Intn(3)
 		}
-		// Tolerance-terminated PageRank has no liveness guarantee on lossy
-		// links: sustained drops keep perturbing the error sum above the
-		// threshold forever. Monotone workloads still converge under loss,
-		// so lossy plans run one of those instead.
-		if p.DropRate > 0 && sc.Algorithm == "pagerank" {
+		// Tolerance-terminated PageRank, the sampled workload that is not
+		// write-all, has no liveness guarantee on lossy links: sustained
+		// drops keep perturbing the error sum above the threshold forever.
+		// Monotone workloads still converge under loss, so lossy plans run
+		// one of those instead.
+		if p.DropRate > 0 && !mustEntry(sc.Algorithm).WriteAll {
 			sc.Algorithm = "sssp"
 		}
 	}
@@ -299,12 +300,41 @@ func SampleBroken(seed uint64) Scenario {
 	}
 }
 
-// buildGraph materializes the scenario's graph. Neighborhood-reading
-// algorithms get a symmetrized graph, as the paper requires (§7.2.1).
-func buildGraph(sc Scenario) *graph.Graph {
+// workload is the entry an algorithm names: the catalog's, or the local
+// topology-mutation fixture.
+func workload(name string) (*catalog.Entry, error) {
+	if name == mutateEntry.Name {
+		return mutateEntry, nil
+	}
+	return catalog.Lookup(name)
+}
+
+// mustEntry is the workload a sampled algorithm names.
+func mustEntry(name string) *catalog.Entry {
+	e, err := workload(name)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// entry is the workload a scenario runs under cfg. A program that is not
+// write-all runs its write-all form where every write must reach the
+// replicas: under BSP, whose stores keep a message one superstep only, and
+// under the serializability oracle.
+func (sc Scenario) entry(cfg engine.Config) (*catalog.Entry, error) {
+	e, err := workload(sc.Algorithm)
+	if err == nil && !e.WriteAll && (cfg.Mode == engine.BSP || cfg.TrackHistory) {
+		e, err = catalog.Lookup(e.WriteAllForm)
+	}
+	return e, err
+}
+
+// buildGraph materializes the scenario's graph, symmetrized for a
+// workload that reads its neighbourhood both ways (§7.2.1).
+func buildGraph(sc Scenario, e *catalog.Entry) *graph.Graph {
 	g := generate.Family(sc.Shape, sc.N, int64(sc.Seed|1))
-	switch sc.Algorithm {
-	case "wcc", "coloring", "recolor":
+	if e.Undirected {
 		g = graph.Symmetrize(g)
 	}
 	return g
@@ -375,54 +405,54 @@ func RunScenario(sc Scenario, scratch string) error {
 		}
 		ckptDir = d
 	}
-	g := buildGraph(sc)
 	cfg := buildConfig(sc, ckptDir)
-	fullCfg, err := fullComparisonConfig(sc, scratch)
+	e, err := sc.entry(cfg)
 	if err != nil {
-		return err
+		return fmt.Errorf("torture: %w", err)
 	}
-	switch sc.Algorithm {
-	case "sssp":
-		return runSSSP(sc, g, cfg, fullCfg)
-	case "wcc":
-		return runWCC(sc, g, cfg, fullCfg)
-	case "coloring", "recolor":
-		return runColoring(sc, g, cfg)
-	case "pagerank":
-		return runPageRank(sc, g, cfg)
-	case "mutate":
-		return runMutate(sc, g, cfg)
-	default:
-		return fmt.Errorf("torture: unknown algorithm %q", sc.Algorithm)
+	g := buildGraph(sc, e)
+	p := catalog.Params{Eps: 0.05}
+	out, err := e.Run(g, p, cfg)
+	if err != nil {
+		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
 	}
+	res := out.Result
+	errs := checkCommon(sc, cfg, g, res, out.History)
+	// A lossy run may lose any message, and a broken protocol any
+	// guarantee; a workload whose oracle needs serializability is held to
+	// it only under a technique that promises it (Figures 2 and 3 show how
+	// coloring breaks without one).
+	if res.Converged && !sc.lossy() && !sc.BreakProtocol && (!e.Serial || sc.serializabilityPromised()) {
+		if _, err := e.Check(g, p, out.Values); err != nil {
+			errs = append(errs, fmt.Errorf("result: %s: %w", e.Name, err))
+		}
+	}
+	// The confined-vs-full oracle reruns the crash plan with full
+	// rollbacks, a fresh injector and its own checkpoint directory. Only a
+	// workload with one answer compares final values; lossy plans diverge
+	// legitimately (the message logs replay sends the chaos layer dropped
+	// on the original timeline).
+	if sc.Recovery == engine.RecoverConfined && e.Unique && !sc.lossy() && !sc.BreakProtocol && res.Converged {
+		full, err := fullRun(sc, scratch, e, g, p)
+		errs = append(errs, compareRecoveries(out, full, err)...)
+	}
+	return joinFailures(sc, errs)
 }
 
-// fullComparisonConfig builds the control config for the confined-vs-full
-// oracle: the same scenario rerun with full rollbacks, a fresh injector,
-// and its own checkpoint directory. Only unique-fixpoint workloads compare
-// final values (sssp, wcc) — other algorithms return nil and rely on the
-// per-run oracles alone. Lossy plans diverge legitimately (the message
-// logs replay sends the chaos layer dropped on the original timeline), so
-// they are excluded too.
-func fullComparisonConfig(sc Scenario, scratch string) (*engine.Config, error) {
-	if sc.Recovery != engine.RecoverConfined || sc.lossy() || sc.BreakProtocol {
-		return nil, nil
-	}
-	if sc.Algorithm != "sssp" && sc.Algorithm != "wcc" {
-		return nil, nil
-	}
+// fullRun is the scenario's control run for the confined-vs-full oracle:
+// the same crash plan recovered with full rollbacks.
+func fullRun(sc Scenario, scratch string, e *catalog.Entry, g *graph.Graph, p catalog.Params) (catalog.Output, error) {
 	scFull := sc
 	scFull.Recovery = engine.RecoverFull
 	ckptDir := ""
 	if sc.CheckpointEvery > 0 {
 		d, err := os.MkdirTemp(scratch, "ckpt-full-")
 		if err != nil {
-			return nil, fmt.Errorf("scratch dir: %w", err)
+			return catalog.Output{}, fmt.Errorf("scratch dir: %w", err)
 		}
 		ckptDir = d
 	}
-	cfg := buildConfig(scFull, ckptDir)
-	return &cfg, nil
+	return e.Run(g, p, buildConfig(scFull, ckptDir))
 }
 
 // checkCommon applies the oracles shared by every workload: liveness,
@@ -689,74 +719,23 @@ func joinFailures(sc Scenario, errs []error) error {
 	return fmt.Errorf("scenario %v:\n%w", sc, errors.Join(nonNil...))
 }
 
-func runSSSP(sc Scenario, g *graph.Graph, cfg engine.Config, fullCfg *engine.Config) error {
-	dist, res, rec, err := engine.Run(g, algorithms.SSSP(0), cfg)
-	if err != nil {
-		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
-	}
-	errs := checkCommon(sc, cfg, g, res, rec)
-	if res.Converged && !sc.lossy() && !sc.BreakProtocol {
-		want := algorithms.ShortestPaths(g, 0)
-		for v := range want {
-			if dist[v] != want[v] {
-				errs = append(errs, fmt.Errorf("result: sssp dist[%d] = %v, want %v", v, dist[v], want[v]))
-				break
-			}
-		}
-	}
-	if fullCfg != nil && res.Converged {
-		fullDist, fullRes, _, err := engine.Run(g, algorithms.SSSP(0), *fullCfg)
-		errs = append(errs, compareRecoveries(res, fullRes, err, func(v int) bool {
-			return dist[v] != fullDist[v]
-		}, len(dist))...)
-	}
-	return joinFailures(sc, errs)
-}
-
-func runWCC(sc Scenario, g *graph.Graph, cfg engine.Config, fullCfg *engine.Config) error {
-	labels, res, rec, err := engine.Run(g, algorithms.WCC(), cfg)
-	if err != nil {
-		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
-	}
-	errs := checkCommon(sc, cfg, g, res, rec)
-	if res.Converged && !sc.lossy() && !sc.BreakProtocol {
-		want := algorithms.Components(g)
-		for v := range want {
-			if labels[v] != want[v] {
-				errs = append(errs, fmt.Errorf("result: wcc label[%d] = %d, want %d", v, labels[v], want[v]))
-				break
-			}
-		}
-	}
-	if fullCfg != nil && res.Converged {
-		fullLabels, fullRes, _, err := engine.Run(g, algorithms.WCC(), *fullCfg)
-		errs = append(errs, compareRecoveries(res, fullRes, err, func(v int) bool {
-			return labels[v] != fullLabels[v]
-		}, len(labels))...)
-	}
-	return joinFailures(sc, errs)
-}
-
 // compareRecoveries is the confined-vs-full oracle: the same crash plan
 // recovered confined (primary run) and with full rollbacks (control run)
 // must both converge to identical values, and a confined recovery that
 // fired must have recomputed no more partition-supersteps than the
 // cluster-wide control did.
-func compareRecoveries(confined, full engine.Result, fullErr error, differs func(v int) bool, n int) []error {
+func compareRecoveries(confined, full catalog.Output, fullErr error) []error {
 	var errs []error
 	if fullErr != nil {
 		return append(errs, fmt.Errorf("confined-vs-full: control run errored: %w", fullErr))
 	}
-	if !full.Converged {
+	if !full.Result.Converged {
 		return append(errs, errors.New("confined-vs-full: control run with full rollbacks did not converge"))
 	}
-	for v := 0; v < n; v++ {
-		if differs(v) {
-			errs = append(errs, fmt.Errorf("confined-vs-full: value[%d] differs between recovery modes", v))
-			break
-		}
+	if !reflect.DeepEqual(confined.Values, full.Values) {
+		errs = append(errs, errors.New("confined-vs-full: values differ between recovery modes"))
 	}
-	c, f := confined.Metrics, full.Metrics
+	c, f := confined.Result.Metrics, full.Result.Metrics
 	cRollbacks, fRollbacks := c.Get(metrics.Rollbacks), f.Get(metrics.Rollbacks)
 	cParts, fParts := c.Get(metrics.RecomputedPartitionSupersteps), f.Get(metrics.RecomputedPartitionSupersteps)
 	if cr := c.Get(metrics.ConfinedRecoveries); cr > 0 && fRollbacks > 0 &&
@@ -764,105 +743,6 @@ func compareRecoveries(confined, full engine.Result, fullErr error, differs func
 		errs = append(errs, fmt.Errorf("confined-vs-full: confined recomputed %d partition-supersteps, full only %d", cParts, fParts))
 	}
 	return errs
-}
-
-func runColoring(sc Scenario, g *graph.Graph, cfg engine.Config) error {
-	prog := algorithms.Coloring()
-	if sc.Algorithm == "recolor" {
-		prog = algorithms.ColoringRecolor()
-	}
-	colors, res, rec, err := engine.Run(g, prog, cfg)
-	if err != nil {
-		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
-	}
-	errs := checkCommon(sc, cfg, g, res, rec)
-	// A proper coloring is promised only under a serializable technique
-	// (Figures 2 and 3 show exactly how it breaks without one).
-	if res.Converged && sc.serializabilityPromised() && !sc.BreakProtocol && !sc.lossy() {
-		if err := algorithms.ValidateColoring(g, colors); err != nil {
-			errs = append(errs, fmt.Errorf("result: %w", err))
-		}
-	}
-	return joinFailures(sc, errs)
-}
-
-func runPageRank(sc Scenario, g *graph.Graph, cfg engine.Config) error {
-	const eps = 0.05
-	// The eps-thresholded PageRank assumes retained neighbor contributions
-	// (AP-style replica reads), so it is only meaningful on the async
-	// engines; under BSP, where messages live for exactly one superstep,
-	// its partial sums lose rank mass. It also suppresses sends once a
-	// vertex's delta falls under eps, so neighbor replicas go stale by
-	// design — algorithm-level staleness tolerance that would trip the C1
-	// oracle spuriously. Both cases run the aggregated variant instead: it
-	// propagates every write every superstep and terminates via MasterHalt.
-	prog := algorithms.PageRank(eps)
-	aggregated := cfg.Mode == engine.BSP || cfg.TrackHistory
-	if aggregated {
-		prog = algorithms.PageRankAggregated(eps)
-	}
-	pr, res, rec, err := engine.Run(g, prog, cfg)
-	if err != nil {
-		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
-	}
-	errs := checkCommon(sc, cfg, g, res, rec)
-	if res.Converged && !sc.lossy() && !sc.BreakProtocol {
-		// Every vertex stopped propagating only once its delta fell below
-		// eps, so the residual is bounded by eps summed over in-neighbors;
-		// anything beyond that bound means corrupted rank state, not
-		// execution-order noise. The eps variant never re-executes a vertex
-		// that receives no messages, so in-degree-0 vertices legitimately
-		// keep their initial rank under ALL modes — they are excluded from
-		// its residual (the aggregated variant re-executes them).
-		maxIn := 0
-		for v := 0; v < g.NumVertices(); v++ {
-			if d := g.InDegree(graph.VertexID(v)); d > maxIn {
-				maxIn = d
-			}
-		}
-		bound := eps * float64(1+maxIn)
-		if !aggregated {
-			// The eps variant suppresses every delta below eps, and a vertex
-			// re-executing several times can accumulate multiple suppressed
-			// deltas of drift relative to what its neighbors last received —
-			// interleaving-dependent slack, not corruption, so its bound
-			// carries an accumulation margin.
-			bound *= 4
-		}
-		if r := pagerankResidual(g, pr, !aggregated); r > bound {
-			errs = append(errs, fmt.Errorf("result: pagerank residual %v exceeds bound %v", r, bound))
-		}
-	}
-	return joinFailures(sc, errs)
-}
-
-// pagerankResidual mirrors algorithms.PageRankResidual, optionally
-// skipping vertices with no in-neighbors (see runPageRank).
-func pagerankResidual(g *graph.Graph, pr []float64, skipSources bool) float64 {
-	maxRes := 0.0
-	for v := 0; v < g.NumVertices(); v++ {
-		ins := g.InNeighbors(graph.VertexID(v))
-		if skipSources && len(ins) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, in := range ins {
-			if d := g.OutDegree(in); d > 0 {
-				sum += pr[in] / float64(d)
-			}
-		}
-		if res := abs(pr[v] - (0.15 + 0.85*sum)); res > maxRes {
-			maxRes = res
-		}
-	}
-	return maxRes
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // mutateProgram removes every out-edge of vertices with ID%5 == 0 (except
@@ -918,20 +798,13 @@ func mutatedReachability(g *graph.Graph) []int32 {
 	return want
 }
 
-func runMutate(sc Scenario, g *graph.Graph, cfg engine.Config) error {
-	vals, res, rec, err := engine.Run(g, mutateProgram(), cfg)
-	if err != nil {
-		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
-	}
-	errs := checkCommon(sc, cfg, g, res, rec)
-	if res.Converged && !sc.lossy() {
-		want := mutatedReachability(g)
-		for v := range want {
-			if vals[v] != want[v] {
-				errs = append(errs, fmt.Errorf("result: mutate reach[%d] = %d, want %d", v, vals[v], want[v]))
-				break
+// mutateEntry runs mutateProgram, judged by mutatedReachability.
+var mutateEntry = catalog.Fixture(catalog.Entry{Name: "mutate", WriteAll: true}, mutateProgram,
+	func(g *graph.Graph, reach []int32) error {
+		for v, want := range mutatedReachability(g) {
+			if reach[v] != want {
+				return fmt.Errorf("reach[%d] = %d, want %d", v, reach[v], want)
 			}
 		}
-	}
-	return joinFailures(sc, errs)
-}
+		return nil
+	})

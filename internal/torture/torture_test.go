@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/engine"
 )
 
@@ -190,6 +192,26 @@ func TestTortureReplayDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("Sample(%#x) is not deterministic:\n  %v\n  %v", seed, a, b)
 		}
+	}
+}
+
+// The harness runs the catalog's algorithms and its own mutation fixture,
+// and nothing else: every sampled algorithm is one of them, and a scenario
+// naming an unknown one fails before it runs.
+func TestTortureAlgorithmsAreCatalogEntries(t *testing.T) {
+	names := append(catalog.Names(), mutateEntry.Name)
+	for i := 0; i < 2000; i++ {
+		if sc := Sample(CaseSeed(0xdecaf, i)); !slices.Contains(names, sc.Algorithm) {
+			t.Fatalf("scenario %v runs %q, not a catalog entry", sc, sc.Algorithm)
+		}
+	}
+	if sc := SampleBroken(1); !slices.Contains(names, sc.Algorithm) {
+		t.Fatalf("broken scenario runs %q, not a catalog entry", sc.Algorithm)
+	}
+	sc := Sample(CaseSeed(0xdecaf, 0))
+	sc.Algorithm = "no-such-alg"
+	if err := RunScenario(sc, t.TempDir()); err == nil || !strings.Contains(err.Error(), `unknown algorithm "no-such-alg"`) {
+		t.Errorf("unknown algorithm: %v", err)
 	}
 }
 

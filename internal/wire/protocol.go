@@ -28,11 +28,11 @@ type Hello struct {
 // deterministically rebuild the same graph and partition map and find
 // its peers.
 type Job struct {
-	Alg            string // "sssp" | "pagerank" | "pagerank-agg" | "coloring" | "wcc"
+	Alg            string // a catalog entry's name (catalog.Names)
 	GraphPath      string // load a saved graph...
 	Family         string // ...or generate one from a family
 	N              int32  // generated-graph size
-	Undirected     bool   // symmetrize after loading/generating
+	Undirected     bool   // symmetrize after loading/generating (the entry's Undirected)
 	Workers        int32  // worker-process count
 	PartsPerWorker int32
 	MaxSupersteps  int32
