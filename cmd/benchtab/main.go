@@ -275,10 +275,7 @@ func (h *harness) exec(c cell, e *catalog.Entry, g *graph.Graph, track bool) (o 
 		out, o.err = e.Run(g, p, cfg)
 	}
 	o.res, o.rec, o.vals = out.Result, out.History, out.Values
-	o.check = func() error {
-		_, err := e.Check(g, p, out.Values)
-		return err
-	}
+	o.check = func() error { return out.Check(g, p) }
 	return o
 }
 
@@ -296,13 +293,11 @@ func async(sync engine.Sync) engine.Config {
 
 // placement builds engine.Config.Partitioner for a partitioner kind.
 func placement(kind string) func(*graph.Graph, int, int) *partition.Map {
-	return func(g *graph.Graph, p, w int) *partition.Map {
-		m, err := partition.New(kind, g, p, w, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return m
+	place, err := partition.Placer(kind, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
+	return place
 }
 
 // experiment is one -exp name.

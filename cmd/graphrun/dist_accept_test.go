@@ -190,7 +190,7 @@ var ctrlMsgsRe = regexp.MustCompile(`, (\d+) control msgs`)
 // messages between the worker processes.
 func checkForkColoring(t *testing.T, out string) {
 	t.Helper()
-	if !strings.Contains(out, "coloring: proper") || !strings.Contains(out, "converged=true") {
+	if !strings.Contains(out, "coloring: oracle ok") || !strings.Contains(out, "converged=true") {
 		t.Fatalf("coordinator output:\n%s", out)
 	}
 	if m := ctrlMsgsRe.FindStringSubmatch(out); m == nil || m[1] == "0" {
@@ -219,7 +219,7 @@ func inprocLines(t *testing.T, alg, graphPath string, maxSupersteps int, seed ui
 		Workers: 2, PartitionsPerWorker: 2, Mode: engine.BSP,
 		Sync: engine.SyncNone, Seed: seed, MaxSupersteps: maxSupersteps,
 	}
-	out, err := e.Run(g, dist.Params(job), cfg)
+	out, err := e.Run(g, catalog.JobParams(job), cfg)
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}

@@ -21,6 +21,8 @@ import (
 	"strings"
 	"time"
 
+	"serialgraph"
+	"serialgraph/internal/catalog"
 	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
 )
@@ -29,7 +31,7 @@ import (
 func runWorkerProcess(addr string) error {
 	fmt.Printf("worker: joining coordinator at %s\n", addr)
 	start := time.Now()
-	if err := dist.Work(addr); err != nil {
+	if err := dist.Work(addr, catalog.Serve); err != nil {
 		return err
 	}
 	fmt.Printf("worker: done in %v\n", time.Since(start).Round(time.Millisecond))
@@ -74,11 +76,12 @@ func listenJob(pl plan, job dist.Job) (dist.Job, error) {
 	if job.GraphPath == "" && job.Family == "" {
 		return dist.Job{}, fmt.Errorf("coordinator mode needs -graph or -family/-n (workers rebuild the graph themselves)")
 	}
-	if pl.gas {
-		return dist.Job{}, fmt.Errorf("multi-process mode does not support -technique %s (the GAS engine)", pl.technique)
+	cfg, err := serialgraph.Options{Model: pl.model, Technique: pl.technique}.EngineConfig()
+	if err != nil {
+		return dist.Job{}, fmt.Errorf("multi-process mode does not support -technique %s: %w", pl.technique, err)
 	}
 	job.Alg, job.Undirected = pl.entry.Name, pl.entry.Undirected
-	job.Mode, job.Sync = uint8(pl.mode), uint8(pl.sync)
+	job.Mode, job.Sync = uint8(cfg.Mode), uint8(cfg.Sync)
 	if job.PartsPerWorker == 0 {
 		job.PartsPerWorker = job.Workers
 	}
@@ -86,7 +89,7 @@ func listenJob(pl plan, job dist.Job) (dist.Job, error) {
 		job.MaxSupersteps = 100000
 	}
 	if _, err := engine.JobConfig(job); err != nil {
-		return dist.Job{}, fmt.Errorf("multi-process mode does not support -model %s -technique %s: %w", pl.mode, pl.technique, err)
+		return dist.Job{}, fmt.Errorf("multi-process mode does not support -model %s -technique %s: %w", pl.model, pl.technique, err)
 	}
 	return job, nil
 }
@@ -106,18 +109,18 @@ func runCoordinatorProcess(listen, out string, pl plan, job dist.Job) error {
 	defer ln.Close()
 	fmt.Printf("coordinator: listening on %s for %d workers\n", ln.Addr(), job.Workers)
 	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions, %s, %s\n",
-		g.NumVertices(), g.NumEdges(), job.Alg, job.Workers, job.PartsPerWorker, pl.mode, pl.technique)
+		g.NumVertices(), g.NumEdges(), job.Alg, job.Workers, job.PartsPerWorker, pl.model, pl.technique)
 
-	values, res, err := dist.Coordinate(ln, job, g)
+	res, err := catalog.Coordinate(ln, job, g)
 	if err != nil {
 		return err
 	}
-	judge(pl.entry, g, dist.Params(job), res, values)
-	printSummary(res)
+	judge(job.Alg, g, catalog.JobParams(job), res)
+	printSummary(res.Result)
 	if out == "" {
 		return nil
 	}
-	if err := writeValues(out, values); err != nil {
+	if err := writeValues(out, res.Values); err != nil {
 		return err
 	}
 	fmt.Printf("wrote values to %s\n", out)

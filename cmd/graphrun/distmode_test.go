@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"serialgraph"
 	"serialgraph/internal/catalog"
 	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
+	"serialgraph/internal/generate"
 )
 
 // A -listen coordinator refuses, by name, every flag and every -model or
@@ -83,8 +85,18 @@ func TestAcceptsCatalogNames(t *testing.T) {
 			t.Errorf("%+v: err = %v, want %q", tc, err, tc.want)
 		}
 	}
-	if pl, err := newPlan("wcc", "bap", "partition-locking", nil); err != nil || pl.mode != engine.BAP {
+	if pl, err := newPlan("wcc", "bap", "partition-locking", nil); err != nil || pl.model != serialgraph.BAP {
 		t.Errorf("-model bap: plan %+v, err %v", pl, err)
+	}
+	// pagerank-agg halts only by MasterHalt, which BAP never consults: the
+	// run is refused rather than left to run forever.
+	pl, err := newPlan("pagerank-agg", "bap", "partition-locking", nil)
+	if err == nil {
+		g := generate.Family("ring", 8, 1)
+		_, err = pl.run(g, catalog.Params{Eps: 0.01}, serialgraph.Options{Workers: 2, Model: pl.model, Technique: pl.technique})
+	}
+	if err == nil || !strings.Contains(err.Error(), "MasterHalt") {
+		t.Errorf("pagerank-agg under -model bap: err = %v, want a refusal naming MasterHalt", err)
 	}
 }
 
@@ -92,7 +104,7 @@ func TestAcceptsCatalogNames(t *testing.T) {
 // defaults give way, and an explicit other -model or -technique is refused.
 func TestSelfSynchronizingEntryRunsBSP(t *testing.T) {
 	pl, err := newPlan("triangles", "async", "partition-locking", []string{"alg"})
-	if err != nil || pl.mode != engine.BSP || pl.sync != engine.SyncNone || pl.technique.String() != "none" {
+	if err != nil || pl.model != serialgraph.BSP || pl.technique != serialgraph.NoSerializability {
 		t.Fatalf("triangles under the defaults: plan %+v, err %v", pl, err)
 	}
 	for _, set := range [][]string{{"model"}, {"technique"}} {

@@ -37,11 +37,8 @@ import (
 
 	"serialgraph"
 	"serialgraph/internal/catalog"
-	"serialgraph/internal/cluster"
 	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
-	"serialgraph/internal/fault"
-	"serialgraph/internal/gas"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
@@ -158,7 +155,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	recovery, err := parseName("recovery", *recoveryName, engine.RecoverFull, engine.RecoverConfined)
+	recovery, err := parseName("recovery", *recoveryName, serialgraph.RecoverFull, serialgraph.RecoverConfined)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -166,40 +163,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !partition.ValidKind(*partitionerName) {
-		log.Fatalf("unknown -partitioner %q (want %s)", *partitionerName, strings.Join(partition.Kinds(), ", "))
-	}
-	lat := cluster.LatencyModel{Propagation: *latency}
-	cfg := engine.Config{
-		Workers: *workers, PartitionsPerWorker: *ppw, Mode: pl.mode,
-		Sync: pl.sync, Transport: transport, Latency: lat,
-		Seed: *seed, MaxSupersteps: *maxSupersteps,
-		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
-			m, _ := partition.New(*partitionerName, g, p, w, *seed)
-			return m
-		},
+	opt := serialgraph.Options{
+		Workers: *workers, PartitionsPerWorker: *ppw, Model: pl.model,
+		Technique: pl.technique, Transport: transport,
+		NetworkLatency: *latency,
+		Seed:           *seed, MaxSupersteps: *maxSupersteps, Partitioner: *partitionerName,
 		CheckpointEvery: *checkpointEvery, CheckpointDir: *checkpointDir,
 		Recovery: recovery, WatchdogTimeout: *watchdogTimeout,
 		DetailedStats: *traceOut != "", MsgMemoryBudget: *msgMem, TrackHistory: *check,
 	}
 
 	// Assemble the fault plan, if any fault flag is set.
-	plan := fault.Plan{
+	plan := serialgraph.FaultPlan{
 		DropRate: *dropRate, DuplicateRate: *dupRate,
 		StragglerRate: *stragglerRate, StragglerDelay: *stragglerDelay,
 		Seed: *faultSeed,
 	}
 	if *crashAt >= 0 {
-		plan.Crashes = append(plan.Crashes, fault.Crash{Worker: *crashWorker, AtSuperstep: *crashAt})
+		plan.Crashes = append(plan.Crashes, serialgraph.CrashSpec{
+			Worker: *crashWorker, AtSuperstep: *crashAt})
 	} else if *crashAfterMsgs > 0 {
-		plan.Crashes = append(plan.Crashes, fault.Crash{Worker: *crashWorker, AfterMessages: *crashAfterMsgs})
+		plan.Crashes = append(plan.Crashes, serialgraph.CrashSpec{
+			Worker: *crashWorker, AfterMessages: *crashAfterMsgs})
 	}
 	faulty := len(plan.Crashes) > 0 || plan.DropRate > 0 || plan.DuplicateRate > 0 || plan.StragglerRate > 0
 	if faulty {
-		if pl.gas {
+		if pl.gas() {
 			log.Fatal("fault injection is not supported on the GAS engine (-technique vertex-locking)")
 		}
-		cfg.Fault = fault.NewInjector(plan)
+		opt.Fault = &plan
 	}
 
 	if pl.entry.Undirected {
@@ -216,19 +208,13 @@ func main() {
 		p.Source = rel.NewID(p.Source)
 	}
 	fmt.Printf("graph: %d vertices, %d edges; %d workers, %s, %s, %s partitioning\n",
-		g.NumVertices(), g.NumEdges(), *workers, pl.mode, pl.technique, *partitionerName)
+		g.NumVertices(), g.NumEdges(), *workers, pl.model, pl.technique, *partitionerName)
 
-	var res catalog.Output
-	if pl.gas {
-		res, err = pl.entry.RunGAS(g, p, gas.Config{Workers: *workers, Serializable: true, Latency: lat,
-			Seed: *seed, Partitioner: *partitionerName, TrackHistory: *check})
-	} else {
-		res, err = pl.entry.Run(g, p, cfg)
-	}
+	res, err := pl.run(g, p, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	judge(pl.entry, g, p, res.Result, res.Values)
+	judge(pl.entry.Name, g, p, res)
 	values := res.Values
 	if rel != nil {
 		values = unpermute(rel, values) // back to original vertex IDs
@@ -295,20 +281,11 @@ func main() {
 // modes are -model's values, techniques -technique's and transports
 // -transport's; each is named by its String().
 var (
-	modes      = []engine.Mode{engine.BSP, engine.Async, engine.BAP}
+	modes      = []serialgraph.Model{serialgraph.BSP, serialgraph.Async, serialgraph.BAP}
 	techniques = []serialgraph.Technique{serialgraph.NoSerializability, serialgraph.SingleToken,
 		serialgraph.DualToken, serialgraph.PartitionLocking, serialgraph.VertexLocking}
-	transports = []engine.TransportKind{engine.TransportInProc, engine.TransportTCP}
+	transports = []serialgraph.Transport{serialgraph.InProc, serialgraph.TCPLoopback}
 )
-
-// syncs is the engine technique each -technique runs; vertex locking runs
-// on the GAS engine instead.
-var syncs = map[serialgraph.Technique]engine.Sync{
-	serialgraph.NoSerializability: engine.SyncNone,
-	serialgraph.SingleToken:       engine.TokenSingle,
-	serialgraph.DualToken:         engine.TokenDual,
-	serialgraph.PartitionLocking:  engine.PartitionLock,
-}
 
 // names joins the String() forms of vals for a flag's usage.
 func names[T fmt.Stringer](vals ...T) string {
@@ -331,15 +308,17 @@ func parseName[T fmt.Stringer](flagName, name string, vals ...T) (T, error) {
 	return zero, fmt.Errorf("unknown -%s %q (want %s)", flagName, name, names(vals...))
 }
 
-// plan is what an invocation runs: a catalog entry under an engine mode
-// and technique, or on the GAS engine.
+// plan is what an invocation runs: a catalog entry under a model and
+// technique.
 type plan struct {
 	entry     *catalog.Entry
-	mode      engine.Mode
+	model     serialgraph.Model
 	technique serialgraph.Technique
-	sync      engine.Sync
-	gas       bool // vertex locking on the GAS engine
 }
+
+// gas reports whether the plan runs the entry's GAS form: vertex locking
+// runs on the GAS engine.
+func (pl plan) gas() bool { return pl.technique == serialgraph.VertexLocking }
 
 // newPlan resolves -alg, -model and -technique, each of which must name a
 // known value. An entry that synchronizes itself runs under BSP with no
@@ -350,7 +329,7 @@ func newPlan(alg, modelName, techniqueName string, set []string) (plan, error) {
 	if err != nil {
 		return plan{}, err
 	}
-	mode, err := parseName("model", modelName, modes...)
+	mdl, err := parseName("model", modelName, modes...)
 	if err != nil {
 		return plan{}, err
 	}
@@ -359,27 +338,44 @@ func newPlan(alg, modelName, techniqueName string, set []string) (plan, error) {
 		return plan{}, err
 	}
 	if e.BSP {
-		if slices.Contains(set, "model") && mode != engine.BSP || slices.Contains(set, "technique") && t != serialgraph.NoSerializability {
+		if slices.Contains(set, "model") && mdl != serialgraph.BSP || slices.Contains(set, "technique") && t != serialgraph.NoSerializability {
 			return plan{}, fmt.Errorf("-alg %s runs only under -model bsp -technique none", alg)
 		}
-		mode, t = engine.BSP, serialgraph.NoSerializability
+		mdl, t = serialgraph.BSP, serialgraph.NoSerializability
 	}
-	pl := plan{entry: e, mode: mode, technique: t, sync: syncs[t], gas: t == serialgraph.VertexLocking}
-	if pl.gas && !e.HasGAS() {
+	pl := plan{entry: e, model: mdl, technique: t}
+	if pl.gas() && !e.HasGAS() {
 		return plan{}, fmt.Errorf("-alg %s has no GAS form to run under -technique %s", alg, t)
 	}
 	return pl, nil
 }
 
-// judge prints the entry's oracle verdict on a converged run's values.
-func judge(e *catalog.Entry, g *graph.Graph, p catalog.Params, res engine.Result, values any) {
-	if !res.Converged {
+// run runs the plan's entry on g under opt, whose Model and Technique are
+// the plan's.
+func (pl plan) run(g *graph.Graph, p catalog.Params, opt serialgraph.Options) (catalog.Output, error) {
+	if pl.gas() {
+		cfg, err := opt.GASConfig()
+		if err != nil {
+			return catalog.Output{}, err
+		}
+		return pl.entry.RunGAS(g, p, cfg)
+	}
+	cfg, err := opt.EngineConfig()
+	if err != nil {
+		return catalog.Output{}, err
+	}
+	return pl.entry.Run(g, p, cfg)
+}
+
+// judge prints whether a converged run's values pass the serial oracle.
+func judge(name string, g *graph.Graph, p catalog.Params, out catalog.Output) {
+	if !out.Result.Converged {
 		return
 	}
-	if verdict, err := e.Check(g, p, values); err != nil {
-		fmt.Printf("%s INVALID: %v\n", e.Name, err)
+	if err := out.Check(g, p); err != nil {
+		fmt.Printf("%s INVALID: %v\n", name, err)
 	} else {
-		fmt.Printf("%s: %s\n", e.Name, verdict)
+		fmt.Printf("%s: oracle ok\n", name)
 	}
 }
 

@@ -41,7 +41,7 @@ func violations(t *testing.T, e *Entry, g *graph.Graph, gasForm bool) []history.
 	if !out.Result.Converged {
 		t.Fatalf("%s did not converge", e.Name)
 	}
-	if _, err := e.Check(g, params, out.Values); err != nil {
+	if err := out.Check(g, params); err != nil {
 		t.Errorf("%s: %v", e.Name, err)
 	}
 	return history.CheckAll(out.History.Txns(), g)
@@ -112,5 +112,36 @@ func TestTable(t *testing.T) {
 	tri, _ := Lookup("triangles")
 	if _, err := tri.Run(input(tri), params, engine.Config{Mode: engine.Async}); err == nil {
 		t.Error("triangles ran under Async")
+	}
+}
+
+// The PageRank oracles hold every vertex to algorithms.PageRankBound: a
+// source vertex left at its first rank fails them. Only the Pregel
+// program's oracle, given a Margin, leaves out the vertices no message
+// reaches.
+func TestPageRankOracles(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.Build()
+	// Vertex 0 has no in-neighbours and keeps its first rank, 1; its
+	// equation gives 0.15. The others' equations hold.
+	pr := []float64{1, 1, 1}
+	p := Params{Eps: 0.05}
+	loose := Params{Eps: 0.05, Margin: 4}
+	agg, _ := Lookup("pagerank-agg")
+	e, _ := Lookup("pagerank")
+	for name, err := range map[string]error{
+		"pagerank":            e.check(g, p, pr),
+		"pagerank GAS":        e.gasCheck(g, p, pr),
+		"pagerank GAS margin": e.gasCheck(g, loose, pr),
+		"pagerank-agg margin": agg.check(g, loose, pr),
+	} {
+		if err == nil {
+			t.Errorf("%s oracle passes a source vertex at its first rank", name)
+		}
+	}
+	if err := e.check(g, loose, pr); err != nil {
+		t.Errorf("pagerank oracle with a margin: %v", err)
 	}
 }

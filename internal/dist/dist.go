@@ -10,14 +10,13 @@ package dist
 import (
 	"fmt"
 	"net"
-	"slices"
 	"time"
 
-	"serialgraph/internal/catalog"
 	"serialgraph/internal/cluster"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
+	"serialgraph/internal/model"
 	"serialgraph/internal/wire"
 )
 
@@ -28,11 +27,6 @@ type Job = wire.Job
 // DialTimeout bounds connection establishment: processes retry-dial the
 // coordinator and each other inside it, so start order does not matter.
 const DialTimeout = 10 * time.Second
-
-// Params are the catalog parameters of job.
-func Params(job Job) catalog.Params {
-	return catalog.Params{Source: graph.VertexID(job.Source), Eps: job.Eps, Seed: job.Seed}
-}
 
 // BuildGraph deterministically reconstructs the job's graph: a saved
 // graph file when GraphPath is set, else a generator family. Every
@@ -105,29 +99,17 @@ func broadcast(conns []*conn, ftype byte, payload []byte) error {
 
 // Coordinate runs the master side of a distributed job: accept the
 // worker processes, hand each its job spec, drive the superstep loop, and
-// collect the final vertex values of the catalog entry job.Alg names, run
-// on g (the graph BuildGraph(job) gives every process). ln must already be
-// listening, and job.Workers processes must eventually dial it. Worker IDs
-// follow accept order, which does not affect the results: every process
-// derives the same partition map, and reports merge in worker order.
+// collect the final vertex values of prog, run on numVertices vertices
+// under cfg (engine.JobConfig(job)). ln must already be listening, and
+// job.Workers processes must eventually dial it. Worker IDs follow accept
+// order, which does not affect the results: every process derives the
+// same partition map, and reports merge in worker order.
 //
 // The Result carries what the workers' StepDone reports ship: Converged,
 // Supersteps, ComputeTime (the coordinator's superstep loop), Executions,
 // and in Net the data and control ledger and the wire bytes sent.
-func Coordinate(ln net.Listener, job Job, g *graph.Graph) (any, engine.Result, error) {
+func Coordinate[V, M any](ln net.Listener, job Job, prog model.Program[V, M], cfg engine.Config, numVertices int) ([]V, engine.Result, error) {
 	var res engine.Result
-	e, err := catalog.Lookup(job.Alg)
-	if err != nil {
-		return nil, res, err
-	}
-	cfg, err := engine.JobConfig(job)
-	if err != nil {
-		return nil, res, err
-	}
-	master, err := e.NewMaster(g, Params(job), cfg)
-	if err != nil {
-		return nil, res, err
-	}
 	conns := make([]*conn, 0, job.Workers)
 	defer func() {
 		for _, c := range conns {
@@ -159,6 +141,7 @@ func Coordinate(ln net.Listener, job Job, g *graph.Graph) (any, engine.Result, e
 		}
 	}
 
+	master := engine.NewMaster(prog, cfg)
 	reports := make([]engine.StepReport, len(conns))
 	var dones []wire.StepDone
 	var aggs map[string]float64
@@ -197,18 +180,38 @@ func Coordinate(ln net.Listener, job Job, g *graph.Graph) (any, engine.Result, e
 	if err := broadcast(conns, cluster.FrameFinish, wire.AppendFinish(nil, fin)); err != nil {
 		return nil, res, err
 	}
-	owned, err := gather(conns, cluster.FrameValues, func(b []byte) ([]byte, error) { return slices.Clone(b), nil })
+	codec := wire.AutoMsgCodec[V]()
+	owned, err := gather(conns, cluster.FrameValues, func(b []byte) ([]wire.ValueEntry[V], error) {
+		return wire.DecodeValues(codec, b)
+	})
 	if err != nil {
 		return nil, res, err
 	}
-	values, err := e.DecodeValues(owned, g.NumVertices())
-	return values, res, err
+	values := make([]V, numVertices)
+	for _, pairs := range owned {
+		for _, e := range pairs {
+			if int(e.ID) < 0 || int(e.ID) >= numVertices {
+				return nil, res, fmt.Errorf("dist: a worker reported out-of-range vertex %d", e.ID)
+			}
+			values[e.ID] = e.Val
+		}
+	}
+	return values, res, nil
+}
+
+// Session is a worker process's end of a run: its control connection,
+// its lane listener and the job the coordinator handed it.
+type Session struct {
+	Job  Job
+	ctrl *conn
+	ln   net.Listener
 }
 
 // Work joins a coordinator as one worker process: dial, introduce
-// ourselves, receive the job, run it, ship our values back. It blocks
-// until the run finishes and returns the first error that broke it.
-func Work(joinAddr string) error {
+// ourselves, receive the job, and hand it to serve, which runs it with
+// Serve. It blocks until the run finishes and returns the first error
+// that broke it.
+func Work(joinAddr string, serve func(*Session) error) error {
 	// The lane listener must exist before Hello so its address can ride
 	// along.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -230,25 +233,15 @@ func Work(joinAddr string) error {
 	if err != nil {
 		return err
 	}
-	return work(ctrl, ln, job)
+	return serve(&Session{Job: job, ctrl: ctrl, ln: ln})
 }
 
-// work runs worker job.You as a peer of the catalog entry job.Alg names,
-// one superstep per StepStart, until Finish.
-func work(ctrl *conn, ln net.Listener, job Job) (err error) {
-	e, err := catalog.Lookup(job.Alg)
-	if err != nil {
-		return err
-	}
-	cfg, err := engine.JobConfig(job)
-	if err != nil {
-		return err
-	}
-	g, err := BuildGraph(job)
-	if err != nil {
-		return err
-	}
-	peer, err := e.NewPeer(g, Params(job), cfg, int(job.You), ln, job.Peers, DialTimeout)
+// Serve runs worker s.Job.You of prog on g under cfg
+// (engine.JobConfig(s.Job)) as an engine.Peer, one superstep per
+// StepStart, until Finish, and ships its values back.
+func Serve[V, M any](s *Session, g *graph.Graph, prog model.Program[V, M], cfg engine.Config) (err error) {
+	ctrl := s.ctrl
+	peer, err := engine.NewPeer(g, prog, cfg, int(s.Job.You), s.ln, s.Job.Peers, DialTimeout)
 	if err != nil {
 		return err
 	}
@@ -266,7 +259,7 @@ func work(ctrl *conn, ln net.Listener, job Job) (err error) {
 			return err
 		}
 		if f.Type == cluster.FrameFinish {
-			return ctrl.send(cluster.FrameValues, peer.AppendValues(nil))
+			return ctrl.send(cluster.FrameValues, wire.AppendValues(nil, wire.AutoMsgCodec[V](), peer.Values()))
 		}
 		if f.Type != cluster.FrameStepStart {
 			return fmt.Errorf("dist: unexpected control frame 0x%02x", f.Type)

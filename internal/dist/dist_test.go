@@ -53,7 +53,7 @@ func baseJob() dist.Job {
 // runDist executes one distributed job entirely over loopback TCP:
 // worker goroutines join the coordinator exactly as worker processes
 // would.
-func runDist(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) {
+func runDist(t *testing.T, job dist.Job, g *graph.Graph) catalog.Output {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -67,10 +67,10 @@ func runDist(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = dist.Work(ln.Addr().String())
+			errs[i] = dist.Work(ln.Addr().String(), catalog.Serve)
 		}(i)
 	}
-	vals, res, err := dist.Coordinate(ln, job, g)
+	out, err := catalog.Coordinate(ln, job, g)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("coordinate: %v", err)
@@ -80,13 +80,13 @@ func runDist(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) {
 			t.Fatalf("worker %d: %v", i, werr)
 		}
 	}
-	return vals, res
+	return out
 }
 
 // runEngine is the in-process reference: the catalog entry job.Alg names,
 // on the same graph, with the same partitioning knobs, BSP with no
 // synchronization technique.
-func runEngine(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) {
+func runEngine(t *testing.T, job dist.Job, g *graph.Graph) catalog.Output {
 	t.Helper()
 	e, err := catalog.Lookup(job.Alg)
 	if err != nil {
@@ -102,19 +102,15 @@ func runEngine(t *testing.T, job dist.Job, g *graph.Graph) (any, engine.Result) 
 		MaxSupersteps:       int(job.MaxSupersteps),
 	}
 	if job.Partitioner != "" {
-		cfg.Partitioner = func(g *graph.Graph, p, w int) *partition.Map {
-			m, err := partition.New(job.Partitioner, g, p, w, job.Seed)
-			if err != nil {
-				t.Fatalf("partitioner: %v", err)
-			}
-			return m
+		if cfg.Partitioner, err = partition.Placer(job.Partitioner, job.Seed); err != nil {
+			t.Fatal(err)
 		}
 	}
-	out, err := e.Run(g, dist.Params(job), cfg)
+	out, err := e.Run(g, catalog.JobParams(job), cfg)
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}
-	return out.Values, out.Result
+	return out
 }
 
 // conform runs job both ways and demands bitwise agreement.
@@ -124,8 +120,8 @@ func conform(t *testing.T, job dist.Job) {
 	if err != nil {
 		t.Fatalf("build graph: %v", err)
 	}
-	gotVals, gotRes := runDist(t, job, g)
-	wantVals, wantRes := runEngine(t, job, g)
+	got, want := runDist(t, job, g), runEngine(t, job, g)
+	gotRes, wantRes := got.Result, want.Result
 
 	if gotRes.Converged != wantRes.Converged {
 		t.Errorf("converged: dist %v, engine %v", gotRes.Converged, wantRes.Converged)
@@ -136,8 +132,8 @@ func conform(t *testing.T, job dist.Job) {
 	if gotRes.Executions != wantRes.Executions {
 		t.Errorf("executions: dist %d, engine %d", gotRes.Executions, wantRes.Executions)
 	}
-	if !reflect.DeepEqual(gotVals, wantVals) {
-		t.Fatalf("values differ:\n dist   %v\n engine %v", gotVals, wantVals)
+	if !reflect.DeepEqual(got.Values, want.Values) {
+		t.Fatalf("values differ:\n dist   %v\n engine %v", got.Values, want.Values)
 	}
 	if job.Workers > 1 {
 		if gotRes.Net.DataMessages == 0 || gotRes.Net.DataBytes == 0 {
@@ -162,16 +158,15 @@ func checkOracle(t *testing.T, job dist.Job) {
 	if err != nil {
 		t.Fatalf("build graph: %v", err)
 	}
-	got, res := runDist(t, job, g)
+	out := runDist(t, job, g)
+	res := out.Result
 	if !res.Converged {
 		t.Fatalf("%s did not converge in %d supersteps", job.Alg, res.Supersteps)
 	}
-	e, _ := catalog.Lookup(job.Alg)
-	verdict, err := e.Check(g, dist.Params(job), got)
-	if err != nil {
+	if err := out.Check(g, catalog.JobParams(job)); err != nil {
 		t.Fatalf("%s: %v", job.Alg, err)
 	}
-	t.Logf("%s: %s; supersteps=%d execs=%d ctrl=%d data=%d wire=%d", job.Alg, verdict,
+	t.Logf("%s: supersteps=%d execs=%d ctrl=%d data=%d wire=%d", job.Alg,
 		res.Supersteps, res.Executions, res.Net.ControlMessages, res.Net.DataMessages, res.Net.WireBytesSent)
 	if job.Sync == uint8(engine.PartitionLock) && res.Net.ControlMessages == 0 {
 		t.Fatal("no control messages crossed the sockets")
@@ -319,13 +314,13 @@ func TestDistRejectsUnknownAlg(t *testing.T) {
 	want := fmt.Sprintf("unknown algorithm %q", job.Alg)
 
 	g, _ := dist.BuildGraph(job)
-	if _, _, err := dist.Coordinate(ln, job, g); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := catalog.Coordinate(ln, job, g); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("coordinator error %v does not mention %q", err, want)
 	}
 
 	// A coordinator that sends the job anyway: the worker must refuse it.
 	done := make(chan error, 1)
-	go func() { done <- dist.Work(ln.Addr().String()) }()
+	go func() { done <- dist.Work(ln.Addr().String(), catalog.Serve) }()
 	c, err := ln.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
@@ -339,5 +334,49 @@ func TestDistRejectsUnknownAlg(t *testing.T) {
 	}
 	if werr := <-done; werr == nil || !strings.Contains(werr.Error(), want) {
 		t.Errorf("worker error %v does not mention %q", werr, want)
+	}
+}
+
+// A worker that refuses its job and drops during bring-up fails the
+// coordinator: here one that says hello, reads its job and hangs up.
+func TestDistCoordinatorFailsOnDroppedWorker(t *testing.T) {
+	requireLoopback(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	job := baseJob()
+	job.Alg = "sssp"
+	job.Workers = 1
+	g, err := dist.BuildGraph(job)
+	if err != nil {
+		t.Fatalf("build graph: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		c, err := cluster.DialRetry(ln.Addr().String(), dist.DialTimeout)
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c.Close()
+		hello := wire.Hello{Version: cluster.ProtocolVersion, Addr: "127.0.0.1:1"}
+		if _, err := c.Write(cluster.AppendFrame(nil, &cluster.Frame{Type: cluster.FrameHello, Payload: wire.AppendHello(nil, hello)})); err != nil {
+			done <- err
+			return
+		}
+		f, _, err := cluster.NewFrameReader(c).Read()
+		if err == nil && f.Type != cluster.FrameJob {
+			err = fmt.Errorf("worker got frame 0x%02x, want the job", f.Type)
+		}
+		done <- err
+	}()
+	if _, err := catalog.Coordinate(ln, job, g); err == nil {
+		t.Error("coordinator succeeded against a worker that dropped after reading its job")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("fake worker: %v", err)
 	}
 }

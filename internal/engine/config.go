@@ -320,7 +320,8 @@ func (c Config) PartitionMap(g *graph.Graph) *partition.Map {
 // JobConfig is the configuration every process of a multi-process job
 // derives from it; it fails naming any option such a run does not support.
 func JobConfig(job wire.Job) (Config, error) {
-	if job.Workers < 1 || !partition.ValidKind(job.Partitioner) {
+	place, err := partition.Placer(job.Partitioner, job.Seed)
+	if job.Workers < 1 || err != nil {
 		return Config{}, fmt.Errorf("engine: job with %d workers and partitioner %q", job.Workers, job.Partitioner)
 	}
 	cfg := Config{
@@ -331,10 +332,7 @@ func JobConfig(job wire.Job) (Config, error) {
 		Sync:                Sync(job.Sync),
 		Seed:                job.Seed,
 		MsgMemoryBudget:     job.MsgMemoryBudget,
-		Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
-			m, _ := partition.New(job.Partitioner, g, p, w, job.Seed)
-			return m
-		},
+		Partitioner:         place,
 	}
 	return cfg, cfg.ValidatePeer()
 }

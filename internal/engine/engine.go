@@ -248,6 +248,9 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	if err := cfg.validate(); err != nil {
 		return nil, Result{}, nil, err
 	}
+	if cfg.Mode == BAP && prog.MasterHalt != nil {
+		return nil, Result{}, nil, fmt.Errorf("engine: %s halts by MasterHalt, which BAP never consults: it has no global supersteps", prog.Name)
+	}
 
 	r := newRunner(g, prog, cfg)
 	p := cfg.Workers * cfg.PartitionsPerWorker

@@ -72,14 +72,13 @@ func (p *Peer[V, M]) Executions() int64 { return p.r.reg.Get(metrics.Executions)
 // bytes both ways.
 func (p *Peer[V, M]) Net() cluster.Snapshot { return p.tcp.Stats().Load() }
 
-// AppendValues appends the worker's vertices with their values, encoded
-// as wire.AppendValues does with V's wire.AutoMsgCodec.
-func (p *Peer[V, M]) AppendValues(dst []byte) []byte {
+// Values returns the worker's vertices with their values.
+func (p *Peer[V, M]) Values() []wire.ValueEntry[V] {
 	vals := make([]wire.ValueEntry[V], len(p.w.owned))
 	for i, v := range p.w.owned {
 		vals[i] = wire.ValueEntry[V]{ID: int32(v), Val: p.r.values[v]}
 	}
-	return wire.AppendValues(dst, wire.AutoMsgCodec[V](), vals)
+	return vals
 }
 
 // Close stops the worker and its transport, which returns once every other

@@ -56,3 +56,16 @@ func New(kind string, g *graph.Graph, p, w int, seed uint64) (*Map, error) {
 	}
 	return nil, fmt.Errorf("partition: unknown partitioner %q (want one of %v)", kind, Kinds())
 }
+
+// Placer returns New's placement of kind under seed as a function of the
+// graph and the partition and worker counts, the form engine.Config's
+// Partitioner takes; it fails on an unknown kind.
+func Placer(kind string, seed uint64) (func(g *graph.Graph, p, w int) *Map, error) {
+	if !ValidKind(kind) {
+		return nil, fmt.Errorf("partition: unknown partitioner %q (want one of %v)", kind, Kinds())
+	}
+	return func(g *graph.Graph, p, w int) *Map {
+		m, _ := New(kind, g, p, w, seed) // kind is valid
+		return m
+	}, nil
+}

@@ -411,7 +411,9 @@ func RunScenario(sc Scenario, scratch string) error {
 		return fmt.Errorf("torture: %w", err)
 	}
 	g := buildGraph(sc, e)
-	p := catalog.Params{Eps: 0.05}
+	// Randomized schedules leave a tolerance-halting PageRank up to four
+	// times the bound from its equations (catalog.Params.Margin).
+	p := catalog.Params{Eps: 0.05, Margin: 4}
 	out, err := e.Run(g, p, cfg)
 	if err != nil {
 		return fmt.Errorf("scenario %v: engine error: %w", sc, err)
@@ -423,7 +425,7 @@ func RunScenario(sc Scenario, scratch string) error {
 	// it only under a technique that promises it (Figures 2 and 3 show how
 	// coloring breaks without one).
 	if res.Converged && !sc.lossy() && !sc.BreakProtocol && (!e.Serial || sc.serializabilityPromised()) {
-		if _, err := e.Check(g, p, out.Values); err != nil {
+		if err := out.Check(g, p); err != nil {
 			errs = append(errs, fmt.Errorf("result: %s: %w", e.Name, err))
 		}
 	}

@@ -277,7 +277,8 @@ func (o Options) latency() cluster.LatencyModel {
 	return cluster.LatencyModel{Propagation: o.NetworkLatency, BytesPerSec: o.NetworkBandwidth}
 }
 
-func (o Options) engineConfig() (engine.Config, error) {
+// EngineConfig is the engine configuration Run derives from o.
+func (o Options) EngineConfig() (engine.Config, error) {
 	var sync engine.Sync
 	switch o.Technique {
 	case NoSerializability:
@@ -338,17 +339,11 @@ func (o Options) engineConfig() (engine.Config, error) {
 		cfg.Fault = fault.NewInjector(*o.Fault)
 	}
 	if o.Partitioner != "" {
-		if !partition.ValidKind(o.Partitioner) {
-			return engine.Config{}, fmt.Errorf("serialgraph: unknown partitioner %q (want one of %v)", o.Partitioner, partition.Kinds())
+		place, err := partition.Placer(o.Partitioner, o.Seed)
+		if err != nil {
+			return engine.Config{}, fmt.Errorf("serialgraph: %w", err)
 		}
-		kind, seed := o.Partitioner, o.Seed
-		cfg.Partitioner = func(g *graph.Graph, p, w int) *partition.Map {
-			m, err := partition.New(kind, g, p, w, seed)
-			if err != nil {
-				panic(err) // unreachable: kind validated above
-			}
-			return m
-		}
+		cfg.Partitioner = place
 	}
 	return cfg, nil
 }
@@ -356,7 +351,7 @@ func (o Options) engineConfig() (engine.Config, error) {
 // Run executes a Pregel-style program over g and returns the final vertex
 // values. Serializable techniques require Options.Model == Async.
 func Run[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Result, error) {
-	cfg, err := opt.engineConfig()
+	cfg, err := opt.EngineConfig()
 	if err != nil {
 		return nil, Result{}, err
 	}
@@ -369,7 +364,7 @@ func Run[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Result, erro
 // one-copy serializability, returning any violations.
 func RunChecked[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Result, []Violation, error) {
 	opt.TrackHistory = true
-	cfg, err := opt.engineConfig()
+	cfg, err := opt.EngineConfig()
 	if err != nil {
 		return nil, Result{}, nil, err
 	}
@@ -399,21 +394,30 @@ func RunGASChecked[V comparable, M any](g *Graph, prog GASProgram[V, M], opt Opt
 }
 
 func runGAS[V comparable, M any](g *Graph, prog GASProgram[V, M], opt Options) ([]V, Result, *history.Recorder, error) {
-	switch opt.Technique {
+	cfg, err := opt.GASConfig()
+	if err != nil {
+		return nil, Result{}, nil, err
+	}
+	return gas.Run(g, prog, cfg)
+}
+
+// GASConfig is the GAS engine configuration RunGAS derives from o.
+func (o Options) GASConfig() (gas.Config, error) {
+	switch o.Technique {
 	case VertexLocking, NoSerializability:
 	default:
-		return nil, Result{}, nil, fmt.Errorf("serialgraph: the GAS engine supports VertexLocking or NoSerializability, not %v", opt.Technique)
+		return gas.Config{}, fmt.Errorf("serialgraph: the GAS engine supports VertexLocking or NoSerializability, not %v", o.Technique)
 	}
-	return gas.Run(g, prog, gas.Config{
-		Workers:         opt.Workers,
-		FibersPerWorker: opt.FibersPerWorker,
-		Serializable:    opt.Technique == VertexLocking,
-		Latency:         opt.latency(),
-		BufferCap:       opt.BufferCap,
-		Seed:            opt.Seed,
-		Partitioner:     opt.Partitioner,
-		TrackHistory:    opt.TrackHistory,
-	})
+	return gas.Config{
+		Workers:         o.Workers,
+		FibersPerWorker: o.FibersPerWorker,
+		Serializable:    o.Technique == VertexLocking,
+		Latency:         o.latency(),
+		BufferCap:       o.BufferCap,
+		Seed:            o.Seed,
+		Partitioner:     o.Partitioner,
+		TrackHistory:    o.TrackHistory,
+	}, nil
 }
 
 // Built-in algorithms (§7.2 of the paper).
