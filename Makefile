@@ -35,13 +35,15 @@ test-race:
 # but skips the engine's chaos, confined-recovery, watchdog and torn-write
 # tests, which restore fork state from checkpoints: those run in full on
 # top (the checkpoint package already runs in full in the short suite).
-# Last, the lock managers' and the GAS engine's batch-recycling, model and
-# allocation tests three times over: the race detector is what would see a
-# recycled batch still being read.
+# Last, three times over: the lock managers' and the GAS engine's
+# batch-recycling, model and allocation tests, where the race detector is
+# what would see a recycled batch still being read; and the barrierless
+# termination tests (BAP, the GAS guard and latency cases), where it is
+# what would see a worker's hold released while a handler still runs.
 race: vet
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Chaos|Confined|Watchdog|Torn' ./internal/engine/
-	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc' ./internal/chandy/ ./internal/gas/
+	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$' ./internal/chandy/ ./internal/engine/ ./internal/gas/
 
 # Fault-injection and recovery gate: the chaos and confined-recovery /
 # watchdog suites under the race detector, then a 200-case torture sweep

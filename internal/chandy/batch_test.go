@@ -43,6 +43,7 @@ type modelNet struct {
 	// sends of a batch that had been delivered before.
 	delivered map[*[]Ctrl]bool
 	reused    int
+	pool      BatchPool // the managers' control batches, with recycling on
 
 	flushed  [][]bool   // flushed[w][dest]: preHandoff(dest) ran on w since w's last send to dest
 	emitted  [][][]Ctrl // emitted[w][dest]: what w's current operation sent dest
@@ -84,7 +85,9 @@ func newModelNet(t *testing.T, adj [][]PhilID, workers int, recycle bool) *model
 			n.lanes[w*workers+dest] = append(n.lanes[w*workers+dest], batch)
 			n.queued++
 		}, func(dest int) { n.flushed[w][dest] = true }))
-		n.mgrs[w].SetRecycle(recycle)
+		if recycle {
+			n.mgrs[w].SetRecycle(&n.pool)
+		}
 		n.shadows = append(n.shadows, NewBatchManager(w, n.ownerOf, func(dest int, batch *[]Ctrl) {
 			n.shadowed[w][dest] = append(n.shadowed[w][dest], *batch...)
 		}, nil))

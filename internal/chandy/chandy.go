@@ -35,8 +35,9 @@
 // one batch before unlocking the manager, as GraphLab batches lock requests.
 // A batch is a *[]Ctrl that changes hands: the manager sends its outbox
 // slice itself, and with recycling on (SetRecycle) a receiving manager
-// keeps each batch it has handled as a spare to fill its next outbox from,
-// so the control path allocates nothing once the spares are warm.
+// puts each batch it has handled into the run's pool, from which every
+// manager starts its outboxes, so the control path allocates nothing once
+// the pool is warm.
 package chandy
 
 import (
@@ -108,12 +109,6 @@ type outbox struct {
 	fork bool    // q carries a fork: preHandoff must run before it is sent
 }
 
-// maxSpares bounds a manager's spare batches. An operation fills at most
-// one batch per destination, so a few per worker keep every send supplied;
-// the bound only stops a manager that receives more batches than it sends
-// from hoarding them.
-const maxSpares = 64
-
 // closedCh is the grant channel of every all-forks-present RequestForks.
 var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
 
@@ -135,12 +130,12 @@ type Manager struct {
 	stArena  []byte
 	scratch  []PhilID // AddPhil's deduplication buffer
 	out      []outbox // by destination worker
-	// spares are handled batches nobody reads any more, which the next
-	// outboxes start from; HandleBatch adds to them only when recycle is
-	// set, because a duplicated delivery would still read a batch it kept.
-	spares  []*[]Ctrl
-	recycle bool
-	reg     *metrics.Registry
+	// pool holds handled batches nobody reads any more, shared by the
+	// run's managers; outboxes start from it. HandleBatch adds to it only
+	// when it is set, because a duplicated delivery would still read a
+	// batch it gave away.
+	pool *BatchPool
+	reg  *metrics.Registry
 	// op accrues the opCounters of the public operation holding mu;
 	// flushUnlock adds them to reg once per operation, not once per fork
 	// or token (vertex locking moves ≈ 30 of each per acquire).
@@ -159,24 +154,54 @@ func NewBatchManager(worker int, ownerOf func(PhilID) int, send func(toWorker in
 }
 
 // NewManager is NewBatchManager over a sender of single Ctrls (HandleCtrl's).
-// The sender is done with a batch when it returns, so the batch becomes a
-// spare at once.
+// The sender is done with a batch when it returns, so the batch goes back
+// to a pool of the manager's own at once.
 func NewManager(worker int, ownerOf func(PhilID) int, sendCtrl func(toWorker int, c Ctrl), preHandoff func(toWorker int)) *Manager {
-	m := &Manager{worker: worker, ownerOf: ownerOf, preHandoff: preHandoff}
+	m := &Manager{worker: worker, ownerOf: ownerOf, preHandoff: preHandoff, pool: new(BatchPool)}
 	m.send = func(to int, batch *[]Ctrl) {
 		for _, c := range *batch {
 			sendCtrl(to, c)
 		}
-		m.keepLocked(batch) // send runs in flushUnlock, under mu
+		m.recycle(batch)
 	}
 	return m
 }
 
-// SetRecycle makes HandleBatch keep every batch it has handled as a spare,
-// which is safe only when each batch is delivered exactly once: a
-// transport that may duplicate a delivery (fault injection) would hand
-// this manager a batch it has already refilled. Call before any traffic.
-func (m *Manager) SetRecycle(on bool) { m.recycle = on }
+// SetRecycle makes HandleBatch put every batch it has handled into pool,
+// which the run's managers share and start their outboxes from (nil: no
+// recycling). It is safe only when each batch is delivered exactly once: a
+// transport that may duplicate a delivery (fault injection) would hand a
+// manager a batch another has already refilled. Call before any traffic.
+func (m *Manager) SetRecycle(pool *BatchPool) { m.pool = pool }
+
+// BatchPool is a run's supply of spent control batches, shared by its
+// managers: whichever manager handled a batch last puts it back, and any
+// manager's next outbox takes it, so a manager that receives more than it
+// sends feeds the others. Unlike a sync.Pool it never drops a batch, so a
+// warm run allocates none. The zero value is empty and ready.
+type BatchPool struct {
+	mu   sync.Mutex
+	free []*[]Ctrl
+}
+
+func (p *BatchPool) get() *[]Ctrl {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		q := make([]Ctrl, 0, 8)
+		return &q
+	}
+	b := p.free[n-1]
+	p.free = p.free[:n-1]
+	return b
+}
+
+func (p *BatchPool) put(b *[]Ctrl) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
+}
 
 // BatchOf returns the batch a control payload carries: the *[]Ctrl a
 // manager sent through an in-process transport, or the []Ctrl a wire
@@ -432,9 +457,7 @@ func (m *Manager) HandleBatch(batch *[]Ctrl) {
 	for _, c := range *batch {
 		m.handleLocked(c)
 	}
-	if m.recycle {
-		m.keepLocked(batch)
-	}
+	m.recycle(batch)
 }
 
 func (m *Manager) handleLocked(c Ctrl) {
@@ -448,13 +471,13 @@ func (m *Manager) handleLocked(c Ctrl) {
 	}
 }
 
-// keepLocked makes batch, which nobody reads any more, a spare. It is
-// emptied at once, so a stray second reader sees nothing rather than the
-// manager's next batch.
-func (m *Manager) keepLocked(batch *[]Ctrl) {
-	if len(m.spares) < maxSpares {
+// recycle puts batch, which nobody reads any more, into the pool (if
+// recycling is on). It is emptied at once, so a stray second reader sees
+// nothing rather than some manager's next batch.
+func (m *Manager) recycle(batch *[]Ctrl) {
+	if m.pool != nil {
 		*batch = (*batch)[:0]
-		m.spares = append(m.spares, batch)
+		m.pool.put(batch)
 	}
 }
 
@@ -489,8 +512,8 @@ func (m *Manager) emitLocked(c Ctrl) bool {
 	}
 	o := &m.out[dest]
 	if o.q == nil {
-		if n := len(m.spares); n > 0 {
-			o.q, m.spares = m.spares[n-1], m.spares[:n-1]
+		if m.pool != nil {
+			o.q = m.pool.get()
 		} else {
 			q := make([]Ctrl, 0, 8)
 			o.q = &q
@@ -505,7 +528,7 @@ func (m *Manager) emitLocked(c Ctrl) bool {
 // for is sent its outbox batch itself — after preHandoff when a fork is in
 // it, so replica updates precede the fork on the same FIFO lane (C1) —
 // before the manager unlocks, so batches reach a lane in the order their
-// operations ran. The next batch for that destination starts from a spare.
+// operations ran. The next batch for that destination starts from the pool.
 // The operation's counts go to the registry here too.
 func (m *Manager) flushUnlock() {
 	for dest := range m.out {

@@ -144,13 +144,14 @@ func distributed(t testing.TB, w int, adj [][]PhilID, ownerOf func(PhilID) int, 
 	t.Helper()
 	tr := cluster.New(w, lat)
 	mgrs := make([]*Manager, w)
+	pool := new(BatchPool)
 	eps := make([]*cluster.Endpoint, w)
 	for i := 0; i < w; i++ {
 		i := i
 		mgrs[i] = NewBatchManager(i, ownerOf, func(toWorker int, batch *[]Ctrl) {
 			eps[i].SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(*batch))
 		}, nil)
-		mgrs[i].SetRecycle(true)
+		mgrs[i].SetRecycle(pool)
 		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,
 			func(from cluster.WorkerID, payload any) {
 				mgrs[i].HandleBatch(BatchOf(payload))

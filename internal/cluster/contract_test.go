@@ -42,6 +42,7 @@ var contractCases = []struct {
 	{"FIFOPerLane", contractFIFOPerLane},
 	{"WaitIdleAndStats", contractWaitIdleAndStats},
 	{"HandlerMaySend", contractHandlerMaySend},
+	{"HoldBlocksWaitIdle", contractHoldBlocksWaitIdle},
 	{"SelfSend", contractSelfSend},
 	{"EndpointFlushWait", contractEndpointFlushWait},
 	{"ConcurrentSendersStress", contractConcurrentSenders},
@@ -174,8 +175,8 @@ func contractWaitIdleAndStats(t *testing.T, b backend) {
 	if got := delivered.Load(); got != 10 {
 		t.Errorf("WaitIdle returned with %d/10 delivered", got)
 	}
-	if tr.InFlight() != 0 {
-		t.Errorf("InFlight = %d after WaitIdle", tr.InFlight())
+	if cluster.InFlight(tr) != 0 {
+		t.Errorf("InFlight = %d after WaitIdle", cluster.InFlight(tr))
 	}
 	s := tr.Stats().Load()
 	if s.DataMessages != 10 || s.DataBytes != 1000 {
@@ -218,6 +219,32 @@ func contractHandlerMaySend(t *testing.T, b backend) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("ping-pong deadlocked")
+	}
+}
+
+// contractHoldBlocksWaitIdle: a Hold counts like a message in flight. A
+// handler that holds before it returns hands its unit of work on without the
+// count passing through zero, and WaitIdle returns only after the Release.
+func contractHoldBlocksWaitIdle(t *testing.T, b backend) {
+	tr := b.new(t, 2)
+	defer tr.Close()
+	var released atomic.Bool
+	tr.RegisterHandler(0, func(cluster.Message) {})
+	tr.RegisterHandler(1, func(cluster.Message) {
+		tr.Hold()
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			released.Store(true)
+			tr.Release()
+		}()
+	})
+	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Control, Payload: cluster.FlushMarker{}})
+	tr.WaitIdle()
+	if !released.Load() {
+		t.Fatal("WaitIdle returned while a Hold was outstanding")
+	}
+	if n := cluster.InFlight(tr); n != 0 {
+		t.Errorf("InFlight = %d after WaitIdle", n)
 	}
 }
 
@@ -467,8 +494,8 @@ func contractCloseDrains(t *testing.T, b backend) {
 	if got := delivered.Load() + s.DroppedMessages; got != n {
 		t.Errorf("delivered %d + dropped %d != sent %d", delivered.Load(), s.DroppedMessages, n)
 	}
-	if tr.InFlight() != 0 {
-		t.Errorf("InFlight = %d after Close", tr.InFlight())
+	if cluster.InFlight(tr) != 0 {
+		t.Errorf("InFlight = %d after Close", cluster.InFlight(tr))
 	}
 }
 
@@ -530,7 +557,7 @@ func contractSendCloseRace(t *testing.T, b backend) {
 		case <-idle:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("iter %d: WaitIdle hung after Send/Close race (inflight=%d)",
-				iter, tr.InFlight())
+				iter, cluster.InFlight(tr))
 		}
 		if got := delivered.Load() + tr.Stats().Load().DroppedMessages; got != senders*perSender {
 			t.Fatalf("iter %d: delivered %d + dropped %d != sent %d",

@@ -9,10 +9,10 @@ import (
 
 // core is the delivery contract both backends share: the handler registry,
 // the dead-worker flags, Send's admission and drop rules, the per-kind byte
-// ledger and the in-flight count behind WaitIdle. Mem and TCP embed it and
+// ledger and the in-flight count behind WaitIdle (messages plus Holds). Mem and TCP embed it and
 // supply only their wire: enqueue puts one accepted copy of a message on its
 // lane, and the lane's consumer hands each message that comes off the wire
-// to deliver and then calls landed. A rule changed here changes in both
+// to deliver and then calls Release. A rule changed here changes in both
 // deployments at once.
 type core struct {
 	n        int
@@ -27,7 +27,7 @@ type core struct {
 	idleCond   sync.Cond
 
 	// Every Send reads these two; they sit after idleCond, a cache line
-	// away from inflightMu, which every accept and landed writes.
+	// away from inflightMu, which every Hold and Release writes.
 	//
 	// enqueue is the backend's wire: it places one copy of m on its lane,
 	// calling accept under the lane lock, or drop if the lane is closed.
@@ -129,13 +129,13 @@ func (c *core) Send(m Message) {
 // the message's credit.
 func (c *core) drop(m Message) {
 	c.stats.DroppedMessages.Add(1)
-	c.release(m)
+	c.refund(m)
 }
 
-// release returns a data message's window bytes. Credit acquired in
+// refund returns a data message's window bytes. Credit acquired in
 // Endpoint.SendData must come back on every exit path, or senders would
 // park forever on a window that never refills.
-func (c *core) release(m Message) {
+func (c *core) refund(m Message) {
 	if m.Kind == Data {
 		c.flow.Release(m.From, m.To, m.Bytes)
 	}
@@ -156,12 +156,16 @@ func (c *core) accept(m Message) {
 	case Ack:
 		c.stats.AckMessages.Add(1)
 	}
-	c.takeoff()
+	c.Hold()
 }
 
-// takeoff counts one frame into flight; accept calls it for messages, and
-// TCP for its transport-level credit and barrier frames.
-func (c *core) takeoff() {
+// Hold counts one unit into flight: accept calls it for every message, TCP
+// for its transport-level credit and barrier frames, and the barrierless
+// engines for a worker that has work. WaitIdle cannot return before the
+// matching Release, so with every worker's hold released and nothing on
+// the wire no work can appear any more, and WaitIdle is their termination
+// test.
+func (c *core) Hold() {
 	c.inflightMu.Lock()
 	c.inflight++
 	c.inflightMu.Unlock()
@@ -183,8 +187,9 @@ func (c *core) deliver(m Message, wireLost bool) {
 	}
 }
 
-// landed counts one frame out of flight, waking WaitIdle at zero.
-func (c *core) landed() {
+// Release counts one unit out of flight — a frame consumed, or a Hold
+// ended — waking WaitIdle at zero.
+func (c *core) Release() {
 	c.inflightMu.Lock()
 	c.inflight--
 	if c.inflight == 0 {
@@ -193,9 +198,10 @@ func (c *core) landed() {
 	c.inflightMu.Unlock()
 }
 
-// WaitIdle blocks until no messages are in flight: queued, on the wire or
-// mid-delivery. A handler may inject new messages, so callers must make
-// senders quiescent (e.g. all workers at a barrier) before using it for
+// WaitIdle blocks until nothing is in flight: no message queued, on the
+// wire or mid-delivery, and no Hold outstanding. A handler may inject new
+// messages, so callers must make senders quiescent (all workers at a
+// barrier, or every worker's hold released) before using it for
 // termination decisions. On a TCP peer transport each process counts only
 // its own side of a lane, so the count means nothing there; TCP.Barrier
 // ends a superstep instead.
@@ -205,11 +211,4 @@ func (c *core) WaitIdle() {
 		c.idleCond.Wait()
 	}
 	c.inflightMu.Unlock()
-}
-
-// InFlight returns the number of undelivered messages.
-func (c *core) InFlight() int {
-	c.inflightMu.Lock()
-	defer c.inflightMu.Unlock()
-	return c.inflight
 }

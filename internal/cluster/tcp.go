@@ -367,7 +367,7 @@ func (t *TCP) push(from, to WorkerID, payload any) bool {
 	if l.closed {
 		return false
 	}
-	t.takeoff()
+	t.Hold()
 	l.q = append(l.q, tcpQueued{msg: Message{From: from, To: to, Kind: Control, Payload: payload}})
 	l.cond.Signal()
 	return true
@@ -504,7 +504,7 @@ func (t *TCP) pump(c inLane) {
 			t.barSeen[c.from] = seq
 			t.barCond.Broadcast()
 			t.barMu.Unlock()
-			t.landed()
+			t.Release()
 			continue
 		}
 		if f.Type == FrameCredit {
@@ -516,7 +516,7 @@ func (t *TCP) pump(c inLane) {
 				panic(fmt.Sprintf("cluster: corrupt credit frame %d->%d", f.From, f.To))
 			}
 			t.flow.Release(f.To, f.From, int(n))
-			t.landed()
+			t.Release()
 			continue
 		}
 		reg := t.reg.Load()
@@ -540,7 +540,7 @@ func (t *TCP) pump(c inLane) {
 		if m.Kind == Data && t.flow != nil {
 			t.enqueueCredit(m.To, m.From, m.Bytes)
 		}
-		t.landed()
+		t.Release()
 	}
 }
 

@@ -11,7 +11,7 @@
 //
 // Both embed one core (core.go) that owns the delivery contract — the
 // handler registry, Send's admission and drop rules, the byte ledger, the
-// in-flight count behind WaitIdle — and supply only their wire. Both
+// in-flight count (messages plus holds) behind WaitIdle — and supply only their wire. Both
 // preserve FIFO order per (sender, receiver) pair — as TCP does between
 // two Giraph workers — and count every message and byte.
 //
@@ -201,8 +201,10 @@ type timed struct {
 //     sequentially in send order, different pairs concurrently.
 //   - Send never blocks and never delivers inline on the caller.
 //   - A message is "in flight" from the moment Send accepts it until its
-//     handler returns (or it is counted dropped); WaitIdle blocks until no
-//     messages are in flight.
+//     handler returns (or it is counted dropped). Hold and Release add and
+//     remove units of outstanding work in the same count, and WaitIdle
+//     blocks until it is zero: it is the barriers' drain and the
+//     barrierless runs' termination test.
 //   - Kill/Revive dead-worker semantics, Stats drop accounting and credit
 //     return exactly as documented on core's methods.
 type Transport interface {
@@ -227,10 +229,12 @@ type Transport interface {
 	DeadWorkers() []WorkerID
 	// Send enqueues m for delivery. It never blocks.
 	Send(m Message)
-	// WaitIdle blocks until no messages are in flight.
+	// Hold counts one unit of outstanding work as in flight; Release
+	// removes one.
+	Hold()
+	Release()
+	// WaitIdle blocks until no message or Hold is in flight.
 	WaitIdle()
-	// InFlight returns the number of undelivered messages.
-	InFlight() int
 	// Close shuts the backend down, draining in-flight traffic. It is
 	// idempotent; sends after Close are dropped and counted.
 	Close()
@@ -318,9 +322,9 @@ func (t *Mem) consume(l *lane) {
 			t.deliver(tm.msg, tm.wireLost)
 			// Credit returns before the in-flight count drops, so a WaitIdle
 			// barrier always observes fully balanced windows.
-			t.release(tm.msg)
+			t.refund(tm.msg)
 			tm.msg.Payload = nil // the reused queue slot must not pin it
-			t.landed()
+			t.Release()
 		}
 	}
 }

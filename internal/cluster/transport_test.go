@@ -105,8 +105,8 @@ func TestWaitIdle(t *testing.T) {
 	if got := delivered.Load(); got != 10 {
 		t.Errorf("WaitIdle returned with %d/10 delivered", got)
 	}
-	if tr.InFlight() != 0 {
-		t.Errorf("InFlight = %d after WaitIdle", tr.InFlight())
+	if InFlight(tr) != 0 {
+		t.Errorf("InFlight = %d after WaitIdle", InFlight(tr))
 	}
 }
 
@@ -133,8 +133,8 @@ func TestLaneSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Errorf("a steady-state burst of %d sends allocates %v objects, want 0", burstLen, allocs)
 	}
-	if want := int64(121 * burstLen); got.Load() != want || tr.InFlight() != 0 {
-		t.Errorf("delivered %d of %d, %d in flight", got.Load(), want, tr.InFlight())
+	if want := int64(121 * burstLen); got.Load() != want || InFlight(tr) != 0 {
+		t.Errorf("delivered %d of %d, %d in flight", got.Load(), want, InFlight(tr))
 	}
 }
 

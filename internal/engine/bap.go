@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,15 +13,20 @@ import (
 // Unchained [20], which the paper's "Giraph async" builds on: each worker
 // advances through its own logical supersteps with no global barriers,
 // idling only when it has no active vertices and waking when messages
-// arrive. Termination is global quiescence: every worker idle, nothing in
-// flight, and the execution counter stable across two observations — the
-// same detector the GAS engine uses.
+// arrive.
 //
-// An idle worker parks on its doorbell (worker.wake), which onData rings:
-// only a remote delivery can activate a worker that has nothing to run.
-// The detector polls, because a consistent view needs two observations
-// some time apart; its period is a whole millisecond on the runtime timer,
-// so it never keeps the transport's wire clock awake.
+// Termination is global quiescence, detected exactly with the transport's
+// in-flight count: a worker holds one unit of it (Transport.Hold) while it
+// has work — an active vertex or a logical step running — so the count is
+// zero exactly when every worker is idle and no message is in flight, and
+// WaitIdle returns. keepHold and rehold carry the argument that no wake-up
+// is lost. An idle worker parks on its doorbell (worker.wake), which onData
+// rings when it gives the worker its hold back.
+//
+// The runaway guard ends a run through the same count: the worker whose
+// logical step count reaches MaxSupersteps sets stopped, from which on every
+// worker drops its hold instead of stepping; the messages in flight land,
+// the count reaches zero, and Converged stays false.
 //
 // Partition-based locking composes with BAP naturally: the fork protocol
 // is already barrier-free, condition C1 comes from flush-before-handoff
@@ -29,109 +35,81 @@ import (
 // (§4.2, §5.3) leans on superstep-aligned token rotation.
 func (r *runner[V, M]) runBAP(res *Result) {
 	var (
-		maxSteps atomic.Int64
-		wg       sync.WaitGroup
+		stopped atomic.Bool
+		wg      sync.WaitGroup
 	)
+	steps := make([]int, len(r.workers))
 	done := make(chan struct{})
 	for _, w := range r.workers {
+		w.held = true
+		r.tr.Hold()
+	}
+	for i, w := range r.workers {
 		wg.Add(1)
 		go func(w *worker[V, M]) {
 			defer wg.Done()
-			step := 0
 			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if !w.anyActiveWorker() {
+				if !w.keepHold(stopped.Load()) {
 					select {
 					case <-w.wake:
+						continue
 					case <-done:
+						return
 					}
-					continue
 				}
-				w.runLogicalSuperstep(step)
-				step++
-				for {
-					m := maxSteps.Load()
-					if int64(step) <= m || maxSteps.CompareAndSwap(m, int64(step)) {
-						break
-					}
+				w.runLogicalSuperstep(steps[i])
+				if steps[i]++; steps[i] >= r.cfg.MaxSupersteps {
+					stopped.Store(true)
 				}
 			}
 		}(w)
 	}
-
-	// Quiescence detector.
-	var lastExec int64 = -1
-	for {
-		if int(maxSteps.Load()) >= r.cfg.MaxSupersteps {
-			break // runaway guard; Converged stays false
-		}
-		idle := r.tr.InFlight() == 0
-		if idle {
-			for _, w := range r.workers {
-				// stepping guards the staged-message window: mid-step, a
-				// local message may live only in a thread's staging buffer,
-				// invisible to NewCount until the partition-end fold, and
-				// the executions counter only moves at fold time. A worker
-				// only starts a step after observing activity, and that
-				// activity is consumed strictly inside the step, so the
-				// detector can never see "no activity, not stepping" while
-				// work is pending.
-				if w.stepping.Load() || w.anyActiveWorker() || w.pendingBuffered() {
-					idle = false
-					break
-				}
-			}
-		}
-		if idle {
-			if e := r.reg.Get(metrics.Executions); e == lastExec {
-				res.Converged = true
-				break
-			} else {
-				lastExec = e
-			}
-		} else {
-			lastExec = -1
-			// Release any messages stranded in idle workers' buffers.
-			for _, w := range r.workers {
-				if w.pendingBuffered() {
-					w.buf.FlushAll()
-				}
-			}
-		}
-		time.Sleep(quiescencePoll)
-	}
+	r.tr.WaitIdle()
 	close(done)
 	wg.Wait()
-	res.Supersteps = int(maxSteps.Load())
+	res.Converged = !stopped.Load()
+	res.Supersteps = slices.Max(steps)
 }
 
-// quiescencePoll is the period of BAP's termination detector. Termination
-// is declared on the second consecutive idle observation, so a run ends
-// about two periods after its last message is consumed. It is a whole
-// millisecond because that is what the runtime timer delivers (a
-// sub-millisecond time.Sleep returns after ≈1.1 ms on Linux), the same
-// period as the GAS engine's detector.
-const quiescencePoll = time.Millisecond
+// keepHold reports whether the worker has a logical step to run, keeping
+// its hold if so; otherwise (or once the run is stopped) it releases the
+// hold, and the worker parks until rehold gives it back.
+//
+// No wake-up is lost, because this decision and rehold's check are ordered
+// by holdMu. onData stores its batch before it calls rehold, so either this
+// check sees the batch's messages and the worker keeps stepping, or rehold
+// runs after the release, finds held false and holds again — while the
+// batch's own unit is still in flight, so the count cannot pass through zero
+// in between. A worker's sends are counted before its hold goes: every
+// logical step ends with a flush of its buffers.
+func (w *worker[V, M]) keepHold(stop bool) bool {
+	w.holdMu.Lock()
+	defer w.holdMu.Unlock()
+	if !stop && w.anyActiveWorker() {
+		return true
+	}
+	w.held = false
+	w.r.tr.Release()
+	return false
+}
+
+// rehold gives an idle BAP worker its hold back after onData has stored a
+// batch for it, and rings its doorbell. Only a release makes held false and
+// only this makes it true again, so the doorbell never holds two rings.
+func (w *worker[V, M]) rehold() {
+	w.holdMu.Lock()
+	if !w.held {
+		w.held = true
+		w.r.tr.Hold()
+		w.wake <- struct{}{}
+	}
+	w.holdMu.Unlock()
+}
 
 // anyActiveWorker reports whether any owned vertex is active: not halted,
 // or holding unread messages.
 func (w *worker[V, M]) anyActiveWorker() bool {
 	return w.stores[0].NewCount() > 0 || w.unhalted.Load() > 0
-}
-
-// pendingBuffered reports whether outgoing messages are waiting in the
-// buffer cache.
-func (w *worker[V, M]) pendingBuffered() bool {
-	for dest := range w.r.workers {
-		if dest != w.id && w.buf.Pending(dest) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // runLogicalSuperstep is one pass over the worker's partitions under BAP:
@@ -143,8 +121,6 @@ func (w *worker[V, M]) pendingBuffered() bool {
 // workers), and barrier-wait stays zero by construction — BAP has no
 // barriers.
 func (w *worker[V, M]) runLogicalSuperstep(step int) {
-	w.stepping.Store(true)
-	defer w.stepping.Store(false)
 	reg := w.r.reg
 	computeStart := time.Now()
 	w.runPass(step)

@@ -14,9 +14,9 @@ import (
 
 // TestBAPIdleRunBurnsNoCPU: a BAP run in which nothing is on the wire — one
 // vertex blocks in Compute, nobody sends — must leave the transport's wire
-// clock parked. A clock kept spinning (by the quiescence detector waiting on
-// it at a sub-spinHorizon period, say) shows up as a full core of CPU for
-// the length of the run. Not parallel: rusage is process-wide.
+// clock parked. A clock kept spinning (by a termination test waiting on it
+// at a sub-spinHorizon period, say) shows up as a full core of CPU for the
+// length of the run. Not parallel: rusage is process-wide.
 func TestBAPIdleRunBurnsNoCPU(t *testing.T) {
 	const block = 100 * time.Millisecond
 	prog := model.Program[int32, int32]{

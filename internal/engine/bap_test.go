@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,16 +10,29 @@ import (
 	"serialgraph/internal/cluster"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/history"
+	"serialgraph/internal/model"
 )
+
+// bapLatency keeps messages on the wire while their senders go idle, so a
+// termination detector that stops counting a message before its handler has
+// run (or loses an idle worker's wake-up) ends the run with work left.
+var bapLatency = cluster.LatencyModel{Propagation: 200 * time.Microsecond}
 
 func TestBAPSSSPMatchesReference(t *testing.T) {
 	g := testGraph(t)
 	want := algorithms.ShortestPaths(g, 0)
-	for _, sync := range []Sync{SyncNone, PartitionLock} {
-		sync := sync
-		t.Run(sync.String(), func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sync Sync
+		lat  cluster.LatencyModel
+	}{
+		{"none", SyncNone, cluster.LatencyModel{}},
+		{"partition-lock", PartitionLock, cluster.LatencyModel{}},
+		{"none-latency", SyncNone, bapLatency},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			dist, res, _, err := Run(g, algorithms.SSSP(0), Config{
-				Workers: 4, Mode: BAP, Sync: sync, Seed: 5,
+				Workers: 4, Mode: BAP, Sync: c.sync, Seed: 5, Latency: c.lat,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -70,18 +85,56 @@ func TestBAPHistoryClean(t *testing.T) {
 func TestBAPWCC(t *testing.T) {
 	g := undirected(testGraph(t))
 	want := algorithms.Components(g)
-	labels, res, _, err := Run(g, algorithms.WCC(), Config{
-		Workers: 3, Mode: BAP, Sync: PartitionLock, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, lat := range []cluster.LatencyModel{{}, bapLatency} {
+		labels, res, _, err := Run(g, algorithms.WCC(), Config{
+			Workers: 3, Mode: BAP, Sync: PartitionLock, Seed: 7, Latency: lat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("latency %v: did not quiesce", lat.Propagation)
+		}
+		for v := range want {
+			if labels[v] != want[v] {
+				t.Fatalf("latency %v: label[%d] = %d, want %d", lat.Propagation, v, labels[v], want[v])
+			}
+		}
 	}
-	if !res.Converged {
-		t.Fatal("did not quiesce")
+}
+
+// TestBAPMaxSuperstepsGuard: a program that never halts, and keeps messages
+// on the wire, must end at MaxSupersteps unconverged on both transports —
+// the guard stops the steps and the in-flight count drains — and must leave
+// nothing running that could still move the registry after Run returns.
+func TestBAPMaxSuperstepsGuard(t *testing.T) {
+	prog := model.Program[int32, int32]{
+		Name: "never-halt", Semantics: model.Queue, MsgBytes: 4,
+		Compute: func(ctx model.Context[int32, int32], msgs []int32) {
+			ctx.SendToAllOut(1)
+		},
 	}
-	for v := range want {
-		if labels[v] != want[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, labels[v], want[v])
+	kinds := []TransportKind{TransportInProc}
+	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+		ln.Close()
+		kinds = append(kinds, TransportTCP)
+	}
+	for _, kind := range kinds {
+		cfg := equivConfig(BAP, SyncNone, kind)
+		cfg.MaxSupersteps, cfg.Latency = 20, bapLatency
+		_, res, _, err := Run(equivGraph(false), prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Converged {
+			t.Errorf("%v: a program that never halts converged", kind)
+		}
+		if res.Supersteps != cfg.MaxSupersteps {
+			t.Errorf("%v: stopped after %d logical supersteps, want %d", kind, res.Supersteps, cfg.MaxSupersteps)
+		}
+		time.Sleep(time.Millisecond)
+		if !reflect.DeepEqual(cfg.Metrics.Snapshot(), res.Metrics) {
+			t.Errorf("%v: the registry changed after Run returned", kind)
 		}
 	}
 }

@@ -72,8 +72,10 @@ type runner[V, M any] struct {
 	// restarts its next batch from the pool. Only safe when recycleBatches
 	// is set — with fault injection active the transport may duplicate a
 	// delivery (at-least-once), and a recycled slice would alias the copy
-	// still on the wire.
+	// still on the wire. ctrlPool is the same for the lock managers'
+	// control batches.
 	batchPool      sync.Pool
+	ctrlPool       chandy.BatchPool
 	recycleBatches bool
 	rec            *history.Recorder
 

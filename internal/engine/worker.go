@@ -63,15 +63,6 @@ type worker[V, M any] struct {
 	// superstep, and supersteps of one worker never overlap.
 	threads []*thread[V, M]
 
-	// stepping is set for the duration of a BAP logical superstep. The
-	// quiescence detector must treat a stepping worker as non-idle: with
-	// thread-local staging, a local message can exist only in a thread's
-	// staging buffer — invisible to NewCount until the fold at partition
-	// end — and with folded execution counters the executions counter
-	// moves only at fold time, so mid-step the worker can look finished
-	// while work is still in flight.
-	stepping atomic.Bool
-
 	aggMu    sync.Mutex
 	aggLocal map[string]float64
 	aggPrev  map[string]float64
@@ -93,14 +84,17 @@ type worker[V, M any] struct {
 
 	// unhalted counts owned vertices that have not voted to halt (the set
 	// bits of awake): the master sums it for the halt count, and BAP's
-	// activity and quiescence checks read it.
+	// activity check (anyActiveWorker) reads it.
 	unhalted atomic.Int64
 
 	// wake is BAP's idle-worker doorbell: a worker with no active vertex
-	// parks on it and onData rings it after applying a batch — remote
-	// delivery is the only thing that can activate an idle worker. Nil
-	// outside BAP.
-	wake chan struct{}
+	// releases its hold on the transport's in-flight count and parks on it,
+	// and onData rings it when it holds again for the worker (bap.go).
+	// held is set while the worker holds; holdMu orders the worker's idle
+	// decision against a delivery's. Nil and unused outside BAP.
+	wake   chan struct{}
+	holdMu sync.Mutex
+	held   bool
 
 	// begin and finish are when this worker started on its superstep and
 	// when it completed it (threads joined and buffers flushed). Written in
@@ -247,7 +241,9 @@ func (w *worker[V, M]) initVertexLockManager() {
 // the receiving manager has already refilled.
 func (w *worker[V, M]) newLockManager(ownerOf func(chandy.PhilID) int) {
 	w.mgr = chandy.NewBatchManager(w.id, ownerOf, w.sendChandyCtrl, w.buf.FlushTo)
-	w.mgr.SetRecycle(w.r.recycleBatches)
+	if w.r.recycleBatches {
+		w.mgr.SetRecycle(&w.r.ctrlPool)
+	}
 	w.mgr.SetMetrics(w.r.reg)
 }
 
@@ -283,10 +279,7 @@ func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 		w.r.batchPool.Put(payload) // the box it arrived in: no new allocation
 	}
 	if w.wake != nil {
-		select {
-		case w.wake <- struct{}{}:
-		default: // already rung; the worker re-reads its activity on waking
-		}
+		w.rehold()
 	}
 }
 

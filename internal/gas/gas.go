@@ -49,7 +49,8 @@ type Config struct {
 	// vertex — locality-aware kinds shrink replica-update traffic.
 	Partitioner string
 	// MaxExecutions aborts runs that do not quiesce (non-serializable
-	// coloring can livelock, §2.3). Default 200 × |V|.
+	// coloring can livelock, §2.3): past it, fibers drop the vertices they
+	// pop instead of executing them. Default 200 × |V|.
 	MaxExecutions int64
 	// TrackHistory attaches a transaction recorder.
 	TrackHistory bool
@@ -106,13 +107,16 @@ type gworker[V comparable, M any] struct {
 	replicaVer []uint32
 	replicaMu  sync.RWMutex
 
+	// schedMu guards the run queue and the hold: the worker holds one unit
+	// of the transport's in-flight count exactly while a vertex is queued or
+	// running (held), which makes Run's WaitIdle the termination test.
 	schedMu sync.Mutex
 	cond    *sync.Cond
 	queue   []graph.VertexID
 	state   []vertexState // indexed by global vertex ID; owned vertices only
+	running int           // fibers executing a vertex
+	held    bool
 	closed  bool
-
-	busy atomic.Int64
 
 	// out batches replica updates per destination worker. With locking they
 	// accumulate until the next fork handoff to that worker flushes them
@@ -146,16 +150,21 @@ type grunner[V comparable, M any] struct {
 	// here once applied and every outbox starts its batches from it. The
 	// GAS transport never duplicates a delivery (it has no fault
 	// injection), so a batch has one owner at a time; the lock managers
-	// recycle their control batches for the same reason.
+	// recycle their control batches through ctrlPool for the same reason.
 	batchPool sync.Pool
+	ctrlPool  chandy.BatchPool
 
-	scheduled atomic.Int64
-	maxConc   atomic.Int64
-	conc      atomic.Int64
+	stopped atomic.Bool // MaxExecutions reached
+	maxConc atomic.Int64
+	conc    atomic.Int64
 }
 
-// Run executes the GAS program until global quiescence (no active vertices,
-// no in-flight messages) and returns the final values.
+// Run executes the GAS program until global quiescence and returns the final
+// values. Quiescence is exact: every worker holds a unit of the transport's
+// in-flight count while it has a vertex queued or running, so the count is
+// zero — and WaitIdle returns — exactly when no vertex is active anywhere
+// and no message is in flight (schedule and fiberLoop keep the holds). A
+// run that reaches MaxExecutions drains the same way, unconverged.
 func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg Config) ([]V, engine.Result, *history.Recorder, error) {
 	cfg = cfg.withDefaults(g.NumVertices())
 	r := &grunner[V, M]{g: g, prog: prog, cfg: cfg, reg: metrics.New()}
@@ -204,7 +213,8 @@ func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg C
 
 	start := time.Now()
 	res := engine.Result{Partition: quality}
-	res.Converged = r.awaitQuiescence()
+	r.tr.WaitIdle()
+	res.Converged = !r.stopped.Load()
 	res.ComputeTime = time.Since(start)
 
 	for _, w := range r.workers {
@@ -234,48 +244,6 @@ func (r *grunner[V, M]) storeValue(u graph.VertexID, v V) {
 	r.values[u] = v
 	lk.Unlock()
 }
-
-// awaitQuiescence polls until no vertex is queued or running and the
-// network is idle, confirmed by two consecutive observations with an
-// unchanged execution counter. Returns false if MaxExecutions was exceeded.
-func (r *grunner[V, M]) awaitQuiescence() bool {
-	var lastExec, lastSched int64 = -1, -1
-	for {
-		if r.reg.Get(metrics.Executions) > r.cfg.MaxExecutions {
-			return false
-		}
-		idleNow := r.tr.InFlight() == 0
-		if idleNow {
-			for _, w := range r.workers {
-				// A worker with nothing left to run may still hold buffered
-				// updates whose activations would otherwise strand: release
-				// them.
-				if !w.idle() || w.out.FlushAll() > 0 {
-					idleNow = false
-					break
-				}
-			}
-		}
-		if idleNow {
-			e, s := r.reg.Get(metrics.Executions), r.scheduled.Load()
-			if e == lastExec && s == lastSched {
-				return true
-			}
-			lastExec, lastSched = e, s
-		} else {
-			lastExec, lastSched = -1, -1
-		}
-		time.Sleep(quiescencePoll)
-	}
-}
-
-// quiescencePoll is awaitQuiescence's period. It is a whole millisecond
-// because that is what the runtime timer delivers (a sub-millisecond
-// time.Sleep returns after ≈1.1 ms on Linux), and deliberately not a
-// precise sub-millisecond wait: every poll takes each worker's scheduler
-// lock, and polling five times as often cost vl_coloring_gas 11% of its
-// wall time for 2 ms less termination latency.
-const quiescencePoll = time.Millisecond
 
 func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 	n := r.g.NumVertices()
@@ -312,7 +280,7 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
 		sendCtrl := func(to int, batch *[]chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(*batch)) }
 		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, w.out.FlushTo)
-		w.mgr.SetRecycle(true)
+		w.mgr.SetRecycle(&r.ctrlPool)
 		w.mgr.SetMetrics(r.reg)
 		owned := 0
 		for _, p := range r.pm.PartitionsOfWorker(id) {
@@ -337,29 +305,33 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 	return w
 }
 
-// schedule marks u runnable on its owner worker (u must be owned by w).
+// schedule marks u runnable on its owner worker (u must be owned by w),
+// taking the worker's hold if it had none.
+//
+// No activation is lost: the hold is taken and dropped only under schedMu,
+// so a worker's last fiber either sees u in the queue and keeps the hold,
+// or has released it and schedule holds again. A scatter calls schedule
+// while its own vertex runs, and onData while its batch is still in
+// flight, so the cause is counted until the effect is.
 func (w *gworker[V, M]) schedule(u graph.VertexID) {
 	w.schedMu.Lock()
 	switch w.state[u] {
 	case idle:
-		w.state[u] = queued
-		w.queue = append(w.queue, u)
-		w.r.scheduled.Add(1)
-		w.cond.Signal()
+		w.enqueueLocked(u)
+		if !w.held {
+			w.held = true
+			w.r.tr.Hold()
+		}
 	case running:
 		w.state[u] = runningRerun
-		w.r.scheduled.Add(1)
 	}
 	w.schedMu.Unlock()
 }
 
-func (w *gworker[V, M]) idle() bool {
-	if w.busy.Load() != 0 {
-		return false
-	}
-	w.schedMu.Lock()
-	defer w.schedMu.Unlock()
-	return len(w.queue) == 0
+func (w *gworker[V, M]) enqueueLocked(u graph.VertexID) {
+	w.state[u] = queued
+	w.queue = append(w.queue, u)
+	w.cond.Signal()
 }
 
 func (w *gworker[V, M]) close() {
@@ -393,19 +365,28 @@ func (w *gworker[V, M]) fiberLoop() {
 		u := w.queue[0]
 		w.queue = w.queue[1:]
 		w.state[u] = running
-		w.busy.Add(1)
+		w.running++
 		w.schedMu.Unlock()
 
-		w.executeVertex(u, sc, &spare)
+		if !w.r.stopped.Load() {
+			w.executeVertex(u, sc, &spare)
+		}
 
 		w.schedMu.Lock()
-		rerun := w.state[u] == runningRerun
-		w.state[u] = idle
-		w.busy.Add(-1)
-		w.schedMu.Unlock()
-		if rerun {
-			w.schedule(u)
+		if w.state[u] == runningRerun {
+			w.enqueueLocked(u)
+		} else {
+			w.state[u] = idle
 		}
+		if w.running--; w.running == 0 && len(w.queue) == 0 {
+			// The worker's last fiber found the queue empty: flush the
+			// updates its executions buffered, so they are in flight
+			// before the hold goes.
+			w.out.FlushAll()
+			w.held = false
+			w.r.tr.Release()
+		}
+		w.schedMu.Unlock()
 	}
 }
 
@@ -419,6 +400,9 @@ func (w *gworker[V, M]) executeVertex(u graph.VertexID, sc *scatterScratch, spar
 		defer w.mgr.Release(chandy.PhilID(u))
 	}
 	r.reg.Add(metrics.Executions, 1)
+	if r.reg.Get(metrics.Executions) > r.cfg.MaxExecutions {
+		r.stopped.Store(true)
+	}
 	c := r.conc.Add(1)
 	for {
 		m := r.maxConc.Load()

@@ -41,19 +41,26 @@ func TestColoringSerializableSinglePassProper(t *testing.T) {
 	}
 }
 
+// idleLatency keeps replica updates on the wire while their senders go
+// idle, so a termination detector that stops counting an update before its
+// handler has run (or loses an idle worker's wake-up) ends the run early.
+var idleLatency = cluster.LatencyModel{Propagation: 200 * time.Microsecond}
+
 func TestSSSPMatchesReference(t *testing.T) {
 	g := testGraph()
 	want := algorithms.ShortestPaths(g, 0)
-	dist, res, _, err := Run(g, algorithms.SSSPGAS(0), Config{Workers: 3, Serializable: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not quiesce")
-	}
-	for v := range want {
-		if dist[v] != want[v] {
-			t.Fatalf("dist[%d] = %v, want %v", v, dist[v], want[v])
+	for _, lat := range []cluster.LatencyModel{{}, idleLatency} {
+		dist, res, _, err := Run(g, algorithms.SSSPGAS(0), Config{Workers: 3, Serializable: true, Seed: 5, Latency: lat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("latency %v: did not quiesce", lat.Propagation)
+		}
+		for v := range want {
+			if dist[v] != want[v] {
+				t.Fatalf("latency %v: dist[%d] = %v, want %v", lat.Propagation, v, dist[v], want[v])
+			}
 		}
 	}
 }
@@ -61,16 +68,18 @@ func TestSSSPMatchesReference(t *testing.T) {
 func TestWCCMatchesReference(t *testing.T) {
 	g := undirected(testGraph())
 	want := algorithms.Components(g)
-	labels, res, _, err := Run(g, algorithms.WCCGAS(), Config{Workers: 4, Serializable: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not quiesce")
-	}
-	for v := range want {
-		if labels[v] != want[v] {
-			t.Fatalf("label[%d] = %d, want %d", v, labels[v], want[v])
+	for _, lat := range []cluster.LatencyModel{{}, idleLatency} {
+		labels, res, _, err := Run(g, algorithms.WCCGAS(), Config{Workers: 4, Serializable: true, Seed: 1, Latency: lat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("latency %v: did not quiesce", lat.Propagation)
+		}
+		for v := range want {
+			if labels[v] != want[v] {
+				t.Fatalf("latency %v: label[%d] = %d, want %d", lat.Propagation, v, labels[v], want[v])
+			}
 		}
 	}
 }
