@@ -184,17 +184,20 @@ type BatchPool struct {
 	free []*[]Ctrl
 }
 
+// get takes a spent batch, or makes a new one when the pool is empty or
+// nil (recycling off).
 func (p *BatchPool) get() *[]Ctrl {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		q := make([]Ctrl, 0, 8)
-		return &q
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if n := len(p.free); n > 0 {
+			b := p.free[n-1]
+			p.free = p.free[:n-1]
+			return b
+		}
 	}
-	b := p.free[n-1]
-	p.free = p.free[:n-1]
-	return b
+	q := make([]Ctrl, 0, 8)
+	return &q
 }
 
 func (p *BatchPool) put(b *[]Ctrl) {
@@ -512,12 +515,7 @@ func (m *Manager) emitLocked(c Ctrl) bool {
 	}
 	o := &m.out[dest]
 	if o.q == nil {
-		if m.pool != nil {
-			o.q = m.pool.get()
-		} else {
-			q := make([]Ctrl, 0, 8)
-			o.q = &q
-		}
+		o.q = m.pool.get()
 	}
 	*o.q = append(*o.q, c)
 	o.fork = o.fork || c.Kind == ForkMsg

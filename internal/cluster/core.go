@@ -9,10 +9,10 @@ import (
 
 // core is the delivery contract both backends share: the handler registry,
 // the dead-worker flags, Send's admission and drop rules, the per-kind byte
-// ledger and the in-flight count behind WaitIdle (messages plus Holds). Mem and TCP embed it and
-// supply only their wire: enqueue puts one accepted copy of a message on its
-// lane, and the lane's consumer hands each message that comes off the wire
-// to deliver and then calls Release. A rule changed here changes in both
+// ledger and the in-flight count behind WaitIdle (messages plus Holds). Mem
+// and TCP embed it and supply only their wire: enqueue puts one accepted
+// copy of a message on its lane, and the lane's consumer hands each message
+// that comes off the wire to deliver and then calls Release. A rule changed here changes in both
 // deployments at once.
 type core struct {
 	n        int
