@@ -39,11 +39,13 @@ test-race:
 # batch-recycling, model and allocation tests, where the race detector is
 # what would see a recycled batch still being read; and the barrierless
 # termination tests (BAP, the GAS guard and latency cases), where it is
-# what would see a worker's hold released while a handler still runs.
+# what would see a worker's hold released while a handler still runs; and
+# the message store's concurrent appliers, where a phased (BSP) store's
+# appliers share unread words with no lock between them.
 race: vet
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Chaos|Confined|Watchdog|Torn' ./internal/engine/
-	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$' ./internal/chandy/ ./internal/engine/ ./internal/gas/
+	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$|Phased|ConcurrentAppliers' ./internal/chandy/ ./internal/engine/ ./internal/gas/ ./internal/msgstore/
 
 # Fault-injection and recovery gate: the chaos and confined-recovery /
 # watchdog suites under the race detector, then a 200-case torture sweep

@@ -302,14 +302,16 @@ func TestChaosDuplicatesAndStragglersAreHarmless(t *testing.T) {
 // terminates cleanly and every drop shows up in the transport counters.
 // (Without a crash there is no rollback, so no correctness claim is made —
 // lossy links are not the paper's failure model; this pins down liveness
-// and accounting.)
+// and accounting.) BufferCap 1 sends every remote message as a batch of
+// its own, so the 5% rate has thousands of batches to fire on, not the few
+// full 512-entry ones a run would otherwise send.
 func TestChaosDropsAreAccounted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test")
 	}
 	g := chaosGraph(t)
 	inj := fault.NewInjector(fault.Plan{DropRate: 0.05, Seed: 11})
-	cfg := Config{Workers: 4, Mode: Async, Sync: SyncNone, Seed: 5, Fault: inj}
+	cfg := Config{Workers: 4, Mode: Async, Sync: SyncNone, Seed: 5, Fault: inj, BufferCap: 1}
 	_, res, _, err := Run(g, algorithms.SSSP(0), cfg)
 	if err != nil {
 		t.Fatal(err)

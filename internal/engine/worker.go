@@ -188,9 +188,12 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 }
 
 // newStore builds an empty message store over the worker's vertices.
+// Under BSP a store is written in one superstep and read in the next, never
+// both at once, which lets an Overwrite store write without locks.
 func (w *worker[V, M]) newStore() *msgstore.Store[M] {
 	st := msgstore.New(w.r.g, w.owned, w.r.prog.Semantics, w.r.prog.Combine)
 	st.SetFanOut(w.fan)
+	st.SetPhased(w.r.cfg.Mode == BSP)
 	return st
 }
 

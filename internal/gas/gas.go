@@ -200,6 +200,9 @@ func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg C
 		r.workers[r.pm.WorkerOf(u)].schedule(u)
 	}
 
+	// The clock starts before the first fiber: a fiber executes as soon as
+	// it is spawned, since every vertex is scheduled already.
+	start := time.Now()
 	var wg sync.WaitGroup
 	for _, w := range r.workers {
 		for f := 0; f < cfg.FibersPerWorker; f++ {
@@ -211,7 +214,6 @@ func Run[V comparable, M any](g *graph.Graph, prog model.GASProgram[V, M], cfg C
 		}
 	}
 
-	start := time.Now()
 	res := engine.Result{Partition: quality}
 	r.tr.WaitIdle()
 	res.Converged = !r.stopped.Load()

@@ -2,6 +2,7 @@ package gas
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -389,5 +390,46 @@ func TestGASBatchesReconcile(t *testing.T) {
 		if flushed, batches := m.Get(metrics.RemoteEntriesFlushed), m.Get(metrics.RemoteBatches); flushed < batches {
 			t.Errorf("serializable=%v: %d entries in %d batches", serializable, flushed, batches)
 		}
+	}
+}
+
+// TestComputeTimeCoversExecutions: ComputeTime spans every execution, from
+// the first one's start to the last one's end, as the program itself
+// records them. Fibers execute as soon as they are spawned, so a clock
+// started after spawning them misses the first executions.
+func TestComputeTimeCoversExecutions(t *testing.T) {
+	var mu sync.Mutex
+	var first, last time.Time
+	stamp := func() {
+		now := time.Now()
+		mu.Lock()
+		if first.IsZero() || now.Before(first) {
+			first = now
+		}
+		mu.Unlock()
+	}
+	prog := algorithms.SSSPGAS(0)
+	gather, apply := prog.Gather, prog.Apply
+	prog.Gather = func(u, nbr graph.VertexID, nbrVal float64, w float64) float64 {
+		stamp()
+		return gather(u, nbr, nbrVal, w)
+	}
+	prog.Apply = func(u graph.VertexID, old, acc float64, hasAcc bool) (float64, bool) {
+		stamp() // a vertex with no in-edges gathers nothing
+		v, scatter := apply(u, old, acc, hasAcc)
+		now := time.Now()
+		mu.Lock()
+		if now.After(last) {
+			last = now
+		}
+		mu.Unlock()
+		return v, scatter
+	}
+	_, res, _, err := Run(testGraph(), prog, Config{Workers: 4, FibersPerWorker: 256, Serializable: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span := last.Sub(first); res.ComputeTime < span {
+		t.Errorf("ComputeTime %v, executions span %v", res.ComputeTime, span)
 	}
 }

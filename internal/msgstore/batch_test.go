@@ -73,7 +73,8 @@ func drain(t *testing.T, s *Store[int], n int) map[graph.VertexID][]int {
 // fan-out entry equals PutSlot of the per-edge messages it stands for.
 // Batches mix point and fan-out entries over a multigraph (duplicate edges
 // and self-loops keep one slot each), and PutBatch returns exactly the
-// number of slots its fan-out entries wrote.
+// number of slots its fan-out entries wrote. Every semantics runs on both
+// store kinds, locked and phased (SetPhased: the direct Overwrite path).
 func TestPutBatchMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomMultigraph(24, rng)
@@ -90,54 +91,71 @@ func TestPutBatchMatchesPut(t *testing.T) {
 		{"overwrite", model.Overwrite, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for trial := 0; trial < 20; trial++ {
-				es := randomEntries(g, 5+rng.Intn(200), rng)
-				for i := range es {
-					if rng.Intn(4) == 0 {
-						es[i] = fanOutEntry(g, owned, rng)
+			forStoreKinds(t, func(t *testing.T, phased bool) {
+				for trial := 0; trial < 20; trial++ {
+					es := randomEntries(g, 5+rng.Intn(200), rng)
+					for i := range es {
+						if rng.Intn(4) == 0 {
+							es[i] = fanOutEntry(g, owned, rng)
+						}
 					}
-				}
-				ref := New[int](g, owned, tc.sem, tc.combine)
-				got := New[int](g, owned, tc.sem, tc.combine)
-				got.SetFanOut(tab)
-				perEdge := expand(g, owned, es)
-				for _, e := range perEdge {
-					ref.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
-				}
-				// Split the same entries into random-size chunks to hit both
-				// the small-batch lazy-relock path and the counting-sort path.
-				fanned := 0
-				for i := 0; i < len(es); {
-					j := i + 1 + rng.Intn(64)
-					if j > len(es) {
-						j = len(es)
+					ref := New[int](g, owned, tc.sem, tc.combine)
+					got := New[int](g, owned, tc.sem, tc.combine)
+					got.SetFanOut(tab)
+					got.SetPhased(phased)
+					perEdge := expand(g, owned, es)
+					for _, e := range perEdge {
+						ref.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 					}
-					fanned += got.PutBatch(es[i:j])
-					i = j
-				}
-				if want, have := len(perEdge)-len(es)+countFanOut(es), fanned; want != have {
-					t.Fatalf("trial %d: fan_out_targets %d, want %d", trial, have, want)
-				}
-				if want, have := ref.NewCount(), got.NewCount(); want != have {
-					t.Fatalf("trial %d: NewCount %d, want %d", trial, have, want)
-				}
-				w, h := drain(t, ref, 24), drain(t, got, 24)
-				if len(w) != len(h) {
-					t.Fatalf("trial %d: %d vertices with messages, want %d", trial, len(h), len(w))
-				}
-				for v, msgs := range w {
-					hm := h[v]
-					if len(hm) != len(msgs) {
-						t.Fatalf("trial %d vertex %d: msgs %v, want %v", trial, v, hm, msgs)
+					// Split the same entries into random-size chunks to hit both
+					// the small-batch lazy-relock path and the counting-sort path.
+					fanned := 0
+					for i := 0; i < len(es); {
+						j := i + 1 + rng.Intn(64)
+						if j > len(es) {
+							j = len(es)
+						}
+						fanned += got.PutBatch(es[i:j])
+						i = j
 					}
-					for i := range msgs {
-						if hm[i] != msgs[i] {
+					if want, have := len(perEdge)-len(es)+countFanOut(es), fanned; want != have {
+						t.Fatalf("trial %d: fan_out_targets %d, want %d", trial, have, want)
+					}
+					if want, have := ref.NewCount(), got.NewCount(); want != have {
+						t.Fatalf("trial %d: NewCount %d, want %d", trial, have, want)
+					}
+					w, h := drain(t, ref, 24), drain(t, got, 24)
+					if len(w) != len(h) {
+						t.Fatalf("trial %d: %d vertices with messages, want %d", trial, len(h), len(w))
+					}
+					for v, msgs := range w {
+						hm := h[v]
+						if len(hm) != len(msgs) {
 							t.Fatalf("trial %d vertex %d: msgs %v, want %v", trial, v, hm, msgs)
+						}
+						for i := range msgs {
+							if hm[i] != msgs[i] {
+								t.Fatalf("trial %d vertex %d: msgs %v, want %v", trial, v, hm, msgs)
+							}
 						}
 					}
 				}
-			}
+			})
 		})
+	}
+}
+
+// storeKinds are the two kinds of store: "locked" (New) and "phased"
+// (SetPhased(true), which under Overwrite is the direct path).
+var storeKinds = []struct {
+	name   string
+	phased bool
+}{{"locked", false}, {"phased", true}}
+
+// forStoreKinds runs f as one subtest per store kind.
+func forStoreKinds(t *testing.T, f func(t *testing.T, phased bool)) {
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) { f(t, k.phased) })
 	}
 }
 
@@ -169,9 +187,12 @@ func randomMultigraph(n int, rng *rand.Rand) *graph.Graph {
 }
 
 // TestPutBatchOverwriteLastWins pins that the counting sort behind the
-// large-batch path is stable: two updates for the same (dst, src) in one
-// batch must land in program order, exactly as sequential Puts would.
-func TestPutBatchOverwriteLastWins(t *testing.T) {
+// large-batch path is stable, and that the direct path applies in batch
+// order: two updates for the same (dst, src) in one batch must land in
+// program order, exactly as sequential Puts would.
+func TestPutBatchOverwriteLastWins(t *testing.T) { forStoreKinds(t, testLastWins) }
+
+func testLastWins(t *testing.T, phased bool) {
 	g := randomGraph(24, rand.New(rand.NewSource(7)))
 	var dst, src graph.VertexID = -1, -1
 	for v := 0; v < 24 && dst < 0; v++ {
@@ -188,6 +209,7 @@ func TestPutBatchOverwriteLastWins(t *testing.T) {
 	batch = append(batch, randomEntries(g, 40, rand.New(rand.NewSource(8)))...)
 	batch = append(batch, Entry[int]{Dst: dst, Src: src, Msg: 2})
 	s := New[int](g, all(24), model.Overwrite, nil)
+	s.SetPhased(phased)
 	s.PutBatch(batch)
 	r := Reader[int]{Sources: true}
 	if !s.Read(dst, &r) {

@@ -157,6 +157,7 @@ func BenchmarkRead(b *testing.B) {
 // graph whose replica table exceeds the cache, and every in-edge delivers
 // one float64 message per pass, in sender order, in 512-entry batches that
 // carry the in-slot hint a sender's local targets carry. One op is one entry.
+// It runs on both store kinds: "locked" (Async/BAP) and "phased" (BSP).
 func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 	g := generate.PowerLaw(generate.PowerLawConfig{N: 40000, AvgDegree: 20, Exponent: 2.2, Seed: 7})
 	var owned []graph.VertexID
@@ -172,19 +173,34 @@ func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 			}
 		}
 	}
-	s := New[float64](g, owned, model.Overwrite, nil)
 	const batchSize = 512
-	scratch := make([]Entry[float64], batchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done, off := 0, 0; done < b.N; done += batchSize {
-		if off+batchSize > len(entries) {
-			off = 0
-			s.Clear() // the BSP store swap between passes
+	benchStoreKinds(b, g, owned, nil, func(b *testing.B, s *Store[float64]) {
+		scratch := make([]Entry[float64], batchSize)
+		for done, off := 0, 0; done < b.N; done += batchSize {
+			if off+batchSize > len(entries) {
+				off = 0
+				s.Clear() // the BSP store swap between passes
+			}
+			copy(scratch, entries[off:off+batchSize]) // as the transport hands over each batch
+			s.PutBatch(scratch)
+			off += batchSize
 		}
-		copy(scratch, entries[off:off+batchSize]) // as the transport hands over each batch
-		s.PutBatch(scratch)
-		off += batchSize
+	})
+}
+
+// benchStoreKinds runs f as one sub-benchmark per store kind, each on a
+// fresh Overwrite store over owned taking fan-out entries through tab
+// (nil: none).
+func benchStoreKinds(b *testing.B, g *graph.Graph, owned []graph.VertexID, tab *FanOutTable, f func(b *testing.B, s *Store[float64])) {
+	for _, k := range storeKinds {
+		b.Run(k.name, func(b *testing.B) {
+			s := New[float64](g, owned, model.Overwrite, nil)
+			s.SetFanOut(tab)
+			s.SetPhased(k.phased)
+			b.ReportAllocs()
+			b.ResetTimer()
+			f(b, s)
+		})
 	}
 }
 
@@ -192,7 +208,7 @@ func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 // sent the way SendToAllOut sends it: one fan-out entry per source with an
 // out-neighbor on the worker, expanded through the source table, in
 // 512-entry batches. One op is one slot written, so the two benchmarks'
-// ns/op compare per replica update applied.
+// ns/op compare per replica update applied. Both store kinds, likewise.
 func BenchmarkStorePutBatchFanOut(b *testing.B) {
 	g := generate.PowerLaw(generate.PowerLawConfig{N: 40000, AvgDegree: 20, Exponent: 2.2, Seed: 7})
 	var owned []graph.VertexID
@@ -216,17 +232,15 @@ func BenchmarkStorePutBatchFanOut(b *testing.B) {
 		}
 		batches, slots = append(batches, entries[off:off+batchSize]), append(slots, n)
 	}
-	s := New[float64](g, owned, model.Overwrite, nil)
-	s.SetFanOut(tab)
-	scratch := make([]Entry[float64], batchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done, i := 0, 0; done < b.N; done, i = done+slots[i], i+1 {
-		if i == len(batches) {
-			i = 0
-			s.Clear() // the BSP store swap between passes
+	benchStoreKinds(b, g, owned, tab, func(b *testing.B, s *Store[float64]) {
+		scratch := make([]Entry[float64], batchSize)
+		for done, i := 0, 0; done < b.N; done, i = done+slots[i], i+1 {
+			if i == len(batches) {
+				i = 0
+				s.Clear() // the BSP store swap between passes
+			}
+			copy(scratch, batches[i])
+			s.PutBatch(scratch)
 		}
-		copy(scratch, batches[i])
-		s.PutBatch(scratch)
-	}
+	})
 }

@@ -58,6 +58,16 @@ func (b Bits) orLocked(wi int, m uint64) {
 	}
 }
 
+// or sets the bits of m in word wi for a word with writers that hold no
+// lock. The load keeps a word whose bits are all set already off the write
+// path. (Or's result is unused: go1.24.0 miscompiles Or/And on amd64 only
+// when the old value is used.)
+func (b Bits) or(wi int, m uint64) {
+	if w := &b[wi]; w.Load()&m != m {
+		w.Or(m)
+	}
+}
+
 // Count returns the number of set bits.
 func (b Bits) Count() int64 {
 	var n int

@@ -75,7 +75,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 				}
 				return es[:count]
 			}
-			s := newFanOutStore(g, owned, tc.sem, tc.combine)
+			s := newFanOutStore(g, owned, tc.sem, tc.combine, false)
 			want := make(map[graph.VertexID]bool)
 			var reader Reader[int]
 			for step := 0; step < 3000; step++ {
@@ -113,7 +113,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 					clear(want)
 				default:
 					op = "Dump+Load"
-					fresh := newFanOutStore(g, owned, tc.sem, tc.combine)
+					fresh := newFanOutStore(g, owned, tc.sem, tc.combine, false)
 					fresh.Load(s.Dump())
 					s = fresh
 				}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -125,86 +126,91 @@ func modelEntries(g *graph.Graph, owned []graph.VertexID, n int, rng *rand.Rand)
 
 func sum(a, b int) int { return a + b }
 
-// newFanOutStore builds a store that takes fan-out entries.
-func newFanOutStore(g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b int) int) *Store[int] {
+// newFanOutStore builds a store that takes fan-out entries, phased or not.
+func newFanOutStore(g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b int) int, phased bool) *Store[int] {
 	s := New(g, owned, kind, combine)
 	s.SetFanOut(NewFanOutTable(g, owned))
+	s.SetPhased(phased)
 	return s
 }
 
+// TestStoreMatchesModel runs on both store kinds: a phased store is only
+// ever written or read at one time, as this single goroutine does.
 func TestStoreMatchesModel(t *testing.T) {
 	for _, sc := range semanticsCases {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", sc.name, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				g := randomGraph(48, rng)
-				owned := modelOwned(g, rng)
-				var combine func(a, b int) int
-				if sc.kind == model.Combine {
-					combine = sum
-				}
-				s, ref := newFanOutStore(g, owned, sc.kind, combine), newRef(sc.kind)
-				var r Reader[int]
-				for step := 0; step < 3000; step++ {
-					switch op := rng.Intn(100); {
-					case op < 30:
-						e := modelEntries(g, owned, 1, rng)[0]
-						switch {
-						case e.Dst == FanOut:
-							s.PutBatch([]Entry[int]{e})
-						case e.Slot == 0:
-							s.Put(e.Dst, e.Src, e.Msg, e.Ver)
-						default:
-							s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
-						}
-						for _, e := range expand(g, owned, []Entry[int]{e}) {
-							ref.put(e)
-						}
-					case op < 55: // both sides of smallBatch
-						es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), rng)
-						for _, e := range expand(g, owned, es) {
-							ref.put(e)
-						}
-						s.PutBatch(es)
-					case op < 90:
-						dst := owned[rng.Intn(len(owned))]
-						msgs, srcs, vers := ref.read(g, dst)
-						// Both reader modes: without Sources, Read fills Msgs alone.
-						if r.Sources = rng.Intn(2) == 0; !r.Sources {
-							srcs, vers = nil, nil
-						}
-						if got := s.Read(dst, &r); got != (len(msgs) > 0) {
-							t.Fatalf("step %d: Read(%d) = %v, model has %d messages", step, dst, got, len(msgs))
-						}
-						if !reflect.DeepEqual(append([]int(nil), r.Msgs...), msgs) ||
-							!reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
-							!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
-							t.Fatalf("step %d: Read(%d) = %v from %v at %v, model %v from %v at %v",
-								step, dst, r.Msgs, r.Srcs, r.Vers, msgs, srcs, vers)
-						}
-					case op < 93:
-						s.Clear()
-						ref = newRef(sc.kind)
-					default: // checkpoint round trip into a fresh store
-						d := s.Dump()
-						if want := ref.dump(g, owned); !reflect.DeepEqual(d, want) {
-							t.Fatalf("step %d: Dump = %v, model %v", step, d, want)
-						}
-						for _, e := range d {
-							if sc.kind == model.Overwrite && e.IsNew != s.HasNew(e.Dst) {
-								t.Fatalf("step %d: Dump slot %d->%d IsNew %v, HasNew %v", step, e.Src, e.Dst, e.IsNew, s.HasNew(e.Dst))
+				forStoreKinds(t, func(t *testing.T, phased bool) {
+					rng := rand.New(rand.NewSource(seed))
+					g := randomGraph(48, rng)
+					owned := modelOwned(g, rng)
+					var combine func(a, b int) int
+					if sc.kind == model.Combine {
+						combine = sum
+					}
+					s, ref := newFanOutStore(g, owned, sc.kind, combine, phased), newRef(sc.kind)
+					var r Reader[int]
+					for step := 0; step < 3000; step++ {
+						switch op := rng.Intn(100); {
+						case op < 30:
+							e := modelEntries(g, owned, 1, rng)[0]
+							switch {
+							case e.Dst == FanOut:
+								s.PutBatch([]Entry[int]{e})
+							case e.Slot == 0:
+								s.Put(e.Dst, e.Src, e.Msg, e.Ver)
+							default:
+								s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 							}
+							for _, e := range expand(g, owned, []Entry[int]{e}) {
+								ref.put(e)
+							}
+						case op < 55: // both sides of smallBatch
+							es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), rng)
+							for _, e := range expand(g, owned, es) {
+								ref.put(e)
+							}
+							s.PutBatch(es)
+						case op < 90:
+							dst := owned[rng.Intn(len(owned))]
+							msgs, srcs, vers := ref.read(g, dst)
+							// Both reader modes: without Sources, Read fills Msgs alone.
+							if r.Sources = rng.Intn(2) == 0; !r.Sources {
+								srcs, vers = nil, nil
+							}
+							if got := s.Read(dst, &r); got != (len(msgs) > 0) {
+								t.Fatalf("step %d: Read(%d) = %v, model has %d messages", step, dst, got, len(msgs))
+							}
+							if !reflect.DeepEqual(append([]int(nil), r.Msgs...), msgs) ||
+								!reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
+								!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
+								t.Fatalf("step %d: Read(%d) = %v from %v at %v, model %v from %v at %v",
+									step, dst, r.Msgs, r.Srcs, r.Vers, msgs, srcs, vers)
+							}
+						case op < 93:
+							s.Clear()
+							ref = newRef(sc.kind)
+						default: // checkpoint round trip into a fresh store
+							d := s.Dump()
+							if want := ref.dump(g, owned); !reflect.DeepEqual(d, want) {
+								t.Fatalf("step %d: Dump = %v, model %v", step, d, want)
+							}
+							for _, e := range d {
+								if sc.kind == model.Overwrite && e.IsNew != s.HasNew(e.Dst) {
+									t.Fatalf("step %d: Dump slot %d->%d IsNew %v, HasNew %v", step, e.Src, e.Dst, e.IsNew, s.HasNew(e.Dst))
+								}
+							}
+							s = newFanOutStore(g, owned, sc.kind, combine, phased)
+							s.Load(d)
 						}
-						s = newFanOutStore(g, owned, sc.kind, combine)
-						s.Load(d)
+						if int(s.NewCount()) != len(ref.unread) {
+							t.Fatalf("step %d: NewCount = %d, model %d", step, s.NewCount(), len(ref.unread))
+						}
+						if v := owned[rng.Intn(len(owned))]; s.HasNew(v) != ref.unread[v] {
+							t.Fatalf("step %d: HasNew(%d) = %v, model %v", step, v, s.HasNew(v), ref.unread[v])
+						}
 					}
-					if int(s.NewCount()) != len(ref.unread) {
-						t.Fatalf("step %d: NewCount = %d, model %d", step, s.NewCount(), len(ref.unread))
-					}
-					if v := owned[rng.Intn(len(owned))]; s.HasNew(v) != ref.unread[v] {
-						t.Fatalf("step %d: HasNew(%d) = %v, model %v", step, v, s.HasNew(v), ref.unread[v])
-					}
-				}
+				})
 			})
 		}
 	}
@@ -214,56 +220,146 @@ func TestStoreMatchesModel(t *testing.T) {
 // the transport's delivery goroutines do. Each applier sends on behalf of
 // its own sources (a vertex executes on one thread at a time), so every
 // Overwrite slot has one writer and the final table is determined; Queue
-// order across appliers is not, so queues compare as multisets.
+// order across appliers is not, so queues compare as multisets. Both store
+// kinds: the appliers only write, and the reads come after they are done.
 func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 	const appliers = 4
 	for _, sc := range semanticsCases {
 		t.Run(sc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			g := randomGraph(64, rng)
-			owned := modelOwned(g, rng)
-			var combine func(a, b int) int
-			if sc.kind == model.Combine {
-				combine = sum
-			}
-			s, ref := newFanOutStore(g, owned, sc.kind, combine), newRef(sc.kind)
-			perApplier := make([][]Entry[int], appliers)
-			for _, e := range modelEntries(g, owned, 6000, rng) {
-				a := int(e.Src) % appliers
-				perApplier[a] = append(perApplier[a], e)
-			}
-			for _, es := range perApplier {
-				for _, e := range expand(g, owned, es) {
-					ref.put(e)
+			forStoreKinds(t, func(t *testing.T, phased bool) {
+				rng := rand.New(rand.NewSource(11))
+				g := randomGraph(64, rng)
+				owned := modelOwned(g, rng)
+				var combine func(a, b int) int
+				if sc.kind == model.Combine {
+					combine = sum
 				}
-			}
-			var wg sync.WaitGroup
-			for _, es := range perApplier {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for len(es) > 0 {
-						n := min(len(es), 1+len(es)%(4*smallBatch))
-						s.PutBatch(append([]Entry[int](nil), es[:n]...))
-						es = es[n:]
+				s, ref := newFanOutStore(g, owned, sc.kind, combine, phased), newRef(sc.kind)
+				perApplier := make([][]Entry[int], appliers)
+				for _, e := range modelEntries(g, owned, 6000, rng) {
+					a := int(e.Src) % appliers
+					perApplier[a] = append(perApplier[a], e)
+				}
+				for _, es := range perApplier {
+					for _, e := range expand(g, owned, es) {
+						ref.put(e)
 					}
-				}()
-			}
-			wg.Wait()
-			r := Reader[int]{Sources: true}
-			for _, dst := range owned {
-				msgs, srcs, vers := ref.read(g, dst)
-				s.Read(dst, &r)
-				got := append([]int(nil), r.Msgs...)
-				if sc.kind == model.Queue {
-					sort.Ints(got)
-					sort.Ints(msgs)
 				}
-				if !reflect.DeepEqual(got, msgs) || !reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
-					!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
-					t.Fatalf("Read(%d) = %v from %v at %v, model %v from %v at %v", dst, got, r.Srcs, r.Vers, msgs, srcs, vers)
+				var wg sync.WaitGroup
+				for _, es := range perApplier {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for len(es) > 0 {
+							n := min(len(es), 1+len(es)%(4*smallBatch))
+							s.PutBatch(append([]Entry[int](nil), es[:n]...))
+							es = es[n:]
+						}
+					}()
 				}
-			}
+				wg.Wait()
+				r := Reader[int]{Sources: true}
+				for _, dst := range owned {
+					msgs, srcs, vers := ref.read(g, dst)
+					s.Read(dst, &r)
+					got := append([]int(nil), r.Msgs...)
+					if sc.kind == model.Queue {
+						sort.Ints(got)
+						sort.Ints(msgs)
+					}
+					if !reflect.DeepEqual(got, msgs) || !reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
+						!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
+						t.Fatalf("Read(%d) = %v from %v at %v, model %v from %v at %v", dst, got, r.Srcs, r.Vers, msgs, srcs, vers)
+					}
+				}
+			})
 		})
+	}
+}
+
+// TestPhasedAppliersShareWords: several goroutines apply batches to one
+// phased Overwrite store at once, as a BSP worker's lanes and compute
+// threads do. Their sources are disjoint, so every slot has one writer,
+// but their destinations interleave, so every applier's fan-out and point
+// entries set bits in the same unread words. Each vertex has two in-edges,
+// so most publications set new bits, and every round starts from cleared
+// ones. After each round the unread words and every vertex's replicas must
+// equal a sequential apply of the same batches: a bit lost between two
+// appliers' publications is a vertex the frontier would miss.
+func TestPhasedAppliersShareWords(t *testing.T) {
+	const n, appliers, rounds = 512, 4, 200
+	rng := rand.New(rand.NewSource(5))
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		for k := 0; k < 2; k++ {
+			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(v))
+		}
+	}
+	g := b.Build()
+	owned := make([]graph.VertexID, n)
+	for i, v := range rng.Perm(n) {
+		owned[i] = graph.VertexID(v)
+	}
+	tab := NewFanOutTable(g, owned)
+	s, ref := New[int](g, owned, model.Overwrite, nil), New[int](g, owned, model.Overwrite, nil)
+	s.SetFanOut(tab)
+	s.SetPhased(true)
+	ref.SetFanOut(tab)
+	got, want := Reader[int]{Sources: true}, Reader[int]{Sources: true}
+	for round := 0; round < rounds; round++ {
+		// One batch per source: a fan-out entry or its point entries.
+		batches := make([][][]Entry[int], appliers)
+		for _, u := range rng.Perm(n) {
+			src, msg := graph.VertexID(u), round*n+u
+			if len(tab.Row(src)) == 0 {
+				continue
+			}
+			batch := []Entry[int]{{Dst: FanOut, Src: src, Msg: msg, Ver: uint32(round)}}
+			if rng.Intn(2) == 0 {
+				batch = batch[:0]
+				for _, tg := range tab.Row(src) {
+					e := Entry[int]{Dst: owned[tg.Local], Src: src, Msg: msg, Ver: uint32(round), Slot: tg.Slot}
+					if rng.Intn(2) == 0 {
+						e.Slot = 0 // found by InSlot instead
+					}
+					batch = append(batch, e)
+				}
+			}
+			batches[u%appliers] = append(batches[u%appliers], batch)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, mine := range batches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, batch := range mine {
+					s.PutBatch(batch)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, mine := range batches {
+			for _, batch := range mine {
+				ref.PutBatch(batch)
+			}
+		}
+		for wi := range ref.Unread() {
+			if h, w := s.Unread()[wi].Load(), ref.Unread()[wi].Load(); h != w {
+				t.Fatalf("round %d: unread word %d = %#x, sequential %#x (lost %#x)", round, wi, h, w, w&^h)
+			}
+		}
+		for li := range owned {
+			s.ReadLocal(int32(li), &got)
+			ref.ReadLocal(int32(li), &want)
+			if !slices.Equal(got.Msgs, want.Msgs) || !slices.Equal(got.Srcs, want.Srcs) || !slices.Equal(got.Vers, want.Vers) {
+				t.Fatalf("round %d: vertex %d read %v from %v at %v, sequential %v from %v at %v",
+					round, owned[li], got.Msgs, got.Srcs, got.Vers, want.Msgs, want.Srcs, want.Vers)
+			}
+		}
+		s.Clear()
+		ref.Clear()
 	}
 }

@@ -85,10 +85,15 @@ type Store[M any] struct {
 
 	fan *FanOutTable // expands fan-out entries (SetFanOut)
 
+	// direct: an Overwrite store no read overlaps a write of (SetPhased),
+	// whose PutBatch writes each slot straight from the batch (putDirect).
+	direct bool
+
 	// unread has one bit per owned vertex: unseen message since last read.
 	// A stripe is whole words, so a bit is flipped by its stripe's lock
 	// holder alone (keeping flag and payload consistent for lock holders)
-	// and read lock-free by the engine's frontier scans. Queue and Combine
+	// and read lock-free by the engine's frontier scans; on a direct store
+	// appliers set bits with atomic ORs instead (putDirect). Queue and Combine
 	// payloads exist only under a set bit (Read consumes both together),
 	// which is what lets Clear visit set bits only.
 	unread Bits
@@ -147,6 +152,12 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 // SetFanOut lets the store take fan-out entries, expanding them through t
 // (built over its graph and owned vertices; nil: none). Call before any put.
 func (s *Store[M]) SetFanOut(t *FanOutTable) { s.fan = t }
+
+// SetPhased declares (on) that no read of the store overlaps a write: it is
+// written during one superstep and read only after the barrier that ends
+// it, as both stores of a BSP pair are. An Overwrite store then applies
+// batches without locks or sorting (putDirect). Call before any put.
+func (s *Store[M]) SetPhased(on bool) { s.direct = on && s.kind == model.Overwrite }
 
 // Owns reports whether dst is stored here.
 func (s *Store[M]) Owns(dst graph.VertexID) bool { return s.local[dst] >= 0 }
@@ -207,7 +218,10 @@ func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	ok := s.putLocked(li, src, m, ver, slot)
-	if ok {
+	switch {
+	case ok && s.direct: // the word's other writers hold no lock
+		s.unread.or(int(li>>6), 1<<(li&63))
+	case ok:
 		s.unread.orLocked(int(li>>6), 1<<(li&63))
 	}
 	lk.Unlock()
@@ -229,14 +243,21 @@ type batchScratch struct {
 	lis    []int32 // point entries' local indices, by batch position
 	refs   []ref   // the slot writes, grouped by bucket
 	counts []int32 // per bucket: its size, then its placement cursor
+
+	// putDirect's unread bits by word, all zero between calls, and the
+	// words that have bits in it.
+	mask    []uint64
+	touched []int32
 }
 
 // smallBatch is the size up to which PutBatch applies in batch order:
 // bucketing a handful of entries costs more than relocking.
 const smallBatch = 16
 
-// PutBatch applies a batch of messages, amortizing lock acquisition, and
-// returns the number of slots its fan-out entries wrote. Each slot write
+// PutBatch applies a batch of messages and returns the number of slots its
+// fan-out entries wrote. A direct store (SetPhased) writes the slots in one
+// pass in batch order (putDirect); the others amortize lock acquisition,
+// as follows. Each slot write
 // becomes a 12-byte reference to its batch entry — a fan-out entry expands
 // into one per target straight from the fan-out table — and the references
 // are grouped with a stable two-pass counting sort (no comparisons) by
@@ -254,6 +275,14 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 		return 0
 	}
 	sc, _ := s.scratch.Get().(*batchScratch)
+	if s.direct {
+		if sc == nil {
+			sc = &batchScratch{mask: make([]uint64, len(s.unread))}
+		}
+		fanned = s.putDirect(batch, sc)
+		s.scratch.Put(sc)
+		return fanned
+	}
 	if sc == nil {
 		sc = &batchScratch{counts: make([]int32, s.buckets+1)}
 	}
@@ -331,6 +360,66 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	return fanned
 }
 
+// putDirect is PutBatch on a direct store: one pass in batch order, each
+// slot written in place, with no references, sort or locks. That is safe
+// because a slot has one writer and no read overlaps the writes:
+//   - only executions of a slot's in-edge source send along it, and a BSP
+//     superstep executes a vertex once, on one thread, whose sends to this
+//     worker all travel one lane (or its one staged batch), so two writes
+//     to one slot come in one call or in calls one goroutine makes in order;
+//   - each lane is applied by one goroutine (Mem's consumer, TCP's reader),
+//     and confined replay injects its batches before the workers start;
+//   - BSP never calls PutSlot: every local BSP message is staged;
+//   - reads, ReadLocal's plain bit clear and Clear all run after the barrier
+//     that swaps the store in, when nothing writes it.
+//
+// What appliers do share is unread words, so the call sets its bits in a
+// private mask and publishes each touched word once with an atomic OR: an
+// atomic OR per slot contends on those lines for every slot, and ran BSP
+// PageRank ≈ 1.35 × slower (DESIGN.md §9).
+func (s *Store[M]) putDirect(batch []Entry[M], sc *batchScratch) (fanned int) {
+	ow, off, ep := s.ow, s.owOff, s.epoch
+	mask, touched := sc.mask, sc.touched[:0]
+	for i := range batch {
+		e := &batch[i]
+		if e.Dst == FanOut {
+			row := s.fan.Row(e.Src)
+			for _, t := range row {
+				ow[off[t.Local]+int32(t.Slot)-1] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: ep}
+				w := t.Local >> 6
+				if mask[w] == 0 {
+					touched = append(touched, w)
+				}
+				mask[w] |= 1 << (t.Local & 63)
+			}
+			fanned += len(row)
+			continue
+		}
+		li := s.idx(e.Dst)
+		pos := int(e.Slot) - 1
+		if e.Slot == 0 {
+			var ok bool
+			if pos, ok = s.g.InSlot(e.Dst, e.Src); !ok {
+				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
+			}
+		}
+		// Through the vertex's own row: a bad hint panics, not lands in a
+		// neighbour's replicas.
+		ow[off[li]:off[li+1]][pos] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: ep}
+		w := li >> 6
+		if mask[w] == 0 {
+			touched = append(touched, w)
+		}
+		mask[w] |= 1 << (li & 63)
+	}
+	for _, w := range touched {
+		s.unread.or(int(w), mask[w])
+		mask[w] = 0
+	}
+	sc.touched = touched
+	return fanned
+}
+
 // HasNew reports whether dst has messages it has not yet read. Lock-free:
 // the answer is a point-in-time observation, exactly like the locked
 // variant was for callers that dropped the lock before acting on it.
@@ -377,7 +466,9 @@ func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 	lk.Lock()
 	defer lk.Unlock()
 	if w, m := &s.unread[li>>6], uint64(1)<<(li&63); w.Load()&m != 0 {
-		w.Store(w.Load() &^ m) // the stripe's lock holder is the word's one writer
+		// The word's one writer: the stripe's lock holder, or (direct
+		// store) the reader, as nothing writes a store while it is read.
+		w.Store(w.Load() &^ m)
 	}
 	switch s.kind {
 	case model.Queue:
@@ -431,7 +522,7 @@ func (s *Store[M]) Clear() {
 		if w == 0 {
 			continue
 		}
-		s.unread[wi].Store(0) // every writer of a bit holds a stripe lock
+		s.unread[wi].Store(0) // every writer holds a stripe lock, or (direct) none runs
 		if s.kind == model.Overwrite {
 			continue
 		}
