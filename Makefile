@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-faulty torture-budget torture-partition fuzz bench bench-check bench-pair figures-smoke figures bench-micro bench-micro-smoke ci clean
+.PHONY: build loc vet test test-short test-race race tcp partition fuzz-wire chaos torture torture-pinned torture-faulty torture-partition fuzz bench bench-check bench-pair figures-smoke figures bench-micro bench-micro-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -94,14 +94,6 @@ tcp:
 	$(GO) test -race -count=1 ./internal/engine/ -run TestTransportEquivalenceMatrix -v
 	$(GO) test -race -count=1 ./cmd/graphrun/ -run TestGraphrunMultiProcess -v
 
-# Bounded in-flight bytes gate: the credit-window unit suite under the race
-# detector, then the budget equivalence matrix (every sync technique ×
-# algorithm × {unbounded, tiny} budget, bitwise checks), the tiny-budget-
-# over-TCP cell and the check that a budget allocates no extra memory.
-flow:
-	$(GO) test -race -count=1 ./internal/cluster/ -run 'Flow|Credit'
-	$(GO) test -race -count=1 ./internal/engine/ -run 'TestBudget' -v
-
 # Locality-aware partitioning gate: the streaming partitioner and
 # relabeling unit suites under the race detector, the partitioner
 # equivalence matrix (every mode × technique × partitioner cell bitwise
@@ -122,19 +114,11 @@ torture-partition:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -torture.streampart -timeout=15m
 
-# Tiny-budget torture row (nightly): the pinned sweep rerun with a forced
-# tiny message-plane budget, so every credit window sits at its floor.
-torture-budget:
-	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
-		-torture.n=200 -torture.root=0xdecaf -torture.tinybudget -timeout=15m
-
 # 30-second fuzz smoke over the frame decoder: truncated/corrupt/oversized
 # frames must error, never panic or over-allocate; plus a shorter pass over
-# the Credit grant frame and the batched fork/token frame against their
-# golden fixture corpora.
+# the batched fork/token frame against its golden fixture corpus.
 fuzz-wire:
 	$(GO) test ./internal/wire/ -fuzz FuzzFrameDecode -fuzztime=30s -run '^$$'
-	$(GO) test ./internal/wire/ -fuzz FuzzCreditFrame -fuzztime=15s -run '^$$'
 	$(GO) test ./internal/wire/ -fuzz FuzzCtrlBatchFrame -fuzztime=15s -run '^$$'
 
 # Short fuzz pass over the graph loader/symmetrize targets.
@@ -164,7 +148,7 @@ bench-pair:
 	$(GO) run ./cmd/benchpair -base $(BASE) -workload $(WORKLOAD) -n $(N) -seed $(SEED)
 
 # The paper's figures end to end: every benchtab experiment (Table 1 to
-# the ablations, recovery, flow and partition) at full dataset scale on
+# the ablations, recovery and partition) at full dataset scale on
 # four workers, ≈ 5 s of runs. Fails on any cell whose answer misses its
 # oracle and on any experiment gate.
 figures-smoke:

@@ -12,7 +12,7 @@
 //	benchtab -exp table1|fig1|fig2|fig3|fig6a|fig6b|fig6c|fig6d|giraphx|
 //	              ablation-partitions|ablation-degenerate|ablation-partitioner|
 //	              ablation-combining|ablation-skip|ablation-bap|mis|exclusion|
-//	              recovery|flow|partition|all
+//	              recovery|partition|all
 //	         [-scale 1] [-workers 16,32] [-latency 50us] [-v] [-json rows.json]
 //
 // With -json, every measured row is also written to the given file as one
@@ -337,7 +337,6 @@ var experiments = []experiment{
 	{"ablation-bap", "Ablation: barriered AP vs barrierless BAP (Giraph Unchained), partition locking", table(bapCells, printRows)},
 	{"exclusion", "§7 exclusion: vertex-based locking on Giraph async vs GraphLab async", table(exclusionCells, printRows)},
 	{"recovery", "§6.4: checkpoint overhead and crash-recovery cost, SSSP on OR", table(recoveryCells, printRows)},
-	{"flow", "Bounded in-flight bytes: credit windows, BSP PageRank on UK", flow},
 	{"partition", "Locality: streaming partitioners (hash vs LDG vs Fennel) across techniques", partitionQuality},
 	{"fig3", "Figures 2 and 3: coloring non-termination on the 4-vertex example", fig23},
 }
@@ -679,33 +678,6 @@ func recoveryCells(h *harness) []cell {
 		c("checkpoint+crash-full", 2, true, engine.RecoverFull),
 		c("checkpoint+crash-confined", 2, true, engine.RecoverConfined),
 	}
-}
-
-// flow measures the credit windows (DESIGN.md §12) on UK: BSP PageRank
-// unbounded, and with a 64 KiB budget, which puts every per-ordered-pair
-// window at its floor. Gates: bitwise-equal answers in equal superstep
-// counts. Each cell reports the time its senders waited on credit.
-func flow(h *harness, w io.Writer) []Row {
-	workers := h.workers[0]
-	c := func(label string, budget int64) cell {
-		return cell{exp: "flow", alg: "pagerank-agg", ds: "UK", workers: workers, label: label,
-			cfg: engine.Config{Mode: engine.BSP, MaxSupersteps: 100000, MsgMemoryBudget: budget,
-				Partitioner: placement(partition.KindHash)}}
-	}
-	const floorBudget = 64 << 10
-	base := h.run(c("unbounded", 0))
-	tight := h.run(c("window-floor", floorBudget))
-	rows := []Row{base, tight}
-	printRows(w, rows)
-	for _, r := range rows {
-		fmt.Fprintf(w, "flow: %s credit_wait_ns=%d\n", r.Technique, r.Metrics.Get(metrics.CreditWaitNs))
-	}
-
-	if base.Answer != tight.Answer || base.Supersteps != tight.Supersteps {
-		h.failf("flow: PageRank at the window floor (%d supersteps) differs from unbounded (%d)",
-			tight.Supersteps, base.Supersteps)
-	}
-	return rows
 }
 
 // partitionQuality is the locality experiment: on the community graph,

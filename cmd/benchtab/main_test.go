@@ -24,7 +24,7 @@ func TestExperiments(t *testing.T) {
 		"giraphx": 6, "ablation-partitions": 5, "ablation-degenerate": 3,
 		"ablation-partitioner": 3, "ablation-combining": 2, "ablation-skip": 2,
 		"mis": 2, "ablation-bap": 2, "exclusion": 3,
-		"recovery": 5, "flow": 2, "partition": 12,
+		"recovery": 5, "partition": 12,
 	}
 	if len(wantRows) != len(experiments) {
 		t.Fatalf("%d experiments, %d row counts", len(experiments), len(wantRows))

@@ -42,7 +42,7 @@ func runWorkerProcess(addr string) error {
 // job; refuseFlags rejects every other one a command line sets.
 var coordinatorFlags = []string{
 	"listen", "workers-remote", "alg", "graph", "family", "n", "seed", "source",
-	"eps", "ppw", "max-supersteps", "msg-mem", "partitioner", "model", "technique", "o",
+	"eps", "ppw", "max-supersteps", "partitioner", "model", "technique", "o",
 }
 
 // refuseFlags fails, naming them, when set (the flags a command line set)

@@ -68,7 +68,6 @@ func main() {
 	partitionerName := flag.String("partitioner", "hash", "vertex placement: "+strings.Join(partition.Kinds(), " | "))
 	relabel := flag.Bool("relabel", false, "degree-ordered vertex relabeling before partitioning (hub clustering; outputs stay in original IDs)")
 	maxSupersteps := flag.Int("max-supersteps", 0, "bound non-converging runs (0 = library default)")
-	msgMem := flag.Int64("msg-mem", 0, "message-plane memory budget in bytes: sizes the per-lane credit windows that bound message bytes in flight (0 = default 4 MiB windows)")
 	check := flag.Bool("check", false, "verify serializability (records history; slower)")
 	out := flag.String("o", "", "write final vertex values to this file (text, one per line)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every k-th superstep (0 = off)")
@@ -110,7 +109,7 @@ func main() {
 		job, err := listenJob(pl, dist.Job{
 			GraphPath: *graphPath, Family: *family, N: int32(*familyN),
 			Workers: int32(*workersRemote), PartsPerWorker: int32(*ppw), MaxSupersteps: int32(*maxSupersteps),
-			Seed: *seed, Source: int32(*source), Eps: *eps, MsgMemoryBudget: *msgMem, Partitioner: *partitionerName,
+			Seed: *seed, Source: int32(*source), Eps: *eps, Partitioner: *partitionerName,
 		})
 		if err == nil {
 			err = runCoordinatorProcess(*listenAddr, *out, pl, job)
@@ -170,7 +169,7 @@ func main() {
 		Seed:           *seed, MaxSupersteps: *maxSupersteps, Partitioner: *partitionerName,
 		CheckpointEvery: *checkpointEvery, CheckpointDir: *checkpointDir,
 		Recovery: recovery, WatchdogTimeout: *watchdogTimeout,
-		DetailedStats: *traceOut != "", MsgMemoryBudget: *msgMem, TrackHistory: *check,
+		DetailedStats: *traceOut != "", TrackHistory: *check,
 	}
 
 	// Assemble the fault plan, if any fault flag is set.

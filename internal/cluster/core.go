@@ -20,7 +20,6 @@ type core struct {
 	stats    Stats
 	dead     []atomic.Bool // per-worker crash flags
 	hook     FaultHook     // set before any traffic; nil when faults are off
-	flow     *Flow         // credit windows; nil when flow control is off
 
 	inflightMu sync.Mutex
 	inflight   int
@@ -62,15 +61,6 @@ func (c *core) RegisterHandler(w WorkerID, h Handler) {
 // before workers start).
 func (c *core) SetFaultHook(h FaultHook) { c.hook = h }
 
-// SetFlow arms credit-based flow control (DESIGN.md §12): Endpoint.SendData
-// acquires on these windows, and every data message returns its bytes once
-// it is consumed or dropped — Mem as it leaves its lane, TCP with a Credit
-// frame on the reverse lane. Must be set before any traffic flows.
-func (c *core) SetFlow(f *Flow) { c.flow = f }
-
-// windows returns the credit windows SetFlow armed (nil when off).
-func (c *core) windows() *Flow { return c.flow }
-
 // Kill marks worker w as crashed. From then on the worker's data traffic
 // is lost — data messages sent by or addressed to it are dropped (and
 // counted in DroppedMessages), and in-flight data messages addressed to
@@ -110,13 +100,13 @@ func (c *core) Send(m Message) {
 		panic(fmt.Sprintf("cluster: bad endpoints %d->%d", m.From, m.To))
 	}
 	if c.closed.Load() || (m.Kind == Data && (c.dead[m.From].Load() || c.dead[m.To].Load())) {
-		c.drop(m)
+		c.drop()
 		return
 	}
 	var fate Fate
 	if c.hook != nil {
 		if fate = c.hook.OnSend(m); fate.Drop {
-			c.drop(m)
+			c.drop()
 			return
 		}
 	}
@@ -125,21 +115,8 @@ func (c *core) Send(m Message) {
 	}
 }
 
-// drop discards m before it reached a lane: it counts the drop and returns
-// the message's credit.
-func (c *core) drop(m Message) {
-	c.stats.DroppedMessages.Add(1)
-	c.refund(m)
-}
-
-// refund returns a data message's window bytes. Credit acquired in
-// Endpoint.SendData must come back on every exit path, or senders would
-// park forever on a window that never refills.
-func (c *core) refund(m Message) {
-	if m.Kind == Data {
-		c.flow.Release(m.From, m.To, m.Bytes)
-	}
-}
+// drop counts a message discarded before it reached a lane.
+func (c *core) drop() { c.stats.DroppedMessages.Add(1) }
 
 // accept counts one copy of m as sent traffic and puts it in flight. The
 // backend calls it under the lock that guards its lane's closed flag, so a
@@ -160,11 +137,10 @@ func (c *core) accept(m Message) {
 }
 
 // Hold counts one unit into flight: accept calls it for every message, TCP
-// for its transport-level credit and barrier frames, and the barrierless
-// engines for a worker that has work. WaitIdle cannot return before the
-// matching Release, so with every worker's hold released and nothing on
-// the wire no work can appear any more, and WaitIdle is their termination
-// test.
+// for its transport-level barrier frames, and the barrierless engines for a
+// worker that has work. WaitIdle cannot return before the matching Release,
+// so with every worker's hold released and nothing on the wire no work can
+// appear any more, and WaitIdle is their termination test.
 func (c *core) Hold() {
 	c.inflightMu.Lock()
 	c.inflight++

@@ -32,9 +32,8 @@ type BarrierMarker struct{ Seq uint64 }
 // incoming traffic to data/control callbacks and answers flush markers
 // (see FlushWait).
 type Endpoint struct {
-	t       Transport
-	windows func() *Flow // the transport's credit windows: both backends embed core
-	id      WorkerID
+	t  Transport
+	id WorkerID
 
 	onData func(from WorkerID, payload any)
 	onCtrl func(from WorkerID, payload any)
@@ -48,8 +47,7 @@ type Endpoint struct {
 // onCtrl receives Control payloads; both run on transport delivery
 // goroutines and must not block indefinitely.
 func NewEndpoint(t Transport, id WorkerID, onData, onCtrl func(from WorkerID, payload any)) *Endpoint {
-	e := &Endpoint{t: t, windows: t.(interface{ windows() *Flow }).windows, id: id,
-		onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{})}
+	e := &Endpoint{t: t, id: id, onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{})}
 	t.RegisterHandler(id, e.handle)
 	return e
 }
@@ -87,12 +85,8 @@ func (e *Endpoint) handle(m Message) {
 }
 
 // SendData sends a data payload (a batch of vertex messages) of the given
-// simulated size. Once the transport's SetFlow has armed credit windows it
-// blocks until the (e.id, to) window admits the batch. Control traffic is
-// never subject to flow control (it must keep moving so credit and acks
-// can flow back).
+// simulated size. Like every Send it never blocks.
 func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
-	e.windows().Acquire(e.id, to, bytes)
 	e.t.Send(Message{From: e.id, To: to, Kind: Data, Bytes: bytes, Payload: payload})
 }
 

@@ -36,8 +36,9 @@ import (
 // ProtocolVersion is the wire protocol generation. Bump it whenever the
 // frame layout or any payload encoding changes incompatibly — including a
 // change of what a value means: since version 5 a data entry's Dst of -1
-// is a fan-out entry, which an older peer would index as a vertex.
-const ProtocolVersion = 5
+// is a fan-out entry, which an older peer would index as a vertex; version 6
+// dropped the Credit frame and the job's message budget.
+const ProtocolVersion = 6
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,
@@ -56,12 +57,10 @@ const (
 	FrameFlush byte = 0x03
 	// FrameAck is an AckMsg.
 	FrameAck byte = 0x04
-	// FrameCredit is a CreditGrant: the receiver of earlier data returns
-	// credit-window bytes to the sender. Credit frames are transport-level
-	// traffic — the receiver's pump consumes them directly (releasing the
-	// sender's window) without delivering to a handler or touching the
-	// per-kind message ledger; only the true wire-byte counters see them.
-	FrameCredit byte = 0x05
+	// 0x05 was the Credit frame of the retired credit windows (protocol
+	// version 5 and earlier). It is never to be reused: a decoder refuses
+	// it as an unknown frame type.
+
 	// FrameCtrlBatch is a count-prefixed []chandy.Ctrl: everything one lock
 	// manager operation owes one worker.
 	FrameCtrlBatch byte = 0x06
@@ -77,7 +76,7 @@ const (
 	FrameStepDone byte = 0x13
 	// FrameBarrier ends a superstep on one lane of a peer transport: by
 	// FIFO order it proves every earlier frame on the lane has been
-	// applied. Like FrameCredit it is consumed by the receiving pump.
+	// applied. The receiving pump consumes it; no handler sees it.
 	FrameBarrier byte = 0x14
 	// FrameValues carries final (vertex, value) pairs back to the master.
 	FrameValues byte = 0x15

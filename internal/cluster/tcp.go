@@ -332,7 +332,7 @@ func (t *TCP) enqueue(m Message, delay time.Duration, wireLost bool) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		t.drop(m)
+		t.drop()
 		return
 	}
 	t.accept(m)
@@ -341,36 +341,20 @@ func (t *TCP) enqueue(m Message, delay time.Duration, wireLost bool) {
 	l.mu.Unlock()
 }
 
-// enqueueCredit queues a Credit frame returning bytes of window from
-// granter (the worker whose pump consumed a data frame) back to sender.
-// Credit is transport-level traffic: it rides a real frame on the
-// (granter, sender) lane — so WireBytesSent/Received stay a balanced
-// ledger — but is invisible to the per-kind message counters and the
-// drop ledger, which the engine's conservation checks pin exactly. It
-// does count as in flight, so WaitIdle cannot return while a grant (and
-// therefore a window imbalance) is still on the wire. If the reverse
-// lane is already closed the window is released directly: the run is
-// tearing down and the sender must still be unblocked.
-func (t *TCP) enqueueCredit(granter, sender WorkerID, bytes int) {
-	if !t.push(granter, sender, CreditGrant{Bytes: int64(bytes)}) {
-		t.flow.Release(sender, granter, bytes)
-	}
-}
-
-// push queues a transport-level frame (a credit grant or a barrier) on the
-// lane from→to: in flight like any frame, but outside the per-kind
-// counters. It reports false, queuing nothing, once the lane is closed.
-func (t *TCP) push(from, to WorkerID, payload any) bool {
+// push queues a transport-level barrier frame on the lane from→to: in
+// flight like any frame, so it crosses the wire and the true wire-byte
+// counters see it, but outside the per-kind counters. Nothing is queued
+// once the lane is closed.
+func (t *TCP) push(from, to WorkerID, payload any) {
 	l := t.lanes[int(from)*t.n+int(to)]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return false
+		return
 	}
 	t.Hold()
 	l.q = append(l.q, tcpQueued{msg: Message{From: from, To: to, Kind: Control, Payload: payload}})
 	l.cond.Signal()
-	return true
 }
 
 // Barrier ends a superstep on a peer transport, where it stands in for
@@ -507,18 +491,6 @@ func (t *TCP) pump(c inLane) {
 			t.Release()
 			continue
 		}
-		if f.Type == FrameCredit {
-			// Transport-level credit return: release the original data
-			// sender's (f.To → f.From) window and consume the frame here —
-			// it never reaches a handler or the per-kind ledger.
-			n, k := binary.Uvarint(f.Payload)
-			if k <= 0 {
-				panic(fmt.Sprintf("cluster: corrupt credit frame %d->%d", f.From, f.To))
-			}
-			t.flow.Release(f.To, f.From, int(n))
-			t.Release()
-			continue
-		}
 		reg := t.reg.Load()
 		start := time.Now()
 		payload, err := t.codec.DecodePayload(f.Type, f.Payload)
@@ -533,13 +505,6 @@ func (t *TCP) pump(c inLane) {
 			time.Sleep(f.Delay)
 		}
 		t.deliver(m, f.Flags&FlagWireLost != 0)
-		// The frame crossed the wire and is consumed either way
-		// (delivered or lost): return its window. The grant is queued
-		// before this frame's in-flight count drops, so WaitIdle holds
-		// until the credit lands and the windows balance.
-		if m.Kind == Data && t.flow != nil {
-			t.enqueueCredit(m.To, m.From, m.Bytes)
-		}
 		t.Release()
 	}
 }

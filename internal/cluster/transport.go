@@ -205,8 +205,8 @@ type timed struct {
 //     remove units of outstanding work in the same count, and WaitIdle
 //     blocks until it is zero: it is the barriers' drain and the
 //     barrierless runs' termination test.
-//   - Kill/Revive dead-worker semantics, Stats drop accounting and credit
-//     return exactly as documented on core's methods.
+//   - Kill/Revive dead-worker semantics and Stats drop accounting exactly
+//     as documented on core's methods.
 type Transport interface {
 	// Stats returns the live traffic counters.
 	Stats() *Stats
@@ -217,9 +217,6 @@ type Transport interface {
 	// SetFaultHook installs a fault-injection hook; it must be called
 	// before any traffic flows.
 	SetFaultHook(h FaultHook)
-	// SetFlow arms the credit windows every Endpoint.SendData acquires on;
-	// it must be called before any traffic flows.
-	SetFlow(f *Flow)
 	// Kill marks worker w as crashed; Revive clears the flag.
 	Kill(w WorkerID)
 	Revive(w WorkerID)
@@ -282,7 +279,7 @@ func (t *Mem) enqueue(m Message, extraDelay time.Duration, wireLost bool) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		t.drop(m)
+		t.drop()
 		return
 	}
 	t.accept(m)
@@ -320,9 +317,6 @@ func (t *Mem) consume(l *lane) {
 				t.clock.sleepUntil(tm.deliverAt, l.wake)
 			}
 			t.deliver(tm.msg, tm.wireLost)
-			// Credit returns before the in-flight count drops, so a WaitIdle
-			// barrier always observes fully balanced windows.
-			t.refund(tm.msg)
 			tm.msg.Payload = nil // the reused queue slot must not pin it
 			t.Release()
 		}

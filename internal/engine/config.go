@@ -219,10 +219,9 @@ type Config struct {
 	// WatchdogTimeout, when > 0, arms the liveness watchdog: a superstep
 	// whose workers have not all reached the barrier within this deadline
 	// is declared stalled — the laggards are treated as crashed, their
-	// blocking primitives (fork waits, credit waits) are aborted so the
-	// barrier is reached, and recovery runs instead of the run hanging
-	// forever on, say, a lost fork batch. Zero disables the
-	// watchdog. Requires a mode with global barriers.
+	// fork waits are aborted so the barrier is reached, and recovery runs
+	// instead of the run hanging forever on, say, a lost fork batch. Zero
+	// disables the watchdog. Requires a mode with global barriers.
 	WatchdogTimeout time.Duration
 	// MaxRollbacks bounds recovery attempts per run (default 16) so a
 	// pathological fault schedule terminates with an error instead of
@@ -244,12 +243,6 @@ type Config struct {
 	// counters live while the run executes (Result.Metrics is a snapshot
 	// taken at the end either way). A registry serves one run.
 	Metrics *metrics.Registry
-	// MsgMemoryBudget, when > 0, bounds the message bytes in flight
-	// (DESIGN.md §12): the transport's per-ordered-pair credit windows are
-	// sized from it (cluster.WindowForBudget), and a sender blocks once its
-	// lane's window is full. Zero (the default) leaves every window at
-	// cluster.DefaultCreditWindow; results are bitwise identical either way.
-	MsgMemoryBudget int64
 }
 
 func (c Config) withDefaults() Config {
@@ -331,7 +324,6 @@ func JobConfig(job wire.Job) (Config, error) {
 		Mode:                Mode(job.Mode),
 		Sync:                Sync(job.Sync),
 		Seed:                job.Seed,
-		MsgMemoryBudget:     job.MsgMemoryBudget,
 		Partitioner:         place,
 	}
 	return cfg, cfg.ValidatePeer()

@@ -84,7 +84,7 @@ func TestConfigValidationTable(t *testing.T) {
 		// Multi-process runs: BSP and Async under none and partition-lock;
 		// everything that needs the cluster in one process is refused.
 		{"peer-bsp-none", Config{Workers: 2, Mode: BSP}, ""},
-		{"peer-async-partition-lock", Config{Workers: 2, Mode: Async, Sync: PartitionLock, MsgMemoryBudget: 1 << 20}, ""},
+		{"peer-async-partition-lock", Config{Workers: 2, Mode: Async, Sync: PartitionLock}, ""},
 		{"peer-bsp+partition-lock", Config{Workers: 2, Mode: BSP, Sync: PartitionLock}, "requires the Async mode"},
 		{"peer-bap", Config{Workers: 2, Mode: BAP}, "the BAP mode"},
 		{"peer-token-single", Config{Workers: 2, Mode: Async, Sync: TokenSingle}, "the token-single technique"},

@@ -30,14 +30,6 @@ type runner[V, M any] struct {
 	tr   cluster.Transport
 	reg  *metrics.Registry
 
-	// flow is the transport's credit-window ledger (DESIGN.md §12): every
-	// data send acquires window bytes for its ordered pair and every
-	// delivery (or counted drop) releases them. Always armed — with no
-	// budget the window is the generous default and senders never block in
-	// practice, but the grant/release ledger still runs, so the barrier
-	// balance oracle has teeth on every run.
-	flow *cluster.Flow
-
 	workers []*worker[V, M]
 
 	// values is the primary copy of every vertex value; each slot is
@@ -182,13 +174,9 @@ func (r *runner[V, M]) codec() *wire.Codec[M] {
 	return codec
 }
 
-// attach connects the run to its transport, with the credit-window ledger
-// (DESIGN.md §12) and the fault injector.
+// attach connects the run to its transport and the fault injector.
 func (r *runner[V, M]) attach(tr cluster.Transport) {
 	r.tr = tr
-	r.flow = cluster.NewFlow(r.cfg.Workers, cluster.WindowForBudget(r.cfg.MsgMemoryBudget, r.cfg.Workers))
-	r.flow.SetMetrics(r.reg)
-	tr.SetFlow(r.flow)
 	if r.cfg.Fault != nil {
 		r.cfg.Fault.Attach(tr)
 	}
@@ -360,12 +348,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 		}
 		r.tr.WaitIdle()
 		idleAt := time.Now()
-		// With the transport idle every send has been delivered or counted
-		// dropped, so every acquired credit must be back: an imbalance here
-		// means the flow ledger leaked, and the run fails.
-		if err := r.flow.CheckBalanced(); err != nil {
-			return nil, Result{}, nil, fmt.Errorf("engine: superstep %d: %w", s, err)
-		}
 		// Superstep metrics are recorded before the failure check: a
 		// superstep a rollback later discards was still executed, so the
 		// supersteps counter can exceed Result.Supersteps on faulty runs.
@@ -804,19 +786,15 @@ func (r *runner[V, M]) rewind(set []bool, snap *checkpoint.Snapshot[V, M]) int {
 }
 
 // rollback is Giraph-style whole-cluster recovery (§6.4): every worker is
-// revived and rewound to snap, the flow ledger returns to its ground state,
-// and the aggregates of the discarded supersteps go. The master calls it at
-// a barrier with the transport idle, so no in-flight traffic leaks across
-// it. Returns the superstep to resume at.
+// revived and rewound to snap, and the aggregates of the discarded
+// supersteps go. The master calls it at a barrier with the transport idle,
+// so no in-flight traffic leaks across it. Returns the superstep to resume
+// at.
 func (r *runner[V, M]) rollback(snap *checkpoint.Snapshot[V, M]) int {
 	for _, wid := range r.tr.DeadWorkers() {
 		r.tr.Revive(wid)
 	}
 	resume := r.rewind(nil, snap)
-	// The transport is idle and every store was just cleared, so zeroing
-	// the credit windows (and clearing any watchdog abort) restores the
-	// flow ledger's ground state for the replay.
-	r.flow.Reset()
 	for k := range r.aggAt {
 		if k >= resume {
 			delete(r.aggAt, k)
@@ -984,9 +962,9 @@ func (r *runner[V, M]) philOwner(id chandy.PhilID) int {
 // that has not finished within the deadline is declared stalled: the
 // watchdog kills the unfinished workers (their state is suspect —
 // typically a lost fork batch wedged them mid-protocol) and aborts every
-// lock manager and the credit windows, so blocked fork-acquires and credit
-// waits return and the barrier completes. The caller then runs recovery
-// exactly as for a crash. Returns whether the watchdog fired.
+// lock manager, so blocked fork-acquires return and the barrier completes.
+// The caller then runs recovery exactly as for a crash. Returns whether the
+// watchdog fired.
 func (r *runner[V, M]) collectWorkers() bool {
 	var deadline <-chan time.Time
 	if r.cfg.WatchdogTimeout > 0 {
@@ -1022,9 +1000,6 @@ func (r *runner[V, M]) collectWorkers() bool {
 					w.mgr.Abort()
 				}
 			}
-			// Senders blocked awaiting credit would never reach the
-			// barrier either; wake them alongside the fork waits.
-			r.flow.Abort()
 		}
 	}
 	return fired

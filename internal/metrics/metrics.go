@@ -127,9 +127,11 @@ const (
 	// restore because their checksum or decode failed — the corruption
 	// fallback chain's activity.
 	CheckpointGensSkipped
-	// CreditWaitNs is total time senders spent blocked in the credit
-	// window's Acquire, waiting for the receiver to consume earlier data
-	// and return window bytes.
+	// CreditWaitNs was the time senders spent blocked on the credit
+	// windows, which are gone: nothing adds to it, and it always reads 0.
+	// It stays only because the fixed benchmark reads it (its
+	// cluster.credit_wait_s row), and goes with the next change to
+	// benchmark/.
 	CreditWaitNs
 	// CutEdges is the number of directed edges crossing partitions under
 	// the run's partition map — set once at startup from the partition

@@ -48,13 +48,6 @@ var transforms = []transform{
 		sc.DisableHaltedSkip = false
 		return sc, true
 	}},
-	{"drop-msg-budget", func(sc Scenario) (Scenario, bool) {
-		if sc.MsgBudget == 0 {
-			return sc, false
-		}
-		sc.MsgBudget = 0
-		return sc, true
-	}},
 	{"inproc-transport", func(sc Scenario) (Scenario, bool) {
 		if sc.Transport == engine.TransportInProc {
 			return sc, false

@@ -90,14 +90,6 @@ type Scenario struct {
 	// promises serializability.
 	BreakProtocol bool
 
-	// MsgBudget sizes the credit windows (engine.Config.MsgMemoryBudget):
-	// zero leaves them at the default, a tiny value shrinks them to their
-	// floor so senders block on credit whenever a lane has a window's worth
-	// of data in flight.
-	// Orthogonal to every compatibility rule — results and oracles are
-	// budget-independent by design, which sweeping it here proves.
-	MsgBudget int64
-
 	MaxSupersteps int
 }
 
@@ -106,9 +98,9 @@ func (sc Scenario) String() string {
 	if sc.Fault != nil {
 		f = sc.Fault.String()
 	}
-	return fmt.Sprintf("seed=%#x shape=%s n=%d alg=%s workers=%d parts=%d threads=%d partitioner=%s mode=%v sync=%v transport=%v ckpt=%d fault=%s recovery=%v broken=%v budget=%d",
+	return fmt.Sprintf("seed=%#x shape=%s n=%d alg=%s workers=%d parts=%d threads=%d partitioner=%s mode=%v sync=%v transport=%v ckpt=%d fault=%s recovery=%v broken=%v",
 		sc.Seed, sc.Shape, sc.N, sc.Algorithm, sc.Workers, sc.PartsPerWorker,
-		sc.Threads, sc.Partitioner, sc.Mode, sc.Sync, sc.Transport, sc.CheckpointEvery, f, sc.Recovery, sc.BreakProtocol, sc.MsgBudget)
+		sc.Threads, sc.Partitioner, sc.Mode, sc.Sync, sc.Transport, sc.CheckpointEvery, f, sc.Recovery, sc.BreakProtocol)
 }
 
 // livenessBound is the superstep budget a barriered scenario gets before
@@ -244,12 +236,11 @@ func Sample(seed uint64) Scenario {
 	if r.Intn(4) == 0 {
 		sc.Transport = engine.TransportTCP
 	}
-	// Message-plane budget is a late draw too, after everything older
-	// seeds decoded and before the Fennel draw. A quarter of cases run with
-	// a deliberately tiny budget — every credit window at its floor —
-	// sweeping the bounded in-flight plane through the same oracle set.
+	// A retired draw (the message-plane budget of the deleted credit
+	// windows) stays consumed, so every later draw, and so every seed,
+	// decodes as it did before (TestSampleDecodesPinned).
 	if r.Intn(4) == 0 {
-		sc.MsgBudget = int64(256 + r.Intn(4096))
+		r.Intn(4096)
 	}
 	// Fennel joins the partitioner pool as a trailing draw (after every
 	// dimension older seeds decoded), overriding a quarter of cases the
@@ -364,7 +355,6 @@ func buildConfig(sc Scenario, ckptDir string) engine.Config {
 		DisableHaltedPartitionSkip: sc.DisableHaltedSkip,
 		Recovery:                   sc.Recovery,
 		TrackHistory:               sc.serializabilityPromised() && !sc.lossy(),
-		MsgMemoryBudget:            sc.MsgBudget,
 		// An external registry, so checkMetrics can re-snapshot it after the
 		// run and verify Result.Metrics is a true immutable copy.
 		Metrics: metrics.New(),
@@ -469,14 +459,11 @@ func checkCommon(sc Scenario, cfg engine.Config, g *graph.Graph, res engine.Resu
 	if res.Executions <= 0 {
 		errs = append(errs, errors.New("invariant: zero vertex executions"))
 	}
-	// Credit and frontier conservation are audited by the engine itself at
-	// every barrier, and a failed audit fails Run, which every workload
-	// reports as an engine error. The credit audit reconciles every ordered
-	// worker pair's window (granted == consumed, nothing outstanding): it
-	// holds on every run — faulty, budgeted, or not — because every
-	// drop/abort path releases. The frontier audit recounts the unhalted
-	// bitset against its counter, which restores, rollbacks, confined
-	// replays and store rebuilds rewrite wholesale.
+	// Frontier conservation is audited by the engine itself at every
+	// barrier, and a failed audit fails Run, which every workload reports
+	// as an engine error: the audit recounts the unhalted bitset against
+	// its counter, which restores, rollbacks, confined replays and store
+	// rebuilds rewrite wholesale.
 
 	m := res.Metrics
 	rollbacks := m.Get(metrics.Rollbacks)

@@ -32,17 +32,15 @@ var (
 		"root seed the sweep derives its case seeds from")
 	flagFaulty = flag.Bool("torture.faulty", false,
 		"fault-plan sweep: count only cases whose plan schedules a crash toward -torture.n (other cases are skipped, keeping seeds replayable)")
-	flagTinyBudget = flag.Bool("torture.tinybudget", false,
-		"force a tiny message-plane memory budget on every case (nightly credit-window row; replay failures with the same flag plus -torture.seed)")
 	flagStreamPart = flag.Bool("torture.streampart", false,
 		"force a streaming partitioner (ldg or fennel, by seed parity) on every case (nightly locality row; replay failures with the same flag plus -torture.seed)")
 )
 
 // applyStreamPart pins the scenario's partitioner to ldg or fennel when
 // -torture.streampart is set, split by a seed bit so the sweep covers
-// both. (Bit 1, not bit 0: CaseSeed forces every sweep seed odd.) Like
-// applyTinyBudget, the override is flag-derived: replaying a failure
-// needs the same flag.
+// both. (Bit 1, not bit 0: CaseSeed forces every sweep seed odd.) The
+// override is flag-derived, not seed-derived: replaying a failure needs
+// the same flag.
 func applyStreamPart(sc Scenario) Scenario {
 	if *flagStreamPart {
 		if sc.Seed&2 == 0 {
@@ -50,17 +48,6 @@ func applyStreamPart(sc Scenario) Scenario {
 		} else {
 			sc.Partitioner = "fennel"
 		}
-	}
-	return sc
-}
-
-// applyTinyBudget pins the scenario's budget to a small sampled-looking
-// value when -torture.tinybudget is set, so the whole sweep runs with
-// credit windows at the floor. The override is flag-derived, not
-// seed-derived, so replaying a failure needs the same flag.
-func applyTinyBudget(sc Scenario) Scenario {
-	if *flagTinyBudget && sc.MsgBudget == 0 {
-		sc.MsgBudget = 512
 	}
 	return sc
 }
@@ -101,7 +88,7 @@ func failCase(t *testing.T, sc Scenario, err error, scratch string) {
 // oracle to each case. With -torture.seed it replays exactly one case.
 func TestTorture(t *testing.T) {
 	if *flagSeed != 0 {
-		sc := applyStreamPart(applyTinyBudget(Sample(*flagSeed)))
+		sc := applyStreamPart(Sample(*flagSeed))
 		if sc.Transport == engine.TransportTCP && !LoopbackAvailable() {
 			t.Skipf("seed %#x needs TCP loopback, unavailable here", sc.Seed)
 		}
@@ -137,7 +124,7 @@ func TestTorture(t *testing.T) {
 	ran := 0
 	for i := 0; ran < n; i++ {
 		seed := CaseSeed(*flagRoot, i)
-		sc := applyStreamPart(applyTinyBudget(Sample(seed)))
+		sc := applyStreamPart(Sample(seed))
 		if *flagFaulty && (sc.Fault == nil || len(sc.Fault.Crashes) == 0) {
 			// The fault-plan sweep spends its case budget only on crash
 			// scenarios; skipping (rather than resampling) keeps every
@@ -191,6 +178,21 @@ func TestTortureReplayDeterministic(t *testing.T) {
 		a, b := Sample(seed), Sample(seed)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("Sample(%#x) is not deterministic:\n  %v\n  %v", seed, a, b)
+		}
+	}
+}
+
+// TestSampleDecodesPinned pins two seeds' decodes as they were while Sample
+// still drew a message-plane budget. Both seeds draw the retired budget:
+// dropping the whole draw changes 0x2d's partitioner, dropping only its
+// inner value changes 0x1b's. Seeds stay replayable only while both hold.
+func TestSampleDecodesPinned(t *testing.T) {
+	for seed, want := range map[uint64]string{
+		0x2d: "seed=0x2d shape=ring n=116 alg=wcc workers=3 parts=3 threads=2 partitioner=hash mode=async sync=partition-lock transport=inproc ckpt=0 fault=none recovery=full broken=false",
+		0x1b: "seed=0x1b shape=erdos n=63 alg=wcc workers=3 parts=2 threads=4 partitioner=fennel mode=bsp sync=none transport=tcp ckpt=0 fault=none recovery=full broken=false",
+	} {
+		if got := Sample(seed).String(); got != want {
+			t.Errorf("Sample(%#x):\n  got  %s\n  want %s", seed, got, want)
 		}
 	}
 }

@@ -98,52 +98,6 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzCreditFrame focuses the fuzzer on the Credit frame: the payload is
-// a single uvarint, so the interesting corners are truncation, non-minimal
-// or overlong varints, and values overflowing int64. The invariants match
-// FuzzFrameDecode's — errors never panics, and clean decodes re-encode to
-// a byte-level fixed point. Run long with `make fuzz-wire`.
-func FuzzCreditFrame(f *testing.F) {
-	c64 := NewCodec[float64]()
-	seed := encodeFrame(f, c64, cluster.CreditGrant{Bytes: 4096}, cluster.Frame{From: 1, To: 0})
-	f.Add(seed)
-	for i := 1; i < len(seed); i++ {
-		f.Add(seed[:i]) // every truncation
-	}
-	for i := 4; i < len(seed); i++ {
-		mut := append([]byte{}, seed...)
-		mut[i] ^= 0xff
-		f.Add(mut)
-	}
-	// Overlong varint payload (10 bytes, high bits set): overflows int64.
-	f.Add(cluster.AppendFrame(nil, &cluster.Frame{
-		Type: cluster.FrameCredit, From: 1, To: 0,
-		Payload: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-	}))
-	// Trailing garbage after a valid uvarint.
-	f.Add(cluster.AppendFrame(nil, &cluster.Frame{
-		Type: cluster.FrameCredit, From: 1, To: 0, Payload: []byte{0x07, 0x00},
-	}))
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, _, err := cluster.DecodeFrame(b)
-		if err != nil {
-			return
-		}
-		for _, c := range []cluster.PayloadCodec{c64, NewCodec[int32]()} {
-			payload, err := c.DecodePayload(cluster.FrameCredit, fr.Payload)
-			if err != nil {
-				continue
-			}
-			g, ok := payload.(cluster.CreditGrant)
-			if !ok || g.Bytes < 0 {
-				t.Fatalf("credit decode produced %#v", payload)
-			}
-			checkReencode(t, c, cluster.FrameCredit, payload)
-		}
-	})
-}
-
 // FuzzCtrlBatchFrame focuses the fuzzer on the batched fork/token frame:
 // every truncation and byte flip of the golden batch, an absurd count, and
 // trailing bytes. A clean decode is a []chandy.Ctrl of valid kinds that
@@ -231,7 +185,7 @@ func TestFuzzSeedsHealthy(t *testing.T) {
 		c64 := NewCodec[float64]()
 		if fr.Type == cluster.FrameData || fr.Type == cluster.FrameCtrl ||
 			fr.Type == cluster.FrameFlush || fr.Type == cluster.FrameAck ||
-			fr.Type == cluster.FrameCredit || fr.Type == cluster.FrameCtrlBatch ||
+			fr.Type == cluster.FrameCtrlBatch ||
 			fr.Type == cluster.FrameBarrier {
 			// Wrong-codec decodes may error but must not panic.
 			_, _ = NewCodec[int32]().DecodePayload(fr.Type, fr.Payload)

@@ -90,7 +90,6 @@ func goldenCases(t testing.TB) []goldenCase {
 	ctrlBatch := []chandy.Ctrl{fork, token, {Kind: chandy.ForkMsg, From: 1 << 20, To: 3}}
 	flush := cluster.FlushMarker{Seq: 12345}
 	ack := cluster.AckMsg{Seq: 12345}
-	credit := cluster.CreditGrant{Bytes: 4096}
 	barrier := cluster.BarrierMarker{Seq: 3}
 
 	hello := Hello{Version: cluster.ProtocolVersion, Addr: "127.0.0.1:40001"}
@@ -98,11 +97,10 @@ func goldenCases(t testing.TB) []goldenCase {
 		Alg: "sssp", Family: "powerlaw", N: 80, Undirected: false,
 		Workers: 2, PartsPerWorker: 2, MaxSupersteps: 200,
 		Seed: 1131, Source: 0, Eps: 0.05, You: 1,
-		Peers:           []string{"127.0.0.1:40000", "127.0.0.1:40001"},
-		MsgMemoryBudget: 1 << 20,
-		Partitioner:     "ldg",
-		Mode:            1,
-		Sync:            3,
+		Peers:       []string{"127.0.0.1:40000", "127.0.0.1:40001"},
+		Partitioner: "ldg",
+		Mode:        1,
+		Sync:        3,
 	}
 	stepStart := StepStart{Superstep: 3, Aggs: map[string]float64{"pr:delta": 0.125, "pr:sum": 1}}
 	stepDone := StepDone{
@@ -201,13 +199,6 @@ func goldenCases(t testing.TB) []goldenCase {
 			name:   "ack",
 			frame:  encodeFrame(t, c64, ack, cluster.Frame{From: 2, To: 0, Declared: 16}),
 			verify: verifyPayload(c64, ack),
-		},
-		{
-			// Credit frames flow receiver→sender (here worker 1 returning
-			// window to worker 0) with no declared size of their own.
-			name:   "credit",
-			frame:  encodeFrame(t, c64, credit, cluster.Frame{From: 1, To: 0}),
-			verify: verifyPayload(c64, credit),
 		},
 		{
 			name:  "hello",
@@ -366,7 +357,7 @@ func TestGoldenFrames(t *testing.T) {
 	}
 	for _, ft := range []byte{
 		cluster.FrameData, cluster.FrameCtrl, cluster.FrameFlush, cluster.FrameAck,
-		cluster.FrameCredit, cluster.FrameCtrlBatch, cluster.FrameHello, cluster.FrameJob, cluster.FrameStepStart,
+		cluster.FrameCtrlBatch, cluster.FrameHello, cluster.FrameJob, cluster.FrameStepStart,
 		cluster.FrameStepDone, cluster.FrameBarrier, cluster.FrameValues,
 		cluster.FrameFinish,
 	} {

@@ -41,10 +41,6 @@ type Job struct {
 	Eps            float64  // PageRank tolerance
 	You            int32    // the recipient's worker ID
 	Peers          []string // data-plane addresses indexed by worker ID
-	// MsgMemoryBudget sizes each worker process's credit windows, which
-	// bound the message bytes in flight on every lane (0 = the default
-	// window).
-	MsgMemoryBudget int64
 	// Partitioner names the vertex-placement strategy ("" = hash); every
 	// worker rebuilds the identical map from it deterministically.
 	Partitioner string
@@ -227,7 +223,6 @@ func AppendJob(dst []byte, j Job) []byte {
 	for _, p := range j.Peers {
 		dst = appendString(dst, p)
 	}
-	dst = cluster.AppendZigzag(dst, j.MsgMemoryBudget)
 	dst = appendString(dst, j.Partitioner)
 	return append(dst, j.Mode, j.Sync)
 }
@@ -290,9 +285,6 @@ func DecodeJob(b []byte) (Job, error) {
 			return j, err
 		}
 		j.Peers = append(j.Peers, p)
-	}
-	if j.MsgMemoryBudget, b, err = readZigzag64(b); err != nil {
-		return j, err
 	}
 	if j.Partitioner, b, err = readString(b); err != nil {
 		return j, err

@@ -2,7 +2,7 @@
 // backend: a generic, combiner-aware batch codec for vertex messages plus
 // fixed encodings for the coordination payloads (Chandy–Misra forks and
 // tokens — one per frame or a count-prefixed batch of them — flush markers,
-// acks, credit grants, peer-lane barriers, and the multi-process control
+// acks, peer-lane barriers, and the multi-process control
 // plane's protocol).
 //
 // The frame envelope itself (length prefix, type, routing, fault
@@ -281,11 +281,6 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 		return cluster.FrameAck, binary.AppendUvarint(dst, p.Seq), nil
 	case cluster.BarrierMarker:
 		return cluster.FrameBarrier, binary.AppendUvarint(dst, p.Seq), nil
-	case cluster.CreditGrant:
-		if p.Bytes < 0 {
-			return 0, nil, fmt.Errorf("wire: negative credit grant %d", p.Bytes)
-		}
-		return cluster.FrameCredit, binary.AppendUvarint(dst, uint64(p.Bytes)), nil
 	}
 	return 0, nil, fmt.Errorf("wire: no encoding for payload type %T", payload)
 }
@@ -433,12 +428,6 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 			return nil, ErrCorrupt
 		}
 		return cluster.BarrierMarker{Seq: seq}, nil
-	case cluster.FrameCredit:
-		v, n := binary.Uvarint(b)
-		if n <= 0 || n != len(b) || v > math.MaxInt64 {
-			return nil, ErrCorrupt
-		}
-		return cluster.CreditGrant{Bytes: int64(v)}, nil
 	}
 	return nil, fmt.Errorf("%w: unknown frame type 0x%02x", ErrCorrupt, ftype)
 }

@@ -149,9 +149,15 @@ func TestDecodePayloadRejectsCorruptBatch(t *testing.T) {
 	if _, err := c.DecodePayload(cluster.FrameData, append(append([]byte{}, buf...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// Unknown frame type.
-	if _, err := c.DecodePayload(0x7f, buf); err == nil {
-		t.Fatal("unknown frame type accepted")
+	// Unknown frame types, among them 0x05, the retired Credit frame (here
+	// with a well-formed grant of 4096 bytes as its payload).
+	for _, in := range []struct {
+		ftype   byte
+		payload []byte
+	}{{0x7f, buf}, {0x05, appendUvarintForTest(nil, 4096)}} {
+		if _, err := c.DecodePayload(in.ftype, in.payload); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("frame type 0x%02x: err = %v, want ErrCorrupt", in.ftype, err)
+		}
 	}
 	// Bad ctrl kind.
 	bad := append([]byte{9}, cluster.AppendZigzag(cluster.AppendZigzag(nil, 0), 1)...)
@@ -207,10 +213,10 @@ func TestDecodeAllocationGuards(t *testing.T) {
 		t.Fatal("huge aggregate count accepted")
 	}
 	job := AppendJob(nil, Job{Alg: "sssp"})
-	// Clobber the peer count (second-to-last varint: the trailing byte is
-	// the message-memory budget) with a huge one.
-	if _, err := DecodeJob(append(job[:len(job)-2], hugeCount(huge)...)); err == nil {
-		t.Fatal("huge peer count accepted")
+	// Clobber the peer count (followed by an empty partitioner name, Mode
+	// and Sync: the last four bytes) with a huge one.
+	if _, err := DecodeJob(append(job[:len(job)-4], hugeCount(huge)...)); err == nil || !strings.Contains(err.Error(), "peer count") {
+		t.Fatalf("huge peer count accepted: %v", err)
 	}
 }
 

@@ -265,12 +265,6 @@ type Options struct {
 	// counts, phase timers) in Result.SuperstepStats. Costs one metrics
 	// snapshot per superstep; Result.Metrics is populated regardless.
 	DetailedStats bool
-	// MsgMemoryBudget, when > 0, bounds the message bytes in flight: the
-	// transport's per-ordered-pair credit windows are sized from it
-	// (budget / (2 × workers), floored at 64 KiB), and a sender blocks once
-	// its lane's window is full. Zero (the default) leaves every window at
-	// 4 MiB. Results are bitwise identical; only the schedule changes.
-	MsgMemoryBudget int64
 }
 
 func (o Options) latency() cluster.LatencyModel {
@@ -333,7 +327,6 @@ func (o Options) EngineConfig() (engine.Config, error) {
 		Recovery:            o.Recovery,
 		WatchdogTimeout:     o.WatchdogTimeout,
 		DetailedStats:       o.DetailedStats,
-		MsgMemoryBudget:     o.MsgMemoryBudget,
 	}
 	if o.Fault != nil {
 		cfg.Fault = fault.NewInjector(*o.Fault)
