@@ -40,12 +40,13 @@ test-race:
 # what would see a recycled batch still being read; and the barrierless
 # termination tests (BAP, the GAS guard and latency cases), where it is
 # what would see a worker's hold released while a handler still runs; and
-# the message store's concurrent appliers, where a phased (BSP) store's
-# appliers share unread words with no lock between them.
+# the message store's concurrent appliers and readers, where a phased (BSP)
+# store's appliers, and its readers, share unread words with no lock between
+# them; and the BSP mutation rebuild that masks a replica's added in-edges.
 race: vet
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Chaos|Confined|Watchdog|Torn' ./internal/engine/
-	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$|Phased|ConcurrentAppliers' ./internal/chandy/ ./internal/engine/ ./internal/gas/ ./internal/msgstore/
+	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$|Phased|ConcurrentAppliers|MissesLastBroadcast' ./internal/chandy/ ./internal/engine/ ./internal/gas/ ./internal/msgstore/
 
 # Fault-injection and recovery gate: the chaos and confined-recovery /
 # watchdog suites under the race detector, then a 200-case torture sweep

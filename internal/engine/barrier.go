@@ -26,10 +26,14 @@ type StepReport struct {
 // commitStep is the worker half of superstep s's barrier: under BSP it
 // swaps the stores, then it reports the worker's halt votes, pending
 // messages and local aggregates, starting a fresh aggregate map for the
-// next superstep. It fails the frontier audit, an error, when the halt
-// counter the run decides convergence on differs from the popcount of the
-// bitset it iterates.
+// next superstep. It fails with the first error an execution of the
+// superstep made (worker.sendErr), and fails the frontier audit when the
+// halt counter the run decides convergence on differs from the popcount of
+// the bitset it iterates.
 func (w *worker[V, M]) commitStep(s int) (StepReport, error) {
+	if err := w.sendErr.Load(); err != nil {
+		return StepReport{}, *err
+	}
 	if w.r.cfg.Mode == BSP {
 		w.swapStores()
 	}

@@ -310,6 +310,11 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 	}
 	if cfg.Mode == BAP {
 		r.runBAP(&res)
+		for _, w := range r.workers {
+			if err := w.sendErr.Load(); err != nil {
+				return nil, Result{}, nil, *err
+			}
+		}
 		return finish()
 	}
 	r.done = make(chan int, len(r.workers))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/history"
+	"serialgraph/internal/model"
 )
 
 func TestSenderCombineReducesDataTraffic(t *testing.T) {
@@ -58,6 +60,31 @@ func TestSenderCombineNotAppliedToOverwrite(t *testing.T) {
 		}
 		if err := algorithms.ValidateColoring(g, colors); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestOverwriteSendFailsRun: an Overwrite program's store keeps replicas
+// of each source's broadcast, so a Send to one vertex fails the run with an
+// error that names SendToAllOut, in every mode, whether the target is on
+// the sender's worker or not.
+func TestOverwriteSendFailsRun(t *testing.T) {
+	g := generate.PowerLaw(generate.PowerLawConfig{N: 200, AvgDegree: 4, Exponent: 2.2, Seed: 5})
+	prog := model.Program[int32, int32]{
+		Name: "overwrite-point-send", Semantics: model.Overwrite, MsgBytes: 4,
+		Compute: func(ctx model.Context[int32, int32], msgs []int32) {
+			if ctx.Superstep() == 0 {
+				for _, nb := range ctx.OutNeighbors() {
+					ctx.Send(nb, 1)
+				}
+			}
+			ctx.VoteToHalt()
+		},
+	}
+	for _, mode := range []Mode{BSP, Async, BAP} {
+		_, _, _, err := Run(g, prog, Config{Workers: 2, Mode: mode, MaxSupersteps: 10})
+		if err == nil || !strings.Contains(err.Error(), "SendToAllOut") {
+			t.Errorf("%v: err = %v, want one naming SendToAllOut", mode, err)
 		}
 	}
 }

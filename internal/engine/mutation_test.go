@@ -223,3 +223,59 @@ func TestMutationFanOutReachesNewRemoteNeighbor(t *testing.T) {
 		}
 	}
 }
+
+// TestMutationAddedInEdgeMissesLastBroadcast: under BSP with Overwrite
+// semantics, vertex 0 broadcasts in superstep 0 and adds the edge 0->2 in
+// the same superstep. Vertex 2 runs in superstep 1 because vertex 3
+// messaged it, and sees only vertex 3's message: 0's broadcast went out
+// along the edges 0 had when it was sent, and the new in-edge brings no
+// message of that superstep with it. Placements put 0 and 2 on one worker
+// (0's broadcast staged locally) and on two (a remote fan-out entry).
+func TestMutationAddedInEdgeMissesLastBroadcast(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(3, 2)
+	g := b.Build()
+	prog := model.Program[int32, int32]{
+		Name: "broadcast-and-grow", Semantics: model.Overwrite, MsgBytes: 4,
+		Compute: func(ctx model.Context[int32, int32], msgs []int32) {
+			if ctx.Superstep() == 0 {
+				switch ctx.ID() {
+				case 0:
+					ctx.SendToAllOut(10)
+					ctx.AddEdgeRequest(0, 2, 1)
+				case 3:
+					ctx.SendToAllOut(1)
+				}
+			}
+			var sum int32
+			for _, m := range msgs {
+				sum += m
+			}
+			if sum > 0 {
+				ctx.SetValue(sum)
+			}
+			ctx.VoteToHalt()
+		},
+	}
+	for _, pl := range []struct {
+		name  string
+		parts []partition.ID
+	}{
+		{"remote", []partition.ID{0, 1, 1, 1}},
+		{"local", []partition.ID{1, 1, 1, 0}},
+	} {
+		vals, res, _, err := Run(g, prog, Config{
+			Workers: 2, PartitionsPerWorker: 1, Mode: BSP, MaxSupersteps: 10,
+			Partitioner: func(g *graph.Graph, p, w int) *partition.Map {
+				return partition.NewExplicit(g, pl.parts, []int32{0, 1}, w)
+			},
+		})
+		if err != nil || !res.Converged {
+			t.Fatalf("%s: err=%v converged=%v", pl.name, err, res.Converged)
+		}
+		if want := []int32{0, 10, 1, 0}; !slices.Equal(vals, want) {
+			t.Errorf("%s: vals %v, want %v (vertex 2 must not see 0's broadcast)", pl.name, vals, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,10 @@ type worker[V, M any] struct {
 	mutMu      sync.Mutex
 	mutAdds    []graph.Edge
 	mutRemoves []edgeKey
+
+	// sendErr is the first error an execution on this worker made (Send
+	// from an Overwrite program), which the worker's next barrier returns.
+	sendErr atomic.Pointer[error]
 
 	// log records every outgoing remote batch by (superstep, destination) so
 	// confined recovery can re-inject this worker's sends into a crashed
@@ -189,11 +194,15 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 
 // newStore builds an empty message store over the worker's vertices.
 // Under BSP a store is written in one superstep and read in the next, never
-// both at once, which lets an Overwrite store write without locks.
+// both at once, which lets an Overwrite store keep one replica per source
+// and go without locks (msgstore.NewPhased).
 func (w *worker[V, M]) newStore() *msgstore.Store[M] {
-	st := msgstore.New(w.r.g, w.owned, w.r.prog.Semantics, w.r.prog.Combine)
+	newStore := msgstore.New[M]
+	if w.r.cfg.Mode == BSP {
+		newStore = msgstore.NewPhased[M]
+	}
+	st := newStore(w.r.g, w.owned, w.r.prog.Semantics, w.r.prog.Combine)
 	st.SetFanOut(w.fan)
-	st.SetPhased(w.r.cfg.Mode == BSP)
 	return st
 }
 
@@ -710,12 +719,19 @@ func (c *vctx[V, M]) SetValue(v V) {
 	}
 }
 
-func (c *vctx[V, M]) Send(dst graph.VertexID, m M) { c.send(dst, m, 0) }
-
-// send routes one message, optionally carrying a precomputed in-slot hint
-// (SendToAllOut supplies one; zero means unknown and is always safe).
-func (c *vctx[V, M]) send(dst graph.VertexID, m M, slot uint32) {
+// Send routes one message. An Overwrite program may not send to one
+// vertex: its stores keep replicas of a source's broadcast, which a message
+// meant for one target is not. Such a Send is dropped, and its error fails
+// the run at the worker's next barrier (the end of a BAP run).
+func (c *vctx[V, M]) Send(dst graph.VertexID, m M) {
 	r := c.w.r
+	if r.prog.Semantics == model.Overwrite {
+		if c.w.sendErr.Load() == nil {
+			err := fmt.Errorf("engine: %s: vertex %d sent to %d alone, but an Overwrite program broadcasts with SendToAllOut", r.prog.Name, c.id, dst)
+			c.w.sendErr.CompareAndSwap(nil, &err)
+		}
+		return
+	}
 	var ver uint32
 	if r.versions != nil {
 		ver = r.versions[c.id].Load()
@@ -736,10 +752,10 @@ func (c *vctx[V, M]) send(dst graph.VertexID, m M, slot uint32) {
 	t := c.th
 	t.localMsgs++
 	if r.cfg.Sync != VertexLockGiraph && (r.cfg.Mode == BSP || dp != t.curPart) {
-		t.stage(dst, c.id, m, ver, slot)
+		t.stage(dst, c.id, m, ver, 0)
 		return
 	}
-	t.putEager(dst, c.id, m, ver, slot)
+	t.putEager(dst, c.id, m, ver, 0)
 }
 
 // putEager delivers one local message straight into the write store,

@@ -21,10 +21,11 @@ const (
 	// Combine folds messages into a single slot with the program's Combine
 	// function (e.g. min for SSSP/WCC); the slot is consumed when read.
 	Combine
-	// Overwrite keeps one slot per in-edge neighbor holding that neighbor's
-	// latest message; reads see all present slots and do not consume them.
-	// This makes the store a replica table of in-neighbor state, which is
-	// the read-set formalization of §3.2 — coloring and PageRank use it.
+	// Overwrite keeps each in-edge neighbor's latest message; reads see all
+	// present ones and do not consume them. This makes the store a replica
+	// table of in-neighbor state, which is the read-set formalization of
+	// §3.2 — coloring and PageRank use it. A replica is of a neighbor's
+	// broadcast, so an Overwrite program sends with SendToAllOut only.
 	Overwrite
 )
 
@@ -57,7 +58,8 @@ type Context[V, M any] interface {
 	// unweighted.
 	OutWeights() []float64
 	// Send delivers m to dst at the time the engine's model dictates
-	// (next superstep under BSP, immediately under AP).
+	// (next superstep under BSP, immediately under AP). An Overwrite
+	// program may not call it: the engine fails the run.
 	Send(dst graph.VertexID, m M)
 	// SendToAllOut broadcasts m along all out-edges.
 	SendToAllOut(m M)

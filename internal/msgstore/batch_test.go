@@ -69,12 +69,14 @@ func drain(t *testing.T, s *Store[int], n int) map[graph.VertexID][]int {
 	return out
 }
 
-// TestPutBatchMatchesPut: PutBatch equals per-message PutSlot, and a
-// fan-out entry equals PutSlot of the per-edge messages it stands for.
-// Batches mix point and fan-out entries over a multigraph (duplicate edges
-// and self-loops keep one slot each), and PutBatch returns exactly the
-// number of slots its fan-out entries wrote. Every semantics runs on both
-// store kinds, locked and phased (SetPhased: the direct Overwrite path).
+// TestPutBatchMatchesPut: PutBatch equals per-message PutSlot on a locked
+// store, and a fan-out entry equals PutSlot of the per-edge messages it
+// stands for. Batches mix point and fan-out entries over a multigraph
+// (duplicate edges and self-loops keep one slot each), and PutBatch returns
+// exactly the number of in-edges its fan-out entries reached. Every
+// semantics runs on both store kinds, locked and phased (NewPhased); a
+// phased Overwrite store keeps one replica per source, so its batches are
+// fan-out entries only, and it reads as the per-edge store does.
 func TestPutBatchMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomMultigraph(24, rng)
@@ -95,14 +97,13 @@ func TestPutBatchMatchesPut(t *testing.T) {
 				for trial := 0; trial < 20; trial++ {
 					es := randomEntries(g, 5+rng.Intn(200), rng)
 					for i := range es {
-						if rng.Intn(4) == 0 {
+						if rng.Intn(4) == 0 || phased && tc.sem == model.Overwrite {
 							es[i] = fanOutEntry(g, owned, rng)
 						}
 					}
 					ref := New[int](g, owned, tc.sem, tc.combine)
-					got := New[int](g, owned, tc.sem, tc.combine)
+					got := newStoreKind[int](g, owned, tc.sem, tc.combine, phased)
 					got.SetFanOut(tab)
-					got.SetPhased(phased)
 					perEdge := expand(g, owned, es)
 					for _, e := range perEdge {
 						ref.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
@@ -146,11 +147,19 @@ func TestPutBatchMatchesPut(t *testing.T) {
 }
 
 // storeKinds are the two kinds of store: "locked" (New) and "phased"
-// (SetPhased(true), which under Overwrite is the direct path).
+// (NewPhased, which under Overwrite is the replica layout).
 var storeKinds = []struct {
 	name   string
 	phased bool
 }{{"locked", false}, {"phased", true}}
+
+// newStoreKind builds a store of one kind: NewPhased when phased, else New.
+func newStoreKind[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M, phased bool) *Store[M] {
+	if phased {
+		return NewPhased(g, owned, kind, combine)
+	}
+	return New(g, owned, kind, combine)
+}
 
 // forStoreKinds runs f as one subtest per store kind.
 func forStoreKinds(t *testing.T, f func(t *testing.T, phased bool)) {
@@ -187,9 +196,10 @@ func randomMultigraph(n int, rng *rand.Rand) *graph.Graph {
 }
 
 // TestPutBatchOverwriteLastWins pins that the counting sort behind the
-// large-batch path is stable, and that the direct path applies in batch
+// large-batch path is stable, and that a phased store applies in batch
 // order: two updates for the same (dst, src) in one batch must land in
-// program order, exactly as sequential Puts would.
+// program order, exactly as sequential Puts would. The phased store's
+// updates are fan-out entries of src.
 func TestPutBatchOverwriteLastWins(t *testing.T) { forStoreKinds(t, testLastWins) }
 
 func testLastWins(t *testing.T, phased bool) {
@@ -208,8 +218,13 @@ func testLastWins(t *testing.T, phased bool) {
 	batch := []Entry[int]{{Dst: dst, Src: src, Msg: 1}}
 	batch = append(batch, randomEntries(g, 40, rand.New(rand.NewSource(8)))...)
 	batch = append(batch, Entry[int]{Dst: dst, Src: src, Msg: 2})
-	s := New[int](g, all(24), model.Overwrite, nil)
-	s.SetPhased(phased)
+	s := newStoreKind[int](g, all(24), model.Overwrite, nil, phased)
+	if phased {
+		for i := range batch {
+			batch[i].Dst = FanOut
+		}
+		s.SetFanOut(NewFanOutTable(g, all(24)))
+	}
 	s.PutBatch(batch)
 	r := Reader[int]{Sources: true}
 	if !s.Read(dst, &r) {

@@ -152,18 +152,26 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreOverwritePutBatch measures the dense remote-delivery path
-// of a BSP PageRank-style run: one worker of four owns a quarter of a
-// graph whose replica table exceeds the cache, and every in-edge delivers
-// one float64 message per pass, in sender order, in 512-entry batches that
-// carry the in-slot hint a sender's local targets carry. One op is one entry.
-// It runs on both store kinds: "locked" (Async/BAP) and "phased" (BSP).
-func BenchmarkStoreOverwritePutBatch(b *testing.B) {
+// pagerankShard is the input of the Overwrite store benchmarks: a graph
+// like BSP PageRank's, whose per-edge table exceeds the cache, and the
+// quarter of its vertices one worker of four owns.
+func pagerankShard() (*graph.Graph, []graph.VertexID) {
 	g := generate.PowerLaw(generate.PowerLawConfig{N: 40000, AvgDegree: 20, Exponent: 2.2, Seed: 7})
 	var owned []graph.VertexID
 	for v := 0; v < g.NumVertices(); v += 4 {
 		owned = append(owned, graph.VertexID(v))
 	}
+	return g, owned
+}
+
+// BenchmarkStoreOverwritePutBatch measures the dense point-entry delivery
+// path of a locked (Async/BAP) Overwrite store: every in-edge of
+// pagerankShard delivers one float64 message per pass, in sender order, in
+// 512-entry batches that carry the in-slot hint a sender's local targets
+// carry. One op is one entry. A phased store takes fan-out entries only:
+// BenchmarkStorePutBatchFanOut times both kinds.
+func BenchmarkStoreOverwritePutBatch(b *testing.B) {
+	g, owned := pagerankShard()
 	var entries []Entry[float64]
 	for v := 0; v < g.NumVertices(); v++ {
 		for _, dst := range g.OutNeighbors(graph.VertexID(v)) {
@@ -174,29 +182,29 @@ func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 		}
 	}
 	const batchSize = 512
-	benchStoreKinds(b, g, owned, nil, func(b *testing.B, s *Store[float64]) {
-		scratch := make([]Entry[float64], batchSize)
-		for done, off := 0, 0; done < b.N; done += batchSize {
-			if off+batchSize > len(entries) {
-				off = 0
-				s.Clear() // the BSP store swap between passes
-			}
-			copy(scratch, entries[off:off+batchSize]) // as the transport hands over each batch
-			s.PutBatch(scratch)
-			off += batchSize
+	s := New[float64](g, owned, model.Overwrite, nil)
+	scratch := make([]Entry[float64], batchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done, off := 0, 0; done < b.N; done += batchSize {
+		if off+batchSize > len(entries) {
+			off = 0
+			s.Clear() // the store swap between passes
 		}
-	})
+		copy(scratch, entries[off:off+batchSize]) // as the transport hands over each batch
+		s.PutBatch(scratch)
+		off += batchSize
+	}
 }
 
-// benchStoreKinds runs f as one sub-benchmark per store kind, each on a
-// fresh Overwrite store over owned taking fan-out entries through tab
-// (nil: none).
+// benchStoreKinds runs f as one sub-benchmark per store kind, "locked"
+// (Async/BAP) and "phased" (BSP), each on a fresh Overwrite store over
+// owned taking fan-out entries through tab.
 func benchStoreKinds(b *testing.B, g *graph.Graph, owned []graph.VertexID, tab *FanOutTable, f func(b *testing.B, s *Store[float64])) {
 	for _, k := range storeKinds {
 		b.Run(k.name, func(b *testing.B) {
-			s := New[float64](g, owned, model.Overwrite, nil)
+			s := newStoreKind[float64](g, owned, model.Overwrite, nil, k.phased)
 			s.SetFanOut(tab)
-			s.SetPhased(k.phased)
 			b.ReportAllocs()
 			b.ResetTimer()
 			f(b, s)
@@ -204,24 +212,27 @@ func benchStoreKinds(b *testing.B, g *graph.Graph, owned []graph.VertexID, tab *
 	}
 }
 
-// BenchmarkStorePutBatchFanOut is BenchmarkStoreOverwritePutBatch's pass
-// sent the way SendToAllOut sends it: one fan-out entry per source with an
-// out-neighbor on the worker, expanded through the source table, in
-// 512-entry batches. One op is one slot written, so the two benchmarks'
-// ns/op compare per replica update applied. Both store kinds, likewise.
-func BenchmarkStorePutBatchFanOut(b *testing.B) {
-	g := generate.PowerLaw(generate.PowerLawConfig{N: 40000, AvgDegree: 20, Exponent: 2.2, Seed: 7})
-	var owned []graph.VertexID
-	for v := 0; v < g.NumVertices(); v += 4 {
-		owned = append(owned, graph.VertexID(v))
-	}
-	tab := NewFanOutTable(g, owned)
+// fanOutPass is one BSP PageRank pass over pagerankShard as SendToAllOut
+// sends it: one fan-out entry per source with an out-neighbor on the
+// worker, in source order.
+func fanOutPass(g *graph.Graph, tab *FanOutTable) []Entry[float64] {
 	var entries []Entry[float64]
 	for v := 0; v < g.NumVertices(); v++ {
 		if len(tab.Row(graph.VertexID(v))) > 0 {
 			entries = append(entries, Entry[float64]{Dst: FanOut, Src: graph.VertexID(v), Msg: float64(v)})
 		}
 	}
+	return entries
+}
+
+// BenchmarkStorePutBatchFanOut is BenchmarkStoreOverwritePutBatch's pass
+// sent as fanOutPass, expanded through the source table, in 512-entry
+// batches. One op is one in-edge reached, so the two benchmarks' ns/op
+// compare per replica update applied. Both store kinds.
+func BenchmarkStorePutBatchFanOut(b *testing.B) {
+	g, owned := pagerankShard()
+	tab := NewFanOutTable(g, owned)
+	entries := fanOutPass(g, tab)
 	const batchSize = 512
 	var batches [][]Entry[float64]
 	var slots []int // per batch
@@ -241,6 +252,33 @@ func BenchmarkStorePutBatchFanOut(b *testing.B) {
 			}
 			copy(scratch, batches[i])
 			s.PutBatch(scratch)
+		}
+	})
+}
+
+// BenchmarkStoreOverwriteRead measures the read side of
+// BenchmarkStorePutBatchFanOut's pass: the store holds one full fanOutPass,
+// and each worker-order sweep reads every owned vertex, as a BSP superstep
+// of PageRank does. One op is one in-edge read, so ns/op is the gather's
+// cost per in-edge on a phased store and the per-edge slot scan's on a
+// locked one.
+func BenchmarkStoreOverwriteRead(b *testing.B) {
+	g, owned := pagerankShard()
+	tab := NewFanOutTable(g, owned)
+	entries := fanOutPass(g, tab)
+	inEdges := 0
+	for _, v := range owned {
+		inEdges += g.InDegree(v)
+	}
+	benchStoreKinds(b, g, owned, tab, func(b *testing.B, s *Store[float64]) {
+		b.StopTimer()
+		s.PutBatch(append([]Entry[float64](nil), entries...))
+		b.StartTimer()
+		var r Reader[float64]
+		for done := 0; done < b.N; done += inEdges {
+			for li := range owned {
+				s.ReadLocal(int32(li), &r)
+			}
 		}
 	})
 }

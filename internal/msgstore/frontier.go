@@ -68,6 +68,15 @@ func (b Bits) or(wi int, m uint64) {
 	}
 }
 
+// clearShared clears bit i in a word whose other bits have writers that
+// hold no lock. The load keeps a clear bit off the write path. (And's
+// result is unused, for the reason or gives.)
+func (b Bits) clearShared(i int32) {
+	if w, m := &b[i>>6], uint64(1)<<(i&63); w.Load()&m != 0 {
+		w.And(^m)
+	}
+}
+
 // Count returns the number of set bits.
 func (b Bits) Count() int64 {
 	var n int

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,11 +106,11 @@ func modelOwned(g *graph.Graph, rng *rand.Rand) []graph.VertexID {
 
 // modelEntries draws n messages along in-edges of owned vertices, half of
 // them carrying the in-slot hint; about one in five is a fan-out entry
-// instead.
-func modelEntries(g *graph.Graph, owned []graph.VertexID, n int, rng *rand.Rand) []Entry[int] {
+// instead, and with fanOnly every one is.
+func modelEntries(g *graph.Graph, owned []graph.VertexID, n int, fanOnly bool, rng *rand.Rand) []Entry[int] {
 	es := make([]Entry[int], n)
 	for i := range es {
-		if rng.Intn(5) == 0 {
+		if rng.Intn(5) == 0 || fanOnly {
 			es[i] = fanOutEntry(g, owned, rng)
 			continue
 		}
@@ -128,14 +129,25 @@ func sum(a, b int) int { return a + b }
 
 // newFanOutStore builds a store that takes fan-out entries, phased or not.
 func newFanOutStore(g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b int) int, phased bool) *Store[int] {
-	s := New(g, owned, kind, combine)
+	s := newStoreKind(g, owned, kind, combine, phased)
 	s.SetFanOut(NewFanOutTable(g, owned))
-	s.SetPhased(phased)
 	return s
 }
 
+// sameRead fails t unless a and b read alike: messages, sources, versions.
+func sameRead(t *testing.T, step int, dst graph.VertexID, a, b *Reader[int]) {
+	t.Helper()
+	if !slices.Equal(a.Msgs, b.Msgs) || !slices.Equal(a.Srcs, b.Srcs) || !slices.Equal(a.Vers, b.Vers) {
+		t.Fatalf("step %d: Read(%d) = %v from %v at %v, per-edge store %v from %v at %v",
+			step, dst, a.Msgs, a.Srcs, a.Vers, b.Msgs, b.Srcs, b.Vers)
+	}
+}
+
 // TestStoreMatchesModel runs on both store kinds: a phased store is only
-// ever written or read at one time, as this single goroutine does.
+// ever written or read at one time, as this single goroutine does. A
+// phased Overwrite store takes fan-out entries only, and a locked twin
+// given the same operations (a per-edge store) must read as it does, read
+// for read.
 func TestStoreMatchesModel(t *testing.T) {
 	for _, sc := range semanticsCases {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -149,11 +161,16 @@ func TestStoreMatchesModel(t *testing.T) {
 						combine = sum
 					}
 					s, ref := newFanOutStore(g, owned, sc.kind, combine, phased), newRef(sc.kind)
-					var r Reader[int]
+					fanOnly := phased && sc.kind == model.Overwrite
+					var twin *Store[int]
+					if fanOnly {
+						twin = newFanOutStore(g, owned, sc.kind, combine, false)
+					}
+					var r, tr Reader[int]
 					for step := 0; step < 3000; step++ {
 						switch op := rng.Intn(100); {
 						case op < 30:
-							e := modelEntries(g, owned, 1, rng)[0]
+							e := modelEntries(g, owned, 1, fanOnly, rng)[0]
 							switch {
 							case e.Dst == FanOut:
 								s.PutBatch([]Entry[int]{e})
@@ -162,15 +179,21 @@ func TestStoreMatchesModel(t *testing.T) {
 							default:
 								s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 							}
+							if twin != nil {
+								twin.PutBatch([]Entry[int]{e})
+							}
 							for _, e := range expand(g, owned, []Entry[int]{e}) {
 								ref.put(e)
 							}
 						case op < 55: // both sides of smallBatch
-							es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), rng)
+							es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), fanOnly, rng)
 							for _, e := range expand(g, owned, es) {
 								ref.put(e)
 							}
 							s.PutBatch(es)
+							if twin != nil {
+								twin.PutBatch(es)
+							}
 						case op < 90:
 							dst := owned[rng.Intn(len(owned))]
 							msgs, srcs, vers := ref.read(g, dst)
@@ -181,6 +204,11 @@ func TestStoreMatchesModel(t *testing.T) {
 							if got := s.Read(dst, &r); got != (len(msgs) > 0) {
 								t.Fatalf("step %d: Read(%d) = %v, model has %d messages", step, dst, got, len(msgs))
 							}
+							if twin != nil {
+								tr.Sources = r.Sources
+								twin.Read(dst, &tr)
+								sameRead(t, step, dst, &r, &tr)
+							}
 							if !reflect.DeepEqual(append([]int(nil), r.Msgs...), msgs) ||
 								!reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
 								!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
@@ -189,6 +217,9 @@ func TestStoreMatchesModel(t *testing.T) {
 							}
 						case op < 93:
 							s.Clear()
+							if twin != nil {
+								twin.Clear()
+							}
 							ref = newRef(sc.kind)
 						default: // checkpoint round trip into a fresh store
 							d := s.Dump()
@@ -199,6 +230,13 @@ func TestStoreMatchesModel(t *testing.T) {
 								if sc.kind == model.Overwrite && e.IsNew != s.HasNew(e.Dst) {
 									t.Fatalf("step %d: Dump slot %d->%d IsNew %v, HasNew %v", step, e.Src, e.Dst, e.IsNew, s.HasNew(e.Dst))
 								}
+							}
+							if twin != nil {
+								if td := twin.Dump(); !reflect.DeepEqual(d, td) {
+									t.Fatalf("step %d: Dump = %v, per-edge store %v", step, d, td)
+								}
+								twin = newFanOutStore(g, owned, sc.kind, combine, false)
+								twin.Load(d)
 							}
 							s = newFanOutStore(g, owned, sc.kind, combine, phased)
 							s.Load(d)
@@ -222,6 +260,8 @@ func TestStoreMatchesModel(t *testing.T) {
 // Overwrite slot has one writer and the final table is determined; Queue
 // order across appliers is not, so queues compare as multisets. Both store
 // kinds: the appliers only write, and the reads come after they are done.
+// A phased Overwrite store takes fan-out entries only, and reads as a
+// per-edge store given the same batches in sequence does.
 func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 	const appliers = 4
 	for _, sc := range semanticsCases {
@@ -235,14 +275,19 @@ func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 					combine = sum
 				}
 				s, ref := newFanOutStore(g, owned, sc.kind, combine, phased), newRef(sc.kind)
+				fanOnly := phased && sc.kind == model.Overwrite
+				twin := newFanOutStore(g, owned, sc.kind, combine, false)
 				perApplier := make([][]Entry[int], appliers)
-				for _, e := range modelEntries(g, owned, 6000, rng) {
+				for _, e := range modelEntries(g, owned, 6000, fanOnly, rng) {
 					a := int(e.Src) % appliers
 					perApplier[a] = append(perApplier[a], e)
 				}
 				for _, es := range perApplier {
 					for _, e := range expand(g, owned, es) {
 						ref.put(e)
+					}
+					if fanOnly {
+						twin.PutBatch(es)
 					}
 				}
 				var wg sync.WaitGroup
@@ -258,10 +303,14 @@ func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 					}()
 				}
 				wg.Wait()
-				r := Reader[int]{Sources: true}
-				for _, dst := range owned {
+				r, tr := Reader[int]{Sources: true}, Reader[int]{Sources: true}
+				for step, dst := range owned {
 					msgs, srcs, vers := ref.read(g, dst)
 					s.Read(dst, &r)
+					if fanOnly {
+						twin.Read(dst, &tr)
+						sameRead(t, step, dst, &r, &tr)
+					}
 					got := append([]int(nil), r.Msgs...)
 					if sc.kind == model.Queue {
 						sort.Ints(got)
@@ -279,13 +328,13 @@ func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 
 // TestPhasedAppliersShareWords: several goroutines apply batches to one
 // phased Overwrite store at once, as a BSP worker's lanes and compute
-// threads do. Their sources are disjoint, so every slot has one writer,
-// but their destinations interleave, so every applier's fan-out and point
-// entries set bits in the same unread words. Each vertex has two in-edges,
-// so most publications set new bits, and every round starts from cleared
-// ones. After each round the unread words and every vertex's replicas must
-// equal a sequential apply of the same batches: a bit lost between two
-// appliers' publications is a vertex the frontier would miss.
+// threads do. Their sources are disjoint, so every replica has one writer,
+// but their destinations interleave, so every applier's fan-out entries set
+// bits in the same unread words. Each vertex has two in-edges, so most
+// publications set new bits, and every round starts from cleared ones.
+// After each round the unread words and every vertex's replicas must equal
+// a sequential apply of the same batches to a per-edge store: a bit lost
+// between two appliers' publications is a vertex the frontier would miss.
 func TestPhasedAppliersShareWords(t *testing.T) {
 	const n, appliers, rounds = 512, 4, 200
 	rng := rand.New(rand.NewSource(5))
@@ -301,31 +350,25 @@ func TestPhasedAppliersShareWords(t *testing.T) {
 		owned[i] = graph.VertexID(v)
 	}
 	tab := NewFanOutTable(g, owned)
-	s, ref := New[int](g, owned, model.Overwrite, nil), New[int](g, owned, model.Overwrite, nil)
+	s, ref := NewPhased[int](g, owned, model.Overwrite, nil), New[int](g, owned, model.Overwrite, nil)
 	s.SetFanOut(tab)
-	s.SetPhased(true)
 	ref.SetFanOut(tab)
 	got, want := Reader[int]{Sources: true}, Reader[int]{Sources: true}
 	for round := 0; round < rounds; round++ {
-		// One batch per source: a fan-out entry or its point entries.
+		// Batches of one to three sources' fan-out entries.
 		batches := make([][][]Entry[int], appliers)
 		for _, u := range rng.Perm(n) {
 			src, msg := graph.VertexID(u), round*n+u
 			if len(tab.Row(src)) == 0 {
 				continue
 			}
-			batch := []Entry[int]{{Dst: FanOut, Src: src, Msg: msg, Ver: uint32(round)}}
-			if rng.Intn(2) == 0 {
-				batch = batch[:0]
-				for _, tg := range tab.Row(src) {
-					e := Entry[int]{Dst: owned[tg.Local], Src: src, Msg: msg, Ver: uint32(round), Slot: tg.Slot}
-					if rng.Intn(2) == 0 {
-						e.Slot = 0 // found by InSlot instead
-					}
-					batch = append(batch, e)
-				}
+			e := Entry[int]{Dst: FanOut, Src: src, Msg: msg, Ver: uint32(round)}
+			mine := batches[u%appliers]
+			if k := len(mine) - 1; k >= 0 && len(mine[k]) < 1+rng.Intn(3) {
+				mine[k] = append(mine[k], e)
+			} else {
+				batches[u%appliers] = append(mine, []Entry[int]{e})
 			}
-			batches[u%appliers] = append(batches[u%appliers], batch)
 		}
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -361,5 +404,137 @@ func TestPhasedAppliersShareWords(t *testing.T) {
 		}
 		s.Clear()
 		ref.Clear()
+	}
+}
+
+// TestPhasedReadersShareWords: two goroutines read one phased Overwrite
+// store at once, as a BSP worker's compute threads do, each taking every
+// other vertex, so both clear bits in every unread word at the same time.
+// Every bit must end cleared: a clear lost between two readers is a vertex
+// the next superstep's frontier would run again. (A plain load-and-store
+// clear fails it on a 2-vCPU box in ten runs out of ten.)
+func TestPhasedReadersShareWords(t *testing.T) {
+	const n, readers, rounds = 4096, 2, 1000
+	rng := rand.New(rand.NewSource(9))
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(v))
+	}
+	g := b.Build()
+	owned := all(n)
+	tab := NewFanOutTable(g, owned)
+	s := NewPhased[int](g, owned, model.Overwrite, nil)
+	s.SetFanOut(tab)
+	var pass []Entry[int]
+	for u := 0; u < n; u++ {
+		if len(tab.Row(graph.VertexID(u))) > 0 {
+			pass = append(pass, Entry[int]{Dst: FanOut, Src: graph.VertexID(u), Msg: u})
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		s.PutBatch(pass)
+		if got := s.NewCount(); got != n {
+			t.Fatalf("round %d: %d unread after the pass, want %d", round, got, n)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for k := 0; k < readers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var r Reader[int]
+				<-start
+				for li := int32(k); li < n; li += readers {
+					s.ReadLocal(li, &r)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := s.NewCount(); got != 0 {
+			t.Fatalf("round %d: %d unread bits left after every vertex was read", round, got)
+		}
+		s.Clear()
+	}
+}
+
+// TestPhasedDumpMatchesPerEdge: a phased (replica) store and a per-edge
+// store given the same broadcasts over a multigraph, with some vertices
+// read, dump identical entry lists; each dump loads back into a fresh store
+// of either kind that reads and dumps as the original. A dump missing every
+// entry of some in-edges of a source whose replica it holds (what a
+// mutation that added those edges produces) loads into a phased store that
+// reads as the per-edge store does: without a message on them.
+func TestPhasedDumpMatchesPerEdge(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomMultigraph(40, rng)
+		owned := modelOwned(g, rng)
+		phased := newFanOutStore(g, owned, model.Overwrite, nil, true)
+		perEdge := newFanOutStore(g, owned, model.Overwrite, nil, false)
+		es := modelEntries(g, owned, 60, true, rng)
+		phased.PutBatch(es)
+		perEdge.PutBatch(es)
+		var r Reader[int]
+		for _, v := range owned {
+			if rng.Intn(3) == 0 {
+				phased.Read(v, &r)
+				perEdge.Read(v, &r)
+			}
+		}
+		d := phased.Dump()
+		if want := perEdge.Dump(); !reflect.DeepEqual(d, want) {
+			t.Fatalf("seed %d: phased Dump = %v, per-edge %v", seed, d, want)
+		}
+		// Drop every entry of about one (dst, src) pair in four.
+		drop := map[edgeKey]bool{}
+		var kept []DumpEntry[int]
+		for _, e := range d {
+			k := edgeKey{e.Dst, e.Src}
+			if _, seen := drop[k]; !seen {
+				drop[k] = rng.Intn(4) == 0
+			}
+			if !drop[k] {
+				kept = append(kept, e)
+			}
+		}
+		for _, dump := range [][]DumpEntry[int]{d, kept} {
+			p := newFanOutStore(g, owned, model.Overwrite, nil, true)
+			q := newFanOutStore(g, owned, model.Overwrite, nil, false)
+			p.Load(dump)
+			q.Load(dump)
+			if pd, qd := p.Dump(), q.Dump(); !reflect.DeepEqual(pd, dump) || !reflect.DeepEqual(qd, dump) {
+				t.Fatalf("seed %d: loaded %v, phased dumps %v, per-edge %v", seed, dump, pd, qd)
+			}
+			pr, qr := Reader[int]{Sources: true}, Reader[int]{Sources: true}
+			for step, v := range owned {
+				if p.HasNew(v) != q.HasNew(v) {
+					t.Fatalf("seed %d: HasNew(%d) phased %v, per-edge %v", seed, v, p.HasNew(v), q.HasNew(v))
+				}
+				p.Read(v, &pr)
+				q.Read(v, &qr)
+				sameRead(t, step, v, &pr, &qr)
+			}
+		}
+	}
+}
+
+// TestPhasedRejectsPointEntries: a phased Overwrite store panics, naming
+// SendToAllOut, on a message for one target, by PutSlot or in a batch.
+func TestPhasedRejectsPointEntries(t *testing.T) {
+	g := lineGraph()
+	for name, put := range map[string]func(s *Store[int]){
+		"PutSlot":  func(s *Store[int]) { s.PutSlot(2, 0, 1, 0, 1) },
+		"PutBatch": func(s *Store[int]) { s.PutBatch([]Entry[int]{{Dst: FanOut, Src: 1}, {Dst: 2, Src: 0}}) },
+	} {
+		s := newFanOutStore(g, all(4), model.Overwrite, nil, true)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "SendToAllOut") {
+					t.Errorf("%s: panic %q, want one naming SendToAllOut", name, msg)
+				}
+			}()
+			put(s)
+		}()
 	}
 }

@@ -5,11 +5,16 @@
 // (eager local replicas); remote messages arrive in batches through the
 // transport and are applied on delivery.
 //
-// The overwrite mode stores one slot per in-edge, making the store exactly
-// the read-only replica table of the paper's formalism (§3.1): reading a
-// vertex's messages is reading the replicas of its in-edge neighbors, and
-// slots carry version numbers so the history checker can verify freshness
-// (condition C1).
+// The overwrite mode is the read-only replica table of the paper's
+// formalism (§3.1): reading a vertex's messages is reading the replicas of
+// its in-edge neighbors, and replicas carry version numbers so the history
+// checker can verify freshness (condition C1). It has two layouts. A phased
+// store (NewPhased: BSP, where no read overlaps a write) keeps one replica
+// per source, as the paper's workers do: a broadcast writes it once, and a
+// read gathers it through the vertex's in-list. Any other store keeps one
+// slot per in-edge, because Async and BAP deliver one broadcast eagerly to
+// the targets in the sender's partition and stage it for the others, so one
+// source's message is visible to some of its targets before the rest.
 //
 // Hot-path layout (DESIGN.md §9): lock striping is BLOCK-based — each
 // stripe covers a contiguous range of local indices — rather than modulo.
@@ -69,37 +74,48 @@ type Store[M any] struct {
 	slot    []M
 	hasSlot []bool
 
-	// Overwrite mode — the replica table of §3.1: one slot per in-edge in
-	// owned-vertex order, vertex li's at ow[owOff[li]:owOff[li+1]] in the
-	// order of g.InNeighbors, so a hinted delivery is one offset load and
-	// one slot write. Presence is epoch-stamped: a slot is present when
-	// hasE == epoch, so Clear — called on every BSP store swap — bumps the
-	// epoch in O(1) instead of wiping O(in-edges) flags. Whether a vertex
-	// has unread replicas is its unread bit alone.
+	// Overwrite mode — the replica table of §3.1. Unphased: one slot per
+	// in-edge in owned-vertex order, vertex li's at ow[owOff[li]:owOff[li+1]]
+	// in the order of g.InNeighbors, so a hinted delivery is one offset load
+	// and one slot write. Phased: rep[u] is source u's replica, indexed by
+	// global vertex, and a vertex's in-list is its index into rep. Presence
+	// is epoch-stamped: a slot is present when hasE == epoch, so Clear —
+	// called on every BSP store swap — bumps the epoch in O(1) instead of
+	// wiping a flag per slot. Whether a vertex has unread replicas is its
+	// unread bit alone.
 	ow    []owSlot[M]
 	owOff []int32
+	rep   []owSlot[M]
 	epoch uint32
+	// masked holds the in-edges (dst, src) of a phased store whose source's
+	// replica is present but was not sent along them: edges a mutation
+	// added after the broadcast (see Load). Reads skip them until Clear.
+	masked map[edgeKey]struct{}
 
 	// scratch pools batchScratch workspaces for PutBatch.
 	scratch sync.Pool
 
 	fan *FanOutTable // expands fan-out entries (SetFanOut)
 
-	// direct: an Overwrite store no read overlaps a write of (SetPhased),
-	// whose PutBatch writes each slot straight from the batch (putDirect).
-	direct bool
+	// phased: an Overwrite store built by NewPhased, laid out as replicas
+	// (rep) and written and read without locks (putReplicas, gather).
+	phased bool
 
 	// unread has one bit per owned vertex: unseen message since last read.
 	// A stripe is whole words, so a bit is flipped by its stripe's lock
 	// holder alone (keeping flag and payload consistent for lock holders)
-	// and read lock-free by the engine's frontier scans; on a direct store
-	// appliers set bits with atomic ORs instead (putDirect). Queue and Combine
-	// payloads exist only under a set bit (Read consumes both together),
-	// which is what lets Clear visit set bits only.
+	// and read lock-free by the engine's frontier scans; a phased store's
+	// appliers and readers use atomic ORs and ANDs instead. Queue and
+	// Combine payloads exist only under a set bit (Read consumes both
+	// together), which is what lets Clear visit set bits only.
 	unread Bits
 }
 
-// owSlot is one in-edge's replica: its source's last message and version.
+// edgeKey names the in-edge src->dst.
+type edgeKey struct{ dst, src graph.VertexID }
+
+// owSlot is one replica — of an in-edge, or of a source in a phased store:
+// the source's last message, its version and its presence epoch.
 type owSlot[M any] struct {
 	msg       M
 	ver, hasE uint32
@@ -107,6 +123,19 @@ type owSlot[M any] struct {
 
 // New creates a store for the given owned vertices.
 func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M) *Store[M] {
+	return newStore(g, owned, kind, combine, false)
+}
+
+// NewPhased is New for a store that no read overlaps a write: it is written
+// during one superstep and read only after the barrier that ends it, as
+// both stores of a BSP pair are. An Overwrite store then keeps one replica
+// per source and takes fan-out entries only (the package comment says why;
+// the safety argument is at putReplicas). Other semantics are unaffected.
+func NewPhased[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M) *Store[M] {
+	return newStore(g, owned, kind, combine, true)
+}
+
+func newStore[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M, phased bool) *Store[M] {
 	if kind == model.Combine && combine == nil {
 		panic("msgstore: Combine semantics require a combine function")
 	}
@@ -138,6 +167,11 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 		s.hasSlot = make([]bool, n)
 	case model.Overwrite:
 		s.epoch = 1
+		if phased {
+			s.phased = true
+			s.rep = make([]owSlot[M], g.NumVertices())
+			break
+		}
 		s.owOff = make([]int32, n+1)
 		for i, v := range owned {
 			s.owOff[i+1] = s.owOff[i] + int32(g.InDegree(v))
@@ -152,12 +186,6 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 // SetFanOut lets the store take fan-out entries, expanding them through t
 // (built over its graph and owned vertices; nil: none). Call before any put.
 func (s *Store[M]) SetFanOut(t *FanOutTable) { s.fan = t }
-
-// SetPhased declares (on) that no read of the store overlaps a write: it is
-// written during one superstep and read only after the barrier that ends
-// it, as both stores of a BSP pair are. An Overwrite store then applies
-// batches without locks or sorting (putDirect). Call before any put.
-func (s *Store[M]) SetPhased(on bool) { s.direct = on && s.kind == model.Overwrite }
 
 // Owns reports whether dst is stored here.
 func (s *Store[M]) Owns(dst graph.VertexID) bool { return s.local[dst] >= 0 }
@@ -212,16 +240,17 @@ func (s *Store[M]) Put(dst, src graph.VertexID, m M, ver uint32) {
 }
 
 // PutSlot is Put with a precomputed in-slot hint (Entry.Slot encoding:
-// position+1, 0 = unknown).
+// position+1, 0 = unknown). A phased Overwrite store takes no message for
+// one target and panics.
 func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32) {
+	if s.phased {
+		panicPoint(dst, src)
+	}
 	li := s.idx(dst)
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	ok := s.putLocked(li, src, m, ver, slot)
-	switch {
-	case ok && s.direct: // the word's other writers hold no lock
-		s.unread.or(int(li>>6), 1<<(li&63))
-	case ok:
+	if ok {
 		s.unread.orLocked(int(li>>6), 1<<(li&63))
 	}
 	lk.Unlock()
@@ -244,7 +273,7 @@ type batchScratch struct {
 	refs   []ref   // the slot writes, grouped by bucket
 	counts []int32 // per bucket: its size, then its placement cursor
 
-	// putDirect's unread bits by word, all zero between calls, and the
+	// putReplicas' unread bits by word, all zero between calls, and the
 	// words that have bits in it.
 	mask    []uint64
 	touched []int32
@@ -254,10 +283,10 @@ type batchScratch struct {
 // bucketing a handful of entries costs more than relocking.
 const smallBatch = 16
 
-// PutBatch applies a batch of messages and returns the number of slots its
-// fan-out entries wrote. A direct store (SetPhased) writes the slots in one
-// pass in batch order (putDirect); the others amortize lock acquisition,
-// as follows. Each slot write
+// PutBatch applies a batch of messages and returns the number of targets
+// its fan-out entries reached. A phased Overwrite store writes each entry's
+// replica in one pass in batch order (putReplicas); the others amortize
+// lock acquisition, as follows. Each slot write
 // becomes a 12-byte reference to its batch entry — a fan-out entry expands
 // into one per target straight from the fan-out table — and the references
 // are grouped with a stable two-pass counting sort (no comparisons) by
@@ -275,11 +304,11 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 		return 0
 	}
 	sc, _ := s.scratch.Get().(*batchScratch)
-	if s.direct {
+	if s.phased {
 		if sc == nil {
 			sc = &batchScratch{mask: make([]uint64, len(s.unread))}
 		}
-		fanned = s.putDirect(batch, sc)
+		fanned = s.putReplicas(batch, sc)
 		s.scratch.Put(sc)
 		return fanned
 	}
@@ -360,57 +389,46 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	return fanned
 }
 
-// putDirect is PutBatch on a direct store: one pass in batch order, each
-// slot written in place, with no references, sort or locks. That is safe
-// because a slot has one writer and no read overlaps the writes:
-//   - only executions of a slot's in-edge source send along it, and a BSP
-//     superstep executes a vertex once, on one thread, whose sends to this
-//     worker all travel one lane (or its one staged batch), so two writes
-//     to one slot come in one call or in calls one goroutine makes in order;
+// putReplicas is PutBatch on a phased Overwrite store: one pass in batch
+// order, each fan-out entry writing its source's replica once and marking
+// its targets unread, with no references, sort or locks. A point entry
+// panics: one replica cannot hold a message meant for one of its targets.
+//
+// This, the lock-free gather and Clear are safe because a replica has one
+// writer and no read overlaps a write:
+//   - only executions of u broadcast as u, and a BSP superstep executes a
+//     vertex once, on one thread, whose sends to this worker all travel one
+//     lane (or its one staged entry), so two writes of one replica come in
+//     one call or in calls one goroutine makes in order;
 //   - each lane is applied by one goroutine (Mem's consumer, TCP's reader),
 //     and confined replay injects its batches before the workers start;
 //   - BSP never calls PutSlot: every local BSP message is staged;
-//   - reads, ReadLocal's plain bit clear and Clear all run after the barrier
-//     that swaps the store in, when nothing writes it.
+//   - reads, Load and Clear run after the barrier that swaps the store in,
+//     when nothing writes it.
 //
-// What appliers do share is unread words, so the call sets its bits in a
-// private mask and publishes each touched word once with an atomic OR: an
-// atomic OR per slot contends on those lines for every slot, and ran BSP
-// PageRank ≈ 1.35 × slower (DESIGN.md §9).
-func (s *Store[M]) putDirect(batch []Entry[M], sc *batchScratch) (fanned int) {
-	ow, off, ep := s.ow, s.owOff, s.epoch
+// What appliers share is unread words, and readers of neighbouring vertices
+// share them too, so readers clear their bit with an atomic AND, and an
+// applier sets its bits in a private mask and publishes each touched word
+// once with an atomic OR: an atomic OR per target contends on those lines
+// for every target, and ran BSP PageRank ≈ 1.35 × slower (DESIGN.md §9).
+func (s *Store[M]) putReplicas(batch []Entry[M], sc *batchScratch) (fanned int) {
+	rep, ep := s.rep, s.epoch
 	mask, touched := sc.mask, sc.touched[:0]
 	for i := range batch {
 		e := &batch[i]
-		if e.Dst == FanOut {
-			row := s.fan.Row(e.Src)
-			for _, t := range row {
-				ow[off[t.Local]+int32(t.Slot)-1] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: ep}
-				w := t.Local >> 6
-				if mask[w] == 0 {
-					touched = append(touched, w)
-				}
-				mask[w] |= 1 << (t.Local & 63)
+		if e.Dst != FanOut {
+			panicPoint(e.Dst, e.Src)
+		}
+		rep[e.Src] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: ep}
+		row := s.fan.Row(e.Src)
+		for _, t := range row {
+			w := t.Local >> 6
+			if mask[w] == 0 {
+				touched = append(touched, w)
 			}
-			fanned += len(row)
-			continue
+			mask[w] |= 1 << (t.Local & 63)
 		}
-		li := s.idx(e.Dst)
-		pos := int(e.Slot) - 1
-		if e.Slot == 0 {
-			var ok bool
-			if pos, ok = s.g.InSlot(e.Dst, e.Src); !ok {
-				panic(fmt.Sprintf("msgstore: overwrite message from non-in-neighbor %d to %d", e.Src, e.Dst))
-			}
-		}
-		// Through the vertex's own row: a bad hint panics, not lands in a
-		// neighbour's replicas.
-		ow[off[li]:off[li+1]][pos] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: ep}
-		w := li >> 6
-		if mask[w] == 0 {
-			touched = append(touched, w)
-		}
-		mask[w] |= 1 << (li & 63)
+		fanned += len(row)
 	}
 	for _, w := range touched {
 		s.unread.or(int(w), mask[w])
@@ -418,6 +436,11 @@ func (s *Store[M]) putDirect(batch []Entry[M], sc *batchScratch) (fanned int) {
 	}
 	sc.touched = touched
 	return fanned
+}
+
+// panicPoint rejects a message for one target in a phased Overwrite store.
+func panicPoint(dst, src graph.VertexID) {
+	panic(fmt.Sprintf("msgstore: message %d -> %d for one target in a phased Overwrite store, which keeps one replica per source: broadcast with SendToAllOut", src, dst))
 }
 
 // HasNew reports whether dst has messages it has not yet read. Lock-free:
@@ -462,13 +485,14 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool { return s.ReadLo
 // walks the store's own index order (the engine's frontier).
 func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 	r.reset()
+	if s.phased {
+		return s.gather(li, r)
+	}
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
 	defer lk.Unlock()
 	if w, m := &s.unread[li>>6], uint64(1)<<(li&63); w.Load()&m != 0 {
-		// The word's one writer: the stripe's lock holder, or (direct
-		// store) the reader, as nothing writes a store while it is read.
-		w.Store(w.Load() &^ m)
+		w.Store(w.Load() &^ m) // the word's one writer: the stripe's lock holder
 	}
 	switch s.kind {
 	case model.Queue:
@@ -505,6 +529,31 @@ func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 	return true
 }
 
+// gather is ReadLocal on a phased store, without the stripe lock (see
+// putReplicas): it reads the replica of each in-neighbor u of li's vertex,
+// in in-list order, that is present and not masked.
+func (s *Store[M]) gather(li int32, r *Reader[M]) bool {
+	s.unread.clearShared(li)
+	v, rep, ep, masked := s.owned[li], s.rep, s.epoch, len(s.masked) > 0
+	for _, u := range s.g.InNeighbors(v) {
+		sl := &rep[u]
+		if sl.hasE != ep {
+			continue
+		}
+		if masked {
+			if _, ok := s.masked[edgeKey{v, u}]; ok {
+				continue
+			}
+		}
+		r.Msgs = append(r.Msgs, sl.msg)
+		if r.Sources {
+			r.Srcs = append(r.Srcs, u)
+			r.Vers = append(r.Vers, sl.ver)
+		}
+	}
+	return len(r.Msgs) > 0
+}
+
 // Clear atomically drains all state; the BSP engine calls it on every
 // store swap. Overwrite mode clears by bumping the presence epoch — O(1)
 // for the slot table instead of wiping a flag per in-edge per superstep —
@@ -516,13 +565,14 @@ func (s *Store[M]) Clear() {
 	}
 	if s.kind == model.Overwrite {
 		s.epoch++
+		s.masked = nil
 	}
 	for wi := range s.unread {
 		w := s.unread[wi].Load()
 		if w == 0 {
 			continue
 		}
-		s.unread[wi].Store(0) // every writer holds a stripe lock, or (direct) none runs
+		s.unread[wi].Store(0) // every writer holds a stripe lock, or (phased) none runs
 		if s.kind == model.Overwrite {
 			continue
 		}
@@ -551,13 +601,33 @@ type DumpEntry[M any] struct {
 	IsNew    bool
 }
 
-// Dump snapshots the store's full contents for a checkpoint (§6.4). Call
-// only while the cluster is quiescent (at a global barrier). The output
-// is preallocated from the live slot counts, so a large store dumps with
-// a single allocation.
+// slotAt returns the Overwrite slot of in-edge pos, from u, of the vertex
+// at local index li, or nil when it holds no message: either layout, one
+// entry per in-edge.
+func (s *Store[M]) slotAt(li int32, pos int, u graph.VertexID) *owSlot[M] {
+	var sl *owSlot[M]
+	if s.phased {
+		if _, ok := s.masked[edgeKey{s.owned[li], u}]; ok {
+			return nil
+		}
+		sl = &s.rep[u]
+	} else {
+		sl = &s.ow[s.owOff[li]+int32(pos)]
+	}
+	if sl.hasE != s.epoch {
+		return nil
+	}
+	return sl
+}
+
+// Dump snapshots the store's full contents for a checkpoint (§6.4), an
+// Overwrite store's as one entry per in-edge that holds a message in either
+// layout. Call only while the cluster is quiescent (at a global barrier).
+// The output is preallocated from the live slot counts, so a large store
+// dumps with a single allocation.
 func (s *Store[M]) Dump() []DumpEntry[M] {
 	n := 0
-	for li := range s.owned {
+	for li, v := range s.owned {
 		switch s.kind {
 		case model.Queue:
 			n += len(s.queues[li])
@@ -565,11 +635,12 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 			if s.hasSlot[li] {
 				n++
 			}
-		}
-	}
-	for i := range s.ow {
-		if s.ow[i].hasE == s.epoch {
-			n++
+		case model.Overwrite:
+			for pos, u := range s.g.InNeighbors(v) {
+				if s.slotAt(int32(li), pos, u) != nil {
+					n++
+				}
+			}
 		}
 	}
 	if n == 0 {
@@ -588,13 +659,9 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 				out = append(out, DumpEntry[M]{Dst: v, Src: -1, Msg: s.slot[li], IsNew: isNew})
 			}
 		case model.Overwrite:
-			in := s.g.InNeighbors(v)
-			for pos, sl := range s.ow[s.owOff[li]:s.owOff[li+1]] {
-				if sl.hasE == s.epoch {
-					out = append(out, DumpEntry[M]{
-						Dst: v, Src: in[pos], Msg: sl.msg,
-						Ver: sl.ver, IsNew: isNew,
-					})
+			for pos, u := range s.g.InNeighbors(v) {
+				if sl := s.slotAt(int32(li), pos, u); sl != nil {
+					out = append(out, DumpEntry[M]{Dst: v, Src: u, Msg: sl.msg, Ver: sl.ver, IsNew: isNew})
 				}
 			}
 		}
@@ -602,9 +669,18 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 	return out
 }
 
-// Load restores a dump produced by Dump into an empty store.
+// Load restores a dump produced by Dump into an empty store. The entries a
+// phased Overwrite store takes from one source carry one message, as its
+// own dumps' do, and set that source's replica; any owned in-edge of the
+// source that no entry names is masked, so the store reads back exactly
+// the entries loaded — after a mutation, an edge added since the source's
+// broadcast stays without its message, as in the per-edge layout.
 func (s *Store[M]) Load(entries []DumpEntry[M]) {
 	s.Clear()
+	var loaded map[edgeKey]struct{}
+	if s.phased {
+		loaded = make(map[edgeKey]struct{}, len(entries))
+	}
 	for _, e := range entries {
 		li := s.idx(e.Dst)
 		switch s.kind {
@@ -618,18 +694,38 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 			if !ok {
 				panic("msgstore: restored entry from non-in-neighbor")
 			}
+			sl := owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
+			if s.phased {
+				s.rep[e.Src] = sl
+				loaded[edgeKey{e.Dst, e.Src}] = struct{}{}
+				break
+			}
 			// Dump lists a multi-edge's slots in order: fill the next one.
 			in, row := s.g.InNeighbors(e.Dst), s.ow[s.owOff[li]:s.owOff[li+1]]
 			for pos+1 < len(in) && in[pos+1] == e.Src && row[pos].hasE == s.epoch {
 				pos++
 			}
-			row[pos] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
+			row[pos] = sl
 		}
 		// Queue and Combine payloads are visible to Clear only through the
 		// unread bit (and Dump never emits one without it), so they set it
 		// whatever the entry says.
 		if e.IsNew || s.kind != model.Overwrite {
 			s.unread.Set(li)
+		}
+	}
+	for u := range s.rep {
+		if s.rep[u].hasE != s.epoch {
+			continue
+		}
+		for _, v := range s.g.OutNeighbors(graph.VertexID(u)) {
+			k := edgeKey{v, graph.VertexID(u)}
+			if _, ok := loaded[k]; !ok && s.local[v] >= 0 {
+				if s.masked == nil {
+					s.masked = make(map[edgeKey]struct{})
+				}
+				s.masked[k] = struct{}{}
+			}
 		}
 	}
 }
