@@ -146,10 +146,11 @@ func distributed(t testing.TB, w int, adj [][]PhilID, ownerOf func(PhilID) int, 
 	mgrs := make([]*Manager, w)
 	pool := new(BatchPool)
 	eps := make([]*cluster.Endpoint, w)
+	reg := metrics.New()
 	for i := 0; i < w; i++ {
 		i := i
 		mgrs[i] = NewBatchManager(i, ownerOf, func(toWorker int, batch *[]Ctrl) {
-			eps[i].SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(*batch))
+			cluster.LockSender[Ctrl](eps[i], reg)(toWorker, batch)
 		}, nil)
 		mgrs[i].SetRecycle(pool)
 		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"sync"
+
+	"serialgraph/internal/metrics"
 )
 
 // Simulated wire sizes (bytes). Data batches additionally count their
@@ -91,16 +93,21 @@ func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
 }
 
 // SendCtrl sends a control payload (fork, token, barrier vote...).
-func (e *Endpoint) SendCtrl(to WorkerID, payload any) { e.SendCtrlBatch(to, payload, 1) }
+func (e *Endpoint) SendCtrl(to WorkerID, payload any) {
+	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: CtrlBytes, Payload: payload})
+}
 
-// SendCtrlBatch sends a control payload of n >= 1 entries (a lock manager's
-// *[]chandy.Ctrl, a pointer so that no interface box is allocated per send)
-// as one message and returns its simulated size, which grows with the
-// forks and tokens moved however they were packed.
-func (e *Endpoint) SendCtrlBatch(to WorkerID, payload any, n int) int {
-	bytes := CtrlBytes + (n-1)*CtrlEntryBytes
-	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: bytes, Payload: payload})
-	return bytes
+// LockSender is every engine's lock-manager control channel over e: a batch
+// (a *[]chandy.Ctrl, a pointer so no interface box is allocated per send)
+// is one message sized by its entries, counted in reg's ctrl_messages and
+// ctrl_bytes as it is handed over, so they reconcile with Stats.
+func LockSender[C any](e *Endpoint, reg *metrics.Registry) func(to int, batch *[]C) {
+	return func(to int, batch *[]C) {
+		bytes := CtrlBytes + (len(*batch)-1)*CtrlEntryBytes
+		reg.Add(metrics.CtrlMessages, 1)
+		reg.Add(metrics.CtrlBytes, int64(bytes))
+		e.t.Send(Message{From: e.id, To: WorkerID(to), Kind: Control, Bytes: bytes, Payload: batch})
+	}
 }
 
 // FlushWait sends a flush marker to each worker in targets and blocks until

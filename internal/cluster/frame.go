@@ -37,8 +37,9 @@ import (
 // frame layout or any payload encoding changes incompatibly — including a
 // change of what a value means: since version 5 a data entry's Dst of -1
 // is a fan-out entry, which an older peer would index as a vertex; version 6
-// dropped the Credit frame and the job's message budget.
-const ProtocolVersion = 6
+// dropped the Credit frame and the job's message budget; version 7 dropped
+// a data entry's in-slot hint.
+const ProtocolVersion = 7
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,
@@ -150,7 +151,7 @@ func AppendZigzag(dst []byte, v int64) []byte {
 }
 
 // Uvarint is binary.Uvarint without the general loop for encodings of up
-// to three bytes, which covers vertex IDs below 2^20 and every Ver and Slot.
+// to three bytes, which covers vertex IDs below 2^20 and every Ver.
 func Uvarint(b []byte) (uint64, int) {
 	if len(b) >= 3 {
 		x, y, z := uint64(b[0]), uint64(b[1]), uint64(b[2])

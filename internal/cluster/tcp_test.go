@@ -16,6 +16,7 @@ import (
 	"serialgraph/internal/chandy"
 	"serialgraph/internal/cluster"
 	"serialgraph/internal/graph"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/msgstore"
 	"serialgraph/internal/wire"
 )
@@ -76,8 +77,10 @@ func TestTCPCtrlBatchRoundTrip(t *testing.T) {
 	ep := cluster.NewEndpoint(tr, 0, nil, nil)
 	cluster.NewEndpoint(tr, 1, nil, func(from cluster.WorkerID, payload any) { gotCtrl <- payload })
 	want := []chandy.Ctrl{{Kind: chandy.ForkMsg, From: 42, To: 7}, {Kind: chandy.TokenMsg, From: 42, To: 7}, {Kind: chandy.TokenMsg, From: 1 << 20, To: 3}}
-	if bytes := ep.SendCtrlBatch(1, want, len(want)); bytes != cluster.CtrlBytes+2*cluster.CtrlEntryBytes {
-		t.Errorf("declared %d bytes for a batch of 3", bytes)
+	reg := metrics.New()
+	cluster.LockSender[chandy.Ctrl](ep, reg)(1, &want)
+	if n, bytes := reg.Get(metrics.CtrlMessages), reg.Get(metrics.CtrlBytes); n != 1 || bytes != cluster.CtrlBytes+2*cluster.CtrlEntryBytes {
+		t.Errorf("counted %d messages, %d bytes for a batch of 3", n, bytes)
 	}
 	select {
 	case p := <-gotCtrl:

@@ -27,7 +27,7 @@ func numberedBatch(k int) []msgstore.Entry[float64] {
 	for i := range b {
 		b[i] = msgstore.Entry[float64]{
 			Dst: graph.VertexID(k*1000 + i), Src: graph.VertexID(k),
-			Msg: float64(k) + float64(i)/1024, Ver: uint32(i), Slot: uint32(k + 1),
+			Msg: float64(k) + float64(i)/1024, Ver: uint32(i),
 		}
 	}
 	return b
@@ -144,7 +144,7 @@ func newDataPath(tb testing.TB, entries int) *dataPath {
 	store := msgstore.New[float64](b.Build(), owned, model.Overwrite, nil)
 	p := &dataPath{template: make([]msgstore.Entry[float64], entries)}
 	for i := range p.template {
-		p.template[i] = msgstore.Entry[float64]{Dst: graph.VertexID(1 + (i*7)%(n-1)), Msg: float64(i), Slot: 1}
+		p.template[i] = msgstore.Entry[float64]{Dst: graph.VertexID(1 + (i*7)%(n-1)), Msg: float64(i)}
 	}
 	codec := wire.NewCodec[float64]()
 	codec.SetPool(&p.pool)

@@ -57,7 +57,7 @@ func BenchmarkRunSetup(b *testing.B) {
 		r := newRunner(g, prog, cfg)
 		r.attach(cluster.New(cfg.Workers, cfg.Latency))
 		b.StartTimer()
-		r.addWorkers(0, cfg.Workers)
+		r.addWorkers(0, cfg.Workers, false)
 		b.StopTimer()
 		r.tr.Close()
 		b.StartTimer()

@@ -38,13 +38,9 @@ type runner[V, M any] struct {
 	// halt flags live with the workers (worker.awake).
 	values []V
 
-	// classes is computed for token techniques only (§5.3).
+	// classes is the §5.3 class of every vertex (addWorkers), for the token
+	// techniques and VertexLockGiraph only.
 	classes []partition.Class
-
-	// pBoundary is computed for VertexLockGiraph only: per-vertex
-	// p-boundary flags (Definition 4), precomputed once instead of walking
-	// both adjacency lists per vertex per superstep.
-	pBoundary []bool
 
 	// initialForks snapshots each lock manager's fresh fork distribution
 	// (captured before the first superstep): the fork state a rewind to the
@@ -184,9 +180,11 @@ func (r *runner[V, M]) attach(tr cluster.Transport) {
 
 // addWorkers builds workers first..end-1, the ones this process hosts,
 // and their lock managers. The workers are built concurrently, one
-// goroutine each, beside the partition conflict graph, and all are joined
+// goroutine each, beside the partition conflict graph and the partition
+// quality report, an allocation-free O(V+E) sweep that runs when report is
+// set or the technique keeps the class table it fills; all are joined
 // before the workers are appended in ID order.
-func (r *runner[V, M]) addWorkers(first, end int) {
+func (r *runner[V, M]) addWorkers(first, end int, report bool) (quality partition.Quality) {
 	ws := make([]*worker[V, M], end-first)
 	var wg sync.WaitGroup
 	for i := range ws {
@@ -194,6 +192,17 @@ func (r *runner[V, M]) addWorkers(first, end int) {
 		go func() {
 			defer wg.Done()
 			ws[i] = newWorker(r, first+i)
+		}()
+	}
+	switch r.cfg.Sync {
+	case TokenSingle, TokenDual, VertexLockGiraph:
+		r.classes = make([]partition.Class, r.g.NumVertices())
+	}
+	if report || r.classes != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			quality = partition.ReportClassified(r.g, r.pm, r.classes)
 		}()
 	}
 	var partNeighbors [][]partition.ID
@@ -213,6 +222,7 @@ func (r *runner[V, M]) addWorkers(first, end int) {
 		}
 	}
 	r.reports = make([]StepReport, len(r.workers))
+	return quality
 }
 
 // newTransport builds the run's cluster backend. The TCP backend gets the
@@ -244,9 +254,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 
 	r := newRunner(g, prog, cfg)
 	p := cfg.Workers * cfg.PartitionsPerWorker
-	if cfg.Sync == VertexLockGiraph {
-		r.pBoundary = partition.PBoundaryFlags(g, r.pm)
-	}
 	tr, err := r.newTransport()
 	if err != nil {
 		return nil, Result{}, nil, err
@@ -265,21 +272,8 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (_ []V,
 			res.ForkSends = res.Metrics.Get(metrics.ForkGrants)
 		}
 	}()
-	// The quality report is one allocation-free O(V+E) sweep at setup
-	// (outside ComputeTime), run beside addWorkers and joined before
-	// anything else happens; the token techniques keep the class table it
-	// computes as the dual-layer token classes.
-	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
-		r.classes = make([]partition.Class, g.NumVertices())
-	}
-	var quality partition.Quality
-	reported := make(chan struct{})
-	go func() {
-		defer close(reported)
-		quality = partition.ReportClassified(g, r.pm, r.classes)
-	}()
-	r.addWorkers(0, cfg.Workers)
-	<-reported
+	// The quality report runs at setup, outside ComputeTime.
+	quality := r.addWorkers(0, cfg.Workers, true)
 	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
 	r.reg.Add(metrics.BoundaryVertices, int64(g.NumVertices()-quality.PInternal))
 	// Captured unconditionally (it is one byte per edge at startup): a

@@ -40,7 +40,7 @@ func NewPeer[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config, me 
 	}
 	tcp.SetMetrics(r.reg)
 	r.attach(tcp)
-	r.addWorkers(me, me+1)
+	r.addWorkers(me, me+1, false)
 	p := &Peer[V, M]{r: r, w: r.workers[0], tcp: tcp}
 	if err := tcp.Barrier(); err != nil {
 		p.Close()

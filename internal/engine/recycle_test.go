@@ -11,7 +11,6 @@ import (
 	"serialgraph/internal/fault"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/history"
-	"serialgraph/internal/partition"
 )
 
 // dupCtrlMem is an in-process transport that delivers every control batch
@@ -81,13 +80,10 @@ func runDupCtrl(t *testing.T, cfg Config, forceRecycle bool) (*history.Recorder,
 	}
 	r := newRunner(g, algorithms.Coloring(), cfg)
 	r.recycleBatches = r.recycleBatches || forceRecycle
-	if cfg.Sync == VertexLockGiraph {
-		r.pBoundary = partition.PBoundaryFlags(g, r.pm)
-	}
 	tr := &dupCtrlMem{Mem: cluster.New(cfg.Workers, cfg.Latency), first: make(map[*[]chandy.Ctrl][]chandy.Ctrl)}
 	r.attach(tr)
 	defer tr.Close()
-	r.addWorkers(0, cfg.Workers)
+	r.addWorkers(0, cfg.Workers, true)
 	master := NewMaster(r.prog, cfg)
 	for s := 0; s < cfg.MaxSupersteps; s++ {
 		cfg.Fault.BeginSuperstep(s)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,16 +35,10 @@ type worker[V, M any] struct {
 	ep     *cluster.Endpoint
 	mgr    *chandy.Manager
 
-	// partIdx maps each owned partition to its position in parts.
-	partIdx map[partition.ID]int
-
-	// owned lists the worker's vertices partition by partition, in parts
-	// order; a vertex's position in it is its local index in the stores
-	// (which are built over it) and in awake. partLo[i] is the local index
-	// of parts[i]'s first vertex and partLo[len(parts)] is len(owned), so
-	// partition parts[i] is the contiguous range [partLo[i], partLo[i+1]).
-	owned  []graph.VertexID
-	partLo []int32
+	// owned is the worker's run of the partition map's vertex layout
+	// (Map.Owned), partition by partition: a vertex's position in it is its
+	// local index in the stores and in awake.
+	owned []graph.VertexID
 
 	// awake has one bit per owned vertex, indexed like the stores: set
 	// until the vertex votes to halt. It is the only copy of the halt
@@ -121,20 +116,12 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 		aggPrev:  make(map[string]float64),
 		startCh:  make(chan int),
 	}
-	w.partIdx = make(map[partition.ID]int, len(w.parts))
-	for i, p := range w.parts {
-		w.partIdx[p] = i
-	}
 	w.threads = make([]*thread[V, M], r.cfg.ThreadsPerWorker)
 	for i := range w.threads {
 		w.threads[i] = &thread[V, M]{w: w, seen: make([]bool, r.cfg.Workers)}
 	}
 	w.sched.init(w)
-	for _, p := range w.parts {
-		w.partLo = append(w.partLo, int32(len(w.owned)))
-		w.owned = append(w.owned, r.pm.Vertices(p)...)
-	}
-	w.partLo = append(w.partLo, int32(len(w.owned)))
+	w.owned = r.pm.Owned(id)
 	w.awake = msgstore.NewBits(len(w.owned))
 	w.loadHalted(nil)
 	if r.cfg.Mode == BAP {
@@ -197,11 +184,8 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 // both at once, which lets an Overwrite store keep one replica per source
 // and go without locks (msgstore.NewPhased).
 func (w *worker[V, M]) newStore() *msgstore.Store[M] {
-	newStore := msgstore.New[M]
-	if w.r.cfg.Mode == BSP {
-		newStore = msgstore.NewPhased[M]
-	}
-	st := newStore(w.r.g, w.owned, w.r.prog.Semantics, w.r.prog.Combine)
+	pm := w.r.pm
+	st := msgstore.NewAt(w.r.g, w.owned, pm.Positions(), pm.Base(w.id), w.r.prog.Semantics, w.r.prog.Combine, w.r.cfg.Mode == BSP)
 	st.SetFanOut(w.fan)
 	return st
 }
@@ -227,23 +211,22 @@ func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
 // Giraph-async + vertex-based locking combination the paper excludes for
 // poor performance (§5.2, §7). Only p-boundary vertices need forks:
 // p-internal vertices are serialized by their partition's sequential
-// execution.
+// execution. A vertex is p-boundary (Definition 4) exactly when its §5.3
+// class is not PInternal.
 func (w *worker[V, M]) initVertexLockManager() {
 	w.newLockManager(func(p chandy.PhilID) int { return w.r.pm.WorkerOf(graph.VertexID(p)) })
-	for _, p := range w.parts {
-		for _, v := range w.r.pm.Vertices(p) {
-			if !w.r.pBoundary[v] {
-				continue
-			}
-			var nbs []chandy.PhilID
-			myPart := w.r.pm.PartitionOf(v)
-			w.r.g.Neighbors(v, func(x graph.VertexID) {
-				if w.r.pm.PartitionOf(x) != myPart && w.r.pBoundary[x] {
-					nbs = append(nbs, chandy.PhilID(x))
-				}
-			})
-			w.mgr.AddPhil(chandy.PhilID(v), nbs)
+	for _, v := range w.owned {
+		if w.r.classes[v] == partition.PInternal {
+			continue
 		}
+		var nbs []chandy.PhilID
+		myPart := w.r.pm.PartitionOf(v)
+		w.r.g.Neighbors(v, func(x graph.VertexID) {
+			if w.r.pm.PartitionOf(x) != myPart && w.r.classes[x] != partition.PInternal {
+				nbs = append(nbs, chandy.PhilID(x))
+			}
+		})
+		w.mgr.AddPhil(chandy.PhilID(v), nbs)
 	}
 }
 
@@ -252,20 +235,11 @@ func (w *worker[V, M]) initVertexLockManager() {
 // under fault injection, whose duplicated deliveries would alias a batch
 // the receiving manager has already refilled.
 func (w *worker[V, M]) newLockManager(ownerOf func(chandy.PhilID) int) {
-	w.mgr = chandy.NewBatchManager(w.id, ownerOf, w.sendChandyCtrl, w.buf.FlushTo)
+	w.mgr = chandy.NewBatchManager(w.id, ownerOf, cluster.LockSender[chandy.Ctrl](w.ep, w.r.reg), w.buf.FlushTo)
 	if w.r.recycleBatches {
 		w.mgr.SetRecycle(&w.r.ctrlPool)
 	}
 	w.mgr.SetMetrics(w.r.reg)
-}
-
-// sendChandyCtrl is the lock managers' control channel: it counts a batch
-// as one message at the exact point it is handed to the transport, keeping
-// ctrl_messages reconcilable with cluster.Stats.ControlMessages.
-func (w *worker[V, M]) sendChandyCtrl(toWorker int, batch *[]chandy.Ctrl) {
-	w.r.reg.Add(metrics.CtrlMessages, 1)
-	bytes := w.ep.SendCtrlBatch(cluster.WorkerID(toWorker), batch, len(*batch))
-	w.r.reg.Add(metrics.CtrlBytes, int64(bytes))
 }
 
 // onData applies an arriving batch of remote vertex messages. Under BSP the
@@ -337,8 +311,9 @@ func (w *worker[V, M]) discardStep(messages bool) {
 
 // span returns partition p's local-index range.
 func (w *worker[V, M]) span(p partition.ID) (lo, hi int32) {
-	i := w.partIdx[p]
-	return w.partLo[i], w.partLo[i+1]
+	lo, hi = w.r.pm.Span(p)
+	base := w.r.pm.Base(w.id)
+	return lo - base, hi - base
 }
 
 // nextActive returns the first frontier member in [from, hi) — a vertex
@@ -568,7 +543,7 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 		t.runMeal(p, allowed)
 	case TokenDual:
 		holder, localIdx := r.tokenState(t.superstep)
-		myLocalIdx := w.partIdx[p]
+		myLocalIdx, _ := slices.BinarySearch(w.parts, p) // parts ascend
 		allowed := func(v graph.VertexID) bool {
 			switch r.classes[v] {
 			case partition.PInternal:
@@ -594,13 +569,13 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 		lo, hi := w.span(p)
 		for li := w.nextActive(st, lo, hi); li < hi; li = w.nextActive(st, li+1, hi) {
 			v := w.owned[li]
-			if r.pBoundary[v] && !w.mgr.Acquire(chandy.PhilID(v)) {
+			if r.classes[v] != partition.PInternal && !w.mgr.Acquire(chandy.PhilID(v)) {
 				return // watchdog abort: the run is headed into recovery
 			}
 			r.noteUnitStart() // a vertex at a time: fork waits are not execution
 			t.executeVertex(v, li, st)
 			r.noteUnitEnd()
-			if r.pBoundary[v] {
+			if r.classes[v] != partition.PInternal {
 				w.mgr.Release(chandy.PhilID(v))
 			}
 		}

@@ -280,15 +280,10 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 	})
 	if r.cfg.Serializable {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
-		sendCtrl := func(to int, batch *[]chandy.Ctrl) { w.ep.SendCtrlBatch(cluster.WorkerID(to), batch, len(*batch)) }
-		w.mgr = chandy.NewBatchManager(id, ownerOf, sendCtrl, w.out.FlushTo)
+		w.mgr = chandy.NewBatchManager(id, ownerOf, cluster.LockSender[chandy.Ctrl](w.ep, r.reg), w.out.FlushTo)
 		w.mgr.SetRecycle(&r.ctrlPool)
 		w.mgr.SetMetrics(r.reg)
-		owned := 0
-		for _, p := range r.pm.PartitionsOfWorker(id) {
-			owned += len(r.pm.Vertices(p))
-		}
-		w.mgr.Reserve(owned, n)
+		w.mgr.Reserve(len(r.pm.Owned(id)), n)
 		var nbs []chandy.PhilID
 		for v := 0; v < n; v++ {
 			u := graph.VertexID(v)

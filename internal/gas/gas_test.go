@@ -370,6 +370,24 @@ func TestGASMetricsLedger(t *testing.T) {
 	}
 }
 
+// TestGASCtrlReconciles: every fork and token batch a GAS lock manager
+// sends is counted once, so ctrl_messages and ctrl_bytes equal the
+// transport's control ledger, as they do for the engine.
+func TestGASCtrlReconciles(t *testing.T) {
+	g := undirected(testGraph())
+	_, res, _, err := Run(g, algorithms.ColoringGAS(), Config{Workers: 4, Serializable: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	if got, want := m.Get(metrics.CtrlMessages), res.Net.ControlMessages; got != want || got == 0 {
+		t.Errorf("ctrl_messages %d, transport control messages %d", got, want)
+	}
+	if got, want := m.Get(metrics.CtrlBytes), res.Net.ControlBytes; got != want {
+		t.Errorf("ctrl_bytes %d, transport control bytes %d", got, want)
+	}
+}
+
 // TestGASBatchesReconcile: every replica-update batch an outbox sends is
 // counted once, so remote_batches and remote_batch_bytes equal the
 // transport's data ledger, with and without locking.

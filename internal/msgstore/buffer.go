@@ -11,7 +11,8 @@ import (
 // biased by one (0 means unknown): a sender's local targets know it for
 // free from its FanOutTable row, and carrying it saves the store a binary
 // search per Overwrite-mode delivery. A zero Slot is always safe — the
-// store falls back to looking the position up.
+// store falls back to looking the position up. Only local entries carry
+// one: the wire does not (package wire), and no remote sender sets it.
 type Entry[M any] struct {
 	Dst, Src graph.VertexID
 	Msg      M

@@ -19,6 +19,7 @@ import (
 
 	"serialgraph/internal/graph"
 	"serialgraph/internal/model"
+	"serialgraph/internal/partition"
 )
 
 type refSlot struct {
@@ -134,6 +135,46 @@ func newFanOutStore(g *graph.Graph, owned []graph.VertexID, kind model.Semantics
 	return s
 }
 
+// forPlacements runs f on stores built both ways: by New, with an index of
+// its own, and by NewAt, as the engine builds them (placed).
+func forPlacements(t *testing.T, f func(t *testing.T, pl string)) {
+	for _, pl := range []string{"New", "layout"} {
+		t.Run(pl, func(t *testing.T) { f(t, pl) })
+	}
+}
+
+// placed returns the vertices a store of placement pl owns, in local
+// order, and a builder of fan-out stores over them. New's are owned as
+// given. A layout store is NewAt's over worker 1's run of a partition map
+// that places owned, and nothing else, on worker 1's two partitions, so its
+// local order is not ascending, its base is not 0, and it reads the map's
+// position table, which covers the other workers' vertices too.
+func placed(pl string, g *graph.Graph, owned []graph.VertexID, rng *rand.Rand) ([]graph.VertexID, func(model.Semantics, func(a, b int) int, bool) *Store[int]) {
+	if pl == "New" {
+		return owned, func(kind model.Semantics, combine func(a, b int) int, phased bool) *Store[int] {
+			return newFanOutStore(g, owned, kind, combine, phased)
+		}
+	}
+	mine := make([]bool, g.NumVertices())
+	for _, v := range owned {
+		mine[v] = true
+	}
+	vp := make([]partition.ID, g.NumVertices())
+	for v := range vp {
+		vp[v] = partition.ID(2 * rng.Intn(2)) // on worker 0 or 2
+		if mine[v] {
+			vp[v]++ // partition 1 or 3, both on worker 1
+		}
+	}
+	pm := partition.NewExplicit(g, vp, []int32{0, 1, 2, 1}, 3)
+	lay, tab := pm.Owned(1), NewFanOutTable(g, pm.Owned(1))
+	return lay, func(kind model.Semantics, combine func(a, b int) int, phased bool) *Store[int] {
+		s := NewAt(g, lay, pm.Positions(), pm.Base(1), kind, combine, phased)
+		s.SetFanOut(tab)
+		return s
+	}
+}
+
 // sameRead fails t unless a and b read alike: messages, sources, versions.
 func sameRead(t *testing.T, step int, dst graph.VertexID, a, b *Reader[int]) {
 	t.Helper()
@@ -153,101 +194,103 @@ func TestStoreMatchesModel(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", sc.name, seed), func(t *testing.T) {
 				forStoreKinds(t, func(t *testing.T, phased bool) {
-					rng := rand.New(rand.NewSource(seed))
-					g := randomGraph(48, rng)
-					owned := modelOwned(g, rng)
-					var combine func(a, b int) int
-					if sc.kind == model.Combine {
-						combine = sum
-					}
-					s, ref := newFanOutStore(g, owned, sc.kind, combine, phased), newRef(sc.kind)
-					fanOnly := phased && sc.kind == model.Overwrite
-					var twin *Store[int]
-					if fanOnly {
-						twin = newFanOutStore(g, owned, sc.kind, combine, false)
-					}
-					var r, tr Reader[int]
-					for step := 0; step < 3000; step++ {
-						switch op := rng.Intn(100); {
-						case op < 30:
-							e := modelEntries(g, owned, 1, fanOnly, rng)[0]
-							switch {
-							case e.Dst == FanOut:
-								s.PutBatch([]Entry[int]{e})
-							case e.Slot == 0:
-								s.Put(e.Dst, e.Src, e.Msg, e.Ver)
-							default:
-								s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
-							}
-							if twin != nil {
-								twin.PutBatch([]Entry[int]{e})
-							}
-							for _, e := range expand(g, owned, []Entry[int]{e}) {
-								ref.put(e)
-							}
-						case op < 55: // both sides of smallBatch
-							es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), fanOnly, rng)
-							for _, e := range expand(g, owned, es) {
-								ref.put(e)
-							}
-							s.PutBatch(es)
-							if twin != nil {
-								twin.PutBatch(es)
-							}
-						case op < 90:
-							dst := owned[rng.Intn(len(owned))]
-							msgs, srcs, vers := ref.read(g, dst)
-							// Both reader modes: without Sources, Read fills Msgs alone.
-							if r.Sources = rng.Intn(2) == 0; !r.Sources {
-								srcs, vers = nil, nil
-							}
-							if got := s.Read(dst, &r); got != (len(msgs) > 0) {
-								t.Fatalf("step %d: Read(%d) = %v, model has %d messages", step, dst, got, len(msgs))
-							}
-							if twin != nil {
-								tr.Sources = r.Sources
-								twin.Read(dst, &tr)
-								sameRead(t, step, dst, &r, &tr)
-							}
-							if !reflect.DeepEqual(append([]int(nil), r.Msgs...), msgs) ||
-								!reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
-								!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
-								t.Fatalf("step %d: Read(%d) = %v from %v at %v, model %v from %v at %v",
-									step, dst, r.Msgs, r.Srcs, r.Vers, msgs, srcs, vers)
-							}
-						case op < 93:
-							s.Clear()
-							if twin != nil {
-								twin.Clear()
-							}
-							ref = newRef(sc.kind)
-						default: // checkpoint round trip into a fresh store
-							d := s.Dump()
-							if want := ref.dump(g, owned); !reflect.DeepEqual(d, want) {
-								t.Fatalf("step %d: Dump = %v, model %v", step, d, want)
-							}
-							for _, e := range d {
-								if sc.kind == model.Overwrite && e.IsNew != s.HasNew(e.Dst) {
-									t.Fatalf("step %d: Dump slot %d->%d IsNew %v, HasNew %v", step, e.Src, e.Dst, e.IsNew, s.HasNew(e.Dst))
+					forPlacements(t, func(t *testing.T, pl string) {
+						rng := rand.New(rand.NewSource(seed))
+						g := randomGraph(48, rng)
+						owned, build := placed(pl, g, modelOwned(g, rng), rng)
+						var combine func(a, b int) int
+						if sc.kind == model.Combine {
+							combine = sum
+						}
+						s, ref := build(sc.kind, combine, phased), newRef(sc.kind)
+						fanOnly := phased && sc.kind == model.Overwrite
+						var twin *Store[int]
+						if fanOnly {
+							twin = build(sc.kind, combine, false)
+						}
+						var r, tr Reader[int]
+						for step := 0; step < 3000; step++ {
+							switch op := rng.Intn(100); {
+							case op < 30:
+								e := modelEntries(g, owned, 1, fanOnly, rng)[0]
+								switch {
+								case e.Dst == FanOut:
+									s.PutBatch([]Entry[int]{e})
+								case e.Slot == 0:
+									s.Put(e.Dst, e.Src, e.Msg, e.Ver)
+								default:
+									s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
 								}
-							}
-							if twin != nil {
-								if td := twin.Dump(); !reflect.DeepEqual(d, td) {
-									t.Fatalf("step %d: Dump = %v, per-edge store %v", step, d, td)
+								if twin != nil {
+									twin.PutBatch([]Entry[int]{e})
 								}
-								twin = newFanOutStore(g, owned, sc.kind, combine, false)
-								twin.Load(d)
+								for _, e := range expand(g, owned, []Entry[int]{e}) {
+									ref.put(e)
+								}
+							case op < 55: // both sides of smallBatch
+								es := modelEntries(g, owned, 1+rng.Intn(3*smallBatch), fanOnly, rng)
+								for _, e := range expand(g, owned, es) {
+									ref.put(e)
+								}
+								s.PutBatch(es)
+								if twin != nil {
+									twin.PutBatch(es)
+								}
+							case op < 90:
+								dst := owned[rng.Intn(len(owned))]
+								msgs, srcs, vers := ref.read(g, dst)
+								// Both reader modes: without Sources, Read fills Msgs alone.
+								if r.Sources = rng.Intn(2) == 0; !r.Sources {
+									srcs, vers = nil, nil
+								}
+								if got := s.Read(dst, &r); got != (len(msgs) > 0) {
+									t.Fatalf("step %d: Read(%d) = %v, model has %d messages", step, dst, got, len(msgs))
+								}
+								if twin != nil {
+									tr.Sources = r.Sources
+									twin.Read(dst, &tr)
+									sameRead(t, step, dst, &r, &tr)
+								}
+								if !reflect.DeepEqual(append([]int(nil), r.Msgs...), msgs) ||
+									!reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
+									!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
+									t.Fatalf("step %d: Read(%d) = %v from %v at %v, model %v from %v at %v",
+										step, dst, r.Msgs, r.Srcs, r.Vers, msgs, srcs, vers)
+								}
+							case op < 93:
+								s.Clear()
+								if twin != nil {
+									twin.Clear()
+								}
+								ref = newRef(sc.kind)
+							default: // checkpoint round trip into a fresh store
+								d := s.Dump()
+								if want := ref.dump(g, owned); !reflect.DeepEqual(d, want) {
+									t.Fatalf("step %d: Dump = %v, model %v", step, d, want)
+								}
+								for _, e := range d {
+									if sc.kind == model.Overwrite && e.IsNew != s.HasNew(e.Dst) {
+										t.Fatalf("step %d: Dump slot %d->%d IsNew %v, HasNew %v", step, e.Src, e.Dst, e.IsNew, s.HasNew(e.Dst))
+									}
+								}
+								if twin != nil {
+									if td := twin.Dump(); !reflect.DeepEqual(d, td) {
+										t.Fatalf("step %d: Dump = %v, per-edge store %v", step, d, td)
+									}
+									twin = build(sc.kind, combine, false)
+									twin.Load(d)
+								}
+								s = build(sc.kind, combine, phased)
+								s.Load(d)
 							}
-							s = newFanOutStore(g, owned, sc.kind, combine, phased)
-							s.Load(d)
+							if int(s.NewCount()) != len(ref.unread) {
+								t.Fatalf("step %d: NewCount = %d, model %d", step, s.NewCount(), len(ref.unread))
+							}
+							if v := owned[rng.Intn(len(owned))]; s.HasNew(v) != ref.unread[v] {
+								t.Fatalf("step %d: HasNew(%d) = %v, model %v", step, v, s.HasNew(v), ref.unread[v])
+							}
 						}
-						if int(s.NewCount()) != len(ref.unread) {
-							t.Fatalf("step %d: NewCount = %d, model %d", step, s.NewCount(), len(ref.unread))
-						}
-						if v := owned[rng.Intn(len(owned))]; s.HasNew(v) != ref.unread[v] {
-							t.Fatalf("step %d: HasNew(%d) = %v, model %v", step, v, s.HasNew(v), ref.unread[v])
-						}
-					}
+					})
 				})
 			})
 		}
@@ -267,60 +310,62 @@ func TestStoreConcurrentAppliersMatchModel(t *testing.T) {
 	for _, sc := range semanticsCases {
 		t.Run(sc.name, func(t *testing.T) {
 			forStoreKinds(t, func(t *testing.T, phased bool) {
-				rng := rand.New(rand.NewSource(11))
-				g := randomGraph(64, rng)
-				owned := modelOwned(g, rng)
-				var combine func(a, b int) int
-				if sc.kind == model.Combine {
-					combine = sum
-				}
-				s, ref := newFanOutStore(g, owned, sc.kind, combine, phased), newRef(sc.kind)
-				fanOnly := phased && sc.kind == model.Overwrite
-				twin := newFanOutStore(g, owned, sc.kind, combine, false)
-				perApplier := make([][]Entry[int], appliers)
-				for _, e := range modelEntries(g, owned, 6000, fanOnly, rng) {
-					a := int(e.Src) % appliers
-					perApplier[a] = append(perApplier[a], e)
-				}
-				for _, es := range perApplier {
-					for _, e := range expand(g, owned, es) {
-						ref.put(e)
+				forPlacements(t, func(t *testing.T, pl string) {
+					rng := rand.New(rand.NewSource(11))
+					g := randomGraph(64, rng)
+					owned, build := placed(pl, g, modelOwned(g, rng), rng)
+					var combine func(a, b int) int
+					if sc.kind == model.Combine {
+						combine = sum
 					}
-					if fanOnly {
-						twin.PutBatch(es)
+					s, ref := build(sc.kind, combine, phased), newRef(sc.kind)
+					fanOnly := phased && sc.kind == model.Overwrite
+					twin := build(sc.kind, combine, false)
+					perApplier := make([][]Entry[int], appliers)
+					for _, e := range modelEntries(g, owned, 6000, fanOnly, rng) {
+						a := int(e.Src) % appliers
+						perApplier[a] = append(perApplier[a], e)
 					}
-				}
-				var wg sync.WaitGroup
-				for _, es := range perApplier {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for len(es) > 0 {
-							n := min(len(es), 1+len(es)%(4*smallBatch))
-							s.PutBatch(append([]Entry[int](nil), es[:n]...))
-							es = es[n:]
+					for _, es := range perApplier {
+						for _, e := range expand(g, owned, es) {
+							ref.put(e)
 						}
-					}()
-				}
-				wg.Wait()
-				r, tr := Reader[int]{Sources: true}, Reader[int]{Sources: true}
-				for step, dst := range owned {
-					msgs, srcs, vers := ref.read(g, dst)
-					s.Read(dst, &r)
-					if fanOnly {
-						twin.Read(dst, &tr)
-						sameRead(t, step, dst, &r, &tr)
+						if fanOnly {
+							twin.PutBatch(es)
+						}
 					}
-					got := append([]int(nil), r.Msgs...)
-					if sc.kind == model.Queue {
-						sort.Ints(got)
-						sort.Ints(msgs)
+					var wg sync.WaitGroup
+					for _, es := range perApplier {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for len(es) > 0 {
+								n := min(len(es), 1+len(es)%(4*smallBatch))
+								s.PutBatch(append([]Entry[int](nil), es[:n]...))
+								es = es[n:]
+							}
+						}()
 					}
-					if !reflect.DeepEqual(got, msgs) || !reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
-						!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
-						t.Fatalf("Read(%d) = %v from %v at %v, model %v from %v at %v", dst, got, r.Srcs, r.Vers, msgs, srcs, vers)
+					wg.Wait()
+					r, tr := Reader[int]{Sources: true}, Reader[int]{Sources: true}
+					for step, dst := range owned {
+						msgs, srcs, vers := ref.read(g, dst)
+						s.Read(dst, &r)
+						if fanOnly {
+							twin.Read(dst, &tr)
+							sameRead(t, step, dst, &r, &tr)
+						}
+						got := append([]int(nil), r.Msgs...)
+						if sc.kind == model.Queue {
+							sort.Ints(got)
+							sort.Ints(msgs)
+						}
+						if !reflect.DeepEqual(got, msgs) || !reflect.DeepEqual(append([]graph.VertexID(nil), r.Srcs...), srcs) ||
+							!reflect.DeepEqual(append([]uint32(nil), r.Vers...), vers) {
+							t.Fatalf("Read(%d) = %v from %v at %v, model %v from %v at %v", dst, got, r.Srcs, r.Vers, msgs, srcs, vers)
+						}
 					}
-				}
+				})
 			})
 		})
 	}

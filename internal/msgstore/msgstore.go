@@ -16,11 +16,12 @@
 // the targets in the sender's partition and stage it for the others, so one
 // source's message is visible to some of its targets before the rest.
 //
-// Hot-path layout (DESIGN.md §9): lock striping is BLOCK-based — each
-// stripe covers a contiguous range of local indices — rather than modulo.
-// The engine's owned-vertex order concatenates partitions, so one
-// partition's vertices occupy a contiguous local-index range and map to
-// very few stripes. Compute threads writing eagerly to their own partition
+// Hot-path layout (DESIGN.md §9): an engine store (NewAt) owns one worker's
+// run of the partition map's vertex layout, partition by partition, and a
+// vertex's local index is its layout position less the run's base. Lock
+// striping is BLOCK-based — each stripe covers a contiguous range of local
+// indices — rather than modulo, so one partition's vertices map to very few
+// stripes. Compute threads writing eagerly to their own partition
 // therefore never contend, and the batched appliers (PutBatch) acquire
 // each stripe once per contiguous run instead of once per message. The
 // unread-message flags are one bitset over local indices, maintained at
@@ -50,8 +51,11 @@ type Store[M any] struct {
 	kind    model.Semantics
 	combine func(a, b M) M
 
-	local []int32 // global vertex -> local dense index, -1 if not owned
+	// owned[li] is the vertex at local index li; v is at local index
+	// pos[v] − base when that lies in [0, len(owned)) (NewAt, New).
 	owned []graph.VertexID
+	pos   []int32
+	base  int32
 
 	// One cache line per lock: appliers on different stripes share none.
 	locks [stripes]struct {
@@ -121,9 +125,10 @@ type owSlot[M any] struct {
 	ver, hasE uint32
 }
 
-// New creates a store for the given owned vertices.
+// New creates a store for the given owned vertices, owned[i] at local
+// index i, with an index of its own from global IDs to local indices.
 func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M) *Store[M] {
-	return newStore(g, owned, kind, combine, false)
+	return NewAt(g, owned, inverse(g, owned), 0, kind, combine, false)
 }
 
 // NewPhased is New for a store that no read overlaps a write: it is written
@@ -132,21 +137,27 @@ func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, co
 // per source and takes fan-out entries only (the package comment says why;
 // the safety argument is at putReplicas). Other semantics are unaffected.
 func NewPhased[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M) *Store[M] {
-	return newStore(g, owned, kind, combine, true)
+	return NewAt(g, owned, inverse(g, owned), 0, kind, combine, true)
 }
 
-func newStore[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M, phased bool) *Store[M] {
+// inverse is the index New builds: pos[owned[i]] = i, and -1 elsewhere.
+func inverse(g *graph.Graph, owned []graph.VertexID) []int32 {
+	pos := slices.Repeat([]int32{-1}, g.NumVertices())
+	for i, v := range owned {
+		pos[v] = int32(i)
+	}
+	return pos
+}
+
+// NewAt is the engine's store: owned is a worker's run of a layout that
+// starts at position base and that pos, shared by every store of the run,
+// inverts (partition.Map's Owned, Base and Positions). It allocates no
+// index of its own. phased selects NewPhased's layout, otherwise New's.
+func NewAt[M any](g *graph.Graph, owned []graph.VertexID, pos []int32, base int32, kind model.Semantics, combine func(a, b M) M, phased bool) *Store[M] {
 	if kind == model.Combine && combine == nil {
 		panic("msgstore: Combine semantics require a combine function")
 	}
-	s := &Store[M]{g: g, kind: kind, combine: combine, owned: owned}
-	s.local = make([]int32, g.NumVertices())
-	for i := range s.local {
-		s.local[i] = -1
-	}
-	for i, v := range owned {
-		s.local[v] = int32(i)
-	}
+	s := &Store[M]{g: g, kind: kind, combine: combine, owned: owned, pos: pos, base: base}
 	n := len(owned)
 	// Whole sort buckets per stripe, at most subBuckets; a bucket is whole
 	// unread words, at least one.
@@ -188,11 +199,13 @@ func newStore[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantic
 func (s *Store[M]) SetFanOut(t *FanOutTable) { s.fan = t }
 
 // Owns reports whether dst is stored here.
-func (s *Store[M]) Owns(dst graph.VertexID) bool { return s.local[dst] >= 0 }
+func (s *Store[M]) Owns(dst graph.VertexID) bool {
+	return uint32(s.pos[dst]-s.base) < uint32(len(s.owned))
+}
 
 func (s *Store[M]) idx(dst graph.VertexID) int32 {
-	li := s.local[dst]
-	if li < 0 {
+	li := s.pos[dst] - s.base
+	if uint32(li) >= uint32(len(s.owned)) {
 		panic(fmt.Sprintf("msgstore: vertex %d not owned by this store", dst))
 	}
 	return li
@@ -720,7 +733,7 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 		}
 		for _, v := range s.g.OutNeighbors(graph.VertexID(u)) {
 			k := edgeKey{v, graph.VertexID(u)}
-			if _, ok := loaded[k]; !ok && s.local[v] >= 0 {
+			if _, ok := loaded[k]; !ok && s.Owns(v) {
 				if s.masked == nil {
 					s.masked = make(map[edgeKey]struct{})
 				}

@@ -13,6 +13,7 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"serialgraph/internal/graph"
 )
@@ -54,14 +55,19 @@ func (c Class) String() string {
 }
 
 // Map is an immutable assignment of vertices to partitions and partitions
-// to workers.
+// to workers, and the run's one vertex layout (DESIGN.md §9): order lists
+// every vertex worker by worker, a worker's partitions in ascending ID
+// order, a partition's vertices in ascending order; pos inverts it.
 type Map struct {
 	P, W int
 
 	vertexPart []ID    // len n
 	partWorker []int32 // len P
 
-	partVerts [][]graph.VertexID // vertices of each partition, ascending
+	order          []graph.VertexID // len n, the layout
+	pos            []int32          // len n, pos[order[i]] == i
+	partLo, partHi []int32          // partition p is order[partLo[p]:partHi[p]]
+	workerLo       []int32          // worker w is order[workerLo[w]:workerLo[w+1]]
 }
 
 // NewHash randomly hash-partitions the n vertices of g into p partitions
@@ -101,24 +107,45 @@ func NewRange(g *graph.Graph, p, w int) *Map {
 
 // NewExplicit builds a Map from explicit assignments: vertexPart[v] is v's
 // partition and partWorker[p] is p's worker. Used by tests and the paper's
-// worked examples (Figures 4 and 5).
+// worked examples (Figures 4 and 5). The layout is two counting passes,
+// one over the partitions and one over the vertices.
 func NewExplicit(g *graph.Graph, vertexPart []ID, partWorker []int32, w int) *Map {
-	if len(vertexPart) != g.NumVertices() {
+	n, p := g.NumVertices(), len(partWorker)
+	if len(vertexPart) != n {
 		panic("partition: vertexPart length mismatch")
 	}
-	p := len(partWorker)
-	m := &Map{P: p, W: w, vertexPart: vertexPart, partWorker: partWorker}
-	m.partVerts = make([][]graph.VertexID, p)
-	for v, pid := range vertexPart {
-		if pid < 0 || int(pid) >= p {
-			panic(fmt.Sprintf("partition: vertex %d has bad partition %d", v, pid))
-		}
-		m.partVerts[pid] = append(m.partVerts[pid], graph.VertexID(v))
-	}
+	m := &Map{P: p, W: w, vertexPart: vertexPart, partWorker: partWorker,
+		order: make([]graph.VertexID, n), pos: make([]int32, n),
+		partLo: make([]int32, p), partHi: make([]int32, p), workerLo: make([]int32, w+1)}
 	for _, wk := range partWorker {
 		if wk < 0 || int(wk) >= w {
 			panic("partition: bad worker id")
 		}
+	}
+	for v, pid := range vertexPart {
+		if pid < 0 || int(pid) >= p {
+			panic(fmt.Sprintf("partition: vertex %d has bad partition %d", v, pid))
+		}
+		m.partHi[pid]++ // a size until the offsets below
+	}
+	// Lay the partitions out worker by worker, ascending within a worker:
+	// workerLo first counts each worker's vertices, then is their offsets.
+	for q, wk := range partWorker {
+		m.workerLo[wk+1] += m.partHi[q]
+	}
+	for k := 1; k <= w; k++ {
+		m.workerLo[k] += m.workerLo[k-1]
+	}
+	next := slices.Clone(m.workerLo[:w])
+	for q, wk := range partWorker {
+		m.partLo[q] = next[wk]
+		next[wk] += m.partHi[q]
+		m.partHi[q] = m.partLo[q] // the placement cursor, ending at the run's end
+	}
+	for v, pid := range vertexPart {
+		i := m.partHi[pid]
+		m.order[i], m.pos[v] = graph.VertexID(v), i
+		m.partHi[pid]++
 	}
 	return m
 }
@@ -150,11 +177,11 @@ func (m *Map) WorkerOf(v graph.VertexID) int { return int(m.partWorker[m.vertexP
 func (m *Map) WorkerOfPartition(p ID) int { return int(m.partWorker[p]) }
 
 // Vertices returns the vertices of partition p in ascending order. The
-// slice aliases internal storage and must not be modified.
-func (m *Map) Vertices(p ID) []graph.VertexID { return m.partVerts[p] }
+// slice aliases the layout and must not be modified.
+func (m *Map) Vertices(p ID) []graph.VertexID { return m.order[m.partLo[p]:m.partHi[p]:m.partHi[p]] }
 
 // PartitionsOfWorker returns the partition IDs placed on worker w, in
-// ascending order.
+// ascending order: the order of w's runs in the layout.
 func (m *Map) PartitionsOfWorker(w int) []ID {
 	var out []ID
 	for p, wk := range m.partWorker {
@@ -164,6 +191,25 @@ func (m *Map) PartitionsOfWorker(w int) []ID {
 	}
 	return out
 }
+
+// Owned returns worker w's vertices in layout order: the concatenation of
+// Vertices(p) over PartitionsOfWorker(w). The vertex at index i of it is
+// at layout position Base(w)+i. The slice aliases the layout and must not
+// be modified.
+func (m *Map) Owned(w int) []graph.VertexID {
+	return m.order[m.workerLo[w]:m.workerLo[w+1]:m.workerLo[w+1]]
+}
+
+// Base returns the layout position of worker w's first vertex.
+func (m *Map) Base(w int) int32 { return m.workerLo[w] }
+
+// Span returns partition p's run of the layout, [lo, hi).
+func (m *Map) Span(p ID) (lo, hi int32) { return m.partLo[p], m.partHi[p] }
+
+// Positions returns the table that inverts the layout: vertex v is at
+// position Positions()[v]. One table serves the whole run; it must not be
+// modified.
+func (m *Map) Positions() []int32 { return m.pos }
 
 // Classify computes the dual-layer class of every vertex (§5.3), where
 // "neighbors" means in-edge plus out-edge neighbors, per §3.1. It is the
@@ -200,27 +246,6 @@ func IsPBoundary(g *graph.Graph, m *Map, u graph.VertexID) bool {
 	return found
 }
 
-// PBoundaryFlags computes IsPBoundary for every vertex in one pass over
-// the edge set. The per-vertex predicate walks both adjacency lists each
-// call; when a caller needs the answer for every vertex every superstep
-// (the vertex-locking engine does), the precomputed form turns an
-// O(edges) cost per superstep into a slice load per vertex.
-func PBoundaryFlags(g *graph.Graph, m *Map) []bool {
-	n := g.NumVertices()
-	flags := make([]bool, n)
-	for v := 0; v < n; v++ {
-		u := graph.VertexID(v)
-		pu := m.PartitionOf(u)
-		for _, nb := range g.OutNeighbors(u) {
-			if m.PartitionOf(nb) != pu {
-				flags[u] = true
-				flags[nb] = true
-			}
-		}
-	}
-	return flags
-}
-
 // Neighbors returns, for every partition, the sorted set of other
 // partitions that share at least one edge with it (ignoring direction).
 // These pairs are exactly the "virtual partition edges" of Figure 5 that
@@ -252,19 +277,4 @@ func (m *Map) Neighbors(g *graph.Graph) [][]ID {
 		}
 	}
 	return out
-}
-
-// CutStats summarizes partition quality.
-type CutStats struct {
-	CutEdges    int     // directed edges crossing partitions
-	CutFraction float64 // CutEdges / total edges
-	MaxLoad     int     // largest partition size (vertices)
-	MinLoad     int
-}
-
-// Cut computes partition quality statistics: the edge and load fields of
-// Report.
-func Cut(g *graph.Graph, m *Map) CutStats {
-	q := Report(g, m)
-	return CutStats{CutEdges: q.CutEdges, CutFraction: q.CutFraction, MaxLoad: q.MaxLoad, MinLoad: q.MinLoad}
 }

@@ -128,7 +128,7 @@ func TestHashDeterministicAndSeedSensitive(t *testing.T) {
 func TestHashBalance(t *testing.T) {
 	g := ring(10000)
 	m := NewHash(g, 16, 4, 3)
-	s := Cut(g, m)
+	s := Report(g, m)
 	if s.MinLoad < 400 || s.MaxLoad > 900 {
 		t.Errorf("hash imbalance: min %d max %d (expect ~625)", s.MinLoad, s.MaxLoad)
 	}
@@ -144,7 +144,7 @@ func TestRangePartition(t *testing.T) {
 		}
 	}
 	// A ring cut into 3 ranges has exactly 3 cut edges.
-	if s := Cut(g, m); s.CutEdges != 3 {
+	if s := Report(g, m); s.CutEdges != 3 {
 		t.Errorf("ring range cut = %d, want 3", s.CutEdges)
 	}
 }
@@ -163,8 +163,8 @@ func TestLDGBeatsHashOnCommunityGraph(t *testing.T) {
 	}
 	b.AddEdge(0, 20)
 	g := b.Build()
-	ldg := Cut(g, NewLDG(g, 2, 2))
-	hash := Cut(g, NewHash(g, 2, 2, 1))
+	ldg := Report(g, NewLDG(g, 2, 2))
+	hash := Report(g, NewHash(g, 2, 2, 1))
 	if ldg.CutEdges >= hash.CutEdges {
 		t.Errorf("LDG cut %d >= hash cut %d", ldg.CutEdges, hash.CutEdges)
 	}
@@ -176,7 +176,7 @@ func TestLDGBeatsHashOnCommunityGraph(t *testing.T) {
 func TestLDGBalance(t *testing.T) {
 	g := ring(1000)
 	m := NewLDG(g, 10, 5)
-	s := Cut(g, m)
+	s := Report(g, m)
 	if s.MaxLoad > 120 {
 		t.Errorf("LDG partition overloaded: %d (cap ~110)", s.MaxLoad)
 	}

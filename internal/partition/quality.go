@@ -133,8 +133,9 @@ func ReportClassified(g *graph.Graph, m *Map, classes []Class) Quality {
 	}
 	q.PInternal, q.LocalBoundary = census[PInternal], census[LocalBoundary]
 	q.RemoteBoundary, q.MixedBoundary = census[RemoteBoundary], census[MixedBoundary]
-	for _, vs := range m.partVerts {
-		q.MaxLoad, q.MinLoad = max(q.MaxLoad, len(vs)), min(q.MinLoad, len(vs))
+	for p := range m.P {
+		size := int(m.partHi[p] - m.partLo[p])
+		q.MaxLoad, q.MinLoad = max(q.MaxLoad, size), min(q.MinLoad, size)
 	}
 	if n > 0 {
 		q.BalanceSkew = float64(q.MaxLoad) * float64(m.P) / float64(n)
@@ -146,6 +147,3 @@ func ReportClassified(g *graph.Graph, m *Map, classes []Class) Quality {
 	}
 	return q
 }
-
-// Quality computes the quality report for m on g.
-func (m *Map) Quality(g *graph.Graph) Quality { return Report(g, m) }

@@ -76,7 +76,7 @@ func TestStreamBalanceBound(t *testing.T) {
 					"ldg":    NewLDGOpts(g, p, 1, o),
 					"fennel": NewFennelOpts(g, p, 1, o),
 				} {
-					s := Cut(g, m)
+					s := Report(g, m)
 					if s.MaxLoad > bound {
 						t.Errorf("%s/%s p=%d opts=%+v: MaxLoad %d > bound %d",
 							name, kind, p, o, s.MaxLoad, bound)
@@ -121,8 +121,8 @@ func TestStreamSeedDeterminism(t *testing.T) {
 // structure must translate into a much smaller cut than hashing.
 func TestFennelBeatsHashOnCommunityGraph(t *testing.T) {
 	g := community(8, 25)
-	fennel := Cut(g, NewFennel(g, 8, 2, 1))
-	hash := Cut(g, NewHash(g, 8, 2, 1))
+	fennel := Report(g, NewFennel(g, 8, 2, 1))
+	hash := Report(g, NewHash(g, 8, 2, 1))
 	if fennel.CutEdges >= hash.CutEdges/2 {
 		t.Errorf("fennel cut %d not well below hash cut %d", fennel.CutEdges, hash.CutEdges)
 	}
@@ -133,8 +133,8 @@ func TestFennelBeatsHashOnCommunityGraph(t *testing.T) {
 // myopic early placements; it must never wreck a good placement).
 func TestRefinementReducesFennelCut(t *testing.T) {
 	g := community(12, 30)
-	once := Cut(g, NewFennelOpts(g, 12, 3, StreamOptions{Seed: 2}))
-	refined := Cut(g, NewFennelOpts(g, 12, 3, StreamOptions{Seed: 2, RefinePasses: 2}))
+	once := Report(g, NewFennelOpts(g, 12, 3, StreamOptions{Seed: 2}))
+	refined := Report(g, NewFennelOpts(g, 12, 3, StreamOptions{Seed: 2, RefinePasses: 2}))
 	if refined.CutEdges > once.CutEdges {
 		t.Errorf("refinement increased the cut: %d -> %d", once.CutEdges, refined.CutEdges)
 	}
@@ -173,7 +173,7 @@ func TestStreamEdgeCases(t *testing.T) {
 	hub := star(100)
 	tight := StreamOptions{Epsilon: 0.01}
 	m := NewLDGOpts(hub, 10, 2, tight)
-	if s := Cut(hub, m); s.MaxLoad > tight.Capacity(100, 10) {
+	if s := Report(hub, m); s.MaxLoad > tight.Capacity(100, 10) {
 		t.Errorf("star overloads under tight epsilon: %d", s.MaxLoad)
 	}
 }
@@ -245,12 +245,15 @@ func TestQualityReport(t *testing.T) {
 	if want := 1 + 4.0/7.0; math.Abs(q.ReplicationFactor-want) > 1e-12 {
 		t.Errorf("replication factor = %v, want %v", q.ReplicationFactor, want)
 	}
-	// Cut agrees with Cut(), skew with MaxLoad/(n/P).
-	cut := Cut(g, m)
-	if q.CutEdges != cut.CutEdges || q.MaxLoad != cut.MaxLoad || q.MinLoad != cut.MinLoad {
-		t.Errorf("report cut fields diverge from Cut(): %+v vs %+v", q, cut)
+	// Loads are the partitions' sizes, skew is MaxLoad/(n/P).
+	maxLoad, minLoad := 0, g.NumVertices()
+	for p := range m.P {
+		maxLoad, minLoad = max(maxLoad, len(m.Vertices(ID(p)))), min(minLoad, len(m.Vertices(ID(p))))
 	}
-	if want := float64(cut.MaxLoad) * 4 / 7; math.Abs(q.BalanceSkew-want) > 1e-12 {
+	if q.MaxLoad != maxLoad || q.MinLoad != minLoad {
+		t.Errorf("loads = %d/%d, want %d/%d", q.MaxLoad, q.MinLoad, maxLoad, minLoad)
+	}
+	if want := float64(maxLoad) * 4 / 7; math.Abs(q.BalanceSkew-want) > 1e-12 {
 		t.Errorf("balance skew = %v, want %v", q.BalanceSkew, want)
 	}
 	for _, c := range []Class{PInternal, LocalBoundary, RemoteBoundary, MixedBoundary} {

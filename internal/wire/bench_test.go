@@ -22,7 +22,7 @@ func benchBatch() []msgstore.Entry[float64] {
 		}
 		batch[i] = msgstore.Entry[float64]{
 			Dst: graph.VertexID(rng.Intn(40000)), Src: src,
-			Msg: rng.Float64(), Slot: uint32(rng.Intn(40)) + 1,
+			Msg: rng.Float64(),
 		}
 	}
 	return batch

@@ -66,24 +66,24 @@ func goldenCases(t testing.TB) []goldenCase {
 	cgob := NewCodec[exoticMsg]()
 
 	batch64 := []msgstore.Entry[float64]{
-		{Dst: 10, Src: 3, Msg: 1.5, Ver: 2, Slot: 0},
-		{Dst: 12, Src: -1, Msg: 0.25, Ver: 2, Slot: 1},
-		{Dst: 11, Src: 7, Msg: -3.75, Ver: 3, Slot: 4},
+		{Dst: 10, Src: 3, Msg: 1.5, Ver: 2},
+		{Dst: 12, Src: -1, Msg: 0.25, Ver: 2},
+		{Dst: 11, Src: 7, Msg: -3.75, Ver: 3},
 	}
 	// Point and fan-out entries in one batch: a fan-out entry's Dst is
 	// msgstore.FanOut, which travels as a zigzag delta like any other.
 	batchFan := []msgstore.Entry[float64]{
-		{Dst: 10, Src: 3, Msg: 1.5, Ver: 2, Slot: 0},
-		{Dst: msgstore.FanOut, Src: 3, Msg: 0.5, Ver: 2, Slot: 0},
-		{Dst: msgstore.FanOut, Src: 8, Msg: -2, Ver: 1, Slot: 0},
-		{Dst: 4, Src: 8, Msg: 0.125, Ver: 1, Slot: 3},
+		{Dst: 10, Src: 3, Msg: 1.5, Ver: 2},
+		{Dst: msgstore.FanOut, Src: 3, Msg: 0.5, Ver: 2},
+		{Dst: msgstore.FanOut, Src: 8, Msg: -2, Ver: 1},
+		{Dst: 4, Src: 8, Msg: 0.125, Ver: 1},
 	}
 	batch32 := []msgstore.Entry[int32]{
-		{Dst: 100, Src: 99, Msg: -7, Ver: 1, Slot: 0},
-		{Dst: 101, Src: 98, Msg: 1 << 20, Ver: 1, Slot: 2},
+		{Dst: 100, Src: 99, Msg: -7, Ver: 1},
+		{Dst: 101, Src: 98, Msg: 1 << 20, Ver: 1},
 	}
 	batchGob := []msgstore.Entry[exoticMsg]{
-		{Dst: 5, Src: 4, Msg: exoticMsg{ID: 9, Core: 2.5}, Ver: 1, Slot: 0},
+		{Dst: 5, Src: 4, Msg: exoticMsg{ID: 9, Core: 2.5}, Ver: 1},
 	}
 	fork := chandy.Ctrl{Kind: chandy.ForkMsg, From: 42, To: -7}
 	token := chandy.Ctrl{Kind: chandy.TokenMsg, From: 0, To: 1}

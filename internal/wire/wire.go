@@ -17,8 +17,11 @@
 //	                 per-destination-worker, so deltas stay small)
 //	  zigzag varint  Src (can be a negative sentinel)
 //	  uvarint        Ver
-//	  uvarint        Slot
 //	  ...            message bytes (MsgCodec)
+//
+// An entry's in-slot hint (Entry.Slot) does not travel: it is a
+// receiving-store hint that no remote sender sets, and a decoded entry
+// carries 0, "unknown".
 //
 // Batches arrive already sender-combined (the Buffer folds messages with
 // the program's combiner before emitting), so the codec never re-combines;
@@ -254,7 +257,6 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 			prev = int64(e.Dst)
 			dst = cluster.AppendZigzag(dst, int64(e.Src))
 			dst = binary.AppendUvarint(dst, uint64(e.Ver))
-			dst = binary.AppendUvarint(dst, uint64(e.Slot))
 			if f, ok := any(&e.Msg).(*float64); ok && c.auto {
 				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(*f))
 			} else {
@@ -302,8 +304,8 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 			return nil, ErrTruncated
 		}
 		b = b[n:]
-		// Every entry takes at least 4 varint bytes before its message.
-		if count > uint64(len(b))/4+1 {
+		// Every entry takes at least 3 varint bytes before its message.
+		if count > uint64(len(b))/3+1 {
 			return nil, fmt.Errorf("%w: entry count %d exceeds payload", ErrCorrupt, count)
 		}
 		var batch []msgstore.Entry[M]
@@ -344,12 +346,7 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 			}
 			b = b[n:]
 			e.Ver = uint32(ver)
-			slot, n := cluster.Uvarint(b)
-			if n <= 0 || slot > math.MaxUint32 {
-				return nil, ErrCorrupt
-			}
-			b = b[n:]
-			e.Slot = uint32(slot)
+			e.Slot = 0 // a pooled batch may hold a local hint
 			if f, ok := any(&e.Msg).(*float64); ok && c.auto {
 				if len(b) < 8 {
 					return nil, ErrTruncated

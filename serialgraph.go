@@ -570,13 +570,13 @@ func PartitionReport(g *Graph, kind string, p, w int, seed uint64) (PartitionQua
 	if err != nil {
 		return PartitionQuality{}, err
 	}
-	return m.Quality(g), nil
+	return partition.Report(g, m), nil
 }
 
 // EdgeCutFraction reports the fraction of edges cut by hash-partitioning g
 // into p partitions over w workers (diagnostics for technique tuning).
 func EdgeCutFraction(g *Graph, p, w int, seed uint64) float64 {
-	return partition.Cut(g, partition.NewHash(g, p, w, seed)).CutFraction
+	return partition.Report(g, partition.NewHash(g, p, w, seed)).CutFraction
 }
 
 // Degree-ordered relabeling.
