@@ -40,13 +40,19 @@ test-race:
 # what would see a recycled batch still being read; and the barrierless
 # termination tests (BAP, the GAS guard and latency cases), where it is
 # what would see a worker's hold released while a handler still runs; and
-# the message store's concurrent appliers and readers, where a phased (BSP)
-# store's appliers, and its readers, share unread words with no lock between
-# them; and the BSP mutation rebuild that masks a replica's added in-edges.
+# the message store's concurrent appliers and readers, where a replica
+# store's appliers, local broadcasts and readers share unread words with no
+# lock between them, and an unordered (SyncNone) store's readers overlap
+# its writers and only its source locks order them; and the engine's
+# SyncNone cells (frontier matrix, transport equivalence, PageRank), the
+# engine runs whose replica reads overlap writes; and the mutation rebuild
+# that masks a replica's added in-edges, under BSP and Async. The short
+# suite's torture sweep under -race is the other check that catches a
+# missing source lock.
 race: vet
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=1 -run 'Chaos|Confined|Watchdog|Torn' ./internal/engine/
-	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$|Phased|ConcurrentAppliers|MissesLastBroadcast' ./internal/chandy/ ./internal/engine/ ./internal/gas/ ./internal/msgstore/
+	$(GO) test -race -count=3 -run 'Recycle|ModelBatched|Alloc|BAP|MaxExecutions|Latency|SSSPMatchesReference$$|WCCMatchesReference$$|Phased|ConcurrentAppliers|MissesLastBroadcast|Frontier|TransportEquivalence|PageRankConvergesAllSyncs' ./internal/chandy/ ./internal/engine/ ./internal/gas/ ./internal/msgstore/
 
 # Fault-injection and recovery gate: the chaos and confined-recovery /
 # watchdog suites under the race detector, then a 200-case torture sweep
@@ -165,8 +171,9 @@ figures:
 # Hot-path microbenchmarks: the message store's put/read paths (per-message
 # vs. batched, all three semantics, 1-8 goroutines), the dense data path
 # layer by layer with allocations (Overwrite PutBatch on a table larger
-# than the cache, the batch codec, a batch from Send over a loopback socket
-# to PutBatch), the engine's local-delivery benchmark, which exercises
+# than the cache; an Async worker's local broadcasts and reads, with and
+# without SyncNone's source locks; the batch codec; a batch from Send over
+# a loopback socket to PutBatch), the engine's local-delivery benchmark, which exercises
 # thread-local staging end to end, Run's set-up layer (building the workers
 # and lock managers of pl_coloring's shape), the lock path: a contended fork
 # ping-pong between two managers and a serializable GAS colouring, and the
@@ -175,7 +182,7 @@ figures:
 # CSR; symmetrize: merge it into the undirected graph).
 bench-micro:
 	$(GO) test ./internal/msgstore/ -run '^$$' -bench '^Benchmark(Put|PutBatch|Read)$$' -benchtime $(or $(MICRO_BENCHTIME),2000x)
-	$(GO) test ./internal/msgstore/ -run '^$$' -bench 'BenchmarkStore(OverwritePutBatch|PutBatchFanOut)$$' -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem
+	$(GO) test ./internal/msgstore/ -run '^$$' -bench 'BenchmarkStore(OverwritePutBatch|PutBatchFanOut|Broadcast|OverwriteRead)$$' -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem
 	$(GO) test ./internal/wire/ -run '^$$' -bench BenchmarkBatchCodec -benchtime $(or $(MICRO_BENCHTIME),20000000x) -benchmem
 	$(GO) test ./internal/cluster/ -run '^$$' -bench BenchmarkTCPDataRoundTrip -benchtime $(or $(MICRO_BENCHTIME),20000x) -benchmem
 	$(GO) test ./internal/engine/ -run '^$$' -bench BenchmarkLocalDelivery -benchtime $(or $(MICRO_BENCHTIME),5x)

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"serialgraph/internal/algorithms"
 	"serialgraph/internal/checkpoint"
 	"serialgraph/internal/fault"
 	"serialgraph/internal/generate"
+	"serialgraph/internal/graph"
 	"serialgraph/internal/metrics"
+	"serialgraph/internal/msgstore"
 )
 
 // TestCheckpointRecovery simulates a mid-run cluster failure: a first run
@@ -95,6 +98,75 @@ func TestCheckpointRecoveryColoring(t *testing.T) {
 	}
 	if err := algorithms.ValidateColoring(g, colors); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAsyncRestoreReadsBackDump: an Async PartitionLock store is a replica
+// table, and a checkpoint keeps it as one entry per in-edge. Restoring the
+// checkpoint into fresh workers must give every worker a store that dumps
+// exactly the entries the checkpoint holds for it, and in which every owned
+// vertex reads those entries' messages, sources and versions in in-list
+// order.
+func TestAsyncRestoreReadsBackDump(t *testing.T) {
+	g := undirected(generate.PowerLaw(generate.PowerLawConfig{N: 400, AvgDegree: 5, Exponent: 2.1, Seed: 23}))
+	dir := t.TempDir()
+	cfg := Config{Workers: 4, Mode: Async, Sync: PartitionLock, Seed: 9, TrackHistory: true}
+	first := cfg
+	first.CheckpointEvery, first.CheckpointDir, first.MaxSupersteps = 1, dir, 1
+	if _, _, _, err := Run(g, algorithms.Coloring(), first); err != nil {
+		t.Fatal(err)
+	}
+	latest, err := checkpoint.Latest(dir)
+	if err != nil || latest == "" {
+		t.Fatalf("no checkpoint: %v", err)
+	}
+	snap, err := checkpoint.Materialize[int32, int32](latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(g, algorithms.Coloring(), cfg.withDefaults())
+	tr, err := r.newTransport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.attach(tr)
+	defer tr.Close()
+	r.addWorkers(0, cfg.Workers, false)
+	for _, w := range r.workers { // as Run does before it restores
+		r.initialForks = append(r.initialForks, w.mgr.Export())
+	}
+	if _, err := r.restore(latest); err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for d, w := range r.workers {
+		st := w.readStore()
+		want := snap.Stores[d]
+		entries += len(want)
+		if got := st.Dump(); !slices.Equal(got, want) {
+			t.Fatalf("worker %d: restored store dumps %d entries, checkpoint holds %d", d, len(got), len(want))
+		}
+		byDst := map[graph.VertexID][]msgstore.DumpEntry[int32]{}
+		for _, e := range want {
+			byDst[e.Dst] = append(byDst[e.Dst], e)
+		}
+		rd := msgstore.Reader[int32]{Sources: true}
+		for li, v := range w.owned {
+			st.ReadLocal(int32(li), &rd)
+			es := byDst[v]
+			if len(rd.Msgs) != len(es) {
+				t.Fatalf("worker %d: vertex %d reads %d messages, checkpoint holds %d", d, v, len(rd.Msgs), len(es))
+			}
+			for i, e := range es {
+				if rd.Msgs[i] != e.Msg || rd.Srcs[i] != e.Src || rd.Vers[i] != e.Ver {
+					t.Fatalf("worker %d: vertex %d reads %d from %d at %d, checkpoint %d from %d at %d",
+						d, v, rd.Msgs[i], rd.Srcs[i], rd.Vers[i], e.Msg, e.Src, e.Ver)
+				}
+			}
+		}
+	}
+	if entries == 0 {
+		t.Fatal("the checkpoint holds no store entries: nothing was restored")
 	}
 }
 

@@ -58,7 +58,7 @@ func checkSharedLayout[V, M any](t *testing.T, g *graph.Graph, prog model.Progra
 		t.Fatalf("worker 0's store owns worker 1's vertex %d", b)
 	}
 	panicsNotOwned(t, "HasNew", func() { st.HasNew(b) })
-	if prog.Semantics != model.Overwrite { // a phased Overwrite store takes no point entry at all
+	if prog.Semantics != model.Overwrite { // a replica (Overwrite) store takes no point entry at all
 		var m M
 		panicsNotOwned(t, "PutBatch", func() { st.PutBatch([]msgstore.Entry[M]{{Dst: b, Src: a, Msg: m}}) })
 	}

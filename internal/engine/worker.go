@@ -179,13 +179,15 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	return w
 }
 
-// newStore builds an empty message store over the worker's vertices.
-// Under BSP a store is written in one superstep and read in the next, never
-// both at once, which lets an Overwrite store keep one replica per source
-// and go without locks (msgstore.NewPhased).
+// newStore builds an empty message store over the worker's vertices. An
+// Overwrite store keeps one replica per source in every mode. Its reads
+// overlap its writes only under SyncNone in Async or BAP, where nothing
+// orders a replica's reader after its writer; there the store locks them
+// (msgstore.NewAt, DESIGN.md §9).
 func (w *worker[V, M]) newStore() *msgstore.Store[M] {
-	pm := w.r.pm
-	st := msgstore.NewAt(w.r.g, w.owned, pm.Positions(), pm.Base(w.id), w.r.prog.Semantics, w.r.prog.Combine, w.r.cfg.Mode == BSP)
+	pm, cfg := w.r.pm, &w.r.cfg
+	unordered := cfg.Mode != BSP && cfg.Sync == SyncNone
+	st := msgstore.NewAt(w.r.g, w.owned, pm.Positions(), pm.Base(w.id), w.r.prog.Semantics, w.r.prog.Combine, unordered)
 	st.SetFanOut(w.fan)
 	return st
 }
@@ -245,8 +247,13 @@ func (w *worker[V, M]) newLockManager(ownerOf func(chandy.PhilID) int) {
 // onData applies an arriving batch of remote vertex messages. Under BSP the
 // batch targets the next superstep's store; under Async the live store, so
 // recipients can read it within the same superstep (the AP model). The
-// whole batch goes through PutBatch — grouped by lock stripe — instead of
-// taking a stripe lock per entry. RemoteEntriesDelivered counts the
+// whole batch goes through PutBatch: an Overwrite store writes each
+// fan-out entry's replica once, and a Queue or Combine store groups the
+// batch by lock stripe instead of taking a lock per entry. Under the
+// serializing techniques this lane goroutine applies the batch before it
+// hands the fork that follows it to the lock manager (onCtrl), which is
+// what orders a replica's write before its reader (DESIGN.md §9).
+// RemoteEntriesDelivered counts the
 // entries as they arrived, before the store folds or expands any, so it
 // stays reconcilable with the sender-side RemoteEntriesFlushed counter;
 // FanOutTargets counts the slots the batch's fan-out entries wrote. The
@@ -405,15 +412,18 @@ type thread[V, M any] struct {
 	// staged holds this thread's pending local messages for the current
 	// partition. Under BSP every local message stages (the write store is
 	// invisible until the swap anyway), a SendToAllOut as one fan-out entry
-	// for the sender's local row; under Async/BAP only messages to
-	// *other* partitions of this worker stage — same-partition messages
-	// are delivered eagerly so later vertices of the sequential pass see
-	// them (AP semantics). VertexLockGiraph never stages: its C1 argument
-	// needs delivery before each vertex's fork release. The buffer is
-	// flushed into the store at partition end — for PartitionLock, before
-	// the fork release, so neighbor partitions still read fresh replicas
-	// (C1). Invariant: staged is empty outside a partition's execution
-	// window, so barrier-time pending-message checks see everything.
+	// for the sender's local row; under Async/BAP only Sends to *other*
+	// partitions of this worker, and the targets there of a Queue or Combine
+	// broadcast, stage — same-partition messages are delivered eagerly so
+	// later vertices of the sequential pass see them (AP semantics), and an
+	// Overwrite broadcast never stages: it writes the worker's one replica
+	// of the sender (Store.Broadcast). VertexLockGiraph never stages: its C1
+	// argument needs delivery before each vertex's fork release. The buffer
+	// is flushed into the store at partition end — for PartitionLock,
+	// before the fork release, so neighbor partitions still read fresh
+	// replicas (C1). Invariant: staged is empty outside a partition's
+	// execution window, so barrier-time pending-message checks see
+	// everything.
 	staged    []msgstore.Entry[M]
 	stageSlot map[graph.VertexID]int // Combine: dst -> index in staged
 
@@ -441,7 +451,7 @@ type thread[V, M any] struct {
 // stage buffers a local message, pre-applying the combiner thread-locally
 // when the algorithm has one (so a hub destination costs one staged entry,
 // not one per message).
-func (t *thread[V, M]) stage(dst, src graph.VertexID, m M, ver uint32, slot uint32) {
+func (t *thread[V, M]) stage(dst, src graph.VertexID, m M, ver uint32) {
 	prog := &t.w.r.prog
 	if prog.Semantics == model.Combine && prog.Combine != nil {
 		if t.stageSlot == nil {
@@ -453,7 +463,7 @@ func (t *thread[V, M]) stage(dst, src graph.VertexID, m M, ver uint32, slot uint
 		}
 		t.stageSlot[dst] = len(t.staged)
 	}
-	t.staged = append(t.staged, msgstore.Entry[M]{Dst: dst, Src: src, Msg: m, Ver: ver, Slot: slot})
+	t.staged = append(t.staged, msgstore.Entry[M]{Dst: dst, Src: src, Msg: m, Ver: ver})
 }
 
 // flushStaged folds the staged local messages into the write store in one
@@ -556,10 +566,11 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 				return holder == w.id && myLocalIdx == localIdx
 			}
 		}
-		// Cross-partition local recipients of anything staged here are
-		// local/mixed boundary vertices of a *different* partition, which
-		// the local token keeps inactive this superstep — folding at pass
-		// end is indistinguishable from eager delivery.
+		// Cross-partition local recipients of anything staged here, or of a
+		// replica a broadcast here writes, are local/mixed boundary vertices
+		// of a *different* partition, which the local token keeps inactive
+		// this superstep — folding at pass end, or a replica visible at
+		// once, is indistinguishable from eager delivery.
 		t.runMeal(p, allowed)
 	case VertexLockGiraph:
 		// The heavy-weight partition thread blocks on every p-boundary
@@ -727,22 +738,22 @@ func (c *vctx[V, M]) Send(dst graph.VertexID, m M) {
 	t := c.th
 	t.localMsgs++
 	if r.cfg.Sync != VertexLockGiraph && (r.cfg.Mode == BSP || dp != t.curPart) {
-		t.stage(dst, c.id, m, ver, 0)
+		t.stage(dst, c.id, m, ver)
 		return
 	}
-	t.putEager(dst, c.id, m, ver, 0)
+	t.eager(func(st *msgstore.Store[M]) { st.Put(dst, c.id, m, ver) })
 }
 
-// putEager delivers one local message straight into the write store,
-// timing one in 2^localTimingSampleShift deliveries.
-func (t *thread[V, M]) putEager(dst, src graph.VertexID, m M, ver uint32, slot uint32) {
+// eager runs one local delivery into the write store, timing one in
+// 2^localTimingSampleShift deliveries.
+func (t *thread[V, M]) eager(put func(st *msgstore.Store[M])) {
 	t.sendSeq++
 	if t.sendSeq&(1<<localTimingSampleShift-1) == 0 {
 		t0 := time.Now()
-		t.w.writeStore().PutSlot(dst, src, m, ver, slot)
+		put(t.w.writeStore())
 		t.localNs += int64(time.Since(t0)) << localTimingSampleShift
 	} else {
-		t.w.writeStore().PutSlot(dst, src, m, ver, slot)
+		put(t.w.writeStore())
 	}
 }
 
@@ -771,12 +782,17 @@ func (c *vctx[V, M]) remote(wk int, e msgstore.Entry[M]) {
 }
 
 // SendToAllOut sends m along every out-edge as fan-out entries: remotely
-// one per worker holding out-neighbors (GAS's seen-set loop), and under BSP,
-// where every local message stages anyway, one staged entry for the
-// sender's own row of the source table. Async and BAP deliver locally per
-// target by that row, routed by local-index range: a target inside the
-// executing partition's span is put eagerly and any other stages, as send
-// would decide (VertexLockGiraph: all eagerly). Per edge with no table.
+// one per worker holding out-neighbors (GAS's seen-set loop), and locally
+// by the sender's own row of the source table. Under BSP, where every
+// local message stages anyway, the row is one staged entry. Under Async
+// and BAP an Overwrite broadcast writes the worker's one replica of the
+// sender and marks the whole row unread at once (Store.Broadcast): a
+// target in another partition may read it before the sender's partition
+// ends, which no technique but SyncNone lets it observe (DESIGN.md §9).
+// A Queue or Combine broadcast is delivered per target, routed by
+// local-index range: a target inside the executing partition's span is put
+// eagerly and any other stages, as Send would decide (VertexLockGiraph:
+// all eagerly). Per edge with no table.
 func (c *vctx[V, M]) SendToAllOut(m M) {
 	w := c.w
 	outs := w.r.g.OutNeighbors(c.id)
@@ -793,20 +809,23 @@ func (c *vctx[V, M]) SendToAllOut(m M) {
 	t, row := c.th, w.fan.Row(c.id)
 	t.localMsgs += int64(len(row))
 	switch {
-	case w.r.cfg.Mode != BSP:
+	case len(row) == 0:
+	case w.r.cfg.Mode == BSP:
+		t.staged = append(t.staged, e)
+	case w.r.prog.Semantics == model.Overwrite:
+		t.eager(func(st *msgstore.Store[M]) { st.Broadcast(c.id, m, e.Ver) })
+	default:
 		lo, hi := int32(0), int32(len(w.owned))
 		if w.r.cfg.Sync != VertexLockGiraph {
 			lo, hi = w.span(t.curPart)
 		}
-		for _, tg := range row {
-			if tg.Local < lo || tg.Local >= hi {
-				t.stage(w.owned[tg.Local], c.id, m, e.Ver, tg.Slot)
+		for _, li := range row {
+			if li < lo || li >= hi {
+				t.stage(w.owned[li], c.id, m, e.Ver)
 			} else {
-				t.putEager(w.owned[tg.Local], c.id, m, e.Ver, tg.Slot)
+				t.eager(func(st *msgstore.Store[M]) { st.Put(w.owned[li], c.id, m, e.Ver) })
 			}
 		}
-	case len(row) > 0:
-		t.staged = append(t.staged, e)
 	}
 	for _, dst := range outs {
 		t.seen[w.r.pm.WorkerOf(dst)] = true

@@ -9,6 +9,7 @@ package msgstore
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -69,9 +70,9 @@ func drain(t *testing.T, s *Store[int], n int) map[graph.VertexID][]int {
 	return out
 }
 
-// TestPutBatchMatchesPut: PutBatch equals per-message PutSlot on a locked
-// store, and a fan-out entry equals PutSlot of the per-edge messages it
-// stands for. Batches mix point and fan-out entries over a multigraph
+// TestPutBatchMatchesPut: PutBatch equals per-message puts on a locked
+// store — one-entry batches, so each keeps its in-slot hint — and a fan-out
+// entry equals the per-edge messages it stands for. Batches mix point and fan-out entries over a multigraph
 // (duplicate edges and self-loops keep one slot each), and PutBatch returns
 // exactly the number of in-edges its fan-out entries reached. Every
 // semantics runs on both store kinds, locked and phased (NewPhased); a
@@ -93,7 +94,8 @@ func TestPutBatchMatchesPut(t *testing.T) {
 		{"overwrite", model.Overwrite, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			forStoreKinds(t, func(t *testing.T, phased bool) {
+			forStoreKinds(t, func(t *testing.T, lay layout) {
+				phased := lay != perEdge
 				for trial := 0; trial < 20; trial++ {
 					es := randomEntries(g, 5+rng.Intn(200), rng)
 					for i := range es {
@@ -102,11 +104,11 @@ func TestPutBatchMatchesPut(t *testing.T) {
 						}
 					}
 					ref := New[int](g, owned, tc.sem, tc.combine)
-					got := newStoreKind[int](g, owned, tc.sem, tc.combine, phased)
+					got := newStoreKind[int](g, owned, tc.sem, tc.combine, lay)
 					got.SetFanOut(tab)
 					perEdge := expand(g, owned, es)
 					for _, e := range perEdge {
-						ref.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
+						ref.PutBatch([]Entry[int]{e})
 					}
 					// Split the same entries into random-size chunks to hit both
 					// the small-batch lazy-relock path and the counting-sort path.
@@ -146,25 +148,41 @@ func TestPutBatchMatchesPut(t *testing.T) {
 	}
 }
 
-// storeKinds are the two kinds of store: "locked" (New) and "phased"
-// (NewPhased, which under Overwrite is the replica layout).
-var storeKinds = []struct {
-	name   string
-	phased bool
-}{{"locked", false}, {"phased", true}}
+// storeKind is one kind of store a test runs on: its layout, and whether
+// it is the Async store, which also takes local broadcasts (Broadcast).
+type storeKind struct {
+	name  string
+	lay   layout
+	async bool
+}
 
-// newStoreKind builds a store of one kind: NewPhased when phased, else New.
-func newStoreKind[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M, phased bool) *Store[M] {
-	if phased {
-		return NewPhased(g, owned, kind, combine)
+// storeKinds are the two kinds of store every semantics runs on: "locked"
+// (New, which under Overwrite is the per-edge layout) and "phased"
+// (NewPhased, which under Overwrite is the replica layout).
+var storeKinds = []storeKind{{"locked", perEdge, false}, {"phased", replicas, false}}
+
+// asyncKinds are the Async Overwrite stores NewAt builds: "ordered" (a
+// technique orders each replica's reads after its writes: no lock) and
+// "unordered" (SyncNone: source-block locks).
+var asyncKinds = []storeKind{{"ordered", replicas, true}, {"unordered", lockedReplicas, true}}
+
+// modelKinds are the store kinds a semantics' model tests run on.
+func modelKinds(kind model.Semantics) []storeKind {
+	if kind == model.Overwrite {
+		return append(slices.Clip(storeKinds), asyncKinds...)
 	}
-	return New(g, owned, kind, combine)
+	return storeKinds
+}
+
+// newStoreKind builds a store of layout lay over an index of its own.
+func newStoreKind[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M, lay layout) *Store[M] {
+	return newStore(g, owned, inverse(g, owned), 0, kind, combine, lay)
 }
 
 // forStoreKinds runs f as one subtest per store kind.
-func forStoreKinds(t *testing.T, f func(t *testing.T, phased bool)) {
+func forStoreKinds(t *testing.T, f func(t *testing.T, lay layout)) {
 	for _, k := range storeKinds {
-		t.Run(k.name, func(t *testing.T) { f(t, k.phased) })
+		t.Run(k.name, func(t *testing.T) { f(t, k.lay) })
 	}
 }
 
@@ -202,7 +220,8 @@ func randomMultigraph(n int, rng *rand.Rand) *graph.Graph {
 // updates are fan-out entries of src.
 func TestPutBatchOverwriteLastWins(t *testing.T) { forStoreKinds(t, testLastWins) }
 
-func testLastWins(t *testing.T, phased bool) {
+func testLastWins(t *testing.T, lay layout) {
+	phased := lay != perEdge
 	g := randomGraph(24, rand.New(rand.NewSource(7)))
 	var dst, src graph.VertexID = -1, -1
 	for v := 0; v < 24 && dst < 0; v++ {
@@ -218,7 +237,7 @@ func testLastWins(t *testing.T, phased bool) {
 	batch := []Entry[int]{{Dst: dst, Src: src, Msg: 1}}
 	batch = append(batch, randomEntries(g, 40, rand.New(rand.NewSource(8)))...)
 	batch = append(batch, Entry[int]{Dst: dst, Src: src, Msg: 2})
-	s := newStoreKind[int](g, all(24), model.Overwrite, nil, phased)
+	s := newStoreKind[int](g, all(24), model.Overwrite, nil, lay)
 	if phased {
 		for i := range batch {
 			batch[i].Dst = FanOut

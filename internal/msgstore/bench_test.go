@@ -2,6 +2,7 @@ package msgstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -197,13 +198,14 @@ func BenchmarkStoreOverwritePutBatch(b *testing.B) {
 	}
 }
 
-// benchStoreKinds runs f as one sub-benchmark per store kind, "locked"
-// (Async/BAP) and "phased" (BSP), each on a fresh Overwrite store over
-// owned taking fan-out entries through tab.
-func benchStoreKinds(b *testing.B, g *graph.Graph, owned []graph.VertexID, tab *FanOutTable, f func(b *testing.B, s *Store[float64])) {
-	for _, k := range storeKinds {
+// benchStoreKinds runs f as one sub-benchmark per store kind of kinds —
+// "locked" (New's per-edge layout), "phased" (BSP), "ordered" and
+// "unordered" (Async) — each on a fresh Overwrite store over owned taking
+// fan-out entries through tab.
+func benchStoreKinds(b *testing.B, kinds []storeKind, g *graph.Graph, owned []graph.VertexID, tab *FanOutTable, f func(b *testing.B, s *Store[float64])) {
+	for _, k := range kinds {
 		b.Run(k.name, func(b *testing.B) {
-			s := newStoreKind[float64](g, owned, model.Overwrite, nil, k.phased)
+			s := newStoreKind[float64](g, owned, model.Overwrite, nil, k.lay)
 			s.SetFanOut(tab)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -243,7 +245,7 @@ func BenchmarkStorePutBatchFanOut(b *testing.B) {
 		}
 		batches, slots = append(batches, entries[off:off+batchSize]), append(slots, n)
 	}
-	benchStoreKinds(b, g, owned, tab, func(b *testing.B, s *Store[float64]) {
+	benchStoreKinds(b, storeKinds, g, owned, tab, func(b *testing.B, s *Store[float64]) {
 		scratch := make([]Entry[float64], batchSize)
 		for done, i := 0, 0; done < b.N; done, i = done+slots[i], i+1 {
 			if i == len(batches) {
@@ -256,11 +258,31 @@ func BenchmarkStorePutBatchFanOut(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreBroadcast is BenchmarkStorePutBatchFanOut's pass made as
+// an Async worker's compute threads make it: one Broadcast per source, on
+// one goroutine. One op is one in-edge reached. "ordered" writes each
+// replica with no lock, "unordered" under its source block's stripe lock,
+// so the difference is the cost of SyncNone's locks on the write side.
+func BenchmarkStoreBroadcast(b *testing.B) {
+	g, owned := pagerankShard()
+	tab := NewFanOutTable(g, owned)
+	entries := fanOutPass(g, tab)
+	benchStoreKinds(b, asyncKinds, g, owned, tab, func(b *testing.B, s *Store[float64]) {
+		for done, i := 0, 0; done < b.N; done, i = done+len(tab.Row(entries[i].Src)), i+1 {
+			if i == len(entries) {
+				i = 0
+			}
+			s.Broadcast(entries[i].Src, entries[i].Msg, 0)
+		}
+	})
+}
+
 // BenchmarkStoreOverwriteRead measures the read side of
 // BenchmarkStorePutBatchFanOut's pass: the store holds one full fanOutPass,
 // and each worker-order sweep reads every owned vertex, as a BSP superstep
 // of PageRank does. One op is one in-edge read, so ns/op is the gather's
-// cost per in-edge on a phased store and the per-edge slot scan's on a
+// cost per in-edge on a replica store (phased, and unordered with its
+// source-block locks per in-list run) and the per-edge slot scan's on a
 // locked one.
 func BenchmarkStoreOverwriteRead(b *testing.B) {
 	g, owned := pagerankShard()
@@ -270,7 +292,8 @@ func BenchmarkStoreOverwriteRead(b *testing.B) {
 	for _, v := range owned {
 		inEdges += g.InDegree(v)
 	}
-	benchStoreKinds(b, g, owned, tab, func(b *testing.B, s *Store[float64]) {
+	kinds := append(slices.Clip(storeKinds), asyncKinds[1])
+	benchStoreKinds(b, kinds, g, owned, tab, func(b *testing.B, s *Store[float64]) {
 		b.StopTimer()
 		s.PutBatch(append([]Entry[float64](nil), entries...))
 		b.StartTimer()

@@ -8,11 +8,10 @@ import (
 // Entry is one vertex message in a batch. Dst == FanOut makes it a fan-out
 // entry, one message for every owned out-neighbor of Src (see FanOut).
 // Slot optionally carries the position of Src in Dst's in-neighbor list,
-// biased by one (0 means unknown): a sender's local targets know it for
-// free from its FanOutTable row, and carrying it saves the store a binary
-// search per Overwrite-mode delivery. A zero Slot is always safe — the
-// store falls back to looking the position up. Only local entries carry
-// one: the wire does not (package wire), and no remote sender sets it.
+// biased by one (0 means unknown), which spares a per-edge Overwrite store
+// (New) a binary search per point entry. A zero Slot is always safe — the
+// store falls back to looking the position up. No engine sender sets it,
+// and the wire does not carry it (package wire).
 type Entry[M any] struct {
 	Dst, Src graph.VertexID
 	Msg      M

@@ -44,7 +44,7 @@ func fanOutEntry(g *graph.Graph, owned []graph.VertexID, rng *rand.Rand) Entry[i
 // scan of the owned in-lists, on multigraphs with duplicate edges and
 // self-loops, directed and symmetrized, split over one to four workers in
 // shuffled orders. Across the workers of a split the rows partition each
-// source's out-edges: every edge is one target, with its own slot.
+// source's out-edges: every edge is one target.
 func TestFanOutTable(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -73,15 +73,15 @@ func TestFanOutTable(t *testing.T) {
 		for _, owned := range split {
 			tab := NewFanOutTable(g, owned)
 			for u := graph.VertexID(0); int(u) < n; u++ {
-				var want []Target
+				var want []int32
 				for _, e := range expand(g, owned, []Entry[int]{{Dst: FanOut, Src: u}}) {
 					li := int32(0)
 					for owned[li] != e.Dst {
 						li++
 					}
-					want = append(want, Target{Local: li, Slot: e.Slot})
+					want = append(want, li)
 				}
-				if got := tab.Row(u); !reflect.DeepEqual(append([]Target(nil), got...), want) {
+				if got := tab.Row(u); !reflect.DeepEqual(append([]int32(nil), got...), want) {
 					t.Fatalf("seed %d: row of %d = %v, want %v", seed, u, got, want)
 				}
 				reached[u] += len(tab.Row(u))

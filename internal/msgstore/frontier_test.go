@@ -75,7 +75,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 				}
 				return es[:count]
 			}
-			s := newFanOutStore(g, owned, tc.sem, tc.combine, false)
+			s := newFanOutStore(g, owned, tc.sem, tc.combine, perEdge)
 			want := make(map[graph.VertexID]bool)
 			var reader Reader[int]
 			for step := 0; step < 3000; step++ {
@@ -87,9 +87,9 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 					s.Put(e.Dst, e.Src, e.Msg, e.Ver)
 					want[e.Dst] = true
 				case k < 40:
-					op = "PutSlot"
+					op = "PutBatch1" // one entry, with its in-slot hint when it has one
 					e := toOwned(1)[0]
-					s.PutSlot(e.Dst, e.Src, e.Msg, e.Ver, e.Slot)
+					s.PutBatch([]Entry[int]{e})
 					want[e.Dst] = true
 				case k < 55:
 					op = "PutBatch"
@@ -113,7 +113,7 @@ func TestFrontierTracksUnreadUnderRandomOps(t *testing.T) {
 					clear(want)
 				default:
 					op = "Dump+Load"
-					fresh := newFanOutStore(g, owned, tc.sem, tc.combine, false)
+					fresh := newFanOutStore(g, owned, tc.sem, tc.combine, perEdge)
 					fresh.Load(s.Dump())
 					s = fresh
 				}

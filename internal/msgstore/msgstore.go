@@ -8,26 +8,33 @@
 // The overwrite mode is the read-only replica table of the paper's
 // formalism (§3.1): reading a vertex's messages is reading the replicas of
 // its in-edge neighbors, and replicas carry version numbers so the history
-// checker can verify freshness (condition C1). It has two layouts. A phased
-// store (NewPhased: BSP, where no read overlaps a write) keeps one replica
-// per source, as the paper's workers do: a broadcast writes it once, and a
-// read gathers it through the vertex's in-list. Any other store keeps one
-// slot per in-edge, because Async and BAP deliver one broadcast eagerly to
-// the targets in the sender's partition and stage it for the others, so one
-// source's message is visible to some of its targets before the rest.
+// checker can verify freshness (condition C1). Every Overwrite store the
+// engine builds (NewAt), in every mode, keeps one replica per source, as
+// the paper's workers do: a broadcast writes it once, and a read gathers it
+// through the vertex's in-list. One replica cannot hold a message meant for
+// one of its targets, so these stores take broadcasts only. Whether a read
+// can overlap a write of the same replica is fixed when the store is built.
+// Under BSP, and under every technique that orders a replica's reader after
+// its writer through a fork or token handoff, it cannot, and the table
+// takes no lock (NewPhased is that store over an index of its own). Under
+// SyncNone in Async or BAP it can, and each write, and each run of a read
+// over one source block, takes that block's stripe lock (DESIGN.md §9).
+// New keeps the older layout, one slot per in-edge behind stripe locks,
+// which takes point entries too; no engine run builds it.
 //
 // Hot-path layout (DESIGN.md §9): an engine store (NewAt) owns one worker's
 // run of the partition map's vertex layout, partition by partition, and a
 // vertex's local index is its layout position less the run's base. Lock
 // striping is BLOCK-based — each stripe covers a contiguous range of local
-// indices — rather than modulo, so one partition's vertices map to very few
-// stripes. Compute threads writing eagerly to their own partition
-// therefore never contend, and the batched appliers (PutBatch) acquire
-// each stripe once per contiguous run instead of once per message. The
-// unread-message flags are one bitset over local indices, maintained at
-// delivery time and read outside the stripe locks: it is the store's half
-// of the engine's frontier, so a superstep (and Clear) visits the vertices
-// that have messages instead of scanning for them.
+// indices (of global sources, in an unordered replica store) — rather than
+// modulo, so one partition's vertices map to very few stripes. Compute
+// threads writing eagerly to their own partition therefore never contend,
+// and the batched appliers (PutBatch) acquire each stripe once per
+// contiguous run instead of once per message. The unread-message flags are
+// one bitset over local indices, maintained at delivery time and read
+// outside the stripe locks: it is the store's half of the engine's
+// frontier, so a superstep (and Clear) visits the vertices that have
+// messages instead of scanning for them.
 package msgstore
 
 import (
@@ -78,22 +85,24 @@ type Store[M any] struct {
 	slot    []M
 	hasSlot []bool
 
-	// Overwrite mode — the replica table of §3.1. Unphased: one slot per
-	// in-edge in owned-vertex order, vertex li's at ow[owOff[li]:owOff[li+1]]
-	// in the order of g.InNeighbors, so a hinted delivery is one offset load
-	// and one slot write. Phased: rep[u] is source u's replica, indexed by
-	// global vertex, and a vertex's in-list is its index into rep. Presence
-	// is epoch-stamped: a slot is present when hasE == epoch, so Clear —
-	// called on every BSP store swap — bumps the epoch in O(1) instead of
-	// wiping a flag per slot. Whether a vertex has unread replicas is its
-	// unread bit alone.
-	ow    []owSlot[M]
-	owOff []int32
-	rep   []owSlot[M]
-	epoch uint32
-	// masked holds the in-edges (dst, src) of a phased store whose source's
-	// replica is present but was not sent along them: edges a mutation
-	// added after the broadcast (see Load). Reads skip them until Clear.
+	// Overwrite mode — the replica table of §3.1. Replica layout (NewAt,
+	// NewPhased): rep[u] is source u's replica, indexed by global vertex,
+	// and a vertex's in-list is its index into rep. Per-edge layout (New):
+	// one slot per in-edge in owned-vertex order, vertex li's at
+	// ow[owOff[li]:owOff[li+1]] in the order of g.InNeighbors. Presence is
+	// epoch-stamped: a slot is present when hasE ≥ floor, so Clear — called
+	// on every BSP store swap — moves floor past every stamp in O(1) instead
+	// of wiping a flag per slot; writes stamp epoch. Whether a vertex has
+	// unread replicas is its unread bit alone.
+	ow           []owSlot[M]
+	owOff        []int32
+	rep          []owSlot[M]
+	epoch, floor uint32
+	// masked holds the in-edges (dst, src) of a replica store whose source's
+	// replica was loaded but not sent along them: edges a mutation added
+	// after the broadcast (see Load). They hide the loaded replica (stamped
+	// floor) alone; the source's next write is stamped later and shows on
+	// them. Written by Load only; reads skip them until Clear.
 	masked map[edgeKey]struct{}
 
 	// scratch pools batchScratch workspaces for PutBatch.
@@ -101,43 +110,59 @@ type Store[M any] struct {
 
 	fan *FanOutTable // expands fan-out entries (SetFanOut)
 
-	// phased: an Overwrite store built by NewPhased, laid out as replicas
-	// (rep) and written and read without locks (putReplicas, gather).
-	phased bool
+	// replicas: an Overwrite store laid out as rep, written by putReplicas
+	// and Broadcast and read by gather. srcLocks (an unordered replica
+	// store) makes each replica write, and each gather run over one source
+	// block, hold locks[u>>srcShift]; without it they take no lock.
+	replicas bool
+	srcLocks bool
+	srcShift uint8
 
 	// unread has one bit per owned vertex: unseen message since last read.
-	// A stripe is whole words, so a bit is flipped by its stripe's lock
-	// holder alone (keeping flag and payload consistent for lock holders)
-	// and read lock-free by the engine's frontier scans; a phased store's
-	// appliers and readers use atomic ORs and ANDs instead. Queue and
-	// Combine payloads exist only under a set bit (Read consumes both
-	// together), which is what lets Clear visit set bits only.
+	// In a locked store a stripe is whole words, so a bit is flipped by its
+	// stripe's lock holder alone (keeping flag and payload consistent for
+	// lock holders) and read lock-free by the engine's frontier scans; a
+	// replica store's appliers and readers use atomic ORs and ANDs instead.
+	// Queue and Combine payloads exist only under a set bit (Read consumes
+	// both together), which is what lets Clear visit set bits only.
 	unread Bits
 }
 
 // edgeKey names the in-edge src->dst.
 type edgeKey struct{ dst, src graph.VertexID }
 
-// owSlot is one replica — of an in-edge, or of a source in a phased store:
-// the source's last message, its version and its presence epoch.
+// owSlot is one replica — of a source, or of an in-edge in a per-edge
+// store: the source's last message, its version and its presence epoch.
 type owSlot[M any] struct {
 	msg       M
 	ver, hasE uint32
 }
 
+// layout is an Overwrite store's table and locking (DESIGN.md §9).
+type layout uint8
+
+const (
+	perEdge        layout = iota // New: one slot per in-edge, stripe-locked
+	replicas                     // one replica per source, no lock
+	lockedReplicas               // one replica per source, source-block locks
+)
+
 // New creates a store for the given owned vertices, owned[i] at local
-// index i, with an index of its own from global IDs to local indices.
+// index i, with an index of its own from global IDs to local indices. An
+// Overwrite store keeps one slot per in-edge behind stripe locks and takes
+// point entries as well as fan-out entries. No engine run builds one.
 func New[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M) *Store[M] {
-	return NewAt(g, owned, inverse(g, owned), 0, kind, combine, false)
+	return newStore(g, owned, inverse(g, owned), 0, kind, combine, perEdge)
 }
 
-// NewPhased is New for a store that no read overlaps a write: it is written
-// during one superstep and read only after the barrier that ends it, as
-// both stores of a BSP pair are. An Overwrite store then keeps one replica
-// per source and takes fan-out entries only (the package comment says why;
-// the safety argument is at putReplicas). Other semantics are unaffected.
+// NewPhased is New for a store whose reads of a replica never overlap its
+// writes, as under BSP, where a store is written during one superstep and
+// read only after the barrier that ends it. An Overwrite store then keeps
+// one replica per source, takes fan-out entries and Broadcast only, and
+// goes without locks: it is NewAt's ordered store over an index of its
+// own. Other semantics are unaffected.
 func NewPhased[M any](g *graph.Graph, owned []graph.VertexID, kind model.Semantics, combine func(a, b M) M) *Store[M] {
-	return NewAt(g, owned, inverse(g, owned), 0, kind, combine, true)
+	return newStore(g, owned, inverse(g, owned), 0, kind, combine, replicas)
 }
 
 // inverse is the index New builds: pos[owned[i]] = i, and -1 elsewhere.
@@ -152,8 +177,20 @@ func inverse(g *graph.Graph, owned []graph.VertexID) []int32 {
 // NewAt is the engine's store: owned is a worker's run of a layout that
 // starts at position base and that pos, shared by every store of the run,
 // inverts (partition.Map's Owned, Base and Positions). It allocates no
-// index of its own. phased selects NewPhased's layout, otherwise New's.
-func NewAt[M any](g *graph.Graph, owned []graph.VertexID, pos []int32, base int32, kind model.Semantics, combine func(a, b M) M, phased bool) *Store[M] {
+// index of its own. An Overwrite store keeps one replica per source.
+// unordered says that a read of a replica may overlap a write of it — only
+// SyncNone under Async or BAP, where no fork or token orders them — and
+// makes the replica writes and reads take source-block stripe locks; an
+// ordered store takes none (the argument per technique is DESIGN.md §9).
+// Other semantics ignore it.
+func NewAt[M any](g *graph.Graph, owned []graph.VertexID, pos []int32, base int32, kind model.Semantics, combine func(a, b M) M, unordered bool) *Store[M] {
+	if unordered {
+		return newStore(g, owned, pos, base, kind, combine, lockedReplicas)
+	}
+	return newStore(g, owned, pos, base, kind, combine, replicas)
+}
+
+func newStore[M any](g *graph.Graph, owned []graph.VertexID, pos []int32, base int32, kind model.Semantics, combine func(a, b M) M, lay layout) *Store[M] {
 	if kind == model.Combine && combine == nil {
 		panic("msgstore: Combine semantics require a combine function")
 	}
@@ -177,10 +214,15 @@ func NewAt[M any](g *graph.Graph, owned []graph.VertexID, pos []int32, base int3
 		s.slot = make([]M, n)
 		s.hasSlot = make([]bool, n)
 	case model.Overwrite:
-		s.epoch = 1
-		if phased {
-			s.phased = true
+		s.epoch, s.floor = 1, 1
+		if lay != perEdge {
+			s.replicas = true
 			s.rep = make([]owSlot[M], g.NumVertices())
+			if s.srcLocks = lay == lockedReplicas; s.srcLocks {
+				for (g.NumVertices()-1)>>s.srcShift >= stripes {
+					s.srcShift++
+				}
+			}
 			break
 		}
 		s.owOff = make([]int32, n+1)
@@ -217,9 +259,9 @@ func (s *Store[M]) stripeOf(li int32) int32 { return li / s.blockSize }
 // putLocked records message m's payload into local slot li; the caller
 // holds li's stripe lock and sets li's unread bit. slot, when non-zero, is
 // the in-neighbor position of src in the in-list of li's vertex biased by
-// one, sparing the Overwrite path its binary search. Returns false when the
-// message is an Overwrite-mode message from a non-in-neighbor (the caller
-// unlocks, then panics, so the store is not left locked).
+// one, sparing a per-edge Overwrite store its binary search. Returns false
+// when the message is an Overwrite-mode message from a non-in-neighbor
+// (the caller unlocks, then panics, so the store is not left locked).
 func (s *Store[M]) putLocked(li int32, src graph.VertexID, m M, ver uint32, slot uint32) bool {
 	switch s.kind {
 	case model.Queue:
@@ -247,22 +289,16 @@ func (s *Store[M]) putLocked(li int32, src graph.VertexID, m M, ver uint32, slot
 }
 
 // Put records message m from src to dst. ver is src's value version at send
-// time (0 when history tracking is off). Safe for concurrent use.
+// time (0 when history tracking is off). A replica store takes no message
+// for one target and panics. Safe for concurrent use.
 func (s *Store[M]) Put(dst, src graph.VertexID, m M, ver uint32) {
-	s.PutSlot(dst, src, m, ver, 0)
-}
-
-// PutSlot is Put with a precomputed in-slot hint (Entry.Slot encoding:
-// position+1, 0 = unknown). A phased Overwrite store takes no message for
-// one target and panics.
-func (s *Store[M]) PutSlot(dst, src graph.VertexID, m M, ver uint32, slot uint32) {
-	if s.phased {
+	if s.replicas {
 		panicPoint(dst, src)
 	}
 	li := s.idx(dst)
 	lk := &s.locks[s.stripeOf(li)]
 	lk.Lock()
-	ok := s.putLocked(li, src, m, ver, slot)
+	ok := s.putLocked(li, src, m, ver, 0)
 	if ok {
 		s.unread.orLocked(int(li>>6), 1<<(li&63))
 	}
@@ -297,27 +333,26 @@ type batchScratch struct {
 const smallBatch = 16
 
 // PutBatch applies a batch of messages and returns the number of targets
-// its fan-out entries reached. A phased Overwrite store writes each entry's
-// replica in one pass in batch order (putReplicas); the others amortize
-// lock acquisition, as follows. Each slot write
-// becomes a 12-byte reference to its batch entry — a fan-out entry expands
-// into one per target straight from the fan-out table — and the references
-// are grouped with a stable two-pass counting sort (no comparisons) by
-// bucket: whole unread words in ascending order, at most subBuckets per
-// stripe. Each stripe is then locked once per batch, a word's unread bits
-// are published once per run of references into it (once per batch while
-// a bucket is one word), and message and version are read from the batch
-// entry under the lock. Stable grouping preserves per-destination
-// arrival order, so every semantics observes exactly the messages (and
-// order) that per-message Puts would have produced; Combine folds
-// duplicates as it applies them. The batch is not modified. Safe for
-// concurrent use by multiple appliers.
+// its fan-out entries reached. A replica store writes each entry's replica
+// in one pass in batch order (putReplicas); the others amortize lock
+// acquisition, as follows. Each slot write becomes a 12-byte reference to
+// its batch entry — a fan-out entry expands into one per target straight
+// from the fan-out table — and the references are grouped with a stable
+// two-pass counting sort (no comparisons) by bucket: whole unread words in
+// ascending order, at most subBuckets per stripe. Each stripe is then
+// locked once per batch, a word's unread bits are published once per run
+// of references into it (once per batch while a bucket is one word), and
+// message and version are read from the batch entry under the lock. Stable
+// grouping preserves per-destination arrival order, so every semantics
+// observes exactly the messages (and order) that per-message Puts would
+// have produced; Combine folds duplicates as it applies them. The batch is
+// not modified. Safe for concurrent use by multiple appliers.
 func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	if len(batch) == 0 {
 		return 0
 	}
 	sc, _ := s.scratch.Get().(*batchScratch)
-	if s.phased {
+	if s.replicas {
 		if sc == nil {
 			sc = &batchScratch{mask: make([]uint64, len(s.unread))}
 		}
@@ -339,8 +374,8 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	for i := range batch {
 		if batch[i].Dst == FanOut {
 			row := s.fan.Row(batch[i].Src)
-			for _, t := range row {
-				counts[t.Local>>shift+1]++
+			for _, li := range row {
+				counts[li>>shift+1]++
 			}
 			total += len(row)
 			fanned += len(row)
@@ -358,9 +393,19 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	refs := sc.refs
 	for i := range batch {
 		if batch[i].Dst == FanOut {
-			for _, t := range s.fan.Row(batch[i].Src) {
-				k := t.Local >> shift
-				refs[counts[k]] = ref{e: int32(i), li: t.Local, slot: t.Slot}
+			src, slot := batch[i].Src, uint32(0)
+			row := s.fan.Row(src)
+			for j, li := range row {
+				if s.ow != nil { // a multi-edge's targets are adjacent and take its consecutive slots
+					if j > 0 && row[j-1] == li {
+						slot++
+					} else {
+						pos, _ := s.g.InSlot(s.owned[li], src)
+						slot = uint32(pos) + 1
+					}
+				}
+				k := li >> shift
+				refs[counts[k]] = ref{e: int32(i), li: li, slot: slot}
 				counts[k]++
 			}
 			continue
@@ -402,22 +447,20 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 	return fanned
 }
 
-// putReplicas is PutBatch on a phased Overwrite store: one pass in batch
-// order, each fan-out entry writing its source's replica once and marking
-// its targets unread, with no references, sort or locks. A point entry
-// panics: one replica cannot hold a message meant for one of its targets.
+// putReplicas is PutBatch on a replica store: one pass in batch order,
+// each fan-out entry writing its source's replica once and marking its
+// targets unread, with no references or sort. A point entry panics: one
+// replica cannot hold a message meant for one of its targets.
 //
-// This, the lock-free gather and Clear are safe because a replica has one
-// writer and no read overlaps a write:
-//   - only executions of u broadcast as u, and a BSP superstep executes a
-//     vertex once, on one thread, whose sends to this worker all travel one
-//     lane (or its one staged entry), so two writes of one replica come in
-//     one call or in calls one goroutine makes in order;
-//   - each lane is applied by one goroutine (Mem's consumer, TCP's reader),
-//     and confined replay injects its batches before the workers start;
-//   - BSP never calls PutSlot: every local BSP message is staged;
-//   - reads, Load and Clear run after the barrier that swaps the store in,
-//     when nothing writes it.
+// A replica has one writer: only executions of u broadcast as u, the
+// engine never runs a vertex concurrently with itself, its own worker
+// writes u's replica from the executing thread (Broadcast, or a BSP
+// thread's staged entry), and every other worker's broadcasts of u travel
+// one lane, which one goroutine applies (Mem's consumer, TCP's pump) in
+// send order; confined replay injects its batches before the workers
+// start. Readers are ordered after the write they see by the BSP barrier
+// or a fork or token handoff, except in an unordered store, whose writes
+// and gather runs hold the source block's stripe lock (DESIGN.md §9).
 //
 // What appliers share is unread words, and readers of neighbouring vertices
 // share them too, so readers clear their bit with an atomic AND, and an
@@ -425,21 +468,20 @@ func (s *Store[M]) PutBatch(batch []Entry[M]) (fanned int) {
 // once with an atomic OR: an atomic OR per target contends on those lines
 // for every target, and ran BSP PageRank ≈ 1.35 × slower (DESIGN.md §9).
 func (s *Store[M]) putReplicas(batch []Entry[M], sc *batchScratch) (fanned int) {
-	rep, ep := s.rep, s.epoch
 	mask, touched := sc.mask, sc.touched[:0]
 	for i := range batch {
 		e := &batch[i]
 		if e.Dst != FanOut {
 			panicPoint(e.Dst, e.Src)
 		}
-		rep[e.Src] = owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: ep}
+		s.setReplica(e.Src, e.Msg, e.Ver)
 		row := s.fan.Row(e.Src)
-		for _, t := range row {
-			w := t.Local >> 6
+		for _, li := range row {
+			w := li >> 6
 			if mask[w] == 0 {
 				touched = append(touched, w)
 			}
-			mask[w] |= 1 << (t.Local & 63)
+			mask[w] |= 1 << (li & 63)
 		}
 		fanned += len(row)
 	}
@@ -451,9 +493,49 @@ func (s *Store[M]) putReplicas(batch []Entry[M], sc *batchScratch) (fanned int) 
 	return fanned
 }
 
-// panicPoint rejects a message for one target in a phased Overwrite store.
+// setReplica writes source u's replica, under its source block's stripe
+// lock in an unordered store.
+func (s *Store[M]) setReplica(u graph.VertexID, m M, ver uint32) {
+	sl := owSlot[M]{msg: m, ver: ver, hasE: s.epoch}
+	if !s.srcLocks {
+		s.rep[u] = sl
+		return
+	}
+	lk := &s.locks[u>>s.srcShift]
+	lk.Lock()
+	s.rep[u] = sl
+	lk.Unlock()
+}
+
+// Broadcast is a local SendToAllOut into a replica store under Async or
+// BAP: it writes src's replica once and then sets the unread bits of src's
+// source-table row at once, one atomic OR per word the row touches (the
+// row ascends, so a run of targets in one word is one OR). Every local
+// target can read the message from then on, in whichever partition it is.
+// Safe for concurrent use by the threads of one worker.
+func (s *Store[M]) Broadcast(src graph.VertexID, m M, ver uint32) {
+	if !s.replicas {
+		panic("msgstore: Broadcast needs a replica store (NewAt, NewPhased)")
+	}
+	s.setReplica(src, m, ver)
+	word, mask := int32(-1), uint64(0)
+	for _, li := range s.fan.Row(src) {
+		if w := li >> 6; w != word {
+			if mask != 0 {
+				s.unread.or(int(word), mask)
+			}
+			word, mask = w, 0
+		}
+		mask |= 1 << (li & 63)
+	}
+	if mask != 0 {
+		s.unread.or(int(word), mask)
+	}
+}
+
+// panicPoint rejects a message for one target in a replica store.
 func panicPoint(dst, src graph.VertexID) {
-	panic(fmt.Sprintf("msgstore: message %d -> %d for one target in a phased Overwrite store, which keeps one replica per source: broadcast with SendToAllOut", src, dst))
+	panic(fmt.Sprintf("msgstore: message %d -> %d for one target in an Overwrite store that keeps one replica per source: broadcast with SendToAllOut", src, dst))
 }
 
 // HasNew reports whether dst has messages it has not yet read. Lock-free:
@@ -498,7 +580,7 @@ func (s *Store[M]) Read(dst graph.VertexID, r *Reader[M]) bool { return s.ReadLo
 // walks the store's own index order (the engine's frontier).
 func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 	r.reset()
-	if s.phased {
+	if s.replicas {
 		return s.gather(li, r)
 	}
 	lk := &s.locks[s.stripeOf(li)]
@@ -528,7 +610,7 @@ func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 		}
 		for pos := range row {
 			sl := &row[pos]
-			if sl.hasE != s.epoch {
+			if sl.hasE < s.floor {
 				continue
 			}
 			r.Msgs = append(r.Msgs, sl.msg)
@@ -542,18 +624,43 @@ func (s *Store[M]) ReadLocal(li int32, r *Reader[M]) bool {
 	return true
 }
 
-// gather is ReadLocal on a phased store, without the stripe lock (see
-// putReplicas): it reads the replica of each in-neighbor u of li's vertex,
-// in in-list order, that is present and not masked.
+// gather is ReadLocal on a replica store (see putReplicas): it reads the
+// replica of each in-neighbor u of li's vertex, in in-list order, that is
+// present and not masked. An unordered store locks each run of the in-list
+// that falls in one source block (the in-list ascends) while it reads it.
 func (s *Store[M]) gather(li int32, r *Reader[M]) bool {
 	s.unread.clearShared(li)
-	v, rep, ep, masked := s.owned[li], s.rep, s.epoch, len(s.masked) > 0
-	for _, u := range s.g.InNeighbors(v) {
+	v := s.owned[li]
+	in := s.g.InNeighbors(v)
+	if !s.srcLocks {
+		s.gatherRun(v, in, r)
+		return len(r.Msgs) > 0
+	}
+	for len(in) > 0 {
+		b := in[0] >> s.srcShift
+		n := 1
+		for n < len(in) && in[n]>>s.srcShift == b {
+			n++
+		}
+		lk := &s.locks[b]
+		lk.Lock()
+		s.gatherRun(v, in[:n], r)
+		lk.Unlock()
+		in = in[n:]
+	}
+	return len(r.Msgs) > 0
+}
+
+// gatherRun appends to r the present, unmasked replicas of the sources in
+// run, in-neighbors of v.
+func (s *Store[M]) gatherRun(v graph.VertexID, run []graph.VertexID, r *Reader[M]) {
+	rep, floor, masked := s.rep, s.floor, len(s.masked) > 0
+	for _, u := range run {
 		sl := &rep[u]
-		if sl.hasE != ep {
+		if sl.hasE < floor {
 			continue
 		}
-		if masked {
+		if masked && sl.hasE == floor {
 			if _, ok := s.masked[edgeKey{v, u}]; ok {
 				continue
 			}
@@ -564,20 +671,21 @@ func (s *Store[M]) gather(li int32, r *Reader[M]) bool {
 			r.Vers = append(r.Vers, sl.ver)
 		}
 	}
-	return len(r.Msgs) > 0
 }
 
-// Clear atomically drains all state; the BSP engine calls it on every
-// store swap. Overwrite mode clears by bumping the presence epoch — O(1)
-// for the slot table instead of wiping a flag per in-edge per superstep —
-// and the other modes visit only the vertices whose unread bit is set, so
-// a swap costs the words of the bitset plus what the superstep left unread.
+// Clear drains all state; the BSP engine calls it on every store swap, and
+// every caller runs it while nothing writes or reads the store. Overwrite
+// mode clears by moving the presence floor past every stamp — O(1) for the
+// slot table instead of wiping a flag per in-edge per superstep — and the
+// other modes visit only the vertices whose unread bit is set, so a swap
+// costs the words of the bitset plus what the superstep left unread.
 func (s *Store[M]) Clear() {
 	for i := range s.locks {
 		s.locks[i].Lock()
 	}
 	if s.kind == model.Overwrite {
 		s.epoch++
+		s.floor = s.epoch
 		s.masked = nil
 	}
 	for wi := range s.unread {
@@ -585,7 +693,7 @@ func (s *Store[M]) Clear() {
 		if w == 0 {
 			continue
 		}
-		s.unread[wi].Store(0) // every writer holds a stripe lock, or (phased) none runs
+		s.unread[wi].Store(0)
 		if s.kind == model.Overwrite {
 			continue
 		}
@@ -619,15 +727,15 @@ type DumpEntry[M any] struct {
 // entry per in-edge.
 func (s *Store[M]) slotAt(li int32, pos int, u graph.VertexID) *owSlot[M] {
 	var sl *owSlot[M]
-	if s.phased {
-		if _, ok := s.masked[edgeKey{s.owned[li], u}]; ok {
+	if s.replicas {
+		sl = &s.rep[u]
+		if _, ok := s.masked[edgeKey{s.owned[li], u}]; ok && sl.hasE == s.floor {
 			return nil
 		}
-		sl = &s.rep[u]
 	} else {
 		sl = &s.ow[s.owOff[li]+int32(pos)]
 	}
-	if sl.hasE != s.epoch {
+	if sl.hasE < s.floor {
 		return nil
 	}
 	return sl
@@ -682,16 +790,17 @@ func (s *Store[M]) Dump() []DumpEntry[M] {
 	return out
 }
 
-// Load restores a dump produced by Dump into an empty store. The entries a
-// phased Overwrite store takes from one source carry one message, as its
-// own dumps' do, and set that source's replica; any owned in-edge of the
-// source that no entry names is masked, so the store reads back exactly
-// the entries loaded — after a mutation, an edge added since the source's
-// broadcast stays without its message, as in the per-edge layout.
+// Load restores a dump produced by Dump into an empty store, while nothing
+// else uses it. The entries a replica store takes from one source carry one
+// message, as its own dumps' do, and set that source's replica; any owned
+// in-edge of the source that no entry names is masked, so the store reads
+// back exactly the entries loaded — after a mutation, an edge added since
+// the source's broadcast stays without its message, as in the per-edge
+// layout, until the source's next write, which the next epoch stamps.
 func (s *Store[M]) Load(entries []DumpEntry[M]) {
 	s.Clear()
 	var loaded map[edgeKey]struct{}
-	if s.phased {
+	if s.replicas {
 		loaded = make(map[edgeKey]struct{}, len(entries))
 	}
 	for _, e := range entries {
@@ -708,7 +817,7 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 				panic("msgstore: restored entry from non-in-neighbor")
 			}
 			sl := owSlot[M]{msg: e.Msg, ver: e.Ver, hasE: s.epoch}
-			if s.phased {
+			if s.replicas {
 				s.rep[e.Src] = sl
 				loaded[edgeKey{e.Dst, e.Src}] = struct{}{}
 				break
@@ -740,5 +849,8 @@ func (s *Store[M]) Load(entries []DumpEntry[M]) {
 				s.masked[k] = struct{}{}
 			}
 		}
+	}
+	if s.masked != nil {
+		s.epoch++ // later writes are not the loaded replicas the mask hides
 	}
 }
