@@ -72,12 +72,13 @@ func drain(t *testing.T, s *Store[int], n int) map[graph.VertexID][]int {
 
 // TestPutBatchMatchesPut: PutBatch equals per-message puts on a locked
 // store — one-entry batches, so each keeps its in-slot hint — and a fan-out
-// entry equals the per-edge messages it stands for. Batches mix point and fan-out entries over a multigraph
-// (duplicate edges and self-loops keep one slot each), and PutBatch returns
-// exactly the number of in-edges its fan-out entries reached. Every
-// semantics runs on both store kinds, locked and phased (NewPhased); a
-// phased Overwrite store keeps one replica per source, so its batches are
-// fan-out entries only, and it reads as the per-edge store does.
+// entry equals the per-edge messages it stands for. Batches mix point and
+// fan-out entries over a multigraph (duplicate edges and self-loops keep
+// one slot each), and PutBatch returns exactly the number of in-edges its
+// fan-out entries reached. Every semantics runs on both store kinds, locked
+// and phased (NewPhased); a phased Overwrite store keeps one replica per
+// source, so its batches are fan-out entries only, and it reads as the
+// per-edge store does.
 func TestPutBatchMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomMultigraph(24, rng)
